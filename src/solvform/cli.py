@@ -3,7 +3,8 @@
 Subcommands run the pipeline up to a stage and emit a report; ``verify``
 re-derives the claims of a previously written machine-readable report.
 Exit codes: 0 success, 1 input problem (unreadable file, schema or
-hypothesis violation, failed verification), 2 broken internal invariant.
+hypothesis violation, malformed report, failed verification), 2 broken
+internal invariant or any other unexpected error.
 """
 
 from __future__ import annotations
@@ -61,6 +62,9 @@ def main(argv=None) -> int:
     except InternalInvariantViolation as exc:
         print(f"internal invariant violation: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:  # any other escape is a bug: one line, never a traceback
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 2
 
 
 def _run_stage(args) -> int:
@@ -82,6 +86,8 @@ def _run_verify(args) -> int:
             report = json.load(handle)
     except json.JSONDecodeError as exc:
         raise InputError(f"malformed report: {exc}") from exc
+    if not isinstance(report, dict):
+        raise InputError("malformed report: the top level must be a JSON object")
     ok, mismatches = verify_report(report, spec)
     if ok:
         print("report verified: all checkable claims reproduced")

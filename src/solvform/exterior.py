@@ -297,8 +297,9 @@ def algebra_map_apply(endo: LinearEndo, x: Multivector) -> Multivector:
         for idx in key:
             term = term.wedge(endo.image_of(idx))
             if term.is_zero():
-                break
-        out = out + term.scaled(coeff)
+                break  # a zero partial product has too low a degree to add
+        else:
+            out = out + term.scaled(coeff)
     return out
 
 

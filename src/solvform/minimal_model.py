@@ -254,8 +254,9 @@ class MinimalModel:
             for gid in mono:
                 term = term.wedge(self.gens[gid].rho)
                 if term.is_zero():
-                    break
-            out = out + term.scaled(coeff)
+                    break  # a zero partial product has too low a degree to add
+            else:
+                out = out + term.scaled(coeff)
         return out
 
     @staticmethod

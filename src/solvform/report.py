@@ -273,7 +273,7 @@ def verify_report(report: dict, spec: AlmostAbelianSpec):
         mismatches.append("echoed input differs from the supplied document")
         return False, mismatches
     max_degree = report.get("max_degree")
-    if not isinstance(max_degree, int) or max_degree < 1:
+    if not isinstance(max_degree, int) or isinstance(max_degree, bool) or max_degree < 1:
         return False, ["report lacks a valid max_degree"]
     stages = [s for s in STAGES if s in report]
     fresh = build_report(spec, max_degree, stages=stages)
@@ -281,8 +281,9 @@ def verify_report(report: dict, spec: AlmostAbelianSpec):
         if report[stage] != fresh[stage]:
             mismatches.append(_first_divergence(stage, report[stage], fresh[stage]))
     if "symplectic" in report:
-        witness = report["symplectic"].get("witness")
-        if witness:
+        section = report["symplectic"]
+        witness = section.get("witness") if isinstance(section, dict) else None
+        if isinstance(witness, dict):
             ok = _reverify_witness(spec, witness)
             if not ok:
                 mismatches.append("symplectic witness in the report fails re-verification")
@@ -301,8 +302,8 @@ def _reverify_witness(spec: AlmostAbelianSpec, witness: dict) -> bool:
     from .symplectic import _half_dim, _witness_from_pair
 
     pair = CoSymplecticPair(
-        _parse_form(spec, witness["two_form"], 2),
-        _parse_form(spec, witness["one_form"], 1),
+        _parse_form(spec, witness.get("two_form"), 2),
+        _parse_form(spec, witness.get("one_form"), 1),
     )
     try:
         rebuilt = _witness_from_pair(spec, _half_dim(spec), pair)
@@ -311,35 +312,40 @@ def _reverify_witness(spec: AlmostAbelianSpec, witness: dict) -> bool:
     if rebuilt is None:
         return False
     ok, _ = verify_symplectic(spec, rebuilt)
-    return ok and str(rebuilt.omega_top) == witness["omega_top"]
+    return ok and str(rebuilt.omega_top) == witness.get("omega_top")
 
 
-def _parse_form(spec: AlmostAbelianSpec, text: str, degree: int):
+def _parse_form(spec: AlmostAbelianSpec, text, degree: int):
     """Parse the canonical multivector rendering back (rational coefficients)."""
     from fractions import Fraction
 
     from .exterior import Multivector
 
+    if not isinstance(text, str):
+        raise InputError(f"malformed report: witness form {text!r} is not a string")
     text = text.strip()
     if text == "0":
         return Multivector.zero(spec.n, degree)
     terms = []
     normalized = text.replace(" - ", " + -").split(" + ")
-    for chunk in normalized:
-        chunk = chunk.strip()
-        coeff = Fraction(1)
-        if chunk.startswith("-"):
-            coeff = Fraction(-1)
-            chunk = chunk[1:]
-        if "*" in chunk:
-            coeff_text, _, chunk = chunk.partition("*")
-            coeff *= Fraction(coeff_text)
-        if not chunk.startswith("a"):
-            raise InputError(f"cannot parse multivector term {chunk!r}")
-        body = chunk[1:]
-        if body.startswith("("):
-            indices = tuple(int(p) for p in body.strip("()").split(","))
-        else:
-            indices = tuple(int(ch) for ch in body)
-        terms.append((indices, coeff))
-    return Multivector(spec.n, degree, terms)
+    try:
+        for chunk in normalized:
+            chunk = chunk.strip()
+            coeff = Fraction(1)
+            if chunk.startswith("-"):
+                coeff = Fraction(-1)
+                chunk = chunk[1:]
+            if "*" in chunk:
+                coeff_text, _, chunk = chunk.partition("*")
+                coeff *= Fraction(coeff_text)
+            if not chunk.startswith("a"):
+                raise InputError(f"cannot parse multivector term {chunk!r}")
+            body = chunk[1:]
+            if body.startswith("("):
+                indices = tuple(int(p) for p in body.strip("()").split(","))
+            else:
+                indices = tuple(int(ch) for ch in body)
+            terms.append((indices, coeff))
+        return Multivector(spec.n, degree, terms)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise InputError(f"malformed report: cannot parse multivector {text!r}: {exc}") from exc

@@ -119,7 +119,7 @@ def parse_spec(text: str) -> AlmostAbelianSpec:
         raise SchemaError(f"unknown field(s) {sorted(unknown)} in input document")
 
     n = doc.get("n")
-    if not isinstance(n, int) or n < 1:
+    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise SchemaError("field 'n' must be a positive integer")
     symbols = doc.get("symbols", [])
     if not isinstance(symbols, list) or not all(isinstance(s, str) for s in symbols):
@@ -145,7 +145,7 @@ def parse_spec(text: str) -> AlmostAbelianSpec:
         if kind not in ("real", "complex"):
             raise SchemaError(f"{where}.kind must be 'real' or 'complex'")
         size = raw.get("size")
-        if not isinstance(size, int) or size < 1:
+        if not isinstance(size, int) or isinstance(size, bool) or size < 1:
             raise SchemaError(f"{where}.size must be a positive integer")
         try:
             re = parse_scalar(raw.get("re", "0"), symbols)

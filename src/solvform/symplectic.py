@@ -9,23 +9,28 @@ of the top coefficient of ``F^(N-1) ^ eta``, and closedness reduces to
 the shift action annihilating ``F`` (its diagonal weight contribution is
 zero on invariant representatives).
 
-The search parameterizes ``F`` over the kernel of the shift action on
-invariant 2-forms and ``eta`` over invariant 1-forms.  The pairing is a
-polynomial with per-variable degree at most N-1 (resp. 1), so it is
-identically zero iff it vanishes on the integer grid {0..N-1} x {0,1}
-per variable; grid evaluation with early exit decides nondegeneracy
-exactly and deterministically.  A negative answer refutes only forms of
-this invariant type, nothing more.
+The search parameterizes ``F = sum x_i u_i`` over the kernel of the
+shift action on invariant 2-forms and ``eta = sum y_j e_j`` over
+invariant 1-forms, and expands the pairing ``P(x, y) = top(F^(N-1) ^
+eta)`` once as an explicit polynomial.  Its degree in each ``x_i`` is at
+most N-1 and in each ``y_j`` at most 1, so by Alon's Combinatorial
+Nullstellensatz (Combin. Probab. Comput. 8, 1999) a nonzero ``P`` has a
+nonzero point on the grid {0..N-1} per ``x_i`` and {0,1} per ``y_j``.
+``P`` identically zero therefore decides "no form of this type"; else
+the coordinates are fixed one at a time in grid order, each at the
+smallest value that keeps the partially substituted polynomial nonzero.
+The same bound shows this reaches the lexicographically first nonzero
+grid point, with no enumeration.  A negative answer refutes only forms
+of this invariant type, nothing more.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 
 from .cohomology import CEElement, ce_differential
-from .errors import InputError
+from .errors import InputError, InternalInvariantViolation
 from .exterior import (
     Multivector,
     coordinate_vector,
@@ -91,9 +96,10 @@ def _half_dim(spec: AlmostAbelianSpec) -> int:
 
 
 def find_symplectic(spec: AlmostAbelianSpec, candidate: CoSymplecticPair | None = None):
-    """Search the grid for a nondegenerate pair; None when none of this type exists.
+    """Decide exactly whether a nondegenerate pair exists; None when none of this type does.
 
-    A supplied candidate is verified instead of searching.  Every
+    The witness is the first nonzero point of the grid in lexicographic
+    order.  A supplied candidate is verified instead of searching.  Every
     returned witness carries exact certificates and passes
     :func:`verify_symplectic` by construction.
     """
@@ -110,27 +116,72 @@ def find_symplectic(spec: AlmostAbelianSpec, candidate: CoSymplecticPair | None 
     e_basis = nilpotent_submodule(spec, 1)
     if not e_basis:
         return None
-    for f_point in product(range(half), repeat=len(f_basis)):
-        two_form = Multivector.zero(spec.n, 2)
-        for c, u in zip(f_point, f_basis):
-            if c:
-                two_form = two_form + u.scaled(c)
-        f_power = wedge_power(two_form, half - 1)
-        if f_power.is_zero():
-            continue
-        for e_point in product(range(2), repeat=len(e_basis)):
-            one_form = Multivector.zero(spec.n, 1)
-            for c, u in zip(e_point, e_basis):
-                if c:
-                    one_form = one_form + u.scaled(c)
-            pairing = top_coefficient(f_power.wedge(one_form))
-            if not pairing.is_zero():
-                witness = _witness_from_pair(
-                    spec, half, CoSymplecticPair(two_form, one_form)
-                )
-                assert witness is not None
-                return witness
-    return None
+    poly = _pairing_polynomial(spec, half, f_basis, e_basis)
+    if not poly:
+        return None
+    point = []
+    for size in [half] * len(f_basis) + [2] * len(e_basis):
+        for value in range(size):
+            rest = _substitute_first(poly, value)
+            if rest:
+                break
+        else:
+            raise InternalInvariantViolation(
+                f"pairing polynomial vanishes on the whole grid line after {point}"
+            )
+        point.append(value)
+        poly = rest
+    two_form = Multivector.zero(spec.n, 2)
+    for c, u in zip(point, f_basis):
+        if c:
+            two_form = two_form + u.scaled(c)
+    one_form = Multivector.zero(spec.n, 1)
+    for c, u in zip(point[len(f_basis) :], e_basis):
+        if c:
+            one_form = one_form + u.scaled(c)
+    witness = _witness_from_pair(spec, half, CoSymplecticPair(two_form, one_form))
+    if witness is None or witness.pairing != poly[()]:
+        raise InternalInvariantViolation(
+            f"pairing at grid point {point} disagrees with the pairing polynomial"
+        )
+    return witness
+
+
+def _pairing_polynomial(spec, half, f_basis, e_basis) -> dict:
+    """``top(F(x)^(half-1) ^ eta(y))`` as ``{exponents of (x..., y...): coefficient}``.
+
+    ``F^(half-1)`` is expanded by multiplying by ``sum x_i u_i`` repeatedly;
+    2-forms commute, so equal monomials collect their multinomial factors.
+    """
+    powers = {(0,) * len(f_basis): Multivector.unit(spec.n)}
+    for _ in range(half - 1):
+        expanded: dict = {}
+        for exps, form in powers.items():
+            for i, u in enumerate(f_basis):
+                term = form.wedge(u)
+                if term.is_zero():
+                    continue
+                key = exps[:i] + (exps[i] + 1,) + exps[i + 1 :]
+                prev = expanded.get(key)
+                expanded[key] = term if prev is None else prev + term
+        powers = {exps: form for exps, form in expanded.items() if not form.is_zero()}
+    poly = {}
+    for exps, form in powers.items():
+        for j, e in enumerate(e_basis):
+            coeff = top_coefficient(form.wedge(e))
+            if not coeff.is_zero():
+                poly[exps + tuple(int(i == j) for i in range(len(e_basis)))] = coeff
+    return poly
+
+
+def _substitute_first(poly: dict, value: int) -> dict:
+    """Fix the first variable of ``poly`` at ``value``, dropping zero coefficients."""
+    out: dict = {}
+    for exps, coeff in poly.items():
+        term = coeff * value ** exps[0]
+        key = exps[1:]
+        out[key] = out[key] + term if key in out else term
+    return {exps: coeff for exps, coeff in out.items() if not coeff.is_zero()}
 
 
 def _pair_is_admissible(spec: AlmostAbelianSpec, pair: CoSymplecticPair) -> bool:

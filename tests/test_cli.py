@@ -1,9 +1,26 @@
 """Command line behavior, report determinism, and verification round trips."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import solvform
 from solvform import build_report, dumps_canonical, fixture_path, load_spec, verify_report
+from solvform import cli
 from solvform.cli import main
+
+SRC = str(Path(solvform.__file__).resolve().parents[1])
+
+
+def _run_cli(*argv):
+    """The CLI in a fresh interpreter, so a leaked traceback shows on stderr."""
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "solvform", *argv],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path),
+    )
 
 
 def _write_spec(tmp_path, name="input.json", text=None):
@@ -122,3 +139,44 @@ def test_report_echo_round_trip():
     assert ok, mismatches
     # canonical dumps are stable under a JSON round trip
     assert dumps_canonical(json.loads(dumps_canonical(report))) == dumps_canonical(report)
+
+
+def test_verify_non_object_report_is_input_error(tmp_path):
+    spec_path = _write_spec(tmp_path)
+    report_path = tmp_path / "list.json"
+    report_path.write_text("[1, 2]")
+    proc = _run_cli("verify", str(report_path), str(spec_path))
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.splitlines() == ["error: malformed report: the top level must be a JSON object"]
+
+
+def test_verify_unparsable_witness_is_input_error(tmp_path):
+    spec_path = _write_spec(tmp_path)
+    report_path = tmp_path / "report.json"
+    assert main(["analyze", str(spec_path), "--max-degree", "2", "--format", "json", "--report", str(report_path)]) == 0
+    doc = json.loads(report_path.read_text())
+    doc["symplectic"]["witness"]["two_form"] = "a1x"
+    report_path.write_text(json.dumps(doc))
+    proc = _run_cli("verify", str(report_path), str(spec_path))
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert len(proc.stderr.splitlines()) == 1 and "cannot parse multivector 'a1x'" in proc.stderr
+
+
+def test_unexpected_error_exits_2_with_one_line(tmp_path, capsys, monkeypatch):
+    def broken(*args, **kwargs):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "build_report", broken)
+    assert main(["analyze", str(_write_spec(tmp_path))]) == 2
+    assert capsys.readouterr().err == "internal error: RuntimeError: boom\n"
+
+
+def test_s8_model_stage_at_degree_5(tmp_path):
+    # a zero partial product in the realization map once crashed this run
+    report_path = tmp_path / "report.json"
+    argv = ["model", str(fixture_path("s8")), "--max-degree", "5", "--format", "json", "--report", str(report_path)]
+    assert main(argv) == 0
+    quasi = json.loads(report_path.read_text())["model"]["quasi_isomorphism"]
+    assert sorted(quasi) == ["1", "2", "3", "4", "5"] and all(quasi.values())

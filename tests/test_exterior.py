@@ -155,6 +155,14 @@ def test_algebra_map_vs_derivation_exponential():
         assert algebra_map_apply(phi, x) == total
 
 
+def test_algebra_map_skips_terms_killed_early():
+    # a1 -> 0 kills a12 after one factor; the result is the degree-2 zero
+    n = 2
+    endo = LinearEndo(n, [Multivector.zero(n, 1), Multivector.basis_one_form(n, 2)])
+    x = mv(n, ((1, 2), 1))
+    assert algebra_map_apply(endo, x) == Multivector.zero(n, 2)
+
+
 def test_exp_nilpotent_rejects_non_nilpotent():
     n = 2
     ident = LinearEndo(n, [Multivector.basis_one_form(n, i) for i in (1, 2)])

@@ -49,3 +49,9 @@ def test_analysis_reuses_model(s6):
     analysis = Analysis(s6, 2)
     assert analysis.model is analysis.model
     assert analysis.twisted is analysis.twisted
+
+
+def test_verify_rejects_boolean_max_degree(torus4):
+    report = build_report(torus4, 1, stages=("unipotent",))
+    report["max_degree"] = True
+    assert verify_report(report, torus4) == (False, ["report lacks a valid max_degree"])

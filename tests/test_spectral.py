@@ -46,6 +46,18 @@ def test_unknown_fields_rejected():
         parse_spec('{"n": 1, "blocks": [{"kind": "real", "size": 1, "shift": 2}]}')
 
 
+@pytest.mark.parametrize(
+    "doc, where",
+    [
+        ('{"n": true, "blocks": [{"kind": "real", "size": 1}]}', "field 'n'"),
+        ('{"n": 1, "blocks": [{"kind": "real", "size": true}]}', r"blocks\[0\]\.size"),
+    ],
+)
+def test_booleans_rejected_as_integers(doc, where):
+    with pytest.raises(SchemaError, match=where):
+        parse_spec(doc)
+
+
 def test_real_block_with_imaginary_part_rejected():
     doc = '{"n": 1, "blocks": [{"kind": "real", "size": 1, "im_resonant": "1"}]}'
     with pytest.raises(SchemaError, match="real block"):

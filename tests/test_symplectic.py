@@ -2,22 +2,35 @@
 
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
 from solvform import (
     CoSymplecticPair,
     InputError,
+    InternalInvariantViolation,
     Multivector,
     closed_two_classes,
     find_symplectic,
     parse_spec,
     verify_symplectic,
 )
+from solvform import symplectic
 from solvform.exterior import top_coefficient, wedge_power
 from solvform.monodromy import nilpotent_submodule
 from solvform.scalars import ScalarLC
-from solvform.symplectic import assemble_omega
+from solvform.symplectic import _witness_from_pair, assemble_omega
+
+NIL322 = """{"n": 7, "blocks": [{"kind": "real", "size": 3},
+                              {"kind": "real", "size": 2},
+                              {"kind": "real", "size": 2}]}"""
+
+S10 = """{"n": 9, "symbols": ["b"],
+          "blocks": [{"kind": "real", "size": 3},
+                     {"kind": "complex", "size": 1, "re": "b", "im_resonant": "1"},
+                     {"kind": "complex", "size": 1, "re": "-b", "im_resonant": "1"},
+                     {"kind": "complex", "size": 1, "im_resonant": "1"}]}"""
 
 
 def mono(n, *indices):
@@ -148,6 +161,100 @@ def test_every_witness_passes_verification_on_random_resonant_specs():
         assert ok
         found += 1
     assert found >= 5
+
+
+def _grid_search(spec):
+    """Reference decision: the first nonzero pairing on the whole integer grid.
+
+    Walks {0..N-1} per closed 2-form coefficient, then {0,1} per 1-form
+    coefficient, in lexicographic order; exponential, so small cases only.
+    """
+    half = (spec.n + 1) // 2
+    f_basis = closed_two_classes(spec)
+    e_basis = nilpotent_submodule(spec, 1)
+    if not e_basis:
+        return None
+    for f_point in product(range(half), repeat=len(f_basis)):
+        two_form = Multivector.zero(spec.n, 2)
+        for c, u in zip(f_point, f_basis):
+            if c:
+                two_form = two_form + u.scaled(c)
+        f_power = wedge_power(two_form, half - 1)
+        if f_power.is_zero():
+            continue
+        for e_point in product(range(2), repeat=len(e_basis)):
+            one_form = Multivector.zero(spec.n, 1)
+            for c, u in zip(e_point, e_basis):
+                if c:
+                    one_form = one_form + u.scaled(c)
+            if not top_coefficient(f_power.wedge(one_form)).is_zero():
+                return _witness_from_pair(spec, half, CoSymplecticPair(two_form, one_form))
+    return None
+
+
+def _outcome(witness):
+    if witness is None:
+        return None
+    pair = witness.pair
+    return str(pair.two_form), str(pair.one_form), str(witness.pairing), str(witness.omega_top)
+
+
+# nonempty closed 2-form and 1-form bases whose pairing polynomial is zero
+NO_FORM = [
+    '{"n": 3, "symbols": ["b"], "blocks": [{"kind": "real", "size": 2},'
+    ' {"kind": "real", "size": 1, "re": "b"}]}',
+    '{"n": 5, "symbols": ["b"], "blocks": [{"kind": "real", "size": 2},'
+    ' {"kind": "real", "size": 2, "re": "b"}, {"kind": "real", "size": 1, "re": "-2*b"}]}',
+]
+
+
+def test_decision_matches_grid_oracle_on_fixtures(s6, s8, torus4):
+    for spec in (s6, s8, torus4):
+        assert _outcome(find_symplectic(spec)) == _outcome(_grid_search(spec))
+    for doc in NO_FORM:
+        spec = parse_spec(doc)
+        assert closed_two_classes(spec) and nilpotent_submodule(spec, 1)
+        assert find_symplectic(spec) is None and _grid_search(spec) is None
+
+
+def test_decision_matches_grid_oracle_on_random_specs():
+    from conftest import random_resonant_spec, random_unimodular_spec
+
+    rng = random.Random(84)
+    outcomes = []
+    while len(outcomes) < 36:
+        make = random_unimodular_spec if len(outcomes) % 2 else random_resonant_spec
+        spec = make(rng, n_max=5)
+        if (spec.n + 1) % 2:
+            continue
+        expected = _outcome(_grid_search(spec))
+        assert _outcome(find_symplectic(spec)) == expected, spec
+        outcomes.append(expected)
+    assert len(set(outcomes)) >= 4
+
+
+def test_nil322_witness():
+    spec = parse_spec(NIL322)
+    assert len(closed_two_classes(spec)) == 9
+    witness = find_symplectic(spec)
+    assert _outcome(witness) == ("a27 - a36 + a45", "a1", "-6", "-24")
+    assert verify_symplectic(spec, witness)[0]
+
+
+def test_disagreeing_pairing_is_an_internal_error(s6, monkeypatch):
+    # the decision raises a classified error (not an assert) when the
+    # rebuilt pairing contradicts the pairing polynomial
+    monkeypatch.setattr(symplectic, "_witness_from_pair", lambda *args: None)
+    with pytest.raises(InternalInvariantViolation, match="pairing polynomial"):
+        find_symplectic(s6)
+
+
+def test_s10_witness_is_verified():
+    spec = parse_spec(S10)
+    witness = find_symplectic(spec)
+    assert witness is not None
+    ok, certs = verify_symplectic(spec, witness)
+    assert ok and certs["ce_closed"]
 
 
 class _TestPoly:

@@ -47,7 +47,6 @@ from .monodromy import (
     nilpotent_submodule_oracle,
     resonance_test,
     spans_match,
-    submodule_profile,
 )
 from .report import Analysis, build_report, dumps_canonical, render_text, verify_report
 from .scalars import ScalarLC, parse_scalar

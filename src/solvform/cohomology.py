@@ -20,12 +20,19 @@ quantity ever happens.
 
 Sign convention: d(xi)(X, Y) = -xi([X, Y]); representatives depend on it
 but dimensions do not.
+
+The per-degree kernel and image data are memoized in-process, keyed by
+(spec, degree), so the report, model, symplectic and verify code share
+one elimination per slice.  The memo is bounded (least recently used
+entries are dropped) and holds only immutable values; public functions
+hand out fresh lists.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .errors import InternalInvariantViolation
 from .exterior import (
@@ -37,7 +44,7 @@ from .exterior import (
 )
 from .linalg import echelon_basis, map_kernel, rref
 from .scalars import ScalarLC
-from .spectral import AlmostAbelianSpec, modified_matrix, real_trace
+from .spectral import SLICE_CACHE_SIZE, AlmostAbelianSpec, modified_matrix, real_trace
 
 
 @dataclass
@@ -108,13 +115,15 @@ def _weight_groups(spec: AlmostAbelianSpec, k: int):
     return groups
 
 
+@lru_cache(maxsize=SLICE_CACHE_SIZE)
 def _degree_data(spec: AlmostAbelianSpec, k: int):
     """Kernel vectors and image rows of the modified action on the degree-k slice.
 
     Returns (kernel multivectors, image echelon rows over the full
-    monomial list, pivot monomial set).  Nonzero-weight groups are
-    invertible, so they contribute no kernel and all of their monomials
-    become image pivots.
+    monomial list, pivot monomial set) as a tuple, a tuple of tuples and
+    a frozenset, since the memo shares them between callers.
+    Nonzero-weight groups are invertible, so they contribute no kernel
+    and all of their monomials become image pivots.
     """
     action = modified_matrix(spec)
     keys = monomials(spec.n, k)
@@ -144,10 +153,10 @@ def _degree_data(spec: AlmostAbelianSpec, k: int):
             full = [Fraction(0)] * len(keys)
             for c, val in enumerate(row):
                 full[positions[group[c]]] = val
-            image_rows_full.append(full)
+            image_rows_full.append(tuple(full))
     kernel_rows = echelon_basis([coordinate_vector(v, keys) for v in kernel_vectors])
-    kernel_reps = [from_coordinates(spec.n, k, keys, row) for row in kernel_rows]
-    return kernel_reps, image_rows_full, pivot_monos
+    kernel_reps = tuple(from_coordinates(spec.n, k, keys, row) for row in kernel_rows)
+    return kernel_reps, tuple(image_rows_full), frozenset(pivot_monos)
 
 
 def cohomology(spec: AlmostAbelianSpec, k: int) -> CohomologySlice:
@@ -157,7 +166,7 @@ def cohomology(spec: AlmostAbelianSpec, k: int) -> CohomologySlice:
         return CohomologySlice(k, 0, [], [])
     kernel_reps: list[Multivector] = []
     if k <= spec.n:
-        kernel_reps, _, _ = _degree_data(spec, k)
+        kernel_reps = list(_degree_data(spec, k)[0])
     coker_reps: list[Multivector] = []
     if 1 <= k <= spec.n + 1:
         _, _, pivots = _degree_data(spec, k - 1)

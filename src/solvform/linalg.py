@@ -62,20 +62,6 @@ def rank(rows: list[list[Fraction]]) -> int:
     return len(rref(rows)[0])
 
 
-def reduce_mod(echelon: list[list[Fraction]], pivots: list[int], v: list[Fraction]):
-    """Remainder of ``v`` after elimination against reduced echelon rows."""
-    out = list(v)
-    for row, p in zip(echelon, pivots):
-        if out[p] != 0:
-            f = out[p]
-            out = [a - f * b for a, b in zip(out, row)]
-    return out
-
-
-def in_span(echelon: list[list[Fraction]], pivots: list[int], v: list[Fraction]) -> bool:
-    return all(x == 0 for x in reduce_mod(echelon, pivots, v))
-
-
 def transpose(rows: list[list[Fraction]], ncols: int) -> list[list[Fraction]]:
     return [[row[c] for row in rows] for c in range(ncols)]
 

@@ -15,10 +15,16 @@ iterates exact kernels of (monodromy - identity); it is available only
 when the semisimple part is trivial, which is exactly when that matrix
 is rational.  The two routes must agree as subspaces wherever the oracle
 applies.
+
+Bases from :func:`nilpotent_submodule` are memoized in-process, keyed by
+(spec, degree), so the unipotent, model, formality and symplectic stages
+share one computation per degree.  The memo is bounded and holds
+immutable tuples; every call returns a fresh list.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import combinations
 
 from .errors import InternalInvariantViolation, OracleUnavailable
@@ -32,7 +38,13 @@ from .exterior import (
     primitive_part,
 )
 from .linalg import echelon_basis, map_kernel, matrix_mul, rank
-from .spectral import AlmostAbelianSpec, Weight, generator_weights, nilpotent_log
+from .spectral import (
+    SLICE_CACHE_SIZE,
+    AlmostAbelianSpec,
+    Weight,
+    generator_weights,
+    nilpotent_log,
+)
 
 
 def resonance_test(w: Weight) -> bool:
@@ -75,10 +87,15 @@ def nilpotent_submodule(spec: AlmostAbelianSpec, k: int) -> list[Multivector]:
     result is the reduced echelon basis with respect to the lexicographic
     monomial order, so it is canonical.
     """
+    return list(_nilpotent_submodule(spec, k))
+
+
+@lru_cache(maxsize=SLICE_CACHE_SIZE)
+def _nilpotent_submodule(spec: AlmostAbelianSpec, k: int) -> tuple[Multivector, ...]:
     if not 0 <= k <= spec.n:
-        return []
+        return ()
     if k == 0:
-        return [Multivector.unit(spec.n)]
+        return (Multivector.unit(spec.n),)
     slots = {s.slot: s for s in generator_weights(spec)}
     kept = resonant_monomials(spec, k)
     kept_set = set(kept)
@@ -116,13 +133,7 @@ def nilpotent_submodule(spec: AlmostAbelianSpec, k: int) -> list[Multivector]:
     basis_rows = echelon_basis(rows)
     if len(basis_rows) != len(reps):
         raise InternalInvariantViolation("realified representatives are linearly dependent")
-    return [from_coordinates(spec.n, k, keys, row) for row in basis_rows]
-
-
-def submodule_profile(spec: AlmostAbelianSpec, k_max=None) -> dict[int, list[Multivector]]:
-    """Bases for all degrees ``0..k_max`` (default: the fiber dimension)."""
-    top = spec.n if k_max is None else min(k_max, spec.n)
-    return {k: nilpotent_submodule(spec, k) for k in range(top + 1)}
+    return tuple(from_coordinates(spec.n, k, keys, row) for row in basis_rows)
 
 
 def oracle_applicable(spec: AlmostAbelianSpec) -> bool:

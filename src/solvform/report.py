@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 
-from .cohomology import betti_numbers, cohomology, trace_is_zero
+from .cohomology import cohomology, trace_is_zero
 from .errors import InputError
 from .formality import (
     build_twisted_model,
@@ -73,14 +73,14 @@ class Analysis:
         return {"dims": dims, "bases": bases, "oracle_applicable": oracle_applicable(self.spec)}
 
     def cohomology_section(self) -> dict:
-        betti = betti_numbers(self.spec)
+        slices = [cohomology(self.spec, k) for k in range(self.spec.n + 2)]
+        betti = [slice_.betti for slice_ in slices]
+        alpha = f"a{self.spec.n + 1}"
         reps = {}
-        for k in range(self.spec.n + 2):
-            slice_ = cohomology(self.spec, k)
-            alpha = f"a{self.spec.n + 1}"
+        for slice_ in slices:
             listed = [str(v) for v in slice_.kernel_reps]
             listed += [f"({v}) ^ {alpha}" for v in slice_.coker_reps]
-            reps[str(k)] = listed
+            reps[str(slice_.degree)] = listed
         n_total = self.spec.n + 1
         duality = all(betti[k] == betti[n_total - k] for k in range(n_total + 1))
         return {

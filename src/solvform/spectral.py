@@ -26,10 +26,15 @@ from fractions import Fraction
 
 from .errors import HypothesisError, SchemaError
 from .exterior import LinearEndo, Multivector
-from .scalars import ScalarLC, parse_rational, parse_scalar
+from .scalars import _SYMBOL_RE, ScalarLC, parse_rational, parse_scalar
 
 _TOP_FIELDS = {"n", "symbols", "lattice_label", "blocks"}
 _BLOCK_FIELDS = {"kind", "size", "re", "im_resonant", "im_symbolic"}
+
+# Bound of each per-(spec, degree) memo in the layers above: enough for
+# every degree of a few dozen specs, so a process that loops over many
+# specs keeps a fixed amount of cached data.
+SLICE_CACHE_SIZE = 256
 
 
 @dataclass(frozen=True)
@@ -124,6 +129,12 @@ def parse_spec(text: str) -> AlmostAbelianSpec:
     symbols = doc.get("symbols", [])
     if not isinstance(symbols, list) or not all(isinstance(s, str) for s in symbols):
         raise SchemaError("field 'symbols' must be a list of names")
+    for name in symbols:
+        if not _SYMBOL_RE.match(name):
+            raise SchemaError(
+                f"field 'symbols' has invalid name {name!r}: "
+                "a name is a letter or '_' followed by letters, digits or '_'"
+            )
     if len(set(symbols)) != len(symbols):
         raise SchemaError("field 'symbols' contains duplicates")
     lattice_label = doc.get("lattice_label", "")

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .cohomology import CEElement, ce_differential
 from .errors import InputError, InternalInvariantViolation
@@ -43,7 +44,7 @@ from .exterior import (
 from .linalg import echelon_basis, map_kernel
 from .monodromy import nilpotent_submodule
 from .scalars import ScalarLC
-from .spectral import AlmostAbelianSpec, nilpotent_log
+from .spectral import SLICE_CACHE_SIZE, AlmostAbelianSpec, nilpotent_log
 
 
 @dataclass
@@ -62,9 +63,14 @@ class SymplecticWitness:
 
 def closed_two_classes(spec: AlmostAbelianSpec) -> list[Multivector]:
     """Invariant 2-form representatives annihilated by the shift action."""
+    return list(_closed_two_classes(spec))
+
+
+@lru_cache(maxsize=SLICE_CACHE_SIZE)
+def _closed_two_classes(spec: AlmostAbelianSpec) -> tuple[Multivector, ...]:
     basis = nilpotent_submodule(spec, 2)
     if not basis:
-        return []
+        return ()
     ntl = nilpotent_log(spec)
     keys = monomials(spec.n, 2)
     rows = [coordinate_vector(derivation_apply(ntl, u), keys) for u in basis]
@@ -77,7 +83,7 @@ def closed_two_classes(spec: AlmostAbelianSpec) -> list[Multivector]:
                 vec = coordinate_vector(u, keys)
                 acc = [a + c * b for a, b in zip(acc, vec)]
         vectors.append(acc)
-    return [from_coordinates(spec.n, 2, keys, row) for row in echelon_basis(vectors)]
+    return tuple(from_coordinates(spec.n, 2, keys, row) for row in echelon_basis(vectors))
 
 
 def assemble_omega(spec: AlmostAbelianSpec, pair: CoSymplecticPair) -> Multivector:

@@ -134,7 +134,7 @@ def test_coker_representatives_independent_of_image(s6, s8):
             _, image_rows, _ = _degree_data(spec, k - 1)
             coker = cohomology(spec, k).coker_reps
             keys = monomials(spec.n, k - 1)
-            rows = image_rows + [coordinate_vector(v, keys) for v in coker]
+            rows = list(image_rows) + [coordinate_vector(v, keys) for v in coker]
             assert rank(rows) == len(image_rows) + len(coker)
 
 

@@ -1,5 +1,6 @@
 """Instance parsing, weights, shift and modified actions."""
 
+import json
 from fractions import Fraction
 
 import pytest
@@ -68,6 +69,30 @@ def test_undeclared_symbol_rejected():
     doc = '{"n": 1, "blocks": [{"kind": "real", "size": 1, "re": "b"}]}'
     with pytest.raises(SchemaError, match="undeclared symbol"):
         parse_spec(doc)
+
+
+@pytest.mark.parametrize("name", ["2", "", "x*y", "1b", "b c"])
+def test_symbol_names_that_no_literal_can_reference_rejected(name, tmp_path, capsys):
+    # "2" used to be accepted and then read as the rational 2 in "re"
+    from solvform.cli import main
+
+    doc = json.dumps(
+        {
+            "n": 2,
+            "symbols": [name],
+            "blocks": [
+                {"kind": "real", "size": 1, "re": "2"},
+                {"kind": "real", "size": 1, "re": "-2"},
+            ],
+        }
+    )
+    with pytest.raises(SchemaError, match="field 'symbols' has invalid name"):
+        parse_spec(doc)
+    path = tmp_path / "bad.json"
+    path.write_text(doc)
+    assert main(["analyze", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
 
 
 def test_emit_parse_round_trip(s6, s8, torus3, heisenberg3):

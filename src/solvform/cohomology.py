@@ -31,7 +31,6 @@ hand out fresh lists.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 from .errors import InternalInvariantViolation
@@ -44,7 +43,13 @@ from .exterior import (
 )
 from .linalg import echelon_basis, map_kernel, rref
 from .scalars import ScalarLC
-from .spectral import SLICE_CACHE_SIZE, AlmostAbelianSpec, modified_matrix, real_trace
+from .spectral import (
+    SLICE_CACHE_SIZE,
+    AlmostAbelianSpec,
+    modification_hypothesis_holds,
+    modified_matrix,
+    real_trace,
+)
 
 
 @dataclass
@@ -117,20 +122,17 @@ def _weight_groups(spec: AlmostAbelianSpec, k: int):
 
 @lru_cache(maxsize=SLICE_CACHE_SIZE)
 def _degree_data(spec: AlmostAbelianSpec, k: int):
-    """Kernel vectors and image rows of the modified action on the degree-k slice.
+    """Kernel vectors and image pivots of the modified action on the degree-k slice.
 
-    Returns (kernel multivectors, image echelon rows over the full
-    monomial list, pivot monomial set) as a tuple, a tuple of tuples and
-    a frozenset, since the memo shares them between callers.
+    Returns (kernel multivectors, pivot monomial set) as a tuple and a
+    frozenset, since the memo shares them between callers.
     Nonzero-weight groups are invertible, so they contribute no kernel
     and all of their monomials become image pivots.
     """
     action = modified_matrix(spec)
     keys = monomials(spec.n, k)
-    positions = {key: i for i, key in enumerate(keys)}
     kernel_vectors: list[Multivector] = []
     pivot_monos: set = set()
-    image_rows_full: list = []
     for weight, group in _weight_groups(spec, k).items():
         if not weight.is_zero():
             pivot_monos.update(group)
@@ -147,21 +149,16 @@ def _degree_data(spec: AlmostAbelianSpec, k: int):
             rows.append(coordinate_vector(image, group))
         for vec in map_kernel(rows):
             kernel_vectors.append(from_coordinates(spec.n, k, group, vec))
-        reduced, pivots = rref(rows)
-        for row, p in zip(reduced, pivots):
-            pivot_monos.add(group[p])
-            full = [Fraction(0)] * len(keys)
-            for c, val in enumerate(row):
-                full[positions[group[c]]] = val
-            image_rows_full.append(tuple(full))
+        pivot_monos.update(group[p] for p in rref(rows)[1])
     kernel_rows = echelon_basis([coordinate_vector(v, keys) for v in kernel_vectors])
     kernel_reps = tuple(from_coordinates(spec.n, k, keys, row) for row in kernel_rows)
-    return kernel_reps, tuple(image_rows_full), frozenset(pivot_monos)
+    return kernel_reps, frozenset(pivot_monos)
 
 
 def cohomology(spec: AlmostAbelianSpec, k: int) -> CohomologySlice:
     """Degree-k cohomology: kernel representatives plus cokernel monomials."""
-    modified_matrix(spec)  # surface the hypothesis error before any work
+    if not modification_hypothesis_holds(spec):
+        modified_matrix(spec)  # raises the hypothesis error naming the block
     if k < 0 or k > spec.n + 1:
         return CohomologySlice(k, 0, [], [])
     kernel_reps: list[Multivector] = []
@@ -169,7 +166,7 @@ def cohomology(spec: AlmostAbelianSpec, k: int) -> CohomologySlice:
         kernel_reps = list(_degree_data(spec, k)[0])
     coker_reps: list[Multivector] = []
     if 1 <= k <= spec.n + 1:
-        _, _, pivots = _degree_data(spec, k - 1)
+        pivots = _degree_data(spec, k - 1)[1]
         for key in monomials(spec.n, k - 1):
             if key not in pivots:
                 coker_reps.append(Multivector.monomial(spec.n, key))

@@ -232,11 +232,3 @@ def total_model_dump(tm: TwistedModel) -> str:
         rhs = " + ".join(pieces) if pieces else "0"
         lines.append(f"D({gen.name}) = {rhs}, tau({gen.name}) = {gen.rho}")
     return "\n".join(lines)
-
-
-def degree_one_restatement(spec: AlmostAbelianSpec) -> bool:
-    """Independent rephrasing of the degree-1 verdict: shift trivial on U^1?"""
-    from .monodromy import nilpotent_submodule
-
-    ntl = nilpotent_log(spec)
-    return all(derivation_apply(ntl, u).is_zero() for u in nilpotent_submodule(spec, 1))

@@ -3,8 +3,12 @@
 Vectors are lists of ``Fraction``.  A subspace is presented by the
 reduced row echelon form of a spanning set; that form is canonical, so
 two spans are equal exactly when their echelon forms are equal lists.
-Pivot selection is deterministic (leftmost column, topmost row), which
-makes every basis emitted here byte-reproducible.
+
+:class:`EchelonAccumulator` is the one elimination loop: ``rref``,
+ranks, kernels and solving all feed rows to it.  Its rows stay in
+reduced echelon form after every insertion, so they depend only on the
+span, never on the order or scaling of the inserted rows, which makes
+every basis emitted here byte-reproducible.
 
 Row convention: a matrix is a list of row vectors.  When a matrix
 encodes a linear map, row ``j`` holds the coordinates of the image of
@@ -14,9 +18,8 @@ the j-th domain basis vector, so the map sends coordinates ``x`` to
 
 from __future__ import annotations
 
+from bisect import bisect
 from fractions import Fraction
-
-Vec = "list[Fraction]"
 
 
 def zeros(m: int) -> list[Fraction]:
@@ -25,32 +28,10 @@ def zeros(m: int) -> list[Fraction]:
 
 def rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
     """Reduced row echelon form; returns (nonzero rows, pivot columns)."""
-    mat = [list(row) for row in rows]
-    if not mat:
-        return [], []
-    ncols = len(mat[0])
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pivot_row = None
-        for i in range(r, len(mat)):
-            if mat[i][c] != 0:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        mat[r], mat[pivot_row] = mat[pivot_row], mat[r]
-        inv = Fraction(1) / mat[r][c]
-        mat[r] = [x * inv for x in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][c] != 0:
-                f = mat[i][c]
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(mat):
-            break
-    return mat[:r], pivots
+    acc = EchelonAccumulator()
+    for row in rows:
+        acc.add(row)
+    return acc.rows, acc.pivots
 
 
 def echelon_basis(vectors: list[list[Fraction]]) -> list[list[Fraction]]:
@@ -62,31 +43,26 @@ def rank(rows: list[list[Fraction]]) -> int:
     return len(rref(rows)[0])
 
 
-def transpose(rows: list[list[Fraction]], ncols: int) -> list[list[Fraction]]:
-    return [[row[c] for row in rows] for c in range(ncols)]
+def map_kernel(rows: list[list[Fraction]]) -> list[list[Fraction]]:
+    """Basis of ``{x : x . rows = 0}`` for a map given by image rows.
 
-
-def right_kernel(rows: list[list[Fraction]], ncols: int) -> list[list[Fraction]]:
-    """Canonical basis of ``{x : rows . x = 0}`` (one vector per free column)."""
-    red, pivots = rref(rows)
+    One vector per free column of the reduced echelon form of the
+    transposed rows, so the basis is canonical.
+    """
+    if not rows:
+        return []
+    red, pivots = rref([list(col) for col in zip(*rows)])
     pivot_set = set(pivots)
     basis = []
-    for free in range(ncols):
+    for free in range(len(rows)):
         if free in pivot_set:
             continue
-        v = zeros(ncols)
+        v = zeros(len(rows))
         v[free] = Fraction(1)
         for row, p in zip(red, pivots):
             v[p] = -row[free]
         basis.append(v)
     return basis
-
-
-def map_kernel(rows: list[list[Fraction]]) -> list[list[Fraction]]:
-    """Basis of ``{x : x . rows = 0}`` for a map given by image rows."""
-    if not rows:
-        return []
-    return right_kernel(transpose(rows, len(rows[0])), len(rows))
 
 
 def solve_combination(rows: list[list[Fraction]], target: list[Fraction]):
@@ -97,11 +73,7 @@ def solve_combination(rows: list[list[Fraction]], target: list[Fraction]):
     """
     if not rows:
         return [] if all(x == 0 for x in target) else None
-    ncols = len(rows[0])
-    aug = transpose(rows, ncols)
-    for r, t in zip(aug, target):
-        r.append(t)
-    red, pivots = rref(aug)
+    red, pivots = rref([list(col) + [t] for col, t in zip(zip(*rows), target)])
     coeffs = zeros(len(rows))
     for row, p in zip(red, pivots):
         if p == len(rows):
@@ -128,43 +100,43 @@ def matrix_mul(a: list[list[Fraction]], b: list[list[Fraction]]) -> list[list[Fr
 
 
 class EchelonAccumulator:
-    """Incremental Gauss elimination for rank/membership bookkeeping.
+    """Incremental Gauss-Jordan elimination.
 
-    Rows are kept normalized with distinct pivot columns but are not
-    inter-reduced; use :func:`echelon_basis` where a canonical basis is
-    required.
+    ``rows`` is the reduced row echelon form of the span of every row
+    added so far: rows are sorted by pivot column, each pivot entry is 1
+    and every other row is zero in that column.
     """
 
-    def __init__(self, ncols: int):
-        self.ncols = ncols
+    def __init__(self):
         self.rows: list[list[Fraction]] = []
         self.pivots: list[int] = []
 
     def residue(self, v: list[Fraction]) -> list[Fraction]:
+        """``v`` minus its span component: the representative zero at every pivot."""
         out = list(v)
         for row, p in zip(self.rows, self.pivots):
-            if out[p] != 0:
-                f = out[p]
-                out = [a - f * b for a, b in zip(out, row)]
+            f = out[p]
+            if f != 0:
+                out[p:] = [a - f * b for a, b in zip(out[p:], row[p:])]
         return out
 
     def add(self, v: list[Fraction]) -> bool:
         """Insert ``v``; True when it enlarged the span."""
         res = self.residue(v)
-        for c in range(self.ncols):
-            if res[c] != 0:
-                inv = Fraction(1) / res[c]
-                row = [x * inv for x in res]
-                at = 0
-                while at < len(self.pivots) and self.pivots[at] < c:
-                    at += 1
-                self.rows.insert(at, row)
-                self.pivots.insert(at, c)
-                return True
-        return False
-
-    def contains(self, v: list[Fraction]) -> bool:
-        return all(x == 0 for x in self.residue(v))
+        for c, x in enumerate(res):
+            if x != 0:
+                break
+        else:
+            return False
+        new = [a / x for a in res[c:]]
+        for row in self.rows:
+            f = row[c]
+            if f != 0:
+                row[c:] = [a - f * b for a, b in zip(row[c:], new)]
+        at = bisect(self.pivots, c)
+        self.rows.insert(at, zeros(c) + new)
+        self.pivots.insert(at, c)
+        return True
 
     @property
     def rank(self) -> int:

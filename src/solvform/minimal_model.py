@@ -46,7 +46,6 @@ from .linalg import (
     echelon_basis,
     map_kernel,
     matrix_mul,
-    rank,
     solve_combination,
 )
 from .monodromy import nilpotent_submodule
@@ -100,9 +99,6 @@ class MinimalModel:
         self.gens.append(gen)
         self._mono_cache.clear()
         return gen
-
-    def degree_of(self, gid: int) -> int:
-        return self.gens[gid].degree
 
     def _odd(self, gid: int) -> bool:
         return self.gens[gid].degree % 2 == 1
@@ -307,7 +303,7 @@ class MinimalModel:
         d_rows = [self.poly_coords(self.d_poly({m: Fraction(1)}), b_next) for m in b_here]
         cocycles = map_kernel(d_rows)
         image_rows = [self.poly_coords(self.d_poly({m: Fraction(1)}), b_here) for m in b_prev]
-        image = EchelonAccumulator(len(b_here))
+        image = EchelonAccumulator()
         for row in image_rows:
             image.add(row)
         reduced = []
@@ -352,22 +348,21 @@ def _flag_ordered_complement(model: MinimalModel, q: int, image_reps: list[Class
     if not u_basis:
         return []
     keys = ext_monomials(spec.n, q)
-    image_acc = EchelonAccumulator(len(keys))
+    image_acc = EchelonAccumulator()
     for rep in image_reps:
         image_acc.add(coordinate_vector(rep.rho, keys))
-    complement_vecs = []
-    grow = EchelonAccumulator(len(keys))
-    for row in image_acc.rows:
-        grow.add(list(row))
+    complement_vecs, reduced_c = [], []
+    grow = EchelonAccumulator()  # spans the complement residues
     for u in u_basis:
         vec = coordinate_vector(u, keys)
-        if grow.add(vec):
+        res = image_acc.residue(vec)
+        if grow.add(res):
             complement_vecs.append(vec)
+            reduced_c.append(res)
     if not complement_vecs:
         return []
 
     ntl = nilpotent_log(spec)
-    reduced_c = [image_acc.residue(v) for v in complement_vecs]
     t_rows = []
     for vec in complement_vecs:
         image = derivation_apply(ntl, from_coordinates(spec.n, q, keys, vec))
@@ -380,7 +375,7 @@ def _flag_ordered_complement(model: MinimalModel, q: int, image_reps: list[Class
         t_rows.append(coeffs)
 
     m = len(complement_vecs)
-    chosen = EchelonAccumulator(m)
+    chosen = EchelonAccumulator()
     order = []
     power = [[Fraction(1) if i == j else Fraction(0) for j in range(m)] for i in range(m)]
     for _ in range(m + 1):
@@ -453,9 +448,10 @@ def verify_quasi_iso(model: MinimalModel) -> dict[int, dict]:
         keys = ext_monomials(spec.n, k)
         rows = [coordinate_vector(rep.rho, keys) for rep in reps] if keys else []
         u_rows = [coordinate_vector(u, keys) for u in u_basis] if keys else []
-        image_rank = rank(rows)
+        acc = EchelonAccumulator()
+        image_rank = sum(acc.add(row) for row in rows)
         injective = image_rank == len(reps)
-        surjective = image_rank == len(u_basis) and rank(u_rows + rows) == len(u_basis)
+        surjective = image_rank == len(u_basis) and not any(acc.add(row) for row in u_rows)
         out[k] = {
             "model_classes": len(reps),
             "target_dim": len(u_basis),

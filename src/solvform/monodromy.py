@@ -37,7 +37,7 @@ from .exterior import (
     monomials,
     primitive_part,
 )
-from .linalg import echelon_basis, map_kernel, matrix_mul, rank
+from .linalg import EchelonAccumulator, echelon_basis, map_kernel, matrix_mul
 from .spectral import (
     SLICE_CACHE_SIZE,
     AlmostAbelianSpec,
@@ -196,6 +196,7 @@ def in_submodule_span(basis: list[Multivector], x: Multivector) -> bool:
     if not basis:
         return False
     keys = monomials(x.n, x.degree)
-    rows = [coordinate_vector(v, keys) for v in basis]
-    target = coordinate_vector(x, keys)
-    return rank(rows) == rank(rows + [target])
+    acc = EchelonAccumulator()
+    for v in basis:
+        acc.add(coordinate_vector(v, keys))
+    return not acc.add(coordinate_vector(x, keys))

@@ -54,9 +54,6 @@ class ScalarLC:
     def is_zero(self) -> bool:
         return self.const == 0 and not self.terms
 
-    def is_rational(self) -> bool:
-        return not self.terms
-
     def as_fraction(self) -> Fraction:
         if self.terms:
             raise ValueError(f"scalar {self} carries symbols, not a plain rational")

@@ -80,10 +80,6 @@ class AlmostAbelianSpec:
     lattice_label: str = ""
     symbols: tuple[str, ...] = ()
 
-    @property
-    def total_dim(self) -> int:
-        return self.n + 1
-
     def block_starts(self) -> list[int]:
         """First coordinate index (1-based) of each block."""
         starts, at = [], 1

@@ -115,7 +115,7 @@ def test_betti_consistency_with_dimension_count(s6, s8):
 
     for spec in (s6, s8):
         for k in range(1, spec.n + 1):
-            kernel_reps, _, pivots = _degree_data(spec, k - 1)
+            kernel_reps, pivots = _degree_data(spec, k - 1)
             coker_dim = len(monomials(spec.n, k - 1)) - len(pivots)
             here = cohomology(spec, k)
             assert len(here.coker_reps) == coker_dim
@@ -123,19 +123,33 @@ def test_betti_consistency_with_dimension_count(s6, s8):
 
 
 def test_coker_representatives_independent_of_image(s6, s8):
-    # the base-wedge classes are spanned by non-pivot monomials, so adding
-    # them to the echelonized image must grow the rank by their count
-    from solvform.cohomology import _degree_data
-    from solvform.exterior import coordinate_vector, monomials
+    # the base-wedge classes are spanned by non-pivot monomials of the
+    # zero-weight slices, so adding them to their slice's image rows must
+    # grow the rank by their count
+    from solvform.cohomology import _weight_groups
+    from solvform.exterior import coordinate_vector
     from solvform.linalg import rank
 
     for spec in (s6, s8):
+        action = modified_matrix(spec)
         for k in range(1, spec.n + 2):
-            _, image_rows, _ = _degree_data(spec, k - 1)
-            coker = cohomology(spec, k).coker_reps
-            keys = monomials(spec.n, k - 1)
-            rows = list(image_rows) + [coordinate_vector(v, keys) for v in coker]
-            assert rank(rows) == len(image_rows) + len(coker)
+            coker_keys = [next(iter(v.terms)) for v in cohomology(spec, k).coker_reps]
+            placed = 0
+            for weight, group in _weight_groups(spec, k - 1).items():
+                in_group = [key for key in coker_keys if key in group]
+                if not weight.is_zero():
+                    assert not in_group
+                    continue
+                image_rows = [
+                    coordinate_vector(derivation_apply(action, Multivector.monomial(spec.n, key)), group)
+                    for key in group
+                ]
+                coker_rows = [
+                    coordinate_vector(Multivector.monomial(spec.n, key), group) for key in in_group
+                ]
+                assert rank(image_rows + coker_rows) == rank(image_rows) + len(in_group)
+                placed += len(in_group)
+            assert placed == len(coker_keys)
 
 
 def _full_complex_betti(spec):
@@ -225,8 +239,9 @@ def test_euler_characteristic_vanishes(s6, s8, torus3):
 
 def test_hypothesis_violation_raises():
     spec = parse_spec('{"n": 2, "blocks": [{"kind": "complex", "size": 1, "im_resonant": "1/2"}]}')
-    with pytest.raises(HypothesisError):
-        cohomology(spec, 1)
+    for k in (1, 1, 0, spec.n + 1, -1):
+        with pytest.raises(HypothesisError, match="blocks\\[0\\]"):
+            cohomology(spec, k)
 
 
 def test_nonzero_rational_weights_have_no_cohomology():

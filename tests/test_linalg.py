@@ -3,6 +3,8 @@
 import random
 from fractions import Fraction
 
+import pytest
+
 from solvform.linalg import (
     EchelonAccumulator,
     echelon_basis,
@@ -10,7 +12,6 @@ from solvform.linalg import (
     matrix_mul,
     rank,
     rref,
-    right_kernel,
     solve_combination,
 )
 
@@ -52,24 +53,30 @@ def test_echelon_basis_is_span_invariant():
         assert echelon_basis(mat) == echelon_basis(shuffled) == echelon_basis(scaled)
 
 
-def test_right_kernel_annihilates():
-    rng = random.Random(13)
-    for _ in range(100):
-        rows, cols = rng.randint(1, 4), rng.randint(1, 5)
-        mat = _random_matrix(rng, rows, cols)
-        kern = right_kernel(mat, cols)
-        assert len(kern) == cols - rank(mat)
-        for vec in kern:
-            for row in mat:
-                assert sum(a * b for a, b in zip(row, vec)) == 0
-
-
 def test_map_kernel_annihilates_rows():
     rng = random.Random(14)
     for _ in range(100):
         mat = _random_matrix(rng, rng.randint(1, 5), rng.randint(1, 4))
-        for vec in map_kernel(mat):
+        kern = map_kernel(mat)
+        assert len(kern) == len(mat) - rank(mat)
+        for vec in kern:
             assert all(x == 0 for x in _dot(vec, mat))
+
+
+def test_rref_and_map_kernel_match_sympy():
+    sympy = pytest.importorskip("sympy")
+
+    def to_fractions(rows):
+        return [[Fraction(int(x.p), int(x.q)) for x in row] for row in rows]
+
+    rng = random.Random(13)
+    for _ in range(300):
+        mat = _random_matrix(rng, rng.randint(1, 6), rng.randint(1, 6))
+        sym = sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in row] for row in mat])
+        red, pivots = sym.rref()
+        expected = to_fractions(red.tolist()[: len(pivots)])
+        assert rref(mat) == (expected, list(pivots))
+        assert map_kernel(mat) == to_fractions(v.T.tolist()[0] for v in sym.T.nullspace())
 
 
 def test_solve_combination_and_consistency():
@@ -102,9 +109,24 @@ def test_echelon_accumulator_tracks_rank_and_membership():
     rng = random.Random(17)
     for _ in range(50):
         mat = _random_matrix(rng, 6, 4)
-        acc = EchelonAccumulator(4)
+        acc = EchelonAccumulator()
         for row in mat:
             acc.add(row)
         assert acc.rank == rank(mat)
         combo = _dot([Fraction(rng.randint(-2, 2)) for _ in mat], mat)
-        assert acc.contains(combo)
+        assert all(x == 0 for x in acc.residue(combo))
+
+
+def test_echelon_accumulator_rows_stay_reduced():
+    rng = random.Random(18)
+    for _ in range(300):
+        cols = rng.randint(1, 6)
+        mat = _random_matrix(rng, rng.randint(1, 7), cols)
+        mat += [_dot([Fraction(rng.randint(-2, 2)) for _ in mat], mat)]
+        rng.shuffle(mat)
+        acc = EchelonAccumulator()
+        for i, row in enumerate(mat):
+            grew = acc.add(row)
+            assert grew == (rank(mat[: i + 1]) > rank(mat[:i]))
+            assert (acc.rows, acc.pivots) == rref(mat[: i + 1])
+            assert acc.rows == echelon_basis(list(reversed(mat[: i + 1])))

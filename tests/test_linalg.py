@@ -53,6 +53,19 @@ def test_echelon_basis_is_span_invariant():
         assert echelon_basis(mat) == echelon_basis(shuffled) == echelon_basis(scaled)
 
 
+def test_right_kernel_annihilates():
+    # The right kernel {v : M v = 0} is the map kernel of the columns of M.
+    rng = random.Random(13)
+    for _ in range(100):
+        rows, cols = rng.randint(1, 4), rng.randint(1, 5)
+        mat = _random_matrix(rng, rows, cols)
+        kern = map_kernel([list(col) for col in zip(*mat)])
+        assert len(kern) == cols - rank(mat)
+        for vec in kern:
+            for row in mat:
+                assert sum(a * b for a, b in zip(row, vec)) == 0
+
+
 def test_map_kernel_annihilates_rows():
     rng = random.Random(14)
     for _ in range(100):

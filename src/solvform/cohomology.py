@@ -41,7 +41,7 @@ from .exterior import (
     from_coordinates,
     monomials,
 )
-from .linalg import echelon_basis, map_kernel, rref
+from .linalg import echelon_basis, kernel_and_pivots
 from .scalars import ScalarLC
 from .spectral import (
     SLICE_CACHE_SIZE,
@@ -147,9 +147,10 @@ def _degree_data(spec: AlmostAbelianSpec, k: int):
                         f"action left its weight slice: {key} -> {mono}"
                     )
             rows.append(coordinate_vector(image, group))
-        for vec in map_kernel(rows):
+        kernel, pivots = kernel_and_pivots(rows)
+        for vec in kernel:
             kernel_vectors.append(from_coordinates(spec.n, k, group, vec))
-        pivot_monos.update(group[p] for p in rref(rows)[1])
+        pivot_monos.update(group[p] for p in pivots)
     kernel_rows = echelon_basis([coordinate_vector(v, keys) for v in kernel_vectors])
     kernel_reps = tuple(from_coordinates(spec.n, k, keys, row) for row in kernel_rows)
     return kernel_reps, frozenset(pivot_monos)

@@ -330,19 +330,21 @@ def top_coefficient(x: Multivector) -> ScalarLC:
     return x.coefficient(tuple(range(1, x.n + 1)))
 
 
-def coordinate_vector(x: Multivector, keys: list) -> list[Fraction]:
-    """Rational coordinates of ``x`` against an ordered monomial list."""
+def coordinate_vector(x: Multivector, keys: list) -> dict[int, Fraction]:
+    """Sparse rational coordinates of ``x`` against an ordered monomial list."""
     positions = {key: i for i, key in enumerate(keys)}
-    out = [Fraction(0)] * len(keys)
+    out = {}
     for key, coeff in x.terms.items():
-        if key not in positions:
+        pos = positions.get(key)
+        if pos is None:
             raise ValueError(f"monomial {key} outside the given basis")
-        out[positions[key]] = coeff.as_fraction()
+        out[pos] = coeff.as_fraction()
     return out
 
 
-def from_coordinates(n: int, degree: int, keys: list, vec) -> Multivector:
-    return Multivector(n, degree, [(key, Fraction(c)) for key, c in zip(keys, vec) if c != 0])
+def from_coordinates(n: int, degree: int, keys: list, vec: dict) -> Multivector:
+    """The multivector with sparse coordinates ``vec`` against ``keys``."""
+    return Multivector(n, degree, [(keys[i], c) for i, c in vec.items()])
 
 
 def primitive_part(x: Multivector) -> Multivector:

@@ -98,9 +98,8 @@ def _theta_closed(model: MinimalModel, ntl, gen):
             f"shift image of {gen.name} is not realized by earlier classes"
         )
     out: dict = {}
-    for c, poly in zip(coeffs, columns):
-        if c != 0:
-            out = model.p_add(out, model.p_scale(c, poly))
+    for i, c in sorted(coeffs.items()):
+        out = model.p_add(out, model.p_scale(c, columns[i]))
     return out
 
 
@@ -117,22 +116,21 @@ def _theta_nonclosed(model: MinimalModel, tm: TwistedModel, gen):
     q = gen.degree
     for restricted, gids in ((True, model.restricted_gids(before_gid=gen.gid)), (False, None)):
         domain = model.monomials(q, gids)
-        codomain = model.monomials(q + 1, gids)
+        codomain = model.mono_positions(q + 1, gids)
         if not domain:
             continue
         try:
             rhs_vec = model.poly_coords(rhs, codomain)
         except KeyError:
             continue  # rhs mentions generators outside this restriction
-        rows = [model.poly_coords(model.d_poly({m: Fraction(1)}), codomain) for m in domain]
+        rows = [model.poly_coords(model.d_mono(m), codomain) for m in domain]
         coeffs = solve_combination(rows, rhs_vec)
         if coeffs is None:
             continue
         # a choice was involved when the preimage is not unique, or when
         # only the unrestricted space (same-stage generators) solved it
         chose = (not restricted) or len(map_kernel(rows)) > 0
-        poly = {m: c for m, c in zip(domain, coeffs) if c != 0}
-        return poly, chose
+        return model.poly_from_coords(domain, coeffs), chose
     raise InternalInvariantViolation(
         f"twist of non-closed generator {gen.name} has no solution: "
         "the twisted differential would not square to zero"
@@ -195,8 +193,8 @@ def formality_from_twisted(tm: TwistedModel, k: int) -> FormalityVerdict:
     verdict = FormalityVerdict(k, model.degree_bound)
     for i in range(1, k + 1):
         domain = model.monomials(i)
-        codomain = model.monomials(i + 1)
-        rows = [model.poly_coords(model.d_poly({m: Fraction(1)}), codomain) for m in domain]
+        codomain = model.mono_positions(i + 1)
+        rows = [model.poly_coords(model.d_mono(m), codomain) for m in domain]
         status = DegreeStatus(i, True)
         for vec in map_kernel(rows):
             poly = model.poly_from_coords(domain, vec)

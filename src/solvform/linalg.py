@@ -1,14 +1,18 @@
-"""Dense exact linear algebra over the rationals.
+"""Sparse exact linear algebra over the rationals.
 
-Vectors are lists of ``Fraction``.  A subspace is presented by the
-reduced row echelon form of a spanning set; that form is canonical, so
-two spans are equal exactly when their echelon forms are equal lists.
+A vector is a sparse row: a dict mapping column index to a nonzero
+``Fraction``.  A row never stores a zero, so its length is its number of
+nonzeros and the empty dict is the zero vector; column order inside the
+dict carries no meaning.  A subspace is presented by the reduced row
+echelon form of a spanning set; that form is canonical, so two spans are
+equal exactly when their echelon forms are equal lists.
 
 :class:`EchelonAccumulator` is the one elimination loop: ``rref``,
 ranks, kernels and solving all feed rows to it.  Its rows stay in
 reduced echelon form after every insertion, so they depend only on the
 span, never on the order or scaling of the inserted rows, which makes
-every basis emitted here byte-reproducible.
+every basis emitted here byte-reproducible.  Every step touches only
+nonzero entries.
 
 Row convention: a matrix is a list of row vectors.  When a matrix
 encodes a linear map, row ``j`` holds the coordinates of the image of
@@ -21,12 +25,12 @@ from __future__ import annotations
 from bisect import bisect
 from fractions import Fraction
 
+Row = "dict[int, Fraction]"
 
-def zeros(m: int) -> list[Fraction]:
-    return [Fraction(0)] * m
+_ONE = Fraction(1)
 
 
-def rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
+def rref(rows: list[Row]) -> tuple[list[Row], list[int]]:
     """Reduced row echelon form; returns (nonzero rows, pivot columns)."""
     acc = EchelonAccumulator()
     for row in rows:
@@ -34,73 +38,91 @@ def rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
     return acc.rows, acc.pivots
 
 
-def echelon_basis(vectors: list[list[Fraction]]) -> list[list[Fraction]]:
+def echelon_basis(vectors: list[Row]) -> list[Row]:
     """Canonical basis (reduced echelon rows) of the span of ``vectors``."""
     return rref(vectors)[0]
 
 
-def rank(rows: list[list[Fraction]]) -> int:
+def rank(rows: list[Row]) -> int:
     return len(rref(rows)[0])
 
 
-def map_kernel(rows: list[list[Fraction]]) -> list[list[Fraction]]:
-    """Basis of ``{x : x . rows = 0}`` for a map given by image rows.
+def _transpose(rows: list[Row]) -> list[tuple[int, Row]]:
+    """The nonzero columns of ``rows`` as (column, sparse row) pairs in column order."""
+    cols: dict[int, Row] = {}
+    for j, row in enumerate(rows):
+        for c, x in row.items():
+            col = cols.get(c)
+            if col is None:
+                cols[c] = {j: x}
+            else:
+                col[j] = x
+    return sorted(cols.items())
 
-    One vector per free column of the reduced echelon form of the
-    transposed rows, so the basis is canonical.
+
+def kernel_and_pivots(rows: list[Row]) -> tuple[list[Row], list[int]]:
+    """``map_kernel(rows)`` together with the pivot columns of ``rref(rows)``.
+
+    One elimination serves both: a column of ``rows`` is a pivot column
+    exactly when it is independent of the columns before it, that is when
+    adding it, as a transposed row, to an accumulator fed in column order
+    enlarges the span.  The kernel has one vector per free column of the
+    reduced echelon form of the transposed rows, so the basis is canonical.
     """
-    if not rows:
-        return []
-    red, pivots = rref([list(col) for col in zip(*rows)])
-    pivot_set = set(pivots)
-    basis = []
-    for free in range(len(rows)):
-        if free in pivot_set:
-            continue
-        v = zeros(len(rows))
-        v[free] = Fraction(1)
-        for row, p in zip(red, pivots):
-            v[p] = -row[free]
-        basis.append(v)
-    return basis
+    acc = EchelonAccumulator()
+    pivots = [c for c, col in _transpose(rows) if acc.add(col)]
+    pivot_set = set(acc.pivots)
+    kernel = {free: {free: _ONE} for free in range(len(rows)) if free not in pivot_set}
+    # a reduced row is zero at every other pivot, so its other entries sit in free columns
+    for row, p in zip(acc.rows, acc.pivots):
+        for c, x in row.items():
+            if c != p:
+                kernel[c][p] = -x
+    return list(kernel.values()), pivots
 
 
-def solve_combination(rows: list[list[Fraction]], target: list[Fraction]):
+def map_kernel(rows: list[Row]) -> list[Row]:
+    """Basis of ``{x : x . rows = 0}`` for a map given by image rows."""
+    return kernel_and_pivots(rows)[0]
+
+
+def solve_combination(rows: list[Row], target: Row) -> Row | None:
     """Coefficients ``c`` with ``sum(c_i * rows[i]) == target``, or None.
 
     Free coefficients are set to zero, which makes the returned solution
     the deterministic representative used throughout for "least" choices.
     """
-    if not rows:
-        return [] if all(x == 0 for x in target) else None
-    red, pivots = rref([list(col) + [t] for col, t in zip(zip(*rows), target)])
-    coeffs = zeros(len(rows))
+    last = len(rows)
+    augmented = list(rows) + [target]
+    red, pivots = rref([col for _, col in _transpose(augmented)])
+    if pivots and pivots[-1] == last:
+        return None
+    coeffs = {}
     for row, p in zip(red, pivots):
-        if p == len(rows):
-            return None
-        coeffs[p] = row[-1]
+        x = row.get(last)
+        if x is not None:
+            coeffs[p] = x
     return coeffs
 
 
-def matrix_mul(a: list[list[Fraction]], b: list[list[Fraction]]) -> list[list[Fraction]]:
+def matrix_mul(a: list[Row], b: list[Row]) -> list[Row]:
     """Row-convention composition: (x . a) . b has matrix a . b."""
-    if not a or not b:
-        return [[] for _ in a]
-    ncols = len(b[0])
     out = []
     for row in a:
-        acc = zeros(ncols)
-        for x, brow in zip(row, b):
-            if x != 0:
-                for c in range(ncols):
-                    if brow[c] != 0:
-                        acc[c] += x * brow[c]
+        acc: Row = {}
+        for j, x in row.items():
+            for c, y in b[j].items():
+                z = acc.get(c, 0) + x * y
+                if z:
+                    acc[c] = z
+                else:
+                    acc.pop(c, None)
         out.append(acc)
     return out
 
 
 class EchelonAccumulator:
-    """Incremental Gauss-Jordan elimination.
+    """Incremental sparse Gauss-Jordan elimination.
 
     ``rows`` is the reduced row echelon form of the span of every row
     added so far: rows are sorted by pivot column, each pivot entry is 1
@@ -108,34 +130,55 @@ class EchelonAccumulator:
     """
 
     def __init__(self):
-        self.rows: list[list[Fraction]] = []
+        self.rows: list[Row] = []
         self.pivots: list[int] = []
+        self._by_pivot: dict[int, Row] = {}
 
-    def residue(self, v: list[Fraction]) -> list[Fraction]:
-        """``v`` minus its span component: the representative zero at every pivot."""
-        out = list(v)
-        for row, p in zip(self.rows, self.pivots):
-            f = out[p]
-            if f != 0:
-                out[p:] = [a - f * b for a, b in zip(out[p:], row[p:])]
+    def residue(self, v: Row) -> Row:
+        """``v`` minus its span component: the representative zero at every pivot.
+
+        Each row is zero at every other pivot, so the component along the
+        row of pivot ``p`` is ``v[p]`` times that row.
+        """
+        out = {c: x for c, x in v.items() if x}
+        by_pivot = self._by_pivot
+        for p, f in list(out.items()):
+            row = by_pivot.get(p)
+            if row is None:
+                continue
+            for c, x in row.items():
+                y = out.get(c)
+                y = -f * x if y is None else y - f * x
+                if y:
+                    out[c] = y
+                else:
+                    del out[c]
         return out
 
-    def add(self, v: list[Fraction]) -> bool:
+    def add(self, v: Row) -> bool:
         """Insert ``v``; True when it enlarged the span."""
         res = self.residue(v)
-        for c, x in enumerate(res):
-            if x != 0:
-                break
-        else:
+        if not res:
             return False
-        new = [a / x for a in res[c:]]
+        c = min(res)
+        lead = res[c]
+        new = res if lead == 1 else {k: x / lead for k, x in res.items()}
+        new[c] = _ONE
         for row in self.rows:
-            f = row[c]
-            if f != 0:
-                row[c:] = [a - f * b for a, b in zip(row[c:], new)]
+            f = row.get(c)
+            if f is None:
+                continue
+            for k, x in new.items():
+                y = row.get(k)
+                y = -f * x if y is None else y - f * x
+                if y:
+                    row[k] = y
+                else:
+                    del row[k]
         at = bisect(self.pivots, c)
-        self.rows.insert(at, zeros(c) + new)
+        self.rows.insert(at, new)
         self.pivots.insert(at, c)
+        self._by_pivot[c] = new
         return True
 
     @property

@@ -84,7 +84,9 @@ class MinimalModel:
         self.degree_bound = degree_bound
         self.u_bases = u_bases
         self.gens: list[Generator] = []
-        self._mono_cache: dict = {}
+        self._mono_cache: dict = {}  # (degree, gids) -> (sorted monomials, position map)
+        self._d_cache: dict = {}  # monomial -> its differential
+        self._rho_cache: dict = {}  # monomial -> its realization
 
     # ----- generator bookkeeping -------------------------------------------------
 
@@ -97,7 +99,8 @@ class MinimalModel:
             closed=closed,
         )
         self.gens.append(gen)
-        self._mono_cache.clear()
+        # only monomials of at least the new degree can contain the new generator
+        self._mono_cache = {key: v for key, v in self._mono_cache.items() if key[0] < degree}
         return gen
 
     def _odd(self, gid: int) -> bool:
@@ -118,17 +121,30 @@ class MinimalModel:
 
     def monomials(self, k: int, gids=None) -> list:
         """Sorted degree-k monomials over the given generator ids (default all)."""
+        return self._monomials_and_positions(k, gids)[0]
+
+    def mono_positions(self, k: int, gids=None) -> dict:
+        """Position map ``{monomial: index}`` of :meth:`monomials`."""
+        return self._monomials_and_positions(k, gids)[1]
+
+    def _monomials_and_positions(self, k: int, gids):
         key = (k, tuple(gids) if gids is not None else None)
-        if key in self._mono_cache:
-            return self._mono_cache[key]
+        cached = self._mono_cache.get(key)
+        if cached is not None:
+            return cached
         pool = list(range(len(self.gens))) if gids is None else list(gids)
         found = []
+        # smallest generator degree from each pool position on; a branch
+        # whose remaining degree is below it cannot be completed
+        tail_min = [k + 1] * (len(pool) + 1)
+        for idx in range(len(pool) - 1, -1, -1):
+            tail_min[idx] = min(tail_min[idx + 1], self.gens[pool[idx]].degree)
 
         def rec(idx: int, remaining: int, acc: list):
             if remaining == 0:
                 found.append(tuple(acc))
                 return
-            if idx == len(pool):
+            if remaining < tail_min[idx]:
                 return
             rec(idx + 1, remaining, acc)
             gid = pool[idx]
@@ -141,8 +157,8 @@ class MinimalModel:
 
         rec(0, k, [])
         found.sort()
-        self._mono_cache[key] = found
-        return found
+        cached = self._mono_cache[key] = (found, {m: i for i, m in enumerate(found)})
+        return cached
 
     def restricted_gids(self, max_degree=None, before_gid=None) -> list[int]:
         out = []
@@ -213,6 +229,17 @@ class MinimalModel:
                     out[mono] = total
         return out
 
+    def d_mono(self, mono):
+        """Differential of one monomial, memoized.
+
+        Generator differentials are fixed when a generator is created, so
+        an entry never goes stale.  Callers must not mutate the result.
+        """
+        out = self._d_cache.get(mono)
+        if out is None:
+            out = self._d_cache[mono] = self.d_poly({mono: Fraction(1)})
+        return out
+
     def d_poly(self, p):
         """Differential, extended from generators by the graded Leibniz rule."""
         out: dict = {}
@@ -244,28 +271,30 @@ class MinimalModel:
     def rho_poly(self, p) -> Multivector:
         """Realization: algebra map sending each generator to its stored value."""
         total_degree = self.mono_degree(next(iter(p))) if p else 0
-        out = Multivector.zero(self.spec.n, total_degree)
+        terms = []
         for mono, coeff in p.items():
-            term = Multivector.unit(self.spec.n)
-            for gid in mono:
-                term = term.wedge(self.gens[gid].rho)
-                if term.is_zero():
-                    break  # a zero partial product has too low a degree to add
+            terms.extend((key, c * coeff) for key, c in self._rho_mono(mono).terms.items())
+        return Multivector(self.spec.n, total_degree, terms)
+
+    def _rho_mono(self, mono) -> Multivector:
+        """Realization of one monomial, memoized like :meth:`d_mono`."""
+        out = self._rho_cache.get(mono)
+        if out is None:
+            if mono:
+                out = self._rho_mono(mono[:-1]).wedge(self.gens[mono[-1]].rho)
             else:
-                out = out + term.scaled(coeff)
+                out = Multivector.unit(self.spec.n)
+            self._rho_cache[mono] = out
         return out
 
     @staticmethod
-    def poly_coords(p, monos: list) -> list:
-        pos = {m: i for i, m in enumerate(monos)}
-        out = [Fraction(0)] * len(monos)
-        for m, c in p.items():
-            out[pos[m]] = c
-        return out
+    def poly_coords(p, positions: dict) -> dict:
+        """Sparse coordinates of ``p`` under a monomial position map (KeyError outside it)."""
+        return {positions[m]: c for m, c in p.items()}
 
     @staticmethod
-    def poly_from_coords(monos: list, vec) -> dict:
-        return {m: Fraction(c) for m, c in zip(monos, vec) if c != 0}
+    def poly_from_coords(monos: list, vec: dict) -> dict:
+        return {monos[i]: c for i, c in sorted(vec.items())}
 
     def poly_str(self, p) -> str:
         if not p:
@@ -294,25 +323,21 @@ class MinimalModel:
 
     def class_reps(self, k: int, max_gen_degree=None) -> list[ClassRep]:
         """Echelonized degree-k cohomology classes with their realizations."""
-        gids = self.restricted_gids(max_degree=max_gen_degree)
-        b_prev = self.monomials(k - 1, gids) if k >= 1 else []
-        b_here = self.monomials(k, gids)
-        b_next = self.monomials(k + 1, gids)
+        # None keys the monomial cache by degree alone, so lists survive new generators
+        gids = None if max_gen_degree is None else self.restricted_gids(max_degree=max_gen_degree)
+        b_here, here_pos = self._monomials_and_positions(k, gids)
         if not b_here:
             return []
-        d_rows = [self.poly_coords(self.d_poly({m: Fraction(1)}), b_next) for m in b_here]
-        cocycles = map_kernel(d_rows)
-        image_rows = [self.poly_coords(self.d_poly({m: Fraction(1)}), b_here) for m in b_prev]
+        next_pos = self.mono_positions(k + 1, gids)
+        cocycles = map_kernel([self.poly_coords(self.d_mono(m), next_pos) for m in b_here])
         image = EchelonAccumulator()
-        for row in image_rows:
-            image.add(row)
-        reduced = []
+        for m in self.monomials(k - 1, gids):
+            image.add(self.poly_coords(self.d_mono(m), here_pos))
+        classes = EchelonAccumulator()
         for vec in cocycles:
-            res = image.residue(vec)
-            if any(x != 0 for x in res):
-                reduced.append(res)
+            classes.add(image.residue(vec))
         reps = []
-        for row in echelon_basis(reduced):
+        for row in classes.rows:
             poly = self.poly_from_coords(b_here, row)
             reps.append(ClassRep(poly, self.rho_poly(poly)))
         return reps
@@ -377,7 +402,7 @@ def _flag_ordered_complement(model: MinimalModel, q: int, image_reps: list[Class
     m = len(complement_vecs)
     chosen = EchelonAccumulator()
     order = []
-    power = [[Fraction(1) if i == j else Fraction(0) for j in range(m)] for i in range(m)]
+    power = [{i: Fraction(1)} for i in range(m)]
     for _ in range(m + 1):
         if chosen.rank == m:
             break
@@ -388,14 +413,10 @@ def _flag_ordered_complement(model: MinimalModel, q: int, image_reps: list[Class
     if chosen.rank != m:
         raise InternalInvariantViolation("shift action is not nilpotent on the complement")
 
-    out = []
-    for x in order:
-        combo = [Fraction(0)] * len(keys)
-        for c, vec in zip(x, complement_vecs):
-            if c != 0:
-                combo = [a + c * b for a, b in zip(combo, vec)]
-        out.append(primitive_part(from_coordinates(spec.n, q, keys, combo)))
-    return out
+    return [
+        primitive_part(from_coordinates(spec.n, q, keys, combo))
+        for combo in matrix_mul(order, complement_vecs)
+    ]
 
 
 def build_minimal_model(spec: AlmostAbelianSpec, d_max: int) -> MinimalModel:
@@ -418,9 +439,8 @@ def build_minimal_model(spec: AlmostAbelianSpec, d_max: int) -> MinimalModel:
                 break
             for coeffs in kern:
                 w: dict = {}
-                for c, rep in zip(coeffs, reps):
-                    if c != 0:
-                        w = model.p_add(w, model.p_scale(c, rep.poly))
+                for i, c in sorted(coeffs.items()):
+                    w = model.p_add(w, model.p_scale(c, reps[i].poly))
                 model.add_generator(degree=q, differential=w, closed=False)
         else:
             raise InternalInvariantViolation(

@@ -24,6 +24,7 @@ immutable tuples; every call returns a fresh list.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 
@@ -163,7 +164,9 @@ def nilpotent_submodule_oracle(spec: AlmostAbelianSpec, k: int) -> list[Multivec
     for pos, key in enumerate(keys):
         image = algebra_map_apply(phi_one, Multivector.monomial(spec.n, key))
         row = coordinate_vector(image, keys)
-        row[pos] -= 1
+        diagonal = row.pop(pos, Fraction(0)) - 1
+        if diagonal:
+            row[pos] = diagonal
         rows.append(row)
     power = rows
     kernel = map_kernel(power)

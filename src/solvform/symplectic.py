@@ -27,7 +27,6 @@ of this invariant type, nothing more.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 from .cohomology import CEElement, ce_differential
@@ -41,7 +40,7 @@ from .exterior import (
     top_coefficient,
     wedge_power,
 )
-from .linalg import echelon_basis, map_kernel
+from .linalg import echelon_basis, map_kernel, matrix_mul
 from .monodromy import nilpotent_submodule
 from .scalars import ScalarLC
 from .spectral import SLICE_CACHE_SIZE, AlmostAbelianSpec, nilpotent_log
@@ -74,15 +73,7 @@ def _closed_two_classes(spec: AlmostAbelianSpec) -> tuple[Multivector, ...]:
     ntl = nilpotent_log(spec)
     keys = monomials(spec.n, 2)
     rows = [coordinate_vector(derivation_apply(ntl, u), keys) for u in basis]
-    combos = map_kernel(rows)
-    vectors = []
-    for combo in combos:
-        acc = [Fraction(0)] * len(keys)
-        for c, u in zip(combo, basis):
-            if c != 0:
-                vec = coordinate_vector(u, keys)
-                acc = [a + c * b for a, b in zip(acc, vec)]
-        vectors.append(acc)
+    vectors = matrix_mul(map_kernel(rows), [coordinate_vector(u, keys) for u in basis])
     return tuple(from_coordinates(spec.n, 2, keys, row) for row in echelon_basis(vectors))
 
 

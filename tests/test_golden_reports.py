@@ -2,14 +2,23 @@
 
 Any change to the elimination, memo or report code must leave these
 digests alone; a deliberate change of report content updates them in
-the same commit.
+the same commit.  The minimal model dumps (``serialize_model``) are
+pinned the same way, s8 up to degree 6, so a change to the model
+construction is checked past the degrees a report reaches quickly.
 """
 
 import hashlib
 
 import pytest
 
-from solvform import build_report, dumps_canonical, fixture_path, load_spec
+from solvform import (
+    build_minimal_model,
+    build_report,
+    dumps_canonical,
+    fixture_path,
+    load_spec,
+    serialize_model,
+)
 
 GOLDEN = {
     ("heisenberg3", 1): "c70d0860003c4fe21623b3940108933ac5a7a454339b71f60ac779ae7a395122",
@@ -39,3 +48,35 @@ GOLDEN = {
 def test_report_bytes_unchanged(name, max_degree):
     text = dumps_canonical(build_report(load_spec(fixture_path(name)), max_degree))
     assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN[name, max_degree]
+
+
+MODEL_GOLDEN = {
+    ("heisenberg3", 1): "975fcce997440267780ee8f6df0ea494c8775804e128aa9388e6f7ba9e147fcd",
+    ("heisenberg3", 2): "acb6249d41107ab869f354113b524171bca25b9bb3c4d3504d257dc154de0348",
+    ("heisenberg3", 3): "45c27cbb28cbdcfad9817c0082b4f3562bc9ba2c2670d8dd0a5586a33bbbe1db",
+    ("heisenberg3", 4): "06283a1af3da96e7c07b59b79c28bbabbd2e337ccbf1cd775ce71ebd05cb5c11",
+    ("s6", 1): "345ba0467cd3618cb75694eea9a5644bf8bc9c84e8c86b103ab51a323939e5ef",
+    ("s6", 2): "6aef3444db53478f3f38350ee47855c5bb3a19d05d80279547da9acbb4dd19e7",
+    ("s6", 3): "3b9dbbaf651f9791fa87ce187a7eeeff117747af89a178e5bb66cd5cb5ceb56c",
+    ("s6", 4): "a70bbd0b7f3408155f2841353978572da55762c9ad47a0312374e3c86f9890d7",
+    ("torus3", 1): "52ff6cbccd9e71ba6cb004445c54b8faa211f7f5b1e6a9e843f2bcfe4fee294e",
+    ("torus3", 2): "166a8eb4491fecafd7bc50981341f3e8e2e76286f8850005c14fad9504c310fa",
+    ("torus3", 3): "629c46c632bffee2d7ba3dcad92e2731663d45785cc2e0e089c2aaedcde5a279",
+    ("torus3", 4): "c3365aa0f12ca9db259f2ccf2d140a418ee2328d1f660e0887dd2d3f930e7e97",
+    ("torus4", 1): "3b5ed885babe03cc853384fe2196d5c5c32b992b69c199223e615c7596502794",
+    ("torus4", 2): "b144496d869114f300610ffba5b42ce2eeb7165e975da46fc0728d28377ab4b3",
+    ("torus4", 3): "d4dbeb9fdff1b2860e7a6fb502aeb3c37f83a581bf27b3e0787a6e51e37c0bde",
+    ("torus4", 4): "50c6cdda60a308a27d34a3908638c34b5ea9d1320dc8edfa03cfbb0ccf2df85c",
+    ("s8", 1): "32042a40b3ae3b33e8709978fc713d22954e6ae30b1f957ba90e66264ae37229",
+    ("s8", 2): "e6da734b08c698e1f87053a64d171102fab03fba9090669f013216e740e11524",
+    ("s8", 3): "d42d7a5ab67e0b7fbf8a3786bdb5e0c1e93cb97ac04ab6f70186643ccbeb976e",
+    ("s8", 4): "ba7c3cf82005d10995f498fa7ee5f89a31f70b795f91a8188a3697cc786d3ec7",
+    ("s8", 5): "b9deafe73045109b395dca146df839d7b98f0602aef77e8ff8f4b6d2ab9d4f7e",
+    ("s8", 6): "4594b88c9612dd60b7095f051cf87ad1bc8229325babde1497671ee17e7d8950",
+}
+
+
+@pytest.mark.parametrize("name, max_degree", sorted(MODEL_GOLDEN))
+def test_model_dump_unchanged(name, max_degree):
+    text = serialize_model(build_minimal_model(load_spec(fixture_path(name)), max_degree))
+    assert hashlib.sha256(text.encode()).hexdigest() == MODEL_GOLDEN[name, max_degree]

@@ -1,4 +1,8 @@
-"""Exact linear algebra: canonical echelon forms, kernels, solving."""
+"""Exact sparse linear algebra: canonical echelon forms, kernels, solving.
+
+The random matrices are drawn dense and handed to the kernel through
+``_sparse``; results are compared densely through ``_dense``.
+"""
 
 import random
 from fractions import Fraction
@@ -8,6 +12,7 @@ import pytest
 from solvform.linalg import (
     EchelonAccumulator,
     echelon_basis,
+    kernel_and_pivots,
     map_kernel,
     matrix_mul,
     rank,
@@ -23,6 +28,17 @@ def _random_matrix(rng, rows, cols):
     ]
 
 
+def _sparse(mat):
+    return [{c: Fraction(x) for c, x in enumerate(row) if x != 0} for row in mat]
+
+
+def _dense(vec, n):
+    out = [Fraction(0)] * n
+    for c, x in vec.items():
+        out[c] = x
+    return out
+
+
 def _dot(vec, rows):
     out = [Fraction(0)] * (len(rows[0]) if rows else 0)
     for c, row in zip(vec, rows):
@@ -34,13 +50,13 @@ def _dot(vec, rows):
 def test_rref_canonical_and_idempotent():
     rng = random.Random(11)
     for _ in range(100):
-        mat = _random_matrix(rng, rng.randint(1, 5), rng.randint(1, 5))
+        mat = _sparse(_random_matrix(rng, rng.randint(1, 5), rng.randint(1, 5)))
         red, pivots = rref(mat)
         again, pivots2 = rref(red)
         assert red == again and pivots == pivots2
         for row, p in zip(red, pivots):
             assert row[p] == 1
-            assert all(other[p] == 0 for other in red if other is not row)
+            assert all(p not in other for other in red if other is not row)
 
 
 def test_echelon_basis_is_span_invariant():
@@ -50,7 +66,11 @@ def test_echelon_basis_is_span_invariant():
         shuffled = mat[:]
         rng.shuffle(shuffled)
         scaled = [[Fraction(2) * x for x in row] for row in mat]
-        assert echelon_basis(mat) == echelon_basis(shuffled) == echelon_basis(scaled)
+        assert (
+            echelon_basis(_sparse(mat))
+            == echelon_basis(_sparse(shuffled))
+            == echelon_basis(_sparse(scaled))
+        )
 
 
 def test_right_kernel_annihilates():
@@ -59,9 +79,9 @@ def test_right_kernel_annihilates():
     for _ in range(100):
         rows, cols = rng.randint(1, 4), rng.randint(1, 5)
         mat = _random_matrix(rng, rows, cols)
-        kern = map_kernel([list(col) for col in zip(*mat)])
-        assert len(kern) == cols - rank(mat)
-        for vec in kern:
+        kern = map_kernel(_sparse(zip(*mat)))
+        assert len(kern) == cols - rank(_sparse(mat))
+        for vec in (_dense(v, cols) for v in kern):
             for row in mat:
                 assert sum(a * b for a, b in zip(row, vec)) == 0
 
@@ -70,26 +90,36 @@ def test_map_kernel_annihilates_rows():
     rng = random.Random(14)
     for _ in range(100):
         mat = _random_matrix(rng, rng.randint(1, 5), rng.randint(1, 4))
-        kern = map_kernel(mat)
-        assert len(kern) == len(mat) - rank(mat)
+        kern = map_kernel(_sparse(mat))
+        assert len(kern) == len(mat) - rank(_sparse(mat))
         for vec in kern:
-            assert all(x == 0 for x in _dot(vec, mat))
+            assert all(x == 0 for x in _dot(_dense(vec, len(mat)), mat))
+
+
+def _sympy_reference(sympy, mat):
+    """(reduced rows, pivots, map kernel) of a dense matrix from sympy, as sparse rows."""
+
+    def to_sparse(rows):
+        return _sparse([[Fraction(int(x.p), int(x.q)) for x in row] for row in rows])
+
+    sym = sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in row] for row in mat])
+    red, pivots = sym.rref()
+    kernel = to_sparse(v.T.tolist()[0] for v in sym.T.nullspace())
+    return to_sparse(red.tolist()[: len(pivots)]), list(pivots), kernel
+
+
+def _check_against_sympy(sympy, mat):
+    red, pivots, kernel = _sympy_reference(sympy, mat)
+    assert rref(_sparse(mat)) == (red, pivots)
+    assert map_kernel(_sparse(mat)) == kernel
+    assert kernel_and_pivots(_sparse(mat)) == (kernel, pivots)
 
 
 def test_rref_and_map_kernel_match_sympy():
     sympy = pytest.importorskip("sympy")
-
-    def to_fractions(rows):
-        return [[Fraction(int(x.p), int(x.q)) for x in row] for row in rows]
-
     rng = random.Random(13)
     for _ in range(300):
-        mat = _random_matrix(rng, rng.randint(1, 6), rng.randint(1, 6))
-        sym = sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in row] for row in mat])
-        red, pivots = sym.rref()
-        expected = to_fractions(red.tolist()[: len(pivots)])
-        assert rref(mat) == (expected, list(pivots))
-        assert map_kernel(mat) == to_fractions(v.T.tolist()[0] for v in sym.T.nullspace())
+        _check_against_sympy(sympy, _random_matrix(rng, rng.randint(1, 6), rng.randint(1, 6)))
 
 
 def test_solve_combination_and_consistency():
@@ -98,14 +128,14 @@ def test_solve_combination_and_consistency():
         mat = _random_matrix(rng, rng.randint(1, 4), rng.randint(1, 5))
         coeffs = [Fraction(rng.randint(-2, 2)) for _ in mat]
         target = _dot(coeffs, mat)
-        got = solve_combination(mat, target)
+        got = solve_combination(_sparse(mat), _sparse([target])[0])
         assert got is not None
-        assert _dot(got, mat) == target
+        assert _dot(_dense(got, len(mat)), mat) == target
 
 
 def test_solve_combination_reports_inconsistent():
-    rows = [[Fraction(1), Fraction(0)]]
-    assert solve_combination(rows, [Fraction(0), Fraction(1)]) is None
+    rows = _sparse([[Fraction(1), Fraction(0)]])
+    assert solve_combination(rows, {1: Fraction(1)}) is None
 
 
 def test_matrix_mul_matches_composition():
@@ -113,7 +143,7 @@ def test_matrix_mul_matches_composition():
     for _ in range(50):
         a = _random_matrix(rng, 3, 4)
         b = _random_matrix(rng, 4, 2)
-        ab = matrix_mul(a, b)
+        ab = [_dense(row, 2) for row in matrix_mul(_sparse(a), _sparse(b))]
         x = [Fraction(rng.randint(-2, 2)) for _ in range(3)]
         assert _dot(x, ab) == _dot(_dot(x, a), b)
 
@@ -123,11 +153,11 @@ def test_echelon_accumulator_tracks_rank_and_membership():
     for _ in range(50):
         mat = _random_matrix(rng, 6, 4)
         acc = EchelonAccumulator()
-        for row in mat:
+        for row in _sparse(mat):
             acc.add(row)
-        assert acc.rank == rank(mat)
+        assert acc.rank == rank(_sparse(mat))
         combo = _dot([Fraction(rng.randint(-2, 2)) for _ in mat], mat)
-        assert all(x == 0 for x in acc.residue(combo))
+        assert acc.residue(_sparse([combo])[0]) == {}
 
 
 def test_echelon_accumulator_rows_stay_reduced():
@@ -137,9 +167,75 @@ def test_echelon_accumulator_rows_stay_reduced():
         mat = _random_matrix(rng, rng.randint(1, 7), cols)
         mat += [_dot([Fraction(rng.randint(-2, 2)) for _ in mat], mat)]
         rng.shuffle(mat)
+        mat = _sparse(mat)
         acc = EchelonAccumulator()
         for i, row in enumerate(mat):
             grew = acc.add(row)
             assert grew == (rank(mat[: i + 1]) > rank(mat[:i]))
             assert (acc.rows, acc.pivots) == rref(mat[: i + 1])
             assert acc.rows == echelon_basis(list(reversed(mat[: i + 1])))
+
+
+def _sparse_random_matrix(rng, rows, cols, density=0.15):
+    return [
+        [
+            Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 3))
+            if rng.random() < density
+            else Fraction(0)
+            for _ in range(cols)
+        ]
+        for _ in range(rows)
+    ]
+
+
+def test_stored_rows_never_hold_a_zero():
+    rng = random.Random(19)
+    for _ in range(200):
+        mat = _sparse(_random_matrix(rng, rng.randint(1, 8), rng.randint(1, 8)))
+        acc = EchelonAccumulator()
+        for row in mat:
+            acc.add(row)
+            assert all(x != 0 for stored in acc.rows for x in stored.values())
+        for vec in map_kernel(mat) + echelon_basis(mat):
+            assert all(x != 0 for x in vec.values())
+        coeffs = solve_combination(mat, acc.rows[0] if acc.rows else {})
+        assert all(x != 0 for x in coeffs.values())
+        for row in matrix_mul(mat, _sparse(_random_matrix(rng, 8, 3))):
+            assert all(x != 0 for x in row.values())
+
+
+def test_add_of_zero_row_returns_false():
+    acc = EchelonAccumulator()
+    assert acc.add({}) is False
+    assert acc.add({0: Fraction(0), 3: Fraction(0)}) is False
+    assert (acc.rows, acc.pivots) == ([], [])
+    assert acc.add({1: Fraction(2)}) is True
+    assert acc.add({}) is False
+    assert acc.add({2: Fraction(0)}) is False
+    assert (acc.rows, acc.pivots) == ([{1: Fraction(1)}], [1])
+
+
+def test_residue_is_zero_at_every_pivot():
+    rng = random.Random(20)
+    for _ in range(200):
+        cols = rng.randint(1, 9)
+        acc = EchelonAccumulator()
+        for row in _sparse(_sparse_random_matrix(rng, rng.randint(1, 9), cols, density=0.3)):
+            acc.add(row)
+        for vec in _sparse(_random_matrix(rng, 5, cols)):
+            res = acc.residue(vec)
+            assert not set(res) & set(acc.pivots)
+            assert all(x != 0 for x in res.values())
+            # v and its residue differ by an element of the span
+            diff = {c: vec.get(c, 0) - res.get(c, 0) for c in set(vec) | set(res)}
+            assert acc.residue({c: x for c, x in diff.items() if x}) == {}
+
+
+@pytest.mark.parametrize("shape", ["wide", "tall"])
+def test_sparse_rref_and_map_kernel_match_sympy(shape):
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(21 if shape == "wide" else 22)
+    for _ in range(60):
+        small, large = rng.randint(2, 8), rng.randint(9, 20)
+        rows, cols = (small, large) if shape == "wide" else (large, small)
+        _check_against_sympy(sympy, _sparse_random_matrix(rng, rows, cols))

@@ -195,3 +195,29 @@ def test_generator_counts_reported(s8):
     model = build_minimal_model(s8, 3)
     counts = model.generator_counts()
     assert sum(c + n for c, n in counts.values()) == len(model.gens)
+
+
+def test_monomial_memos_match_direct_computation(s8):
+    # d and rho of a monomial are memoized; both must equal the Leibniz
+    # expansion and the wedge of the generator realizations
+    model = build_minimal_model(s8, 3)
+    for k in range(1, 5):
+        for mono in model.monomials(k):
+            assert model.d_mono(mono) == model.d_poly({mono: Fraction(1)})
+            direct = Multivector.unit(s8.n)
+            for gid in mono:
+                direct = wedge(direct, model.gens[gid].rho)
+            assert model.rho_poly({mono: Fraction(1)}).terms == direct.terms
+
+
+def test_add_generator_keeps_lower_degree_monomials(s8):
+    model = build_minimal_model(s8, 2)
+    low, high = model.monomials(1), model.monomials(3)
+    gen = model.add_generator(degree=2, closed=True)
+    assert model.monomials(1) is low
+    grown = model.monomials(3)
+    assert set(high) < set(grown)
+    assert any(gen.gid in mono for mono in grown)
+    model._mono_cache.clear()
+    assert model.monomials(3) == grown
+    assert model.mono_positions(3) == {m: i for i, m in enumerate(grown)}

@@ -127,7 +127,9 @@ def _brute_unipotent_part(spec, k):
     rows = []
     for pos, key in enumerate(keys):
         row = coordinate_vector(algebra_map_apply(phi, Multivector.monomial(spec.n, key)), keys)
-        row[pos] -= 1
+        diagonal = row.pop(pos, Fraction(0)) - 1
+        if diagonal:
+            row[pos] = diagonal
         rows.append(row)
     power, kernel = rows, map_kernel(rows)
     for _ in range(len(keys)):

@@ -1,0 +1,55 @@
+"""The per-layer tracer of the benchmark still finds the hooks it wraps.
+
+``bench/layertrace.py`` wraps functions and methods of the package by
+name (``linalg.rref``, ``EchelonAccumulator.add``, ``MinimalModel.d_poly``
+and others).  A refactor that renames or bypasses them would break
+``bench/run.py --trace 1`` without failing any other test, so this runs a
+traced ``analyze`` in a fresh interpreter, the way a benchmark worker does.
+"""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+from solvform import fixture_path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+SCRIPT = """
+import json, sys
+sys.path[:0] = [sys.argv[1], sys.argv[2]]
+import solvform.cli
+import layertrace
+
+tracer = layertrace.Tracer()
+layertrace.install(tracer)
+code = solvform.cli.main(
+    ["analyze", sys.argv[3], "--max-degree", "2", "--report", sys.argv[4], "--format", "json"]
+)
+print(json.dumps({"exit": code, "counts": tracer.summary()["counts"]}))
+"""
+
+
+def test_traced_analyze_counts_the_kernel_hooks(tmp_path):
+    proc = subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            SCRIPT,
+            str(ROOT / "src"),
+            str(ROOT / "bench"),
+            str(fixture_path("s6")),
+            str(tmp_path / "report.json"),
+        ],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert result["exit"] == 0
+    counts = result["counts"]
+    for name in ("linalg.rref", "linalg.echelon_add", "minimal_model.d_poly"):
+        assert counts.get(name, 0) > 0, name
+    assert counts["linalg.rref.rows"] >= counts["linalg.rref.rank"] > 0

@@ -92,15 +92,12 @@ def _theta_closed(model: MinimalModel, ntl, gen):
         images.append(rep.rho)
     keys = ext_monomials(model.spec.n, q)
     rows = [coordinate_vector(img, keys) for img in images]
-    coeffs = solve_combination(rows, coordinate_vector(target, keys))
+    coeffs, _ = solve_combination(rows, coordinate_vector(target, keys))
     if coeffs is None:
         raise InternalInvariantViolation(
             f"shift image of {gen.name} is not realized by earlier classes"
         )
-    out: dict = {}
-    for i, c in sorted(coeffs.items()):
-        out = model.p_add(out, model.p_scale(c, columns[i]))
-    return out
+    return model.p_combination(coeffs, columns)
 
 
 def _theta_nonclosed(model: MinimalModel, tm: TwistedModel, gen):
@@ -124,12 +121,12 @@ def _theta_nonclosed(model: MinimalModel, tm: TwistedModel, gen):
         except KeyError:
             continue  # rhs mentions generators outside this restriction
         rows = [model.poly_coords(model.d_mono(m), codomain) for m in domain]
-        coeffs = solve_combination(rows, rhs_vec)
+        coeffs, free = solve_combination(rows, rhs_vec)
         if coeffs is None:
             continue
         # a choice was involved when the preimage is not unique, or when
         # only the unrestricted space (same-stage generators) solved it
-        chose = (not restricted) or len(map_kernel(rows)) > 0
+        chose = (not restricted) or free > 0
         return model.poly_from_coords(domain, coeffs), chose
     raise InternalInvariantViolation(
         f"twist of non-closed generator {gen.name} has no solution: "
@@ -142,7 +139,7 @@ def _check_square_zero(tm: TwistedModel):
     for gen in model.gens:
         lhs = tm.theta_poly(gen.differential)
         rhs = model.d_poly(tm.theta.get(gen.gid, {}))
-        if model.p_add(lhs, model.p_scale(-1, rhs)):
+        if lhs != rhs:  # exact: model polynomials never store a zero
             raise InternalInvariantViolation(
                 f"twist does not commute with the differential on {gen.name}"
             )

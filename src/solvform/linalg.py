@@ -86,23 +86,22 @@ def map_kernel(rows: list[Row]) -> list[Row]:
     return kernel_and_pivots(rows)[0]
 
 
-def solve_combination(rows: list[Row], target: Row) -> Row | None:
-    """Coefficients ``c`` with ``sum(c_i * rows[i]) == target``, or None.
+def solve_combination(rows: list[Row], target: Row) -> tuple[Row | None, int]:
+    """``(c, free)``: ``sum(c_i * rows[i]) == target`` (``c`` None if unsolvable).
 
-    Free coefficients are set to zero, which makes the returned solution
-    the deterministic representative used throughout for "least" choices.
+    ``free`` is the dimension of ``map_kernel(rows)``.  Free coefficients
+    are set to zero, which makes ``c`` the deterministic representative
+    used throughout for "least" choices.  One elimination gives both: the
+    target is a combination exactly when its index is a free column of
+    ``rows + [target]``; the kernel vector of that column, the last one, is
+    minus the least solution, and every other kernel vector is one of ``rows``.
     """
     last = len(rows)
-    augmented = list(rows) + [target]
-    red, pivots = rref([col for _, col in _transpose(augmented)])
-    if pivots and pivots[-1] == last:
-        return None
-    coeffs = {}
-    for row, p in zip(red, pivots):
-        x = row.get(last)
-        if x is not None:
-            coeffs[p] = x
-    return coeffs
+    kernel = map_kernel(list(rows) + [target])
+    if kernel and last in kernel[-1]:
+        top = kernel.pop()
+        return {i: -x for i, x in top.items() if i != last}, len(kernel)
+    return None, len(kernel)
 
 
 def matrix_mul(a: list[Row], b: list[Row]) -> list[Row]:

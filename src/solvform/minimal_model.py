@@ -31,6 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations, combinations_with_replacement
 
 from .errors import InputError, InternalInvariantViolation
 from .exterior import (
@@ -132,30 +133,28 @@ class MinimalModel:
         cached = self._mono_cache.get(key)
         if cached is not None:
             return cached
-        pool = list(range(len(self.gens))) if gids is None else list(gids)
+        by_degree: dict[int, list[int]] = {}
+        for gid in range(len(self.gens)) if gids is None else gids:
+            by_degree.setdefault(self.gens[gid].degree, []).append(gid)
+        groups = sorted(by_degree.items())
         found = []
-        # smallest generator degree from each pool position on; a branch
-        # whose remaining degree is below it cannot be completed
-        tail_min = [k + 1] * (len(pool) + 1)
-        for idx in range(len(pool) - 1, -1, -1):
-            tail_min[idx] = min(tail_min[idx + 1], self.gens[pool[idx]].degree)
 
-        def rec(idx: int, remaining: int, acc: list):
+        # one level per distinct generator degree, ascending, so the depth
+        # stays at most k however many generators there are
+        def rec(idx: int, remaining: int, acc: tuple):
             if remaining == 0:
-                found.append(tuple(acc))
+                found.append(tuple(sorted(acc)))
                 return
-            if remaining < tail_min[idx]:
+            if idx == len(groups) or groups[idx][0] > remaining:
                 return
+            deg, members = groups[idx]
             rec(idx + 1, remaining, acc)
-            gid = pool[idx]
-            deg = self.gens[gid].degree
-            limit = 1 if self._odd(gid) else remaining // deg
-            for mult in range(1, limit + 1):
-                if mult * deg > remaining:
-                    break
-                rec(idx + 1, remaining - mult * deg, acc + [gid] * mult)
+            pick = combinations if deg % 2 else combinations_with_replacement
+            for count in range(1, remaining // deg + 1):
+                for chosen in pick(members, count):
+                    rec(idx + 1, remaining - count * deg, acc + chosen)
 
-        rec(0, k, [])
+        rec(0, k, ())
         found.sort()
         cached = self._mono_cache[key] = (found, {m: i for i, m in enumerate(found)})
         return cached
@@ -197,22 +196,17 @@ class MinimalModel:
     # ----- polynomial arithmetic ---------------------------------------------------
 
     @staticmethod
-    def p_add(p, q):
-        out = dict(p)
-        for m, c in q.items():
-            total = out.get(m, Fraction(0)) + c
-            if total == 0:
-                out.pop(m, None)
-            else:
-                out[m] = total
+    def p_combination(coeffs: dict, polys: list) -> dict:
+        """``sum(c_i * polys[i])`` over the sparse coefficient row ``coeffs``."""
+        out: dict = {}
+        for i, c in sorted(coeffs.items()):
+            for m, x in polys[i].items():
+                total = out.get(m, 0) + c * x
+                if total:
+                    out[m] = total
+                else:
+                    out.pop(m, None)
         return out
-
-    @staticmethod
-    def p_scale(c, p):
-        c = Fraction(c)
-        if c == 0:
-            return {}
-        return {m: c * v for m, v in p.items()}
 
     def p_mul(self, p, q):
         out: dict = {}
@@ -241,31 +235,41 @@ class MinimalModel:
         return out
 
     def d_poly(self, p):
-        """Differential, extended from generators by the graded Leibniz rule."""
+        """Differential: :meth:`_leibniz` of the generator differentials, with Koszul signs."""
+        return self._leibniz(p, lambda gid: self.gens[gid].differential, graded=True)
+
+    def derivation_poly(self, values: dict, p):
+        """Degree-0 derivation: :meth:`_leibniz` of ``values`` (absent gids map to 0), no signs."""
+        return self._leibniz(p, values.get, graded=False)
+
+    def _leibniz(self, p, value_of, graded: bool):
+        """Sum over each factor of each monomial of prefix * value_of(gid) * suffix.
+
+        With ``graded`` a term takes the Koszul sign of its prefix degree.
+        """
         out: dict = {}
         for mono, coeff in p.items():
             prefix_degree = 0
             for pos, gid in enumerate(mono):
-                dgen = self.gens[gid].differential
-                if dgen:
-                    sign = -1 if prefix_degree % 2 else 1
-                    term = self.p_mul({mono[:pos]: Fraction(sign * 1)}, dgen)
-                    term = self.p_mul(term, {mono[pos + 1 :]: Fraction(1)})
-                    out = self.p_add(out, self.p_scale(coeff, term))
+                val = value_of(gid)
+                if val:
+                    prefix, suffix = mono[:pos], mono[pos + 1 :]
+                    scale = -coeff if graded and prefix_degree % 2 else coeff
+                    for vm, vc in val.items():
+                        left = self.mono_mul(prefix, vm)
+                        if left is None:
+                            continue
+                        right = self.mono_mul(left[1], suffix)
+                        if right is None:
+                            continue
+                        m = right[1]
+                        total = out.get(m, 0) + left[0] * right[0] * scale * vc
+                        if total:
+                            out[m] = total
+                        else:
+                            # test-built polynomials may carry zero coefficients
+                            out.pop(m, None)
                 prefix_degree += self.gens[gid].degree
-        return out
-
-    def derivation_poly(self, values: dict, p):
-        """Degree-0 derivation replacing each generator factor by ``values[gid]``."""
-        out: dict = {}
-        for mono, coeff in p.items():
-            for pos, gid in enumerate(mono):
-                val = values.get(gid)
-                if not val:
-                    continue
-                term = self.p_mul({mono[:pos]: Fraction(1)}, val)
-                term = self.p_mul(term, {mono[pos + 1 :]: Fraction(1)})
-                out = self.p_add(out, self.p_scale(coeff, term))
         return out
 
     def rho_poly(self, p) -> Multivector:
@@ -392,7 +396,7 @@ def _flag_ordered_complement(model: MinimalModel, q: int, image_reps: list[Class
     for vec in complement_vecs:
         image = derivation_apply(ntl, from_coordinates(spec.n, q, keys, vec))
         res = image_acc.residue(coordinate_vector(image, keys))
-        coeffs = solve_combination(reduced_c, res)
+        coeffs, _ = solve_combination(reduced_c, res)
         if coeffs is None:
             raise InternalInvariantViolation(
                 "shift action left the invariant subspace in degree %d" % q
@@ -437,11 +441,11 @@ def build_minimal_model(spec: AlmostAbelianSpec, d_max: int) -> MinimalModel:
             kern = map_kernel(rows)
             if not kern:
                 break
+            polys = [rep.poly for rep in reps]
             for coeffs in kern:
-                w: dict = {}
-                for i, c in sorted(coeffs.items()):
-                    w = model.p_add(w, model.p_scale(c, reps[i].poly))
-                model.add_generator(degree=q, differential=w, closed=False)
+                model.add_generator(
+                    degree=q, differential=model.p_combination(coeffs, polys), closed=False
+                )
         else:
             raise InternalInvariantViolation(
                 f"class killing did not stabilize at degree {q}"

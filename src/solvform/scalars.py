@@ -132,10 +132,6 @@ class ScalarLC:
         return f"ScalarLC({self})"
 
 
-ZERO = ScalarLC(0)
-ONE = ScalarLC(1)
-
-
 def _coerce(value) -> ScalarLC:
     if isinstance(value, ScalarLC):
         return value

@@ -221,7 +221,7 @@ def test_criterion_7_property_suite(s6, s8, torus4, heisenberg3):
                 assert not model.d_poly(g.differential)
                 lhs = tm.theta_poly(g.differential)
                 rhs = model.d_poly(tm.theta.get(g.gid, {}))
-                assert model.p_add(lhs, model.p_scale(-1, rhs)) == {}
+                assert lhs == rhs
                 d_square_cases += 1
                 twist_cases += 1
             for k in range(1, 4):
@@ -235,7 +235,7 @@ def test_criterion_7_property_suite(s6, s8, torus4, heisenberg3):
                 assert not model.d_poly(model.d_poly(poly))
                 lhs = tm.theta_poly(model.d_poly(poly))
                 rhs = model.d_poly(tm.theta_poly(poly))
-                assert model.p_add(lhs, model.p_scale(-1, rhs)) == {}
+                assert lhs == rhs
                 d_square_cases += 1
                 twist_cases += 1
             assert all(entry["ok"] for entry in verify_quasi_iso(model).values())

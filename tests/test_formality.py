@@ -16,7 +16,11 @@ from solvform import (
     nilpotent_log,
     total_model_dump,
 )
+from solvform.errors import InternalInvariantViolation
 from solvform.exterior import derivation_apply
+from solvform.formality import TwistedModel, _theta_nonclosed
+from solvform.linalg import map_kernel, rref
+from solvform.minimal_model import MinimalModel
 from solvform.monodromy import nilpotent_submodule
 
 
@@ -118,7 +122,7 @@ def test_twist_commutes_with_differential_everywhere(s6, s8, heisenberg3):
         for g in model.gens:
             lhs = tm.theta_poly(g.differential)
             rhs = model.d_poly(tm.theta.get(g.gid, {}))
-            assert model.p_add(lhs, model.p_scale(-1, rhs)) == {}
+            assert lhs == rhs
             cases += 1
         for _ in range(8):
             k = rng.randint(1, 3)
@@ -128,7 +132,7 @@ def test_twist_commutes_with_differential_everywhere(s6, s8, heisenberg3):
             poly = {m: Fraction(rng.randint(-2, 2)) for m in rng.sample(monos, min(3, len(monos)))}
             lhs = tm.theta_poly(model.d_poly(poly))
             rhs = model.d_poly(tm.theta_poly(poly))
-            assert model.p_add(lhs, model.p_scale(-1, rhs)) == {}
+            assert lhs == rhs
             cases += 1
     assert cases >= 100
 
@@ -223,3 +227,123 @@ def test_verdict_summary_carries_bound(s8):
     verdict = k_formality(s8, 1, d_max=2)
     assert re.search(r"model bound 2", verdict.summary())
     assert re.search(r"not 1-formal", verdict.summary())
+
+
+def _reference_theta_nonclosed(model, tm, gen):
+    """The twist of a non-closed generator by two eliminations.
+
+    The least solution comes from the reduced echelon form of the columns
+    of ``rows + [rhs]``, uniqueness from a separate ``map_kernel(rows)``;
+    None when no space has a solution.
+    """
+    rhs = tm.theta_poly(gen.differential)
+    if not rhs:
+        return {}, False
+    for restricted, gids in ((True, model.restricted_gids(before_gid=gen.gid)), (False, None)):
+        domain = model.monomials(gen.degree, gids)
+        codomain = model.mono_positions(gen.degree + 1, gids)
+        if not domain:
+            continue
+        try:
+            rhs_vec = model.poly_coords(rhs, codomain)
+        except KeyError:
+            continue
+        rows = [model.poly_coords(model.d_mono(m), codomain) for m in domain]
+        last = len(rows)
+        columns: dict = {}
+        for j, row in enumerate(rows + [rhs_vec]):
+            for c, x in row.items():
+                columns.setdefault(c, {})[j] = x
+        red, pivots = rref([columns[c] for c in sorted(columns)])
+        if pivots and pivots[-1] == last:
+            continue
+        coeffs = {p: row[last] for row, p in zip(red, pivots) if last in row}
+        chose = (not restricted) or len(map_kernel(rows)) > 0
+        return model.poly_from_coords(domain, coeffs), chose
+    return None
+
+
+# Generators as (degree, differential, closed); the twist sends the
+# closed degree-2 generator "f" to "e", so theta(dz) is nonzero for the
+# last non-closed generator z with dz = f.  A differential may be linear
+# here: the solve does not rely on minimality.
+_E, _F = {"e": 1}, {"f": 1}
+_TWIST_CASES = {
+    # only v = g3 with dv = e, created before z, reaches e
+    "unique restricted": (
+        [("e", 2, None), ("f", 2, None), ("v", 1, _E), ("z", 1, _F)],
+        ({("v",): 1}, False),
+    ),
+    # the closed c lies in the kernel, so v + t*c solves it for every t
+    "non-unique restricted": (
+        [("e", 2, None), ("f", 2, None), ("c", 1, None), ("v", 1, _E), ("z", 1, _F)],
+        ({("v",): 1}, True),
+    ),
+    # v is created after z, so no degree-1 monomial before z exists
+    "unrestricted only": (
+        [("e", 2, None), ("f", 2, None), ("z", 1, _F), ("v", 1, _E)],
+        ({("v",): 1}, True),
+    ),
+    # e itself is created after z: theta(dz) lies outside the restriction
+    "rhs outside the restriction": (
+        [("c", 1, None), ("f", 2, None), ("z", 1, _F), ("e", 2, None), ("v", 1, _E)],
+        ({("v",): 1}, True),
+    ),
+    # nothing has e as its differential
+    "no solution": (
+        [("e", 2, None), ("f", 2, None), ("c", 1, None), ("z", 1, _F)],
+        None,
+    ),
+}
+
+
+def _twist_case(spec, layout):
+    model = MinimalModel(spec, 2, {})
+    gid = {name: i for i, (name, _, _) in enumerate(layout)}
+    for name, degree, differential in layout:
+        model.add_generator(
+            degree,
+            {(gid[n],): Fraction(c) for n, c in (differential or {}).items()},
+            closed=differential is None,
+        )
+    tm = TwistedModel(model, {gid["f"]: {(gid["e"],): Fraction(1)}}, [])
+    return model, tm, model.gens[gid["z"]], gid
+
+
+@pytest.mark.parametrize("case", sorted(_TWIST_CASES))
+def test_theta_nonclosed_solves_a_nonzero_rhs(s6, case):
+    layout, expected = _TWIST_CASES[case]
+    model, tm, gen, gid = _twist_case(s6, layout)
+    assert tm.theta_poly(gen.differential)
+    reference = _reference_theta_nonclosed(model, tm, gen)
+    if expected is None:
+        assert reference is None
+        with pytest.raises(InternalInvariantViolation):
+            _theta_nonclosed(model, tm, gen)
+        return
+    poly, chose = expected
+    expected = ({tuple(gid[n] for n in m): Fraction(c) for m, c in poly.items()}, chose)
+    assert reference == expected
+    assert _theta_nonclosed(model, tm, gen) == expected
+
+
+def test_model_polynomials_store_no_zero(s6, s8, heisenberg3):
+    # lhs == rhs compares model polynomials exactly only because none of
+    # them stores a zero coefficient
+    rng = random.Random(74)
+    specs = [s6, s8, heisenberg3] + [random_unimodular_spec(rng, n_max=5) for _ in range(6)]
+    for spec in specs:
+        model = build_minimal_model(spec, 4)
+        tm = build_twisted_model(spec, model)
+        polys = [g.differential for g in model.gens] + list(tm.theta.values())
+        polys += [tm.theta_poly(g.differential) for g in model.gens]
+        for k in range(1, 6):
+            monos = model.monomials(k)
+            polys += [model.d_mono(m) for m in monos]
+            polys += [tm.theta_poly({m: Fraction(1)}) for m in monos]
+            if monos:
+                # test-built input may itself carry zero coefficients
+                poly = {m: Fraction(rng.randint(-2, 2)) for m in rng.sample(monos, min(6, len(monos)))}
+                polys += [model.d_poly(poly), tm.theta_poly(poly)]
+        assert any(polys)
+        assert all(c != 0 for p in polys for c in p.values())

@@ -128,14 +128,21 @@ def test_solve_combination_and_consistency():
         mat = _random_matrix(rng, rng.randint(1, 4), rng.randint(1, 5))
         coeffs = [Fraction(rng.randint(-2, 2)) for _ in mat]
         target = _dot(coeffs, mat)
-        got = solve_combination(_sparse(mat), _sparse([target])[0])
+        got, free = solve_combination(_sparse(mat), _sparse([target])[0])
         assert got is not None
         assert _dot(_dense(got, len(mat)), mat) == target
+        # free coefficients are zero: the solution lives on the pivot rows
+        _, pivots = kernel_and_pivots(_sparse(list(zip(*mat))))
+        assert set(got) <= set(pivots)
+        assert free == len(map_kernel(_sparse(mat)))
 
 
 def test_solve_combination_reports_inconsistent():
     rows = _sparse([[Fraction(1), Fraction(0)]])
-    assert solve_combination(rows, {1: Fraction(1)}) is None
+    assert solve_combination(rows, {1: Fraction(1)}) == (None, 0)
+    rows.append({})
+    assert solve_combination(rows, {1: Fraction(1)}) == (None, 1)
+    assert solve_combination(rows, {0: Fraction(2)}) == ({0: Fraction(2)}, 1)
 
 
 def test_matrix_mul_matches_composition():
@@ -198,7 +205,7 @@ def test_stored_rows_never_hold_a_zero():
             assert all(x != 0 for stored in acc.rows for x in stored.values())
         for vec in map_kernel(mat) + echelon_basis(mat):
             assert all(x != 0 for x in vec.values())
-        coeffs = solve_combination(mat, acc.rows[0] if acc.rows else {})
+        coeffs, _ = solve_combination(mat, acc.rows[0] if acc.rows else {})
         assert all(x != 0 for x in coeffs.values())
         for row in matrix_mul(mat, _sparse(_random_matrix(rng, 8, 3))):
             assert all(x != 0 for x in row.values())

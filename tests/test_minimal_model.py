@@ -221,3 +221,37 @@ def test_add_generator_keeps_lower_degree_monomials(s8):
     model._mono_cache.clear()
     assert model.monomials(3) == grown
     assert model.mono_positions(3) == {m: i for i, m in enumerate(grown)}
+
+
+def _brute_force_monomials(model, k, gids):
+    """Sorted degree-k monomials over ``gids`` by filtering every multiset."""
+    degree = {gid: model.gens[gid].degree for gid in gids}
+    found = [()] if k == 0 else []
+    for length in range(1, k + 1):
+        # the other length - 1 factors have degree at least 1 each
+        eligible = sorted(gid for gid in gids if degree[gid] <= k - (length - 1))
+        for mono in combinations_with_replacement(eligible, length):
+            if sum(degree[g] for g in mono) != k:
+                continue
+            if any(a == b and degree[a] % 2 for a, b in zip(mono, mono[1:])):
+                continue
+            found.append(mono)
+    return sorted(found)
+
+
+def test_monomials_of_many_generators_out_of_degree_order(s6):
+    # more generators than the default recursion limit, the large blocks
+    # created before the low-degree ones, so generator order is not degree order
+    model = MinimalModel(s6, 9, {})
+    degrees = [8] * 700 + [1, 3, 2, 1, 4, 2, 1, 6, 2, 5, 1] + [7] * 400 + [2, 1, 3]
+    for degree in degrees:
+        model.add_generator(degree)
+    assert len(model.gens) > 1000
+    everything = range(len(model.gens))
+    for k in range(0, 9):
+        monos = model.monomials(k)
+        assert monos == _brute_force_monomials(model, k, everything)
+        assert model.mono_positions(k) == {m: i for i, m in enumerate(monos)}
+    assert len(model.monomials(8)) > 700
+    gids = model.restricted_gids(max_degree=7, before_gid=1105)
+    assert model.monomials(6, gids) == _brute_force_monomials(model, 6, gids)

@@ -34,13 +34,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import InternalInvariantViolation
-from .exterior import (
-    Multivector,
-    coordinate_vector,
-    derivation_apply,
-    from_coordinates,
-    monomials,
-)
+from .exterior import Multivector, coordinate_vector, derivation_apply, monomials
 from .linalg import echelon_basis, kernel_and_pivots
 from .scalars import ScalarLC
 from .spectral import (
@@ -130,29 +124,26 @@ def _degree_data(spec: AlmostAbelianSpec, k: int):
     and all of their monomials become image pivots.
     """
     action = modified_matrix(spec)
-    keys = monomials(spec.n, k)
-    kernel_vectors: list[Multivector] = []
+    kernel_vectors: list = []
     pivot_monos: set = set()
     for weight, group in _weight_groups(spec, k).items():
         if not weight.is_zero():
             pivot_monos.update(group)
             continue
-        group_pos = {key: i for i, key in enumerate(group)}
+        in_group = set(group)
         rows = []
         for key in group:
-            image = derivation_apply(action, Multivector.monomial(spec.n, key))
-            for mono in image.terms:
-                if mono not in group_pos:
+            row = coordinate_vector(derivation_apply(action, Multivector.monomial(spec.n, key)))
+            for mono in row:
+                if mono not in in_group:
                     raise InternalInvariantViolation(
                         f"action left its weight slice: {key} -> {mono}"
                     )
-            rows.append(coordinate_vector(image, group))
+            rows.append(row)
         kernel, pivots = kernel_and_pivots(rows)
-        for vec in kernel:
-            kernel_vectors.append(from_coordinates(spec.n, k, group, vec))
-        pivot_monos.update(group[p] for p in pivots)
-    kernel_rows = echelon_basis([coordinate_vector(v, keys) for v in kernel_vectors])
-    kernel_reps = tuple(from_coordinates(spec.n, k, keys, row) for row in kernel_rows)
+        kernel_vectors.extend({group[j]: c for j, c in vec.items()} for vec in kernel)
+        pivot_monos.update(pivots)
+    kernel_reps = tuple(Multivector(spec.n, k, row) for row in echelon_basis(kernel_vectors))
     return kernel_reps, frozenset(pivot_monos)
 
 

@@ -7,8 +7,10 @@ multivectors (and in particular the zero test) is a plain comparison of
 canonical data.
 
 Index tuples are ordered lexicographically everywhere a basis of the
-degree-k slice is enumerated; downstream elimination relies on that
-fixed order for deterministic pivoting.
+degree-k slice is enumerated.  They are also the columns of the sparse
+rows handed to :mod:`.linalg` (:func:`coordinate_vector`); tuples of one
+length compare lexicographically, so pivoting follows that same order.
+A row converts back with ``Multivector(n, degree, row)``.
 """
 
 from __future__ import annotations
@@ -330,21 +332,9 @@ def top_coefficient(x: Multivector) -> ScalarLC:
     return x.coefficient(tuple(range(1, x.n + 1)))
 
 
-def coordinate_vector(x: Multivector, keys: list) -> dict[int, Fraction]:
-    """Sparse rational coordinates of ``x`` against an ordered monomial list."""
-    positions = {key: i for i, key in enumerate(keys)}
-    out = {}
-    for key, coeff in x.terms.items():
-        pos = positions.get(key)
-        if pos is None:
-            raise ValueError(f"monomial {key} outside the given basis")
-        out[pos] = coeff.as_fraction()
-    return out
-
-
-def from_coordinates(n: int, degree: int, keys: list, vec: dict) -> Multivector:
-    """The multivector with sparse coordinates ``vec`` against ``keys``."""
-    return Multivector(n, degree, [(keys[i], c) for i, c in vec.items()])
+def coordinate_vector(x: Multivector) -> dict[tuple[int, ...], Fraction]:
+    """Sparse rational row of ``x``, keyed by its index tuples (error if symbolic)."""
+    return {key: coeff.as_fraction() for key, coeff in x.terms.items()}
 
 
 def primitive_part(x: Multivector) -> Multivector:

@@ -27,12 +27,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import InputError, InternalInvariantViolation
-from .exterior import (
-    Multivector,
-    coordinate_vector,
-    derivation_apply,
-    monomials as ext_monomials,
-)
+from .exterior import Multivector, coordinate_vector, derivation_apply
 from .linalg import map_kernel, solve_combination
 from .minimal_model import MinimalModel, build_minimal_model
 from .spectral import AlmostAbelianSpec, nilpotent_log
@@ -90,9 +85,8 @@ def _theta_closed(model: MinimalModel, ntl, gen):
     for rep in model.class_reps(q, max_gen_degree=q):
         columns.append(rep.poly)
         images.append(rep.rho)
-    keys = ext_monomials(model.spec.n, q)
-    rows = [coordinate_vector(img, keys) for img in images]
-    coeffs, _ = solve_combination(rows, coordinate_vector(target, keys))
+    rows = [coordinate_vector(img) for img in images]
+    coeffs, _ = solve_combination(rows, coordinate_vector(target))
     if coeffs is None:
         raise InternalInvariantViolation(
             f"shift image of {gen.name} is not realized by earlier classes"
@@ -111,23 +105,20 @@ def _theta_nonclosed(model: MinimalModel, tm: TwistedModel, gen):
     if not rhs:
         return {}, False
     q = gen.degree
+    rhs_gids = {gid for mono in rhs for gid in mono}
     for restricted, gids in ((True, model.restricted_gids(before_gid=gen.gid)), (False, None)):
         domain = model.monomials(q, gids)
-        codomain = model.mono_positions(q + 1, gids)
         if not domain:
             continue
-        try:
-            rhs_vec = model.poly_coords(rhs, codomain)
-        except KeyError:
+        if gids is not None and not rhs_gids.issubset(gids):
             continue  # rhs mentions generators outside this restriction
-        rows = [model.poly_coords(model.d_mono(m), codomain) for m in domain]
-        coeffs, free = solve_combination(rows, rhs_vec)
+        coeffs, free = solve_combination([model.d_mono(m) for m in domain], rhs)
         if coeffs is None:
             continue
         # a choice was involved when the preimage is not unique, or when
         # only the unrestricted space (same-stage generators) solved it
         chose = (not restricted) or free > 0
-        return model.poly_from_coords(domain, coeffs), chose
+        return {domain[j]: c for j, c in coeffs.items()}, chose
     raise InternalInvariantViolation(
         f"twist of non-closed generator {gen.name} has no solution: "
         "the twisted differential would not square to zero"
@@ -190,11 +181,9 @@ def formality_from_twisted(tm: TwistedModel, k: int) -> FormalityVerdict:
     verdict = FormalityVerdict(k, model.degree_bound)
     for i in range(1, k + 1):
         domain = model.monomials(i)
-        codomain = model.mono_positions(i + 1)
-        rows = [model.poly_coords(model.d_mono(m), codomain) for m in domain]
         status = DegreeStatus(i, True)
-        for vec in map_kernel(rows):
-            poly = model.poly_from_coords(domain, vec)
+        for vec in map_kernel([model.d_mono(m) for m in domain]):
+            poly = {domain[j]: c for j, c in vec.items()}
             twist = tm.theta_poly(poly)
             if twist:
                 status = DegreeStatus(i, False, poly, twist)

@@ -1,11 +1,16 @@
 """Sparse exact linear algebra over the rationals.
 
-A vector is a sparse row: a dict mapping column index to a nonzero
-``Fraction``.  A row never stores a zero, so its length is its number of
-nonzeros and the empty dict is the zero vector; column order inside the
-dict carries no meaning.  A subspace is presented by the reduced row
-echelon form of a spanning set; that form is canonical, so two spans are
-equal exactly when their echelon forms are equal lists.
+A vector is a sparse row: a dict mapping column to a nonzero
+``Fraction``.  A column is any hashable key in a total order; the code
+only compares columns (``min``, ``sorted``, ``bisect``), so relabelling
+the columns by an order-preserving map relabels every result the same
+way.  Callers use the monomials themselves as columns: exterior index
+tuples and model monomials of one degree.  A row never stores a zero, so
+its length is its number of nonzeros and the empty dict is the zero
+vector; column order inside the dict carries no meaning.  A subspace is
+presented by the reduced row echelon form of a spanning set; that form
+is canonical, so two spans are equal exactly when their echelon forms
+are equal lists.
 
 :class:`EchelonAccumulator` is the one elimination loop: ``rref``,
 ranks, kernels and solving all feed rows to it.  Its rows stay in
@@ -17,7 +22,8 @@ nonzero entries.
 Row convention: a matrix is a list of row vectors.  When a matrix
 encodes a linear map, row ``j`` holds the coordinates of the image of
 the j-th domain basis vector, so the map sends coordinates ``x`` to
-``x . rows``; kernels of maps are computed accordingly.
+``x . rows``; kernels of maps are computed accordingly, and a kernel or
+solution vector is keyed by row number ``j``.
 """
 
 from __future__ import annotations
@@ -25,12 +31,12 @@ from __future__ import annotations
 from bisect import bisect
 from fractions import Fraction
 
-Row = "dict[int, Fraction]"
+Row = "dict[Hashable, Fraction]"
 
 _ONE = Fraction(1)
 
 
-def rref(rows: list[Row]) -> tuple[list[Row], list[int]]:
+def rref(rows: list[Row]) -> tuple[list[Row], list]:
     """Reduced row echelon form; returns (nonzero rows, pivot columns)."""
     acc = EchelonAccumulator()
     for row in rows:
@@ -47,9 +53,9 @@ def rank(rows: list[Row]) -> int:
     return len(rref(rows)[0])
 
 
-def _transpose(rows: list[Row]) -> list[tuple[int, Row]]:
+def _transpose(rows: list[Row]) -> list[tuple]:
     """The nonzero columns of ``rows`` as (column, sparse row) pairs in column order."""
-    cols: dict[int, Row] = {}
+    cols: dict = {}
     for j, row in enumerate(rows):
         for c, x in row.items():
             col = cols.get(c)
@@ -60,7 +66,7 @@ def _transpose(rows: list[Row]) -> list[tuple[int, Row]]:
     return sorted(cols.items())
 
 
-def kernel_and_pivots(rows: list[Row]) -> tuple[list[Row], list[int]]:
+def kernel_and_pivots(rows: list[Row]) -> tuple[list[Row], list]:
     """``map_kernel(rows)`` together with the pivot columns of ``rref(rows)``.
 
     One elimination serves both: a column of ``rows`` is a pivot column
@@ -104,8 +110,12 @@ def solve_combination(rows: list[Row], target: Row) -> tuple[Row | None, int]:
     return None, len(kernel)
 
 
-def matrix_mul(a: list[Row], b: list[Row]) -> list[Row]:
-    """Row-convention composition: (x . a) . b has matrix a . b."""
+def matrix_mul(a: list[Row], b) -> list[Row]:
+    """Row-convention composition: (x . a) . b has matrix a . b.
+
+    ``b`` maps each column of ``a`` to a row: a list for row-number
+    columns, a dict for any other keys.
+    """
     out = []
     for row in a:
         acc: Row = {}
@@ -130,8 +140,8 @@ class EchelonAccumulator:
 
     def __init__(self):
         self.rows: list[Row] = []
-        self.pivots: list[int] = []
-        self._by_pivot: dict[int, Row] = {}
+        self.pivots: list = []
+        self._by_pivot: dict = {}
 
     def residue(self, v: Row) -> Row:
         """``v`` minus its span component: the representative zero at every pivot.

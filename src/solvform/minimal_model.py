@@ -9,8 +9,11 @@ the zero form and stay a chain map.
 The model is free graded-commutative on ordered generators.  Monomials
 are sorted tuples of generator ids (odd generators at most once), with
 reordering signs folded into rational coefficients; a polynomial is a
-finite map from monomials to rationals.  Construction is staged by
-degree q:
+finite map from monomials to nonzero rationals.  That map is also the
+sparse row :mod:`.linalg` eliminates, with the monomials as columns:
+:meth:`MinimalModel.monomials` lists each degree in sorted tuple order,
+which is the column order, so no position map is needed.  Construction
+is staged by degree q:
 
   (b) new closed degree-q generators realize a complement of the image
       of the existing classes inside the degree-q slice of the target;
@@ -34,14 +37,7 @@ from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
 
 from .errors import InputError, InternalInvariantViolation
-from .exterior import (
-    Multivector,
-    coordinate_vector,
-    derivation_apply,
-    from_coordinates,
-    monomials as ext_monomials,
-    primitive_part,
-)
+from .exterior import Multivector, coordinate_vector, derivation_apply, primitive_part
 from .linalg import (
     EchelonAccumulator,
     echelon_basis,
@@ -85,7 +81,7 @@ class MinimalModel:
         self.degree_bound = degree_bound
         self.u_bases = u_bases
         self.gens: list[Generator] = []
-        self._mono_cache: dict = {}  # (degree, gids) -> (sorted monomials, position map)
+        self._mono_cache: dict = {}  # (degree, gids) -> sorted monomials
         self._d_cache: dict = {}  # monomial -> its differential
         self._rho_cache: dict = {}  # monomial -> its realization
 
@@ -122,13 +118,6 @@ class MinimalModel:
 
     def monomials(self, k: int, gids=None) -> list:
         """Sorted degree-k monomials over the given generator ids (default all)."""
-        return self._monomials_and_positions(k, gids)[0]
-
-    def mono_positions(self, k: int, gids=None) -> dict:
-        """Position map ``{monomial: index}`` of :meth:`monomials`."""
-        return self._monomials_and_positions(k, gids)[1]
-
-    def _monomials_and_positions(self, k: int, gids):
         key = (k, tuple(gids) if gids is not None else None)
         cached = self._mono_cache.get(key)
         if cached is not None:
@@ -156,8 +145,8 @@ class MinimalModel:
 
         rec(0, k, ())
         found.sort()
-        cached = self._mono_cache[key] = (found, {m: i for i, m in enumerate(found)})
-        return cached
+        self._mono_cache[key] = found
+        return found
 
     def restricted_gids(self, max_degree=None, before_gid=None) -> list[int]:
         out = []
@@ -291,15 +280,6 @@ class MinimalModel:
             self._rho_cache[mono] = out
         return out
 
-    @staticmethod
-    def poly_coords(p, positions: dict) -> dict:
-        """Sparse coordinates of ``p`` under a monomial position map (KeyError outside it)."""
-        return {positions[m]: c for m, c in p.items()}
-
-    @staticmethod
-    def poly_from_coords(monos: list, vec: dict) -> dict:
-        return {monos[i]: c for i, c in sorted(vec.items())}
-
     def poly_str(self, p) -> str:
         if not p:
             return "0"
@@ -329,22 +309,18 @@ class MinimalModel:
         """Echelonized degree-k cohomology classes with their realizations."""
         # None keys the monomial cache by degree alone, so lists survive new generators
         gids = None if max_gen_degree is None else self.restricted_gids(max_degree=max_gen_degree)
-        b_here, here_pos = self._monomials_and_positions(k, gids)
+        b_here = self.monomials(k, gids)
         if not b_here:
             return []
-        next_pos = self.mono_positions(k + 1, gids)
-        cocycles = map_kernel([self.poly_coords(self.d_mono(m), next_pos) for m in b_here])
+        # polynomials are the rows; kernel vectors are keyed by domain position
+        cocycles = map_kernel([self.d_mono(m) for m in b_here])
         image = EchelonAccumulator()
         for m in self.monomials(k - 1, gids):
-            image.add(self.poly_coords(self.d_mono(m), here_pos))
+            image.add(self.d_mono(m))
         classes = EchelonAccumulator()
         for vec in cocycles:
-            classes.add(image.residue(vec))
-        reps = []
-        for row in classes.rows:
-            poly = self.poly_from_coords(b_here, row)
-            reps.append(ClassRep(poly, self.rho_poly(poly)))
-        return reps
+            classes.add(image.residue({b_here[j]: c for j, c in vec.items()}))
+        return [ClassRep(poly, self.rho_poly(poly)) for poly in classes.rows]
 
 
 def mono_name(model: MinimalModel, mono) -> str:
@@ -376,14 +352,13 @@ def _flag_ordered_complement(model: MinimalModel, q: int, image_reps: list[Class
     u_basis = model.u_bases.get(q, [])
     if not u_basis:
         return []
-    keys = ext_monomials(spec.n, q)
     image_acc = EchelonAccumulator()
     for rep in image_reps:
-        image_acc.add(coordinate_vector(rep.rho, keys))
+        image_acc.add(coordinate_vector(rep.rho))
     complement_vecs, reduced_c = [], []
     grow = EchelonAccumulator()  # spans the complement residues
     for u in u_basis:
-        vec = coordinate_vector(u, keys)
+        vec = coordinate_vector(u)
         res = image_acc.residue(vec)
         if grow.add(res):
             complement_vecs.append(vec)
@@ -394,8 +369,8 @@ def _flag_ordered_complement(model: MinimalModel, q: int, image_reps: list[Class
     ntl = nilpotent_log(spec)
     t_rows = []
     for vec in complement_vecs:
-        image = derivation_apply(ntl, from_coordinates(spec.n, q, keys, vec))
-        res = image_acc.residue(coordinate_vector(image, keys))
+        image = derivation_apply(ntl, Multivector(spec.n, q, vec))
+        res = image_acc.residue(coordinate_vector(image))
         coeffs, _ = solve_combination(reduced_c, res)
         if coeffs is None:
             raise InternalInvariantViolation(
@@ -418,7 +393,7 @@ def _flag_ordered_complement(model: MinimalModel, q: int, image_reps: list[Class
         raise InternalInvariantViolation("shift action is not nilpotent on the complement")
 
     return [
-        primitive_part(from_coordinates(spec.n, q, keys, combo))
+        primitive_part(Multivector(spec.n, q, combo))
         for combo in matrix_mul(order, complement_vecs)
     ]
 
@@ -436,9 +411,7 @@ def build_minimal_model(spec: AlmostAbelianSpec, d_max: int) -> MinimalModel:
             reps = model.class_reps(q + 1)
             if not reps:
                 break
-            keys = ext_monomials(spec.n, q + 1)  # empty beyond the fiber dimension
-            rows = [coordinate_vector(rep.rho, keys) for rep in reps]
-            kern = map_kernel(rows)
+            kern = map_kernel([coordinate_vector(rep.rho) for rep in reps])
             if not kern:
                 break
             polys = [rep.poly for rep in reps]
@@ -464,18 +437,16 @@ def model_cohomology(model: MinimalModel, k: int) -> list[ClassRep]:
 
 def verify_quasi_iso(model: MinimalModel) -> dict[int, dict]:
     """Per degree up to the bound: is the realization bijective onto the target?"""
-    spec = model.spec
     out = {}
     for k in range(1, model.degree_bound + 1):
         reps = model.class_reps(k)
         u_basis = model.u_bases.get(k, [])
-        keys = ext_monomials(spec.n, k)
-        rows = [coordinate_vector(rep.rho, keys) for rep in reps] if keys else []
-        u_rows = [coordinate_vector(u, keys) for u in u_basis] if keys else []
         acc = EchelonAccumulator()
-        image_rank = sum(acc.add(row) for row in rows)
+        image_rank = sum(acc.add(coordinate_vector(rep.rho)) for rep in reps)
         injective = image_rank == len(reps)
-        surjective = image_rank == len(u_basis) and not any(acc.add(row) for row in u_rows)
+        surjective = image_rank == len(u_basis) and not any(
+            acc.add(coordinate_vector(u)) for u in u_basis
+        )
         out[k] = {
             "model_classes": len(reps),
             "target_dim": len(u_basis),

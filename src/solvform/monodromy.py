@@ -34,7 +34,6 @@ from .exterior import (
     algebra_map_apply,
     coordinate_vector,
     exp_nilpotent,
-    from_coordinates,
     monomials,
     primitive_part,
 )
@@ -129,12 +128,10 @@ def _nilpotent_submodule(spec: AlmostAbelianSpec, k: int) -> tuple[Multivector, 
         raise InternalInvariantViolation(
             f"realification bookkeeping broke: {len(reps)} real vectors from {len(kept)} monomials"
         )
-    keys = monomials(spec.n, k)
-    rows = [coordinate_vector(rep, keys) for rep in reps]
-    basis_rows = echelon_basis(rows)
+    basis_rows = echelon_basis([coordinate_vector(rep) for rep in reps])
     if len(basis_rows) != len(reps):
         raise InternalInvariantViolation("realified representatives are linearly dependent")
-    return tuple(from_coordinates(spec.n, k, keys, row) for row in basis_rows)
+    return tuple(Multivector(spec.n, k, row) for row in basis_rows)
 
 
 def oracle_applicable(spec: AlmostAbelianSpec) -> bool:
@@ -160,15 +157,14 @@ def nilpotent_submodule_oracle(spec: AlmostAbelianSpec, k: int) -> list[Multivec
         return [Multivector.unit(spec.n)]
     phi_one = exp_nilpotent(nilpotent_log(spec))
     keys = monomials(spec.n, k)
-    rows = []
-    for pos, key in enumerate(keys):
-        image = algebra_map_apply(phi_one, Multivector.monomial(spec.n, key))
-        row = coordinate_vector(image, keys)
-        diagonal = row.pop(pos, Fraction(0)) - 1
+    rows = {}  # monomial -> row of (monodromy - id); powers multiply through it
+    for key in keys:
+        row = coordinate_vector(algebra_map_apply(phi_one, Multivector.monomial(spec.n, key)))
+        diagonal = row.pop(key, Fraction(0)) - 1
         if diagonal:
-            row[pos] = diagonal
-        rows.append(row)
-    power = rows
+            row[key] = diagonal
+        rows[key] = row
+    power = list(rows.values())
     kernel = map_kernel(power)
     while True:
         power = matrix_mul(power, rows)
@@ -176,8 +172,8 @@ def nilpotent_submodule_oracle(spec: AlmostAbelianSpec, k: int) -> list[Multivec
         if len(bigger) == len(kernel):
             break
         kernel = bigger
-    basis_rows = echelon_basis(kernel)
-    return [from_coordinates(spec.n, k, keys, row) for row in basis_rows]
+    vectors = [{keys[j]: c for j, c in vec.items()} for vec in kernel]
+    return [Multivector(spec.n, k, row) for row in echelon_basis(vectors)]
 
 
 def spans_match(a: list[Multivector], b: list[Multivector]) -> bool:
@@ -186,10 +182,8 @@ def spans_match(a: list[Multivector], b: list[Multivector]) -> bool:
         return True
     if bool(a) != bool(b):
         return False
-    n, deg = a[0].n, a[0].degree
-    keys = monomials(n, deg)
-    rows_a = echelon_basis([coordinate_vector(x, keys) for x in a])
-    rows_b = echelon_basis([coordinate_vector(x, keys) for x in b])
+    rows_a = echelon_basis([coordinate_vector(x) for x in a])
+    rows_b = echelon_basis([coordinate_vector(x) for x in b])
     return rows_a == rows_b
 
 
@@ -198,8 +192,7 @@ def in_submodule_span(basis: list[Multivector], x: Multivector) -> bool:
         return True
     if not basis:
         return False
-    keys = monomials(x.n, x.degree)
     acc = EchelonAccumulator()
     for v in basis:
-        acc.add(coordinate_vector(v, keys))
-    return not acc.add(coordinate_vector(x, keys))
+        acc.add(coordinate_vector(v))
+    return not acc.add(coordinate_vector(x))

@@ -263,8 +263,10 @@ def render_text(report: dict) -> str:
 def verify_report(report: dict, spec: AlmostAbelianSpec):
     """Re-derive every checkable claim of a report; list the divergences."""
     mismatches: list[str] = []
-    if report.get("format_version") != FORMAT_VERSION:
-        return False, [f"unsupported format_version {report.get('format_version')}"]
+    version = report.get("format_version")
+    # True == 1 == 1.0 in Python, so the type is checked before the value
+    if not isinstance(version, int) or isinstance(version, bool) or version != FORMAT_VERSION:
+        return False, [f"unsupported format_version {version!r}"]
     try:
         echoed = parse_spec(json.dumps(report["input"]))
     except (KeyError, InputError) as exc:

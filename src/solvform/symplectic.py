@@ -35,8 +35,6 @@ from .exterior import (
     Multivector,
     coordinate_vector,
     derivation_apply,
-    from_coordinates,
-    monomials,
     top_coefficient,
     wedge_power,
 )
@@ -71,10 +69,9 @@ def _closed_two_classes(spec: AlmostAbelianSpec) -> tuple[Multivector, ...]:
     if not basis:
         return ()
     ntl = nilpotent_log(spec)
-    keys = monomials(spec.n, 2)
-    rows = [coordinate_vector(derivation_apply(ntl, u), keys) for u in basis]
-    vectors = matrix_mul(map_kernel(rows), [coordinate_vector(u, keys) for u in basis])
-    return tuple(from_coordinates(spec.n, 2, keys, row) for row in echelon_basis(vectors))
+    rows = [coordinate_vector(derivation_apply(ntl, u)) for u in basis]
+    vectors = matrix_mul(map_kernel(rows), [coordinate_vector(u) for u in basis])
+    return tuple(Multivector(spec.n, 2, row) for row in echelon_basis(vectors))
 
 
 def assemble_omega(spec: AlmostAbelianSpec, pair: CoSymplecticPair) -> Multivector:

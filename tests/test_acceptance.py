@@ -289,8 +289,7 @@ def test_criterion_9_difficult_model_stage(s8):
             for v in quad:
                 acc = wedge(acc, v)
             images.append(acc)
-        keys = monomials(s8.n, 4)
-        rows = [coordinate_vector(v, keys) for v in images]
+        rows = [coordinate_vector(v) for v in images]
         kernel_dim = len(rows) - rank(rows)
         non_closed_three = sum(
             1 for g in model.gens if g.degree == 3 and not g.closed

@@ -234,21 +234,23 @@ def _reference_theta_nonclosed(model, tm, gen):
 
     The least solution comes from the reduced echelon form of the columns
     of ``rows + [rhs]``, uniqueness from a separate ``map_kernel(rows)``;
-    None when no space has a solution.
+    None when no space has a solution.  Columns are positions in the
+    sorted codomain monomial list, built here independently of the
+    monomial-keyed rows the package eliminates.
     """
     rhs = tm.theta_poly(gen.differential)
     if not rhs:
         return {}, False
     for restricted, gids in ((True, model.restricted_gids(before_gid=gen.gid)), (False, None)):
         domain = model.monomials(gen.degree, gids)
-        codomain = model.mono_positions(gen.degree + 1, gids)
+        codomain = {m: i for i, m in enumerate(model.monomials(gen.degree + 1, gids))}
         if not domain:
             continue
         try:
-            rhs_vec = model.poly_coords(rhs, codomain)
+            rhs_vec = {codomain[m]: c for m, c in rhs.items()}
         except KeyError:
             continue
-        rows = [model.poly_coords(model.d_mono(m), codomain) for m in domain]
+        rows = [{codomain[t]: c for t, c in model.d_mono(m).items()} for m in domain]
         last = len(rows)
         columns: dict = {}
         for j, row in enumerate(rows + [rhs_vec]):
@@ -259,7 +261,7 @@ def _reference_theta_nonclosed(model, tm, gen):
             continue
         coeffs = {p: row[last] for row, p in zip(red, pivots) if last in row}
         chose = (not restricted) or len(map_kernel(rows)) > 0
-        return model.poly_from_coords(domain, coeffs), chose
+        return {domain[i]: c for i, c in sorted(coeffs.items())}, chose
     return None
 
 

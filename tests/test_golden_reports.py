@@ -5,9 +5,13 @@ digests alone; a deliberate change of report content updates them in
 the same commit.  The minimal model dumps (``serialize_model``) are
 pinned the same way, s8 up to degree 7, so a change to the model
 construction is checked past the degrees a report reaches quickly.
+Two larger inline specs are pinned as well: s10 (symbols, complex blocks
+and a symplectic witness) and nil11 (``a(...)`` monomial names for
+n >= 10 and three zero-weight blocks).
 """
 
 import hashlib
+import json
 
 import pytest
 
@@ -17,6 +21,7 @@ from solvform import (
     dumps_canonical,
     fixture_path,
     load_spec,
+    parse_spec,
     serialize_model,
 )
 
@@ -48,6 +53,39 @@ GOLDEN = {
 def test_report_bytes_unchanged(name, max_degree):
     text = dumps_canonical(build_report(load_spec(fixture_path(name)), max_degree))
     assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN[name, max_degree]
+
+
+SPECS = {
+    "s10": {
+        "n": 9,
+        "symbols": ["b"],
+        "blocks": [
+            {"kind": "real", "size": 3},
+            {"kind": "complex", "size": 1, "re": "b", "im_resonant": "1"},
+            {"kind": "complex", "size": 1, "re": "-b", "im_resonant": "1"},
+            {"kind": "complex", "size": 1, "im_resonant": "1"},
+        ],
+    },
+    "nil11": {
+        "n": 11,
+        "blocks": [
+            {"kind": "real", "size": 4},
+            {"kind": "real", "size": 4},
+            {"kind": "real", "size": 3},
+        ],
+    },
+}
+
+SPEC_GOLDEN = {
+    ("s10", 4): "999054b3022a33fb891e368b5931c5db037f30a0ab702ed179d35063fce41657",
+    ("nil11", 3): "b28e2f0f730e4b17ca63d34897e52db1cde54a97cbc536b2786607522334c320",
+}
+
+
+@pytest.mark.parametrize("name, max_degree", sorted(SPEC_GOLDEN))
+def test_inline_spec_report_bytes_unchanged(name, max_degree):
+    text = dumps_canonical(build_report(parse_spec(json.dumps(SPECS[name])), max_degree))
+    assert hashlib.sha256(text.encode()).hexdigest() == SPEC_GOLDEN[name, max_degree]
 
 
 MODEL_GOLDEN = {

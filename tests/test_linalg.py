@@ -246,3 +246,36 @@ def test_sparse_rref_and_map_kernel_match_sympy(shape):
         small, large = rng.randint(2, 8), rng.randint(9, 20)
         rows, cols = (small, large) if shape == "wide" else (large, small)
         _check_against_sympy(sympy, _sparse_random_matrix(rng, rows, cols))
+
+
+def test_results_follow_an_order_preserving_relabelling_of_columns():
+    # columns only need a total order: relabel the integer columns by
+    # sorted tuples of mixed lengths and every pivot, row and target
+    # relabels the same way, while row-indexed kernels and solutions
+    # stay exactly as they were
+    rng = random.Random(23)
+    for _ in range(200):
+        rows, cols = rng.randint(1, 6), rng.randint(1, 7)
+        mat = _sparse(_sparse_random_matrix(rng, rows, cols, density=0.4))
+        pool = {tuple(rng.randint(1, 9) for _ in range(rng.randint(0, 3))) for _ in range(40)}
+        labels = sorted(rng.sample(sorted(pool), cols))
+
+        def relabel(vec):
+            return {labels[c]: x for c, x in vec.items()}
+
+        tuple_mat = [relabel(row) for row in mat]
+        red, pivots = rref(mat)
+        assert rref(tuple_mat) == ([relabel(row) for row in red], [labels[p] for p in pivots])
+        kernel, pivots = kernel_and_pivots(mat)
+        assert kernel_and_pivots(tuple_mat) == (kernel, [labels[p] for p in pivots])
+        assert map_kernel(tuple_mat) == kernel
+        coeffs = [Fraction(rng.randint(-2, 2)) for _ in mat]
+        target = _sparse([_dot(coeffs, [_dense(row, cols) for row in mat])])[0]
+        assert solve_combination(tuple_mat, relabel(target)) == solve_combination(mat, target)
+        off_span = {c: Fraction(1) for c in range(cols)}
+        assert solve_combination(tuple_mat, relabel(off_span)) == solve_combination(mat, off_span)
+        # a square map composes through a dict keyed by the new columns
+        if rows == cols:
+            by_label = {labels[j]: row for j, row in enumerate(tuple_mat)}
+            square = [relabel(row) for row in matrix_mul(mat, mat)]
+            assert matrix_mul(tuple_mat, by_label) == square

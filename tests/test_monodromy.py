@@ -24,7 +24,6 @@ from solvform.exterior import (
     algebra_map_apply,
     coordinate_vector,
     exp_nilpotent,
-    from_coordinates,
     monomials,
     wedge,
 )
@@ -124,9 +123,11 @@ def _half_turn_monodromy(spec) -> LinearEndo:
 def _brute_unipotent_part(spec, k):
     phi = _half_turn_monodromy(spec)
     keys = monomials(spec.n, k)
+    position = {key: pos for pos, key in enumerate(keys)}
     rows = []
     for pos, key in enumerate(keys):
-        row = coordinate_vector(algebra_map_apply(phi, Multivector.monomial(spec.n, key)), keys)
+        image = coordinate_vector(algebra_map_apply(phi, Multivector.monomial(spec.n, key)))
+        row = {position[m]: c for m, c in image.items()}
         diagonal = row.pop(pos, Fraction(0)) - 1
         if diagonal:
             row[pos] = diagonal
@@ -138,7 +139,9 @@ def _brute_unipotent_part(spec, k):
         if len(bigger) == len(kernel):
             break
         kernel = bigger
-    return [from_coordinates(spec.n, k, keys, v) for v in echelon_basis(kernel)]
+    return [
+        Multivector(spec.n, k, {keys[i]: c for i, c in v.items()}) for v in echelon_basis(kernel)
+    ]
 
 
 def test_half_turn_rotations_against_direct_monodromy():

@@ -55,3 +55,13 @@ def test_verify_rejects_boolean_max_degree(torus4):
     report = build_report(torus4, 1, stages=("unipotent",))
     report["max_degree"] = True
     assert verify_report(report, torus4) == (False, ["report lacks a valid max_degree"])
+
+
+@pytest.mark.parametrize("version", [True, 1.0, "1", None, 2])
+def test_verify_rejects_non_integer_format_version(torus4, version):
+    report = build_report(torus4, 1, stages=("unipotent",))
+    report["format_version"] = version
+    assert verify_report(report, torus4) == (
+        False,
+        [f"unsupported format_version {version!r}"],
+    )

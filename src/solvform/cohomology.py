@@ -14,9 +14,12 @@ d vanishes for structural reasons.
 The degree-k slice splits by total real weight (the modified action is
 real-diagonal plus a weight-preserving shift).  On a slice of nonzero
 weight -- decided exactly, including symbolic weights -- the action is
-invertible, so only zero-weight slices contribute kernels or cokernels,
-and there the matrices are rational.  No division by a symbolic
-quantity ever happens.
+invertible, so only the zero-weight slice contributes kernels or
+cokernels.  Under the modification hypothesis every imaginary weight sum
+is an integer with no symbolic part, so that slice is exactly the
+resonant monomials of :mod:`.monodromy`; the diagonal multiplies it by
+its weight, zero, so there the action is the rational shift alone.  No
+division by a symbolic quantity ever happens.
 
 Sign convention: d(xi)(X, Y) = -xi([X, Y]); representatives depend on it
 but dimensions do not.
@@ -36,12 +39,13 @@ from functools import lru_cache
 from .errors import InternalInvariantViolation
 from .exterior import Multivector, coordinate_vector, derivation_apply, monomials
 from .linalg import echelon_basis, kernel_and_pivots
-from .scalars import ScalarLC
+from .monodromy import resonant_monomials
 from .spectral import (
     SLICE_CACHE_SIZE,
     AlmostAbelianSpec,
     modification_hypothesis_holds,
     modified_matrix,
+    nilpotent_log,
     real_trace,
 )
 
@@ -103,48 +107,31 @@ class CohomologySlice:
         return out
 
 
-def _weight_groups(spec: AlmostAbelianSpec, k: int):
-    """Degree-k monomials grouped by total real weight, in first-seen order."""
-    groups: dict[ScalarLC, list] = {}
-    for key in monomials(spec.n, k):
-        w = ScalarLC(0)
-        for i in key:
-            w = w + spec.coordinate_re(i)
-        groups.setdefault(w, []).append(key)
-    return groups
-
-
 @lru_cache(maxsize=SLICE_CACHE_SIZE)
 def _degree_data(spec: AlmostAbelianSpec, k: int):
     """Kernel vectors and image pivots of the modified action on the degree-k slice.
 
     Returns (kernel multivectors, pivot monomial set) as a tuple and a
-    frozenset, since the memo shares them between callers.
-    Nonzero-weight groups are invertible, so they contribute no kernel
-    and all of their monomials become image pivots.
+    frozenset, since the memo shares them between callers.  Only the
+    zero-weight slice, the resonant monomials, is eliminated, under the
+    shift alone; every other monomial lies in an invertible slice and is
+    an image pivot.  Requires the modification hypothesis.
     """
-    action = modified_matrix(spec)
-    kernel_vectors: list = []
-    pivot_monos: set = set()
-    for weight, group in _weight_groups(spec, k).items():
-        if not weight.is_zero():
-            pivot_monos.update(group)
-            continue
-        in_group = set(group)
-        rows = []
-        for key in group:
-            row = coordinate_vector(derivation_apply(action, Multivector.monomial(spec.n, key)))
-            for mono in row:
-                if mono not in in_group:
-                    raise InternalInvariantViolation(
-                        f"action left its weight slice: {key} -> {mono}"
-                    )
-            rows.append(row)
-        kernel, pivots = kernel_and_pivots(rows)
-        kernel_vectors.extend({group[j]: c for j, c in vec.items()} for vec in kernel)
-        pivot_monos.update(pivots)
+    shift = nilpotent_log(spec)
+    group = resonant_monomials(spec, k)
+    in_group = set(group)
+    rows = []
+    for key in group:
+        row = coordinate_vector(derivation_apply(shift, Multivector.monomial(spec.n, key)))
+        for mono in row:
+            if mono not in in_group:
+                raise InternalInvariantViolation(f"action left its weight slice: {key} -> {mono}")
+        rows.append(row)
+    kernel, pivots = kernel_and_pivots(rows)
+    kernel_vectors = [{group[j]: c for j, c in vec.items()} for vec in kernel]
     kernel_reps = tuple(Multivector(spec.n, k, row) for row in echelon_basis(kernel_vectors))
-    return kernel_reps, frozenset(pivot_monos)
+    off_slice = (key for key in monomials(spec.n, k) if key not in in_group)
+    return kernel_reps, frozenset(pivots).union(off_slice)
 
 
 def cohomology(spec: AlmostAbelianSpec, k: int) -> CohomologySlice:

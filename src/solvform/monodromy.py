@@ -8,12 +8,14 @@ symbolic imaginary part, integer resonant imaginary part.
 
 Two routes are provided.  :func:`nilpotent_submodule` enumerates
 resonant weight sums and realifies conjugate pairs of complex monomials
-into rational vectors.  :func:`nilpotent_submodule_oracle` ignores
-weights entirely: it builds the monodromy as the exterior power of the
-exponential of the shift part (exact because the shift is nilpotent) and
-iterates exact kernels of (monodromy - identity); it is available only
-when the semisimple part is trivial, which is exactly when that matrix
-is rational.  The two routes must agree as subspaces wherever the oracle
+into integer vectors: symbols enter only through the weights, and each
+slot generator is a sum of ``i**e * a_index`` terms, so expanding a
+monomial multiplies index lists and tracks one sign and one power of i.
+:func:`nilpotent_submodule_oracle` ignores weights entirely: it builds
+the monodromy as the exterior power of the exponential of the shift part
+(exact because the shift is nilpotent) and iterates exact kernels of
+(monodromy - identity); it is available only when the semisimple part is
+trivial, which is exactly when that matrix is rational.  The two routes must agree as subspaces wherever the oracle
 applies.
 
 Bases from :func:`nilpotent_submodule` are memoized in-process, keyed by
@@ -26,7 +28,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, product
 
 from .errors import InternalInvariantViolation, OracleUnavailable
 from .exterior import (
@@ -35,7 +37,7 @@ from .exterior import (
     coordinate_vector,
     exp_nilpotent,
     monomials,
-    primitive_part,
+    sort_indices,
 )
 from .linalg import EchelonAccumulator, echelon_basis, map_kernel, matrix_mul
 from .spectral import (
@@ -65,27 +67,29 @@ def resonant_monomials(spec: AlmostAbelianSpec, k: int) -> list[tuple[int, ...]]
     return kept
 
 
-def _expand_complex_monomial(spec, slots, combo) -> tuple[Multivector, Multivector]:
-    """Real and imaginary parts of the wedge of complex slot generators."""
-    re = Multivector.unit(spec.n)
-    im = Multivector.zero(spec.n, 0)
-    for i in combo:
-        s = slots[i]
-        re, im = (
-            re.wedge(s.real_part) - im.wedge(s.imag_part),
-            re.wedge(s.imag_part) + im.wedge(s.real_part),
-        )
-    return re, im
+def _realify(slots, combo) -> tuple[dict, dict]:
+    """Real and imaginary parts of the product of the slot generators, as integer rows."""
+    parts: tuple[dict, dict] = ({}, {})
+    for factors in product(*(slots[i].terms for i in combo)):
+        sorted_ = sort_indices(index for index, _ in factors)
+        if sorted_ is None:
+            continue
+        sign, key = sorted_
+        power = sum(e for _, e in factors) % 4  # i**power: 1, i, -1, -i
+        part = parts[power % 2]
+        part[key] = part.get(key, 0) + (sign if power < 2 else -sign)
+    return tuple({key: c for key, c in part.items() if c} for part in parts)
 
 
 def nilpotent_submodule(spec: AlmostAbelianSpec, k: int) -> list[Multivector]:
     """Echelon basis of the degree-k slice of the unipotent-monodromy submodule.
 
     Complex monomials with resonant weight sum are realified in conjugate
-    pairs (real and imaginary part, both rational after expansion); a
+    pairs (real and imaginary part, both integer after expansion); a
     self-conjugate monomial contributes its single nonzero part.  The
     result is the reduced echelon basis with respect to the lexicographic
-    monomial order, so it is canonical.
+    monomial order, so it is canonical and independent of how the parts
+    are scaled.
     """
     return list(_nilpotent_submodule(spec, k))
 
@@ -94,41 +98,34 @@ def nilpotent_submodule(spec: AlmostAbelianSpec, k: int) -> list[Multivector]:
 def _nilpotent_submodule(spec: AlmostAbelianSpec, k: int) -> tuple[Multivector, ...]:
     if not 0 <= k <= spec.n:
         return ()
-    if k == 0:
-        return (Multivector.unit(spec.n),)
     slots = {s.slot: s for s in generator_weights(spec)}
     kept = resonant_monomials(spec, k)
     kept_set = set(kept)
-    reps: list[Multivector] = []
-    seen: set = set()
+    reps: list[dict] = []
     for combo in kept:
-        if combo in seen:
-            continue
         conj = tuple(sorted(slots[i].conj for i in combo))
         if conj not in kept_set:
             raise InternalInvariantViolation(
                 f"resonant monomial {combo} has non-resonant conjugate {conj}"
             )
-        re, im = _expand_complex_monomial(spec, slots, combo)
+        if conj < combo:
+            continue  # kept is sorted, so the pair was realified at conj
+        re, im = _realify(slots, combo)
         if conj == combo:
             # conjugation fixes the monomial up to sign, so exactly one
             # of the two parts can survive
-            if re.is_zero() == im.is_zero():
+            if bool(re) == bool(im):
                 raise InternalInvariantViolation(
                     f"self-conjugate monomial {combo} did not expand to a single real part"
                 )
-            reps.append(primitive_part(im if re.is_zero() else re))
-            seen.add(combo)
+            reps.append(re or im)
         else:
-            reps.append(primitive_part(re))
-            reps.append(primitive_part(im))
-            seen.add(combo)
-            seen.add(conj)
+            reps.extend((re, im))
     if len(reps) != len(kept):
         raise InternalInvariantViolation(
             f"realification bookkeeping broke: {len(reps)} real vectors from {len(kept)} monomials"
         )
-    basis_rows = echelon_basis([coordinate_vector(rep) for rep in reps])
+    basis_rows = echelon_basis([{key: Fraction(c) for key, c in rep.items()} for rep in reps])
     if len(basis_rows) != len(reps):
         raise InternalInvariantViolation("realified representatives are linearly dependent")
     return tuple(Multivector(spec.n, k, row) for row in basis_rows)

@@ -279,9 +279,9 @@ def verify_report(report: dict, spec: AlmostAbelianSpec):
         return False, ["report lacks a valid max_degree"]
     stages = [s for s in STAGES if s in report]
     fresh = build_report(spec, max_degree, stages=stages)
-    for stage in stages:
-        if report[stage] != fresh[stage]:
-            mismatches.append(_first_divergence(stage, report[stage], fresh[stage]))
+    for section in ["assumptions"] + stages:  # a missing assumptions section diverges too
+        if report.get(section) != fresh[section]:
+            mismatches.append(_first_divergence(section, report.get(section), fresh[section]))
     if "symplectic" in report:
         section = report["symplectic"]
         witness = section.get("witness") if isinstance(section, dict) else None
@@ -301,20 +301,15 @@ def _first_divergence(stage: str, old, new, path="") -> str:
 
 
 def _reverify_witness(spec: AlmostAbelianSpec, witness: dict) -> bool:
-    from .symplectic import _half_dim, _witness_from_pair
-
     pair = CoSymplecticPair(
         _parse_form(spec, witness.get("two_form"), 2),
         _parse_form(spec, witness.get("one_form"), 1),
     )
     try:
-        rebuilt = _witness_from_pair(spec, _half_dim(spec), pair)
-    except InputError:
+        rebuilt = find_symplectic(spec, candidate=pair)
+    except InputError:  # odd total dimension
         return False
-    if rebuilt is None:
-        return False
-    ok, _ = verify_symplectic(spec, rebuilt)
-    return ok and str(rebuilt.omega_top) == witness.get("omega_top")
+    return rebuilt is not None and str(rebuilt.omega_top) == witness.get("omega_top")
 
 
 def _parse_form(spec: AlmostAbelianSpec, text, degree: int):

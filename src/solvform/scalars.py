@@ -59,9 +59,6 @@ class ScalarLC:
             raise ValueError(f"scalar {self} carries symbols, not a plain rational")
         return self.const
 
-    def symbols(self) -> tuple[str, ...]:
-        return tuple(name for name, _ in self.terms)
-
     def __add__(self, other) -> ScalarLC:
         other = _coerce(other)
         return ScalarLC(self.const + other.const, list(self.terms) + list(other.terms))

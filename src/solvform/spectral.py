@@ -98,13 +98,13 @@ class AlmostAbelianSpec:
 
 @dataclass(frozen=True)
 class SlotWeight:
-    """One complexified dual generator: weight, conjugate partner, real expansion."""
+    """One complexified dual generator: its weight, its conjugate's slot and
+    ``terms``, which write it as ``sum(i**e * a_index)`` over ``(index, e)``."""
 
     slot: int
     weight: Weight
     conj: int
-    real_part: Multivector
-    imag_part: Multivector
+    terms: tuple[tuple[int, int], ...]
 
 
 def parse_spec(text: str) -> AlmostAbelianSpec:
@@ -212,22 +212,17 @@ def generator_weights(spec: AlmostAbelianSpec) -> list[SlotWeight]:
     conjugate in slot p+1.
     """
     out: list[SlotWeight] = []
-    n = spec.n
     for block, start in zip(spec.blocks, spec.block_starts()):
         if block.kind == "real":
             w = Weight(block.re, Fraction(0), ScalarLC(0))
             for i in range(start, start + block.size):
-                out.append(
-                    SlotWeight(i, w, i, Multivector.basis_one_form(n, i), Multivector.zero(n, 1))
-                )
+                out.append(SlotWeight(i, w, i, ((i, 0),)))
         else:
             w = Weight(block.re, block.im_resonant, block.im_symbolic)
             for cell in range(block.size):
                 p = start + 2 * cell
-                re_part = Multivector.basis_one_form(n, p)
-                im_part = Multivector.basis_one_form(n, p + 1)
-                out.append(SlotWeight(p, w, p + 1, re_part, -im_part))
-                out.append(SlotWeight(p + 1, w.conjugate(), p, re_part, im_part))
+                out.append(SlotWeight(p, w, p + 1, ((p, 0), (p + 1, 3))))
+                out.append(SlotWeight(p + 1, w.conjugate(), p, ((p, 0), (p + 1, 1))))
     return out
 
 

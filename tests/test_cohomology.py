@@ -126,16 +126,22 @@ def test_coker_representatives_independent_of_image(s6, s8):
     # the base-wedge classes are spanned by non-pivot monomials of the
     # zero-weight slices, so adding them to their slice's image rows must
     # grow the rank by their count
-    from solvform.cohomology import _weight_groups
-    from solvform.exterior import coordinate_vector
+    from solvform.exterior import coordinate_vector, monomials
     from solvform.linalg import rank
+    from solvform.scalars import ScalarLC
 
     for spec in (s6, s8):
         action = modified_matrix(spec)
         for k in range(1, spec.n + 2):
             coker_keys = [next(iter(v.terms)) for v in cohomology(spec, k).coker_reps]
+            # monomials grouped by total real weight, independently of the
+            # resonance enumeration that picks the eliminated slice
+            groups = {}
+            for key in monomials(spec.n, k - 1):
+                weight = sum((spec.coordinate_re(i) for i in key), ScalarLC(0))
+                groups.setdefault(weight, []).append(key)
             placed = 0
-            for weight, group in _weight_groups(spec, k - 1).items():
+            for weight, group in groups.items():
                 in_group = [key for key in coker_keys if key in group]
                 if not weight.is_zero():
                     assert not in_group

@@ -188,3 +188,72 @@ def test_realification_bookkeeping(s8):
     # real dimension equals the number of resonant complex monomials
     for k in range(1, 8):
         assert len(resonant_monomials(s8, k)) == len(nilpotent_submodule(s8, k))
+
+
+def _basis_strings(text):
+    spec = parse_spec(text)
+    return [[str(v) for v in nilpotent_submodule(spec, k)] for k in range(spec.n + 1)]
+
+
+def test_realification_signs_of_two_term_vectors():
+    # third-turn rotations make z_p * z_q resonant only together with its
+    # conjugate, so the basis holds real and imaginary parts with two terms
+    # each; the signs follow from z = a_p - i*a_(p+1)
+    twin = (
+        '{"n": 4, "blocks": [{"kind": "complex", "size": 1, "im_resonant": "1/3"},'
+        ' {"kind": "complex", "size": 1, "im_resonant": "1/3"}]}'
+    )
+    assert _basis_strings(twin) == [
+        ["1"],
+        [],
+        ["a12", "a13 + a24", "a14 - a23", "a34"],
+        [],
+        ["a1234"],
+    ]
+    mixed = _basis_strings(
+        '{"n": 5, "blocks": [{"kind": "real", "size": 1},'
+        ' {"kind": "complex", "size": 1, "im_resonant": "1/3"},'
+        ' {"kind": "complex", "size": 1, "im_resonant": "2/3"}]}'
+    )
+    assert mixed[2] == ["a23", "a24 - a35", "a25 + a34", "a45"]
+    assert mixed[3] == ["a123", "a124 - a135", "a125 + a134", "a145"]
+
+
+def _expand_by_wedges(n, slots, combo):
+    """Oracle for the integer realification: wedge the slot generators as multivectors."""
+    re, im = Multivector.unit(n), Multivector.zero(n, 0)
+    for i in combo:
+        conj = slots[i].conj
+        if conj == i:
+            s_re, s_im = Multivector.basis_one_form(n, i), Multivector.zero(n, 1)
+        elif conj > i:  # z = a_p - i*a_(p+1)
+            s_re, s_im = Multivector.basis_one_form(n, i), -Multivector.basis_one_form(n, conj)
+        else:
+            s_re, s_im = Multivector.basis_one_form(n, conj), Multivector.basis_one_form(n, i)
+        re, im = re.wedge(s_re) - im.wedge(s_im), re.wedge(s_im) + im.wedge(s_re)
+    return coordinate_vector(re), coordinate_vector(im)
+
+
+def test_realify_matches_multivector_expansion():
+    from solvform.monodromy import _realify
+
+    rng = random.Random(44)
+    checked = 0
+    for _ in range(20):
+        blocks, used = [], 0
+        while used < 6:
+            if used <= 4 and rng.random() < 0.6:
+                turn = Fraction(rng.randint(-3, 3), rng.choice([1, 2, 3, 4]))
+                blocks.append(Block("complex", 1, ScalarLC(0), turn, ScalarLC(0)))
+                used += 2
+            else:
+                blocks.append(Block("real", 1, ScalarLC(0)))
+                used += 1
+        spec = AlmostAbelianSpec(used, tuple(blocks))
+        slots = {s.slot: s for s in generator_weights(spec)}
+        for k in range(spec.n + 1):
+            for combo in resonant_monomials(spec, k):
+                re, im = _realify(slots, combo)
+                assert (re, im) == _expand_by_wedges(spec.n, slots, combo)
+                checked += 1
+    assert checked >= 200

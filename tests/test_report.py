@@ -65,3 +65,21 @@ def test_verify_rejects_non_integer_format_version(torus4, version):
         False,
         [f"unsupported format_version {version!r}"],
     )
+
+
+def test_verify_rederives_assumptions(torus3):
+    report = build_report(torus3, 1)
+    assert verify_report(report, torus3) == (True, [])
+    edited = json.loads(json.dumps(report))
+    edited["assumptions"]["unimodular_trace_zero"] = False
+    edited["assumptions"]["lattice_existence"] = "proved"
+    ok, mismatches = verify_report(edited, torus3)
+    assert not ok
+    assert len(mismatches) == 1 and mismatches[0].startswith("assumptions/lattice_existence:")
+    # a report stripped of every stage and of its assumptions claims nothing checkable
+    bare = {key: report[key] for key in ("format_version", "generator", "input", "max_degree")}
+    ok, mismatches = verify_report(bare, torus3)
+    assert not ok
+    assert mismatches == [
+        f"assumptions: report has None, recomputation gives {report['assumptions']!r}"
+    ]

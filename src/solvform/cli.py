@@ -17,14 +17,8 @@ from .errors import InputError, InternalInvariantViolation
 from .report import STAGES, build_report, dumps_canonical, render_text, verify_report
 from .spectral import load_spec
 
-_STAGE_PREFIXES = {
-    "unipotent": ("unipotent",),
-    "cohomology": ("unipotent", "cohomology"),
-    "model": ("unipotent", "cohomology", "model"),
-    "formality": ("unipotent", "cohomology", "model", "formality"),
-    "symplectic": ("unipotent", "cohomology", "model", "formality", "symplectic"),
-    "analyze": STAGES,
-}
+_STAGE_PREFIXES = {stage: STAGES[: i + 1] for i, stage in enumerate(STAGES)}
+_STAGE_PREFIXES["analyze"] = STAGES
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -17,37 +17,27 @@ weight -- decided exactly, including symbolic weights -- the action is
 invertible, so only the zero-weight slice contributes kernels or
 cokernels.  Under the modification hypothesis every imaginary weight sum
 is an integer with no symbolic part, so that slice is exactly the
-resonant monomials of :mod:`.monodromy`; the diagonal multiplies it by
-its weight, zero, so there the action is the rational shift alone.  No
-division by a symbolic quantity ever happens.
+degree-k unipotent slice of :mod:`.monodromy`; the diagonal multiplies
+it by its weight, zero, so there the action is the rational shift alone
+and ``H^k = ker N_k (+) coker N_{k-1} ^ a`` is read off
+:func:`.monodromy.shift_slice`.  No division by a symbolic quantity ever
+happens.
 
 Sign convention: d(xi)(X, Y) = -xi([X, Y]); representatives depend on it
 but dimensions do not.
 
-The per-degree kernel and image data are memoized in-process, keyed by
-(spec, degree), so the report, model, symplectic and verify code share
-one elimination per slice.  The memo is bounded (least recently used
-entries are dropped) and holds only immutable values; public functions
-hand out fresh lists.
+The kernel and cokernel come from the per-(spec, degree) memo of
+:mod:`.monodromy`, so the report, model, symplectic and verify code
+share one elimination per slice; this module keeps no memo of its own.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
-from .errors import InternalInvariantViolation
-from .exterior import Multivector, coordinate_vector, derivation_apply, monomials
-from .linalg import echelon_basis, kernel_and_pivots
-from .monodromy import resonant_monomials
-from .spectral import (
-    SLICE_CACHE_SIZE,
-    AlmostAbelianSpec,
-    modification_hypothesis_holds,
-    modified_matrix,
-    nilpotent_log,
-    real_trace,
-)
+from .exterior import Multivector, derivation_apply
+from .monodromy import shift_slice
+from .spectral import AlmostAbelianSpec, modification_hypothesis_holds, modified_matrix, real_trace
 
 
 @dataclass
@@ -107,48 +97,12 @@ class CohomologySlice:
         return out
 
 
-@lru_cache(maxsize=SLICE_CACHE_SIZE)
-def _degree_data(spec: AlmostAbelianSpec, k: int):
-    """Kernel vectors and image pivots of the modified action on the degree-k slice.
-
-    Returns (kernel multivectors, pivot monomial set) as a tuple and a
-    frozenset, since the memo shares them between callers.  Only the
-    zero-weight slice, the resonant monomials, is eliminated, under the
-    shift alone; every other monomial lies in an invertible slice and is
-    an image pivot.  Requires the modification hypothesis.
-    """
-    shift = nilpotent_log(spec)
-    group = resonant_monomials(spec, k)
-    in_group = set(group)
-    rows = []
-    for key in group:
-        row = coordinate_vector(derivation_apply(shift, Multivector.monomial(spec.n, key)))
-        for mono in row:
-            if mono not in in_group:
-                raise InternalInvariantViolation(f"action left its weight slice: {key} -> {mono}")
-        rows.append(row)
-    kernel, pivots = kernel_and_pivots(rows)
-    kernel_vectors = [{group[j]: c for j, c in vec.items()} for vec in kernel]
-    kernel_reps = tuple(Multivector(spec.n, k, row) for row in echelon_basis(kernel_vectors))
-    off_slice = (key for key in monomials(spec.n, k) if key not in in_group)
-    return kernel_reps, frozenset(pivots).union(off_slice)
-
-
 def cohomology(spec: AlmostAbelianSpec, k: int) -> CohomologySlice:
-    """Degree-k cohomology: kernel representatives plus cokernel monomials."""
+    """Degree-k cohomology: kernel representatives plus cokernel representatives."""
     if not modification_hypothesis_holds(spec):
         modified_matrix(spec)  # raises the hypothesis error naming the block
-    if k < 0 or k > spec.n + 1:
-        return CohomologySlice(k, 0, [], [])
-    kernel_reps: list[Multivector] = []
-    if k <= spec.n:
-        kernel_reps = list(_degree_data(spec, k)[0])
-    coker_reps: list[Multivector] = []
-    if 1 <= k <= spec.n + 1:
-        pivots = _degree_data(spec, k - 1)[1]
-        for key in monomials(spec.n, k - 1):
-            if key not in pivots:
-                coker_reps.append(Multivector.monomial(spec.n, key))
+    kernel_reps = shift_slice(spec, k)[0]
+    coker_reps = shift_slice(spec, k - 1)[1]
     return CohomologySlice(k, len(kernel_reps) + len(coker_reps), kernel_reps, coker_reps)
 
 

@@ -19,7 +19,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import gcd
 
-from .scalars import ScalarLC
+from .scalars import ScalarLC, _join_terms
 
 Indices = "tuple[int, ...]"
 
@@ -179,27 +179,19 @@ class Multivector:
             raise ValueError("multivectors have different ambient dimension or degree")
 
     def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
+        texts = []
         for key, coeff in self.terms.items():
             mono = mono_str(key)
             if coeff == ScalarLC(1):
-                text = mono
+                texts.append(mono)
             elif coeff == ScalarLC(-1):
-                text = f"-{mono}"
+                texts.append(f"-{mono}")
             else:
                 coeff_text = str(coeff)
                 if any(op in coeff_text for op in (" + ", " - ")):
                     coeff_text = f"({coeff_text})"
-                text = f"{coeff_text}*{mono}"
-            if parts and not text.startswith("-"):
-                parts.append(f"+ {text}")
-            elif parts:
-                parts.append(f"- {text[1:]}")
-            else:
-                parts.append(text)
-        return " ".join(parts)
+                texts.append(f"{coeff_text}*{mono}")
+        return _join_terms(texts)
 
     def __repr__(self) -> str:
         return f"Multivector({self})"

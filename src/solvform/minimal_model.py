@@ -46,6 +46,7 @@ from .linalg import (
     solve_combination,
 )
 from .monodromy import nilpotent_submodule
+from .scalars import _join_terms
 from .spectral import AlmostAbelianSpec, nilpotent_log
 
 Mono = "tuple[int, ...]"
@@ -281,27 +282,19 @@ class MinimalModel:
         return out
 
     def poly_str(self, p) -> str:
-        if not p:
-            return "0"
-        parts = []
+        texts = []
         for mono in sorted(p):
             coeff = p[mono]
             body = mono_name(self, mono)
             if coeff == 1 and body != "1":
-                text = body
+                texts.append(body)
             elif coeff == -1 and body != "1":
-                text = f"-{body}"
+                texts.append(f"-{body}")
             elif body == "1":
-                text = str(coeff)
+                texts.append(str(coeff))
             else:
-                text = f"{coeff}*{body}"
-            if parts and not text.startswith("-"):
-                parts.append(f"+ {text}")
-            elif parts:
-                parts.append(f"- {text[1:]}")
-            else:
-                parts.append(text)
-        return " ".join(parts)
+                texts.append(f"{coeff}*{body}")
+        return _join_terms(texts)
 
     # ----- cohomology of the model -------------------------------------------------
 

@@ -18,10 +18,17 @@ the monodromy as the exterior power of the exponential of the shift part
 trivial, which is exactly when that matrix is rational.  The two routes must agree as subspaces wherever the oracle
 applies.
 
-Bases from :func:`nilpotent_submodule` are memoized in-process, keyed by
-(spec, degree), so the unipotent, model, formality and symplectic stages
-share one computation per degree.  The memo is bounded and holds
-immutable tuples; every call returns a fresh list.
+The shift preserves the submodule, and :func:`shift_slice` splits each
+degree-k slice into the kernel and a cokernel complement of the shift
+there.  These are the two halves of the total space's cohomology,
+``H^k = ker N_k (+) coker N_{k-1} ^ a`` under the modification
+hypothesis, and the kernel in degree 2 is the space of closed invariant
+2-forms, so cohomology and symplectic read this one elimination.
+
+Both bases are memoized in-process, keyed by (spec, degree), so the
+unipotent, cohomology, model, formality and symplectic stages share one
+computation per degree.  The memos are bounded and hold immutable
+tuples; every call returns fresh lists.
 """
 
 from __future__ import annotations
@@ -35,11 +42,18 @@ from .exterior import (
     Multivector,
     algebra_map_apply,
     coordinate_vector,
+    derivation_apply,
     exp_nilpotent,
     monomials,
     sort_indices,
 )
-from .linalg import EchelonAccumulator, echelon_basis, map_kernel, matrix_mul
+from .linalg import (
+    EchelonAccumulator,
+    echelon_basis,
+    kernel_and_pivots,
+    map_kernel,
+    matrix_mul,
+)
 from .spectral import (
     SLICE_CACHE_SIZE,
     AlmostAbelianSpec,
@@ -129,6 +143,43 @@ def _nilpotent_submodule(spec: AlmostAbelianSpec, k: int) -> tuple[Multivector, 
     if len(basis_rows) != len(reps):
         raise InternalInvariantViolation("realified representatives are linearly dependent")
     return tuple(Multivector(spec.n, k, row) for row in basis_rows)
+
+
+def shift_slice(spec: AlmostAbelianSpec, k: int) -> tuple[list[Multivector], list[Multivector]]:
+    """``(kernel, cokernel)`` of the shift on the degree-k unipotent slice.
+
+    The kernel is an echelon basis of the vectors of
+    :func:`nilpotent_submodule` killed by the shift; the cokernel is the
+    basis vectors whose pivot monomial is not a pivot of the shift image,
+    a complement of that image in the slice.
+    """
+    if not 0 <= k <= spec.n:
+        return [], []  # empty slice; kept out of the memo
+    kernel, cokernel = _shift_slice(spec, k)
+    return list(kernel), list(cokernel)
+
+
+@lru_cache(maxsize=SLICE_CACHE_SIZE)
+def _shift_slice(spec: AlmostAbelianSpec, k: int) -> tuple[tuple, tuple]:
+    basis = _nilpotent_submodule(spec, k)
+    rows = [coordinate_vector(u) for u in basis]
+    slice_span = EchelonAccumulator()
+    for row in rows:
+        slice_span.add(row)
+    shift = nilpotent_log(spec)
+    images = []
+    for u in basis:
+        image = coordinate_vector(derivation_apply(shift, u))
+        if slice_span.residue(image):
+            raise InternalInvariantViolation(f"the shift maps {u} out of the unipotent slice")
+        images.append(image)
+    kernel, image_pivots = kernel_and_pivots(images)
+    kernel_rows = echelon_basis(matrix_mul(kernel, rows))
+    image_pivots = set(image_pivots)
+    return (
+        tuple(Multivector(spec.n, k, row) for row in kernel_rows),
+        tuple(u for u in basis if min(u.terms) not in image_pivots),
+    )
 
 
 def oracle_applicable(spec: AlmostAbelianSpec) -> bool:

@@ -107,26 +107,31 @@ class ScalarLC:
         return not self.is_zero()
 
     def __str__(self) -> str:
-        parts = []
-        if self.const != 0 or not self.terms:
-            parts.append(str(self.const))
+        texts = [str(self.const)] if self.const != 0 else []
         for name, coeff in self.terms:
             if coeff == 1:
-                text = name
+                texts.append(name)
             elif coeff == -1:
-                text = f"-{name}"
+                texts.append(f"-{name}")
             else:
-                text = f"{coeff}*{name}"
-            if parts and not text.startswith("-"):
-                parts.append(f"+ {text}")
-            elif parts:
-                parts.append(f"- {text[1:]}")
-            else:
-                parts.append(text)
-        return " ".join(parts)
+                texts.append(f"{coeff}*{name}")
+        return _join_terms(texts)
 
     def __repr__(self) -> str:
         return f"ScalarLC({self})"
+
+
+def _join_terms(texts) -> str:
+    """Join signed term texts as ``t1 + t2 - t3``; no terms is ``"0"``."""
+    parts = []
+    for text in texts:
+        if not parts:
+            parts.append(text)
+        elif text.startswith("-"):
+            parts.append(f"- {text[1:]}")
+        else:
+            parts.append(f"+ {text}")
+    return " ".join(parts) if parts else "0"
 
 
 def _coerce(value) -> ScalarLC:

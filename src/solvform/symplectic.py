@@ -27,21 +27,13 @@ of this invariant type, nothing more.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .cohomology import CEElement, ce_differential
 from .errors import InputError, InternalInvariantViolation
-from .exterior import (
-    Multivector,
-    coordinate_vector,
-    derivation_apply,
-    top_coefficient,
-    wedge_power,
-)
-from .linalg import echelon_basis, map_kernel, matrix_mul
-from .monodromy import nilpotent_submodule
+from .exterior import Multivector, top_coefficient, wedge_power
+from .monodromy import in_submodule_span, nilpotent_submodule, shift_slice
 from .scalars import ScalarLC
-from .spectral import SLICE_CACHE_SIZE, AlmostAbelianSpec, nilpotent_log
+from .spectral import AlmostAbelianSpec, modification_hypothesis_holds, modified_matrix
 
 
 @dataclass
@@ -60,18 +52,7 @@ class SymplecticWitness:
 
 def closed_two_classes(spec: AlmostAbelianSpec) -> list[Multivector]:
     """Invariant 2-form representatives annihilated by the shift action."""
-    return list(_closed_two_classes(spec))
-
-
-@lru_cache(maxsize=SLICE_CACHE_SIZE)
-def _closed_two_classes(spec: AlmostAbelianSpec) -> tuple[Multivector, ...]:
-    basis = nilpotent_submodule(spec, 2)
-    if not basis:
-        return ()
-    ntl = nilpotent_log(spec)
-    rows = [coordinate_vector(derivation_apply(ntl, u)) for u in basis]
-    vectors = matrix_mul(map_kernel(rows), [coordinate_vector(u) for u in basis])
-    return tuple(Multivector(spec.n, 2, row) for row in echelon_basis(vectors))
+    return shift_slice(spec, 2)[0]
 
 
 def assemble_omega(spec: AlmostAbelianSpec, pair: CoSymplecticPair) -> Multivector:
@@ -95,8 +76,12 @@ def find_symplectic(spec: AlmostAbelianSpec, candidate: CoSymplecticPair | None 
     The witness is the first nonzero point of the grid in lexicographic
     order.  A supplied candidate is verified instead of searching.  Every
     returned witness carries exact certificates and passes
-    :func:`verify_symplectic` by construction.
+    :func:`verify_symplectic` by construction, so a spec that fails the
+    modification hypothesis is refused as :func:`.cohomology.cohomology`
+    refuses it.
     """
+    if not modification_hypothesis_holds(spec):
+        modified_matrix(spec)  # raises the hypothesis error naming the block
     half = _half_dim(spec)
     if candidate is not None:
         if not _pair_is_admissible(spec, candidate):
@@ -179,13 +164,9 @@ def _substitute_first(poly: dict, value: int) -> dict:
 
 
 def _pair_is_admissible(spec: AlmostAbelianSpec, pair: CoSymplecticPair) -> bool:
-    """Membership checks for supplied candidates: invariant classes, closed 2-form."""
-    from .monodromy import in_submodule_span
-
-    return (
-        in_submodule_span(nilpotent_submodule(spec, 2), pair.two_form)
-        and in_submodule_span(nilpotent_submodule(spec, 1), pair.one_form)
-        and derivation_apply(nilpotent_log(spec), pair.two_form).is_zero()
+    """Membership checks for supplied candidates: closed invariant 2-form, invariant 1-form."""
+    return in_submodule_span(closed_two_classes(spec), pair.two_form) and in_submodule_span(
+        nilpotent_submodule(spec, 1), pair.one_form
     )
 
 

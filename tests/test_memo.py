@@ -6,11 +6,11 @@ import inspect
 import pytest
 
 from solvform import build_report, verify_report
-from solvform.cohomology import _degree_data, cohomology
-from solvform.monodromy import _nilpotent_submodule, nilpotent_submodule
-from solvform.symplectic import _closed_two_classes, closed_two_classes
+from solvform.cohomology import cohomology
+from solvform.monodromy import _nilpotent_submodule, _shift_slice, nilpotent_submodule
+from solvform.symplectic import closed_two_classes
 
-MEMOS = (_degree_data, _nilpotent_submodule, _closed_two_classes)
+MEMOS = (_nilpotent_submodule, _shift_slice)
 
 
 def _clear():
@@ -21,18 +21,17 @@ def _clear():
 def test_report_computes_each_degree_once(s8):
     _clear()
     report = build_report(s8, 3)
-    # cohomology in degrees 0..n+1 needs the kernel and image data of
+    # cohomology in degrees 0..n+1 needs the shift kernel and cokernel of
     # degrees 0..n; the unipotent section alone asks for the submodule in
-    # degrees 0..n, and the model, formality and symplectic stages only
-    # ask again for degrees inside that range
+    # degrees 0..n, and the model, formality and symplectic stages (the
+    # closed 2-forms are the degree-2 shift kernel) only ask again for
+    # degrees inside that range
     distinct = s8.n + 1
-    for memo in (_degree_data, _nilpotent_submodule):
+    for memo in MEMOS:
         info = memo.cache_info()
         assert info.misses == distinct, memo.__name__
         assert info.currsize == distinct, memo.__name__
         assert info.hits > 0, memo.__name__
-    assert _closed_two_classes.cache_info().misses == 1
-    assert _closed_two_classes.cache_info().hits > 0
     # verify recomputes every section from the same memo
     before = [memo.cache_info().misses for memo in MEMOS]
     ok, mismatches = verify_report(report, s8)
@@ -60,6 +59,7 @@ def test_cached_results_are_not_aliased(s6):
     "module, name",
     [
         ("monodromy", "nilpotent_submodule"),
+        ("monodromy", "shift_slice"),
         ("cohomology", "cohomology"),
         ("cohomology", "betti_numbers"),
         ("symplectic", "closed_two_classes"),

@@ -8,6 +8,7 @@ import pytest
 
 from solvform import (
     CoSymplecticPair,
+    HypothesisError,
     InputError,
     InternalInvariantViolation,
     Multivector,
@@ -126,6 +127,37 @@ def test_empty_search_space_returns_none():
     spec = parse_spec(doc)
     assert nilpotent_submodule(spec, 2) == []
     assert find_symplectic(spec) is None
+
+
+HALF_TURN = """{"n": 7, "blocks": [{"kind": "real", "size": 3},
+                                 {"kind": "complex", "size": 2, "im_resonant": "1/2"}]}"""
+
+THIRD_TURNS = """{"n": 5, "blocks": [{"kind": "real", "size": 1},
+                                   {"kind": "complex", "size": 1, "im_resonant": "1/3"},
+                                   {"kind": "complex", "size": 1, "im_resonant": "2/3"}]}"""
+
+
+@pytest.mark.parametrize(
+    "doc, expected",
+    [
+        (HALF_TURN, ["a23", "a46", "a47 + a56", "a57", "a67"]),
+        (THIRD_TURNS, ["a23", "a24 - a35", "a25 + a34", "a45"]),
+    ],
+)
+def test_closed_two_classes_without_modification_hypothesis(doc, expected):
+    # the unipotent submodule and its shift kernel need no hypothesis
+    assert [str(u) for u in closed_two_classes(parse_spec(doc))] == expected
+
+
+def test_find_symplectic_refuses_specs_failing_the_hypothesis():
+    # a witness here could not pass verify_symplectic, which needs the
+    # modified action; a half-turn rotation has no such modification
+    spec = parse_spec(HALF_TURN)
+    with pytest.raises(HypothesisError):
+        find_symplectic(spec)
+    pair = CoSymplecticPair(mono(7, 2, 3) + mono(7, 4, 7) + mono(7, 5, 6), mono(7, 1))
+    with pytest.raises(HypothesisError):
+        find_symplectic(spec, candidate=pair)
 
 
 def test_omega_expansion_identity(s6, s8, torus4):

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 from .exterior import Multivector, derivation_apply
 from .monodromy import shift_slice
-from .spectral import AlmostAbelianSpec, modification_hypothesis_holds, modified_matrix, real_trace
+from .spectral import AlmostAbelianSpec, modified_matrix, real_trace, require_modification_hypothesis
 
 
 @dataclass
@@ -99,8 +99,7 @@ class CohomologySlice:
 
 def cohomology(spec: AlmostAbelianSpec, k: int) -> CohomologySlice:
     """Degree-k cohomology: kernel representatives plus cokernel representatives."""
-    if not modification_hypothesis_holds(spec):
-        modified_matrix(spec)  # raises the hypothesis error naming the block
+    require_modification_hypothesis(spec)
     kernel_reps = shift_slice(spec, k)[0]
     coker_reps = shift_slice(spec, k - 1)[1]
     return CohomologySlice(k, len(kernel_reps) + len(coker_reps), kernel_reps, coker_reps)

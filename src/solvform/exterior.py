@@ -1,10 +1,13 @@
 """Sparse exterior algebra on the dual basis ``a1, ..., an``.
 
 A multivector of degree k is a finite map from strictly increasing
-k-tuples of indices in ``1..n`` to nonzero scalars.  Reordering signs
-are folded into the coefficients when a term is built, so equality of
-multivectors (and in particular the zero test) is a plain comparison of
-canonical data.
+k-tuples of indices in ``1..n`` to nonzero coefficients.  A coefficient
+is a ``Fraction``, or a :class:`.ScalarLC` only while it carries a symbol
+(the modified action of a symbolic spec and what derives from it); the
+constructor stores a symbol-free ``ScalarLC`` as its rational value.
+Reordering signs are folded into the coefficients when a term is built,
+so equality of multivectors (and in particular the zero test) is a plain
+comparison of canonical data.
 
 Index tuples are ordered lexicographically everywhere a basis of the
 degree-k slice is enumerated.  They are also the columns of the sparse
@@ -17,7 +20,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
-from math import gcd
+from math import gcd, lcm
 
 from .scalars import ScalarLC, _join_terms
 
@@ -69,8 +72,11 @@ def monomials(n: int, k: int) -> list[tuple[int, ...]]:
     return list(combinations(range(1, n + 1), k))
 
 
-def _as_scalar(value) -> ScalarLC:
-    return value if isinstance(value, ScalarLC) else ScalarLC(Fraction(value))
+def _normalized(value) -> Fraction | ScalarLC:
+    """The stored form of a coefficient: a ``ScalarLC`` only while it carries a symbol."""
+    if isinstance(value, ScalarLC):
+        return value if value.terms else value.const
+    return value if isinstance(value, Fraction) else Fraction(value)
 
 
 class Multivector:
@@ -81,11 +87,11 @@ class Multivector:
     def __init__(self, n: int, degree: int, terms=None):
         self.n = n
         self.degree = degree
-        canon: dict[tuple[int, ...], ScalarLC] = {}
+        canon: dict[tuple[int, ...], Fraction | ScalarLC] = {}
         if terms:
             for key, coeff in terms.items() if isinstance(terms, dict) else terms:
-                coeff = _as_scalar(coeff)
-                if coeff.is_zero():
+                coeff = _normalized(coeff)
+                if not coeff:
                     continue
                 key = tuple(key)
                 if len(key) != degree:
@@ -95,8 +101,8 @@ class Multivector:
                 ):
                     raise ValueError(f"term {key} is not a strictly increasing tuple in 1..{n}")
                 prev = canon.get(key)
-                total = coeff if prev is None else prev + coeff
-                if total.is_zero():
+                total = coeff if prev is None else _normalized(prev + coeff)
+                if not total:
                     canon.pop(key, None)
                 else:
                     canon[key] = total
@@ -108,7 +114,7 @@ class Multivector:
 
     @classmethod
     def unit(cls, n: int) -> Multivector:
-        return cls(n, 0, {(): ScalarLC(1)})
+        return cls(n, 0, {(): 1})
 
     @classmethod
     def monomial(cls, n: int, indices, coeff=1) -> Multivector:
@@ -116,7 +122,7 @@ class Multivector:
         if sorted_ is None:
             return cls(n, len(tuple(indices)))
         sign, key = sorted_
-        return cls(n, len(key), {key: _as_scalar(coeff) * sign})
+        return cls(n, len(key), {key: coeff * sign})
 
     @classmethod
     def basis_one_form(cls, n: int, i: int) -> Multivector:
@@ -125,8 +131,8 @@ class Multivector:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def coefficient(self, indices) -> ScalarLC:
-        return self.terms.get(tuple(indices), ScalarLC(0))
+    def coefficient(self, indices) -> Fraction | ScalarLC:
+        return self.terms.get(tuple(indices), Fraction(0))
 
     def __add__(self, other: Multivector) -> Multivector:
         self._check_compatible(other)
@@ -139,7 +145,6 @@ class Multivector:
         return self.scaled(-1)
 
     def scaled(self, coeff) -> Multivector:
-        coeff = _as_scalar(coeff)
         return Multivector(self.n, self.degree, [(k, c * coeff) for k, c in self.terms.items()])
 
     def __rmul__(self, coeff) -> Multivector:
@@ -182,9 +187,9 @@ class Multivector:
         texts = []
         for key, coeff in self.terms.items():
             mono = mono_str(key)
-            if coeff == ScalarLC(1):
+            if coeff == 1:
                 texts.append(mono)
-            elif coeff == ScalarLC(-1):
+            elif coeff == -1:
                 texts.append(f"-{mono}")
             else:
                 coeff_text = str(coeff)
@@ -241,11 +246,8 @@ class LinearEndo:
     def is_zero(self) -> bool:
         return all(img.is_zero() for img in self.images)
 
-    def trace(self) -> ScalarLC:
-        total = ScalarLC(0)
-        for i in range(1, self.n + 1):
-            total = total + self.images[i - 1].coefficient((i,))
-        return total
+    def trace(self) -> Fraction | ScalarLC:
+        return _normalized(sum(img.coefficient((i,)) for i, img in enumerate(self.images, start=1)))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, LinearEndo):
@@ -317,7 +319,7 @@ def exp_nilpotent(endo: LinearEndo) -> LinearEndo:
     return LinearEndo(n, images)
 
 
-def top_coefficient(x: Multivector) -> ScalarLC:
+def top_coefficient(x: Multivector) -> Fraction | ScalarLC:
     """Coefficient of the full top monomial ``a1...an``; requires top degree."""
     if x.degree != x.n:
         raise ValueError(f"top coefficient needs degree {x.n}, got degree {x.degree}")
@@ -326,23 +328,16 @@ def top_coefficient(x: Multivector) -> ScalarLC:
 
 def coordinate_vector(x: Multivector) -> dict[tuple[int, ...], Fraction]:
     """Sparse rational row of ``x``, keyed by its index tuples (error if symbolic)."""
-    return {key: coeff.as_fraction() for key, coeff in x.terms.items()}
+    if any(isinstance(coeff, ScalarLC) for coeff in x.terms.values()):
+        raise ValueError(f"multivector {x} carries symbols, not plain rationals")
+    return dict(x.terms)
 
 
 def primitive_part(x: Multivector) -> Multivector:
     """Scale to integer content-1 coefficients with a positive leading term."""
     if x.is_zero():
         return x
-    fracs = [c.as_fraction() for c in x.terms.values()]
-    denom_lcm = 1
-    for f in fracs:
-        denom_lcm = denom_lcm * f.denominator // gcd(denom_lcm, f.denominator)
-    nums = [int(f * denom_lcm) for f in fracs]
-    g = 0
-    for v in nums:
-        g = gcd(g, abs(v))
-    scale = Fraction(denom_lcm, g)
-    lead = min(x.terms)
-    if x.terms[lead].as_fraction() < 0:
-        scale = -scale
-    return x.scaled(scale)
+    row = coordinate_vector(x)
+    denom = lcm(*(f.denominator for f in row.values()))
+    scale = Fraction(denom, gcd(*(int(f * denom) for f in row.values())))
+    return x.scaled(-scale if row[min(row)] < 0 else scale)

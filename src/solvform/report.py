@@ -279,8 +279,10 @@ def verify_report(report: dict, spec: AlmostAbelianSpec):
         return False, ["report lacks a valid max_degree"]
     stages = [s for s in STAGES if s in report]
     fresh = build_report(spec, max_degree, stages=stages)
-    for section in ["assumptions"] + stages:  # a missing assumptions section diverges too
-        if report.get(section) != fresh[section]:
+    # sections compare as canonical bytes, where True, 1 and 1.0 differ;
+    # a missing assumptions section diverges too
+    for section in ["input", "assumptions"] + stages:
+        if dumps_canonical(report.get(section)) != dumps_canonical(fresh[section]):
             mismatches.append(_first_divergence(section, report.get(section), fresh[section]))
     if "symplectic" in report:
         section = report["symplectic"]
@@ -293,9 +295,11 @@ def verify_report(report: dict, spec: AlmostAbelianSpec):
 
 
 def _first_divergence(stage: str, old, new, path="") -> str:
+    if isinstance(old, list) and isinstance(new, list) and len(old) == len(new):
+        old, new = dict(enumerate(old)), dict(enumerate(new))
     if isinstance(old, dict) and isinstance(new, dict):
         for key in sorted(set(old) | set(new)):
-            if old.get(key) != new.get(key):
+            if dumps_canonical(old.get(key)) != dumps_canonical(new.get(key)):
                 return _first_divergence(stage, old.get(key), new.get(key), f"{path}/{key}")
     return f"{stage}{path}: report has {old!r}, recomputation gives {new!r}"
 

@@ -11,7 +11,9 @@ divided by, and products in which both factors carry symbols are refused
 (the result would be quadratic in the symbols and leave this linear
 model).  All algorithms in the package are arranged so that neither
 operation is ever needed: divisions happen only by nonzero rationals,
-and symbolic coefficients only ever meet rational ones.
+and symbolic coefficients only ever meet rational ones.  ``ScalarLC`` is
+the type of the spec data, the weights and the modified action; forms
+store every symbol-free coefficient as a ``Fraction``.
 """
 
 from __future__ import annotations

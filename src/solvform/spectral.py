@@ -234,12 +234,23 @@ def real_trace(spec: AlmostAbelianSpec) -> ScalarLC:
     return total
 
 
+def _block_is_modifiable(block: Block) -> bool:
+    return block.kind == "real" or (block.im_symbolic.is_zero() and block.im_resonant.denominator == 1)
+
+
 def modification_hypothesis_holds(spec: AlmostAbelianSpec) -> bool:
     """Every rotation block is an integer resonance with no symbolic part."""
-    return all(
-        b.kind == "real" or (b.im_symbolic.is_zero() and b.im_resonant.denominator == 1)
-        for b in spec.blocks
-    )
+    return all(_block_is_modifiable(b) for b in spec.blocks)
+
+
+def require_modification_hypothesis(spec: AlmostAbelianSpec) -> None:
+    """Raise :class:`.HypothesisError` naming the first block that fails the hypothesis."""
+    for pos, block in enumerate(spec.blocks):
+        if not _block_is_modifiable(block):
+            raise HypothesisError(
+                "modification hypothesis not satisfied: "
+                f"blocks[{pos}] has non-integer or symbolic imaginary resonance"
+            )
 
 
 def nilpotent_log(spec: AlmostAbelianSpec) -> LinearEndo:
@@ -265,14 +276,7 @@ def modified_matrix(spec: AlmostAbelianSpec) -> LinearEndo:
     no symbolic imaginary part, and are replaced by their real scalar
     part (plus the paired shift), dropping the rotations.
     """
-    for pos, block in enumerate(spec.blocks):
-        if block.kind != "complex":
-            continue
-        if not block.im_symbolic.is_zero() or block.im_resonant.denominator != 1:
-            raise HypothesisError(
-                "modification hypothesis not satisfied: "
-                f"blocks[{pos}] has non-integer or symbolic imaginary resonance"
-            )
+    require_modification_hypothesis(spec)
     n = spec.n
     shift = nilpotent_log(spec)
     images = []

@@ -27,13 +27,13 @@ of this invariant type, nothing more.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .cohomology import CEElement, ce_differential
 from .errors import InputError, InternalInvariantViolation
 from .exterior import Multivector, top_coefficient, wedge_power
 from .monodromy import in_submodule_span, nilpotent_submodule, shift_slice
-from .scalars import ScalarLC
-from .spectral import AlmostAbelianSpec, modification_hypothesis_holds, modified_matrix
+from .spectral import AlmostAbelianSpec, require_modification_hypothesis
 
 
 @dataclass
@@ -46,8 +46,8 @@ class CoSymplecticPair:
 class SymplecticWitness:
     pair: CoSymplecticPair
     omega: Multivector  # degree-2 form on the total space
-    pairing: ScalarLC  # top coefficient of F^(N-1) ^ eta on the fiber
-    omega_top: ScalarLC  # top coefficient of omega^N on the total space
+    pairing: Fraction  # top coefficient of F^(N-1) ^ eta on the fiber
+    omega_top: Fraction  # top coefficient of omega^N on the total space
 
 
 def closed_two_classes(spec: AlmostAbelianSpec) -> list[Multivector]:
@@ -80,8 +80,7 @@ def find_symplectic(spec: AlmostAbelianSpec, candidate: CoSymplecticPair | None 
     modification hypothesis is refused as :func:`.cohomology.cohomology`
     refuses it.
     """
-    if not modification_hypothesis_holds(spec):
-        modified_matrix(spec)  # raises the hypothesis error naming the block
+    require_modification_hypothesis(spec)
     half = _half_dim(spec)
     if candidate is not None:
         if not _pair_is_admissible(spec, candidate):
@@ -148,7 +147,7 @@ def _pairing_polynomial(spec, half, f_basis, e_basis) -> dict:
     for exps, form in powers.items():
         for j, e in enumerate(e_basis):
             coeff = top_coefficient(form.wedge(e))
-            if not coeff.is_zero():
+            if coeff:
                 poly[exps + tuple(int(i == j) for i in range(len(e_basis)))] = coeff
     return poly
 
@@ -160,7 +159,7 @@ def _substitute_first(poly: dict, value: int) -> dict:
         term = coeff * value ** exps[0]
         key = exps[1:]
         out[key] = out[key] + term if key in out else term
-    return {exps: coeff for exps, coeff in out.items() if not coeff.is_zero()}
+    return {exps: coeff for exps, coeff in out.items() if coeff}
 
 
 def _pair_is_admissible(spec: AlmostAbelianSpec, pair: CoSymplecticPair) -> bool:
@@ -173,7 +172,7 @@ def _pair_is_admissible(spec: AlmostAbelianSpec, pair: CoSymplecticPair) -> bool
 def _witness_from_pair(spec, half, pair: CoSymplecticPair):
     f_power = wedge_power(pair.two_form, half - 1)
     pairing = top_coefficient(f_power.wedge(pair.one_form))
-    if pairing.is_zero():
+    if not pairing:
         return None
     omega = assemble_omega(spec, pair)
     omega_top = top_coefficient(wedge_power(omega, half))
@@ -205,8 +204,8 @@ def verify_symplectic(spec: AlmostAbelianSpec, witness: SymplecticWitness):
     }
     ok = (
         closed
-        and not pairing.is_zero()
-        and not omega_top.is_zero()
+        and pairing != 0
+        and omega_top != 0
         and certificates["expansion_identity"]
         and certificates["omega_matches_pair"]
         and pairing == witness.pairing

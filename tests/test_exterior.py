@@ -10,6 +10,7 @@ from solvform.exterior import (
     LinearEndo,
     Multivector,
     algebra_map_apply,
+    coordinate_vector,
     derivation_apply,
     exp_nilpotent,
     monomials,
@@ -18,7 +19,10 @@ from solvform.exterior import (
     wedge,
     wedge_power,
 )
+from solvform.minimal_model import build_minimal_model
+from solvform.monodromy import nilpotent_submodule
 from solvform.scalars import ScalarLC
+from solvform.symplectic import closed_two_classes, find_symplectic
 
 
 def mv(n, *term_pairs):
@@ -68,7 +72,7 @@ def test_derivation_examples():
 
 def test_top_coefficient():
     assert top_coefficient(wedge(mv(5, ((2, 3, 4, 5), 1)), Multivector.basis_one_form(5, 1))) == ScalarLC(1)
-    assert top_coefficient(Multivector.zero(5, 5)).is_zero()
+    assert top_coefficient(Multivector.zero(5, 5)) == 0
     assert top_coefficient(mv(7, ((1, 2, 3, 4, 5, 6, 7), 3))) == ScalarLC(3)
     with pytest.raises(ValueError):
         top_coefficient(mv(5, ((1, 2), 1)))
@@ -132,6 +136,24 @@ def test_symbolic_coefficients_flow_through_wedge():
     z = Multivector(4, 1, [((3,), b)])
     with pytest.raises(ValueError):
         wedge(x, z)
+
+
+def test_coefficients_are_fractions_unless_a_symbol_survives(s6, s8):
+    forms = [u for k in range(s8.n + 1) for u in nilpotent_submodule(s8, k)]
+    forms += closed_two_classes(s8) + [g.rho for g in build_minimal_model(s8, 3).gens]
+    assert forms
+    for form in forms:
+        assert all(type(coeff) is Fraction for coeff in form.terms.values()), form
+    witness = find_symplectic(s6)
+    assert type(witness.pairing) is Fraction and type(witness.omega_top) is Fraction
+    # a symbol that cancels leaves the rational coefficient, equal and equally hashed
+    b = ScalarLC.symbol("b")
+    cancelled = Multivector(4, 1, [((1,), b), ((1,), 1 - b)])
+    assert type(cancelled.terms[(1,)]) is Fraction
+    assert cancelled == Multivector.basis_one_form(4, 1)
+    assert hash(cancelled) == hash(Multivector.basis_one_form(4, 1))
+    with pytest.raises(ValueError):
+        coordinate_vector(Multivector(4, 1, [((1,), b)]))
 
 
 def test_algebra_map_vs_derivation_exponential():

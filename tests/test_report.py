@@ -83,3 +83,29 @@ def test_verify_rederives_assumptions(torus3):
     assert mismatches == [
         f"assumptions: report has None, recomputation gives {report['assumptions']!r}"
     ]
+
+
+@pytest.mark.parametrize(
+    "path, value",
+    [
+        (("cohomology", "betti", "0"), True),
+        (("unipotent", "dims", "0"), True),
+        (("formality", "max_checked_degree"), True),
+        (("assumptions", "finite_type_bound"), True),
+        (("model", "generator_counts", "1", "closed"), 2.0),
+        (("input", "blocks", 0, "re"), 0),
+    ],
+)
+def test_verify_compares_canonical_bytes(torus3, path, value):
+    # True == 1 == 1.0 and "0" parses like 0, but the canonical bytes differ
+    report = build_report(torus3, 1)
+    edited = json.loads(json.dumps(report))
+    target = edited
+    for key in path[:-1]:
+        target = target[key]
+    original = target[path[-1]]
+    target[path[-1]] = value
+    ok, mismatches = verify_report(edited, torus3)
+    assert not ok
+    leaf = "/".join(str(key) for key in path)
+    assert mismatches == [f"{leaf}: report has {value!r}, recomputation gives {original!r}"]

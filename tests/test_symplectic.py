@@ -71,7 +71,7 @@ def test_s8_witness(s8):
     assert witness is not None
     ok, _ = verify_symplectic(s8, witness)
     assert ok
-    assert not witness.omega_top.is_zero()
+    assert witness.omega_top != 0
 
 
 def test_torus4_standard_witness(torus4):
@@ -219,7 +219,7 @@ def _grid_search(spec):
             for c, u in zip(e_point, e_basis):
                 if c:
                     one_form = one_form + u.scaled(c)
-            if not top_coefficient(f_power.wedge(one_form)).is_zero():
+            if top_coefficient(f_power.wedge(one_form)) != 0:
                 return _witness_from_pair(spec, half, CoSymplecticPair(two_form, one_form))
     return None
 
@@ -333,7 +333,7 @@ def _symbolic_pairing(spec, f_basis, e_basis):
         for i, u in enumerate(vectors):
             var = _TestPoly.variable(nvars, offset + i)
             for key, coeff in u.terms.items():
-                add = var.scale(coeff.as_fraction())
+                add = var.scale(Fraction(coeff))
                 terms[key] = terms.get(key, _TestPoly()) + add
         return terms
 

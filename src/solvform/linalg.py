@@ -17,7 +17,8 @@ ranks, kernels and solving all feed rows to it.  Its rows stay in
 reduced echelon form after every insertion, so they depend only on the
 span, never on the order or scaling of the inserted rows, which makes
 every basis emitted here byte-reproducible.  Every step touches only
-nonzero entries.
+nonzero entries, and clearing a new pivot column touches only the holder
+rows, the stored rows that are nonzero in that column.
 
 Row convention: a matrix is a list of row vectors.  When a matrix
 encodes a linear map, row ``j`` holds the coordinates of the image of
@@ -135,13 +136,33 @@ class EchelonAccumulator:
 
     ``rows`` is the reduced row echelon form of the span of every row
     added so far: rows are sorted by pivot column, each pivot entry is 1
-    and every other row is zero in that column.
+    and every other row is zero in that column.  A holder index maps
+    each non-pivot column to the pivots of the rows nonzero there, so
+    clearing a new pivot column touches only the rows that hold it.
     """
 
     def __init__(self):
         self.rows: list[Row] = []
         self.pivots: list = []
         self._by_pivot: dict = {}
+        self._holders: dict = {}  # non-pivot column -> pivots of the rows nonzero there
+
+    @classmethod
+    def from_reduced(cls, rows: list[Row]) -> EchelonAccumulator:
+        """An accumulator holding ``rows``, which must already be in reduced
+        row echelon form (as ``rref`` returns them); the rows are copied."""
+        acc = cls()
+        holders = acc._holders
+        for row in rows:
+            p = min(row)
+            row = dict(row)
+            acc.rows.append(row)
+            acc.pivots.append(p)
+            acc._by_pivot[p] = row
+            for c in row:
+                if c != p:
+                    holders.setdefault(c, set()).add(p)
+        return acc
 
     def residue(self, v: Row) -> Row:
         """``v`` minus its span component: the representative zero at every pivot.
@@ -173,17 +194,28 @@ class EchelonAccumulator:
         lead = res[c]
         new = res if lead == 1 else {k: x / lead for k, x in res.items()}
         new[c] = _ONE
-        for row in self.rows:
-            f = row.get(c)
-            if f is None:
-                continue
+        holders = self._holders
+        # the new row is zero at every old pivot, so clearing column c only
+        # moves entries of the holder rows among non-pivot columns
+        for p in holders.pop(c, ()):
+            row = self._by_pivot[p]
+            f = row[c]
             for k, x in new.items():
                 y = row.get(k)
-                y = -f * x if y is None else y - f * x
+                if y is None:
+                    row[k] = -f * x
+                    holders.setdefault(k, set()).add(p)
+                    continue
+                y -= f * x
                 if y:
                     row[k] = y
                 else:
                     del row[k]
+                    if k != c:
+                        holders[k].discard(p)
+        for k in new:
+            if k != c:
+                holders.setdefault(k, set()).add(c)
         at = bisect(self.pivots, c)
         self.rows.insert(at, new)
         self.pivots.insert(at, c)

@@ -25,17 +25,24 @@ there.  These are the two halves of the total space's cohomology,
 hypothesis, and the kernel in degree 2 is the space of closed invariant
 2-forms, so cohomology and symplectic read this one elimination.
 
+The weight of a monomial depends only on how many of its slots fall in
+each group of slots sharing one weight, so :func:`resonant_monomials`
+adds weights once per count vector, one fewer than the product of
+``size + 1`` over the groups for every degree at once, and expands each
+resonant vector into products of combinations inside the groups.
+
 Both bases are memoized in-process, keyed by (spec, degree), so the
 unipotent, cohomology, model, formality and symplectic stages share one
-computation per degree.  The memos are bounded and hold immutable
-tuples; every call returns fresh lists.
+computation per degree; the resonant count vectors are memoized per
+spec.  The memos are bounded and hold immutable tuples; every call
+returns fresh lists.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, product
+from itertools import chain, combinations, product
 
 from .errors import InternalInvariantViolation, OracleUnavailable
 from .exterior import (
@@ -69,16 +76,38 @@ def resonance_test(w: Weight) -> bool:
 
 
 def resonant_monomials(spec: AlmostAbelianSpec, k: int) -> list[tuple[int, ...]]:
-    """Slot tuples of the degree-k complex monomials with resonant weight sum."""
-    slots = {s.slot: s for s in generator_weights(spec)}
+    """Slot tuples of the degree-k complex monomials with resonant weight sum, sorted."""
+    groups, counts = _resonant_counts(spec)
     kept = []
-    for combo in combinations(range(1, spec.n + 1), k):
-        total = Weight.zero()
-        for i in combo:
-            total = total + slots[i].weight
-        if resonance_test(total):
-            kept.append(combo)
+    for count in counts:
+        if sum(count) != k:
+            continue
+        for parts in product(*(combinations(g, c) for g, c in zip(groups, count))):
+            kept.append(tuple(sorted(chain.from_iterable(parts))))
+    kept.sort()
     return kept
+
+
+@lru_cache(maxsize=SLICE_CACHE_SIZE)
+def _resonant_counts(spec: AlmostAbelianSpec) -> tuple[tuple, tuple]:
+    """``(groups, counts)``: the slots grouped by weight, and every count vector
+    (how many slots each group contributes) whose weight sum is a resonance."""
+    by_weight: dict[Weight, list[int]] = {}
+    for s in generator_weights(spec):
+        by_weight.setdefault(s.weight, []).append(s.slot)
+    sums = [((), Weight.zero())]
+    for w, slots in by_weight.items():
+        grown = []
+        for count, total in sums:
+            for c in range(len(slots) + 1):
+                if c:
+                    total = total + w
+                grown.append((count + (c,), total))
+        sums = grown
+    return (
+        tuple(tuple(slots) for slots in by_weight.values()),
+        tuple(count for count, total in sums if resonance_test(total)),
+    )
 
 
 def _realify(slots, combo) -> tuple[dict, dict]:
@@ -163,9 +192,7 @@ def shift_slice(spec: AlmostAbelianSpec, k: int) -> tuple[list[Multivector], lis
 def _shift_slice(spec: AlmostAbelianSpec, k: int) -> tuple[tuple, tuple]:
     basis = _nilpotent_submodule(spec, k)
     rows = [coordinate_vector(u) for u in basis]
-    slice_span = EchelonAccumulator()
-    for row in rows:
-        slice_span.add(row)
+    slice_span = EchelonAccumulator.from_reduced(rows)
     shift = nilpotent_log(spec)
     images = []
     for u in basis:
@@ -236,11 +263,7 @@ def spans_match(a: list[Multivector], b: list[Multivector]) -> bool:
 
 
 def in_submodule_span(basis: list[Multivector], x: Multivector) -> bool:
-    if x.is_zero():
-        return True
-    if not basis:
-        return False
-    acc = EchelonAccumulator()
-    for v in basis:
-        acc.add(coordinate_vector(v))
-    return not acc.add(coordinate_vector(x))
+    """Membership of ``x`` in the span of an echelon ``basis`` (as returned by
+    :func:`nilpotent_submodule` and :func:`shift_slice`)."""
+    span = EchelonAccumulator.from_reduced([coordinate_vector(v) for v in basis])
+    return not span.residue(coordinate_vector(x))

@@ -7,7 +7,8 @@ pinned the same way, s8 up to degree 7, so a change to the model
 construction is checked past the degrees a report reaches quickly.
 Two larger inline specs are pinned as well: s10 (symbols, complex blocks
 and a symplectic witness) and nil11 (``a(...)`` monomial names for
-n >= 10 and three zero-weight blocks).
+n >= 10 and three zero-weight blocks); nil13 is pinned through the
+unipotent stage alone.
 """
 
 import hashlib
@@ -74,6 +75,14 @@ SPECS = {
             {"kind": "real", "size": 3},
         ],
     },
+    "nil13": {
+        "n": 13,
+        "blocks": [
+            {"kind": "real", "size": 5},
+            {"kind": "real", "size": 4},
+            {"kind": "real", "size": 4},
+        ],
+    },
 }
 
 SPEC_GOLDEN = {
@@ -86,6 +95,14 @@ SPEC_GOLDEN = {
 def test_inline_spec_report_bytes_unchanged(name, max_degree):
     text = dumps_canonical(build_report(parse_spec(json.dumps(SPECS[name])), max_degree))
     assert hashlib.sha256(text.encode()).hexdigest() == SPEC_GOLDEN[name, max_degree]
+
+
+def test_large_fiber_unipotent_bytes_unchanged():
+    # the 8,192-monomial fiber of nil13 through the unipotent stage only
+    # (``unipotent --format json``), a size the other pins never reach
+    report = build_report(parse_spec(json.dumps(SPECS["nil13"])), 1, stages=("unipotent",))
+    digest = hashlib.sha256(dumps_canonical(report).encode()).hexdigest()
+    assert digest == "57754033fffcc3174d8ba47f9b04e3a59b3073827f4f29df2b6e7ca19528cd8d"
 
 
 MODEL_GOLDEN = {

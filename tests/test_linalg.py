@@ -279,3 +279,91 @@ def test_results_follow_an_order_preserving_relabelling_of_columns():
             by_label = {labels[j]: row for j, row in enumerate(tuple_mat)}
             square = [relabel(row) for row in matrix_mul(mat, mat)]
             assert matrix_mul(tuple_mat, by_label) == square
+
+
+def test_clearing_a_pivot_column_can_cancel_other_entries():
+    one = Fraction(1)
+    acc = EchelonAccumulator()
+    acc.add({0: one, 1: one, 2: one})
+    # clearing column 1 from the first row cancels its column-2 entry too,
+    # so that row no longer holds column 2
+    acc.add({1: one, 2: one})
+    assert acc.rows == [{0: one}, {1: one, 2: one}]
+    # the next pivot is that cancelled column: only the second row is cleared
+    assert acc.add({2: one, 3: one})
+    assert (acc.rows, acc.pivots) == ([{0: one}, {1: one, 3: -one}, {2: one, 3: one}], [0, 1, 2])
+
+
+def _reference_rref(mat):
+    """Textbook dense Gauss-Jordan elimination: (nonzero rows, pivot columns)."""
+    rows = [list(row) for row in mat]
+    pivots = []
+    for c in range(len(rows[0]) if rows else 0):
+        r = len(pivots)
+        pick = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if pick is None:
+            continue
+        rows[r], rows[pick] = rows[pick], rows[r]
+        rows[r] = [x / rows[r][c] for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c]:
+                f = rows[i][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+    return rows[: len(pivots)], pivots
+
+
+def _reference_map_kernel(mat):
+    """One vector per free column of the reduced transpose, as ``map_kernel`` documents."""
+    red, pivots = _reference_rref([list(col) for col in zip(*mat)])
+    kernel = []
+    for free in range(len(mat)):
+        if free in pivots:
+            continue
+        vec = [Fraction(0)] * len(mat)
+        vec[free] = Fraction(1)
+        for row, p in zip(red, pivots):
+            vec[p] = -row[free]
+        kernel.append(vec)
+    return kernel
+
+
+def _cancelling_matrix(rng):
+    """Sparse +-1 rows plus sums and differences of them, shuffled: eliminating
+    it cancels many entries of the stored rows."""
+    rows, cols = rng.randint(2, 9), rng.randint(2, 12)
+    mat = [
+        [Fraction(rng.choice([-1, 1])) if rng.random() < 0.3 else Fraction(0) for _ in range(cols)]
+        for _ in range(rows)
+    ]
+    for _ in range(rng.randint(1, 5)):
+        a, b = rng.choice(mat), rng.choice(mat)
+        sign = rng.choice([-1, 1])
+        mat.append([x + sign * y for x, y in zip(a, b)])
+    rng.shuffle(mat)
+    return mat
+
+
+def test_rref_and_map_kernel_match_reference_elimination_under_cancellation():
+    rng = random.Random(24)
+    for _ in range(250):
+        mat = _cancelling_matrix(rng)
+        red, pivots = _reference_rref(mat)
+        assert rref(_sparse(mat)) == (_sparse(red), pivots)
+        assert map_kernel(_sparse(mat)) == _sparse(_reference_map_kernel(mat))
+
+
+def test_from_reduced_continues_like_the_accumulator_that_built_the_rows():
+    rng = random.Random(25)
+    for _ in range(200):
+        mat = _sparse(_cancelling_matrix(rng))
+        cut = rng.randint(0, len(mat))
+        red, pivots = rref(mat[:cut])
+        acc = EchelonAccumulator.from_reduced(red)
+        assert (acc.rows, acc.pivots) == (red, pivots)
+        for row in mat[:cut]:
+            assert acc.residue(row) == {}
+        for row in mat[cut:]:
+            acc.add(row)
+        assert (acc.rows, acc.pivots) == rref(mat)
+        assert red == rref(mat[:cut])[0]  # the rows handed in were copied

@@ -1,4 +1,4 @@
-"""In-process memo of the per-(spec, degree) slices."""
+"""In-process memos: the per-(spec, degree) slices and the per-spec resonant count vectors."""
 
 import importlib
 import inspect
@@ -7,7 +7,14 @@ import pytest
 
 from solvform import build_report, verify_report
 from solvform.cohomology import cohomology
-from solvform.monodromy import _nilpotent_submodule, _shift_slice, nilpotent_submodule
+from solvform.monodromy import (
+    _nilpotent_submodule,
+    _resonant_counts,
+    _shift_slice,
+    nilpotent_submodule,
+    resonant_monomials,
+)
+from solvform.spectral import SLICE_CACHE_SIZE
 from solvform.symplectic import closed_two_classes
 
 MEMOS = (_nilpotent_submodule, _shift_slice)
@@ -44,15 +51,32 @@ def test_cached_results_are_not_aliased(s6):
     basis = nilpotent_submodule(s6, 2)
     closed = closed_two_classes(s6)
     kernel = cohomology(s6, 1).kernel_reps
-    assert basis and closed and kernel
-    expected = (list(basis), list(closed), list(kernel))
-    for returned in (basis, closed, kernel):
+    combos = resonant_monomials(s6, 2)
+    assert basis and closed and kernel and combos
+    expected = (list(basis), list(closed), list(kernel), list(combos))
+    for returned in (basis, closed, kernel, combos):
         returned.reverse()
         returned.append(returned[0])
     assert nilpotent_submodule(s6, 2) == expected[0]
     assert closed_two_classes(s6) == expected[1]
     assert cohomology(s6, 1).kernel_reps == expected[2]
+    assert resonant_monomials(s6, 2) == expected[3]
     assert _nilpotent_submodule.cache_info().hits > 0
+    assert _resonant_counts.cache_info().hits > 0
+
+
+def test_resonant_counts_are_computed_once_per_spec(s6, s8):
+    _resonant_counts.cache_clear()
+    for spec in (s6, s8):
+        for k in range(spec.n + 1):
+            resonant_monomials(spec, k)
+    info = _resonant_counts.cache_info()
+    assert (info.misses, info.currsize) == (2, 2)
+    assert info.hits == s6.n + s8.n
+    assert info.maxsize == SLICE_CACHE_SIZE
+    groups, counts = _resonant_counts(s8)
+    assert isinstance(groups, tuple) and all(isinstance(g, tuple) for g in groups)
+    assert isinstance(counts, tuple) and all(isinstance(c, tuple) for c in counts)
 
 
 @pytest.mark.parametrize(
@@ -60,6 +84,7 @@ def test_cached_results_are_not_aliased(s6):
     [
         ("monodromy", "nilpotent_submodule"),
         ("monodromy", "shift_slice"),
+        ("monodromy", "resonant_monomials"),
         ("cohomology", "cohomology"),
         ("cohomology", "betti_numbers"),
         ("symplectic", "closed_two_classes"),

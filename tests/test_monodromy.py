@@ -1,7 +1,10 @@
 """Unipotent-monodromy submodule: enumeration route vs. independent iteration."""
 
+import json
 import random
+from collections import Counter
 from fractions import Fraction
+from math import prod
 
 import pytest
 
@@ -28,7 +31,15 @@ from solvform.exterior import (
     wedge,
 )
 from solvform.linalg import echelon_basis, map_kernel, matrix_mul
-from solvform.monodromy import in_submodule_span, resonant_monomials
+from solvform import monodromy
+from solvform.errors import InternalInvariantViolation
+from solvform.monodromy import (
+    _resonant_counts,
+    _shift_slice,
+    in_submodule_span,
+    resonant_monomials,
+    shift_slice,
+)
 from solvform.scalars import ScalarLC
 from solvform.spectral import Weight
 
@@ -257,3 +268,122 @@ def test_realify_matches_multivector_expansion():
                 assert (re, im) == _expand_by_wedges(spec.n, slots, combo)
                 checked += 1
     assert checked >= 200
+
+
+# larger specs for the weight-count enumeration; nil7 and nil322 are the
+# benchmark's nilpotent inputs, the rest are the ROADMAP baseline instances
+WEIGHT_COUNT_SPECS = {
+    "nil7": {"n": 7, "blocks": [{"kind": "real", "size": 7}]},
+    "nil322": {
+        "n": 7,
+        "blocks": [{"kind": "real", "size": 3}, {"kind": "real", "size": 2}, {"kind": "real", "size": 2}],
+    },
+    "s10": {
+        "n": 9,
+        "symbols": ["b"],
+        "blocks": [
+            {"kind": "real", "size": 3},
+            {"kind": "complex", "size": 1, "re": "b", "im_resonant": "1"},
+            {"kind": "complex", "size": 1, "re": "-b", "im_resonant": "1"},
+            {"kind": "complex", "size": 1, "im_resonant": "1"},
+        ],
+    },
+    "s12": {
+        "n": 11,
+        "symbols": ["b", "c"],
+        "blocks": [
+            {"kind": "real", "size": 3},
+            {"kind": "complex", "size": 1, "re": "b", "im_resonant": "1"},
+            {"kind": "complex", "size": 1, "re": "-b", "im_resonant": "1"},
+            {"kind": "complex", "size": 1, "re": "c", "im_resonant": "1"},
+            {"kind": "complex", "size": 1, "re": "-c", "im_resonant": "1"},
+        ],
+    },
+    "nil11": {
+        "n": 11,
+        "blocks": [{"kind": "real", "size": 4}, {"kind": "real", "size": 4}, {"kind": "real", "size": 3}],
+    },
+    "nil13": {
+        "n": 13,
+        "blocks": [{"kind": "real", "size": 5}, {"kind": "real", "size": 4}, {"kind": "real", "size": 4}],
+    },
+}
+
+
+def _weight_count_specs(fixtures):
+    rng = random.Random(45)
+    specs = list(fixtures)
+    specs += [parse_spec(json.dumps(doc)) for doc in WEIGHT_COUNT_SPECS.values()]
+    specs += [random_resonant_spec(rng, n_max=7) for _ in range(60)]
+    specs += [random_unimodular_spec(rng, n_max=7) for _ in range(60)]
+    return specs
+
+
+def _brute_resonant_monomials(spec):
+    """Every slot subset with resonant weight sum, by degree: each subset's sum
+    is its prefix subset's sum plus one slot weight, with no grouping."""
+    slots = generator_weights(spec)
+    by_degree = [[] for _ in range(spec.n + 1)]
+
+    def visit(start, combo, total):
+        if resonance_test(total):
+            by_degree[len(combo)].append(combo)
+        for pos in range(start, len(slots)):
+            s = slots[pos]
+            visit(pos + 1, combo + (s.slot,), total + s.weight)
+
+    visit(0, (), Weight.zero())
+    return [sorted(kept) for kept in by_degree]
+
+
+def test_resonant_monomials_match_subset_enumeration(s6, s8, torus3, torus4, heisenberg3):
+    for spec in _weight_count_specs((s6, s8, torus3, torus4, heisenberg3)):
+        expected = _brute_resonant_monomials(spec)
+        assert [resonant_monomials(spec, k) for k in range(spec.n + 1)] == expected
+        assert resonant_monomials(spec, spec.n + 1) == []
+
+
+def test_resonant_monomials_add_one_weight_per_count_vector(
+    monkeypatch, s6, s8, torus3, torus4, heisenberg3
+):
+    added = 0
+    plain_add = Weight.__add__
+
+    def counting_add(self, other):
+        nonlocal added
+        added += 1
+        return plain_add(self, other)
+
+    monkeypatch.setattr(Weight, "__add__", counting_add)
+    for spec in _weight_count_specs((s6, s8, torus3, torus4, heisenberg3)):
+        sizes = Counter(s.weight for s in generator_weights(spec)).values()
+        bound = prod(size + 1 for size in sizes)
+        _resonant_counts.cache_clear()
+        added = 0
+        for k in range(spec.n + 1):
+            resonant_monomials(spec, k)
+        assert added <= bound
+
+
+def test_shift_out_of_the_slice_is_caught(monkeypatch, s8):
+    # the degree-1 slice of s8 is spanned by a1, a2, a3; a shift sending
+    # a1 to a4 (weight b, not resonant) leaves it
+    images = [Multivector.zero(7, 1) for _ in range(7)]
+    images[0] = Multivector.basis_one_form(7, 4)
+    monkeypatch.setattr(monodromy, "nilpotent_log", lambda spec: LinearEndo(7, images))
+    _shift_slice.cache_clear()
+    try:
+        with pytest.raises(InternalInvariantViolation, match="out of the unipotent slice"):
+            shift_slice(s8, 1)
+    finally:
+        _shift_slice.cache_clear()
+
+
+def test_in_submodule_span_rejects_vectors_outside(s8):
+    basis = nilpotent_submodule(s8, 1)
+    a = [Multivector.basis_one_form(7, i) for i in range(1, 8)]
+    assert in_submodule_span(basis, a[0] + a[2].scaled(Fraction(-3, 2)))
+    assert in_submodule_span(basis, Multivector.zero(7, 1))
+    assert not in_submodule_span(basis, a[3])
+    assert not in_submodule_span(basis, a[0] + a[4])
+    assert not in_submodule_span([], a[0])

@@ -2,9 +2,9 @@
 
 Subcommands run the pipeline up to a stage and emit a report; ``verify``
 re-derives the claims of a previously written machine-readable report.
-Exit codes: 0 success, 1 input problem (unreadable file, schema or
-hypothesis violation, malformed report, failed verification), 2 broken
-internal invariant or any other unexpected error.
+Exit codes: 0 success, 1 input problem (unreadable file, unwritable
+report path, schema or hypothesis violation, malformed report, failed
+verification), 2 broken internal invariant or any other unexpected error.
 """
 
 from __future__ import annotations
@@ -66,8 +66,11 @@ def _run_stage(args) -> int:
     report = build_report(spec, args.max_degree, stages=_STAGE_PREFIXES[args.command])
     payload = dumps_canonical(report) if args.format == "json" else render_text(report)
     if args.report:
-        with open(args.report, "w", encoding="utf-8") as handle:
-            handle.write(payload)
+        try:
+            with open(args.report, "w", encoding="utf-8") as handle:
+                handle.write(payload)
+        except OSError as exc:
+            raise InputError(f"cannot write report: {exc}") from exc
     else:
         sys.stdout.write(payload)
     return 0

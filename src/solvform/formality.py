@@ -24,11 +24,10 @@ beyond finitely many degrees.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .errors import InputError, InternalInvariantViolation
-from .exterior import Multivector, coordinate_vector, derivation_apply
-from .linalg import map_kernel, solve_combination
+from .exterior import coordinate_vector, derivation_apply
+from .linalg import solve_combination
 from .minimal_model import MinimalModel, build_minimal_model
 from .spectral import AlmostAbelianSpec, nilpotent_log
 
@@ -66,32 +65,22 @@ def build_twisted_model(spec: AlmostAbelianSpec, model: MinimalModel) -> Twisted
 def _theta_closed(model: MinimalModel, ntl, gen):
     """Realize the shift image of a closed generator by earlier classes.
 
-    Solved against the earlier same-degree closed generators followed by
-    the classes of the subalgebra of lower-degree generators; the flag
-    ordering of same-degree generators guarantees a solution there.
+    Solved against the classes of the generators created before it: the
+    lower-degree generators and the earlier same-degree closed ones.  The
+    flag ordering of same-degree generators guarantees a solution there,
+    and the realization is injective on those classes, so it is unique.
     """
     target = derivation_apply(ntl, gen.rho)
     if target.is_zero():
         return {}
-    q = gen.degree
-    columns: list[dict] = []
-    images: list[Multivector] = []
-    for other in model.gens:
-        if other.gid >= gen.gid:
-            break
-        if other.closed and other.degree == q:
-            columns.append({(other.gid,): Fraction(1)})
-            images.append(other.rho)
-    for rep in model.class_reps(q, max_gen_degree=q):
-        columns.append(rep.poly)
-        images.append(rep.rho)
-    rows = [coordinate_vector(img) for img in images]
+    reps = model.class_reps(gen.degree, range(gen.gid))
+    rows = [coordinate_vector(rep.rho) for rep in reps]
     coeffs, _ = solve_combination(rows, coordinate_vector(target))
     if coeffs is None:
         raise InternalInvariantViolation(
             f"shift image of {gen.name} is not realized by earlier classes"
         )
-    return model.p_combination(coeffs, columns)
+    return model.p_combination(coeffs, [rep.poly for rep in reps])
 
 
 def _theta_nonclosed(model: MinimalModel, tm: TwistedModel, gen):
@@ -106,7 +95,7 @@ def _theta_nonclosed(model: MinimalModel, tm: TwistedModel, gen):
         return {}, False
     q = gen.degree
     rhs_gids = {gid for mono in rhs for gid in mono}
-    for restricted, gids in ((True, model.restricted_gids(before_gid=gen.gid)), (False, None)):
+    for restricted, gids in ((True, range(gen.gid)), (False, None)):
         domain = model.monomials(q, gids)
         if not domain:
             continue
@@ -180,10 +169,8 @@ def formality_from_twisted(tm: TwistedModel, k: int) -> FormalityVerdict:
         raise InputError(f"formality degree {k} exceeds model bound {model.degree_bound}")
     verdict = FormalityVerdict(k, model.degree_bound)
     for i in range(1, k + 1):
-        domain = model.monomials(i)
         status = DegreeStatus(i, True)
-        for vec in map_kernel([model.d_mono(m) for m in domain]):
-            poly = {domain[j]: c for j, c in vec.items()}
+        for poly in model.cocycles(i):
             twist = tm.theta_poly(poly)
             if twist:
                 status = DegreeStatus(i, False, poly, twist)

@@ -17,6 +17,8 @@ is staged by degree q:
 
   (b) new closed degree-q generators realize a complement of the image
       of the existing classes inside the degree-q slice of the target;
+      those classes are the ones the last killing round of stage q-1
+      computed, on the same generators, so they are not formed again;
       the complement basis is ordered along the kernel filtration of the
       shift action modulo that image, so the twist added later is
       strictly triangular on same-degree generators;
@@ -77,10 +79,9 @@ class ClassRep:
 class MinimalModel:
     """Free graded-commutative algebra on ordered generators with differential."""
 
-    def __init__(self, spec: AlmostAbelianSpec, degree_bound: int, u_bases: dict):
+    def __init__(self, spec: AlmostAbelianSpec, degree_bound: int):
         self.spec = spec
         self.degree_bound = degree_bound
-        self.u_bases = u_bases
         self.gens: list[Generator] = []
         self._mono_cache: dict = {}  # (degree, gids) -> sorted monomials
         self._d_cache: dict = {}  # monomial -> its differential
@@ -149,16 +150,6 @@ class MinimalModel:
         self._mono_cache[key] = found
         return found
 
-    def restricted_gids(self, max_degree=None, before_gid=None) -> list[int]:
-        out = []
-        for g in self.gens:
-            if max_degree is not None and g.degree >= max_degree:
-                continue
-            if before_gid is not None and g.gid >= before_gid:
-                continue
-            out.append(g.gid)
-        return out
-
     def mono_mul(self, u, v):
         """Merge two sorted monomials; (sign, monomial) or None when an odd id repeats."""
         sign = 1
@@ -199,6 +190,8 @@ class MinimalModel:
         return out
 
     def p_mul(self, p, q):
+        """Product of two polynomials.  Nothing in the package calls it, but
+        ``bench/layertrace.py`` wraps it by name and tests use it as the reference."""
         out: dict = {}
         for mu, cu in p.items():
             for mv, cv in q.items():
@@ -298,21 +291,22 @@ class MinimalModel:
 
     # ----- cohomology of the model -------------------------------------------------
 
-    def class_reps(self, k: int, max_gen_degree=None) -> list[ClassRep]:
-        """Echelonized degree-k cohomology classes with their realizations."""
-        # None keys the monomial cache by degree alone, so lists survive new generators
-        gids = None if max_gen_degree is None else self.restricted_gids(max_degree=max_gen_degree)
-        b_here = self.monomials(k, gids)
-        if not b_here:
-            return []
+    def cocycles(self, k: int, gids=None) -> list[dict]:
+        """Basis of the degree-k cocycles over the given generator ids, as polynomials."""
+        domain = self.monomials(k, gids)
         # polynomials are the rows; kernel vectors are keyed by domain position
-        cocycles = map_kernel([self.d_mono(m) for m in b_here])
+        kernel = map_kernel([self.d_mono(m) for m in domain])
+        return [{domain[j]: c for j, c in vec.items()} for vec in kernel]
+
+    def class_reps(self, k: int, gids=None) -> list[ClassRep]:
+        """Echelonized degree-k classes over the given generator ids, with realizations."""
+        # gids=None keys the monomial cache by degree alone, so lists survive new generators
         image = EchelonAccumulator()
         for m in self.monomials(k - 1, gids):
             image.add(self.d_mono(m))
         classes = EchelonAccumulator()
-        for vec in cocycles:
-            classes.add(image.residue({b_here[j]: c for j, c in vec.items()}))
+        for poly in self.cocycles(k, gids):
+            classes.add(image.residue(poly))
         return [ClassRep(poly, self.rho_poly(poly)) for poly in classes.rows]
 
 
@@ -342,7 +336,7 @@ def _flag_ordered_complement(model: MinimalModel, q: int, image_reps: list[Class
     of its predecessors plus the image.
     """
     spec = model.spec
-    u_basis = model.u_bases.get(q, [])
+    u_basis = nilpotent_submodule(spec, q)
     if not u_basis:
         return []
     image_acc = EchelonAccumulator()
@@ -395,10 +389,10 @@ def build_minimal_model(spec: AlmostAbelianSpec, d_max: int) -> MinimalModel:
     """Staged construction up to the degree bound; see the module docstring."""
     if d_max < 1:
         raise InputError("model degree bound must be at least 1")
-    u_bases = {k: nilpotent_submodule(spec, k) for k in range(0, min(spec.n, d_max + 1) + 1)}
-    model = MinimalModel(spec, d_max, u_bases)
+    model = MinimalModel(spec, d_max)
+    reps: list[ClassRep] = []  # class_reps(q) of the generators so far
     for q in range(1, d_max + 1):
-        for vec in _flag_ordered_complement(model, q, model.class_reps(q)):
+        for vec in _flag_ordered_complement(model, q, reps):
             model.add_generator(degree=q, rho=vec, closed=True)
         for _round in range(50):
             reps = model.class_reps(q + 1)
@@ -423,8 +417,6 @@ def model_cohomology(model: MinimalModel, k: int) -> list[ClassRep]:
     """Degree-k classes of the finished model (error above the bound)."""
     if k > model.degree_bound:
         raise InputError(f"degree {k} exceeds the model bound {model.degree_bound}")
-    if k == 0:
-        return [ClassRep({(): Fraction(1)}, Multivector.unit(model.spec.n))]
     return model.class_reps(k)
 
 
@@ -433,7 +425,7 @@ def verify_quasi_iso(model: MinimalModel) -> dict[int, dict]:
     out = {}
     for k in range(1, model.degree_bound + 1):
         reps = model.class_reps(k)
-        u_basis = model.u_bases.get(k, [])
+        u_basis = nilpotent_submodule(model.spec, k)
         acc = EchelonAccumulator()
         image_rank = sum(acc.add(coordinate_vector(rep.rho)) for rep in reps)
         injective = image_rank == len(reps)

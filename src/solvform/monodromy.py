@@ -210,10 +210,8 @@ def _shift_slice(spec: AlmostAbelianSpec, k: int) -> tuple[tuple, tuple]:
 
 
 def oracle_applicable(spec: AlmostAbelianSpec) -> bool:
-    return all(
-        b.re.is_zero() and b.im_symbolic.is_zero() and b.im_resonant.denominator == 1
-        for b in spec.blocks
-    )
+    """True when every slot weight is a resonance, i.e. the semisimple part is trivial."""
+    return all(resonance_test(s.weight) for s in generator_weights(spec))
 
 
 def nilpotent_submodule_oracle(spec: AlmostAbelianSpec, k: int) -> list[Multivector]:

@@ -36,6 +36,13 @@ def heisenberg3():
     return load_spec(fixture_path("heisenberg3"))
 
 
+@pytest.fixture(scope="session")
+def nil322():
+    """Three nilpotent Jordan blocks of sizes 3, 2, 2 (not a bundled fixture)."""
+    blocks = tuple(Block("real", size, ScalarLC(0)) for size in (3, 2, 2))
+    return AlmostAbelianSpec(7, blocks)
+
+
 def random_rational(rng, lo=-4, hi=4, den=3) -> Fraction:
     return Fraction(rng.randint(lo, hi), rng.randint(1, den))
 

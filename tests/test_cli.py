@@ -124,6 +124,14 @@ def test_unreadable_input_exit_code(tmp_path, capsys):
     assert "cannot read input" in capsys.readouterr().err
 
 
+def test_unwritable_report_path_exit_code(tmp_path, capsys):
+    spec_path = _write_spec(tmp_path, text=fixture_path("torus3").read_text())
+    report_path = tmp_path / "missing" / "r.json"
+    assert main(["analyze", str(spec_path), "--report", str(report_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write report: ") and err.count("\n") == 1
+
+
 def test_malformed_report_diagnostic(tmp_path, capsys):
     spec_path = _write_spec(tmp_path)
     report_path = tmp_path / "broken.json"

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import random_multivector, random_unimodular_spec
+from conftest import random_multivector, random_resonant_spec, random_unimodular_spec
 from solvform import (
     CEElement,
     HypothesisError,
@@ -16,7 +16,8 @@ from solvform import (
 )
 from solvform.cohomology import trace_is_zero
 from solvform.exterior import LinearEndo, Multivector, derivation_apply, wedge
-from solvform.spectral import modified_matrix
+from solvform.monodromy import resonant_monomials
+from solvform.spectral import modification_hypothesis_holds, modified_matrix
 
 
 def _rep_set(slice_, n):
@@ -285,3 +286,54 @@ def test_nonzero_rational_weights_have_no_cohomology():
     spec = parse_spec('{"n": 2, "blocks": [{"kind": "real", "size": 2, "re": "1"}]}')
     assert betti_numbers(spec) == [1, 1, 0, 0]
     assert _rep_set(cohomology(spec, 1), 2) == {"1^a3"}
+
+
+_SL2_SPECS = {
+    "nil7": '{"n": 7, "blocks": [{"kind": "real", "size": 7}]}',
+    "nil11": '{"n": 11, "blocks": [{"kind": "real", "size": 4}, {"kind": "real", "size": 4},'
+    ' {"kind": "real", "size": 3}]}',
+    "s10": '{"n": 9, "symbols": ["b"], "blocks": [{"kind": "real", "size": 3},'
+    ' {"kind": "complex", "size": 1, "re": "b", "im_resonant": "1"},'
+    ' {"kind": "complex", "size": 1, "re": "-b", "im_resonant": "1"},'
+    ' {"kind": "complex", "size": 1, "im_resonant": "1"}]}',
+    "complex3": '{"n": 6, "blocks": [{"kind": "complex", "size": 3, "im_resonant": "1"}]}',
+}
+
+
+def _sl2_slot_weights(spec):
+    """The slot at position j of a Jordan chain of length m has sl2 weight
+    2j - (m - 1); a real block is one chain, a complex block two, one
+    through its z slots and one through its conjugate slots."""
+    out = {}
+    for block, start in zip(spec.blocks, spec.block_starts()):
+        m = block.size
+        for j in range(m):
+            if block.kind == "real":
+                out[start + j] = 2 * j - (m - 1)
+            else:
+                out[start + 2 * j] = out[start + 2 * j + 1] = 2 * j - (m - 1)
+    return out
+
+
+def test_betti_numbers_from_sl2_weights(s6, s8, torus3, torus4, heisenberg3, nil322):
+    # the shift makes each resonant slice an sl2-module, so dim ker N_k counts
+    # the resonant monomials of sl2 weight 0 or 1 (Jacobson-Morozov), and
+    # b_k = dim ker N_k + dim coker N_(k-1) under the modification hypothesis
+    rng = random.Random(47)
+    specs = [s6, s8, torus3, torus4, heisenberg3, nil322]
+    specs += [parse_spec(doc) for doc in _SL2_SPECS.values()]
+    specs += [random_resonant_spec(rng, n_max=7) for _ in range(60)]
+    specs += [random_unimodular_spec(rng, n_max=7) for _ in range(60)]
+    checked = 0
+    for spec in specs:
+        if not modification_hypothesis_holds(spec):
+            continue
+        weight = _sl2_slot_weights(spec)
+        # kappa[k + 1] = dim ker N_k, padded with zeros for k = -1 and k = n + 1
+        kappa = [0] + [
+            sum(sum(weight[s] for s in mono) in (0, 1) for mono in resonant_monomials(spec, k))
+            for k in range(spec.n + 1)
+        ] + [0]
+        assert betti_numbers(spec) == [kappa[k + 1] + kappa[k] for k in range(spec.n + 2)]
+        checked += 1
+    assert checked >= 100

@@ -14,12 +14,13 @@ from solvform import (
     formality_from_twisted,
     k_formality,
     nilpotent_log,
+    parse_spec,
     total_model_dump,
 )
 from solvform.errors import InternalInvariantViolation
-from solvform.exterior import derivation_apply
+from solvform.exterior import coordinate_vector, derivation_apply
 from solvform.formality import TwistedModel, _theta_nonclosed
-from solvform.linalg import map_kernel, rref
+from solvform.linalg import map_kernel, rref, solve_combination
 from solvform.minimal_model import MinimalModel
 from solvform.monodromy import nilpotent_submodule
 
@@ -241,7 +242,7 @@ def _reference_theta_nonclosed(model, tm, gen):
     rhs = tm.theta_poly(gen.differential)
     if not rhs:
         return {}, False
-    for restricted, gids in ((True, model.restricted_gids(before_gid=gen.gid)), (False, None)):
+    for restricted, gids in ((True, range(gen.gid)), (False, None)):
         domain = model.monomials(gen.degree, gids)
         codomain = {m: i for i, m in enumerate(model.monomials(gen.degree + 1, gids))}
         if not domain:
@@ -263,6 +264,55 @@ def _reference_theta_nonclosed(model, tm, gen):
         chose = (not restricted) or len(map_kernel(rows)) > 0
         return {domain[i]: c for i, c in sorted(coeffs.items())}, chose
     return None
+
+
+def _reference_theta_closed(model, ntl, gen):
+    """The twist of a closed generator from two column lists: the earlier
+    same-degree closed generators, then the classes of the lower-degree
+    generators.  The realizations of those columns are independent, so the
+    least solution is the only one."""
+    target = derivation_apply(ntl, gen.rho)
+    if target.is_zero():
+        return {}
+    columns, images = [], []
+    for other in model.gens[: gen.gid]:
+        if other.closed and other.degree == gen.degree:
+            columns.append({(other.gid,): Fraction(1)})
+            images.append(other.rho)
+    lower = [g.gid for g in model.gens if g.degree < gen.degree]
+    for rep in model.class_reps(gen.degree, lower):
+        columns.append(rep.poly)
+        images.append(rep.rho)
+    rows = [coordinate_vector(x) for x in images]
+    coeffs, free = solve_combination(rows, coordinate_vector(target))
+    assert coeffs is not None and free == 0
+    return model.p_combination(coeffs, columns)
+
+
+def test_theta_closed_matches_the_two_column_reference(s6, s8, nil322, heisenberg3, torus4):
+    rng = random.Random(75)
+    # two opposite symbolic Jordan blocks next to a nilpotent one, so that
+    # degree-2 closed generators carry a twist while degree-1 classes exist
+    jordan = parse_spec(
+        '{"n": 6, "symbols": ["b"], "blocks": [{"kind": "real", "size": 2, "re": "b"},'
+        ' {"kind": "real", "size": 2, "re": "-b"}, {"kind": "real", "size": 2}]}'
+    )
+    cases = [(s6, 4), (s8, 4), (nil322, 4), (heisenberg3, 4), (torus4, 4), (jordan, 3)]
+    cases += [(random_unimodular_spec(rng, n_max=6), rng.randint(1, 4)) for _ in range(20)]
+    twisted_degrees = []
+    for spec, bound in cases:
+        model = build_minimal_model(spec, bound)
+        tm = build_twisted_model(spec, model)
+        ntl = nilpotent_log(spec)
+        degrees = set()
+        for gen in model.gens:
+            if gen.closed:
+                assert tm.theta[gen.gid] == _reference_theta_closed(model, ntl, gen)
+                if tm.theta[gen.gid]:
+                    degrees.add(gen.degree)
+        twisted_degrees.append(degrees)
+    assert twisted_degrees[1] == {1} and twisted_degrees[2] == {1}  # s8, nil322
+    assert twisted_degrees[5] == {1, 2}  # jordan
 
 
 # Generators as (degree, differential, closed); the twist sends the
@@ -300,7 +350,7 @@ _TWIST_CASES = {
 
 
 def _twist_case(spec, layout):
-    model = MinimalModel(spec, 2, {})
+    model = MinimalModel(spec, 2)
     gid = {name: i for i, (name, _, _) in enumerate(layout)}
     for name, degree, differential in layout:
         model.add_generator(

@@ -84,6 +84,16 @@ def test_model_cohomology_dimensions(s6, s8):
         model_cohomology(model8, 3)
 
 
+def test_degree_zero_class_is_the_unit(s6, s8, torus3, heisenberg3):
+    models = [build_minimal_model(spec, 2) for spec in (s6, s8, torus3, heisenberg3)]
+    models.append(MinimalModel(s6, 1))  # no generators at all
+    for model in models:
+        (rep,) = model_cohomology(model, 0)
+        assert rep.poly == {(): Fraction(1)}
+        unit = Multivector.unit(model.spec.n)
+        assert rep.rho == unit and str(rep.rho) == str(unit)
+
+
 def test_degree_bound_validation(s6):
     with pytest.raises(InputError):
         build_minimal_model(s6, 0)
@@ -106,9 +116,26 @@ def test_quasi_isomorphism_random_specs():
         assert all(entry["ok"] for entry in verify_quasi_iso(model).values())
 
 
+def test_build_forms_each_stage_classes_once(monkeypatch, s8, nil322):
+    # stage q+1 starts from the classes the last killing round of stage q
+    # formed on the same generators, so no (degree, generators) pair repeats
+    plain = MinimalModel.class_reps
+    calls = []
+
+    def recording(self, k, gids=None):
+        calls.append((k, None if gids is None else tuple(gids), len(self.gens)))
+        return plain(self, k, gids)
+
+    monkeypatch.setattr(MinimalModel, "class_reps", recording)
+    for spec, bound, expected in ((s8, 6, 10), (nil322, 3, 3)):
+        calls.clear()
+        build_minimal_model(spec, bound)
+        assert len(set(calls)) == len(calls) == expected
+
+
 def test_truncated_model_fails_verification(s8):
     model = build_minimal_model(s8, 2)
-    truncated = MinimalModel(model.spec, model.degree_bound, model.u_bases)
+    truncated = MinimalModel(model.spec, model.degree_bound)
     for g in model.gens[:-1]:  # drop one degree-2 generator
         truncated.add_generator(g.degree, g.differential, g.rho, g.closed)
     results = verify_quasi_iso(truncated)
@@ -240,7 +267,7 @@ def _brute_force_monomials(model, k, gids):
 def test_monomials_of_many_generators_out_of_degree_order(s6):
     # more generators than the default recursion limit, the large blocks
     # created before the low-degree ones, so generator order is not degree order
-    model = MinimalModel(s6, 9, {})
+    model = MinimalModel(s6, 9)
     degrees = [8] * 700 + [1, 3, 2, 1, 4, 2, 1, 6, 2, 5, 1] + [7] * 400 + [2, 1, 3]
     for degree in degrees:
         model.add_generator(degree)
@@ -250,5 +277,6 @@ def test_monomials_of_many_generators_out_of_degree_order(s6):
         monos = model.monomials(k)
         assert monos == _brute_force_monomials(model, k, everything)
     assert len(model.monomials(8)) > 700
-    gids = model.restricted_gids(max_degree=7, before_gid=1105)
+    # not a prefix: the degree-7 block and the generators after it are left out
+    gids = [gid for gid, degree in enumerate(degrees) if degree < 7 and gid < 1105]
     assert model.monomials(6, gids) == _brute_force_monomials(model, 6, gids)

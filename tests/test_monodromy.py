@@ -1,5 +1,6 @@
 """Unipotent-monodromy submodule: enumeration route vs. independent iteration."""
 
+import dataclasses
 import json
 import random
 from collections import Counter
@@ -106,6 +107,37 @@ def test_oracle_equivalence_randomized():
 def test_oracle_unavailable_for_symbolic_spectrum(s8):
     with pytest.raises(OracleUnavailable):
         nilpotent_submodule_oracle(s8, 1)
+
+
+def _with_rotations(rng, spec):
+    """The spec with each complex block's rotation redrawn: integer, 1/2-turn,
+    1/3-turn, or with a symbolic part."""
+    blocks = []
+    for b in spec.blocks:
+        if b.kind == "complex":
+            im = rng.choice([b.im_resonant, Fraction(1, 2), Fraction(1, 3), Fraction(-2, 3)])
+            sym = rng.choice([ScalarLC(0), ScalarLC(0), ScalarLC.symbol("c", Fraction(1))])
+            b = dataclasses.replace(b, im_resonant=im, im_symbolic=sym)
+        blocks.append(b)
+    return AlmostAbelianSpec(spec.n, tuple(blocks), symbols=("b", "c"))
+
+
+def test_oracle_applicable_is_the_blockwise_condition(s6, s8, torus3, torus4, heisenberg3, nil322):
+    rng = random.Random(46)
+    specs = [s6, s8, torus3, torus4, heisenberg3, nil322]
+    specs += [parse_spec(json.dumps(WEIGHT_COUNT_SPECS[name])) for name in ("nil7", "s10")]
+    for _ in range(60):
+        specs.append(_with_rotations(rng, random_resonant_spec(rng, n_max=7)))
+        specs.append(_with_rotations(rng, random_unimodular_spec(rng, n_max=7)))
+    seen = Counter()
+    for spec in specs:
+        blockwise = all(
+            b.re.is_zero() and b.im_symbolic.is_zero() and b.im_resonant.denominator == 1
+            for b in spec.blocks
+        )
+        assert monodromy.oracle_applicable(spec) == blockwise
+        seen[blockwise] += 1
+    assert seen[True] > 10 and seen[False] > 10
 
 
 def test_oracle_zero_matrix_gives_everything(torus4):

@@ -2,14 +2,16 @@
 
 Subcommands run the pipeline up to a stage and emit a report; ``verify``
 re-derives the claims of a previously written machine-readable report.
-Exit codes: 0 success, 1 input problem (unreadable file, unwritable
-report path, schema or hypothesis violation, malformed report, failed
-verification), 2 broken internal invariant or any other unexpected error.
+The two command shapes are fixed (see ``USAGE``), so they are parsed
+directly; an option takes its value as ``--opt value`` or ``--opt=value``.
+Exit codes: 0 success (``-h``/``--help`` prints the usage), 1 input
+problem (usage error, unreadable file, unwritable report path, schema or
+hypothesis violation, malformed report, failed verification), 2 broken
+internal invariant or any other unexpected error.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
 
@@ -20,33 +22,22 @@ from .spectral import load_spec
 _STAGE_PREFIXES = {stage: STAGES[: i + 1] for i, stage in enumerate(STAGES)}
 _STAGE_PREFIXES["analyze"] = STAGES
 
-
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="solvform",
-        description="Exact analysis of almost abelian solvmanifold presentations.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in _STAGE_PREFIXES:
-        cmd = sub.add_parser(name, help=f"run the pipeline through the {name} stage")
-        cmd.add_argument("input", help="path to the instance document (JSON)")
-        cmd.add_argument("--max-degree", type=int, default=3, metavar="K",
-                         help="degree bound for the model and formality check (default 3)")
-        cmd.add_argument("--report", metavar="PATH", help="write the report to this path")
-        cmd.add_argument("--format", choices=("text", "json"), default="text",
-                         help="report format (default text)")
-    ver = sub.add_parser("verify", help="re-derive the claims of a machine-readable report")
-    ver.add_argument("report", help="path to a JSON report")
-    ver.add_argument("input", help="path to the instance document the report is about")
-    return parser
+USAGE = (
+    "solvform <stage> INPUT.json [--max-degree K] [--report PATH] [--format text|json]\n"
+    "solvform verify REPORT.json INPUT.json\n"
+)
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if "-h" in argv or "--help" in argv:
+        sys.stdout.write(USAGE)
+        return 0
     try:
-        if args.command == "verify":
-            return _run_verify(args)
-        return _run_stage(args)
+        command, paths, options = _parse_args(argv)
+        if command == "verify":
+            return _run_verify(*paths)
+        return _run_stage(command, paths[0], options)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -61,13 +52,51 @@ def main(argv=None) -> int:
         return 2
 
 
-def _run_stage(args) -> int:
-    spec = load_spec(args.input)
-    report = build_report(spec, args.max_degree, stages=_STAGE_PREFIXES[args.command])
-    payload = dumps_canonical(report) if args.format == "json" else render_text(report)
-    if args.report:
+def _parse_args(argv: list[str]) -> tuple[str, list[str], dict]:
+    """``(command, paths, options by name)`` of one of the ``USAGE`` shapes.
+
+    Any usage error is an :class:`InputError`.
+    """
+    if not argv:
+        raise InputError("missing command (see solvform --help)")
+    command, rest = argv[0], argv[1:]
+    if command != "verify" and command not in _STAGE_PREFIXES:
+        names = ", ".join([*_STAGE_PREFIXES, "verify"])
+        raise InputError(f"unknown command {command!r} (expected one of {names})")
+    paths: list[str] = []
+    options = {"--max-degree": "3", "--report": None, "--format": "text"}
+    while rest:
+        arg = rest.pop(0)
+        if not arg.startswith("-") or arg == "-":
+            paths.append(arg)
+            continue
+        name, has_value, value = arg.partition("=")
+        if command == "verify" or name not in options:
+            raise InputError(f"unknown option {name!r} for {command}")
+        if not has_value:
+            if not rest:
+                raise InputError(f"option {name} needs a value")
+            value = rest.pop(0)
+        options[name] = value
+    expected = "REPORT INPUT" if command == "verify" else "INPUT"
+    if len(paths) != len(expected.split()):
+        raise InputError(f"{command} expects {expected}, got {len(paths)} path(s)")
+    try:
+        options["--max-degree"] = int(options["--max-degree"])
+    except ValueError:
+        raise InputError(f"--max-degree must be an integer, got {options['--max-degree']!r}") from None
+    if options["--format"] not in ("text", "json"):
+        raise InputError(f"--format must be text or json, got {options['--format']!r}")
+    return command, paths, options
+
+
+def _run_stage(command: str, input_path: str, options: dict) -> int:
+    spec = load_spec(input_path)
+    report = build_report(spec, options["--max-degree"], stages=_STAGE_PREFIXES[command])
+    payload = dumps_canonical(report) if options["--format"] == "json" else render_text(report)
+    if options["--report"]:
         try:
-            with open(args.report, "w", encoding="utf-8") as handle:
+            with open(options["--report"], "w", encoding="utf-8") as handle:
                 handle.write(payload)
         except OSError as exc:
             raise InputError(f"cannot write report: {exc}") from exc
@@ -76,10 +105,10 @@ def _run_stage(args) -> int:
     return 0
 
 
-def _run_verify(args) -> int:
-    spec = load_spec(args.input)
+def _run_verify(report_path: str, input_path: str) -> int:
+    spec = load_spec(input_path)
     try:
-        with open(args.report, "r", encoding="utf-8") as handle:
+        with open(report_path, "r", encoding="utf-8") as handle:
             report = json.load(handle)
     except json.JSONDecodeError as exc:
         raise InputError(f"malformed report: {exc}") from exc

@@ -21,6 +21,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 from math import gcd, lcm
+from operator import ge
 
 from .scalars import ScalarLC, _join_terms
 
@@ -96,9 +97,8 @@ class Multivector:
                 key = tuple(key)
                 if len(key) != degree:
                     raise ValueError(f"term {key} has wrong degree (expected {degree})")
-                if any(not 1 <= i <= n for i in key) or any(
-                    key[i] >= key[i + 1] for i in range(len(key) - 1)
-                ):
+                # a strictly increasing key lies in 1..n when its ends do
+                if key and (key[0] < 1 or key[-1] > n or any(map(ge, key, key[1:]))):
                     raise ValueError(f"term {key} is not a strictly increasing tuple in 1..{n}")
                 prev = canon.get(key)
                 total = coeff if prev is None else _normalized(prev + coeff)

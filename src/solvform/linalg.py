@@ -1,10 +1,11 @@
 """Sparse exact linear algebra over the rationals.
 
-A vector is a sparse row: a dict mapping column to a nonzero
-``Fraction``.  A column is any hashable key in a total order; the code
-only compares columns (``min``, ``sorted``, ``bisect``), so relabelling
-the columns by an order-preserving map relabels every result the same
-way.  Callers use the monomials themselves as columns: exterior index
+A vector is a sparse row: a dict mapping column to a nonzero rational,
+an ``int`` where it is integral and a ``Fraction`` otherwise (inputs may
+hold either; the two compare and hash alike).  A column is any hashable
+key in a total order; the code only compares columns (``min``,
+``sorted``, ``bisect``), so relabelling the columns by an
+order-preserving map relabels every result the same way.  Callers use the monomials themselves as columns: exterior index
 tuples and model monomials of one degree.  A row never stores a zero, so
 its length is its number of nonzeros and the empty dict is the zero
 vector; column order inside the dict carries no meaning.  A subspace is
@@ -18,7 +19,11 @@ reduced echelon form after every insertion, so they depend only on the
 span, never on the order or scaling of the inserted rows, which makes
 every basis emitted here byte-reproducible.  Every step touches only
 nonzero entries, and clearing a new pivot column touches only the holder
-rows, the stored rows that are nonzero in that column.
+rows, the stored rows that are nonzero in that column.  Every entry it
+takes in or stores is reduced to an ``int`` when integral, so integer
+input (the realified fiber rows, the shift images) is eliminated in
+``int`` arithmetic, with no gcd per operation; a new row is negated
+when its lead is -1 and divided only when its lead is not +-1.
 
 Row convention: a matrix is a list of row vectors.  When a matrix
 encodes a linear map, row ``j`` holds the coordinates of the image of
@@ -32,9 +37,12 @@ from __future__ import annotations
 from bisect import bisect
 from fractions import Fraction
 
-Row = "dict[Hashable, Fraction]"
+Row = "dict[Hashable, int | Fraction]"
 
-_ONE = Fraction(1)
+
+def _integral(x):
+    """``x`` as an ``int`` when it is integral."""
+    return x if type(x) is int or x.denominator != 1 else x.numerator
 
 
 def rref(rows: list[Row]) -> tuple[list[Row], list]:
@@ -79,7 +87,7 @@ def kernel_and_pivots(rows: list[Row]) -> tuple[list[Row], list]:
     acc = EchelonAccumulator()
     pivots = [c for c, col in _transpose(rows) if acc.add(col)]
     pivot_set = set(acc.pivots)
-    kernel = {free: {free: _ONE} for free in range(len(rows)) if free not in pivot_set}
+    kernel = {free: {free: 1} for free in range(len(rows)) if free not in pivot_set}
     # a reduced row is zero at every other pivot, so its other entries sit in free columns
     for row, p in zip(acc.rows, acc.pivots):
         for c, x in row.items():
@@ -155,7 +163,7 @@ class EchelonAccumulator:
         holders = acc._holders
         for row in rows:
             p = min(row)
-            row = dict(row)
+            row = {c: _integral(x) for c, x in row.items()}
             acc.rows.append(row)
             acc.pivots.append(p)
             acc._by_pivot[p] = row
@@ -170,7 +178,7 @@ class EchelonAccumulator:
         Each row is zero at every other pivot, so the component along the
         row of pivot ``p`` is ``v[p]`` times that row.
         """
-        out = {c: x for c, x in v.items() if x}
+        out = {c: _integral(x) for c, x in v.items() if x}
         by_pivot = self._by_pivot
         for p, f in list(out.items()):
             row = by_pivot.get(p)
@@ -180,7 +188,7 @@ class EchelonAccumulator:
                 y = out.get(c)
                 y = -f * x if y is None else y - f * x
                 if y:
-                    out[c] = y
+                    out[c] = y if type(y) is int or y.denominator != 1 else y.numerator
                 else:
                     del out[c]
         return out
@@ -192,8 +200,14 @@ class EchelonAccumulator:
             return False
         c = min(res)
         lead = res[c]
-        new = res if lead == 1 else {k: x / lead for k, x in res.items()}
-        new[c] = _ONE
+        if lead == 1:
+            new = res
+        elif lead == -1:
+            new = {k: -x for k, x in res.items()}
+        else:
+            inverse = 1 / Fraction(lead)
+            new = {k: _integral(x * inverse) for k, x in res.items()}
+        new[c] = 1
         holders = self._holders
         # the new row is zero at every old pivot, so clearing column c only
         # moves entries of the holder rows among non-pivot columns
@@ -203,16 +217,16 @@ class EchelonAccumulator:
             for k, x in new.items():
                 y = row.get(k)
                 if y is None:
-                    row[k] = -f * x
+                    y = -f * x
                     holders.setdefault(k, set()).add(p)
-                    continue
-                y -= f * x
-                if y:
-                    row[k] = y
                 else:
-                    del row[k]
-                    if k != c:
-                        holders[k].discard(p)
+                    y -= f * x
+                    if not y:
+                        del row[k]
+                        if k != c:
+                            holders[k].discard(p)
+                        continue
+                row[k] = y if type(y) is int or y.denominator != 1 else y.numerator
         for k in new:
             if k != c:
                 holders.setdefault(k, set()).add(c)

@@ -23,7 +23,13 @@ degree-k slice into the kernel and a cokernel complement of the shift
 there.  These are the two halves of the total space's cohomology,
 ``H^k = ker N_k (+) coker N_{k-1} ^ a`` under the modification
 hypothesis, and the kernel in degree 2 is the space of closed invariant
-2-forms, so cohomology and symplectic read this one elimination.
+2-forms, so cohomology and symplectic read this one elimination.  The
+shift sends each ``a_i`` to one ``a_j`` or to 0, so it acts on the index
+tuples of the integer slice rows directly: ``i`` is replaced by ``j``,
+the tuple is re-sorted, and the sign is the parity of the number of
+indices ``j`` moves past.  When every realified vector of a slice has a
+single term (all-real slots), the slice is its sorted unit rows and no
+elimination runs.
 
 The weight of a monomial depends only on how many of its slots fall in
 each group of slots sharing one weight, so :func:`resonant_monomials`
@@ -40,16 +46,17 @@ returns fresh lists.
 
 from __future__ import annotations
 
+from bisect import bisect
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, combinations, product
 
 from .errors import InternalInvariantViolation, OracleUnavailable
 from .exterior import (
+    LinearEndo,
     Multivector,
     algebra_map_apply,
     coordinate_vector,
-    derivation_apply,
     exp_nilpotent,
     monomials,
     sort_indices,
@@ -168,7 +175,13 @@ def _nilpotent_submodule(spec: AlmostAbelianSpec, k: int) -> tuple[Multivector, 
         raise InternalInvariantViolation(
             f"realification bookkeeping broke: {len(reps)} real vectors from {len(kept)} monomials"
         )
-    basis_rows = echelon_basis([{key: Fraction(c) for key, c in rep.items()} for rep in reps])
+    if all(len(rep) == 1 for rep in reps):
+        # single-term rows (all-real slot combinations among them) scaled to
+        # 1 are the reduced echelon basis of their span; a repeated monomial
+        # is a dependence, caught by the count below
+        basis_rows = [{key: 1} for key in sorted({key for rep in reps for key in rep})]
+    else:
+        basis_rows = echelon_basis(reps)
     if len(basis_rows) != len(reps):
         raise InternalInvariantViolation("realified representatives are linearly dependent")
     return tuple(Multivector(spec.n, k, row) for row in basis_rows)
@@ -191,12 +204,12 @@ def shift_slice(spec: AlmostAbelianSpec, k: int) -> tuple[list[Multivector], lis
 @lru_cache(maxsize=SLICE_CACHE_SIZE)
 def _shift_slice(spec: AlmostAbelianSpec, k: int) -> tuple[tuple, tuple]:
     basis = _nilpotent_submodule(spec, k)
-    rows = [coordinate_vector(u) for u in basis]
-    slice_span = EchelonAccumulator.from_reduced(rows)
-    shift = nilpotent_log(spec)
+    slice_span = EchelonAccumulator.from_reduced([u.terms for u in basis])
+    rows = slice_span.rows  # the basis rows, integral entries as ints
+    index_map = _index_map(nilpotent_log(spec))
     images = []
-    for u in basis:
-        image = coordinate_vector(derivation_apply(shift, u))
+    for u, row in zip(basis, rows):
+        image = _shift_row(row, index_map)
         if slice_span.residue(image):
             raise InternalInvariantViolation(f"the shift maps {u} out of the unipotent slice")
         images.append(image)
@@ -207,6 +220,40 @@ def _shift_slice(spec: AlmostAbelianSpec, k: int) -> tuple[tuple, tuple]:
         tuple(Multivector(spec.n, k, row) for row in kernel_rows),
         tuple(u for u in basis if min(u.terms) not in image_pivots),
     )
+
+
+def _index_map(shift: LinearEndo) -> dict[int, int]:
+    """The shift as a map of indices: it sends each ``a_i`` to 0 or to one ``a_j``, j > i."""
+    index_map = {}
+    for i, image in enumerate(shift.images, start=1):
+        if image.terms:
+            ((j,), c), *rest = image.terms.items()
+            if rest or c != 1 or j <= i:
+                raise InternalInvariantViolation(f"the shift sends a{i} to {image}, not to a later a_j")
+            index_map[i] = j
+    return index_map
+
+
+def _shift_row(row: dict, index_map: dict[int, int]) -> dict:
+    """The derivation extension of an index-raising map applied to a row keyed by
+    index tuples: replacing ``i`` at position ``p`` of a key by ``j`` and sorting
+    again moves ``j`` past the indices between them, which gives the sign."""
+    image: dict = {}
+    for key, c in row.items():
+        for p, i in enumerate(key):
+            j = index_map.get(i)
+            if j is None:
+                continue
+            q = bisect(key, j)
+            if key[q - 1] == j:
+                continue  # j is already a factor
+            new = key[:p] + key[p + 1 : q] + (j,) + key[q:]
+            x = image.get(new, 0) + (c if (q - p) & 1 else -c)
+            if x:
+                image[new] = x
+            else:
+                del image[new]
+    return image
 
 
 def oracle_applicable(spec: AlmostAbelianSpec) -> bool:

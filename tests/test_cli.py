@@ -6,6 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import solvform
 from solvform import build_report, dumps_canonical, fixture_path, load_spec, verify_report
 from solvform import cli
@@ -188,3 +190,56 @@ def test_s8_model_stage_at_degree_5(tmp_path):
     assert main(argv) == 0
     quasi = json.loads(report_path.read_text())["model"]["quasi_isomorphism"]
     assert sorted(quasi) == ["1", "2", "3", "4", "5"] and all(quasi.values())
+
+
+USAGE_ERRORS = {
+    "bad max-degree": ["analyze", "{spec}", "--max-degree", "abc"],
+    "bad max-degree with =": ["analyze", "{spec}", "--max-degree=abc"],
+    "missing max-degree value": ["analyze", "{spec}", "--max-degree"],
+    "unknown command": ["frob"],
+    "no command": [],
+    "unknown option": ["analyze", "{spec}", "--bogus", "1"],
+    "unknown short option": ["analyze", "{spec}", "-v"],
+    "option given to verify": ["verify", "{spec}", "{spec}", "--format", "json"],
+    "bad format": ["cohomology", "{spec}", "--format", "xml"],
+    "missing input": ["analyze"],
+    "extra positional": ["analyze", "{spec}", "{spec}"],
+    "verify with one path": ["verify", "{spec}"],
+    "verify with three paths": ["verify", "{spec}", "{spec}", "{spec}"],
+}
+
+
+@pytest.mark.parametrize("argv", USAGE_ERRORS.values(), ids=USAGE_ERRORS.keys())
+def test_usage_errors_are_input_errors(tmp_path, capsys, argv):
+    spec_path = str(_write_spec(tmp_path, text=fixture_path("torus3").read_text()))
+    assert main([arg.format(spec=spec_path) for arg in argv]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert "usage:" not in err
+
+
+def test_usage_error_in_a_fresh_interpreter_is_one_line():
+    proc = _run_cli("analyze", "x.json", "--max-degree", "abc")
+    assert proc.returncode == 1
+    assert proc.stderr == "error: --max-degree must be an integer, got 'abc'\n"
+
+
+@pytest.mark.parametrize("flag", ["-h", "--help"])
+@pytest.mark.parametrize("before", [[], ["analyze"], ["verify", "r.json"]])
+def test_help_prints_the_readme_usage(capsys, flag, before):
+    assert main([*before, flag]) == 0
+    out, err = capsys.readouterr()
+    readme = (Path(SRC).parent / "README.md").read_text()
+    lines = out.splitlines()
+    assert len(lines) == 2 and err == ""
+    assert all(f"\n{line}\n" in readme for line in lines)
+
+
+def test_options_accept_an_equals_sign(tmp_path, capsys):
+    spec_path = _write_spec(tmp_path, text=fixture_path("torus3").read_text())
+    r1, r2 = tmp_path / "r1.json", tmp_path / "r2.json"
+    assert main(["cohomology", str(spec_path), "--max-degree", "2", "--format", "json", "--report", str(r1)]) == 0
+    assert main(["cohomology", f"--report={r2}", "--format=json", "--max-degree=2", str(spec_path)]) == 0
+    assert r1.read_bytes() == r2.read_bytes()
+    assert json.loads(r1.read_text())["max_degree"] == 2

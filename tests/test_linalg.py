@@ -367,3 +367,94 @@ def test_from_reduced_continues_like_the_accumulator_that_built_the_rows():
             acc.add(row)
         assert (acc.rows, acc.pivots) == rref(mat)
         assert red == rref(mat[:cut])[0]  # the rows handed in were copied
+
+
+def _integral_or_fraction(rows):
+    """Every entry is an ``int`` exactly when it is integral."""
+    return all(
+        type(x) is int if x == int(x) else type(x) is Fraction for row in rows for x in row.values()
+    )
+
+
+def _leading_two_or_three_matrix(rng):
+    """Integer rows that lead with +-2 or +-3, plus integer combinations of them:
+    dividing by the leads makes non-integral entries, and clearing columns
+    cancels many of them back to integers."""
+    rows, cols = rng.randint(1, 6), rng.randint(2, 8)
+    mat = []
+    for _ in range(rows):
+        lead = rng.randint(0, cols - 1)
+        row = [0] * lead + [rng.choice([-3, -2, 2, 3])]
+        row += [rng.choice([-3, -2, -1, 0, 0, 1, 2, 3]) for _ in range(cols - lead - 1)]
+        mat.append(row)
+    for _ in range(rng.randint(0, 3)):
+        a, b = rng.choice(mat), rng.choice(mat)
+        f, g = rng.choice([-2, -1, 1, 2]), rng.choice([-3, 1, 3])
+        mat.append([f * x + g * y for x, y in zip(a, b)])
+    rng.shuffle(mat)
+    return mat
+
+
+def _input_forms(rng, mat):
+    """The same sparse matrix with ``int``, ``Fraction`` and mixed entries."""
+    as_int = [{c: x for c, x in enumerate(row) if x} for row in mat]
+    as_fraction = [{c: Fraction(x) for c, x in row.items()} for row in as_int]
+    mixed = [{c: rng.choice([x, Fraction(x)]) for c, x in row.items()} for row in as_int]
+    return {"int": as_int, "fraction": as_fraction, "mixed": mixed}
+
+
+def test_integer_and_fraction_inputs_agree_with_fraction_only_elimination():
+    rng = random.Random(26)
+    saw_fraction = saw_integral = 0
+    for _ in range(300):
+        mat = _leading_two_or_three_matrix(rng)
+        dense = [[Fraction(x) for x in row] for row in mat]
+        red, pivots = _reference_rref(dense)
+        kernel = _sparse(_reference_map_kernel(dense))
+        coeffs = [rng.randint(-2, 2) for _ in mat]
+        target = {c: x for c, x in enumerate(_dot(coeffs, dense)) if x}
+        for rows in _input_forms(rng, mat).values():
+            got_rows, got_pivots = rref(rows)
+            assert (got_rows, got_pivots) == (_sparse(red), pivots)
+            got_kernel = map_kernel(rows)
+            assert got_kernel == kernel
+            assert kernel_and_pivots(rows) == (kernel, pivots)
+            solution, free = solve_combination(rows, target)
+            assert _dot(_dense(solution, len(mat)), dense) == _dot(coeffs, dense)
+            assert free == len(kernel)
+            assert _integral_or_fraction(got_rows + got_kernel + [solution])
+        # the drawn rows lead with +-2 or +-3, so an all-integer result went through division
+        if any(type(x) is Fraction for row in got_rows for x in row.values()):
+            saw_fraction += 1
+        else:
+            saw_integral += 1
+    assert saw_fraction > 30 and saw_integral > 30
+
+
+def test_integer_and_mixed_inputs_match_sympy():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(27)
+    for _ in range(150):
+        mat = _leading_two_or_three_matrix(rng)
+        red, pivots, kernel = _sympy_reference(sympy, [[Fraction(x) for x in row] for row in mat])
+        for rows in _input_forms(rng, mat).values():
+            assert rref(rows) == (red, pivots)
+            assert map_kernel(rows) == kernel
+
+
+def test_entries_cancelled_back_to_integers_are_stored_as_ints():
+    acc = EchelonAccumulator()
+    acc.add({0: 2, 1: 1, 2: 1})  # lead 2: the row becomes 1, 1/2, 1/2
+    assert acc.rows == [{0: 1, 1: Fraction(1, 2), 2: Fraction(1, 2)}]
+    assert type(acc.rows[0][0]) is int and type(acc.rows[0][1]) is Fraction
+    # clearing column 1 leaves 1/2 + 1/2 in column 2, an integer again
+    acc.add({1: Fraction(3), 2: Fraction(-3)})
+    assert acc.rows == [{0: 1, 2: 1}, {1: 1, 2: -1}]
+    assert all(type(x) is int for row in acc.rows for x in row.values())
+    # a lead of -1 negates the row without dividing
+    acc.add({3: Fraction(-1), 4: Fraction(4, 2)})
+    assert acc.rows[2] == {3: 1, 4: -2} and all(type(x) is int for x in acc.rows[2].values())
+    res = acc.residue({0: Fraction(6, 3), 4: Fraction(1, 3)})
+    assert res == {2: -2, 4: Fraction(1, 3)} and type(res[2]) is int
+    copied = EchelonAccumulator.from_reduced([{0: Fraction(1), 5: Fraction(-4, 2)}])
+    assert copied.rows == [{0: 1, 5: -2}] and all(type(x) is int for x in copied.rows[0].values())

@@ -27,6 +27,7 @@ from solvform.exterior import (
     Multivector,
     algebra_map_apply,
     coordinate_vector,
+    derivation_apply,
     exp_nilpotent,
     monomials,
     wedge,
@@ -35,7 +36,9 @@ from solvform.linalg import echelon_basis, map_kernel, matrix_mul
 from solvform import monodromy
 from solvform.errors import InternalInvariantViolation
 from solvform.monodromy import (
+    _index_map,
     _resonant_counts,
+    _shift_row,
     _shift_slice,
     in_submodule_span,
     resonant_monomials,
@@ -43,6 +46,7 @@ from solvform.monodromy import (
 )
 from solvform.scalars import ScalarLC
 from solvform.spectral import Weight
+from solvform.symplectic import closed_two_classes
 
 
 def test_resonance_examples(s8):
@@ -409,6 +413,95 @@ def test_shift_out_of_the_slice_is_caught(monkeypatch, s8):
             shift_slice(s8, 1)
     finally:
         _shift_slice.cache_clear()
+
+
+def _random_raising_index_map(rng, n) -> LinearEndo:
+    images = [Multivector.zero(n, 1) for _ in range(n)]
+    for i in range(1, n):
+        if rng.random() < 0.6:
+            images[i - 1] = Multivector.basis_one_form(n, rng.randint(i + 1, n))
+    return LinearEndo(n, images)
+
+
+def test_tuple_shift_matches_the_derivation_route(s6, s8, torus3, torus4, heisenberg3):
+    rng = random.Random(46)
+    specs = [s6, s8, torus3, torus4, heisenberg3]
+    specs += [parse_spec(json.dumps(WEIGHT_COUNT_SPECS[name])) for name in ("nil7", "nil322", "s10")]
+    specs += [random_resonant_spec(rng, n_max=7) for _ in range(60)]
+    specs += [random_unimodular_spec(rng, n_max=7) for _ in range(60)]
+    # the package's shifts move an index by one or two; random maps jump further
+    cases = [(nilpotent_log(spec), spec) for spec in specs]
+    cases += [(_random_raising_index_map(rng, 7), None) for _ in range(20)]
+    checked = 0
+    for shift, spec in cases:
+        index_map = _index_map(shift)
+        for k in range(shift.n + 1):
+            vectors = [Multivector.monomial(shift.n, key) for key in monomials(shift.n, k)]
+            vectors += nilpotent_submodule(spec, k) if spec else []
+            for u in vectors:
+                assert _shift_row(u.terms, index_map) == coordinate_vector(derivation_apply(shift, u))
+                checked += 1
+    assert checked > 10_000
+
+
+@pytest.mark.parametrize(
+    "image",
+    [
+        Multivector.basis_one_form(7, 2).scaled(2),
+        Multivector.basis_one_form(7, 2) + Multivector.basis_one_form(7, 3),
+        Multivector.basis_one_form(7, 1),
+    ],
+    ids=["coefficient 2", "two terms", "fixed index"],
+)
+def test_shift_that_is_not_an_index_raising_map_is_caught(monkeypatch, s8, image):
+    images = [Multivector.zero(7, 1) for _ in range(7)]
+    images[0] = image
+    monkeypatch.setattr(monodromy, "nilpotent_log", lambda spec: LinearEndo(7, images))
+    _shift_slice.cache_clear()
+    try:
+        with pytest.raises(InternalInvariantViolation, match="not to a later a_j"):
+            shift_slice(s8, 1)
+    finally:
+        _shift_slice.cache_clear()
+
+
+@pytest.mark.parametrize("name", ["nil322", "s10"])
+def test_shift_slices_and_closed_two_forms_carry_fractions(name):
+    # the elimination keeps integral entries as ints; the forms built from
+    # its rows store every coefficient as a Fraction all the same
+    spec = parse_spec(json.dumps(WEIGHT_COUNT_SPECS[name]))
+    forms = closed_two_classes(spec)
+    for k in range(spec.n + 1):
+        kernel, cokernel = shift_slice(spec, k)
+        forms += kernel + cokernel
+    assert len(forms) > spec.n
+    for form in forms:
+        assert all(type(coeff) is Fraction for coeff in form.terms.values()), form
+
+
+def test_unit_row_slices_skip_elimination(monkeypatch, nil322, s6):
+    # every slot of nil322 is real, so each slice is its sorted unit rows;
+    # s6 has complex slots, whose two-term rows still go through elimination
+    calls = []
+    plain = monodromy.echelon_basis
+
+    def counting(vectors):
+        calls.append(len(vectors))
+        return plain(vectors)
+
+    monkeypatch.setattr(monodromy, "echelon_basis", counting)
+    monodromy._nilpotent_submodule.cache_clear()
+    try:
+        for k in range(nil322.n + 1):
+            basis = nilpotent_submodule(nil322, k)
+            keys = [key for u in basis for key in u.terms]
+            assert keys == resonant_monomials(nil322, k)
+            assert all(u.terms == {key: 1} for u, key in zip(basis, keys))
+        assert calls == []
+        assert len(nilpotent_submodule(s6, 2)) == len(nilpotent_submodule_oracle(s6, 2))
+        assert calls and calls[0] == len(resonant_monomials(s6, 2))
+    finally:
+        monodromy._nilpotent_submodule.cache_clear()
 
 
 def test_in_submodule_span_rejects_vectors_outside(s8):

@@ -1,10 +1,12 @@
-"""The per-layer tracer of the benchmark still finds the hooks it wraps.
+"""The benchmark's view of the package: tracer hooks and CLI start-up.
 
 ``bench/layertrace.py`` wraps functions and methods of the package by
 name (``linalg.rref``, ``EchelonAccumulator.add``, ``MinimalModel.d_poly``
 and others).  A refactor that renames or bypasses them would break
 ``bench/run.py --trace 1`` without failing any other test, so this runs a
 traced ``analyze`` in a fresh interpreter, the way a benchmark worker does.
+A CLI call in a fresh interpreter must also not import ``argparse`` or
+``gettext`` (no wall-clock gate, only the imports are checked).
 """
 
 import json
@@ -53,3 +55,27 @@ def test_traced_analyze_counts_the_kernel_hooks(tmp_path):
     for name in ("linalg.rref", "linalg.echelon_add", "minimal_model.d_poly"):
         assert counts.get(name, 0) > 0, name
     assert counts["linalg.rref.rows"] >= counts["linalg.rref.rank"] > 0
+
+
+FRESH_CLI = """
+import contextlib, io, json, sys
+sys.path.insert(0, sys.argv[1])
+import solvform.cli
+
+with contextlib.redirect_stdout(io.StringIO()):
+    code = solvform.cli.main(["analyze", sys.argv[2]])
+print(json.dumps({"exit": code, "loaded": [m for m in ("argparse", "gettext") if m in sys.modules]}))
+"""
+
+
+def test_cli_run_imports_no_argument_parser():
+    # the two command shapes are parsed by hand; argparse would also pull in
+    # gettext (and locale) on first use, a fixed cost on every CLI call
+    proc = subprocess.run(
+        [sys.executable, "-c", FRESH_CLI, str(ROOT / "src"), str(fixture_path("torus3"))],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.strip().splitlines()[-1]) == {"exit": 0, "loaded": []}

@@ -26,9 +26,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import InputError, InternalInvariantViolation
-from .exterior import coordinate_vector, derivation_apply
+from .exterior import coordinate_vector
 from .linalg import solve_combination
 from .minimal_model import MinimalModel, build_minimal_model
+from .monodromy import _index_map, _shift_row
 from .spectral import AlmostAbelianSpec, nilpotent_log
 
 
@@ -45,13 +46,13 @@ class TwistedModel:
 
 def build_twisted_model(spec: AlmostAbelianSpec, model: MinimalModel) -> TwistedModel:
     """Construct the twist generator by generator, in creation order."""
-    ntl = nilpotent_log(spec)
+    index_map = _index_map(nilpotent_log(spec))
     theta: dict = {}
     ambiguity: set[int] = set()
     tm = TwistedModel(model, theta, [])
     for gen in model.gens:
         if gen.closed:
-            theta[gen.gid] = _theta_closed(model, ntl, gen)
+            theta[gen.gid] = _theta_closed(model, index_map, gen)
         else:
             value, chose = _theta_nonclosed(model, tm, gen)
             theta[gen.gid] = value
@@ -62,7 +63,7 @@ def build_twisted_model(spec: AlmostAbelianSpec, model: MinimalModel) -> Twisted
     return tm
 
 
-def _theta_closed(model: MinimalModel, ntl, gen):
+def _theta_closed(model: MinimalModel, index_map: dict, gen):
     """Realize the shift image of a closed generator by earlier classes.
 
     Solved against the classes of the generators created before it: the
@@ -70,12 +71,12 @@ def _theta_closed(model: MinimalModel, ntl, gen):
     flag ordering of same-degree generators guarantees a solution there,
     and the realization is injective on those classes, so it is unique.
     """
-    target = derivation_apply(ntl, gen.rho)
-    if target.is_zero():
+    target = _shift_row(coordinate_vector(gen.rho), index_map)
+    if not target:
         return {}
     reps = model.class_reps(gen.degree, range(gen.gid))
     rows = [coordinate_vector(rep.rho) for rep in reps]
-    coeffs, _ = solve_combination(rows, coordinate_vector(target))
+    coeffs, _ = solve_combination(rows, target)
     if coeffs is None:
         raise InternalInvariantViolation(
             f"shift image of {gen.name} is not realized by earlier classes"

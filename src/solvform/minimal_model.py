@@ -20,8 +20,9 @@ is staged by degree q:
       those classes are the ones the last killing round of stage q-1
       computed, on the same generators, so they are not formed again;
       the complement basis is ordered along the kernel filtration of the
-      shift action modulo that image, so the twist added later is
-      strictly triangular on same-degree generators;
+      shift N modulo that image, read from the residues of N^j modulo the
+      image (N preserves it), so the twist added later is strictly
+      triangular on same-degree generators;
   (c) classes one degree up whose realization vanishes are killed by new
       non-closed degree-q generators whose differentials are the
       corresponding cocycles; killing is repeated until no such class
@@ -39,15 +40,9 @@ from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
 
 from .errors import InputError, InternalInvariantViolation
-from .exterior import Multivector, coordinate_vector, derivation_apply, primitive_part
-from .linalg import (
-    EchelonAccumulator,
-    echelon_basis,
-    map_kernel,
-    matrix_mul,
-    solve_combination,
-)
-from .monodromy import nilpotent_submodule
+from .exterior import Multivector, coordinate_vector, primitive_part
+from .linalg import EchelonAccumulator, echelon_basis, map_kernel, matrix_mul
+from .monodromy import _index_map, _shift_row, nilpotent_submodule
 from .scalars import _join_terms
 from .spectral import AlmostAbelianSpec, nilpotent_log
 
@@ -331,57 +326,45 @@ def mono_name(model: MinimalModel, mono) -> str:
 def _flag_ordered_complement(model: MinimalModel, q: int, image_reps: list[ClassRep]):
     """Complement of the realized classes in the degree-q target slice.
 
-    Ordered along the kernel filtration of the shift action taken modulo
-    the realized image, so that the shift maps each vector into the span
-    of its predecessors plus the image.
+    Ordered along the kernel filtration of the shift N taken modulo the
+    realized image, so that N maps each vector into the span of its
+    predecessors plus the image.  N preserves that image, the degree-q part
+    of the subalgebra generated by the realizations of the lower-degree
+    closed generators, which earlier stages made N-stable.  So x lies in the
+    j-th kernel exactly when N^j(x) lies in the image: the filtration is read
+    from residues of N^j modulo the image, with no matrix of N on the quotient.
     """
     spec = model.spec
-    u_basis = nilpotent_submodule(spec, q)
-    if not u_basis:
-        return []
     image_acc = EchelonAccumulator()
     for rep in image_reps:
         image_acc.add(coordinate_vector(rep.rho))
-    complement_vecs, reduced_c = [], []
-    grow = EchelonAccumulator()  # spans the complement residues
-    for u in u_basis:
-        vec = coordinate_vector(u)
-        res = image_acc.residue(vec)
-        if grow.add(res):
-            complement_vecs.append(vec)
-            reduced_c.append(res)
-    if not complement_vecs:
-        return []
+    span = EchelonAccumulator.from_reduced(image_acc.rows)  # image plus complement
+    complement = [
+        vec for vec in map(coordinate_vector, nilpotent_submodule(spec, q)) if span.add(vec)
+    ]
 
-    ntl = nilpotent_log(spec)
-    t_rows = []
-    for vec in complement_vecs:
-        image = derivation_apply(ntl, Multivector(spec.n, q, vec))
-        res = image_acc.residue(coordinate_vector(image))
-        coeffs, _ = solve_combination(reduced_c, res)
-        if coeffs is None:
-            raise InternalInvariantViolation(
-                "shift action left the invariant subspace in degree %d" % q
-            )
-        t_rows.append(coeffs)
-
-    m = len(complement_vecs)
+    index_map = _index_map(nilpotent_log(spec))
+    power = [_shift_row(vec, index_map) for vec in complement]
+    if any(span.residue(row) for row in power):
+        raise InternalInvariantViolation(
+            "shift action left the invariant subspace in degree %d" % q
+        )
+    m = len(complement)
     chosen = EchelonAccumulator()
     order = []
-    power = [{i: Fraction(1)} for i in range(m)]
-    for _ in range(m + 1):
+    for _ in range(m):
         if chosen.rank == m:
             break
-        power = matrix_mul(power, t_rows)
-        for x in echelon_basis(map_kernel(power)):
+        for x in echelon_basis(map_kernel([image_acc.residue(row) for row in power])):
             if chosen.add(x):
                 order.append(x)
+        power = [_shift_row(row, index_map) for row in power]
     if chosen.rank != m:
         raise InternalInvariantViolation("shift action is not nilpotent on the complement")
 
     return [
         primitive_part(Multivector(spec.n, q, combo))
-        for combo in matrix_mul(order, complement_vecs)
+        for combo in matrix_mul(order, complement)
     ]
 
 
@@ -396,8 +379,6 @@ def build_minimal_model(spec: AlmostAbelianSpec, d_max: int) -> MinimalModel:
             model.add_generator(degree=q, rho=vec, closed=True)
         for _round in range(50):
             reps = model.class_reps(q + 1)
-            if not reps:
-                break
             kern = map_kernel([coordinate_vector(rep.rho) for rep in reps])
             if not kern:
                 break

@@ -29,13 +29,16 @@ tuples of the integer slice rows directly: ``i`` is replaced by ``j``,
 the tuple is re-sorted, and the sign is the parity of the number of
 indices ``j`` moves past.  When every realified vector of a slice has a
 single term (all-real slots), the slice is its sorted unit rows and no
-elimination runs.
+elimination runs.  The model build (the flag order of closed generators)
+and the twist on closed generators apply the same index map.
 
 The weight of a monomial depends only on how many of its slots fall in
 each group of slots sharing one weight, so :func:`resonant_monomials`
 adds weights once per count vector, one fewer than the product of
 ``size + 1`` over the groups for every degree at once, and expands each
 resonant vector into products of combinations inside the groups.
+They also give every slice size, a sum of products of binomials, so a
+fiber with a slice above :data:`MAX_SLICE_MONOMIALS` is refused up front.
 
 Both bases are memoized in-process, keyed by (spec, degree), so the
 unipotent, cohomology, model, formality and symplectic stages share one
@@ -50,8 +53,9 @@ from bisect import bisect
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, combinations, product
+from math import comb, prod
 
-from .errors import InternalInvariantViolation, OracleUnavailable
+from .errors import InputError, InternalInvariantViolation, OracleUnavailable
 from .exterior import (
     LinearEndo,
     Multivector,
@@ -76,6 +80,10 @@ from .spectral import (
     nilpotent_log,
 )
 
+# Resonant monomials in the largest slice taken on: nil14 (C(14,7) = 3,432)
+# runs; nil15 (6,435) and nil16 (12,870) are refused instead of running for minutes.
+MAX_SLICE_MONOMIALS = 5000
+
 
 def resonance_test(w: Weight) -> bool:
     """True when the semisimple monodromy part fixes a weight-w vector."""
@@ -98,7 +106,8 @@ def resonant_monomials(spec: AlmostAbelianSpec, k: int) -> list[tuple[int, ...]]
 @lru_cache(maxsize=SLICE_CACHE_SIZE)
 def _resonant_counts(spec: AlmostAbelianSpec) -> tuple[tuple, tuple]:
     """``(groups, counts)``: the slots grouped by weight, and every count vector
-    (how many slots each group contributes) whose weight sum is a resonance."""
+    (how many slots each group contributes) whose weight sum is a resonance;
+    an ``InputError`` when a slice exceeds :data:`MAX_SLICE_MONOMIALS`."""
     by_weight: dict[Weight, list[int]] = {}
     for s in generator_weights(spec):
         by_weight.setdefault(s.weight, []).append(s.slot)
@@ -111,10 +120,18 @@ def _resonant_counts(spec: AlmostAbelianSpec) -> tuple[tuple, tuple]:
                     total = total + w
                 grown.append((count + (c,), total))
         sums = grown
-    return (
-        tuple(tuple(slots) for slots in by_weight.values()),
-        tuple(count for count, total in sums if resonance_test(total)),
-    )
+    groups = tuple(tuple(slots) for slots in by_weight.values())
+    counts = tuple(count for count, total in sums if resonance_test(total))
+    sizes = [0] * (spec.n + 1)
+    for count in counts:
+        sizes[sum(count)] += prod(map(comb, map(len, groups), count))
+    if max(sizes) > MAX_SLICE_MONOMIALS:
+        k = sizes.index(max(sizes))
+        raise InputError(
+            f"fiber too large: the degree-{k} unipotent slice has {sizes[k]} "
+            f"resonant monomials, above the limit of {MAX_SLICE_MONOMIALS}"
+        )
+    return groups, counts
 
 
 def _realify(slots, combo) -> tuple[dict, dict]:

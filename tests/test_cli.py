@@ -10,7 +10,7 @@ import pytest
 
 import solvform
 from solvform import build_report, dumps_canonical, fixture_path, load_spec, verify_report
-from solvform import cli
+from solvform import cli, monodromy
 from solvform.cli import main
 
 SRC = str(Path(solvform.__file__).resolve().parents[1])
@@ -190,6 +190,33 @@ def test_s8_model_stage_at_degree_5(tmp_path):
     assert main(argv) == 0
     quasi = json.loads(report_path.read_text())["model"]["quasi_isomorphism"]
     assert sorted(quasi) == ["1", "2", "3", "4", "5"] and all(quasi.values())
+
+
+def test_oversized_fiber_is_refused_before_enumeration(tmp_path, capsys, monkeypatch):
+    # nil16's largest slice (degree 8) has C(16, 8) = 12,870 resonant monomials;
+    # the count comes from the weight-count vectors, so no monomial is enumerated
+    def enumerating(*args):
+        raise AssertionError("a slice was enumerated")
+
+    monkeypatch.setattr(monodromy, "product", enumerating)
+    spec_path = _write_spec(tmp_path, text='{"n": 16, "blocks": [{"kind": "real", "size": 16}]}')
+    assert main(["analyze", str(spec_path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (
+        "error: fiber too large: the degree-8 unipotent slice has 12870 resonant monomials, "
+        "above the limit of 5000\n"
+    )
+
+
+def test_lowered_slice_limit_refuses_s6(tmp_path, capsys, monkeypatch):
+    # the count vectors and the slices of s6 may be memoized by earlier tests
+    monodromy._resonant_counts.cache_clear()
+    monodromy._nilpotent_submodule.cache_clear()
+    monkeypatch.setattr(monodromy, "MAX_SLICE_MONOMIALS", 3)
+    assert main(["analyze", str(_write_spec(tmp_path)), "--max-degree", "3"]) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "above the limit of 3" in err
 
 
 USAGE_ERRORS = {

@@ -6,9 +6,11 @@ from itertools import combinations, combinations_with_replacement
 
 import pytest
 
-from conftest import random_unimodular_spec
+from conftest import random_resonant_spec, random_unimodular_spec
 from solvform import (
     InputError,
+    InternalInvariantViolation,
+    LinearEndo,
     Multivector,
     build_minimal_model,
     model_cohomology,
@@ -16,9 +18,18 @@ from solvform import (
     serialize_model,
     verify_quasi_iso,
 )
-from solvform.exterior import coordinate_vector, wedge
-from solvform.linalg import rank
+from solvform import minimal_model
+from solvform.exterior import coordinate_vector, derivation_apply, primitive_part, wedge
+from solvform.linalg import (
+    EchelonAccumulator,
+    echelon_basis,
+    map_kernel,
+    matrix_mul,
+    rank,
+    solve_combination,
+)
 from solvform.minimal_model import MinimalModel
+from solvform.spectral import nilpotent_log
 
 
 def test_s6_model_is_free_on_five_degree_one_generators(s6):
@@ -280,3 +291,76 @@ def test_monomials_of_many_generators_out_of_degree_order(s6):
     # not a prefix: the degree-7 block and the generators after it are left out
     gids = [gid for gid, degree in enumerate(degrees) if degree < 7 and gid < 1105]
     assert model.monomials(6, gids) == _brute_force_monomials(model, 6, gids)
+
+
+def _reference_flag_order(spec, q, image_reps):
+    """The closed degree-q generators through the matrix T of the shift on the
+    quotient of the slice by the realized image: the complement is ordered
+    along ker T, ker T^2, ..., with each power of T formed by multiplication."""
+    image_acc = EchelonAccumulator()
+    for rep in image_reps:
+        image_acc.add(coordinate_vector(rep.rho))
+    complement_vecs, reduced_c = [], []
+    grow = EchelonAccumulator()
+    for u in nilpotent_submodule(spec, q):
+        vec = coordinate_vector(u)
+        res = image_acc.residue(vec)
+        if grow.add(res):
+            complement_vecs.append(vec)
+            reduced_c.append(res)
+    ntl = nilpotent_log(spec)
+    t_rows = []
+    for vec in complement_vecs:
+        image = derivation_apply(ntl, Multivector(spec.n, q, vec))
+        coeffs, _ = solve_combination(reduced_c, image_acc.residue(coordinate_vector(image)))
+        assert coeffs is not None
+        t_rows.append(coeffs)
+    m = len(complement_vecs)
+    chosen, order = EchelonAccumulator(), []
+    power = [{i: Fraction(1)} for i in range(m)]
+    for _ in range(m + 1):
+        if chosen.rank == m:
+            break
+        power = matrix_mul(power, t_rows)
+        for x in echelon_basis(map_kernel(power)):
+            if chosen.add(x):
+                order.append(x)
+    assert chosen.rank == m
+    return [primitive_part(Multivector(spec.n, q, c)) for c in matrix_mul(order, complement_vecs)]
+
+
+def test_closed_generators_follow_the_shift_flag(s6, s8, torus3, torus4, heisenberg3, nil322):
+    rng = random.Random(14)
+    cases = [(s6, 4), (s8, 6), (torus3, 4), (torus4, 4), (heisenberg3, 4), (nil322, 4)]
+    cases += [(random_resonant_spec(rng, n_max=7), 4) for _ in range(10)]
+    cases += [(random_unimodular_spec(rng, n_max=7), 4) for _ in range(10)]
+    checked = 0
+    for spec, bound in cases:
+        model = build_minimal_model(spec, bound)
+        shift = nilpotent_log(spec)
+        for q in range(1, bound + 1):
+            lower = [g.gid for g in model.gens if g.degree < q]
+            image_reps = model.class_reps(q, lower)
+            closed = [g for g in model.gens if g.degree == q and g.closed]
+            # the closed generators are the complement the T-matrix order gives
+            assert [g.rho for g in closed] == _reference_flag_order(spec, q, image_reps)
+            # the shift sends each one into the earlier ones plus the realized
+            # image, which is what the twist on closed generators solves against
+            span = EchelonAccumulator()
+            for rep in image_reps:
+                span.add(coordinate_vector(rep.rho))
+            for g in closed:
+                assert not span.residue(coordinate_vector(derivation_apply(shift, g.rho)))
+                span.add(coordinate_vector(g.rho))
+                checked += 1
+    assert checked > 100
+
+
+def test_shift_leaving_the_slice_is_caught_in_the_model_build(monkeypatch, s8):
+    # the degree-1 slice of s8 is spanned by a1, a2, a3; a shift sending
+    # a1 to a4 (weight b, not resonant) leaves it
+    images = list(nilpotent_log(s8).images)
+    images[0] = Multivector.basis_one_form(7, 4)
+    monkeypatch.setattr(minimal_model, "nilpotent_log", lambda spec: LinearEndo(7, images))
+    with pytest.raises(InternalInvariantViolation, match="left the invariant subspace"):
+        build_minimal_model(s8, 1)

@@ -6,7 +6,8 @@ and others).  A refactor that renames or bypasses them would break
 ``bench/run.py --trace 1`` without failing any other test, so this runs a
 traced ``analyze`` in a fresh interpreter, the way a benchmark worker does.
 A CLI call in a fresh interpreter must also not import ``argparse`` or
-``gettext`` (no wall-clock gate, only the imports are checked).
+``gettext``, and must load nothing outside the package and the standard
+library (no wall-clock gate, only the imports are checked).
 """
 
 import json
@@ -60,22 +61,30 @@ def test_traced_analyze_counts_the_kernel_hooks(tmp_path):
 FRESH_CLI = """
 import contextlib, io, json, sys
 sys.path.insert(0, sys.argv[1])
+before = set(sys.modules)  # site may have preloaded third-party modules
 import solvform.cli
 
 with contextlib.redirect_stdout(io.StringIO()):
     code = solvform.cli.main(["analyze", sys.argv[2]])
-print(json.dumps({"exit": code, "loaded": [m for m in ("argparse", "gettext") if m in sys.modules]}))
+allowed = sys.stdlib_module_names | {"solvform"}
+print(json.dumps({
+    "exit": code,
+    "loaded": [m for m in ("argparse", "gettext") if m in sys.modules],
+    "foreign": sorted(m for m in set(sys.modules) - before if m.partition(".")[0] not in allowed),
+}))
 """
 
 
 def test_cli_run_imports_no_argument_parser():
     # the two command shapes are parsed by hand; argparse would also pull in
-    # gettext (and locale) on first use, a fixed cost on every CLI call
+    # gettext (and locale) on first use, a fixed cost on every CLI call; the
+    # package is stdlib-only at run time
     proc = subprocess.run(
-        [sys.executable, "-c", FRESH_CLI, str(ROOT / "src"), str(fixture_path("torus3"))],
+        [sys.executable, "-c", FRESH_CLI, str(ROOT / "src"), str(fixture_path("s6"))],
         capture_output=True,
         text=True,
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout.strip().splitlines()[-1]) == {"exit": 0, "loaded": []}
+    assert json.loads(proc.stdout.strip().splitlines()[-1]) == {"exit": 0, "loaded": [], "foreign": []}
+

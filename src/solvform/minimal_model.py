@@ -21,7 +21,7 @@ is staged by degree q:
       computed, on the same generators, so they are not formed again;
       the complement basis is ordered along the kernel filtration of the
       shift N modulo that image, read from the residues of N^j modulo the
-      image (N preserves it), so the twist added later is strictly
+      image (N preserves it; checked), so the twist added later is strictly
       triangular on same-degree generators;
   (c) classes one degree up whose realization vanishes are killed by new
       non-closed degree-q generators whose differentials are the
@@ -330,9 +330,10 @@ def _flag_ordered_complement(model: MinimalModel, q: int, image_reps: list[Class
     realized image, so that N maps each vector into the span of its
     predecessors plus the image.  N preserves that image, the degree-q part
     of the subalgebra generated by the realizations of the lower-degree
-    closed generators, which earlier stages made N-stable.  So x lies in the
-    j-th kernel exactly when N^j(x) lies in the image: the filtration is read
-    from residues of N^j modulo the image, with no matrix of N on the quotient.
+    closed generators, which earlier stages made N-stable; this is checked on
+    the image rows.  So x lies in the j-th kernel exactly when N^j(x) lies in
+    the image: the filtration is read from residues of N^j modulo the image,
+    with no matrix of N on the quotient.
     """
     spec = model.spec
     image_acc = EchelonAccumulator()
@@ -344,6 +345,8 @@ def _flag_ordered_complement(model: MinimalModel, q: int, image_reps: list[Class
     ]
 
     index_map = _index_map(nilpotent_log(spec))
+    if any(image_acc.residue(_shift_row(row, index_map)) for row in image_acc.rows):
+        raise InternalInvariantViolation("realized image in degree %d is not shift-stable" % q)
     power = [_shift_row(vec, index_map) for vec in complement]
     if any(span.residue(row) for row in power):
         raise InternalInvariantViolation(

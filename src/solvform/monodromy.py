@@ -37,8 +37,6 @@ each group of slots sharing one weight, so :func:`resonant_monomials`
 adds weights once per count vector, one fewer than the product of
 ``size + 1`` over the groups for every degree at once, and expands each
 resonant vector into products of combinations inside the groups.
-They also give every slice size, a sum of products of binomials, so a
-fiber with a slice above :data:`MAX_SLICE_MONOMIALS` is refused up front.
 
 Both bases are memoized in-process, keyed by (spec, degree), so the
 unipotent, cohomology, model, formality and symplectic stages share one
@@ -80,9 +78,11 @@ from .spectral import (
     nilpotent_log,
 )
 
-# Resonant monomials in the largest slice taken on: nil14 (C(14,7) = 3,432)
-# runs; nil15 (6,435) and nil16 (12,870) are refused instead of running for minutes.
-MAX_SLICE_MONOMIALS = 5000
+# Resonant monomials in the largest slice taken on.  `analyze` at K=3 on a 2-vCPU
+# x86 VM: a nilpotent Jordan block of size 14 (3,432) takes 12 s, of size 15
+# (6,435) 71 s, of size 16 (12,870, refused here) 624 s; complex pairs shorten the
+# chains, so a 17-dimensional fiber with two of them (8,866) takes 16 s.
+MAX_SLICE_MONOMIALS = 10000
 
 
 def resonance_test(w: Weight) -> bool:
@@ -106,8 +106,7 @@ def resonant_monomials(spec: AlmostAbelianSpec, k: int) -> list[tuple[int, ...]]
 @lru_cache(maxsize=SLICE_CACHE_SIZE)
 def _resonant_counts(spec: AlmostAbelianSpec) -> tuple[tuple, tuple]:
     """``(groups, counts)``: the slots grouped by weight, and every count vector
-    (how many slots each group contributes) whose weight sum is a resonance;
-    an ``InputError`` when a slice exceeds :data:`MAX_SLICE_MONOMIALS`."""
+    (how many slots each group contributes) whose weight sum is a resonance."""
     by_weight: dict[Weight, list[int]] = {}
     for s in generator_weights(spec):
         by_weight.setdefault(s.weight, []).append(s.slot)
@@ -120,8 +119,16 @@ def _resonant_counts(spec: AlmostAbelianSpec) -> tuple[tuple, tuple]:
                     total = total + w
                 grown.append((count + (c,), total))
         sums = grown
-    groups = tuple(tuple(slots) for slots in by_weight.values())
-    counts = tuple(count for count, total in sums if resonance_test(total))
+    return (
+        tuple(tuple(slots) for slots in by_weight.values()),
+        tuple(count for count, total in sums if resonance_test(total)),
+    )
+
+
+def check_fiber_size(spec: AlmostAbelianSpec) -> None:
+    """``InputError`` when a slice exceeds :data:`MAX_SLICE_MONOMIALS`; the
+    slice sizes are sums of products of binomials, so nothing is enumerated."""
+    groups, counts = _resonant_counts(spec)
     sizes = [0] * (spec.n + 1)
     for count in counts:
         sizes[sum(count)] += prod(map(comb, map(len, groups), count))
@@ -131,7 +138,6 @@ def _resonant_counts(spec: AlmostAbelianSpec) -> tuple[tuple, tuple]:
             f"fiber too large: the degree-{k} unipotent slice has {sizes[k]} "
             f"resonant monomials, above the limit of {MAX_SLICE_MONOMIALS}"
         )
-    return groups, counts
 
 
 def _realify(slots, combo) -> tuple[dict, dict]:

@@ -19,7 +19,7 @@ from .formality import (
     total_model_dump,
 )
 from .minimal_model import build_minimal_model, serialize_model, verify_quasi_iso
-from .monodromy import nilpotent_submodule, oracle_applicable
+from .monodromy import check_fiber_size, nilpotent_submodule, oracle_applicable
 from .spectral import (
     AlmostAbelianSpec,
     emit_spec,
@@ -44,6 +44,7 @@ class Analysis:
     def __init__(self, spec: AlmostAbelianSpec, max_degree: int = 3):
         if max_degree < 1:
             raise InputError("--max-degree must be at least 1")
+        check_fiber_size(spec)  # the unipotent section reads every degree's slice
         self.spec = spec
         self.max_degree = max_degree
         self._model = None

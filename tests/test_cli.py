@@ -205,14 +205,11 @@ def test_oversized_fiber_is_refused_before_enumeration(tmp_path, capsys, monkeyp
     assert out == ""
     assert err == (
         "error: fiber too large: the degree-8 unipotent slice has 12870 resonant monomials, "
-        "above the limit of 5000\n"
+        "above the limit of 10000\n"
     )
 
 
 def test_lowered_slice_limit_refuses_s6(tmp_path, capsys, monkeypatch):
-    # the count vectors and the slices of s6 may be memoized by earlier tests
-    monodromy._resonant_counts.cache_clear()
-    monodromy._nilpotent_submodule.cache_clear()
     monkeypatch.setattr(monodromy, "MAX_SLICE_MONOMIALS", 3)
     assert main(["analyze", str(_write_spec(tmp_path)), "--max-degree", "3"]) == 1
     err = capsys.readouterr().err

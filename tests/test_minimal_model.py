@@ -28,8 +28,8 @@ from solvform.linalg import (
     rank,
     solve_combination,
 )
-from solvform.minimal_model import MinimalModel
-from solvform.spectral import nilpotent_log
+from solvform.minimal_model import ClassRep, MinimalModel
+from solvform.spectral import nilpotent_log, parse_spec
 
 
 def test_s6_model_is_free_on_five_degree_one_generators(s6):
@@ -364,3 +364,27 @@ def test_shift_leaving_the_slice_is_caught_in_the_model_build(monkeypatch, s8):
     monkeypatch.setattr(minimal_model, "nilpotent_log", lambda spec: LinearEndo(7, images))
     with pytest.raises(InternalInvariantViolation, match="left the invariant subspace"):
         build_minimal_model(s8, 1)
+
+
+def _jordan3_plus_one():
+    # the shift sends a1 -> a2 -> a3 and a4 -> 0
+    return parse_spec('{"n": 4, "blocks": [{"kind": "real", "size": 3}, {"kind": "real", "size": 1}]}')
+
+
+def test_shift_into_the_image_is_zero_on_the_complement():
+    # with the image spanned by a3, N(a2) = a3 vanishes modulo the image, so a2
+    # joins a4 in the first kernel; kernels of N^j on the bare complement rows
+    # would put a4 alone first
+    spec = _jordan3_plus_one()
+    a = [None] + [Multivector.basis_one_form(4, i) for i in range(1, 5)]
+    image_reps = [ClassRep({}, a[3])]
+    order = minimal_model._flag_ordered_complement(MinimalModel(spec, 1), 1, image_reps)
+    assert order == [a[2], a[4], a[1]]
+    assert order == _reference_flag_order(spec, 1, image_reps)
+
+
+def test_image_that_is_not_shift_stable_is_caught():
+    spec = _jordan3_plus_one()
+    image_reps = [ClassRep({}, Multivector.basis_one_form(4, 2))]  # N(a2) = a3 is outside
+    with pytest.raises(InternalInvariantViolation, match="not shift-stable"):
+        minimal_model._flag_ordered_complement(MinimalModel(spec, 1), 1, image_reps)

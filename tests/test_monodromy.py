@@ -13,7 +13,10 @@ from conftest import random_resonant_spec, random_unimodular_spec
 from solvform import (
     AlmostAbelianSpec,
     Block,
+    InputError,
     OracleUnavailable,
+    build_minimal_model,
+    build_twisted_model,
     generator_weights,
     nilpotent_log,
     nilpotent_submodule,
@@ -40,6 +43,7 @@ from solvform.monodromy import (
     _resonant_counts,
     _shift_row,
     _shift_slice,
+    check_fiber_size,
     in_submodule_span,
     resonant_monomials,
     shift_slice,
@@ -512,3 +516,16 @@ def test_in_submodule_span_rejects_vectors_outside(s8):
     assert not in_submodule_span(basis, a[3])
     assert not in_submodule_span(basis, a[0] + a[4])
     assert not in_submodule_span([], a[0])
+
+
+def test_low_slices_of_a_large_fiber_are_not_refused():
+    # the size refusal sits at the report entry, which reads every degree;
+    # the low slices of nil16 stay cheap to build from the library
+    nil16 = parse_spec('{"n": 16, "blocks": [{"kind": "real", "size": 16}]}')
+    assert len(nilpotent_submodule(nil16, 1)) == 16
+    model = build_minimal_model(nil16, 2)
+    assert len(model.gens) == 16
+    build_twisted_model(nil16, model)
+    with pytest.raises(InputError, match="the degree-8 unipotent slice has 12870"):
+        check_fiber_size(nil16)
+    check_fiber_size(parse_spec('{"n": 15, "blocks": [{"kind": "real", "size": 15}]}'))  # 6,435

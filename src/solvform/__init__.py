@@ -9,8 +9,6 @@ forms with exact certificates.  All arithmetic is over the rationals
 extended by declared transcendental symbols; nothing is ever rounded.
 """
 
-from importlib import resources
-
 from .cohomology import CEElement, betti_numbers, ce_differential, cohomology
 from .errors import (
     HypothesisError,
@@ -74,6 +72,10 @@ __version__ = "0.1.0"
 
 def fixture_path(name: str):
     """Path to a bundled instance document, e.g. ``fixture_path("s6")``."""
+    # imported here: outside this helper nothing needs it, and where ``site``
+    # has not loaded it already it pulls in pathlib, zipfile and tempfile
+    from importlib import resources
+
     if not name.endswith(".json"):
         name += ".json"
     return resources.files(__package__) / "fixtures" / name

@@ -33,23 +33,22 @@ share one elimination per slice; this module keeps no memo of its own.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .exterior import Multivector, derivation_apply
 from .monodromy import shift_slice
 from .spectral import AlmostAbelianSpec, modified_matrix, real_trace, require_modification_hypothesis
 
 
-@dataclass
 class CEElement:
     """Total form ``fiber + base ^ a`` of degree ``fiber.degree``."""
 
-    fiber: Multivector
-    base: Multivector | None = None  # degree fiber.degree - 1; None means zero
+    __slots__ = ("fiber", "base")
 
-    def __post_init__(self):
-        if self.base is not None and self.base.degree != self.fiber.degree - 1:
+    def __init__(self, fiber: Multivector, base: Multivector | None = None):
+        # base has degree fiber.degree - 1; None means zero
+        if base is not None and base.degree != fiber.degree - 1:
             raise ValueError("base part must have degree one below the fiber part")
+        self.fiber = fiber
+        self.base = base
 
     @property
     def degree(self) -> int:
@@ -83,12 +82,14 @@ def ce_differential(spec: AlmostAbelianSpec, elt: CEElement) -> CEElement:
     return CEElement(Multivector.zero(spec.n, elt.degree + 1), -image)
 
 
-@dataclass
 class CohomologySlice:
-    degree: int
-    betti: int
-    kernel_reps: list[Multivector]
-    coker_reps: list[Multivector]  # base parts; each stands for rep ^ a
+    __slots__ = ("degree", "betti", "kernel_reps", "coker_reps")
+
+    def __init__(self, degree: int, betti: int, kernel_reps: list, coker_reps: list):
+        self.degree = degree
+        self.betti = betti
+        self.kernel_reps = kernel_reps
+        self.coker_reps = coker_reps  # base parts; each stands for rep ^ a
 
     def representative_elements(self, n: int) -> list[CEElement]:
         out = [CEElement(rep) for rep in self.kernel_reps]

@@ -23,8 +23,6 @@ beyond finitely many degrees.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .errors import InputError, InternalInvariantViolation
 from .exterior import coordinate_vector
 from .linalg import solve_combination
@@ -33,11 +31,13 @@ from .monodromy import _index_map, _shift_row
 from .spectral import AlmostAbelianSpec, nilpotent_log
 
 
-@dataclass
 class TwistedModel:
-    model: MinimalModel
-    theta: dict  # gid -> Poly over earlier generators
-    ambiguity_degrees: list[int]
+    __slots__ = ("model", "theta", "ambiguity_degrees")
+
+    def __init__(self, model: MinimalModel, theta: dict, ambiguity_degrees: list[int]):
+        self.model = model
+        self.theta = theta  # gid -> Poly over earlier generators
+        self.ambiguity_degrees = ambiguity_degrees
 
     def theta_poly(self, p) -> dict:
         """Derivation extension of the twist to polynomials."""
@@ -126,19 +126,23 @@ def _check_square_zero(tm: TwistedModel):
             )
 
 
-@dataclass
 class DegreeStatus:
-    degree: int
-    passed: bool
-    witness: dict | None = None  # closed polynomial with nonzero twist
-    witness_twist: dict | None = None
+    __slots__ = ("degree", "passed", "witness", "witness_twist")
+
+    def __init__(self, degree: int, passed: bool, witness=None, witness_twist=None):
+        self.degree = degree
+        self.passed = passed
+        self.witness = witness  # closed polynomial with nonzero twist, or None
+        self.witness_twist = witness_twist
 
 
-@dataclass
 class FormalityVerdict:
-    max_checked_degree: int
-    model_bound: int
-    statuses: list[DegreeStatus] = field(default_factory=list)
+    __slots__ = ("max_checked_degree", "model_bound", "statuses")
+
+    def __init__(self, max_checked_degree: int, model_bound: int):
+        self.max_checked_degree = max_checked_degree
+        self.model_bound = model_bound
+        self.statuses: list[DegreeStatus] = []
 
     @property
     def passed(self) -> bool:

@@ -35,7 +35,6 @@ in every degree up to the bound (checked by :func:`verify_quasi_iso`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
 
@@ -50,25 +49,29 @@ Mono = "tuple[int, ...]"
 Poly = "dict[Mono, Fraction]"
 
 
-@dataclass
 class Generator:
-    gid: int
-    degree: int
-    differential: dict  # Poly over earlier generators; empty when closed
-    rho: Multivector  # realization; zero multivector for non-closed generators
-    closed: bool
+    __slots__ = ("gid", "degree", "differential", "rho", "closed")
+
+    def __init__(self, gid: int, degree: int, differential: dict, rho: Multivector, closed: bool):
+        self.gid = gid
+        self.degree = degree
+        self.differential = differential  # Poly over earlier generators; empty when closed
+        self.rho = rho  # realization; zero multivector for non-closed generators
+        self.closed = closed
 
     @property
     def name(self) -> str:
         return f"g{self.gid + 1}"
 
 
-@dataclass
 class ClassRep:
     """A cohomology class of the model: cocycle polynomial plus realization."""
 
-    poly: dict
-    rho: Multivector
+    __slots__ = ("poly", "rho")
+
+    def __init__(self, poly: dict, rho: Multivector):
+        self.poly = poly
+        self.rho = rho
 
 
 class MinimalModel:

@@ -21,7 +21,7 @@ and the last dual coordinate of the block to zero.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .errors import HypothesisError, SchemaError
@@ -37,13 +37,15 @@ _BLOCK_FIELDS = {"kind", "size", "re", "im_resonant", "im_symbolic"}
 SLICE_CACHE_SIZE = 256
 
 
-@dataclass(frozen=True)
-class Weight:
-    """Eigenvalue datum of a dual generator (or a sum of them)."""
+# The instance types are memo and dict keys compared field by field, so each
+# is a ``namedtuple`` subclass: eq and hash over all fields, no assignment.
 
-    re: ScalarLC
-    im_resonant: Fraction
-    im_symbolic: ScalarLC
+
+class Weight(namedtuple("Weight", "re im_resonant im_symbolic")):
+    """Eigenvalue datum of a dual generator (or a sum of them): ``re`` and
+    ``im_symbolic`` are ``ScalarLC``, ``im_resonant`` is a ``Fraction``."""
+
+    __slots__ = ()
 
     @classmethod
     def zero(cls) -> Weight:
@@ -60,25 +62,26 @@ class Weight:
         return Weight(self.re, -self.im_resonant, -self.im_symbolic)
 
 
-@dataclass(frozen=True)
-class Block:
-    kind: str  # "real" | "complex"
-    size: int
-    re: ScalarLC
-    im_resonant: Fraction = Fraction(0)
-    im_symbolic: ScalarLC = ScalarLC(0)
+class Block(
+    namedtuple(
+        "Block", "kind size re im_resonant im_symbolic", defaults=(Fraction(0), ScalarLC(0))
+    )
+):
+    """One block of the normal form; ``kind`` is "real" or "complex"."""
+
+    __slots__ = ()
 
     @property
     def real_dim(self) -> int:
         return self.size if self.kind == "real" else 2 * self.size
 
 
-@dataclass(frozen=True)
-class AlmostAbelianSpec:
-    n: int
-    blocks: tuple[Block, ...]
-    lattice_label: str = ""
-    symbols: tuple[str, ...] = ()
+class AlmostAbelianSpec(
+    namedtuple("AlmostAbelianSpec", "n blocks lattice_label symbols", defaults=("", ()))
+):
+    """An instance: ``n``, a tuple of ``Block``, a label and the symbol names."""
+
+    __slots__ = ()
 
     def block_starts(self) -> list[int]:
         """First coordinate index (1-based) of each block."""
@@ -96,15 +99,11 @@ class AlmostAbelianSpec:
         raise ValueError(f"coordinate {i} out of range 1..{self.n}")
 
 
-@dataclass(frozen=True)
-class SlotWeight:
+class SlotWeight(namedtuple("SlotWeight", "slot weight conj terms")):
     """One complexified dual generator: its weight, its conjugate's slot and
     ``terms``, which write it as ``sum(i**e * a_index)`` over ``(index, e)``."""
 
-    slot: int
-    weight: Weight
-    conj: int
-    terms: tuple[tuple[int, int], ...]
+    __slots__ = ()
 
 
 def parse_spec(text: str) -> AlmostAbelianSpec:

@@ -26,7 +26,6 @@ of this invariant type, nothing more.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .cohomology import CEElement, ce_differential
@@ -36,18 +35,24 @@ from .monodromy import in_submodule_span, nilpotent_submodule, shift_slice
 from .spectral import AlmostAbelianSpec, require_modification_hypothesis
 
 
-@dataclass
 class CoSymplecticPair:
-    two_form: Multivector
-    one_form: Multivector
+    __slots__ = ("two_form", "one_form")
+
+    def __init__(self, two_form: Multivector, one_form: Multivector):
+        self.two_form = two_form
+        self.one_form = one_form
 
 
-@dataclass
 class SymplecticWitness:
-    pair: CoSymplecticPair
-    omega: Multivector  # degree-2 form on the total space
-    pairing: Fraction  # top coefficient of F^(N-1) ^ eta on the fiber
-    omega_top: Fraction  # top coefficient of omega^N on the total space
+    __slots__ = ("pair", "omega", "pairing", "omega_top")
+
+    def __init__(
+        self, pair: CoSymplecticPair, omega: Multivector, pairing: Fraction, omega_top: Fraction
+    ):
+        self.pair = pair
+        self.omega = omega  # degree-2 form on the total space
+        self.pairing = pairing  # top coefficient of F^(N-1) ^ eta on the fiber
+        self.omega_top = omega_top  # top coefficient of omega^N on the total space
 
 
 def closed_two_classes(spec: AlmostAbelianSpec) -> list[Multivector]:

@@ -35,6 +35,15 @@ def test_ce_differential_examples(s6):
     assert d_a3.is_zero()
 
 
+def test_base_part_of_the_wrong_degree_is_refused():
+    fiber = Multivector.basis_one_form(5, 1).wedge(Multivector.basis_one_form(5, 2))
+    assert CEElement(fiber, Multivector.basis_one_form(5, 3)).degree == 2
+    with pytest.raises(ValueError, match="one below the fiber part"):
+        CEElement(fiber, fiber)
+    with pytest.raises(ValueError, match="one below the fiber part"):
+        CEElement(Multivector.basis_one_form(5, 1), Multivector.basis_one_form(5, 3))
+
+
 def test_ce_differential_squares_to_zero(s6, s8):
     rng = random.Random(51)
     cases = 0

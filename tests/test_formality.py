@@ -19,7 +19,7 @@ from solvform import (
 )
 from solvform.errors import InternalInvariantViolation
 from solvform.exterior import coordinate_vector, derivation_apply
-from solvform.formality import TwistedModel, _theta_nonclosed
+from solvform.formality import DegreeStatus, FormalityVerdict, TwistedModel, _theta_nonclosed
 from solvform.linalg import map_kernel, rref, solve_combination
 from solvform.minimal_model import MinimalModel
 from solvform.monodromy import nilpotent_submodule
@@ -215,6 +215,16 @@ def test_paired_shift_in_complex_jordan_block():
         assert spans_match(nilpotent_submodule(spec, k), nilpotent_submodule_oracle(spec, k))
     verdict = k_formality(spec, 1)
     assert not verdict.passed
+
+
+def test_verdicts_never_share_a_status_list(s6):
+    first, second = FormalityVerdict(1, 2), FormalityVerdict(1, 2)
+    assert first.statuses == [] and first.statuses is not second.statuses
+    first.statuses.append(DegreeStatus(1, True))
+    assert second.statuses == [] and FormalityVerdict(1, 2).statuses == []
+    again, once_more = k_formality(s6, 2), k_formality(s6, 2)
+    assert again.statuses is not once_more.statuses
+    assert [s.degree for s in again.statuses] == [s.degree for s in once_more.statuses] == [1, 2]
 
 
 def test_formality_bound_errors(s6):

@@ -1,6 +1,5 @@
 """Unipotent-monodromy submodule: enumeration route vs. independent iteration."""
 
-import dataclasses
 import json
 import random
 from collections import Counter
@@ -125,7 +124,7 @@ def _with_rotations(rng, spec):
         if b.kind == "complex":
             im = rng.choice([b.im_resonant, Fraction(1, 2), Fraction(1, 3), Fraction(-2, 3)])
             sym = rng.choice([ScalarLC(0), ScalarLC(0), ScalarLC.symbol("c", Fraction(1))])
-            b = dataclasses.replace(b, im_resonant=im, im_symbolic=sym)
+            b = Block(b.kind, b.size, b.re, im, sym)
         blocks.append(b)
     return AlmostAbelianSpec(spec.n, tuple(blocks), symbols=("b", "c"))
 

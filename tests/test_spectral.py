@@ -7,15 +7,21 @@ import pytest
 
 from conftest import random_unimodular_spec
 from solvform import (
+    AlmostAbelianSpec,
+    Block,
     HypothesisError,
     SchemaError,
+    Weight,
     emit_spec,
+    fixture_path,
     generator_weights,
     modified_matrix,
     nilpotent_log,
+    nilpotent_submodule,
     parse_spec,
 )
 from solvform.exterior import Multivector, derivation_apply
+from solvform.monodromy import _nilpotent_submodule
 from solvform.scalars import ScalarLC
 import random
 
@@ -199,3 +205,40 @@ def test_trace_is_sum_of_real_parts(s8):
     doc = '{"n": 2, "blocks": [{"kind": "real", "size": 2, "re": "1/3"}]}'
     spec = parse_spec(doc)
     assert modified_matrix(spec).trace() == ScalarLC(Fraction(2, 3))
+
+
+def test_two_parses_give_one_memo_key():
+    text = fixture_path("s8").read_text()
+    first, second = parse_spec(text), parse_spec(text)
+    assert first is not second
+    assert first == second and hash(first) == hash(second)
+    assert generator_weights(first) == generator_weights(second)
+    nilpotent_submodule(first, 2)
+    before = _nilpotent_submodule.cache_info()
+    nilpotent_submodule(second, 2)
+    after = _nilpotent_submodule.cache_info()
+    assert (after.hits, after.misses) == (before.hits + 1, before.misses)
+
+
+def test_label_and_symbols_take_part_in_equality(s8):
+    relabelled = AlmostAbelianSpec(s8.n, s8.blocks, "another lattice", s8.symbols)
+    more_symbols = AlmostAbelianSpec(s8.n, s8.blocks, s8.lattice_label, ("b", "c"))
+    assert relabelled != s8 and more_symbols != s8 and relabelled != more_symbols
+    assert AlmostAbelianSpec(s8.n, s8.blocks, s8.lattice_label, s8.symbols) == s8
+
+
+def test_instance_types_are_immutable(s8):
+    block = s8.blocks[1]
+    weight = Weight(block.re, block.im_resonant, block.im_symbolic)
+    for value, field in ((weight, "re"), (block, "size"), (s8, "n"), (s8, "lattice_label")):
+        with pytest.raises(AttributeError):
+            setattr(value, field, getattr(value, field))
+        with pytest.raises(AttributeError):
+            value.extra = 1
+
+
+def test_block_defaults_to_no_rotation():
+    block = Block("complex", 1, ScalarLC(1))
+    assert block.im_resonant == 0 and block.im_symbolic == ScalarLC(0)
+    assert block == Block("complex", 1, ScalarLC(1), Fraction(0), ScalarLC(0))
+    assert AlmostAbelianSpec(2, (block,)) == AlmostAbelianSpec(2, (block,), "", ())

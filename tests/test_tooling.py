@@ -6,8 +6,15 @@ and others).  A refactor that renames or bypasses them would break
 ``bench/run.py --trace 1`` without failing any other test, so this runs a
 traced ``analyze`` in a fresh interpreter, the way a benchmark worker does.
 A CLI call in a fresh interpreter must also not import ``argparse`` or
-``gettext``, and must load nothing outside the package and the standard
-library (no wall-clock gate, only the imports are checked).
+``gettext``, must not newly load ``dataclasses`` or ``inspect`` (whose
+import and class decorators were about a third of the start-up), and must
+load nothing outside the package and the standard library.  New modules
+are taken as ``set(sys.modules)`` after the call minus the set before the
+package import, so a module that ``site`` preloads (a third-party
+``.pth`` file may import ``importlib.resources``, for one) does not make
+the checks flaky.  Importing the CLI under ``python -S``, where nothing is preloaded,
+must not load ``importlib.resources``.  There is no wall-clock gate; only
+the imports are checked.
 """
 
 import json
@@ -67,10 +74,12 @@ import solvform.cli
 with contextlib.redirect_stdout(io.StringIO()):
     code = solvform.cli.main(["analyze", sys.argv[2]])
 allowed = sys.stdlib_module_names | {"solvform"}
+new = set(sys.modules) - before
 print(json.dumps({
     "exit": code,
     "loaded": [m for m in ("argparse", "gettext") if m in sys.modules],
-    "foreign": sorted(m for m in set(sys.modules) - before if m.partition(".")[0] not in allowed),
+    "class_machinery": [m for m in ("dataclasses", "inspect") if m in new],
+    "foreign": sorted(m for m in new if m.partition(".")[0] not in allowed),
 }))
 """
 
@@ -86,5 +95,28 @@ def test_cli_run_imports_no_argument_parser():
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout.strip().splitlines()[-1]) == {"exit": 0, "loaded": [], "foreign": []}
+    assert json.loads(proc.stdout.strip().splitlines()[-1]) == {
+        "exit": 0, "loaded": [], "class_machinery": [], "foreign": []
+    }
+
+
+BARE_IMPORT = """
+import sys
+sys.path.insert(0, sys.argv[1])
+import solvform.cli
+print("importlib.resources" in sys.modules)
+"""
+
+
+def test_cli_import_without_site_skips_importlib_resources():
+    # only fixture_path needs importlib.resources, which brings pathlib,
+    # zipfile and tempfile; -S keeps site from preloading it
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", BARE_IMPORT, str(ROOT / "src")],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from .errors import InputError, InternalInvariantViolation
 from .exterior import coordinate_vector
-from .linalg import solve_combination
+from .linalg import matrix_mul, solve_combination
 from .minimal_model import MinimalModel, build_minimal_model
 from .monodromy import _index_map, _shift_row
 from .spectral import AlmostAbelianSpec, nilpotent_log
@@ -75,13 +75,12 @@ def _theta_closed(model: MinimalModel, index_map: dict, gen):
     if not target:
         return {}
     reps = model.class_reps(gen.degree, range(gen.gid))
-    rows = [coordinate_vector(rep.rho) for rep in reps]
-    coeffs, _ = solve_combination(rows, target)
+    coeffs, _ = solve_combination([rep.rho for rep in reps], target)
     if coeffs is None:
         raise InternalInvariantViolation(
             f"shift image of {gen.name} is not realized by earlier classes"
         )
-    return model.p_combination(coeffs, [rep.poly for rep in reps])
+    return matrix_mul([coeffs], [rep.poly for rep in reps])[0]
 
 
 def _theta_nonclosed(model: MinimalModel, tm: TwistedModel, gen):

@@ -123,7 +123,7 @@ def matrix_mul(a: list[Row], b) -> list[Row]:
     """Row-convention composition: (x . a) . b has matrix a . b.
 
     ``b`` maps each column of ``a`` to a row: a list for row-number
-    columns, a dict for any other keys.
+    columns, a dict for any other keys.  Entries are ``int`` when integral.
     """
     out = []
     for row in a:
@@ -132,7 +132,7 @@ def matrix_mul(a: list[Row], b) -> list[Row]:
             for c, y in b[j].items():
                 z = acc.get(c, 0) + x * y
                 if z:
-                    acc[c] = z
+                    acc[c] = _integral(z)
                 else:
                     acc.pop(c, None)
         out.append(acc)

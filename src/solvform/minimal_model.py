@@ -9,11 +9,16 @@ the zero form and stay a chain map.
 The model is free graded-commutative on ordered generators.  Monomials
 are sorted tuples of generator ids (odd generators at most once), with
 reordering signs folded into rational coefficients; a polynomial is a
-finite map from monomials to nonzero rationals.  That map is also the
-sparse row :mod:`.linalg` eliminates, with the monomials as columns:
-:meth:`MinimalModel.monomials` lists each degree in sorted tuple order,
-which is the column order, so no position map is needed.  Construction
-is staged by degree q:
+finite map from monomials to nonzero rationals, each an ``int`` when it
+is integral and a ``Fraction`` otherwise, the rule :mod:`.linalg` keeps.
+That map is also the sparse row :mod:`.linalg` eliminates, with the
+monomials as columns: :meth:`MinimalModel.monomials` lists each degree
+in sorted tuple order, which is the column order, so no position map is
+needed.  The differential of a monomial ``g*r``, with ``g`` its first
+factor, is memoized by the product rule d(g) * r + (-1)^|g| g * d(r).
+A realization is kept as the sparse integer coordinate row of its form,
+keyed by index tuple, so realizations multiply by merging index tuples
+and feed the elimination directly.  Construction is staged by degree q:
 
   (b) new closed degree-q generators realize a complement of the image
       of the existing classes inside the degree-q slice of the target;
@@ -35,18 +40,17 @@ in every degree up to the bound (checked by :func:`verify_quasi_iso`).
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
 
 from .errors import InputError, InternalInvariantViolation
-from .exterior import Multivector, coordinate_vector, primitive_part
-from .linalg import EchelonAccumulator, echelon_basis, map_kernel, matrix_mul
+from .exterior import Multivector, coordinate_vector, merge_indices, primitive_part
+from .linalg import EchelonAccumulator, _integral, echelon_basis, map_kernel, matrix_mul
 from .monodromy import _index_map, _shift_row, nilpotent_submodule
 from .scalars import _join_terms
 from .spectral import AlmostAbelianSpec, nilpotent_log
 
 Mono = "tuple[int, ...]"
-Poly = "dict[Mono, Fraction]"
+Poly = "dict[Mono, int | Fraction]"
 
 
 class Generator:
@@ -65,11 +69,11 @@ class Generator:
 
 
 class ClassRep:
-    """A cohomology class of the model: cocycle polynomial plus realization."""
+    """A cohomology class of the model: cocycle polynomial plus realization row."""
 
     __slots__ = ("poly", "rho")
 
-    def __init__(self, poly: dict, rho: Multivector):
+    def __init__(self, poly: dict, rho: dict):
         self.poly = poly
         self.rho = rho
 
@@ -82,8 +86,9 @@ class MinimalModel:
         self.degree_bound = degree_bound
         self.gens: list[Generator] = []
         self._mono_cache: dict = {}  # (degree, gids) -> sorted monomials
-        self._d_cache: dict = {}  # monomial -> its differential
-        self._rho_cache: dict = {}  # monomial -> its realization
+        self._parity: list[int] = []  # gid -> degree mod 2
+        self._d_cache: dict = {(): {}}  # monomial -> its differential
+        self._rho_cache: dict = {(): {(): 1}}  # monomial -> its realization row
 
     # ----- generator bookkeeping -------------------------------------------------
 
@@ -91,17 +96,16 @@ class MinimalModel:
         gen = Generator(
             gid=len(self.gens),
             degree=degree,
-            differential=dict(differential or {}),
+            differential={m: _integral(c) for m, c in (differential or {}).items()},
             rho=rho if rho is not None else Multivector.zero(self.spec.n, degree),
             closed=closed,
         )
         self.gens.append(gen)
+        self._parity.append(degree % 2)
+        self._rho_cache[(gen.gid,)] = {k: _integral(c) for k, c in coordinate_vector(gen.rho).items()}
         # only monomials of at least the new degree can contain the new generator
         self._mono_cache = {key: v for key, v in self._mono_cache.items() if key[0] < degree}
         return gen
-
-    def _odd(self, gid: int) -> bool:
-        return self.gens[gid].degree % 2 == 1
 
     def generator_counts(self) -> dict[int, tuple[int, int]]:
         """Per degree: (closed, non-closed) generator counts."""
@@ -112,9 +116,6 @@ class MinimalModel:
         return {d: (c, n) for d, (c, n) in sorted(out.items())}
 
     # ----- monomials -------------------------------------------------------------
-
-    def mono_degree(self, mono) -> int:
-        return sum(self.gens[g].degree for g in mono)
 
     def monomials(self, k: int, gids=None) -> list:
         """Sorted degree-k monomials over the given generator ids (default all)."""
@@ -150,21 +151,21 @@ class MinimalModel:
 
     def mono_mul(self, u, v):
         """Merge two sorted monomials; (sign, monomial) or None when an odd id repeats."""
+        odd = self._parity
         sign = 1
         out = []
         i = j = 0
-        odd_left = sum(1 for g in u if self._odd(g))
+        odd_left = sum(map(odd.__getitem__, u))
         while i < len(u) and j < len(v):
             gu, gv = u[i], v[j]
-            if gu == gv and self._odd(gu):
+            if gu == gv and odd[gu]:
                 return None
             if gu <= gv:
-                if self._odd(gu):
-                    odd_left -= 1
+                odd_left -= odd[gu]
                 out.append(gu)
                 i += 1
             else:
-                if self._odd(gv) and odd_left % 2:
+                if odd[gv] and odd_left % 2:
                     sign = -sign
                 out.append(gv)
                 j += 1
@@ -174,45 +175,24 @@ class MinimalModel:
 
     # ----- polynomial arithmetic ---------------------------------------------------
 
-    @staticmethod
-    def p_combination(coeffs: dict, polys: list) -> dict:
-        """``sum(c_i * polys[i])`` over the sparse coefficient row ``coeffs``."""
-        out: dict = {}
-        for i, c in sorted(coeffs.items()):
-            for m, x in polys[i].items():
-                total = out.get(m, 0) + c * x
-                if total:
-                    out[m] = total
-                else:
-                    out.pop(m, None)
-        return out
-
     def p_mul(self, p, q):
         """Product of two polynomials.  Nothing in the package calls it, but
         ``bench/layertrace.py`` wraps it by name and tests use it as the reference."""
-        out: dict = {}
-        for mu, cu in p.items():
-            for mv, cv in q.items():
-                merged = self.mono_mul(mu, mv)
-                if merged is None:
-                    continue
-                sign, mono = merged
-                total = out.get(mono, Fraction(0)) + sign * cu * cv
-                if total == 0:
-                    out.pop(mono, None)
-                else:
-                    out[mono] = total
-        return out
+        return _multiply_into({}, p, q, self.mono_mul)
 
     def d_mono(self, mono):
-        """Differential of one monomial, memoized.
+        """Differential of one monomial, memoized, by the product rule
+        d(g * r) = d(g) * r + (-1)^|g| g * d(r) on its first factor ``g``.
 
         Generator differentials are fixed when a generator is created, so
         an entry never goes stale.  Callers must not mutate the result.
         """
         out = self._d_cache.get(mono)
         if out is None:
-            out = self._d_cache[mono] = self.d_poly({mono: Fraction(1)})
+            g, rest = mono[0], mono[1:]
+            out = _multiply_into({}, self.gens[g].differential, {rest: 1}, self.mono_mul)
+            head = {(g,): -1 if self._parity[g] else 1}
+            self._d_cache[mono] = _multiply_into(out, head, self.d_mono(rest), self.mono_mul)
         return out
 
     def d_poly(self, p):
@@ -253,23 +233,17 @@ class MinimalModel:
                 prefix_degree += self.gens[gid].degree
         return out
 
-    def rho_poly(self, p) -> Multivector:
-        """Realization: algebra map sending each generator to its stored value."""
-        total_degree = self.mono_degree(next(iter(p))) if p else 0
-        terms = []
-        for mono, coeff in p.items():
-            terms.extend((key, c * coeff) for key, c in self._rho_mono(mono).terms.items())
-        return Multivector(self.spec.n, total_degree, terms)
+    def rho_poly(self, p) -> dict:
+        """Realization row: algebra map sending each generator to its stored value."""
+        return matrix_mul([p], {mono: self._rho_mono(mono) for mono in p})[0]
 
-    def _rho_mono(self, mono) -> Multivector:
-        """Realization of one monomial, memoized like :meth:`d_mono`."""
+    def _rho_mono(self, mono) -> dict:
+        """Realization row of one monomial, memoized like :meth:`d_mono`; the
+        entry of each generator is set by :meth:`add_generator`."""
         out = self._rho_cache.get(mono)
         if out is None:
-            if mono:
-                out = self._rho_mono(mono[:-1]).wedge(self.gens[mono[-1]].rho)
-            else:
-                out = Multivector.unit(self.spec.n)
-            self._rho_cache[mono] = out
+            left, right = self._rho_mono(mono[:-1]), self._rho_cache[mono[-1:]]
+            out = self._rho_cache[mono] = _multiply_into({}, left, right, merge_indices)
         return out
 
     def poly_str(self, p) -> str:
@@ -308,6 +282,23 @@ class MinimalModel:
         return [ClassRep(poly, self.rho_poly(poly)) for poly in classes.rows]
 
 
+def _multiply_into(out: dict, p: dict, q: dict, merge) -> dict:
+    """Add the product of the sparse rows ``p`` and ``q`` to ``out``; ``merge``
+    multiplies two keys into (sign, key), or None when the product is zero."""
+    for u, cu in p.items():
+        for v, cv in q.items():
+            merged = merge(u, v)
+            if merged is None:
+                continue
+            sign, key = merged
+            total = out.get(key, 0) + (cu * cv if sign > 0 else -cu * cv)
+            if total:
+                out[key] = _integral(total)
+            else:
+                out.pop(key, None)  # test-built rows may carry zero coefficients
+    return out
+
+
 def mono_name(model: MinimalModel, mono) -> str:
     if not mono:
         return "1"
@@ -341,7 +332,7 @@ def _flag_ordered_complement(model: MinimalModel, q: int, image_reps: list[Class
     spec = model.spec
     image_acc = EchelonAccumulator()
     for rep in image_reps:
-        image_acc.add(coordinate_vector(rep.rho))
+        image_acc.add(rep.rho)
     span = EchelonAccumulator.from_reduced(image_acc.rows)  # image plus complement
     complement = [
         vec for vec in map(coordinate_vector, nilpotent_submodule(spec, q)) if span.add(vec)
@@ -385,14 +376,11 @@ def build_minimal_model(spec: AlmostAbelianSpec, d_max: int) -> MinimalModel:
             model.add_generator(degree=q, rho=vec, closed=True)
         for _round in range(50):
             reps = model.class_reps(q + 1)
-            kern = map_kernel([coordinate_vector(rep.rho) for rep in reps])
+            kern = map_kernel([rep.rho for rep in reps])
             if not kern:
                 break
-            polys = [rep.poly for rep in reps]
-            for coeffs in kern:
-                model.add_generator(
-                    degree=q, differential=model.p_combination(coeffs, polys), closed=False
-                )
+            for differential in matrix_mul(kern, [rep.poly for rep in reps]):
+                model.add_generator(degree=q, differential=differential, closed=False)
         else:
             raise InternalInvariantViolation(
                 f"class killing did not stabilize at degree {q}"
@@ -414,7 +402,7 @@ def verify_quasi_iso(model: MinimalModel) -> dict[int, dict]:
         reps = model.class_reps(k)
         u_basis = nilpotent_submodule(model.spec, k)
         acc = EchelonAccumulator()
-        image_rank = sum(acc.add(coordinate_vector(rep.rho)) for rep in reps)
+        image_rank = sum(acc.add(rep.rho) for rep in reps)
         injective = image_rank == len(reps)
         surjective = image_rank == len(u_basis) and not any(
             acc.add(coordinate_vector(u)) for u in u_basis

@@ -7,7 +7,15 @@ from fractions import Fraction
 
 import pytest
 
-from solvform import AlmostAbelianSpec, Block, Multivector, ScalarLC, fixture_path, load_spec
+from solvform import (
+    AlmostAbelianSpec,
+    Block,
+    Multivector,
+    ScalarLC,
+    fixture_path,
+    load_spec,
+    parse_spec,
+)
 from solvform.exterior import LinearEndo, monomials
 
 
@@ -41,6 +49,17 @@ def nil322():
     """Three nilpotent Jordan blocks of sizes 3, 2, 2 (not a bundled fixture)."""
     blocks = tuple(Block("real", size, ScalarLC(0)) for size in (3, 2, 2))
     return AlmostAbelianSpec(7, blocks)
+
+
+@pytest.fixture(scope="session")
+def s10():
+    """A symbolic pair of resonant complex blocks beside a Jordan block (not bundled)."""
+    return parse_spec(
+        '{"n": 9, "symbols": ["b"], "blocks": [{"kind": "real", "size": 3},'
+        ' {"kind": "complex", "size": 1, "re": "b", "im_resonant": "1"},'
+        ' {"kind": "complex", "size": 1, "re": "-b", "im_resonant": "1"},'
+        ' {"kind": "complex", "size": 1, "im_resonant": "1"}]}'
+    )
 
 
 def random_rational(rng, lo=-4, hi=4, den=3) -> Fraction:

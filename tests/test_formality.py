@@ -18,9 +18,9 @@ from solvform import (
     total_model_dump,
 )
 from solvform.errors import InternalInvariantViolation
-from solvform.exterior import coordinate_vector, derivation_apply
+from solvform.exterior import Multivector, coordinate_vector, derivation_apply
 from solvform.formality import DegreeStatus, FormalityVerdict, TwistedModel, _theta_nonclosed
-from solvform.linalg import map_kernel, rref, solve_combination
+from solvform.linalg import map_kernel, matrix_mul, rref, solve_combination
 from solvform.minimal_model import MinimalModel
 from solvform.monodromy import nilpotent_submodule
 
@@ -148,7 +148,7 @@ def test_twist_realizes_shift_on_closed_generators(s6, s8):
                 continue
             expected = derivation_apply(shift, g.rho)
             if tm.theta[g.gid]:
-                assert model.rho_poly(tm.theta[g.gid]) == expected
+                assert model.rho_poly(tm.theta[g.gid]) == coordinate_vector(expected)
             else:
                 assert expected.is_zero()
 
@@ -292,11 +292,11 @@ def _reference_theta_closed(model, ntl, gen):
     lower = [g.gid for g in model.gens if g.degree < gen.degree]
     for rep in model.class_reps(gen.degree, lower):
         columns.append(rep.poly)
-        images.append(rep.rho)
+        images.append(Multivector(model.spec.n, gen.degree, rep.rho))
     rows = [coordinate_vector(x) for x in images]
     coeffs, free = solve_combination(rows, coordinate_vector(target))
     assert coeffs is not None and free == 0
-    return model.p_combination(coeffs, columns)
+    return matrix_mul([coeffs], columns)[0]
 
 
 def test_theta_closed_matches_the_two_column_reference(s6, s8, nil322, heisenberg3, torus4):

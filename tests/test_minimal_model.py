@@ -102,7 +102,9 @@ def test_degree_zero_class_is_the_unit(s6, s8, torus3, heisenberg3):
         (rep,) = model_cohomology(model, 0)
         assert rep.poly == {(): Fraction(1)}
         unit = Multivector.unit(model.spec.n)
-        assert rep.rho == unit and str(rep.rho) == str(unit)
+        rho = Multivector(model.spec.n, 0, rep.rho)
+        assert rep.rho == coordinate_vector(unit)
+        assert rho == unit and str(rho) == str(unit)
 
 
 def test_degree_bound_validation(s6):
@@ -191,7 +193,7 @@ def test_realization_is_a_chain_map(s6, s8, heisenberg3):
     for spec in (s6, s8, heisenberg3):
         model = build_minimal_model(spec, 3)
         for g in model.gens:
-            assert model.rho_poly(g.differential).is_zero()
+            assert model.rho_poly(g.differential) == {}
 
 
 def _random_poly(rng, model, degree, terms=2):
@@ -214,8 +216,11 @@ def test_realization_is_multiplicative(s8):
         if not p or not q:
             continue
         lhs = model.rho_poly(model.p_mul(p, q))
-        rhs = wedge(model.rho_poly(p), model.rho_poly(q))
-        assert lhs == rhs or (lhs.is_zero() and rhs.is_zero())
+        rho_p, rho_q = (
+            Multivector(s8.n, sum(model.gens[g].degree for g in next(iter(x))), model.rho_poly(x))
+            for x in (p, q)
+        )
+        assert lhs == coordinate_vector(wedge(rho_p, rho_q))
         checked += 1
 
 
@@ -235,16 +240,80 @@ def test_generator_counts_reported(s8):
 
 
 def test_monomial_memos_match_direct_computation(s8):
-    # d and rho of a monomial are memoized; both must equal the Leibniz
-    # expansion and the wedge of the generator realizations
-    model = build_minimal_model(s8, 3)
-    for k in range(1, 5):
+    # d of a monomial is memoized by the product rule on its first factor, rho
+    # by wedging on its last; both must equal the per-factor Leibniz expansion,
+    # which d_poly keeps, and the wedge of the generator realizations
+    rng = random.Random(65)
+    cases = [(s8, 3), (s8, 5)] + [(random_unimodular_spec(rng, n_max=6), 3) for _ in range(6)]
+    checked = 0
+    for spec, bound in cases:
+        model = build_minimal_model(spec, bound)
+        for k in range(1, bound + 2):
+            for mono in model.monomials(k):
+                d = model.d_mono(mono)
+                assert d == model.d_poly({mono: 1})
+                assert not model.d_poly(d)
+                direct = Multivector.unit(spec.n)
+                for gid in mono:
+                    direct = wedge(direct, model.gens[gid].rho)
+                assert model.rho_poly({mono: Fraction(1)}) == coordinate_vector(direct)
+                checked += 1
+    assert checked > 900
+
+
+def _int_when_integral(coefficients) -> set:
+    """The coefficient types, after checking each is an int exactly when integral."""
+    for x in coefficients:
+        assert type(x) is (int if x.denominator == 1 else Fraction), x
+    return set(map(type, coefficients))
+
+
+def _model_coefficient_types(model, bound) -> set:
+    """Types over every generator differential, every memoized d and rho of
+    the monomials up to degree bound + 1 and every class up to the bound."""
+    for k in range(1, bound + 2):
         for mono in model.monomials(k):
-            assert model.d_mono(mono) == model.d_poly({mono: Fraction(1)})
-            direct = Multivector.unit(s8.n)
-            for gid in mono:
-                direct = wedge(direct, model.gens[gid].rho)
-            assert model.rho_poly({mono: Fraction(1)}).terms == direct.terms
+            model.d_mono(mono)
+            model.rho_poly({mono: 1})
+    seen = set()
+    for k in range(bound + 1):
+        for rep in model.class_reps(k):
+            seen |= _int_when_integral(list(rep.poly.values()) + list(rep.rho.values()))
+    for values in [g.differential for g in model.gens] + list(model._d_cache.values()):
+        seen |= _int_when_integral(values.values())
+    for values in model._rho_cache.values():
+        seen |= _int_when_integral(values.values())
+    return seen
+
+
+def test_model_coefficients_are_int_when_integral(s8, s10):
+    # coefficient types show in no report byte, so they are checked here
+    rng = random.Random(66)
+    cases = [(s8, 5), (s10, 4)] + [(random_unimodular_spec(rng, n_max=6), 4) for _ in range(20)]
+    for spec, bound in cases:
+        assert int in _model_coefficient_types(build_minimal_model(spec, bound), bound)
+
+
+def test_fractional_model_coefficients_stay_fractions(s6):
+    # no spec tried needs a fractional model coefficient, so one is built by
+    # hand: x, y, u closed of degree 1; dz = x*y/2; dv = x*y*u/2 with v even,
+    # so d(v^2) = 2 * v * dv has the integral coefficient 1
+    model = MinimalModel(s6, 3)
+    for i in (1, 2, 3):
+        model.add_generator(1, rho=Multivector.basis_one_form(6, i))
+    model.add_generator(1, {(0, 1): Fraction(1, 2)}, closed=False)
+    v = model.add_generator(2, {(0, 1, 2): Fraction(1, 2)}, closed=False)
+    w = model.add_generator(2, {(0, 1, 2): Fraction(4, 2)}, closed=False)
+    assert type(w.differential[(0, 1, 2)]) is int
+    assert model.d_mono((2, 3)) == {(0, 1, 2): Fraction(-1, 2)}
+    d_square = model.d_mono((v.gid, v.gid))
+    assert d_square == {(0, 1, 2, v.gid): 1} and type(d_square[(0, 1, 2, v.gid)]) is int
+    assert _model_coefficient_types(model, 3) == {int, Fraction}
+    # the killing and twist combinations
+    (half,) = matrix_mul([{0: Fraction(1, 2), 1: Fraction(1, 2)}], [{(3,): 1}, {(3,): 1}])
+    assert half == {(3,): 1} and type(half[(3,)]) is int
+    rho = model.rho_poly({(0,): Fraction(1, 2), (1,): Fraction(4, 2)})
+    assert rho == {(1,): Fraction(1, 2), (2,): 2} and type(rho[(2,)]) is int
 
 
 def test_add_generator_keeps_lower_degree_monomials(s8):
@@ -299,7 +368,7 @@ def _reference_flag_order(spec, q, image_reps):
     along ker T, ker T^2, ..., with each power of T formed by multiplication."""
     image_acc = EchelonAccumulator()
     for rep in image_reps:
-        image_acc.add(coordinate_vector(rep.rho))
+        image_acc.add(rep.rho)
     complement_vecs, reduced_c = [], []
     grow = EchelonAccumulator()
     for u in nilpotent_submodule(spec, q):
@@ -348,7 +417,7 @@ def test_closed_generators_follow_the_shift_flag(s6, s8, torus3, torus4, heisenb
             # image, which is what the twist on closed generators solves against
             span = EchelonAccumulator()
             for rep in image_reps:
-                span.add(coordinate_vector(rep.rho))
+                span.add(rep.rho)
             for g in closed:
                 assert not span.residue(coordinate_vector(derivation_apply(shift, g.rho)))
                 span.add(coordinate_vector(g.rho))
@@ -377,7 +446,7 @@ def test_shift_into_the_image_is_zero_on_the_complement():
     # would put a4 alone first
     spec = _jordan3_plus_one()
     a = [None] + [Multivector.basis_one_form(4, i) for i in range(1, 5)]
-    image_reps = [ClassRep({}, a[3])]
+    image_reps = [ClassRep({}, coordinate_vector(a[3]))]
     order = minimal_model._flag_ordered_complement(MinimalModel(spec, 1), 1, image_reps)
     assert order == [a[2], a[4], a[1]]
     assert order == _reference_flag_order(spec, 1, image_reps)
@@ -385,6 +454,6 @@ def test_shift_into_the_image_is_zero_on_the_complement():
 
 def test_image_that_is_not_shift_stable_is_caught():
     spec = _jordan3_plus_one()
-    image_reps = [ClassRep({}, Multivector.basis_one_form(4, 2))]  # N(a2) = a3 is outside
+    image_reps = [ClassRep({}, coordinate_vector(Multivector.basis_one_form(4, 2)))]  # N(a2) = a3 is outside
     with pytest.raises(InternalInvariantViolation, match="not shift-stable"):
         minimal_model._flag_ordered_complement(MinimalModel(spec, 1), 1, image_reps)

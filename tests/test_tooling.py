@@ -60,7 +60,10 @@ def test_traced_analyze_counts_the_kernel_hooks(tmp_path):
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     assert result["exit"] == 0
     counts = result["counts"]
-    for name in ("linalg.rref", "linalg.echelon_add", "minimal_model.d_poly"):
+    # the benchmark wraps these by name, so a renamed method fails here too
+    hooks = ("linalg.rref", "linalg.echelon_add", "minimal_model.d_poly")
+    hooks += ("minimal_model.rho_poly", "minimal_model.class_reps", "minimal_model.add_generator")
+    for name in hooks:
         assert counts.get(name, 0) > 0, name
     assert counts["linalg.rref.rows"] >= counts["linalg.rref.rank"] > 0
 

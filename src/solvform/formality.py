@@ -27,8 +27,8 @@ from .errors import InputError, InternalInvariantViolation
 from .exterior import coordinate_vector
 from .linalg import matrix_mul, solve_combination
 from .minimal_model import MinimalModel, build_minimal_model
-from .monodromy import _index_map, _shift_row
-from .spectral import AlmostAbelianSpec, nilpotent_log
+from .monodromy import _shift_index_map, _shift_row
+from .spectral import AlmostAbelianSpec
 
 
 class TwistedModel:
@@ -46,7 +46,7 @@ class TwistedModel:
 
 def build_twisted_model(spec: AlmostAbelianSpec, model: MinimalModel) -> TwistedModel:
     """Construct the twist generator by generator, in creation order."""
-    index_map = _index_map(nilpotent_log(spec))
+    index_map = _shift_index_map(spec)
     theta: dict = {}
     ambiguity: set[int] = set()
     tm = TwistedModel(model, theta, [])
@@ -63,7 +63,7 @@ def build_twisted_model(spec: AlmostAbelianSpec, model: MinimalModel) -> Twisted
     return tm
 
 
-def _theta_closed(model: MinimalModel, index_map: dict, gen):
+def _theta_closed(model: MinimalModel, index_map: tuple, gen):
     """Realize the shift image of a closed generator by earlier classes.
 
     Solved against the classes of the generators created before it: the

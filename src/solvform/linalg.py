@@ -6,7 +6,8 @@ hold either; the two compare and hash alike).  A column is any hashable
 key in a total order; the code only compares columns (``min``,
 ``sorted``, ``bisect``), so relabelling the columns by an
 order-preserving map relabels every result the same way.  Callers use the monomials themselves as columns: exterior index
-tuples and model monomials of one degree.  A row never stores a zero, so
+tuples and model monomials of one degree, which ``_multiply_into``
+multiplies as rows, given the product of two monomials.  A row never stores a zero, so
 its length is its number of nonzeros and the empty dict is the zero
 vector; column order inside the dict carries no meaning.  A subspace is
 presented by the reduced row echelon form of a spanning set; that form
@@ -136,6 +137,23 @@ def matrix_mul(a: list[Row], b) -> list[Row]:
                 else:
                     acc.pop(c, None)
         out.append(acc)
+    return out
+
+
+def _multiply_into(out: dict, p: dict, q: dict, merge) -> dict:
+    """Add the product of the sparse rows ``p`` and ``q`` to ``out``; ``merge``
+    multiplies two keys into (sign, key), or None when the product is zero."""
+    for u, cu in p.items():
+        for v, cv in q.items():
+            merged = merge(u, v)
+            if merged is None:
+                continue
+            sign, key = merged
+            total = out.get(key, 0) + (cu * cv if sign > 0 else -cu * cv)
+            if total:
+                out[key] = _integral(total)
+            else:
+                out.pop(key, None)  # test-built rows may carry zero coefficients
     return out
 
 

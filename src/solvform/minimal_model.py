@@ -44,10 +44,17 @@ from itertools import combinations, combinations_with_replacement
 
 from .errors import InputError, InternalInvariantViolation
 from .exterior import Multivector, coordinate_vector, merge_indices, primitive_part
-from .linalg import EchelonAccumulator, _integral, echelon_basis, map_kernel, matrix_mul
-from .monodromy import _index_map, _shift_row, nilpotent_submodule
+from .linalg import (
+    EchelonAccumulator,
+    _integral,
+    _multiply_into,
+    echelon_basis,
+    map_kernel,
+    matrix_mul,
+)
+from .monodromy import _shift_index_map, _shift_row, nilpotent_submodule
 from .scalars import _join_terms
-from .spectral import AlmostAbelianSpec, nilpotent_log
+from .spectral import AlmostAbelianSpec
 
 Mono = "tuple[int, ...]"
 Poly = "dict[Mono, int | Fraction]"
@@ -282,23 +289,6 @@ class MinimalModel:
         return [ClassRep(poly, self.rho_poly(poly)) for poly in classes.rows]
 
 
-def _multiply_into(out: dict, p: dict, q: dict, merge) -> dict:
-    """Add the product of the sparse rows ``p`` and ``q`` to ``out``; ``merge``
-    multiplies two keys into (sign, key), or None when the product is zero."""
-    for u, cu in p.items():
-        for v, cv in q.items():
-            merged = merge(u, v)
-            if merged is None:
-                continue
-            sign, key = merged
-            total = out.get(key, 0) + (cu * cv if sign > 0 else -cu * cv)
-            if total:
-                out[key] = _integral(total)
-            else:
-                out.pop(key, None)  # test-built rows may carry zero coefficients
-    return out
-
-
 def mono_name(model: MinimalModel, mono) -> str:
     if not mono:
         return "1"
@@ -338,7 +328,7 @@ def _flag_ordered_complement(model: MinimalModel, q: int, image_reps: list[Class
         vec for vec in map(coordinate_vector, nilpotent_submodule(spec, q)) if span.add(vec)
     ]
 
-    index_map = _index_map(nilpotent_log(spec))
+    index_map = _shift_index_map(spec)
     if any(image_acc.residue(_shift_row(row, index_map)) for row in image_acc.rows):
         raise InternalInvariantViolation("realized image in degree %d is not shift-stable" % q)
     power = [_shift_row(vec, index_map) for vec in complement]

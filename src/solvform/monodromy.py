@@ -40,9 +40,9 @@ resonant vector into products of combinations inside the groups.
 
 Both bases are memoized in-process, keyed by (spec, degree), so the
 unipotent, cohomology, model, formality and symplectic stages share one
-computation per degree; the resonant count vectors are memoized per
-spec.  The memos are bounded and hold immutable tuples; every call
-returns fresh lists.
+computation per degree; the resonant count vectors and the shift's
+index map are memoized per spec.  The memos are bounded and hold
+immutable tuples; every call returns fresh lists.
 """
 
 from __future__ import annotations
@@ -229,7 +229,7 @@ def _shift_slice(spec: AlmostAbelianSpec, k: int) -> tuple[tuple, tuple]:
     basis = _nilpotent_submodule(spec, k)
     slice_span = EchelonAccumulator.from_reduced([u.terms for u in basis])
     rows = slice_span.rows  # the basis rows, integral entries as ints
-    index_map = _index_map(nilpotent_log(spec))
+    index_map = _shift_index_map(spec)
     images = []
     for u, row in zip(basis, rows):
         image = _shift_row(row, index_map)
@@ -245,27 +245,36 @@ def _shift_slice(spec: AlmostAbelianSpec, k: int) -> tuple[tuple, tuple]:
     )
 
 
-def _index_map(shift: LinearEndo) -> dict[int, int]:
-    """The shift as a map of indices: it sends each ``a_i`` to 0 or to one ``a_j``, j > i."""
-    index_map = {}
+@lru_cache(maxsize=SLICE_CACHE_SIZE)
+def _shift_index_map(spec: AlmostAbelianSpec) -> tuple[int, ...]:
+    """:func:`_index_map` of the spec's shift, memoized per spec for the
+    shift slices, the flag order of the model build and the twist."""
+    return _index_map(nilpotent_log(spec))
+
+
+def _index_map(shift: LinearEndo) -> tuple[int, ...]:
+    """The shift as a map of indices: it sends each ``a_i`` to 0 or to one ``a_j``,
+    j > i.  Entry i is that j, or 0 when ``a_i`` goes to 0; entry 0 is unused."""
+    index_map = [0]
     for i, image in enumerate(shift.images, start=1):
+        j = 0
         if image.terms:
             ((j,), c), *rest = image.terms.items()
             if rest or c != 1 or j <= i:
                 raise InternalInvariantViolation(f"the shift sends a{i} to {image}, not to a later a_j")
-            index_map[i] = j
-    return index_map
+        index_map.append(j)
+    return tuple(index_map)
 
 
-def _shift_row(row: dict, index_map: dict[int, int]) -> dict:
+def _shift_row(row: dict, index_map: tuple[int, ...]) -> dict:
     """The derivation extension of an index-raising map applied to a row keyed by
     index tuples: replacing ``i`` at position ``p`` of a key by ``j`` and sorting
     again moves ``j`` past the indices between them, which gives the sign."""
     image: dict = {}
     for key, c in row.items():
         for p, i in enumerate(key):
-            j = index_map.get(i)
-            if j is None:
+            j = index_map[i]
+            if not j:
                 continue
             q = bisect(key, j)
             if key[q - 1] == j:

@@ -12,25 +12,32 @@ zero on invariant representatives).
 The search parameterizes ``F = sum x_i u_i`` over the kernel of the
 shift action on invariant 2-forms and ``eta = sum y_j e_j`` over
 invariant 1-forms, and expands the pairing ``P(x, y) = top(F^(N-1) ^
-eta)`` once as an explicit polynomial.  Its degree in each ``x_i`` is at
-most N-1 and in each ``y_j`` at most 1, so by Alon's Combinatorial
-Nullstellensatz (Combin. Probab. Comput. 8, 1999) a nonzero ``P`` has a
-nonzero point on the grid {0..N-1} per ``x_i`` and {0,1} per ``y_j``.
-``P`` identically zero therefore decides "no form of this type"; else
-the coordinates are fixed one at a time in grid order, each at the
-smallest value that keeps the partially substituted polynomial nonzero.
-The same bound shows this reaches the lexicographically first nonzero
-grid point, with no enumeration.  A negative answer refutes only forms
-of this invariant type, nothing more.
+eta)`` once as an explicit polynomial.  2-forms commute, so ``F^(N-1)``
+is a sum over multisets ``i1 <= ... <= i(N-1)`` of basis indices: each
+product ``u_i1 ^ ... ^ u_i(N-1)`` is formed once, as a sparse integer row
+keyed by index tuple, and weighted by the multinomial ``(N-1)! /
+prod(m_i!)`` of its multiplicities ``m``; its top coefficient against
+each ``e_j`` is one coefficient of ``P``.  The degree of ``P`` in each
+``x_i`` is at most N-1 and in each ``y_j`` at most 1, so by Alon's
+Combinatorial Nullstellensatz (Combin. Probab. Comput. 8, 1999) a nonzero
+``P`` has a nonzero point on the grid {0..N-1} per ``x_i`` and {0,1} per
+``y_j``.  ``P`` identically zero therefore decides "no form of this
+type"; else the coordinates are fixed one at a time in grid order, each
+at the smallest value that keeps the partially substituted polynomial
+nonzero.  The same bound shows this reaches the lexicographically first
+nonzero grid point, with no enumeration.  A negative answer refutes only
+forms of this invariant type, nothing more.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import factorial, prod
 
 from .cohomology import CEElement, ce_differential
 from .errors import InputError, InternalInvariantViolation
-from .exterior import Multivector, top_coefficient, wedge_power
+from .exterior import Multivector, merge_indices, top_coefficient, wedge_power
+from .linalg import _integral, _multiply_into
 from .monodromy import in_submodule_span, nilpotent_submodule, shift_slice
 from .spectral import AlmostAbelianSpec, require_modification_hypothesis
 
@@ -131,29 +138,29 @@ def find_symplectic(spec: AlmostAbelianSpec, candidate: CoSymplecticPair | None 
 
 
 def _pairing_polynomial(spec, half, f_basis, e_basis) -> dict:
-    """``top(F(x)^(half-1) ^ eta(y))`` as ``{exponents of (x..., y...): coefficient}``.
-
-    ``F^(half-1)`` is expanded by multiplying by ``sum x_i u_i`` repeatedly;
-    2-forms commute, so equal monomials collect their multinomial factors.
-    """
-    powers = {(0,) * len(f_basis): Multivector.unit(spec.n)}
+    """``top(F(x)^(half-1) ^ eta(y))`` as ``{exponents of (x..., y...): coefficient}``,
+    summed over multisets of basis 2-forms as the module docstring says; the
+    product row of a multiset extends the one without its last element."""
+    f_rows = [{key: _integral(c) for key, c in u.terms.items()} for u in f_basis]
+    products = {(): {(): 1}}
     for _ in range(half - 1):
-        expanded: dict = {}
-        for exps, form in powers.items():
-            for i, u in enumerate(f_basis):
-                term = form.wedge(u)
-                if term.is_zero():
-                    continue
-                key = exps[:i] + (exps[i] + 1,) + exps[i + 1 :]
-                prev = expanded.get(key)
-                expanded[key] = term if prev is None else prev + term
-        powers = {exps: form for exps, form in expanded.items() if not form.is_zero()}
+        longer = {}
+        for multiset, row in products.items():
+            for i in range(multiset[-1] if multiset else 0, len(f_rows)):
+                product = _multiply_into({}, row, f_rows[i], merge_indices)
+                if product:
+                    longer[multiset + (i,)] = product
+        products = longer
+    top = tuple(range(1, spec.n + 1))
+    e_rows = [{key: _integral(c) for key, c in e.terms.items()} for e in e_basis]
     poly = {}
-    for exps, form in powers.items():
-        for j, e in enumerate(e_basis):
-            coeff = top_coefficient(form.wedge(e))
+    for multiset, row in products.items():
+        exps = tuple(map(multiset.count, range(len(f_rows))))
+        weight = factorial(half - 1) // prod(map(factorial, exps))
+        for j, e in enumerate(e_rows):
+            coeff = _multiply_into({}, row, e, merge_indices).get(top)
             if coeff:
-                poly[exps + tuple(int(i == j) for i in range(len(e_basis)))] = coeff
+                poly[exps + tuple(int(i == j) for i in range(len(e_rows)))] = weight * coeff
     return poly
 
 
@@ -196,16 +203,18 @@ def verify_symplectic(spec: AlmostAbelianSpec, witness: SymplecticWitness):
     pair = witness.pair
     differential = ce_differential(spec, CEElement(pair.two_form, pair.one_form))
     closed = differential.is_zero()
-    pairing = top_coefficient(wedge_power(pair.two_form, half - 1).wedge(pair.one_form))
-    omega_top = top_coefficient(wedge_power(assemble_omega(spec, pair), half))
-    fiber_top_power = wedge_power(pair.two_form, half)  # zero for degree reasons
+    f_power = wedge_power(pair.two_form, half - 1)
+    pairing = top_coefficient(f_power.wedge(pair.one_form))
+    omega = assemble_omega(spec, pair)
+    omega_top = top_coefficient(wedge_power(omega, half))
+    fiber_top_power = f_power.wedge(pair.two_form)  # zero for degree reasons
     certificates = {
         "ce_closed": closed,
         "pairing": str(pairing),
         "omega_top": str(omega_top),
         "fiber_power_vanishes": fiber_top_power.is_zero(),
         "expansion_identity": omega_top == pairing * half,
-        "omega_matches_pair": assemble_omega(spec, pair) == witness.omega,
+        "omega_matches_pair": omega == witness.omega,
     }
     ok = (
         closed

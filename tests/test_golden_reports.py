@@ -8,7 +8,7 @@ construction is checked past the degrees a report reaches quickly.
 Two larger inline specs are pinned as well: s10 (symbols, complex blocks
 and a symplectic witness) and nil11 (``a(...)`` monomial names for
 n >= 10 and three zero-weight blocks); nil13 is pinned through the
-unipotent stage alone.
+unipotent stage alone, and its symplectic section on its own.
 """
 
 import hashlib
@@ -25,6 +25,7 @@ from solvform import (
     parse_spec,
     serialize_model,
 )
+from solvform.report import Analysis
 
 GOLDEN = {
     ("heisenberg3", 1): "c70d0860003c4fe21623b3940108933ac5a7a454339b71f60ac779ae7a395122",
@@ -103,6 +104,14 @@ def test_large_fiber_unipotent_bytes_unchanged():
     report = build_report(parse_spec(json.dumps(SPECS["nil13"])), 1, stages=("unipotent",))
     digest = hashlib.sha256(dumps_canonical(report).encode()).hexdigest()
     assert digest == "57754033fffcc3174d8ba47f9b04e3a59b3073827f4f29df2b6e7ca19528cd8d"
+
+
+def test_large_fiber_symplectic_bytes_unchanged():
+    # nil13's witness: 18 closed 2-forms and 13 invariant 1-forms, so the
+    # pairing polynomial is of degree 6 in 18 variables
+    section = Analysis(parse_spec(json.dumps(SPECS["nil13"])), 1).symplectic_section()
+    digest = hashlib.sha256(dumps_canonical(section).encode()).hexdigest()
+    assert digest == "004bfe2aea119131414d461e26fac8c107ea29b62c40e07e32ccf10d3def92f0"
 
 
 MODEL_GOLDEN = {

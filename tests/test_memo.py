@@ -5,11 +5,12 @@ import inspect
 
 import pytest
 
-from solvform import build_report, verify_report
+from solvform import build_report, monodromy, verify_report
 from solvform.cohomology import cohomology
 from solvform.monodromy import (
     _nilpotent_submodule,
     _resonant_counts,
+    _shift_index_map,
     _shift_slice,
     nilpotent_submodule,
     resonant_monomials,
@@ -77,6 +78,25 @@ def test_resonant_counts_are_computed_once_per_spec(s6, s8):
     groups, counts = _resonant_counts(s8)
     assert isinstance(groups, tuple) and all(isinstance(g, tuple) for g in groups)
     assert isinstance(counts, tuple) and all(isinstance(c, tuple) for c in counts)
+
+
+def test_shift_index_map_is_read_once_per_spec(monkeypatch, s6, s8):
+    # the shift slices, the flag order of the model build and the twist all
+    # apply the shift's index map; a report reads the shift for it once
+    read = []
+    shift_of = monodromy.nilpotent_log
+    monkeypatch.setattr(monodromy, "nilpotent_log", lambda spec: read.append(spec) or shift_of(spec))
+    _clear()
+    _shift_index_map.cache_clear()
+    try:
+        for spec in (s6, s8):
+            build_report(spec, 3)
+        info = _shift_index_map.cache_info()
+    finally:
+        _shift_index_map.cache_clear()
+    assert read == [s6, s8]
+    assert (info.misses, info.currsize, info.maxsize) == (2, 2, SLICE_CACHE_SIZE)
+    assert info.hits > 0
 
 
 @pytest.mark.parametrize(

@@ -18,7 +18,7 @@ from solvform import (
     serialize_model,
     verify_quasi_iso,
 )
-from solvform import minimal_model
+from solvform import minimal_model, monodromy
 from solvform.exterior import coordinate_vector, derivation_apply, primitive_part, wedge
 from solvform.linalg import (
     EchelonAccumulator,
@@ -430,9 +430,14 @@ def test_shift_leaving_the_slice_is_caught_in_the_model_build(monkeypatch, s8):
     # a1 to a4 (weight b, not resonant) leaves it
     images = list(nilpotent_log(s8).images)
     images[0] = Multivector.basis_one_form(7, 4)
-    monkeypatch.setattr(minimal_model, "nilpotent_log", lambda spec: LinearEndo(7, images))
-    with pytest.raises(InternalInvariantViolation, match="left the invariant subspace"):
-        build_minimal_model(s8, 1)
+    # the model build reads the shift through the per-spec index-map memo
+    monkeypatch.setattr(monodromy, "nilpotent_log", lambda spec: LinearEndo(7, images))
+    monodromy._shift_index_map.cache_clear()
+    try:
+        with pytest.raises(InternalInvariantViolation, match="left the invariant subspace"):
+            build_minimal_model(s8, 1)
+    finally:
+        monodromy._shift_index_map.cache_clear()
 
 
 def _jordan3_plus_one():

@@ -40,6 +40,7 @@ from solvform.errors import InternalInvariantViolation
 from solvform.monodromy import (
     _index_map,
     _resonant_counts,
+    _shift_index_map,
     _shift_row,
     _shift_slice,
     check_fiber_size,
@@ -411,11 +412,13 @@ def test_shift_out_of_the_slice_is_caught(monkeypatch, s8):
     images[0] = Multivector.basis_one_form(7, 4)
     monkeypatch.setattr(monodromy, "nilpotent_log", lambda spec: LinearEndo(7, images))
     _shift_slice.cache_clear()
+    _shift_index_map.cache_clear()
     try:
         with pytest.raises(InternalInvariantViolation, match="out of the unipotent slice"):
             shift_slice(s8, 1)
     finally:
         _shift_slice.cache_clear()
+        _shift_index_map.cache_clear()
 
 
 def _random_raising_index_map(rng, n) -> LinearEndo:
@@ -461,11 +464,13 @@ def test_shift_that_is_not_an_index_raising_map_is_caught(monkeypatch, s8, image
     images[0] = image
     monkeypatch.setattr(monodromy, "nilpotent_log", lambda spec: LinearEndo(7, images))
     _shift_slice.cache_clear()
+    _shift_index_map.cache_clear()
     try:
         with pytest.raises(InternalInvariantViolation, match="not to a later a_j"):
             shift_slice(s8, 1)
     finally:
         _shift_slice.cache_clear()
+        _shift_index_map.cache_clear()
 
 
 @pytest.mark.parametrize("name", ["nil322", "s10"])

@@ -385,3 +385,77 @@ def test_assembled_omega_lives_on_total_space(s6):
     omega = assemble_omega(s6, witness.pair)
     assert omega.n == 6 and omega.degree == 2
     assert top_coefficient(wedge_power(omega, 3)) == witness.omega_top
+
+
+NIL11 = """{"n": 11, "blocks": [{"kind": "real", "size": 4},
+                              {"kind": "real", "size": 4},
+                              {"kind": "real", "size": 3}]}"""
+
+
+def _wedge_pairing_polynomial(spec, half, f_basis, e_basis) -> dict:
+    """Reference expansion by repeated ``Multivector`` wedges: ``F^(half-1)`` is
+    multiplied out along every ordered path, so each monomial collects its
+    multinomial factor by addition."""
+    powers = {(0,) * len(f_basis): Multivector.unit(spec.n)}
+    for _ in range(half - 1):
+        expanded = {}
+        for exps, form in powers.items():
+            for i, u in enumerate(f_basis):
+                term = form.wedge(u)
+                if term.is_zero():
+                    continue
+                key = exps[:i] + (exps[i] + 1,) + exps[i + 1 :]
+                prev = expanded.get(key)
+                expanded[key] = term if prev is None else prev + term
+        powers = {exps: form for exps, form in expanded.items() if not form.is_zero()}
+    poly = {}
+    for exps, form in powers.items():
+        for j, e in enumerate(e_basis):
+            coeff = top_coefficient(form.wedge(e))
+            if coeff:
+                poly[exps + tuple(int(i == j) for i in range(len(e_basis)))] = coeff
+    return poly
+
+
+def test_pairing_polynomial_matches_the_wedge_expansion(s6, s8, torus3, torus4, heisenberg3):
+    from conftest import random_resonant_spec, random_unimodular_spec
+
+    rng = random.Random(61)
+    specs = [s6, s8, torus3, torus4, heisenberg3]
+    specs += [parse_spec(text) for text in (NIL322, S10, NIL11)]
+    for draw in (random_resonant_spec, random_unimodular_spec):
+        drawn = 0
+        while drawn < 60:
+            spec = draw(rng, n_max=7)
+            if spec.n % 2:
+                specs.append(spec)
+                drawn += 1
+    checked = nonzero = 0
+    for spec in specs:
+        if spec.n % 2 == 0:
+            continue  # odd total dimension: no pairing
+        half = (spec.n + 1) // 2
+        f_basis, e_basis = closed_two_classes(spec), nilpotent_submodule(spec, 1)
+        poly = symplectic._pairing_polynomial(spec, half, f_basis, e_basis)
+        assert poly == _wedge_pairing_polynomial(spec, half, f_basis, e_basis), spec
+        checked += 1
+        nonzero += bool(poly)
+    assert checked == 3 + 3 + 120 and nonzero > 60
+
+
+def test_pairing_polynomial_matches_the_wedge_expansion_on_fractions(s8):
+    # a hand-built basis with non-integral entries and 2-forms of nonzero
+    # square, so repeated indices carry the multinomial weights 3 and 1
+    f_basis = [
+        Multivector(7, 2, {(1, 2): Fraction(1, 2), (3, 4): Fraction(2, 3), (5, 6): 1}),
+        Multivector(7, 2, {(1, 3): 3, (2, 5): Fraction(-5, 7), (4, 6): 1}),
+        Multivector(7, 2, {(2, 3): Fraction(1, 3), (1, 4): 2, (6, 7): -1}),
+    ]
+    e_basis = [
+        Multivector(7, 1, {(7,): Fraction(3, 2)}),
+        Multivector(7, 1, {(1,): 1, (5,): Fraction(-1, 4), (3,): 2}),
+    ]
+    poly = symplectic._pairing_polynomial(s8, 4, f_basis, e_basis)
+    assert poly == _wedge_pairing_polynomial(s8, 4, f_basis, e_basis)
+    assert any(Fraction(c).denominator != 1 for c in poly.values())
+    assert any(2 in exps[:3] for exps in poly) and any(3 in exps[:3] for exps in poly)

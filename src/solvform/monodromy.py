@@ -337,10 +337,3 @@ def spans_match(a: list[Multivector], b: list[Multivector]) -> bool:
     rows_a = echelon_basis([coordinate_vector(x) for x in a])
     rows_b = echelon_basis([coordinate_vector(x) for x in b])
     return rows_a == rows_b
-
-
-def in_submodule_span(basis: list[Multivector], x: Multivector) -> bool:
-    """Membership of ``x`` in the span of an echelon ``basis`` (as returned by
-    :func:`nilpotent_submodule` and :func:`shift_slice`)."""
-    span = EchelonAccumulator.from_reduced([coordinate_vector(v) for v in basis])
-    return not span.residue(coordinate_vector(x))

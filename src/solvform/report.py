@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 
 from .cohomology import cohomology, trace_is_zero
-from .errors import InputError
+from .errors import InputError, InternalInvariantViolation
 from .formality import (
     build_twisted_model,
     formality_from_twisted,
@@ -26,12 +26,7 @@ from .spectral import (
     modification_hypothesis_holds,
     parse_spec,
 )
-from .symplectic import (
-    CoSymplecticPair,
-    closed_two_classes,
-    find_symplectic,
-    verify_symplectic,
-)
+from .symplectic import closed_two_classes, find_symplectic, verify_symplectic
 
 FORMAT_VERSION = 1
 
@@ -142,6 +137,10 @@ class Analysis:
                 "(exact grid decision, scoped to this construction)",
             }
         ok, certificates = verify_symplectic(self.spec, witness)
+        if not ok:
+            raise InternalInvariantViolation(
+                f"symplectic witness fails its certificates: {certificates}"
+            )
         return {
             "applicable": True,
             "closed_two_basis": closed_basis,
@@ -285,13 +284,6 @@ def verify_report(report: dict, spec: AlmostAbelianSpec):
     for section in ["input", "assumptions"] + stages:
         if dumps_canonical(report.get(section)) != dumps_canonical(fresh[section]):
             mismatches.append(_first_divergence(section, report.get(section), fresh[section]))
-    if "symplectic" in report:
-        section = report["symplectic"]
-        witness = section.get("witness") if isinstance(section, dict) else None
-        if isinstance(witness, dict):
-            ok = _reverify_witness(spec, witness)
-            if not ok:
-                mismatches.append("symplectic witness in the report fails re-verification")
     return not mismatches, mismatches
 
 
@@ -303,51 +295,3 @@ def _first_divergence(stage: str, old, new, path="") -> str:
             if dumps_canonical(old.get(key)) != dumps_canonical(new.get(key)):
                 return _first_divergence(stage, old.get(key), new.get(key), f"{path}/{key}")
     return f"{stage}{path}: report has {old!r}, recomputation gives {new!r}"
-
-
-def _reverify_witness(spec: AlmostAbelianSpec, witness: dict) -> bool:
-    pair = CoSymplecticPair(
-        _parse_form(spec, witness.get("two_form"), 2),
-        _parse_form(spec, witness.get("one_form"), 1),
-    )
-    try:
-        rebuilt = find_symplectic(spec, candidate=pair)
-    except InputError:  # odd total dimension
-        return False
-    return rebuilt is not None and str(rebuilt.omega_top) == witness.get("omega_top")
-
-
-def _parse_form(spec: AlmostAbelianSpec, text, degree: int):
-    """Parse the canonical multivector rendering back (rational coefficients)."""
-    from fractions import Fraction
-
-    from .exterior import Multivector
-
-    if not isinstance(text, str):
-        raise InputError(f"malformed report: witness form {text!r} is not a string")
-    text = text.strip()
-    if text == "0":
-        return Multivector.zero(spec.n, degree)
-    terms = []
-    normalized = text.replace(" - ", " + -").split(" + ")
-    try:
-        for chunk in normalized:
-            chunk = chunk.strip()
-            coeff = Fraction(1)
-            if chunk.startswith("-"):
-                coeff = Fraction(-1)
-                chunk = chunk[1:]
-            if "*" in chunk:
-                coeff_text, _, chunk = chunk.partition("*")
-                coeff *= Fraction(coeff_text)
-            if not chunk.startswith("a"):
-                raise InputError(f"cannot parse multivector term {chunk!r}")
-            body = chunk[1:]
-            if body.startswith("("):
-                indices = tuple(int(p) for p in body.strip("()").split(","))
-            else:
-                indices = tuple(int(ch) for ch in body)
-            terms.append((indices, coeff))
-        return Multivector(spec.n, degree, terms)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise InputError(f"malformed report: cannot parse multivector {text!r}: {exc}") from exc

@@ -27,6 +27,12 @@ at the smallest value that keeps the partially substituted polynomial
 nonzero.  The same bound shows this reaches the lexicographically first
 nonzero grid point, with no enumeration.  A negative answer refutes only
 forms of this invariant type, nothing more.
+
+The witness's values come from that search alone: the pairing is ``P`` at
+the grid point and ``omega^N`` is N times it.  :func:`verify_symplectic`
+is the one route that forms wedges; it recomputes both values from the
+pair on the fiber and on the total space and checks closedness, so its
+certificates compare the polynomial against the wedge products.
 """
 
 from __future__ import annotations
@@ -38,7 +44,7 @@ from .cohomology import CEElement, ce_differential
 from .errors import InputError, InternalInvariantViolation
 from .exterior import Multivector, merge_indices, top_coefficient, wedge_power
 from .linalg import _integral, _multiply_into
-from .monodromy import in_submodule_span, nilpotent_submodule, shift_slice
+from .monodromy import nilpotent_submodule, shift_slice
 from .spectral import AlmostAbelianSpec, require_modification_hypothesis
 
 
@@ -82,26 +88,21 @@ def _half_dim(spec: AlmostAbelianSpec) -> int:
     return total // 2
 
 
-def find_symplectic(spec: AlmostAbelianSpec, candidate: CoSymplecticPair | None = None):
+def find_symplectic(spec: AlmostAbelianSpec):
     """Decide exactly whether a nondegenerate pair exists; None when none of this type does.
 
     The witness is the first nonzero point of the grid in lexicographic
-    order.  A supplied candidate is verified instead of searching.  Every
-    returned witness carries exact certificates and passes
-    :func:`verify_symplectic` by construction, so a spec that fails the
-    modification hypothesis is refused as :func:`.cohomology.cohomology`
-    refuses it.
+    order.  Its values come from the search alone: ``pairing`` is the
+    pairing polynomial at that point, ``omega_top`` is ``N * pairing`` by
+    the expansion identity, and ``omega`` is assembled from the pair.  No
+    wedge is formed here; :func:`verify_symplectic` rechecks every value
+    with wedge products on the fiber and on the total space.  A spec that
+    fails the modification hypothesis is refused, as
+    :func:`.cohomology.cohomology` refuses it, since that recheck needs
+    the modified action.
     """
     require_modification_hypothesis(spec)
     half = _half_dim(spec)
-    if candidate is not None:
-        if not _pair_is_admissible(spec, candidate):
-            return None
-        witness = _witness_from_pair(spec, half, candidate)
-        if witness is None:
-            return None
-        ok, _ = verify_symplectic(spec, witness)
-        return witness if ok else None
     f_basis = closed_two_classes(spec)
     e_basis = nilpotent_submodule(spec, 1)
     if not e_basis:
@@ -129,12 +130,9 @@ def find_symplectic(spec: AlmostAbelianSpec, candidate: CoSymplecticPair | None 
     for c, u in zip(point[len(f_basis) :], e_basis):
         if c:
             one_form = one_form + u.scaled(c)
-    witness = _witness_from_pair(spec, half, CoSymplecticPair(two_form, one_form))
-    if witness is None or witness.pairing != poly[()]:
-        raise InternalInvariantViolation(
-            f"pairing at grid point {point} disagrees with the pairing polynomial"
-        )
-    return witness
+    pair = CoSymplecticPair(two_form, one_form)
+    pairing = Fraction(poly[()])
+    return SymplecticWitness(pair, assemble_omega(spec, pair), pairing, half * pairing)
 
 
 def _pairing_polynomial(spec, half, f_basis, e_basis) -> dict:
@@ -172,23 +170,6 @@ def _substitute_first(poly: dict, value: int) -> dict:
         key = exps[1:]
         out[key] = out[key] + term if key in out else term
     return {exps: coeff for exps, coeff in out.items() if coeff}
-
-
-def _pair_is_admissible(spec: AlmostAbelianSpec, pair: CoSymplecticPair) -> bool:
-    """Membership checks for supplied candidates: closed invariant 2-form, invariant 1-form."""
-    return in_submodule_span(closed_two_classes(spec), pair.two_form) and in_submodule_span(
-        nilpotent_submodule(spec, 1), pair.one_form
-    )
-
-
-def _witness_from_pair(spec, half, pair: CoSymplecticPair):
-    f_power = wedge_power(pair.two_form, half - 1)
-    pairing = top_coefficient(f_power.wedge(pair.one_form))
-    if not pairing:
-        return None
-    omega = assemble_omega(spec, pair)
-    omega_top = top_coefficient(wedge_power(omega, half))
-    return SymplecticWitness(pair, omega, pairing, omega_top)
 
 
 def verify_symplectic(spec: AlmostAbelianSpec, witness: SymplecticWitness):

@@ -1,4 +1,4 @@
-"""Shared fixtures: bundled instance documents and seeded random generators."""
+"""Shared fixtures: bundled instance documents, seeded random generators and a span check."""
 
 from __future__ import annotations
 
@@ -16,7 +16,8 @@ from solvform import (
     load_spec,
     parse_spec,
 )
-from solvform.exterior import LinearEndo, monomials
+from solvform.exterior import LinearEndo, coordinate_vector, monomials
+from solvform.linalg import EchelonAccumulator
 
 
 @pytest.fixture(scope="session")
@@ -131,6 +132,13 @@ def random_unimodular_spec(rng, n_max=6, symbols=("b",)) -> AlmostAbelianSpec:
         blocks.append(Block("complex", 1, ScalarLC(0), Fraction(rng.randint(0, 2)), ScalarLC(0)))
         used += 2
     return AlmostAbelianSpec(used, tuple(blocks), symbols=tuple(symbols))
+
+
+def in_submodule_span(basis: list[Multivector], x: Multivector) -> bool:
+    """Membership of ``x`` in the span of an echelon ``basis`` (as returned by
+    ``nilpotent_submodule`` and ``shift_slice``)."""
+    span = EchelonAccumulator.from_reduced([coordinate_vector(v) for v in basis])
+    return not span.residue(coordinate_vector(x))
 
 
 @pytest.fixture

@@ -11,6 +11,7 @@ from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
 
 from conftest import (
+    in_submodule_span,
     random_multivector,
     random_resonant_spec,
     random_strict_endo,
@@ -43,7 +44,6 @@ from solvform.exterior import (
     wedge,
 )
 from solvform.linalg import rank
-from solvform.monodromy import in_submodule_span
 
 
 class _criterion:

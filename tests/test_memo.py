@@ -2,10 +2,11 @@
 
 import importlib
 import inspect
+import json
 
 import pytest
 
-from solvform import build_report, monodromy, verify_report
+from solvform import build_report, dumps_canonical, exterior, monodromy, symplectic, verify_report
 from solvform.cohomology import cohomology
 from solvform.monodromy import (
     _nilpotent_submodule,
@@ -97,6 +98,21 @@ def test_shift_index_map_is_read_once_per_spec(monkeypatch, s6, s8):
     assert read == [s6, s8]
     assert (info.misses, info.currsize, info.maxsize) == (2, 2, SLICE_CACHE_SIZE)
     assert info.hits > 0
+
+
+def test_the_witness_is_wedged_only_by_its_recheck(monkeypatch, nil322):
+    # the search gives the witness's values; verify_symplectic forms F^(N-1)
+    # and omega^N once each, and verify_report rechecks no witness again
+    calls = []
+    power = exterior.wedge_power
+    counted = lambda form, p: calls.append(p) or power(form, p)
+    for module in (exterior, symplectic):
+        monkeypatch.setattr(module, "wedge_power", counted)
+    report = build_report(nil322, 3)
+    assert len(calls) == 2
+    ok, mismatches = verify_report(json.loads(dumps_canonical(report)), nil322)
+    assert ok, mismatches
+    assert len(calls) == 2 + 2
 
 
 @pytest.mark.parametrize(

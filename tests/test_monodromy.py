@@ -8,7 +8,7 @@ from math import prod
 
 import pytest
 
-from conftest import random_resonant_spec, random_unimodular_spec
+from conftest import in_submodule_span, random_resonant_spec, random_unimodular_spec
 from solvform import (
     AlmostAbelianSpec,
     Block,
@@ -44,7 +44,6 @@ from solvform.monodromy import (
     _shift_row,
     _shift_slice,
     check_fiber_size,
-    in_submodule_span,
     resonant_monomials,
     shift_slice,
 )

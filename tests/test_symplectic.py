@@ -12,16 +12,20 @@ from solvform import (
     InputError,
     InternalInvariantViolation,
     Multivector,
+    SymplecticWitness,
+    build_report,
     closed_two_classes,
     find_symplectic,
+    fixture_path,
     parse_spec,
     verify_symplectic,
 )
 from solvform import symplectic
+from solvform.cli import main
 from solvform.exterior import top_coefficient, wedge_power
 from solvform.monodromy import nilpotent_submodule
 from solvform.scalars import ScalarLC
-from solvform.symplectic import _witness_from_pair, assemble_omega
+from solvform.symplectic import assemble_omega
 
 NIL322 = """{"n": 7, "blocks": [{"kind": "real", "size": 3},
                               {"kind": "real", "size": 2},
@@ -36,6 +40,14 @@ S10 = """{"n": 9, "symbols": ["b"],
 
 def mono(n, *indices):
     return Multivector.monomial(n, indices)
+
+
+def _wedge_witness(spec, pair):
+    """A witness whose pairing and top power are formed by wedge products."""
+    half = (spec.n + 1) // 2
+    pairing = top_coefficient(wedge_power(pair.two_form, half - 1).wedge(pair.one_form))
+    omega = assemble_omega(spec, pair)
+    return SymplecticWitness(pair, omega, pairing, top_coefficient(wedge_power(omega, half)))
 
 
 def test_closed_two_classes_s6(s6):
@@ -81,30 +93,21 @@ def test_torus4_standard_witness(torus4):
 
 
 def test_degenerate_candidate_rejected(s6):
-    # both terms share a coordinate, so the square of the 2-form vanishes
+    # both terms share a coordinate, so the square of the 2-form vanishes;
+    # the witness is closed and self-consistent, and fails on its pairing alone
     pair = CoSymplecticPair(mono(5, 3, 4) + mono(5, 4, 5), mono(5, 1))
     assert wedge_power(pair.two_form, 2).is_zero()
-    assert find_symplectic(s6, candidate=pair) is None
-
-
-def test_good_candidate_accepted(s6):
-    pair = CoSymplecticPair(mono(5, 2, 3) + mono(5, 4, 5), mono(5, 1))
-    witness = find_symplectic(s6, candidate=pair)
-    assert witness is not None and witness.omega_top == ScalarLC(6)
-
-
-def test_candidate_outside_invariant_submodule_rejected(s8):
-    # nondegenerate on the fiber but not built from invariant classes
-    pair = CoSymplecticPair(
-        mono(7, 1, 4) + mono(7, 2, 5) + mono(7, 3, 6), mono(7, 7)
-    )
-    assert find_symplectic(s8, candidate=pair) is None
+    ok, certs = verify_symplectic(s6, _wedge_witness(s6, pair))
+    assert not ok and certs["pairing"] == "0"
+    assert certs["ce_closed"] and certs["expansion_identity"] and certs["omega_matches_pair"]
 
 
 def test_candidate_violating_shift_kernel_rejected(s6):
     # invariant classes, nondegenerate, but not closed in the modified complex
     pair = CoSymplecticPair(mono(5, 1, 2) + mono(5, 4, 5), mono(5, 3))
-    assert find_symplectic(s6, candidate=pair) is None
+    ok, certs = verify_symplectic(s6, _wedge_witness(s6, pair))
+    assert not ok and not certs["ce_closed"]
+    assert certs["pairing"] != "0" and certs["expansion_identity"] and certs["omega_matches_pair"]
 
 
 def test_tampered_omega_field_fails_verification(s6):
@@ -152,12 +155,8 @@ def test_closed_two_classes_without_modification_hypothesis(doc, expected):
 def test_find_symplectic_refuses_specs_failing_the_hypothesis():
     # a witness here could not pass verify_symplectic, which needs the
     # modified action; a half-turn rotation has no such modification
-    spec = parse_spec(HALF_TURN)
     with pytest.raises(HypothesisError):
-        find_symplectic(spec)
-    pair = CoSymplecticPair(mono(7, 2, 3) + mono(7, 4, 7) + mono(7, 5, 6), mono(7, 1))
-    with pytest.raises(HypothesisError):
-        find_symplectic(spec, candidate=pair)
+        find_symplectic(parse_spec(HALF_TURN))
 
 
 def test_omega_expansion_identity(s6, s8, torus4):
@@ -220,7 +219,7 @@ def _grid_search(spec):
                 if c:
                     one_form = one_form + u.scaled(c)
             if top_coefficient(f_power.wedge(one_form)) != 0:
-                return _witness_from_pair(spec, half, CoSymplecticPair(two_form, one_form))
+                return _wedge_witness(spec, CoSymplecticPair(two_form, one_form))
     return None
 
 
@@ -273,12 +272,26 @@ def test_nil322_witness():
     assert verify_symplectic(spec, witness)[0]
 
 
-def test_disagreeing_pairing_is_an_internal_error(s6, monkeypatch):
-    # the decision raises a classified error (not an assert) when the
-    # rebuilt pairing contradicts the pairing polynomial
-    monkeypatch.setattr(symplectic, "_witness_from_pair", lambda *args: None)
-    with pytest.raises(InternalInvariantViolation, match="pairing polynomial"):
-        find_symplectic(s6)
+def test_disagreeing_pairing_is_an_internal_error(s6, monkeypatch, capsys):
+    # a doubled polynomial keeps the grid point and doubles the pairing; the
+    # wedge recheck catches it and the report refuses with a classified error
+    expand = symplectic._pairing_polynomial
+    monkeypatch.setattr(
+        symplectic,
+        "_pairing_polynomial",
+        lambda *args: {exps: 2 * coeff for exps, coeff in expand(*args).items()},
+    )
+    witness = find_symplectic(s6)
+    assert str(witness.pair.two_form) == "a23 + a45" and witness.pairing == 4
+    ok, certs = verify_symplectic(s6, witness)
+    assert not ok and certs["pairing"] == "2"
+    with pytest.raises(InternalInvariantViolation, match="certificates"):
+        build_report(s6, 2)
+    capsys.readouterr()
+    assert main(["analyze", str(fixture_path("s6")), "--max-degree", "2"]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert err.startswith("internal invariant violation: symplectic witness fails its certificates")
 
 
 def test_s10_witness_is_verified():

@@ -63,7 +63,8 @@ def test_traced_analyze_counts_the_kernel_hooks(tmp_path):
     # the benchmark wraps these by name, so a renamed method fails here too
     hooks = ("linalg.rref", "linalg.echelon_add", "minimal_model.d_poly")
     hooks += ("minimal_model.rho_poly", "minimal_model.class_reps", "minimal_model.add_generator")
-    # the symplectic stage's spans: its entry and the wedges of its witness
+    # the symplectic stage's spans: its entry and the wedges with which
+    # verify_symplectic rechecks the witness
     hooks += ("symplectic.find_symplectic", "exterior.wedge")
     for name in hooks:
         assert counts.get(name, 0) > 0, name

@@ -110,7 +110,7 @@ def _run_verify(report_path: str, input_path: str) -> int:
     try:
         with open(report_path, "r", encoding="utf-8") as handle:
             report = json.load(handle)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8, or nested too deeply
         raise InputError(f"malformed report: {exc}") from exc
     if not isinstance(report, dict):
         raise InputError("malformed report: the top level must be a JSON object")

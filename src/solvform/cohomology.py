@@ -91,12 +91,6 @@ class CohomologySlice:
         self.kernel_reps = kernel_reps
         self.coker_reps = coker_reps  # base parts; each stands for rep ^ a
 
-    def representative_elements(self, n: int) -> list[CEElement]:
-        out = [CEElement(rep) for rep in self.kernel_reps]
-        for rep in self.coker_reps:
-            out.append(CEElement(Multivector.zero(n, rep.degree + 1), rep))
-        return out
-
 
 def cohomology(spec: AlmostAbelianSpec, k: int) -> CohomologySlice:
     """Degree-k cohomology: kernel representatives plus cokernel representatives."""

@@ -1,19 +1,20 @@
 """Sparse exterior algebra on the dual basis ``a1, ..., an``.
 
 A multivector of degree k is a finite map from strictly increasing
-k-tuples of indices in ``1..n`` to nonzero coefficients.  A coefficient
-is a ``Fraction``, or a :class:`.ScalarLC` only while it carries a symbol
-(the modified action of a symbolic spec and what derives from it); the
-constructor stores a symbol-free ``ScalarLC`` as its rational value.
+k-tuples of indices in ``1..n`` to nonzero coefficients, stored by the
+one coefficient rule of :mod:`.scalars`: an ``int`` when integral, a
+``Fraction`` otherwise, and a :class:`.ScalarLC` only while it carries a
+symbol (the modified action of a symbolic spec and what derives from it).
 Reordering signs are folded into the coefficients when a term is built,
 so equality of multivectors (and in particular the zero test) is a plain
 comparison of canonical data.
 
 Index tuples are ordered lexicographically everywhere a basis of the
-degree-k slice is enumerated.  They are also the columns of the sparse
-rows handed to :mod:`.linalg` (:func:`coordinate_vector`); tuples of one
-length compare lexicographically, so pivoting follows that same order.
-A row converts back with ``Multivector(n, degree, row)``.
+degree-k slice is enumerated.  The terms are the sparse row handed to
+:mod:`.linalg` (:func:`coordinate_vector`), with the index tuples as
+columns, so pivoting follows that same order, the wedge product is the
+row product ``_multiply_into`` with :func:`merge_indices`, and a row
+converts back with ``Multivector(n, degree, row)``.
 """
 
 from __future__ import annotations
@@ -23,7 +24,8 @@ from itertools import combinations
 from math import gcd, lcm
 from operator import ge
 
-from .scalars import ScalarLC, _join_terms
+from .linalg import _multiply_into
+from .scalars import ScalarLC, _canonical, _join_terms
 
 Indices = "tuple[int, ...]"
 
@@ -73,13 +75,6 @@ def monomials(n: int, k: int) -> list[tuple[int, ...]]:
     return list(combinations(range(1, n + 1), k))
 
 
-def _normalized(value) -> Fraction | ScalarLC:
-    """The stored form of a coefficient: a ``ScalarLC`` only while it carries a symbol."""
-    if isinstance(value, ScalarLC):
-        return value if value.terms else value.const
-    return value if isinstance(value, Fraction) else Fraction(value)
-
-
 class Multivector:
     """Element of the degree-``degree`` slice of the exterior algebra on n symbols."""
 
@@ -88,10 +83,10 @@ class Multivector:
     def __init__(self, n: int, degree: int, terms=None):
         self.n = n
         self.degree = degree
-        canon: dict[tuple[int, ...], Fraction | ScalarLC] = {}
+        canon: dict[tuple[int, ...], int | Fraction | ScalarLC] = {}
         if terms:
             for key, coeff in terms.items() if isinstance(terms, dict) else terms:
-                coeff = _normalized(coeff)
+                coeff = _canonical(coeff)
                 if not coeff:
                     continue
                 key = tuple(key)
@@ -100,12 +95,10 @@ class Multivector:
                 # a strictly increasing key lies in 1..n when its ends do
                 if key and (key[0] < 1 or key[-1] > n or any(map(ge, key, key[1:]))):
                     raise ValueError(f"term {key} is not a strictly increasing tuple in 1..{n}")
-                prev = canon.get(key)
-                total = coeff if prev is None else _normalized(prev + coeff)
-                if not total:
-                    canon.pop(key, None)
-                else:
-                    canon[key] = total
+                if key in canon:
+                    coeff = _canonical(canon.pop(key) + coeff)
+                if coeff:
+                    canon[key] = coeff
         self.terms = dict(sorted(canon.items()))
 
     @classmethod
@@ -131,8 +124,8 @@ class Multivector:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def coefficient(self, indices) -> Fraction | ScalarLC:
-        return self.terms.get(tuple(indices), Fraction(0))
+    def coefficient(self, indices) -> int | Fraction | ScalarLC:
+        return self.terms.get(tuple(indices), 0)
 
     def __add__(self, other: Multivector) -> Multivector:
         self._check_compatible(other)
@@ -156,15 +149,7 @@ class Multivector:
         degree = self.degree + other.degree
         if degree > self.n:
             return Multivector(self.n, degree)
-        acc: list = []
-        for u, cu in self.terms.items():
-            for v, cv in other.terms.items():
-                merged = merge_indices(u, v)
-                if merged is None:
-                    continue
-                sign, key = merged
-                acc.append((key, (cu * cv) * sign))
-        return Multivector(self.n, degree, acc)
+        return Multivector(self.n, degree, _multiply_into({}, self.terms, other.terms, merge_indices))
 
     def extend_ambient(self, new_n: int) -> Multivector:
         if new_n < self.n:
@@ -236,18 +221,14 @@ class LinearEndo:
         self.n = n
         self.images = images
 
-    @classmethod
-    def zero(cls, n: int) -> LinearEndo:
-        return cls(n, [Multivector.zero(n, 1) for _ in range(n)])
-
     def image_of(self, i: int) -> Multivector:
         return self.images[i - 1]
 
     def is_zero(self) -> bool:
         return all(img.is_zero() for img in self.images)
 
-    def trace(self) -> Fraction | ScalarLC:
-        return _normalized(sum(img.coefficient((i,)) for i, img in enumerate(self.images, start=1)))
+    def trace(self) -> int | Fraction | ScalarLC:
+        return _canonical(sum(img.coefficient((i,)) for i, img in enumerate(self.images, start=1)))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, LinearEndo):
@@ -319,14 +300,14 @@ def exp_nilpotent(endo: LinearEndo) -> LinearEndo:
     return LinearEndo(n, images)
 
 
-def top_coefficient(x: Multivector) -> Fraction | ScalarLC:
+def top_coefficient(x: Multivector) -> int | Fraction | ScalarLC:
     """Coefficient of the full top monomial ``a1...an``; requires top degree."""
     if x.degree != x.n:
         raise ValueError(f"top coefficient needs degree {x.n}, got degree {x.degree}")
     return x.coefficient(tuple(range(1, x.n + 1)))
 
 
-def coordinate_vector(x: Multivector) -> dict[tuple[int, ...], Fraction]:
+def coordinate_vector(x: Multivector) -> dict[tuple[int, ...], int | Fraction]:
     """Sparse rational row of ``x``, keyed by its index tuples (error if symbolic)."""
     if any(isinstance(coeff, ScalarLC) for coeff in x.terms.values()):
         raise ValueError(f"multivector {x} carries symbols, not plain rationals")

@@ -1,18 +1,19 @@
 """Sparse exact linear algebra over the rationals.
 
 A vector is a sparse row: a dict mapping column to a nonzero rational,
-an ``int`` where it is integral and a ``Fraction`` otherwise (inputs may
-hold either; the two compare and hash alike).  A column is any hashable
-key in a total order; the code only compares columns (``min``,
-``sorted``, ``bisect``), so relabelling the columns by an
-order-preserving map relabels every result the same way.  Callers use the monomials themselves as columns: exterior index
-tuples and model monomials of one degree, which ``_multiply_into``
-multiplies as rows, given the product of two monomials.  A row never stores a zero, so
-its length is its number of nonzeros and the empty dict is the zero
-vector; column order inside the dict carries no meaning.  A subspace is
-presented by the reduced row echelon form of a spanning set; that form
-is canonical, so two spans are equal exactly when their echelon forms
-are equal lists.
+stored by the one coefficient rule of :mod:`.scalars` (an ``int`` where it
+is integral, a ``Fraction`` otherwise; the two compare and hash alike).
+A column is any hashable key in a total order; the code only compares
+columns (``min``, ``sorted``, ``bisect``), so relabelling the columns by
+an order-preserving map relabels every result the same way.  Callers use
+the monomials themselves as columns: exterior index tuples and model
+monomials of one degree, which ``_multiply_into`` multiplies as rows,
+given the product of two monomials.  A row never stores a zero, so its
+length is its number of nonzeros and the empty dict is the zero vector;
+column order inside the dict carries no meaning.  A subspace is presented
+by the reduced row echelon form of a spanning set; that form is
+canonical, so two spans are equal exactly when their echelon forms are
+equal lists.
 
 :class:`EchelonAccumulator` is the one elimination loop: ``rref``,
 ranks, kernels and solving all feed rows to it.  Its rows stay in
@@ -21,10 +22,10 @@ span, never on the order or scaling of the inserted rows, which makes
 every basis emitted here byte-reproducible.  Every step touches only
 nonzero entries, and clearing a new pivot column touches only the holder
 rows, the stored rows that are nonzero in that column.  Every entry it
-takes in or stores is reduced to an ``int`` when integral, so integer
-input (the realified fiber rows, the shift images) is eliminated in
-``int`` arithmetic, with no gcd per operation; a new row is negated
-when its lead is -1 and divided only when its lead is not +-1.
+takes in or stores follows that rule, so integer input (the realified
+fiber rows, the shift images) is eliminated in ``int`` arithmetic, with no
+gcd per operation; a new row is negated when its lead is -1 and divided
+only when its lead is not +-1.
 
 Row convention: a matrix is a list of row vectors.  When a matrix
 encodes a linear map, row ``j`` holds the coordinates of the image of
@@ -38,12 +39,9 @@ from __future__ import annotations
 from bisect import bisect
 from fractions import Fraction
 
+from .scalars import _canonical
+
 Row = "dict[Hashable, int | Fraction]"
-
-
-def _integral(x):
-    """``x`` as an ``int`` when it is integral."""
-    return x if type(x) is int or x.denominator != 1 else x.numerator
 
 
 def rref(rows: list[Row]) -> tuple[list[Row], list]:
@@ -133,7 +131,7 @@ def matrix_mul(a: list[Row], b) -> list[Row]:
             for c, y in b[j].items():
                 z = acc.get(c, 0) + x * y
                 if z:
-                    acc[c] = _integral(z)
+                    acc[c] = _canonical(z)
                 else:
                     acc.pop(c, None)
         out.append(acc)
@@ -151,7 +149,7 @@ def _multiply_into(out: dict, p: dict, q: dict, merge) -> dict:
             sign, key = merged
             total = out.get(key, 0) + (cu * cv if sign > 0 else -cu * cv)
             if total:
-                out[key] = _integral(total)
+                out[key] = _canonical(total)
             else:
                 out.pop(key, None)  # test-built rows may carry zero coefficients
     return out
@@ -181,7 +179,7 @@ class EchelonAccumulator:
         holders = acc._holders
         for row in rows:
             p = min(row)
-            row = {c: _integral(x) for c, x in row.items()}
+            row = {c: _canonical(x) for c, x in row.items()}
             acc.rows.append(row)
             acc.pivots.append(p)
             acc._by_pivot[p] = row
@@ -196,7 +194,7 @@ class EchelonAccumulator:
         Each row is zero at every other pivot, so the component along the
         row of pivot ``p`` is ``v[p]`` times that row.
         """
-        out = {c: _integral(x) for c, x in v.items() if x}
+        out = {c: _canonical(x) for c, x in v.items() if x}
         by_pivot = self._by_pivot
         for p, f in list(out.items()):
             row = by_pivot.get(p)
@@ -206,6 +204,7 @@ class EchelonAccumulator:
                 y = out.get(c)
                 y = -f * x if y is None else y - f * x
                 if y:
+                    # _canonical(y) inlined, as in add: a call here slows s8 at K=7 by ~10%
                     out[c] = y if type(y) is int or y.denominator != 1 else y.numerator
                 else:
                     del out[c]
@@ -224,7 +223,7 @@ class EchelonAccumulator:
             new = {k: -x for k, x in res.items()}
         else:
             inverse = 1 / Fraction(lead)
-            new = {k: _integral(x * inverse) for k, x in res.items()}
+            new = {k: _canonical(x * inverse) for k, x in res.items()}
         new[c] = 1
         holders = self._holders
         # the new row is zero at every old pivot, so clearing column c only
@@ -244,6 +243,7 @@ class EchelonAccumulator:
                         if k != c:
                             holders[k].discard(p)
                         continue
+                # _canonical(y) inlined, as in residue
                 row[k] = y if type(y) is int or y.denominator != 1 else y.numerator
         for k in new:
             if k != c:

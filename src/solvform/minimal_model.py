@@ -9,16 +9,16 @@ the zero form and stay a chain map.
 The model is free graded-commutative on ordered generators.  Monomials
 are sorted tuples of generator ids (odd generators at most once), with
 reordering signs folded into rational coefficients; a polynomial is a
-finite map from monomials to nonzero rationals, each an ``int`` when it
-is integral and a ``Fraction`` otherwise, the rule :mod:`.linalg` keeps.
+finite map from monomials to nonzero rationals, stored by the one
+coefficient rule of :mod:`.scalars` (an ``int`` when integral).
 That map is also the sparse row :mod:`.linalg` eliminates, with the
 monomials as columns: :meth:`MinimalModel.monomials` lists each degree
 in sorted tuple order, which is the column order, so no position map is
 needed.  The differential of a monomial ``g*r``, with ``g`` its first
 factor, is memoized by the product rule d(g) * r + (-1)^|g| g * d(r).
-A realization is kept as the sparse integer coordinate row of its form,
-keyed by index tuple, so realizations multiply by merging index tuples
-and feed the elimination directly.  Construction is staged by degree q:
+A realization is kept as the terms of its form, a sparse row keyed by
+index tuple, so realizations multiply by merging index tuples and feed
+the elimination directly.  Construction is staged by degree q:
 
   (b) new closed degree-q generators realize a complement of the image
       of the existing classes inside the degree-q slice of the target;
@@ -46,14 +46,13 @@ from .errors import InputError, InternalInvariantViolation
 from .exterior import Multivector, coordinate_vector, merge_indices, primitive_part
 from .linalg import (
     EchelonAccumulator,
-    _integral,
     _multiply_into,
     echelon_basis,
     map_kernel,
     matrix_mul,
 )
 from .monodromy import _shift_index_map, _shift_row, nilpotent_submodule
-from .scalars import _join_terms
+from .scalars import _canonical, _join_terms
 from .spectral import AlmostAbelianSpec
 
 Mono = "tuple[int, ...]"
@@ -103,13 +102,13 @@ class MinimalModel:
         gen = Generator(
             gid=len(self.gens),
             degree=degree,
-            differential={m: _integral(c) for m, c in (differential or {}).items()},
+            differential={m: _canonical(c) for m, c in (differential or {}).items()},
             rho=rho if rho is not None else Multivector.zero(self.spec.n, degree),
             closed=closed,
         )
         self.gens.append(gen)
         self._parity.append(degree % 2)
-        self._rho_cache[(gen.gid,)] = {k: _integral(c) for k, c in coordinate_vector(gen.rho).items()}
+        self._rho_cache[(gen.gid,)] = coordinate_vector(gen.rho)
         # only monomials of at least the new degree can contain the new generator
         self._mono_cache = {key: v for key, v in self._mono_cache.items() if key[0] < degree}
         return gen

@@ -48,7 +48,6 @@ immutable tuples; every call returns fresh lists.
 from __future__ import annotations
 
 from bisect import bisect
-from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, combinations, product
 from math import comb, prod
@@ -83,6 +82,10 @@ from .spectral import (
 # (6,435) 71 s, of size 16 (12,870, refused here) 624 s; complex pairs shorten the
 # chains, so a 17-dimensional fiber with two of them (8,866) takes 16 s.
 MAX_SLICE_MONOMIALS = 10000
+# Weight-count vectors enumerated per spec.  Same VM, n size-1 real blocks of distinct
+# real parts (2**n vectors, every slice above degree 0 empty): n = 14 takes 0.32 s,
+# 16 (65,536) 1.2 s, 17 (131,072, refused here) 2.3 s, 18 5.7 s.
+MAX_COUNT_VECTORS = 65536
 
 
 def resonance_test(w: Weight) -> bool:
@@ -106,10 +109,17 @@ def resonant_monomials(spec: AlmostAbelianSpec, k: int) -> list[tuple[int, ...]]
 @lru_cache(maxsize=SLICE_CACHE_SIZE)
 def _resonant_counts(spec: AlmostAbelianSpec) -> tuple[tuple, tuple]:
     """``(groups, counts)``: the slots grouped by weight, and every count vector
-    (how many slots each group contributes) whose weight sum is a resonance."""
+    (how many slots each group contributes) whose weight sum is a resonance; every
+    degree needs them all, so more than :data:`MAX_COUNT_VECTORS` are refused first."""
     by_weight: dict[Weight, list[int]] = {}
     for s in generator_weights(spec):
         by_weight.setdefault(s.weight, []).append(s.slot)
+    vectors = prod(len(slots) + 1 for slots in by_weight.values())
+    if vectors > MAX_COUNT_VECTORS:
+        raise InputError(
+            f"fiber too large: its slot weights give {vectors} weight-count vectors, "
+            f"above the limit of {MAX_COUNT_VECTORS}"
+        )
     sums = [((), Weight.zero())]
     for w, slots in by_weight.items():
         grown = []
@@ -227,8 +237,8 @@ def shift_slice(spec: AlmostAbelianSpec, k: int) -> tuple[list[Multivector], lis
 @lru_cache(maxsize=SLICE_CACHE_SIZE)
 def _shift_slice(spec: AlmostAbelianSpec, k: int) -> tuple[tuple, tuple]:
     basis = _nilpotent_submodule(spec, k)
-    slice_span = EchelonAccumulator.from_reduced([u.terms for u in basis])
-    rows = slice_span.rows  # the basis rows, integral entries as ints
+    rows = [u.terms for u in basis]
+    slice_span = EchelonAccumulator.from_reduced(rows)
     index_map = _shift_index_map(spec)
     images = []
     for u, row in zip(basis, rows):
@@ -312,7 +322,7 @@ def nilpotent_submodule_oracle(spec: AlmostAbelianSpec, k: int) -> list[Multivec
     rows = {}  # monomial -> row of (monodromy - id); powers multiply through it
     for key in keys:
         row = coordinate_vector(algebra_map_apply(phi_one, Multivector.monomial(spec.n, key)))
-        diagonal = row.pop(key, Fraction(0)) - 1
+        diagonal = row.pop(key, 0) - 1
         if diagonal:
             row[key] = diagonal
         rows[key] = row

@@ -12,8 +12,10 @@ divided by, and products in which both factors carry symbols are refused
 model).  All algorithms in the package are arranged so that neither
 operation is ever needed: divisions happen only by nonzero rationals,
 and symbolic coefficients only ever meet rational ones.  ``ScalarLC`` is
-the type of the spec data, the weights and the modified action; forms
-store every symbol-free coefficient as a ``Fraction``.
+the type of the spec data, the weights and the modified action.  Every
+coefficient stored in forms, rows, model polynomials and symplectic values
+follows one rule, :func:`_canonical`: an ``int`` when integral, a
+``Fraction`` otherwise, a ``ScalarLC`` only while it carries a symbol.
 """
 
 from __future__ import annotations
@@ -123,6 +125,17 @@ class ScalarLC:
         return f"ScalarLC({self})"
 
 
+def _canonical(x):
+    """The stored form of an exact coefficient under the module's one rule."""
+    if type(x) is int:
+        return x
+    if type(x) is ScalarLC:
+        if x.terms:
+            return x
+        x = x.const
+    return x.numerator if x.denominator == 1 else x
+
+
 def _join_terms(texts) -> str:
     """Join signed term texts as ``t1 + t2 - t3``; no terms is ``"0"``."""
     parts = []
@@ -143,8 +156,10 @@ def _coerce(value) -> ScalarLC:
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse a rational literal such as ``"3"``, ``"-5/7"``."""
+    """Parse a rational literal such as ``"3"``, ``"-5/7"``, ``"0.25"``."""
     try:
+        if "e" in str(text).lower():  # Fraction("1e999999999") builds 10**999999999
+            raise ValueError("exponent")
         return Fraction(str(text).strip())
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"not a rational literal: {text!r}") from exc

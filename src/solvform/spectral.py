@@ -110,7 +110,7 @@ def parse_spec(text: str) -> AlmostAbelianSpec:
     """Parse and validate a JSON instance document."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # RecursionError: nested too deeply
         raise SchemaError(f"input is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise SchemaError("input document must be a JSON object")
@@ -179,7 +179,10 @@ def parse_spec(text: str) -> AlmostAbelianSpec:
 
 def load_spec(path) -> AlmostAbelianSpec:
     with open(path, "r", encoding="utf-8") as handle:
-        return parse_spec(handle.read())
+        try:
+            return parse_spec(handle.read())
+        except UnicodeDecodeError as exc:
+            raise SchemaError(f"input is not UTF-8 text: {exc}") from exc
 
 
 def emit_spec(spec: AlmostAbelianSpec) -> str:

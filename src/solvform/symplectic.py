@@ -14,10 +14,10 @@ shift action on invariant 2-forms and ``eta = sum y_j e_j`` over
 invariant 1-forms, and expands the pairing ``P(x, y) = top(F^(N-1) ^
 eta)`` once as an explicit polynomial.  2-forms commute, so ``F^(N-1)``
 is a sum over multisets ``i1 <= ... <= i(N-1)`` of basis indices: each
-product ``u_i1 ^ ... ^ u_i(N-1)`` is formed once, as a sparse integer row
-keyed by index tuple, and weighted by the multinomial ``(N-1)! /
-prod(m_i!)`` of its multiplicities ``m``; its top coefficient against
-each ``e_j`` is one coefficient of ``P``.  The degree of ``P`` in each
+product ``u_i1 ^ ... ^ u_i(N-1)`` is formed once, as a sparse row keyed
+by index tuple like the basis forms' terms, and weighted by the
+multinomial ``(N-1)! / prod(m_i!)`` of its multiplicities ``m``; its top
+coefficient against each ``e_j`` is one coefficient of ``P``.  The degree of ``P`` in each
 ``x_i`` is at most N-1 and in each ``y_j`` at most 1, so by Alon's
 Combinatorial Nullstellensatz (Combin. Probab. Comput. 8, 1999) a nonzero
 ``P`` has a nonzero point on the grid {0..N-1} per ``x_i`` and {0,1} per
@@ -37,13 +37,12 @@ certificates compare the polynomial against the wedge products.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import factorial, prod
 
 from .cohomology import CEElement, ce_differential
 from .errors import InputError, InternalInvariantViolation
 from .exterior import Multivector, merge_indices, top_coefficient, wedge_power
-from .linalg import _integral, _multiply_into
+from .linalg import _multiply_into
 from .monodromy import nilpotent_submodule, shift_slice
 from .spectral import AlmostAbelianSpec, require_modification_hypothesis
 
@@ -59,9 +58,7 @@ class CoSymplecticPair:
 class SymplecticWitness:
     __slots__ = ("pair", "omega", "pairing", "omega_top")
 
-    def __init__(
-        self, pair: CoSymplecticPair, omega: Multivector, pairing: Fraction, omega_top: Fraction
-    ):
+    def __init__(self, pair: CoSymplecticPair, omega: Multivector, pairing, omega_top):
         self.pair = pair
         self.omega = omega  # degree-2 form on the total space
         self.pairing = pairing  # top coefficient of F^(N-1) ^ eta on the fiber
@@ -131,7 +128,7 @@ def find_symplectic(spec: AlmostAbelianSpec):
         if c:
             one_form = one_form + u.scaled(c)
     pair = CoSymplecticPair(two_form, one_form)
-    pairing = Fraction(poly[()])
+    pairing = poly[()]
     return SymplecticWitness(pair, assemble_omega(spec, pair), pairing, half * pairing)
 
 
@@ -139,7 +136,7 @@ def _pairing_polynomial(spec, half, f_basis, e_basis) -> dict:
     """``top(F(x)^(half-1) ^ eta(y))`` as ``{exponents of (x..., y...): coefficient}``,
     summed over multisets of basis 2-forms as the module docstring says; the
     product row of a multiset extends the one without its last element."""
-    f_rows = [{key: _integral(c) for key, c in u.terms.items()} for u in f_basis]
+    f_rows = [u.terms for u in f_basis]
     products = {(): {(): 1}}
     for _ in range(half - 1):
         longer = {}
@@ -150,7 +147,7 @@ def _pairing_polynomial(spec, half, f_basis, e_basis) -> dict:
                     longer[multiset + (i,)] = product
         products = longer
     top = tuple(range(1, spec.n + 1))
-    e_rows = [{key: _integral(c) for key, c in e.terms.items()} for e in e_basis]
+    e_rows = [e.terms for e in e_basis]
     poly = {}
     for multiset, row in products.items():
         exps = tuple(map(multiset.count, range(len(f_rows))))
@@ -166,9 +163,7 @@ def _substitute_first(poly: dict, value: int) -> dict:
     """Fix the first variable of ``poly`` at ``value``, dropping zero coefficients."""
     out: dict = {}
     for exps, coeff in poly.items():
-        term = coeff * value ** exps[0]
-        key = exps[1:]
-        out[key] = out[key] + term if key in out else term
+        out[exps[1:]] = out.get(exps[1:], 0) + coeff * value ** exps[0]
     return {exps: coeff for exps, coeff in out.items() if coeff}
 
 

@@ -1,4 +1,4 @@
-"""Shared fixtures: bundled instance documents, seeded random generators and a span check."""
+"""Shared fixtures: bundled instance documents, seeded random generators and test-only helpers."""
 
 from __future__ import annotations
 
@@ -10,6 +10,7 @@ import pytest
 from solvform import (
     AlmostAbelianSpec,
     Block,
+    CEElement,
     Multivector,
     ScalarLC,
     fixture_path,
@@ -139,6 +140,15 @@ def in_submodule_span(basis: list[Multivector], x: Multivector) -> bool:
     ``nilpotent_submodule`` and ``shift_slice``)."""
     span = EchelonAccumulator.from_reduced([coordinate_vector(v) for v in basis])
     return not span.residue(coordinate_vector(x))
+
+
+def representative_elements(slice_, n: int) -> list[CEElement]:
+    """The representatives of a ``CohomologySlice`` as total forms: each kernel
+    representative is a fiber form, each cokernel one the base part of ``rep ^ a``."""
+    out = [CEElement(rep) for rep in slice_.kernel_reps]
+    for rep in slice_.coker_reps:
+        out.append(CEElement(Multivector.zero(n, rep.degree + 1), rep))
+    return out
 
 
 @pytest.fixture

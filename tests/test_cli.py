@@ -215,11 +215,63 @@ def test_oversized_fiber_is_refused_before_enumeration(tmp_path, capsys, monkeyp
     )
 
 
+def test_many_slot_weights_are_refused_before_counting(tmp_path, capsys, monkeypatch):
+    # 18 size-1 blocks of distinct real parts give 2**18 weight-count vectors,
+    # all but the zero vector non-resonant; the product is read off the group sizes
+    def enumerating(*args):
+        raise AssertionError("the count vectors were enumerated")
+
+    monkeypatch.setattr(monodromy.Weight, "__add__", enumerating)
+    blocks = [{"kind": "real", "size": 1, "re": str(i)} for i in range(1, 19)]
+    spec_path = _write_spec(tmp_path, text=json.dumps({"n": 18, "blocks": blocks}))
+    assert main(["unipotent", str(spec_path), "--max-degree", "1"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (
+        "error: fiber too large: its slot weights give 262144 weight-count vectors, "
+        "above the limit of 65536\n"
+    )
+
+
 def test_lowered_slice_limit_refuses_s6(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(monodromy, "MAX_SLICE_MONOMIALS", 3)
     assert main(["analyze", str(_write_spec(tmp_path)), "--max-degree", "3"]) == 1
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and "above the limit of 3" in err
+
+
+DEEP = b"[" * 100000 + b"]" * 100000
+UNREADABLE_DOCUMENTS = {
+    "non-UTF-8 input": ("analyze", b'\xff{"n": 3}', "error: input is not UTF-8 text: "),
+    "deeply nested input": ("analyze", DEEP, "error: input is not valid JSON: "),
+    "non-UTF-8 report": ("verify", b'\xff{"format_version": 1}', "error: malformed report: "),
+    "deeply nested report": ("verify", DEEP, "error: malformed report: "),
+}
+
+
+@pytest.mark.parametrize(
+    "command, data, prefix", UNREADABLE_DOCUMENTS.values(), ids=UNREADABLE_DOCUMENTS.keys()
+)
+def test_unreadable_documents_are_input_errors(tmp_path, capsys, command, data, prefix):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(data)
+    argv = [command, str(bad)] + ([str(_write_spec(tmp_path))] if command == "verify" else [])
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith(prefix)
+
+
+def test_deeply_nested_input_in_a_fresh_interpreter_is_one_line(tmp_path):
+    bad = tmp_path / "deep.json"
+    bad.write_bytes(DEEP)
+    proc = _run_cli("analyze", str(bad))
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr == (
+        "error: input is not valid JSON: maximum recursion depth exceeded "
+        "while decoding a JSON array from a unicode string\n"
+    )
 
 
 USAGE_ERRORS = {

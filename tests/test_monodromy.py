@@ -49,7 +49,6 @@ from solvform.monodromy import (
 )
 from solvform.scalars import ScalarLC
 from solvform.spectral import Weight
-from solvform.symplectic import closed_two_classes
 
 
 def test_resonance_examples(s8):
@@ -470,20 +469,6 @@ def test_shift_that_is_not_an_index_raising_map_is_caught(monkeypatch, s8, image
     finally:
         _shift_slice.cache_clear()
         _shift_index_map.cache_clear()
-
-
-@pytest.mark.parametrize("name", ["nil322", "s10"])
-def test_shift_slices_and_closed_two_forms_carry_fractions(name):
-    # the elimination keeps integral entries as ints; the forms built from
-    # its rows store every coefficient as a Fraction all the same
-    spec = parse_spec(json.dumps(WEIGHT_COUNT_SPECS[name]))
-    forms = closed_two_classes(spec)
-    for k in range(spec.n + 1):
-        kernel, cokernel = shift_slice(spec, k)
-        forms += kernel + cokernel
-    assert len(forms) > spec.n
-    for form in forms:
-        assert all(type(coeff) is Fraction for coeff in form.terms.values()), form
 
 
 def test_unit_row_slices_skip_elimination(monkeypatch, nil322, s6):

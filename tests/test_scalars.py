@@ -105,6 +105,15 @@ def test_parse_rational():
         parse_rational("x")
 
 
+@pytest.mark.parametrize("text", ["1e5", "2E-3", "1e400"])
+def test_parse_rational_refuses_exponents(text):
+    # an exponent builds its power of ten before any check, so "1e999999999"
+    # would take minutes and gigabytes
+    with pytest.raises(ValueError, match="not a rational literal"):
+        parse_rational(text)
+    assert parse_rational("0.25") == Fraction(1, 4)
+
+
 def test_str_round_trips_through_parser():
     rng = random.Random(3)
     for _ in range(100):

@@ -142,6 +142,15 @@ def in_submodule_span(basis: list[Multivector], x: Multivector) -> bool:
     return not span.residue(coordinate_vector(x))
 
 
+def follows_the_coefficient_rule(coeff) -> bool:
+    """Whether ``coeff`` is stored by the exact-coefficient rule: an ``int``
+    exactly when integral, a ``Fraction`` otherwise, and a ``ScalarLC`` only
+    while it carries a symbol."""
+    if type(coeff) is ScalarLC:
+        return bool(coeff.terms)
+    return type(coeff) is (int if coeff.denominator == 1 else Fraction)
+
+
 def representative_elements(slice_, n: int) -> list[CEElement]:
     """The representatives of a ``CohomologySlice`` as total forms: each kernel
     representative is a fiber form, each cokernel one the base part of ``rep ^ a``."""

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import random_multivector, random_strict_endo
+from conftest import follows_the_coefficient_rule, random_multivector, random_strict_endo
 from solvform.exterior import (
     LinearEndo,
     Multivector,
@@ -20,7 +20,7 @@ from solvform.exterior import (
     wedge_power,
 )
 from solvform.minimal_model import build_minimal_model
-from solvform.monodromy import nilpotent_submodule, shift_slice
+from solvform.monodromy import nilpotent_submodule
 from solvform.scalars import ScalarLC
 from solvform.spectral import modified_matrix
 from solvform.symplectic import closed_two_classes, find_symplectic
@@ -139,46 +139,47 @@ def test_symbolic_coefficients_flow_through_wedge():
         wedge(x, z)
 
 
-def _follows_the_rule(coeff) -> bool:
-    """An ``int`` exactly when integral, a ``Fraction`` otherwise, and a
-    ``ScalarLC`` only while it carries a symbol."""
-    if type(coeff) is ScalarLC:
-        return bool(coeff.terms)
-    return type(coeff) is (int if coeff.denominator == 1 else Fraction)
+def test_coefficients_are_fractions_unless_a_symbol_survives(s6, s8):
+    # every symbol-free coefficient is an exact rational, stored by the rule
+    forms = [u for k in range(s8.n + 1) for u in nilpotent_submodule(s8, k)]
+    forms += closed_two_classes(s8) + [g.rho for g in build_minimal_model(s8, 3).gens]
+    witness = find_symplectic(s6)
+    forms.append(witness.omega)
+    assert forms
+    for form in forms:
+        assert all(map(follows_the_coefficient_rule, form.terms.values())), form
+    assert follows_the_coefficient_rule(witness.pairing)
+    assert follows_the_coefficient_rule(witness.omega_top)
+    # a symbol that cancels leaves its rational, equal and equally hashed
+    b = ScalarLC.symbol("b")
+    half = mv(4, ((1,), Fraction(1, 2)))
+    for rest, expected in ((1, Multivector.basis_one_form(4, 1)), (Fraction(1, 2), half)):
+        cancelled = Multivector(4, 1, [((1,), b), ((1,), rest - b)])
+        assert follows_the_coefficient_rule(cancelled.terms[(1,)])
+        assert cancelled == expected and hash(cancelled) == hash(expected)
+    with pytest.raises(ValueError):
+        coordinate_vector(Multivector(4, 1, [((1,), b)]))
 
 
-def test_coefficients_follow_one_rule_in_every_layer(s6, s8, s10, nil322):
+def test_coefficients_follow_one_rule_in_every_layer(s8, s10, nil322):
     forms, rows = [], []
     for spec in (s8, s10, nil322):
-        for k in range(spec.n + 1):
-            kernel, cokernel = shift_slice(spec, k)
-            forms += nilpotent_submodule(spec, k) + kernel + cokernel
-        forms += closed_two_classes(spec) + list(modified_matrix(spec).images)
+        forms += list(modified_matrix(spec).images)
+        forms += [u for k in range(spec.n + 1) for u in nilpotent_submodule(spec, k)]
         model = build_minimal_model(spec, 3)
         forms += [g.rho for g in model.gens]
         rows += [g.differential for g in model.gens]
         for k in range(1, 4):
             rows += [r for rep in model.class_reps(k) for r in (rep.poly, rep.rho)]
-    witness = find_symplectic(s6)
-    forms.append(witness.omega)
     coefficients = [c for form in forms for c in form.terms.values()]
     coefficients += [c for row in rows for c in row.values()]
-    coefficients += [witness.pairing, witness.omega_top]
-    assert all(map(_follows_the_rule, coefficients))
+    assert all(map(follows_the_coefficient_rule, coefficients))
     types = set(map(type, coefficients))
     assert int in types and ScalarLC in types
     # a product of fractions that comes out integral is stored as an int
     half = mv(4, ((1,), Fraction(1, 2)))
     assert type(wedge(half, mv(4, ((2,), 2))).terms[(1, 2)]) is int
     assert Multivector.zero(4, 1).coefficient((1,)) == 0
-    # a symbol that cancels leaves its rational, equal and equally hashed
-    b = ScalarLC.symbol("b")
-    for rest, expected in ((1, Multivector.basis_one_form(4, 1)), (Fraction(1, 2), half)):
-        cancelled = Multivector(4, 1, [((1,), b), ((1,), rest - b)])
-        assert _follows_the_rule(cancelled.terms[(1,)])
-        assert cancelled == expected and hash(cancelled) == hash(expected)
-    with pytest.raises(ValueError):
-        coordinate_vector(Multivector(4, 1, [((1,), b)]))
 
 
 def test_algebra_map_vs_derivation_exponential():

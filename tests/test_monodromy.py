@@ -8,7 +8,12 @@ from math import prod
 
 import pytest
 
-from conftest import in_submodule_span, random_resonant_spec, random_unimodular_spec
+from conftest import (
+    follows_the_coefficient_rule,
+    in_submodule_span,
+    random_resonant_spec,
+    random_unimodular_spec,
+)
 from solvform import (
     AlmostAbelianSpec,
     Block,
@@ -49,6 +54,7 @@ from solvform.monodromy import (
 )
 from solvform.scalars import ScalarLC
 from solvform.spectral import Weight
+from solvform.symplectic import closed_two_classes
 
 
 def test_resonance_examples(s8):
@@ -469,6 +475,20 @@ def test_shift_that_is_not_an_index_raising_map_is_caught(monkeypatch, s8, image
     finally:
         _shift_slice.cache_clear()
         _shift_index_map.cache_clear()
+
+
+@pytest.mark.parametrize("name", ["nil322", "s10"])
+def test_shift_slices_and_closed_two_forms_carry_fractions(name):
+    # the forms built from the elimination's rows store each exact rational
+    # coefficient by the rule: an int when integral, a Fraction otherwise
+    spec = parse_spec(json.dumps(WEIGHT_COUNT_SPECS[name]))
+    forms = closed_two_classes(spec)
+    for k in range(spec.n + 1):
+        kernel, cokernel = shift_slice(spec, k)
+        forms += kernel + cokernel
+    assert len(forms) > spec.n
+    for form in forms:
+        assert all(map(follows_the_coefficient_rule, form.terms.values())), form
 
 
 def test_unit_row_slices_skip_elimination(monkeypatch, nil322, s6):

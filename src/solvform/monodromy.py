@@ -27,22 +27,31 @@ hypothesis, and the kernel in degree 2 is the space of closed invariant
 shift sends each ``a_i`` to one ``a_j`` or to 0, so it acts on the index
 tuples of the integer slice rows directly: ``i`` is replaced by ``j``,
 the tuple is re-sorted, and the sign is the parity of the number of
-indices ``j`` moves past.  When every realified vector of a slice has a
-single term (all-real slots), the slice is its sorted unit rows and no
-elimination runs.  The model build (the flag order of closed generators)
-and the twist on closed generators apply the same index map.
+indices ``j`` moves past.  A product of real slots is its own real form,
+so its row is the unit row of its index tuple and it is not realified;
+when every row of a slice has a single term, the slice is its sorted unit
+rows and no elimination runs.  A reduced row is zero at every other pivot,
+so a shift image lies in the slice exactly when the combination of the
+rows given by its own entries at the pivots rebuilds it.  The model build
+(the flag order of closed generators) and the twist on closed generators
+apply the same index map.
 
 The weight of a monomial depends only on how many of its slots fall in
 each group of slots sharing one weight, so :func:`resonant_monomials`
 adds weights once per count vector, one fewer than the product of
 ``size + 1`` over the groups for every degree at once, and expands each
-resonant vector into products of combinations inside the groups.
+resonant vector into products of combinations inside the groups.  The
+sums run on plain numbers: a weight is the tuple of the rational part and
+per-symbol coefficients of ``re`` and of ``im_symbolic``, then
+``im_resonant``, each stored by the one coefficient rule, and a sum is
+resonant when every entry but the last is 0 and the last is an integer.
 
 Both bases are memoized in-process, keyed by (spec, degree), so the
 unipotent, cohomology, model, formality and symplectic stages share one
-computation per degree; the resonant count vectors and the shift's
-index map are memoized per spec.  The memos are bounded and hold
-immutable tuples; every call returns fresh lists.
+computation per degree; the resonant count vectors, the slot table (the
+slot weights indexed by slot) and the shift's index map are memoized per
+spec.  The memos are bounded and hold immutable tuples; every call returns
+fresh lists.
 """
 
 from __future__ import annotations
@@ -51,6 +60,7 @@ from bisect import bisect
 from functools import lru_cache
 from itertools import chain, combinations, product
 from math import comb, prod
+from operator import add
 
 from .errors import InputError, InternalInvariantViolation, OracleUnavailable
 from .exterior import (
@@ -63,7 +73,6 @@ from .exterior import (
     sort_indices,
 )
 from .linalg import (
-    EchelonAccumulator,
     echelon_basis,
     kernel_and_pivots,
     map_kernel,
@@ -76,6 +85,7 @@ from .spectral import (
     generator_weights,
     nilpotent_log,
 )
+from .scalars import _canonical
 
 # Resonant monomials in the largest slice taken on.  `analyze` at K=3 on a 2-vCPU
 # x86 VM: a nilpotent Jordan block of size 14 (3,432) takes 12 s, of size 15
@@ -110,29 +120,52 @@ def resonant_monomials(spec: AlmostAbelianSpec, k: int) -> list[tuple[int, ...]]
 def _resonant_counts(spec: AlmostAbelianSpec) -> tuple[tuple, tuple]:
     """``(groups, counts)``: the slots grouped by weight, and every count vector
     (how many slots each group contributes) whose weight sum is a resonance; every
-    degree needs them all, so more than :data:`MAX_COUNT_VECTORS` are refused first."""
-    by_weight: dict[Weight, list[int]] = {}
-    for s in generator_weights(spec):
-        by_weight.setdefault(s.weight, []).append(s.slot)
-    vectors = prod(len(slots) + 1 for slots in by_weight.values())
+    degree needs them all, so more than :data:`MAX_COUNT_VECTORS` are refused first,
+    from the group sizes read off the blocks, before any slot is listed."""
+    names = sorted({name for b in spec.blocks for x in (b.re, b.im_symbolic) for name, _ in x.terms})
+    by_weight: dict[tuple, list[range]] = {}
+    for block, start in zip(spec.blocks, spec.block_starts()):
+        re = dict(block.re.terms)
+        head = (block.re.const, *(re.get(name, 0) for name in names))
+        if block.kind == "real":
+            runs = [((0,) * (len(names) + 1), range(start, start + block.size))]
+        else:
+            im = dict(block.im_symbolic.terms)
+            tail = (*(im.get(name, 0) for name in names), block.im_resonant)
+            stop = start + 2 * block.size
+            runs = [(tail, range(start, stop, 2)), (tuple(-x for x in tail), range(start + 1, stop, 2))]
+        for tail, slots in runs:
+            by_weight.setdefault(tuple(map(_canonical, head + tail)), []).append(slots)
+    vectors = prod(sum(map(len, ranges)) + 1 for ranges in by_weight.values())
     if vectors > MAX_COUNT_VECTORS:
         raise InputError(
             f"fiber too large: its slot weights give {vectors} weight-count vectors, "
             f"above the limit of {MAX_COUNT_VECTORS}"
         )
-    sums = [((), Weight.zero())]
-    for w, slots in by_weight.items():
+    groups = tuple(tuple(sorted(chain.from_iterable(ranges))) for ranges in by_weight.values())
+    sums = [((), (0,) * (2 * len(names) + 2))]
+    for w, slots in zip(by_weight, groups):
         grown = []
         for count, total in sums:
             for c in range(len(slots) + 1):
                 if c:
-                    total = total + w
+                    total = _add_weights(total, w)
                 grown.append((count + (c,), total))
         sums = grown
-    return (
-        tuple(tuple(slots) for slots in by_weight.values()),
-        tuple(count for count, total in sums if resonance_test(total)),
+    return groups, tuple(
+        count for count, total in sums if not any(total[:-1]) and total[-1].denominator == 1
     )
+
+
+def _add_weights(a: tuple, b: tuple) -> tuple:
+    """The sum of two weight coordinate tuples."""
+    return tuple(map(add, a, b))
+
+
+@lru_cache(maxsize=SLICE_CACHE_SIZE)
+def _slot_table(spec: AlmostAbelianSpec) -> tuple:
+    """:func:`generator_weights` indexed by slot (entry 0 unused), read once per spec."""
+    return (None, *generator_weights(spec))
 
 
 def check_fiber_size(spec: AlmostAbelianSpec) -> None:
@@ -181,11 +214,14 @@ def nilpotent_submodule(spec: AlmostAbelianSpec, k: int) -> list[Multivector]:
 def _nilpotent_submodule(spec: AlmostAbelianSpec, k: int) -> tuple[Multivector, ...]:
     if not 0 <= k <= spec.n:
         return ()
-    slots = {s.slot: s for s in generator_weights(spec)}
     kept = resonant_monomials(spec, k)
+    slots = _slot_table(spec)
     kept_set = set(kept)
     reps: list[dict] = []
     for combo in kept:
+        if all(slots[i].conj == i for i in combo):
+            reps.append({combo: 1})  # a product of real slots is its own real form
+            continue
         conj = tuple(sorted(slots[i].conj for i in combo))
         if conj not in kept_set:
             raise InternalInvariantViolation(
@@ -238,14 +274,15 @@ def shift_slice(spec: AlmostAbelianSpec, k: int) -> tuple[list[Multivector], lis
 def _shift_slice(spec: AlmostAbelianSpec, k: int) -> tuple[tuple, tuple]:
     basis = _nilpotent_submodule(spec, k)
     rows = [u.terms for u in basis]
-    slice_span = EchelonAccumulator.from_reduced(rows)
+    by_pivot = {min(row): row for row in rows}
     index_map = _shift_index_map(spec)
-    images = []
-    for u, row in zip(basis, rows):
-        image = _shift_row(row, index_map)
-        if slice_span.residue(image):
+    images = [_shift_row(row, index_map) for row in rows]
+    # a reduced row is zero at every other pivot, so an image inside the slice
+    # is the combination of the rows given by its own entries at the pivots
+    at_pivots = [{p: x for p, x in image.items() if p in by_pivot} for image in images]
+    for u, image, rebuilt in zip(basis, images, matrix_mul(at_pivots, by_pivot)):
+        if rebuilt != image:
             raise InternalInvariantViolation(f"the shift maps {u} out of the unipotent slice")
-        images.append(image)
     kernel, image_pivots = kernel_and_pivots(images)
     kernel_rows = echelon_basis(matrix_mul(kernel, rows))
     image_pivots = set(image_pivots)
@@ -300,7 +337,7 @@ def _shift_row(row: dict, index_map: tuple[int, ...]) -> dict:
 
 def oracle_applicable(spec: AlmostAbelianSpec) -> bool:
     """True when every slot weight is a resonance, i.e. the semisimple part is trivial."""
-    return all(resonance_test(s.weight) for s in generator_weights(spec))
+    return all(resonance_test(s.weight) for s in _slot_table(spec)[1:])
 
 
 def nilpotent_submodule_oracle(spec: AlmostAbelianSpec, k: int) -> list[Multivector]:

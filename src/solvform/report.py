@@ -280,10 +280,11 @@ def verify_report(report: dict, spec: AlmostAbelianSpec):
     stages = [s for s in STAGES if s in report]
     fresh = build_report(spec, max_degree, stages=stages)
     # sections compare as canonical bytes, where True, 1 and 1.0 differ;
-    # a missing assumptions section diverges too
-    for section in ["input", "assumptions"] + stages:
+    # a missing generator or assumptions section diverges too
+    for section in ["generator", "input", "assumptions"] + stages:
         if dumps_canonical(report.get(section)) != dumps_canonical(fresh[section]):
             mismatches.append(_first_divergence(section, report.get(section), fresh[section]))
+    mismatches += [f"unknown top-level key {key!r}" for key in sorted(set(report) - set(fresh))]
     return not mismatches, mismatches
 
 

@@ -103,6 +103,29 @@ def test_verify_flags_tampered_witness(tmp_path, capsys):
     assert len(lines) == 1 and lines[0].startswith("mismatch: symplectic/witness/two_form: ")
 
 
+@pytest.mark.parametrize(
+    "edit, line",
+    [
+        (lambda doc: doc.update(extra=[[1]]), "mismatch: unknown top-level key 'extra'"),
+        (
+            lambda doc: doc["generator"].update(name="other"),
+            "mismatch: generator/name: report has 'other', recomputation gives 'solvform'",
+        ),
+    ],
+    ids=["unknown key", "generator name"],
+)
+def test_verify_checks_the_whole_top_level(tmp_path, capsys, edit, line):
+    spec_path = _write_spec(tmp_path, text='{"n": 3, "blocks": [{"kind": "real", "size": 3}]}')
+    report_path = tmp_path / "report.json"
+    main(["analyze", str(spec_path), "--max-degree", "2", "--format", "json", "--report", str(report_path)])
+    doc = json.loads(report_path.read_text())
+    edit(doc)
+    report_path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["verify", str(report_path), str(spec_path)]) == 1
+    assert capsys.readouterr().err.splitlines() == [line]
+
+
 def test_verify_partial_report_with_lower_bound(tmp_path, capsys):
     # a report from an earlier stage and lower degree still verifies
     spec_path = _write_spec(tmp_path)
@@ -221,7 +244,7 @@ def test_many_slot_weights_are_refused_before_counting(tmp_path, capsys, monkeyp
     def enumerating(*args):
         raise AssertionError("the count vectors were enumerated")
 
-    monkeypatch.setattr(monodromy.Weight, "__add__", enumerating)
+    monkeypatch.setattr(monodromy, "_add_weights", enumerating)
     blocks = [{"kind": "real", "size": 1, "re": str(i)} for i in range(1, 19)]
     spec_path = _write_spec(tmp_path, text=json.dumps({"n": 18, "blocks": blocks}))
     assert main(["unipotent", str(spec_path), "--max-degree", "1"]) == 1
@@ -229,6 +252,24 @@ def test_many_slot_weights_are_refused_before_counting(tmp_path, capsys, monkeyp
     assert out == ""
     assert err == (
         "error: fiber too large: its slot weights give 262144 weight-count vectors, "
+        "above the limit of 65536\n"
+    )
+
+
+def test_huge_block_is_refused_before_its_slots_are_built(tmp_path, capsys, monkeypatch):
+    # one real block of size 10**8: the group sizes come from the blocks, so no
+    # slot record is built before its 10**8 + 1 count vectors are refused
+    def building(*args):
+        raise AssertionError("the slot records were built")
+
+    monkeypatch.setattr(monodromy, "generator_weights", building)
+    text = json.dumps({"n": 10**8, "blocks": [{"kind": "real", "size": 10**8}]})
+    spec_path = _write_spec(tmp_path, text=text)
+    assert main(["unipotent", str(spec_path), "--max-degree", "1"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (
+        "error: fiber too large: its slot weights give 100000001 weight-count vectors, "
         "above the limit of 65536\n"
     )
 

@@ -8,13 +8,17 @@ construction is checked past the degrees a report reaches quickly.
 Two larger inline specs are pinned as well: s10 (symbols, complex blocks
 and a symplectic witness) and nil11 (``a(...)`` monomial names for
 n >= 10 and three zero-weight blocks); nil13 is pinned through the
-unipotent stage alone, and its symplectic section on its own.
+unipotent stage alone, and its symplectic section on its own.  The fiber
+slices themselves (every unipotent basis, shift kernel and cokernel) are
+pinned on the fixtures, nil7, nil322, s10, nil11 and 120 seeded random specs.
 """
 
 import hashlib
 import json
+import random
 
 import pytest
+from conftest import random_resonant_spec, random_unimodular_spec
 
 from solvform import (
     build_minimal_model,
@@ -25,6 +29,7 @@ from solvform import (
     parse_spec,
     serialize_model,
 )
+from solvform.monodromy import nilpotent_submodule, shift_slice
 from solvform.report import Analysis
 
 GOLDEN = {
@@ -145,3 +150,26 @@ MODEL_GOLDEN = {
 def test_model_dump_unchanged(name, max_degree):
     text = serialize_model(build_minimal_model(load_spec(fixture_path(name)), max_degree))
     assert hashlib.sha256(text.encode()).hexdigest() == MODEL_GOLDEN[name, max_degree]
+
+
+NIL7 = {"n": 7, "blocks": [{"kind": "real", "size": 7}]}
+NIL322 = {
+    "n": 7,
+    "blocks": [{"kind": "real", "size": 3}, {"kind": "real", "size": 2}, {"kind": "real", "size": 2}],
+}
+
+
+def test_fiber_slices_unchanged():
+    # the strings of every nilpotent_submodule basis vector and every shift_slice
+    # kernel and cokernel vector in degrees 0..n, in order
+    specs = [load_spec(fixture_path(name)) for name in ("heisenberg3", "s6", "s8", "torus3", "torus4")]
+    specs += [parse_spec(json.dumps(doc)) for doc in (NIL7, NIL322, SPECS["s10"], SPECS["nil11"])]
+    specs += [random_resonant_spec(random.Random(seed), n_max=7) for seed in range(60)]
+    specs += [random_unimodular_spec(random.Random(seed), n_max=7) for seed in range(1000, 1060)]
+    digest = hashlib.sha256()
+    for spec in specs:
+        for k in range(spec.n + 1):
+            kernel, cokernel = shift_slice(spec, k)
+            for part in (nilpotent_submodule(spec, k), kernel, cokernel):
+                digest.update(("; ".join(map(str, part)) + "\n").encode())
+    assert digest.hexdigest() == "42ef65d3864cde8251d900f224e0a38b9372a0c0a22f99839e5a87aece1ebf52"

@@ -1,4 +1,5 @@
-"""In-process memos: the per-(spec, degree) slices and the per-spec resonant count vectors."""
+"""In-process memos: the per-(spec, degree) slices, and per spec the resonant count
+vectors, the slot table and the shift's index map."""
 
 import importlib
 import inspect
@@ -13,10 +14,11 @@ from solvform.monodromy import (
     _resonant_counts,
     _shift_index_map,
     _shift_slice,
+    _slot_table,
     nilpotent_submodule,
     resonant_monomials,
 )
-from solvform.spectral import SLICE_CACHE_SIZE
+from solvform.spectral import SLICE_CACHE_SIZE, SlotWeight, generator_weights
 from solvform.symplectic import closed_two_classes
 
 MEMOS = (_nilpotent_submodule, _shift_slice)
@@ -79,6 +81,25 @@ def test_resonant_counts_are_computed_once_per_spec(s6, s8):
     groups, counts = _resonant_counts(s8)
     assert isinstance(groups, tuple) and all(isinstance(g, tuple) for g in groups)
     assert isinstance(counts, tuple) and all(isinstance(c, tuple) for c in counts)
+
+
+def test_slot_table_is_read_once_per_spec(s6, s8):
+    _clear()
+    _slot_table.cache_clear()
+    for spec in (s6, s8):
+        for k in range(spec.n + 1):
+            nilpotent_submodule(spec, k)
+    info = _slot_table.cache_info()
+    assert (info.misses, info.currsize, info.maxsize) == (2, 2, SLICE_CACHE_SIZE)
+    assert info.hits == s6.n + s8.n
+    table = _slot_table(s8)
+    assert isinstance(table, tuple) and table[0] is None
+    assert all(type(s) is SlotWeight and isinstance(s.terms, tuple) for s in table[1:])
+    assert [s.slot for s in table[1:]] == list(range(1, s8.n + 1))
+    fresh = generator_weights(s8)
+    assert fresh == list(table[1:])
+    fresh.reverse()
+    assert _slot_table(s8)[1].slot == 1
 
 
 def test_shift_index_map_is_read_once_per_spec(monkeypatch, s6, s8):

@@ -391,14 +391,14 @@ def test_resonant_monomials_add_one_weight_per_count_vector(
     monkeypatch, s6, s8, torus3, torus4, heisenberg3
 ):
     added = 0
-    plain_add = Weight.__add__
+    plain_add = monodromy._add_weights
 
-    def counting_add(self, other):
+    def counting_add(a, b):
         nonlocal added
         added += 1
-        return plain_add(self, other)
+        return plain_add(a, b)
 
-    monkeypatch.setattr(Weight, "__add__", counting_add)
+    monkeypatch.setattr(monodromy, "_add_weights", counting_add)
     for spec in _weight_count_specs((s6, s8, torus3, torus4, heisenberg3)):
         sizes = Counter(s.weight for s in generator_weights(spec)).values()
         bound = prod(size + 1 for size in sizes)
@@ -407,6 +407,23 @@ def test_resonant_monomials_add_one_weight_per_count_vector(
         for k in range(spec.n + 1):
             resonant_monomials(spec, k)
         assert added <= bound
+
+
+def test_resonant_counts_build_no_symbolic_scalars(monkeypatch, s8):
+    # the weight sums run on integer coordinate tuples, not on ScalarLC
+    built = 0
+    plain_init = ScalarLC.__init__
+
+    def counting_init(self, *args, **kwargs):
+        nonlocal built
+        built += 1
+        plain_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(ScalarLC, "__init__", counting_init)
+    _resonant_counts.cache_clear()
+    groups, counts = _resonant_counts(s8)
+    assert built == 0
+    assert counts and sum(map(len, groups)) == s8.n
 
 
 def test_shift_out_of_the_slice_is_caught(monkeypatch, s8):
@@ -492,16 +509,24 @@ def test_shift_slices_and_closed_two_forms_carry_fractions(name):
 
 
 def test_unit_row_slices_skip_elimination(monkeypatch, nil322, s6):
-    # every slot of nil322 is real, so each slice is its sorted unit rows;
-    # s6 has complex slots, whose two-term rows still go through elimination
+    # every slot of nil322 is real, so each slice is its sorted unit rows and no
+    # monomial is realified; s6 has complex slots, whose two-term rows still go
+    # through elimination
     calls = []
+    realified = []
     plain = monodromy.echelon_basis
+    plain_realify = monodromy._realify
 
     def counting(vectors):
         calls.append(len(vectors))
         return plain(vectors)
 
+    def counting_realify(slots, combo):
+        realified.append(combo)
+        return plain_realify(slots, combo)
+
     monkeypatch.setattr(monodromy, "echelon_basis", counting)
+    monkeypatch.setattr(monodromy, "_realify", counting_realify)
     monodromy._nilpotent_submodule.cache_clear()
     try:
         for k in range(nil322.n + 1):
@@ -509,7 +534,7 @@ def test_unit_row_slices_skip_elimination(monkeypatch, nil322, s6):
             keys = [key for u in basis for key in u.terms]
             assert keys == resonant_monomials(nil322, k)
             assert all(u.terms == {key: 1} for u, key in zip(basis, keys))
-        assert calls == []
+        assert calls == [] and realified == []
         assert len(nilpotent_submodule(s6, 2)) == len(nilpotent_submodule_oracle(s6, 2))
         assert calls and calls[0] == len(resonant_monomials(s6, 2))
     finally:

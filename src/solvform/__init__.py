@@ -30,7 +30,6 @@ from .formality import (
     TwistedModel,
     build_twisted_model,
     formality_from_twisted,
-    k_formality,
     total_model_dump,
 )
 from .minimal_model import (

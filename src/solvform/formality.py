@@ -26,7 +26,7 @@ from __future__ import annotations
 from .errors import InputError, InternalInvariantViolation
 from .exterior import coordinate_vector
 from .linalg import matrix_mul, solve_combination
-from .minimal_model import MinimalModel, build_minimal_model
+from .minimal_model import MinimalModel
 from .monodromy import _shift_index_map, _shift_row
 from .spectral import AlmostAbelianSpec
 
@@ -70,11 +70,14 @@ def _theta_closed(model: MinimalModel, index_map: tuple, gen):
     lower-degree generators and the earlier same-degree closed ones.  The
     flag ordering of same-degree generators guarantees a solution there,
     and the realization is injective on those classes, so it is unique.
+    Those classes are the kept degree-q classes of the model that lead
+    with a monomial before ``(gen,)``: the units of ``gen`` and the later
+    closed generators come last, and the non-closed ones add no class.
     """
     target = _shift_row(coordinate_vector(gen.rho), index_map)
     if not target:
         return {}
-    reps = model.class_reps(gen.degree, range(gen.gid))
+    reps = [rep for rep in model.class_reps(gen.degree) if min(rep.poly) < (gen.gid,)]
     coeffs, _ = solve_combination([rep.rho for rep in reps], target)
     if coeffs is None:
         raise InternalInvariantViolation(
@@ -181,14 +184,6 @@ def formality_from_twisted(tm: TwistedModel, k: int) -> FormalityVerdict:
                 break
         verdict.statuses.append(status)
     return verdict
-
-
-def k_formality(spec: AlmostAbelianSpec, k: int, d_max=None) -> FormalityVerdict:
-    """Build the model and twist up to ``max(k, d_max)`` and run the criterion."""
-    bound = max(k, d_max or k)
-    model = build_minimal_model(spec, bound)
-    tm = build_twisted_model(spec, model)
-    return formality_from_twisted(tm, k)
 
 
 def total_model_dump(tm: TwistedModel) -> str:

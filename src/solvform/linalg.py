@@ -57,10 +57,6 @@ def echelon_basis(vectors: list[Row]) -> list[Row]:
     return rref(vectors)[0]
 
 
-def rank(rows: list[Row]) -> int:
-    return len(rref(rows)[0])
-
-
 def _transpose(rows: list[Row]) -> list[tuple]:
     """The nonzero columns of ``rows`` as (column, sparse row) pairs in column order."""
     cols: dict = {}

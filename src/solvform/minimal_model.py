@@ -36,6 +36,28 @@ the elimination directly.  Construction is staged by degree q:
 Generator differentials only involve earlier generators and have no
 linear term, and the realization induces an isomorphism onto the target
 in every degree up to the bound (checked by :func:`verify_quasi_iso`).
+
+The model keeps its cohomology per degree k: the cocycle basis that
+:meth:`MinimalModel.cocycles` eliminates, the accumulator of the image of
+d from degree k-1, and the classes :meth:`MinimalModel.class_reps` forms
+from them (none when the image fills the cocycles).  Appending a
+degree-k generator g updates that state by three rules instead of
+forgetting it:
+
+  * g closed: degree k gains the unit cocycle and the unit class ``(g,)``,
+    each as a last row.  Exact, because d(g) = 0, no boundary meets g,
+    and ``(g,)`` sorts after every older degree-k monomial, so both
+    canonical echelon forms just gain that row;
+  * g not closed: degree k is unchanged exactly when dg enlarges the
+    image accumulator of degree k+1, which then holds dg.  In the build
+    this always holds, since each killed cocycle is an independent class;
+  * every other degree that g touches drops its entries (the image of
+    degree k+1 survives, since only ``(g,)`` joins degree k).
+
+So the build forms each degree's classes once per killing round, each
+round adds only its new differentials to the image, and the quasi-iso
+check, the twist and the formality criterion read the finished model's
+classes and cocycles without eliminating again.
 """
 
 from __future__ import annotations
@@ -95,6 +117,11 @@ class MinimalModel:
         self._parity: list[int] = []  # gid -> degree mod 2
         self._d_cache: dict = {(): {}}  # monomial -> its differential
         self._rho_cache: dict = {(): {(): 1}}  # monomial -> its realization row
+        # kept cohomology per degree k: the cocycle basis, the image of d from
+        # degree k - 1 and the classes; degree 1 of a model with no generators is 0
+        self._cocycles: dict = {1: []}
+        self._images: dict = {1: EchelonAccumulator()}
+        self._classes: dict = {1: []}
 
     # ----- generator bookkeeping -------------------------------------------------
 
@@ -111,6 +138,20 @@ class MinimalModel:
         self._rho_cache[(gen.gid,)] = coordinate_vector(gen.rho)
         # only monomials of at least the new degree can contain the new generator
         self._mono_cache = {key: v for key, v in self._mono_cache.items() if key[0] < degree}
+        # the kept cohomology follows the three append rules of the module docstring
+        dg, image = gen.differential, self._images.get(degree + 1)
+        stays = not dg or (image is not None and image.add(dg))
+        self._images = {j: v for j, v in self._images.items() if j <= degree + 1}
+        for kept in (self._cocycles, self._classes):
+            for j in [j for j in kept if j > degree or (j == degree and not stays)]:
+                del kept[j]
+        if not dg:
+            unit = {(gen.gid,): 1}
+            if degree in self._cocycles:
+                self._cocycles[degree] = self._cocycles[degree] + [unit]
+            if degree in self._classes:
+                unit_class = ClassRep(unit, self.rho_poly(unit))
+                self._classes[degree] = self._classes[degree] + [unit_class]
         return gen
 
     def generator_counts(self) -> dict[int, tuple[int, int]]:
@@ -269,23 +310,33 @@ class MinimalModel:
 
     # ----- cohomology of the model -------------------------------------------------
 
-    def cocycles(self, k: int, gids=None) -> list[dict]:
-        """Basis of the degree-k cocycles over the given generator ids, as polynomials."""
-        domain = self.monomials(k, gids)
-        # polynomials are the rows; kernel vectors are keyed by domain position
-        kernel = map_kernel([self.d_mono(m) for m in domain])
-        return [{domain[j]: c for j, c in vec.items()} for vec in kernel]
+    def cocycles(self, k: int) -> list[dict]:
+        """Basis of the degree-k cocycles, as polynomials; kept on the model."""
+        out = self._cocycles.get(k)
+        if out is None:
+            domain = self.monomials(k)
+            # polynomials are the rows; kernel vectors are keyed by domain position
+            kernel = map_kernel([self.d_mono(m) for m in domain])
+            out = self._cocycles[k] = [{domain[j]: c for j, c in vec.items()} for vec in kernel]
+        return out
 
-    def class_reps(self, k: int, gids=None) -> list[ClassRep]:
-        """Echelonized degree-k classes over the given generator ids, with realizations."""
-        # gids=None keys the monomial cache by degree alone, so lists survive new generators
-        image = EchelonAccumulator()
-        for m in self.monomials(k - 1, gids):
-            image.add(self.d_mono(m))
-        classes = EchelonAccumulator()
-        for poly in self.cocycles(k, gids):
-            classes.add(image.residue(poly))
-        return [ClassRep(poly, self.rho_poly(poly)) for poly in classes.rows]
+    def class_reps(self, k: int) -> list[ClassRep]:
+        """Echelonized degree-k classes with realizations; kept on the model."""
+        out = self._classes.get(k)
+        if out is None:
+            image = self._images.get(k)
+            if image is None:
+                image = self._images[k] = EchelonAccumulator()
+                for m in self.monomials(k - 1):
+                    image.add(self.d_mono(m))
+            cocycles = self.cocycles(k)
+            rows = []
+            # the image lies in the cocycles, so equal dimensions leave no class
+            if len(cocycles) > image.rank:
+                residues = [image.residue(p) for p in cocycles] if image.rank else cocycles
+                rows = echelon_basis(residues)
+            out = self._classes[k] = [ClassRep(poly, self.rho_poly(poly)) for poly in rows]
+        return out
 
 
 def mono_name(model: MinimalModel, mono) -> str:

@@ -229,11 +229,13 @@ def generator_weights(spec: AlmostAbelianSpec) -> list[SlotWeight]:
 
 
 def real_trace(spec: AlmostAbelianSpec) -> ScalarLC:
-    """Sum of the real eigenvalue parts over all n coordinates."""
-    total = ScalarLC(0)
-    for i in range(1, spec.n + 1):
-        total = total + spec.coordinate_re(i)
-    return total
+    """Sum of the real eigenvalue parts over all n coordinates: each block
+    adds ``real_dim * re``, summed into one ``ScalarLC``."""
+    const, terms = 0, []
+    for block in spec.blocks:
+        const += block.real_dim * block.re.const
+        terms += [(name, block.real_dim * c) for name, c in block.re.terms]
+    return ScalarLC(const, terms)
 
 
 def _block_is_modifiable(block: Block) -> bool:
@@ -282,6 +284,7 @@ def modified_matrix(spec: AlmostAbelianSpec) -> LinearEndo:
     n = spec.n
     shift = nilpotent_log(spec)
     images = []
-    for i in range(1, n + 1):
-        images.append(Multivector.basis_one_form(n, i).scaled(spec.coordinate_re(i)) + shift.image_of(i))
+    for block, start in zip(spec.blocks, spec.block_starts()):
+        for i in range(start, start + block.real_dim):
+            images.append(Multivector.basis_one_form(n, i).scaled(block.re) + shift.image_of(i))
     return LinearEndo(n, images)

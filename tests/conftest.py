@@ -13,12 +13,16 @@ from solvform import (
     CEElement,
     Multivector,
     ScalarLC,
+    build_minimal_model,
+    build_twisted_model,
     fixture_path,
+    formality_from_twisted,
     load_spec,
     parse_spec,
 )
 from solvform.exterior import LinearEndo, coordinate_vector, monomials
-from solvform.linalg import EchelonAccumulator
+from solvform.linalg import EchelonAccumulator, map_kernel, rref
+from solvform.minimal_model import ClassRep
 
 
 @pytest.fixture(scope="session")
@@ -158,6 +162,38 @@ def representative_elements(slice_, n: int) -> list[CEElement]:
     for rep in slice_.coker_reps:
         out.append(CEElement(Multivector.zero(n, rep.degree + 1), rep))
     return out
+
+
+def rank(rows) -> int:
+    """Dimension of the span of the sparse ``rows``."""
+    return len(rref(rows)[0])
+
+
+def k_formality(spec, k: int, d_max=None):
+    """Build the model and twist up to ``max(k, d_max)`` and run the criterion."""
+    bound = max(k, d_max or k)
+    model = build_minimal_model(spec, bound)
+    return formality_from_twisted(build_twisted_model(spec, model), k)
+
+
+def reference_cocycles(model, k: int, gids=None) -> list[dict]:
+    """Degree-k cocycle basis over ``gids`` (default all), eliminated from
+    scratch: the kernel of d on the sorted monomials, nothing kept."""
+    domain = model.monomials(k, gids)
+    kernel = map_kernel([model.d_mono(m) for m in domain])
+    return [{domain[j]: c for j, c in vec.items()} for vec in kernel]
+
+
+def reference_class_reps(model, k: int, gids=None) -> list[ClassRep]:
+    """Echelonized degree-k classes over ``gids``, eliminated from scratch:
+    the residues of the cocycles modulo the image of every degree-(k-1) monomial."""
+    image = EchelonAccumulator()
+    for m in model.monomials(k - 1, gids):
+        image.add(model.d_mono(m))
+    classes = EchelonAccumulator()
+    for poly in reference_cocycles(model, k, gids):
+        classes.add(image.residue(poly))
+    return [ClassRep(poly, model.rho_poly(poly)) for poly in classes.rows]
 
 
 @pytest.fixture

@@ -12,10 +12,12 @@ from itertools import combinations, combinations_with_replacement
 
 from conftest import (
     in_submodule_span,
+    k_formality,
     random_multivector,
     random_resonant_spec,
     random_strict_endo,
     random_unimodular_spec,
+    rank,
 )
 from solvform import (
     CEElement,
@@ -28,7 +30,6 @@ from solvform import (
     cohomology,
     find_symplectic,
     formality_from_twisted,
-    k_formality,
     nilpotent_submodule,
     nilpotent_submodule_oracle,
     spans_match,
@@ -43,7 +44,6 @@ from solvform.exterior import (
     monomials,
     wedge,
 )
-from solvform.linalg import rank
 
 
 class _criterion:

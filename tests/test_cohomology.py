@@ -9,6 +9,7 @@ from conftest import (
     random_multivector,
     random_resonant_spec,
     random_unimodular_spec,
+    rank,
     representative_elements,
 )
 from solvform import (
@@ -127,7 +128,6 @@ def test_betti_consistency_with_dimension_count(s6, s8):
     # cross-check through rank-nullity, dim ker N_k + rank N_k = dim U^k,
     # with the rank of the shift images taken independently
     from solvform.exterior import coordinate_vector
-    from solvform.linalg import rank
     from solvform.monodromy import nilpotent_submodule, shift_slice
     from solvform.spectral import nilpotent_log
 
@@ -169,7 +169,6 @@ def test_coker_representatives_independent_of_image(s6, s8):
     # zero-weight slices, so adding them to their slice's image rows must
     # grow the rank by their count
     from solvform.exterior import coordinate_vector, monomials
-    from solvform.linalg import rank
     from solvform.scalars import ScalarLC
 
     for spec in (s6, s8):
@@ -211,7 +210,6 @@ def _full_complex_betti(spec):
     instances only.
     """
     from solvform.exterior import coordinate_vector, monomials
-    from solvform.linalg import rank
 
     total = spec.n + 1
     mod = modified_matrix(spec)

@@ -6,13 +6,12 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import random_unimodular_spec
+from conftest import k_formality, random_unimodular_spec, reference_class_reps
 from solvform import (
     InputError,
     build_minimal_model,
     build_twisted_model,
     formality_from_twisted,
-    k_formality,
     nilpotent_log,
     parse_spec,
     total_model_dump,
@@ -290,7 +289,7 @@ def _reference_theta_closed(model, ntl, gen):
             columns.append({(other.gid,): Fraction(1)})
             images.append(other.rho)
     lower = [g.gid for g in model.gens if g.degree < gen.degree]
-    for rep in model.class_reps(gen.degree, lower):
+    for rep in reference_class_reps(model, gen.degree, lower):
         columns.append(rep.poly)
         images.append(Multivector(model.spec.n, gen.degree, rep.rho))
     rows = [coordinate_vector(x) for x in images]
@@ -323,6 +322,17 @@ def test_theta_closed_matches_the_two_column_reference(s6, s8, nil322, heisenber
         twisted_degrees.append(degrees)
     assert twisted_degrees[1] == {1} and twisted_degrees[2] == {1}  # s8, nil322
     assert twisted_degrees[5] == {1, 2}  # jordan
+
+
+def test_closed_twist_solves_against_earlier_classes_only():
+    # N(a1) = a2, but a2 is realized only by the later generator: out of flag
+    # order, so the twist of the first generator must not use the later class
+    spec = parse_spec('{"n": 2, "blocks": [{"kind": "real", "size": 2}]}')
+    model = MinimalModel(spec, 1)
+    for i in (1, 2):
+        model.add_generator(1, rho=Multivector.basis_one_form(2, i))
+    with pytest.raises(InternalInvariantViolation, match="not realized by earlier classes"):
+        build_twisted_model(spec, model)
 
 
 # Generators as (degree, differential, closed); the twist sends the

@@ -6,8 +6,10 @@ the same commit.  The minimal model dumps (``serialize_model``) are
 pinned the same way, s8 up to degree 7, so a change to the model
 construction is checked past the degrees a report reaches quickly.
 Two larger inline specs are pinned as well: s10 (symbols, complex blocks
-and a symplectic witness) and nil11 (``a(...)`` monomial names for
-n >= 10 and three zero-weight blocks); nil13 is pinned through the
+and a symplectic witness), nil11 (``a(...)`` monomial names for
+n >= 10 and three zero-weight blocks), and b2b2c and cpx2, whose
+formality fails first at degree 2 and at degree 3, so their witnesses
+come from model cocycles above degree 1; nil13 is pinned through the
 unipotent stage alone, and its symplectic section on its own.  The fiber
 slices themselves (every unipotent basis, shift kernel and cokernel) are
 pinned on the fixtures, nil7, nil322, s10, nil11 and 120 seeded random specs.
@@ -81,6 +83,23 @@ SPECS = {
             {"kind": "real", "size": 3},
         ],
     },
+    "b2b2c": {
+        "n": 6,
+        "symbols": ["b"],
+        "blocks": [
+            {"kind": "real", "size": 2, "re": "b"},
+            {"kind": "real", "size": 2, "re": "-b"},
+            {"kind": "complex", "size": 1, "im_resonant": "1"},
+        ],
+    },
+    "cpx2": {
+        "n": 6,
+        "symbols": ["b"],
+        "blocks": [
+            {"kind": "complex", "size": 2, "re": "b", "im_resonant": "1"},
+            {"kind": "real", "size": 2, "re": "-2*b"},
+        ],
+    },
     "nil13": {
         "n": 13,
         "blocks": [
@@ -94,6 +113,8 @@ SPECS = {
 SPEC_GOLDEN = {
     ("s10", 4): "999054b3022a33fb891e368b5931c5db037f30a0ab702ed179d35063fce41657",
     ("nil11", 3): "b28e2f0f730e4b17ca63d34897e52db1cde54a97cbc536b2786607522334c320",
+    ("b2b2c", 4): "a6fdf74d602c1c1cb97a79c3f66cf7fe6e1ddebc049bfcf2e69daaa9ebe882ac",
+    ("cpx2", 4): "04473574c91ae9b9e7d020f59227dce348a2e5ff3e86e8b09ff8fa823e8b0cf8",
 }
 
 

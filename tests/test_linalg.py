@@ -9,13 +9,13 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import rank
 from solvform.linalg import (
     EchelonAccumulator,
     echelon_basis,
     kernel_and_pivots,
     map_kernel,
     matrix_mul,
-    rank,
     rref,
     solve_combination,
 )

@@ -6,13 +6,21 @@ from itertools import combinations, combinations_with_replacement
 
 import pytest
 
-from conftest import random_resonant_spec, random_unimodular_spec
+from conftest import (
+    random_resonant_spec,
+    random_unimodular_spec,
+    rank,
+    reference_class_reps,
+    reference_cocycles,
+)
 from solvform import (
     InputError,
     InternalInvariantViolation,
     LinearEndo,
     Multivector,
     build_minimal_model,
+    build_twisted_model,
+    formality_from_twisted,
     model_cohomology,
     nilpotent_submodule,
     serialize_model,
@@ -25,7 +33,6 @@ from solvform.linalg import (
     echelon_basis,
     map_kernel,
     matrix_mul,
-    rank,
     solve_combination,
 )
 from solvform.minimal_model import ClassRep, MinimalModel
@@ -133,17 +140,111 @@ def test_build_forms_each_stage_classes_once(monkeypatch, s8, nil322):
     # stage q+1 starts from the classes the last killing round of stage q
     # formed on the same generators, so no (degree, generators) pair repeats
     plain = MinimalModel.class_reps
-    calls = []
+    plain_kernel = minimal_model.map_kernel
+    calls, kernels = [], []
 
-    def recording(self, k, gids=None):
-        calls.append((k, None if gids is None else tuple(gids), len(self.gens)))
-        return plain(self, k, gids)
+    def recording(self, k):
+        calls.append((k, len(self.gens)))
+        return plain(self, k)
+
+    def counting(rows):
+        kernels.append(len(rows))
+        return plain_kernel(rows)
 
     monkeypatch.setattr(MinimalModel, "class_reps", recording)
+    monkeypatch.setattr(minimal_model, "map_kernel", counting)
     for spec, bound, expected in ((s8, 6, 10), (nil322, 3, 3)):
         calls.clear()
-        build_minimal_model(spec, bound)
+        model = build_minimal_model(spec, bound)
         assert len(set(calls)) == len(calls) == expected
+        # the finished model keeps its classes and cocycles: the quasi-iso
+        # check, the twist and the criterion form no basis again.  Forming
+        # them again took 14 kernel eliminations over model monomials for
+        # s8 and 10 for nil322 (one per degree in the check and in the
+        # criterion, one per twisted closed generator)
+        kept = [dict(state) for state in (model._cocycles, model._images, model._classes)]
+        kernels.clear()
+        verify_quasi_iso(model)
+        formality_from_twisted(build_twisted_model(spec, model), bound)
+        assert kernels == []
+        for before, state in zip(kept, (model._cocycles, model._images, model._classes)):
+            assert state.keys() == before.keys()
+            assert all(state[k] is value for k, value in before.items())
+
+
+_HAND_SPECS = (
+    # formality fails first at degree 2 (b2b2, b2b2c) and at degree 3 (cpx2)
+    '{"n": 4, "symbols": ["b"], "blocks": [{"kind": "real", "size": 2, "re": "b"},'
+    ' {"kind": "real", "size": 2, "re": "-b"}]}',
+    '{"n": 6, "symbols": ["b"], "blocks": [{"kind": "real", "size": 2, "re": "b"},'
+    ' {"kind": "real", "size": 2, "re": "-b"}, {"kind": "complex", "size": 1, "im_resonant": "1"}]}',
+    '{"n": 6, "symbols": ["b"], "blocks": [{"kind": "complex", "size": 2, "re": "b",'
+    ' "im_resonant": "1"}, {"kind": "real", "size": 2, "re": "-2*b"}]}',
+)
+
+
+def _pairs(reps):
+    return [(rep.poly, rep.rho) for rep in reps]
+
+
+def test_kept_cohomology_equals_elimination_from_scratch(s6, s8, torus3, torus4, heisenberg3, s10, nil322):
+    # the build keeps each degree's cocycles and classes, extending them by
+    # the append rules; on the finished model they must be the from-scratch
+    # bases, rows and order both, and the classes leading before the unit of
+    # a closed generator must be the classes of the generators created before it
+    rng = random.Random(67)
+    specs = [s6, s8, torus3, torus4, heisenberg3, s10, nil322] + [parse_spec(t) for t in _HAND_SPECS]
+    specs += [random_resonant_spec(rng, n_max=7) for _ in range(20)]
+    specs += [random_unimodular_spec(rng, n_max=7) for _ in range(20)]
+    cases = [(spec, 4) for spec in specs] + [(s8, 6)]
+    prefixes = 0
+    for spec, bound in cases:
+        model = build_minimal_model(spec, bound)
+        for k in range(1, bound + 1):
+            assert k in model._cocycles and k in model._classes, (spec, k)
+            assert model.cocycles(k) == reference_cocycles(model, k)
+            assert _pairs(model.class_reps(k)) == _pairs(reference_class_reps(model, k))
+        for gen in model.gens:
+            if gen.closed:
+                kept = model.class_reps(gen.degree)
+                before = [rep for rep in kept if min(rep.poly) < (gen.gid,)]
+                assert kept[: len(before)] == before
+                expected = reference_class_reps(model, gen.degree, range(gen.gid))
+                assert _pairs(before) == _pairs(expected)
+                prefixes += 1
+    assert prefixes > 200
+
+
+def _reference_quasi_iso(model) -> dict:
+    out = {}
+    for k in range(1, model.degree_bound + 1):
+        reps = reference_class_reps(model, k)
+        target = [coordinate_vector(u) for u in nilpotent_submodule(model.spec, k)]
+        image = rank([rep.rho for rep in reps])
+        out[k] = image == len(reps) and image == len(target) == rank([rep.rho for rep in reps] + target)
+    return out
+
+
+def test_exact_differential_drops_the_kept_degree(s6):
+    # x, y closed of degree 1, then z and w with dz = dw = x*y: dz is a new
+    # boundary, so degree 1 stays; dw is not, so z - w is a new cocycle and
+    # degree 1 is dropped and formed again
+    model = MinimalModel(s6, 2)
+    for i in (1, 2):
+        model.add_generator(1, rho=Multivector.basis_one_form(5, i))
+    assert _pairs(model.class_reps(1)) == _pairs(reference_class_reps(model, 1))
+    model.class_reps(2)
+    model.add_generator(1, {(0, 1): 1}, closed=False)
+    assert 1 in model._classes and 2 in model._images and 2 not in model._classes
+    model.add_generator(1, {(0, 1): 1}, closed=False)
+    assert 1 not in model._classes and 1 not in model._cocycles
+    assert model.cocycles(1) == reference_cocycles(model, 1)
+    assert len(model.cocycles(1)) == 3  # x, y and z - w
+    for k in (1, 2):
+        assert _pairs(model.class_reps(k)) == _pairs(reference_class_reps(model, k))
+    results = verify_quasi_iso(model)
+    assert {k: entry["ok"] for k, entry in results.items()} == _reference_quasi_iso(model)
+    assert not results[1]["injective"]  # z - w realizes the zero form
 
 
 def test_truncated_model_fails_verification(s8):
@@ -409,7 +510,7 @@ def test_closed_generators_follow_the_shift_flag(s6, s8, torus3, torus4, heisenb
         shift = nilpotent_log(spec)
         for q in range(1, bound + 1):
             lower = [g.gid for g in model.gens if g.degree < q]
-            image_reps = model.class_reps(q, lower)
+            image_reps = reference_class_reps(model, q, lower)
             closed = [g for g in model.gens if g.degree == q and g.closed]
             # the closed generators are the complement the T-matrix order gives
             assert [g.rho for g in closed] == _reference_flag_order(spec, q, image_reps)

@@ -15,14 +15,23 @@ from solvform import (
     emit_spec,
     fixture_path,
     generator_weights,
+    load_spec,
     modified_matrix,
     nilpotent_log,
     nilpotent_submodule,
     parse_spec,
 )
 from solvform.exterior import Multivector, derivation_apply
-from solvform.monodromy import _nilpotent_submodule
+from solvform.monodromy import (
+    _nilpotent_submodule,
+    _resonant_counts,
+    _shift_index_map,
+    _shift_slice,
+    _slot_table,
+)
+from solvform.report import STAGES, build_report
 from solvform.scalars import ScalarLC
+from solvform.spectral import real_trace
 import random
 
 
@@ -191,13 +200,63 @@ def test_modified_matrix_rejects_fractional_resonance():
 
 def test_modified_minus_shift_is_diagonal_of_real_parts(s6, s8):
     rng = random.Random(33)
-    specs = [s6, s8] + [random_unimodular_spec(rng) for _ in range(10)]
+    specs = [s6, s8] + [random_unimodular_spec(rng) for _ in range(10)] + _reference_specs()
     for spec in specs:
         mod, shift = modified_matrix(spec), nilpotent_log(spec)
         for i in range(1, spec.n + 1):
             diff = mod.image_of(i) + (-shift.image_of(i))
             expected = Multivector.basis_one_form(spec.n, i).scaled(spec.coordinate_re(i))
             assert diff == expected
+
+
+def _random_real_part_spec(rng) -> AlmostAbelianSpec:
+    """Real and integer-resonant complex blocks with random symbolic real parts."""
+    blocks, used = [], 0
+    while used < 7 and (not blocks or rng.random() < 0.7):
+        re = ScalarLC(Fraction(rng.randint(-3, 3), rng.randint(1, 3)))
+        if rng.random() < 0.5:
+            re = re + ScalarLC.symbol(rng.choice("bc"), rng.randint(-2, 2))
+        if rng.random() < 0.5:
+            blocks.append(Block("real", rng.randint(1, 3), re))
+        else:
+            blocks.append(Block("complex", rng.randint(1, 2), re, Fraction(rng.randint(-2, 2))))
+        used += blocks[-1].real_dim
+    return AlmostAbelianSpec(used, tuple(blocks), symbols=("b", "c"))
+
+
+def _reference_specs():
+    """The fixtures and 40 seeded specs whose blocks carry random real parts."""
+    rng = random.Random(34)
+    specs = [load_spec(fixture_path(name)) for name in ("heisenberg3", "s6", "s8", "torus3", "torus4")]
+    return specs + [_random_real_part_spec(rng) for _ in range(40)]
+
+
+def test_real_trace_sums_the_blocks():
+    # one term per block equals the per-coordinate sum of the real parts
+    specs = _reference_specs()
+    for spec in specs:
+        expected = sum((spec.coordinate_re(i) for i in range(1, spec.n + 1)), ScalarLC(0))
+        assert real_trace(spec) == expected
+    assert sum(not real_trace(spec).is_zero() for spec in specs) > 20
+
+
+def test_formality_report_builds_few_symbolic_scalars(monkeypatch, s8):
+    # the trace sums one term per block and the weight sums run on integer
+    # tuples, so one s8 report through formality builds at most 4 ScalarLCs
+    # (11 when the trace was summed per coordinate)
+    for memo in (_nilpotent_submodule, _resonant_counts, _shift_index_map, _shift_slice, _slot_table):
+        memo.cache_clear()
+    built = 0
+    plain_init = ScalarLC.__init__
+
+    def counting_init(self, *args, **kwargs):
+        nonlocal built
+        built += 1
+        plain_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(ScalarLC, "__init__", counting_init)
+    build_report(s8, 4, stages=STAGES[: STAGES.index("formality") + 1])
+    assert built <= 4
 
 
 def test_trace_is_sum_of_real_parts(s8):

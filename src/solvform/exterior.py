@@ -102,6 +102,17 @@ class Multivector:
         self.terms = dict(sorted(canon.items()))
 
     @classmethod
+    def _from_row(cls, n: int, degree: int, row: dict) -> Multivector:
+        """``Multivector(n, degree, row)`` for a row the package enumerated itself:
+        strictly increasing degree-``degree`` keys in 1..n, nonzero coefficients
+        already stored by the one rule.  The terms are sorted; nothing is re-checked."""
+        x = object.__new__(cls)
+        x.n = n
+        x.degree = degree
+        x.terms = dict(sorted(row.items()))
+        return x
+
+    @classmethod
     def zero(cls, n: int, degree: int) -> Multivector:
         return cls(n, degree)
 
@@ -191,8 +202,8 @@ def mono_str(key) -> str:
     if not key:
         return "1"
     if key[-1] <= 9:
-        return "a" + "".join(str(i) for i in key)
-    return "a(" + ",".join(str(i) for i in key) + ")"
+        return "a" + "".join(map(str, key))
+    return "a(" + ",".join(map(str, key)) + ")"
 
 
 def wedge(a: Multivector, b: Multivector) -> Multivector:

@@ -31,10 +31,12 @@ class ScalarLC:
 
     Immutable; symbol terms with coefficient zero are never stored, and
     the terms are kept sorted by symbol name, so equality and hashing are
-    structural.
+    structural.  The hash is taken once, at construction: a spec keys the
+    per-spec memos, and hashing it would otherwise hash every ``Fraction``
+    of its blocks again on each lookup.
     """
 
-    __slots__ = ("const", "terms")
+    __slots__ = ("const", "terms", "_hash")
 
     def __init__(self, const=0, terms=None):
         object.__setattr__(self, "const", Fraction(const))
@@ -47,6 +49,7 @@ class ScalarLC:
                 merged[name] = merged.get(name, Fraction(0)) + coeff
             canon = [(name, c) for name, c in sorted(merged.items()) if c != 0]
         object.__setattr__(self, "terms", tuple(canon))
+        object.__setattr__(self, "_hash", hash((self.const, self.terms)))
 
     def __setattr__(self, name, value):
         raise AttributeError("ScalarLC is immutable")
@@ -105,7 +108,7 @@ class ScalarLC:
         return self.const == other.const and self.terms == other.terms
 
     def __hash__(self):
-        return hash((self.const, self.terms))
+        return self._hash
 
     def __bool__(self) -> bool:
         return not self.is_zero()

@@ -26,7 +26,7 @@ from fractions import Fraction
 
 from .errors import HypothesisError, SchemaError
 from .exterior import LinearEndo, Multivector
-from .scalars import _SYMBOL_RE, ScalarLC, parse_rational, parse_scalar
+from .scalars import _SYMBOL_RE, ScalarLC, _canonical, parse_rational, parse_scalar
 
 _TOP_FIELDS = {"n", "symbols", "lattice_label", "blocks"}
 _BLOCK_FIELDS = {"kind", "size", "re", "im_resonant", "im_symbolic"}
@@ -43,7 +43,7 @@ SLICE_CACHE_SIZE = 256
 
 class Weight(namedtuple("Weight", "re im_resonant im_symbolic")):
     """Eigenvalue datum of a dual generator (or a sum of them): ``re`` and
-    ``im_symbolic`` are ``ScalarLC``, ``im_resonant`` is a ``Fraction``."""
+    ``im_symbolic`` are ``ScalarLC``, ``im_resonant`` is rational."""
 
     __slots__ = ()
 
@@ -64,10 +64,12 @@ class Weight(namedtuple("Weight", "re im_resonant im_symbolic")):
 
 class Block(
     namedtuple(
-        "Block", "kind size re im_resonant im_symbolic", defaults=(Fraction(0), ScalarLC(0))
+        "Block", "kind size re im_resonant im_symbolic", defaults=(0, ScalarLC(0))
     )
 ):
-    """One block of the normal form; ``kind`` is "real" or "complex"."""
+    """One block of the normal form; ``kind`` is "real" or "complex".  A parsed
+    ``im_resonant`` follows the one coefficient rule, so hashing an integral
+    one hashes an ``int``, not a ``Fraction``."""
 
     __slots__ = ()
 
@@ -158,7 +160,7 @@ def parse_spec(text: str) -> AlmostAbelianSpec:
         except ValueError as exc:
             raise SchemaError(f"{where}.re: {exc}") from exc
         try:
-            im_resonant = parse_rational(raw.get("im_resonant", "0"))
+            im_resonant = _canonical(parse_rational(raw.get("im_resonant", "0")))
         except ValueError as exc:
             raise SchemaError(f"{where}.im_resonant: {exc}") from exc
         try:

@@ -22,7 +22,7 @@ from solvform import (
 )
 from solvform.cohomology import trace_is_zero
 from solvform.exterior import LinearEndo, Multivector, derivation_apply, wedge
-from solvform.monodromy import resonant_monomials
+from solvform.monodromy import _sl2_kernel_sizes, resonant_monomials
 from solvform.spectral import modification_hypothesis_holds, modified_matrix
 
 
@@ -327,25 +327,52 @@ def _sl2_slot_weights(spec):
     return out
 
 
+def _sl2_specs(fixtures):
+    rng = random.Random(47)
+    specs = list(fixtures) + [parse_spec(doc) for doc in _SL2_SPECS.values()]
+    specs += [random_resonant_spec(rng, n_max=7) for _ in range(60)]
+    specs += [random_unimodular_spec(rng, n_max=7) for _ in range(60)]
+    return specs
+
+
+def _sl2_kernel_count(spec):
+    """``[dim ker N_k for k in 0..n]``: the resonant degree-k monomials of sl2 weight 0 or 1."""
+    weight = _sl2_slot_weights(spec)
+    return [
+        sum(sum(weight[s] for s in mono) in (0, 1) for mono in resonant_monomials(spec, k))
+        for k in range(spec.n + 1)
+    ]
+
+
 def test_betti_numbers_from_sl2_weights(s6, s8, torus3, torus4, heisenberg3, nil322):
     # the shift makes each resonant slice an sl2-module, so dim ker N_k counts
     # the resonant monomials of sl2 weight 0 or 1 (Jacobson-Morozov), and
     # b_k = dim ker N_k + dim coker N_(k-1) under the modification hypothesis
-    rng = random.Random(47)
-    specs = [s6, s8, torus3, torus4, heisenberg3, nil322]
-    specs += [parse_spec(doc) for doc in _SL2_SPECS.values()]
-    specs += [random_resonant_spec(rng, n_max=7) for _ in range(60)]
-    specs += [random_unimodular_spec(rng, n_max=7) for _ in range(60)]
     checked = 0
-    for spec in specs:
+    for spec in _sl2_specs([s6, s8, torus3, torus4, heisenberg3, nil322]):
         if not modification_hypothesis_holds(spec):
             continue
-        weight = _sl2_slot_weights(spec)
         # kappa[k + 1] = dim ker N_k, padded with zeros for k = -1 and k = n + 1
-        kappa = [0] + [
-            sum(sum(weight[s] for s in mono) in (0, 1) for mono in resonant_monomials(spec, k))
-            for k in range(spec.n + 1)
-        ] + [0]
+        kappa = [0, *_sl2_kernel_count(spec), 0]
         assert betti_numbers(spec) == [kappa[k + 1] + kappa[k] for k in range(spec.n + 2)]
         checked += 1
     assert checked >= 100
+
+
+def test_the_certificate_counts_sl2_weights_like_the_monomials(
+    s6, s8, torus3, torus4, heisenberg3, nil322
+):
+    # the shift-slice certificate counts per weight group, listing no monomial;
+    # the count does not depend on the modification hypothesis, which the specs
+    # of the Betti test all satisfy, so three that fail it are added
+    failing = [
+        '{"n": 8, "blocks": [{"kind": "complex", "size": 2, "im_resonant": "1/3"},'
+        ' {"kind": "complex", "size": 1, "im_resonant": "1/3"}, {"kind": "real", "size": 2}]}',
+        '{"n": 7, "blocks": [{"kind": "complex", "size": 3, "im_resonant": "1/2"}, {"kind": "real", "size": 1}]}',
+        '{"n": 6, "symbols": ["c"], "blocks": [{"kind": "complex", "size": 2, "im_symbolic": "c"},'
+        ' {"kind": "complex", "size": 1, "im_symbolic": "-2*c"}]}',
+    ]
+    specs = _sl2_specs([s6, s8, torus3, torus4, heisenberg3, nil322]) + list(map(parse_spec, failing))
+    for spec in specs:
+        assert list(_sl2_kernel_sizes(spec)) == _sl2_kernel_count(spec)
+    assert sum(not modification_hypothesis_holds(spec) for spec in specs) == len(failing)

@@ -12,7 +12,9 @@ formality fails first at degree 2 and at degree 3, so their witnesses
 come from model cocycles above degree 1; nil13 is pinned through the
 unipotent stage alone, and its symplectic section on its own.  The fiber
 slices themselves (every unipotent basis, shift kernel and cokernel) are
-pinned on the fixtures, nil7, nil322, s10, nil11 and 120 seeded random specs.
+pinned on the fixtures, nil7, nil322, s10, nil11 and 120 seeded random specs,
+and by a second digest on six specs that realify multi-term rows (frac3,
+frac4, cpx2, cpx3, cpx22 and s12).
 """
 
 import hashlib
@@ -31,6 +33,7 @@ from solvform import (
     parse_spec,
     serialize_model,
 )
+from solvform.exterior import Multivector
 from solvform.monodromy import nilpotent_submodule, shift_slice
 from solvform.report import Analysis
 
@@ -180,17 +183,71 @@ NIL322 = {
 }
 
 
-def test_fiber_slices_unchanged():
-    # the strings of every nilpotent_submodule basis vector and every shift_slice
-    # kernel and cokernel vector in degrees 0..n, in order
+def _digest_specs():
     specs = [load_spec(fixture_path(name)) for name in ("heisenberg3", "s6", "s8", "torus3", "torus4")]
     specs += [parse_spec(json.dumps(doc)) for doc in (NIL7, NIL322, SPECS["s10"], SPECS["nil11"])]
     specs += [random_resonant_spec(random.Random(seed), n_max=7) for seed in range(60)]
     specs += [random_unimodular_spec(random.Random(seed), n_max=7) for seed in range(1000, 1060)]
+    return specs
+
+
+def test_fiber_slices_unchanged():
+    # the strings of every nilpotent_submodule basis vector and every shift_slice
+    # kernel and cokernel vector in degrees 0..n, in order
     digest = hashlib.sha256()
-    for spec in specs:
+    for spec in _digest_specs():
         for k in range(spec.n + 1):
             kernel, cokernel = shift_slice(spec, k)
             for part in (nilpotent_submodule(spec, k), kernel, cokernel):
                 digest.update(("; ".join(map(str, part)) + "\n").encode())
     assert digest.hexdigest() == "42ef65d3864cde8251d900f224e0a38b9372a0c0a22f99839e5a87aece1ebf52"
+
+
+# specs whose slices realify conjugate pairs into multi-term rows; in frac3 and frac4
+# twelve slices keep multi-term basis rows, which no spec of the digest above has
+MULTI_TERM = {
+    "frac3": '{"n": 8, "blocks": [{"kind": "complex", "size": 2, "im_resonant": "1/3"},'
+    ' {"kind": "complex", "size": 1, "im_resonant": "1/3"}, {"kind": "real", "size": 2}]}',
+    "frac4": '{"n": 10, "blocks": [{"kind": "complex", "size": 3, "im_resonant": "1/4"},'
+    ' {"kind": "complex", "size": 1, "im_resonant": "1/2"}, {"kind": "real", "size": 2}]}',
+    "cpx2": json.dumps(SPECS["cpx2"]),
+    "cpx3": '{"n": 9, "blocks": [{"kind": "complex", "size": 3, "im_resonant": "1"},'
+    ' {"kind": "real", "size": 3}]}',
+    "cpx22": '{"n": 10, "blocks": [{"kind": "complex", "size": 2, "im_resonant": "1"},'
+    ' {"kind": "complex", "size": 2, "im_resonant": "2"}, {"kind": "real", "size": 2}]}',
+    "s12": '{"n": 11, "symbols": ["b", "c"], "blocks": [{"kind": "real", "size": 3},'
+    ' {"kind": "complex", "size": 1, "re": "b", "im_resonant": "1"},'
+    ' {"kind": "complex", "size": 1, "re": "-b", "im_resonant": "1"},'
+    ' {"kind": "complex", "size": 1, "re": "c", "im_resonant": "1"},'
+    ' {"kind": "complex", "size": 1, "re": "-c", "im_resonant": "1"}]}',
+}
+
+
+def test_multi_term_fiber_slices_unchanged():
+    # as above, on slices with multi-term rows, where the shift kernel is
+    # brought to canonical form by an elimination of its own
+    digest = hashlib.sha256()
+    multi_term = 0
+    for doc in MULTI_TERM.values():
+        spec = parse_spec(doc)
+        for k in range(spec.n + 1):
+            basis = nilpotent_submodule(spec, k)
+            multi_term += any(len(u.terms) > 1 for u in basis)
+            kernel, cokernel = shift_slice(spec, k)
+            for part in (basis, kernel, cokernel):
+                digest.update(("; ".join(map(str, part)) + "\n").encode())
+    assert multi_term == 12
+    assert digest.hexdigest() == "90a349160cd7458d5d475129ce153f2593e85a9153712db0e324524cd9517d8a"
+
+
+def test_slice_vectors_match_the_public_constructor():
+    # the slices build their vectors without re-checking the rows they enumerated;
+    # the public constructor, which checks and normalizes, must agree term by term
+    specs = _digest_specs() + [parse_spec(doc) for doc in MULTI_TERM.values()]
+    for spec in specs:
+        for k in range(spec.n + 1):
+            for u in (*nilpotent_submodule(spec, k), *(v for part in shift_slice(spec, k) for v in part)):
+                checked = Multivector(spec.n, k, u.terms)
+                assert (u.n, u.degree) == (spec.n, k)
+                assert list(u.terms.items()) == list(checked.terms.items())
+                assert [type(c) for c in u.terms.values()] == [type(c) for c in checked.terms.values()]

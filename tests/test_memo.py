@@ -1,13 +1,25 @@
 """In-process memos: the per-(spec, degree) slices, and per spec the resonant count
-vectors, the slot table and the shift's index map."""
+vectors, the slot table and the shift's index map; a lookup hashes no ``Fraction``."""
 
 import importlib
 import inspect
 import json
+import sys
+from fractions import Fraction
 
 import pytest
 
-from solvform import build_report, dumps_canonical, exterior, monodromy, symplectic, verify_report
+from solvform import (
+    build_report,
+    dumps_canonical,
+    exterior,
+    fixture_path,
+    load_spec,
+    monodromy,
+    parse_spec,
+    symplectic,
+    verify_report,
+)
 from solvform.cohomology import cohomology
 from solvform.monodromy import (
     _nilpotent_submodule,
@@ -18,6 +30,7 @@ from solvform.monodromy import (
     nilpotent_submodule,
     resonant_monomials,
 )
+from solvform.scalars import ScalarLC
 from solvform.spectral import SLICE_CACHE_SIZE, SlotWeight, generator_weights
 from solvform.symplectic import closed_two_classes
 
@@ -119,6 +132,33 @@ def test_shift_index_map_is_read_once_per_spec(monkeypatch, s6, s8):
     assert read == [s6, s8]
     assert (info.misses, info.currsize, info.maxsize) == (2, 2, SLICE_CACHE_SIZE)
     assert info.hits > 0
+
+
+def test_memo_keys_hash_no_fraction(monkeypatch, s8):
+    # a memo lookup hashes the spec; the ScalarLC fields keep the hash taken when
+    # they were built and an integral im_resonant is an int, so past their
+    # construction no Fraction is hashed, however many lookups a report makes
+    spec = load_spec(fixture_path("s8"))
+    assert spec == s8 and spec is not s8
+    callers = []
+    plain = Fraction.__hash__
+    monkeypatch.setattr(Fraction, "__hash__", lambda x: callers.append(sys._getframe(1).f_code) or plain(x))
+    _clear()
+    build_report(spec, 4)
+    assert _nilpotent_submodule.cache_info().hits > 0
+    assert all(code is ScalarLC.__init__.__code__ for code in callers)
+
+
+def test_equal_specs_parsed_apart_share_one_entry(s8):
+    _clear()
+    text = fixture_path("s8").read_text()
+    first, second = parse_spec(text), parse_spec(text)
+    assert first == second and first is not second
+    for spec in (first, second):
+        for k in range(spec.n + 1):
+            nilpotent_submodule(spec, k)
+    info = _nilpotent_submodule.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (s8.n + 1, s8.n + 1, s8.n + 1)
 
 
 def test_the_witness_is_wedged_only_by_its_recheck(monkeypatch, nil322):

@@ -40,7 +40,7 @@ from solvform.exterior import (
     wedge,
 )
 from solvform.linalg import echelon_basis, map_kernel, matrix_mul
-from solvform import monodromy
+from solvform import cli, monodromy
 from solvform.errors import InternalInvariantViolation
 from solvform.monodromy import (
     _index_map,
@@ -440,6 +440,37 @@ def test_shift_out_of_the_slice_is_caught(monkeypatch, s8):
     finally:
         _shift_slice.cache_clear()
         _shift_index_map.cache_clear()
+
+
+def test_a_shift_kernel_short_of_its_sl2_count_exits_2(monkeypatch, tmp_path, capsys):
+    # dim ker N_k is the number of resonant degree-k monomials of sl2 weight 0
+    # or 1, so an elimination that loses a kernel vector is refused
+    plain = monodromy.kernel_and_pivots
+
+    def losing_one(rows):
+        kernel, pivots = plain(rows)
+        return kernel[1:], pivots
+
+    path = tmp_path / "nil7.json"
+    path.write_text(json.dumps({"n": 7, "blocks": [{"kind": "real", "size": 7}]}))
+    # multi-term slices, whose kernel is eliminated again into echelon form; they
+    # fail the modification hypothesis, so only the library reaches them
+    frac = parse_spec(
+        '{"n": 6, "blocks": [{"kind": "complex", "size": 2, "im_resonant": "1/3"}, {"kind": "real", "size": 2}]}'
+    )
+    assert any(len(u.terms) > 1 for u in nilpotent_submodule(frac, 2))
+    monkeypatch.setattr(monodromy, "kernel_and_pivots", losing_one)
+    _shift_slice.cache_clear()
+    try:
+        assert cli.main(["cohomology", str(path)]) == 2
+        with pytest.raises(InternalInvariantViolation, match="degree-2 shift kernel has"):
+            shift_slice(frac, 2)
+    finally:
+        _shift_slice.cache_clear()
+    assert capsys.readouterr().err.splitlines() == [
+        "internal invariant violation: the degree-0 shift kernel has 0 vectors, "
+        "but the sl2 weights of the slice count 1"
+    ]
 
 
 def _random_raising_index_map(rng, n) -> LinearEndo:

@@ -14,7 +14,9 @@ package import, so a module that ``site`` preloads (a third-party
 ``.pth`` file may import ``importlib.resources``, for one) does not make
 the checks flaky.  Importing the CLI under ``python -S``, where nothing is preloaded,
 must not load ``importlib.resources``.  There is no wall-clock gate; only
-the imports are checked.
+the imports are checked.  A one-second traced run of ``bench/run.py`` on
+the cohomology-nil7 workload must report itself correct with no failed
+operation.
 """
 
 import json
@@ -69,6 +71,23 @@ def test_traced_analyze_counts_the_kernel_hooks(tmp_path):
     for name in hooks:
         assert counts.get(name, 0) > 0, name
     assert counts["linalg.rref.rows"] >= counts["linalg.rref.rank"] > 0
+
+
+def test_benchmark_smoke_run_is_correct():
+    # one short traced run of the benchmark's fiber workload: its correctness
+    # gate (golden digests, verify, the oracle) and its tracer must both pass
+    proc = subprocess.run(
+        [sys.executable, "bench/run.py", "--workload", "cohomology-nil7", "--seed", "1"]
+        + ["--seconds", "1", "--trace", "1"],
+        cwd=ROOT,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert result["correct"] is True and result["failed"] == 0, result
+    assert result["attempted"] > 0
 
 
 FRESH_CLI = """

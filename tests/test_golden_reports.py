@@ -34,6 +34,7 @@ from solvform import (
     serialize_model,
 )
 from solvform.exterior import Multivector
+from solvform.linalg import echelon_basis
 from solvform.monodromy import nilpotent_submodule, shift_slice
 from solvform.report import Analysis
 
@@ -224,8 +225,7 @@ MULTI_TERM = {
 
 
 def test_multi_term_fiber_slices_unchanged():
-    # as above, on slices with multi-term rows, where the shift kernel is
-    # brought to canonical form by an elimination of its own
+    # as above, on slices with multi-term rows
     digest = hashlib.sha256()
     multi_term = 0
     for doc in MULTI_TERM.values():
@@ -238,6 +238,16 @@ def test_multi_term_fiber_slices_unchanged():
                 digest.update(("; ".join(map(str, part)) + "\n").encode())
     assert multi_term == 12
     assert digest.hexdigest() == "90a349160cd7458d5d475129ce153f2593e85a9153712db0e324524cd9517d8a"
+
+
+def test_shift_kernels_come_out_reduced():
+    # the kernel of the reversed-order elimination, mapped back onto the reduced
+    # slice rows, is kept with no second elimination: it is its own echelon basis
+    specs = _digest_specs() + [parse_spec(doc) for doc in MULTI_TERM.values()]
+    for spec in specs:
+        for k in range(spec.n + 1):
+            rows = [u.terms for u in shift_slice(spec, k)[0]]
+            assert rows == echelon_basis(rows)
 
 
 def test_slice_vectors_match_the_public_constructor():

@@ -431,12 +431,22 @@ def test_shift_out_of_the_slice_is_caught(monkeypatch, s8):
     # a1 to a4 (weight b, not resonant) leaves it
     images = [Multivector.zero(7, 1) for _ in range(7)]
     images[0] = Multivector.basis_one_form(7, 4)
-    monkeypatch.setattr(monodromy, "nilpotent_log", lambda spec: LinearEndo(7, images))
+    # the degree-2 slice of frac holds the realified row a13 + a24; its true
+    # shift sends a1 to a3, a2 to a4 and a5 to a6, and also sending a3 to a5
+    # maps that row to a15, outside the slice
+    frac = parse_spec(
+        '{"n": 6, "blocks": [{"kind": "complex", "size": 2, "im_resonant": "1/3"}, {"kind": "real", "size": 2}]}'
+    )
+    frac_images = [Multivector.basis_one_form(6, j) if j else Multivector.zero(6, 1) for j in (3, 4, 5, 0, 6, 0)]
+    shifts = {s8: LinearEndo(7, images), frac: LinearEndo(6, frac_images)}
+    monkeypatch.setattr(monodromy, "nilpotent_log", shifts.__getitem__)
     _shift_slice.cache_clear()
     _shift_index_map.cache_clear()
     try:
         with pytest.raises(InternalInvariantViolation, match="out of the unipotent slice"):
             shift_slice(s8, 1)
+        with pytest.raises(InternalInvariantViolation, match=r"maps a13 \+ a24 out of the unipotent slice"):
+            shift_slice(frac, 2)
     finally:
         _shift_slice.cache_clear()
         _shift_index_map.cache_clear()
@@ -453,8 +463,8 @@ def test_a_shift_kernel_short_of_its_sl2_count_exits_2(monkeypatch, tmp_path, ca
 
     path = tmp_path / "nil7.json"
     path.write_text(json.dumps({"n": 7, "blocks": [{"kind": "real", "size": 7}]}))
-    # multi-term slices, whose kernel is eliminated again into echelon form; they
-    # fail the modification hypothesis, so only the library reaches them
+    # a slice with multi-term rows; such specs fail the modification
+    # hypothesis, so only the library reaches them
     frac = parse_spec(
         '{"n": 6, "blocks": [{"kind": "complex", "size": 2, "im_resonant": "1/3"}, {"kind": "real", "size": 2}]}'
     )

@@ -27,8 +27,8 @@ from .errors import InputError, InternalInvariantViolation
 from .exterior import coordinate_vector
 from .linalg import matrix_mul, solve_combination
 from .minimal_model import MinimalModel
-from .monodromy import _shift_index_map, _shift_row
-from .spectral import AlmostAbelianSpec
+from .monodromy import _shift_row
+from .spectral import AlmostAbelianSpec, _shift_index_map
 
 
 class TwistedModel:
@@ -96,14 +96,13 @@ def _theta_nonclosed(model: MinimalModel, tm: TwistedModel, gen):
     rhs = tm.theta_poly(gen.differential)
     if not rhs:
         return {}, False
-    q = gen.degree
-    rhs_gids = {gid for mono in rhs for gid in mono}
-    for restricted, gids in ((True, range(gen.gid)), (False, None)):
-        domain = model.monomials(q, gids)
+    everything = model.monomials(gen.degree)
+    # a sorted monomial uses only generators before z exactly when its last id
+    # does; an rhs that mentions z or a later generator leaves that space out
+    earlier = [m for m in everything if m[-1] < gen.gid] if max(m[-1] for m in rhs) < gen.gid else []
+    for restricted, domain in ((True, earlier), (False, everything)):
         if not domain:
             continue
-        if gids is not None and not rhs_gids.issubset(gids):
-            continue  # rhs mentions generators outside this restriction
         coeffs, free = solve_combination([model.d_mono(m) for m in domain], rhs)
         if coeffs is None:
             continue

@@ -167,23 +167,6 @@ class EchelonAccumulator:
         self._by_pivot: dict = {}
         self._holders: dict = {}  # non-pivot column -> pivots of the rows nonzero there
 
-    @classmethod
-    def from_reduced(cls, rows: list[Row]) -> EchelonAccumulator:
-        """An accumulator holding ``rows``, which must already be in reduced
-        row echelon form (as ``rref`` returns them); the rows are copied."""
-        acc = cls()
-        holders = acc._holders
-        for row in rows:
-            p = min(row)
-            row = {c: _canonical(x) for c, x in row.items()}
-            acc.rows.append(row)
-            acc.pivots.append(p)
-            acc._by_pivot[p] = row
-            for c in row:
-                if c != p:
-                    holders.setdefault(c, set()).add(p)
-        return acc
-
     def residue(self, v: Row) -> Row:
         """``v`` minus its span component: the representative zero at every pivot.
 

@@ -12,10 +12,12 @@ reordering signs folded into rational coefficients; a polynomial is a
 finite map from monomials to nonzero rationals, stored by the one
 coefficient rule of :mod:`.scalars` (an ``int`` when integral).
 That map is also the sparse row :mod:`.linalg` eliminates, with the
-monomials as columns: :meth:`MinimalModel.monomials` lists each degree
-in sorted tuple order, which is the column order, so no position map is
-needed.  The differential of a monomial ``g*r``, with ``g`` its first
-factor, is memoized by the product rule d(g) * r + (-1)^|g| g * d(r).
+monomials as columns: :meth:`MinimalModel.monomials` keeps one list per
+degree, over all generators in sorted tuple order, which is the column
+order, so no position map is needed; the monomials in the generators
+before ``g`` are those whose last id is below g's.  The differential of
+a monomial ``g*r``, with ``g`` its first factor, is memoized by the
+product rule d(g) * r + (-1)^|g| g * d(r).
 A realization is kept as the terms of its form, a sparse row keyed by
 index tuple, so realizations multiply by merging index tuples and feed
 the elimination directly.  Construction is staged by degree q:
@@ -36,6 +38,9 @@ the elimination directly.  Construction is staged by degree q:
 Generator differentials only involve earlier generators and have no
 linear term, and the realization induces an isomorphism onto the target
 in every degree up to the bound (checked by :func:`verify_quasi_iso`).
+Before each class computation the build counts the monomials one degree
+up from the generator degrees, and refuses past
+:data:`MAX_MODEL_MONOMIALS` with an :class:`.InputError`.
 
 The model keeps its cohomology per degree k: the cocycle basis that
 :meth:`MinimalModel.cocycles` eliminates, the accumulator of the image of
@@ -73,9 +78,15 @@ from .linalg import (
     map_kernel,
     matrix_mul,
 )
-from .monodromy import _shift_index_map, _shift_row, nilpotent_submodule
+from .monodromy import _shift_row, nilpotent_submodule
 from .scalars import _canonical, _join_terms
-from .spectral import AlmostAbelianSpec
+from .spectral import AlmostAbelianSpec, _shift_index_map
+
+# Degree-(q+1) monomials taken on by the class computation of stage q, counted
+# from the generator degrees before any is listed.  In-process builds on a 2-vCPU
+# x86 VM: s8 to K=8 needs 16,692 degree-9 monomials and takes 1.5 s, to K=9 57,062
+# (refused here) and 14 s; s10 to K=7 needs 9,395 (0.75 s), s12 to K=7 18,411 (1.2 s).
+MAX_MODEL_MONOMIALS = 20000
 
 Mono = "tuple[int, ...]"
 Poly = "dict[Mono, int | Fraction]"
@@ -113,7 +124,7 @@ class MinimalModel:
         self.spec = spec
         self.degree_bound = degree_bound
         self.gens: list[Generator] = []
-        self._mono_cache: dict = {}  # (degree, gids) -> sorted monomials
+        self._mono_cache: dict = {}  # degree -> sorted monomials
         self._parity: list[int] = []  # gid -> degree mod 2
         self._d_cache: dict = {(): {}}  # monomial -> its differential
         self._rho_cache: dict = {(): {(): 1}}  # monomial -> its realization row
@@ -137,7 +148,7 @@ class MinimalModel:
         self._parity.append(degree % 2)
         self._rho_cache[(gen.gid,)] = coordinate_vector(gen.rho)
         # only monomials of at least the new degree can contain the new generator
-        self._mono_cache = {key: v for key, v in self._mono_cache.items() if key[0] < degree}
+        self._mono_cache = {k: v for k, v in self._mono_cache.items() if k < degree}
         # the kept cohomology follows the three append rules of the module docstring
         dg, image = gen.differential, self._images.get(degree + 1)
         stays = not dg or (image is not None and image.add(dg))
@@ -164,15 +175,14 @@ class MinimalModel:
 
     # ----- monomials -------------------------------------------------------------
 
-    def monomials(self, k: int, gids=None) -> list:
-        """Sorted degree-k monomials over the given generator ids (default all)."""
-        key = (k, tuple(gids) if gids is not None else None)
-        cached = self._mono_cache.get(key)
+    def monomials(self, k: int) -> list:
+        """Sorted degree-k monomials over all generators, kept per degree."""
+        cached = self._mono_cache.get(k)
         if cached is not None:
             return cached
         by_degree: dict[int, list[int]] = {}
-        for gid in range(len(self.gens)) if gids is None else gids:
-            by_degree.setdefault(self.gens[gid].degree, []).append(gid)
+        for gen in self.gens:
+            by_degree.setdefault(gen.degree, []).append(gen.gid)
         groups = sorted(by_degree.items())
         found = []
 
@@ -193,7 +203,7 @@ class MinimalModel:
 
         rec(0, k, ())
         found.sort()
-        self._mono_cache[key] = found
+        self._mono_cache[k] = found
         return found
 
     def mono_mul(self, u, v):
@@ -373,7 +383,9 @@ def _flag_ordered_complement(model: MinimalModel, q: int, image_reps: list[Class
     image_acc = EchelonAccumulator()
     for rep in image_reps:
         image_acc.add(rep.rho)
-    span = EchelonAccumulator.from_reduced(image_acc.rows)  # image plus complement
+    span = EchelonAccumulator()  # image plus complement
+    for row in image_acc.rows:
+        span.add(row)  # zero at the other pivots, so no stored row changes
     complement = [
         vec for vec in map(coordinate_vector, nilpotent_submodule(spec, q)) if span.add(vec)
     ]
@@ -405,6 +417,19 @@ def _flag_ordered_complement(model: MinimalModel, q: int, image_reps: list[Class
     ]
 
 
+def _monomial_count(model: MinimalModel, k: int) -> int:
+    """The number of degree-k monomials, read off the generator degrees: the
+    coefficient of t^k in the product of (1 - t^d)^-1 over the even degrees d
+    and (1 + t^d) over the odd ones."""
+    series = [1] + [0] * k
+    for gen in model.gens:
+        d = gen.degree
+        # (1 + t^d) multiplies downwards, (1 - t^d)^-1 = 1 + t^d + t^2d + ... upwards
+        for j in range(k, d - 1, -1) if d % 2 else range(d, k + 1):
+            series[j] += series[j - d]
+    return series[k]
+
+
 def build_minimal_model(spec: AlmostAbelianSpec, d_max: int) -> MinimalModel:
     """Staged construction up to the degree bound; see the module docstring."""
     if d_max < 1:
@@ -415,6 +440,12 @@ def build_minimal_model(spec: AlmostAbelianSpec, d_max: int) -> MinimalModel:
         for vec in _flag_ordered_complement(model, q, reps):
             model.add_generator(degree=q, rho=vec, closed=True)
         for _round in range(50):
+            count = _monomial_count(model, q + 1)
+            if count > MAX_MODEL_MONOMIALS:
+                raise InputError(
+                    f"model too large: degree {q + 1} has {count} monomials, "
+                    f"above the limit of {MAX_MODEL_MONOMIALS}"
+                )
             reps = model.class_reps(q + 1)
             kern = map_kernel([rep.rho for rep in reps])
             if not kern:

@@ -24,7 +24,8 @@ there.  These are the two halves of the total space's cohomology,
 ``H^k = ker N_k (+) coker N_{k-1} ^ a`` under the modification
 hypothesis, and the kernel in degree 2 is the space of closed invariant
 2-forms, so cohomology and symplectic read this one elimination.  The
-shift sends each ``a_i`` to one ``a_j`` or to 0, so it acts on the index
+shift sends each ``a_i`` to one later ``a_j`` or to 0, the map
+:func:`.spectral._shift_index_map` lists, so it acts on the index
 tuples of the integer slice rows directly: ``i`` is replaced by ``j``,
 the tuple is re-sorted, and the sign is the parity of the number of
 indices ``j`` moves past.  A product of real slots is its own real form,
@@ -37,7 +38,8 @@ reduced row is zero at every other pivot, so an image lies in the slice
 exactly when the combination of the rows given by its own entries at the
 pivots rebuilds it.
 The model build (the flag order of closed generators) and the twist on
-closed generators apply the same index map.
+closed generators read the same per-spec map and apply it with
+:func:`_shift_row`.
 
 The shift kernel is eliminated with the images in reversed order, and
 kernel index j maps back to ``last - j``; the image pivots do not depend
@@ -68,11 +70,12 @@ resonant when every entry but the last is 0 and the last is an integer.
 Both bases are memoized in-process, keyed by (spec, degree), so the
 unipotent, cohomology, model, formality and symplectic stages share one
 computation per degree; the resonant count vectors, the slot table (the
-slot weights indexed by slot), the shift's index map and the certified
-kernel sizes are memoized per spec.  A lookup hashes the spec without
-hashing a ``Fraction``: ``ScalarLC`` keeps the hash taken at construction
-and a parsed integral ``im_resonant`` is an ``int``.  The memos are
-bounded and hold immutable tuples; every call returns fresh lists.
+slot weights indexed by slot) and the certified kernel sizes are memoized
+per spec here, and the shift's index map in :mod:`.spectral`.  A lookup
+hashes the spec without hashing a ``Fraction``: ``ScalarLC`` keeps the
+hash taken at construction and a parsed integral ``im_resonant`` is an
+``int``.  The memos are bounded and hold immutable tuples; every call
+returns fresh lists.
 """
 
 from __future__ import annotations
@@ -85,7 +88,6 @@ from operator import add
 
 from .errors import InputError, InternalInvariantViolation, OracleUnavailable
 from .exterior import (
-    LinearEndo,
     Multivector,
     algebra_map_apply,
     coordinate_vector,
@@ -103,6 +105,7 @@ from .spectral import (
     SLICE_CACHE_SIZE,
     AlmostAbelianSpec,
     Weight,
+    _shift_index_map,
     generator_weights,
     nilpotent_log,
 )
@@ -364,27 +367,6 @@ def _shift_slice(spec: AlmostAbelianSpec, k: int) -> tuple[tuple, tuple]:
         tuple(Multivector._from_row(spec.n, k, row) for row in kernel_rows),
         tuple(u for u in basis if min(u.terms) not in image_pivots),
     )
-
-
-@lru_cache(maxsize=SLICE_CACHE_SIZE)
-def _shift_index_map(spec: AlmostAbelianSpec) -> tuple[int, ...]:
-    """:func:`_index_map` of the spec's shift, memoized per spec for the
-    shift slices, the flag order of the model build and the twist."""
-    return _index_map(nilpotent_log(spec))
-
-
-def _index_map(shift: LinearEndo) -> tuple[int, ...]:
-    """The shift as a map of indices: it sends each ``a_i`` to 0 or to one ``a_j``,
-    j > i.  Entry i is that j, or 0 when ``a_i`` goes to 0; entry 0 is unused."""
-    index_map = [0]
-    for i, image in enumerate(shift.images, start=1):
-        j = 0
-        if image.terms:
-            ((j,), c), *rest = image.terms.items()
-            if rest or c != 1 or j <= i:
-                raise InternalInvariantViolation(f"the shift sends a{i} to {image}, not to a later a_j")
-        index_map.append(j)
-    return tuple(index_map)
 
 
 def _shift_row(row: dict, index_map: tuple[int, ...]) -> dict:

@@ -15,7 +15,11 @@ arithmetic.
 
 Shift convention: when the twist maps the (j+1)-th block coordinate to
 the j-th, the induced map on the dual basis sends ``a_j`` to ``a_(j+1)``
-and the last dual coordinate of the block to zero.
+and the last dual coordinate of the block to zero.  The index map of
+:func:`_shift_index_map` is the one description of that shift: the shift
+slices, the flag order of the model build and the twist apply it to index
+tuples, and :func:`nilpotent_log`, the shift as a ``LinearEndo`` for the
+oracle and the closedness certificate, is built from it.
 """
 
 from __future__ import annotations
@@ -23,6 +27,7 @@ from __future__ import annotations
 import json
 from collections import namedtuple
 from fractions import Fraction
+from functools import lru_cache
 
 from .errors import HypothesisError, SchemaError
 from .exterior import LinearEndo, Multivector
@@ -259,20 +264,24 @@ def require_modification_hypothesis(spec: AlmostAbelianSpec) -> None:
             )
 
 
-def nilpotent_log(spec: AlmostAbelianSpec) -> LinearEndo:
-    """Dual action of the nilpotent (shift) part of the twist derivation."""
-    n = spec.n
-    images = [Multivector.zero(n, 1) for _ in range(n)]
+@lru_cache(maxsize=SLICE_CACHE_SIZE)
+def _shift_index_map(spec: AlmostAbelianSpec) -> tuple[int, ...]:
+    """The shift as a map of indices, memoized per spec: entry i is the same
+    coordinate of the next cell of ``a_i``'s block, or 0 at the block's last
+    cell; entry 0 is unused.  Every nonzero entry is larger than its index."""
+    index_map = [0] * (spec.n + 1)
     for block, start in zip(spec.blocks, spec.block_starts()):
-        if block.kind == "real":
-            for j in range(block.size - 1):
-                images[start + j - 1] = Multivector.basis_one_form(n, start + j + 1)
-        else:
-            for cell in range(block.size - 1):
-                p = start + 2 * cell
-                images[p - 1] = Multivector.basis_one_form(n, p + 2)
-                images[p] = Multivector.basis_one_form(n, p + 3)
-    return LinearEndo(n, images)
+        step = 1 if block.kind == "real" else 2  # a complex cell has two coordinates
+        for i in range(start, start + block.real_dim - step):
+            index_map[i] = i + step
+    return tuple(index_map)
+
+
+def nilpotent_log(spec: AlmostAbelianSpec) -> LinearEndo:
+    """Dual action of the nilpotent (shift) part of the twist derivation: the
+    unit images of :func:`_shift_index_map`."""
+    n, index_map = spec.n, _shift_index_map(spec)
+    return LinearEndo(n, [Multivector.basis_one_form(n, j) if j else Multivector.zero(n, 1) for j in index_map[1:]])
 
 
 def modified_matrix(spec: AlmostAbelianSpec) -> LinearEndo:

@@ -142,7 +142,9 @@ def random_unimodular_spec(rng, n_max=6, symbols=("b",)) -> AlmostAbelianSpec:
 def in_submodule_span(basis: list[Multivector], x: Multivector) -> bool:
     """Membership of ``x`` in the span of an echelon ``basis`` (as returned by
     ``nilpotent_submodule`` and ``shift_slice``)."""
-    span = EchelonAccumulator.from_reduced([coordinate_vector(v) for v in basis])
+    span = EchelonAccumulator()
+    for v in basis:
+        span.add(coordinate_vector(v))
     return not span.residue(coordinate_vector(x))
 
 
@@ -176,10 +178,18 @@ def k_formality(spec, k: int, d_max=None):
     return formality_from_twisted(build_twisted_model(spec, model), k)
 
 
+def monomials_over(model, k: int, gids=None) -> list:
+    """The sorted degree-k monomials of the model that use only ``gids`` (default all)."""
+    if gids is None:
+        return model.monomials(k)
+    allowed = set(gids)
+    return [m for m in model.monomials(k) if allowed.issuperset(m)]
+
+
 def reference_cocycles(model, k: int, gids=None) -> list[dict]:
     """Degree-k cocycle basis over ``gids`` (default all), eliminated from
     scratch: the kernel of d on the sorted monomials, nothing kept."""
-    domain = model.monomials(k, gids)
+    domain = monomials_over(model, k, gids)
     kernel = map_kernel([model.d_mono(m) for m in domain])
     return [{domain[j]: c for j, c in vec.items()} for vec in kernel]
 
@@ -188,7 +198,7 @@ def reference_class_reps(model, k: int, gids=None) -> list[ClassRep]:
     """Echelonized degree-k classes over ``gids``, eliminated from scratch:
     the residues of the cocycles modulo the image of every degree-(k-1) monomial."""
     image = EchelonAccumulator()
-    for m in model.monomials(k - 1, gids):
+    for m in monomials_over(model, k - 1, gids):
         image.add(model.d_mono(m))
     classes = EchelonAccumulator()
     for poly in reference_cocycles(model, k, gids):

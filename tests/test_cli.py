@@ -10,7 +10,7 @@ import pytest
 
 import solvform
 from solvform import build_report, dumps_canonical, fixture_path, load_spec, verify_report
-from solvform import cli, monodromy
+from solvform import cli, minimal_model, monodromy
 from solvform.cli import main
 
 SRC = str(Path(solvform.__file__).resolve().parents[1])
@@ -279,6 +279,23 @@ def test_lowered_slice_limit_refuses_s6(tmp_path, capsys, monkeypatch):
     assert main(["analyze", str(_write_spec(tmp_path)), "--max-degree", "3"]) == 1
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and "above the limit of 3" in err
+
+
+def test_model_past_its_monomial_limit_is_refused(tmp_path, capsys):
+    # once its closed degree-9 generators are in, s8 has 43,022 degree-10
+    # monomials; the build stops there instead of running for minutes
+    spec_path = _write_spec(tmp_path, text=fixture_path("s8").read_text())
+    assert main(["model", str(spec_path), "--max-degree", "12"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: model too large: degree 10 has 43022 monomials, above the limit of 20000\n"
+
+
+def test_lowered_model_limit_refuses_s6(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(minimal_model, "MAX_MODEL_MONOMIALS", 3)
+    assert main(["analyze", str(_write_spec(tmp_path)), "--max-degree", "3"]) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "model too large" in err and "above the limit of 3" in err
 
 
 DEEP = b"[" * 100000 + b"]" * 100000

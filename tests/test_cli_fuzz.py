@@ -36,6 +36,7 @@ JSON_VALUES = st.recursive(
     lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner),
     max_leaves=6,
 )
+LEAF_VALUES = st.sampled_from([None, True, False, 0, 1, 3, -1, 0.5, "", "x", "a1", [], {}])
 BAD_BYTES = st.sampled_from([b"\xff", b"\x80", b"\xc3", b"\xed\xa0\x80", b"\xfe\xff"])
 DEPTHS = st.sampled_from([3, 100, 900, 100000])
 SPECS = st.tuples(st.sampled_from([random_resonant_spec, random_unimodular_spec]), st.integers(0, 10**6))
@@ -76,6 +77,15 @@ def corrupted(draw, text: str, fields) -> bytes:
     depth = draw(DEPTHS)
     opener, closer = draw(st.sampled_from([("[", "]"), ('{"a":', "}")]))
     return json.dumps(doc).replace('"@nest@"', opener * depth + "1" + closer * depth).encode()
+
+
+def _leaves(doc, path=()):
+    """The paths of the values in ``doc`` that are neither objects nor lists."""
+    if isinstance(doc, (dict, list)):
+        for key, value in doc.items() if isinstance(doc, dict) else enumerate(doc):
+            yield from _leaves(value, path + (key,))
+    else:
+        yield path
 
 
 def _main(*argv) -> tuple[int, str]:
@@ -126,3 +136,22 @@ def test_corrupted_reports_exit_0_or_1(workdir, data, spec):
     code, err = _main("verify", str(report_path), str(spec_path))
     assert code in (0, 1), err
     assert "Traceback" not in err and "internal" not in err, err
+
+
+@FUZZ
+@given(data=st.data(), spec=SPECS)
+def test_a_changed_report_leaf_is_detected(workdir, data, spec):
+    spec_path, report_path = workdir / "leaf.json", workdir / "leaf-report.json"
+    spec_path.write_text(_spec_text(*spec))
+    doc = json.loads(_report(spec_path, report_path))
+    path = data.draw(st.sampled_from(sorted(_leaves(doc), key=repr)))
+    old = doc
+    for key in path:
+        old = old[key]
+    new = data.draw(LEAF_VALUES.filter(lambda value: json.dumps(value) != json.dumps(old)))
+    _set(doc, path, new)
+    report_path.write_text(json.dumps(doc))
+    code, err = _main("verify", str(report_path), str(spec_path))
+    assert code == 1, (path, new, err)
+    assert any(line.startswith("mismatch: ") for line in err.splitlines()), err
+    assert "Traceback" not in err, err

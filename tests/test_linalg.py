@@ -353,13 +353,17 @@ def test_rref_and_map_kernel_match_reference_elimination_under_cancellation():
         assert map_kernel(_sparse(mat)) == _sparse(_reference_map_kernel(mat))
 
 
-def test_from_reduced_continues_like_the_accumulator_that_built_the_rows():
+def test_reduced_rows_added_afresh_continue_like_the_accumulator_that_built_them():
+    # each reduced row is zero at the other pivots, so adding them to a fresh
+    # accumulator reduces nothing and gives them back
     rng = random.Random(25)
     for _ in range(200):
         mat = _sparse(_cancelling_matrix(rng))
         cut = rng.randint(0, len(mat))
         red, pivots = rref(mat[:cut])
-        acc = EchelonAccumulator.from_reduced(red)
+        acc = EchelonAccumulator()
+        for row in red:
+            acc.add(row)
         assert (acc.rows, acc.pivots) == (red, pivots)
         for row in mat[:cut]:
             assert acc.residue(row) == {}
@@ -456,5 +460,6 @@ def test_entries_cancelled_back_to_integers_are_stored_as_ints():
     assert acc.rows[2] == {3: 1, 4: -2} and all(type(x) is int for x in acc.rows[2].values())
     res = acc.residue({0: Fraction(6, 3), 4: Fraction(1, 3)})
     assert res == {2: -2, 4: Fraction(1, 3)} and type(res[2]) is int
-    copied = EchelonAccumulator.from_reduced([{0: Fraction(1), 5: Fraction(-4, 2)}])
+    copied = EchelonAccumulator()
+    copied.add({0: Fraction(1), 5: Fraction(-4, 2)})
     assert copied.rows == [{0: 1, 5: -2}] and all(type(x) is int for x in copied.rows[0].values())

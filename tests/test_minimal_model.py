@@ -7,6 +7,7 @@ from itertools import combinations, combinations_with_replacement
 import pytest
 
 from conftest import (
+    monomials_over,
     random_resonant_spec,
     random_unimodular_spec,
     rank,
@@ -16,7 +17,6 @@ from conftest import (
 from solvform import (
     InputError,
     InternalInvariantViolation,
-    LinearEndo,
     Multivector,
     build_minimal_model,
     build_twisted_model,
@@ -26,7 +26,7 @@ from solvform import (
     serialize_model,
     verify_quasi_iso,
 )
-from solvform import minimal_model, monodromy
+from solvform import minimal_model
 from solvform.exterior import coordinate_vector, derivation_apply, primitive_part, wedge
 from solvform.linalg import (
     EchelonAccumulator,
@@ -36,7 +36,7 @@ from solvform.linalg import (
     solve_combination,
 )
 from solvform.minimal_model import ClassRep, MinimalModel
-from solvform.spectral import nilpotent_log, parse_spec
+from solvform.spectral import _shift_index_map, nilpotent_log, parse_spec
 
 
 def test_s6_model_is_free_on_five_degree_one_generators(s6):
@@ -460,7 +460,20 @@ def test_monomials_of_many_generators_out_of_degree_order(s6):
     assert len(model.monomials(8)) > 700
     # not a prefix: the degree-7 block and the generators after it are left out
     gids = [gid for gid, degree in enumerate(degrees) if degree < 7 and gid < 1105]
-    assert model.monomials(6, gids) == _brute_force_monomials(model, 6, gids)
+    assert monomials_over(model, 6, gids) == _brute_force_monomials(model, 6, gids)
+
+
+def test_monomial_count_matches_the_listed_monomials(s6, s8, torus3, torus4, heisenberg3, nil322):
+    # the count the build checks before each class computation comes from the
+    # generator degrees alone; odd generators enter at most once, even ones freely
+    mixed = MinimalModel(s6, 9)
+    for degree in [2, 1, 3, 2, 4, 1, 1, 6, 2, 5, 3]:
+        mixed.add_generator(degree)
+    models = [mixed] + [build_minimal_model(spec, 4) for spec in (s6, s8, torus3, torus4, heisenberg3, nil322)]
+    for model in models:
+        for k in range(10):
+            assert minimal_model._monomial_count(model, k) == len(model.monomials(k))
+    assert len(mixed.monomials(9)) > 100
 
 
 def _reference_flag_order(spec, q, image_reps):
@@ -529,16 +542,12 @@ def test_closed_generators_follow_the_shift_flag(s6, s8, torus3, torus4, heisenb
 def test_shift_leaving_the_slice_is_caught_in_the_model_build(monkeypatch, s8):
     # the degree-1 slice of s8 is spanned by a1, a2, a3; a shift sending
     # a1 to a4 (weight b, not resonant) leaves it
-    images = list(nilpotent_log(s8).images)
-    images[0] = Multivector.basis_one_form(7, 4)
-    # the model build reads the shift through the per-spec index-map memo
-    monkeypatch.setattr(monodromy, "nilpotent_log", lambda spec: LinearEndo(7, images))
-    monodromy._shift_index_map.cache_clear()
-    try:
-        with pytest.raises(InternalInvariantViolation, match="left the invariant subspace"):
-            build_minimal_model(s8, 1)
-    finally:
-        monodromy._shift_index_map.cache_clear()
+    broken = list(_shift_index_map(s8))
+    broken[1] = 4
+    # the model build reads the shift through the per-spec index map
+    monkeypatch.setattr(minimal_model, "_shift_index_map", lambda spec: tuple(broken))
+    with pytest.raises(InternalInvariantViolation, match="left the invariant subspace"):
+        build_minimal_model(s8, 1)
 
 
 def _jordan3_plus_one():

@@ -43,9 +43,7 @@ from solvform.linalg import echelon_basis, map_kernel, matrix_mul
 from solvform import cli, monodromy
 from solvform.errors import InternalInvariantViolation
 from solvform.monodromy import (
-    _index_map,
     _resonant_counts,
-    _shift_index_map,
     _shift_row,
     _shift_slice,
     check_fiber_size,
@@ -53,8 +51,9 @@ from solvform.monodromy import (
     shift_slice,
 )
 from solvform.scalars import ScalarLC
-from solvform.spectral import Weight
+from solvform.spectral import Weight, _shift_index_map
 from solvform.symplectic import closed_two_classes
+from test_golden_reports import MULTI_TERM, _digest_specs
 
 
 def test_resonance_examples(s8):
@@ -429,19 +428,16 @@ def test_resonant_counts_build_no_symbolic_scalars(monkeypatch, s8):
 def test_shift_out_of_the_slice_is_caught(monkeypatch, s8):
     # the degree-1 slice of s8 is spanned by a1, a2, a3; a shift sending
     # a1 to a4 (weight b, not resonant) leaves it
-    images = [Multivector.zero(7, 1) for _ in range(7)]
-    images[0] = Multivector.basis_one_form(7, 4)
     # the degree-2 slice of frac holds the realified row a13 + a24; its true
     # shift sends a1 to a3, a2 to a4 and a5 to a6, and also sending a3 to a5
     # maps that row to a15, outside the slice
     frac = parse_spec(
         '{"n": 6, "blocks": [{"kind": "complex", "size": 2, "im_resonant": "1/3"}, {"kind": "real", "size": 2}]}'
     )
-    frac_images = [Multivector.basis_one_form(6, j) if j else Multivector.zero(6, 1) for j in (3, 4, 5, 0, 6, 0)]
-    shifts = {s8: LinearEndo(7, images), frac: LinearEndo(6, frac_images)}
-    monkeypatch.setattr(monodromy, "nilpotent_log", shifts.__getitem__)
+    assert _shift_index_map(frac) == (0, 3, 4, 0, 0, 6, 0)
+    shifts = {s8: (0, 4, 0, 0, 0, 0, 0, 0), frac: (0, 3, 4, 5, 0, 6, 0)}
+    monkeypatch.setattr(monodromy, "_shift_index_map", shifts.__getitem__)
     _shift_slice.cache_clear()
-    _shift_index_map.cache_clear()
     try:
         with pytest.raises(InternalInvariantViolation, match="out of the unipotent slice"):
             shift_slice(s8, 1)
@@ -449,7 +445,6 @@ def test_shift_out_of_the_slice_is_caught(monkeypatch, s8):
             shift_slice(frac, 2)
     finally:
         _shift_slice.cache_clear()
-        _shift_index_map.cache_clear()
 
 
 def test_a_shift_kernel_short_of_its_sl2_count_exits_2(monkeypatch, tmp_path, capsys):
@@ -491,6 +486,11 @@ def _random_raising_index_map(rng, n) -> LinearEndo:
     return LinearEndo(n, images)
 
 
+def _decoded_index_map(shift: LinearEndo) -> tuple[int, ...]:
+    """The index map of a shift whose images are unit one-forms or zero."""
+    return (0, *(min(image.terms)[0] if image.terms else 0 for image in shift.images))
+
+
 def test_tuple_shift_matches_the_derivation_route(s6, s8, torus3, torus4, heisenberg3):
     rng = random.Random(46)
     specs = [s6, s8, torus3, torus4, heisenberg3]
@@ -498,11 +498,12 @@ def test_tuple_shift_matches_the_derivation_route(s6, s8, torus3, torus4, heisen
     specs += [random_resonant_spec(rng, n_max=7) for _ in range(60)]
     specs += [random_unimodular_spec(rng, n_max=7) for _ in range(60)]
     # the package's shifts move an index by one or two; random maps jump further
-    cases = [(nilpotent_log(spec), spec) for spec in specs]
-    cases += [(_random_raising_index_map(rng, 7), None) for _ in range(20)]
+    cases = [(nilpotent_log(spec), _shift_index_map(spec), spec) for spec in specs]
+    for _ in range(20):
+        shift = _random_raising_index_map(rng, 7)
+        cases.append((shift, _decoded_index_map(shift), None))
     checked = 0
-    for shift, spec in cases:
-        index_map = _index_map(shift)
+    for shift, index_map, spec in cases:
         for k in range(shift.n + 1):
             vectors = [Multivector.monomial(shift.n, key) for key in monomials(shift.n, k)]
             vectors += nilpotent_submodule(spec, k) if spec else []
@@ -512,27 +513,26 @@ def test_tuple_shift_matches_the_derivation_route(s6, s8, torus3, torus4, heisen
     assert checked > 10_000
 
 
-@pytest.mark.parametrize(
-    "image",
-    [
-        Multivector.basis_one_form(7, 2).scaled(2),
-        Multivector.basis_one_form(7, 2) + Multivector.basis_one_form(7, 3),
-        Multivector.basis_one_form(7, 1),
-    ],
-    ids=["coefficient 2", "two terms", "fixed index"],
-)
-def test_shift_that_is_not_an_index_raising_map_is_caught(monkeypatch, s8, image):
-    images = [Multivector.zero(7, 1) for _ in range(7)]
-    images[0] = image
-    monkeypatch.setattr(monodromy, "nilpotent_log", lambda spec: LinearEndo(7, images))
-    _shift_slice.cache_clear()
-    _shift_index_map.cache_clear()
-    try:
-        with pytest.raises(InternalInvariantViolation, match="not to a later a_j"):
-            shift_slice(s8, 1)
-    finally:
-        _shift_slice.cache_clear()
-        _shift_index_map.cache_clear()
+def test_shift_index_map_follows_the_blocks():
+    # the one description of the shift: it raises every index it does not send
+    # to 0, no two indices share a target, each coordinate of a block's first
+    # cell starts a chain as long as the block, and nilpotent_log is its unit images
+    specs = _digest_specs() + [parse_spec(doc) for doc in MULTI_TERM.values()]
+    assert any(b.kind == "complex" and b.size > 1 for spec in specs for b in spec.blocks)
+    for spec in specs:
+        index_map = _shift_index_map(spec)
+        assert len(index_map) == spec.n + 1 and index_map[0] == 0
+        targets = [j for j in index_map if j]
+        assert all(j > i for i, j in enumerate(index_map) if j)
+        assert len(set(targets)) == len(targets)
+        for block, start in zip(spec.blocks, spec.block_starts()):
+            for first in range(start, start + block.real_dim // block.size):
+                chain = [first]
+                while index_map[chain[-1]]:
+                    chain.append(index_map[chain[-1]])
+                assert len(chain) == block.size and chain[-1] < start + block.real_dim
+        images = [image.terms for image in nilpotent_log(spec).images]
+        assert images == [{(j,): 1} if j else {} for j in index_map[1:]]
 
 
 @pytest.mark.parametrize("name", ["nil322", "s10"])

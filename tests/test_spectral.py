@@ -25,13 +25,12 @@ from solvform.exterior import Multivector, derivation_apply
 from solvform.monodromy import (
     _nilpotent_submodule,
     _resonant_counts,
-    _shift_index_map,
     _shift_slice,
     _slot_table,
 )
 from solvform.report import STAGES, build_report
 from solvform.scalars import ScalarLC
-from solvform.spectral import real_trace
+from solvform.spectral import _shift_index_map, real_trace
 import random
 
 

@@ -13,18 +13,24 @@ are taken as ``set(sys.modules)`` after the call minus the set before the
 package import, so a module that ``site`` preloads (a third-party
 ``.pth`` file may import ``importlib.resources``, for one) does not make
 the checks flaky.  Importing the CLI under ``python -S``, where nothing is preloaded,
-must not load ``importlib.resources``.  There is no wall-clock gate; only
+must not load ``importlib.resources``.  Every ``functools.lru_cache`` in the package must be
+bounded by ``SLICE_CACHE_SIZE``.  There is no wall-clock gate; only
 the imports are checked.  A one-second traced run of ``bench/run.py`` on
 the cohomology-nil7 workload must report itself correct with no failed
 operation.
 """
 
+import importlib
+import inspect
 import json
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
 
+import solvform
 from solvform import fixture_path
+from solvform.spectral import SLICE_CACHE_SIZE
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -145,3 +151,21 @@ def test_cli_import_without_site_skips_importlib_resources():
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
 
+
+
+def test_every_memo_is_bounded_by_the_slice_cache_size():
+    # "the memos are bounded" (README): every functools.lru_cache wrapper in the
+    # package, module-level or on a class, holds at most SLICE_CACHE_SIZE entries
+    found = {}
+    for info in pkgutil.iter_modules(solvform.__path__):
+        if info.name == "__main__":
+            continue
+        module = importlib.import_module(f"solvform.{info.name}")
+        objects = list(vars(module).values())
+        objects += [v for cls in objects if inspect.isclass(cls) for v in vars(cls).values()]
+        for obj in objects:
+            if hasattr(obj, "cache_parameters") and obj.__module__ == module.__name__:
+                found[f"{obj.__module__}.{obj.__qualname__}"] = obj.cache_parameters()["maxsize"]
+    assert "solvform.spectral._shift_index_map" in found
+    assert "solvform.monodromy._shift_slice" in found
+    assert found == dict.fromkeys(found, SLICE_CACHE_SIZE)

@@ -22,7 +22,6 @@ from .exterior import (
     Multivector,
     derivation_apply,
     top_coefficient,
-    wedge,
     wedge_power,
 )
 from .formality import (
@@ -35,17 +34,11 @@ from .formality import (
 from .minimal_model import (
     MinimalModel,
     build_minimal_model,
-    model_cohomology,
     serialize_model,
     verify_quasi_iso,
 )
-from .monodromy import (
-    nilpotent_submodule,
-    nilpotent_submodule_oracle,
-    resonance_test,
-    spans_match,
-)
-from .report import Analysis, build_report, dumps_canonical, render_text, verify_report
+from .monodromy import nilpotent_submodule, resonance_test
+from .report import Analysis, build_report, dumps_canonical, verify_report
 from .scalars import ScalarLC, parse_scalar
 from .spectral import (
     AlmostAbelianSpec,

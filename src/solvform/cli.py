@@ -16,7 +16,7 @@ import json
 import sys
 
 from .errors import InputError, InternalInvariantViolation
-from .report import STAGES, build_report, dumps_canonical, render_text, verify_report
+from .report import STAGES, build_report, dumps_canonical, verify_report
 from .spectral import load_spec
 
 _STAGE_PREFIXES = {stage: STAGES[: i + 1] for i, stage in enumerate(STAGES)}
@@ -93,7 +93,12 @@ def _parse_args(argv: list[str]) -> tuple[str, list[str], dict]:
 def _run_stage(command: str, input_path: str, options: dict) -> int:
     spec = load_spec(input_path)
     report = build_report(spec, options["--max-degree"], stages=_STAGE_PREFIXES[command])
-    payload = dumps_canonical(report) if options["--format"] == "json" else render_text(report)
+    if options["--format"] == "json":
+        payload = dumps_canonical(report)
+    else:
+        from .text import render_text  # a JSON run does not compile the renderer
+
+        payload = render_text(report)
     if options["--report"]:
         try:
             with open(options["--report"], "w", encoding="utf-8") as handle:

@@ -20,7 +20,6 @@ converts back with ``Multivector(n, degree, row)``.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
 from math import gcd, lcm
 from operator import ge
 
@@ -66,13 +65,6 @@ def merge_indices(u, v) -> tuple[int, tuple[int, ...]] | None:
     out.extend(u[i:])
     out.extend(v[j:])
     return sign, tuple(out)
-
-
-def monomials(n: int, k: int) -> list[tuple[int, ...]]:
-    """Degree-k index tuples in lexicographic order."""
-    if k < 0 or k > n:
-        return []
-    return list(combinations(range(1, n + 1), k))
 
 
 class Multivector:
@@ -206,10 +198,6 @@ def mono_str(key) -> str:
     return "a(" + ",".join(map(str, key)) + ")"
 
 
-def wedge(a: Multivector, b: Multivector) -> Multivector:
-    return a.wedge(b)
-
-
 def wedge_power(a: Multivector, p: int) -> Multivector:
     out = Multivector.unit(a.n)
     for _ in range(p):
@@ -234,12 +222,6 @@ class LinearEndo:
 
     def image_of(self, i: int) -> Multivector:
         return self.images[i - 1]
-
-    def is_zero(self) -> bool:
-        return all(img.is_zero() for img in self.images)
-
-    def trace(self) -> int | Fraction | ScalarLC:
-        return _canonical(sum(img.coefficient((i,)) for i, img in enumerate(self.images, start=1)))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, LinearEndo):
@@ -273,42 +255,6 @@ def derivation_apply(endo: LinearEndo, x: Multivector) -> Multivector:
                 sign, new_key = sorted_
                 acc.append((new_key, (coeff * cj) * sign))
     return Multivector(x.n, x.degree, acc)
-
-
-def algebra_map_apply(endo: LinearEndo, x: Multivector) -> Multivector:
-    """Multiplicative (exterior power) extension of ``endo`` applied to ``x``."""
-    if endo.n != x.n:
-        raise ValueError("endomorphism and multivector over different ambient dimensions")
-    out = Multivector.zero(x.n, x.degree)
-    for key, coeff in x.terms.items():
-        term = Multivector.unit(x.n)
-        for idx in key:
-            term = term.wedge(endo.image_of(idx))
-            if term.is_zero():
-                break  # a zero partial product has too low a degree to add
-        else:
-            out = out + term.scaled(coeff)
-    return out
-
-
-def exp_nilpotent(endo: LinearEndo) -> LinearEndo:
-    """Exponential of a nilpotent endomorphism by its finite series."""
-    n = endo.n
-    images = []
-    for i in range(1, n + 1):
-        total = Multivector.basis_one_form(n, i)
-        term = total
-        m = 1
-        while True:
-            term = derivation_apply(endo, term).scaled(Fraction(1, m))
-            if term.is_zero():
-                break
-            total = total + term
-            m += 1
-            if m > n + 1:
-                raise ValueError("endomorphism is not nilpotent")
-        images.append(total)
-    return LinearEndo(n, images)
 
 
 def top_coefficient(x: Multivector) -> int | Fraction | ScalarLC:

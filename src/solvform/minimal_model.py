@@ -459,13 +459,6 @@ def build_minimal_model(spec: AlmostAbelianSpec, d_max: int) -> MinimalModel:
     return model
 
 
-def model_cohomology(model: MinimalModel, k: int) -> list[ClassRep]:
-    """Degree-k classes of the finished model (error above the bound)."""
-    if k > model.degree_bound:
-        raise InputError(f"degree {k} exceeds the model bound {model.degree_bound}")
-    return model.class_reps(k)
-
-
 def verify_quasi_iso(model: MinimalModel) -> dict[int, dict]:
     """Per degree up to the bound: is the realization bijective onto the target?"""
     out = {}

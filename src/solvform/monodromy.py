@@ -6,17 +6,12 @@ degree-k monomial lies in the submodule exactly when the semisimple part
 fixes it, i.e. when its weight sum is a resonance: zero real part, zero
 symbolic imaginary part, integer resonant imaginary part.
 
-Two routes are provided.  :func:`nilpotent_submodule` enumerates
-resonant weight sums and realifies conjugate pairs of complex monomials
-into integer vectors: symbols enter only through the weights, and each
-slot generator is a sum of ``i**e * a_index`` terms, so expanding a
-monomial multiplies index lists and tracks one sign and one power of i.
-:func:`nilpotent_submodule_oracle` ignores weights entirely: it builds
-the monodromy as the exterior power of the exponential of the shift part
-(exact because the shift is nilpotent) and iterates exact kernels of
-(monodromy - identity); it is available only when the semisimple part is
-trivial, which is exactly when that matrix is rational.  The two routes must agree as subspaces wherever the oracle
-applies.
+:func:`nilpotent_submodule` enumerates resonant weight sums and
+realifies conjugate pairs of complex monomials into integer vectors:
+symbols enter only through the weights, and each slot generator is a sum
+of ``i**e * a_index`` terms, so expanding a monomial multiplies index
+lists and tracks one sign and one power of i.  Its brute-force
+cross-check, where :func:`oracle_applicable` holds, is :mod:`.oracle`.
 
 The shift preserves the submodule, and :func:`shift_slice` splits each
 degree-k slice into the kernel and a cokernel complement of the shift
@@ -86,28 +81,15 @@ from itertools import chain, combinations, product
 from math import comb, prod
 from operator import add
 
-from .errors import InputError, InternalInvariantViolation, OracleUnavailable
-from .exterior import (
-    Multivector,
-    algebra_map_apply,
-    coordinate_vector,
-    exp_nilpotent,
-    monomials,
-    sort_indices,
-)
-from .linalg import (
-    echelon_basis,
-    kernel_and_pivots,
-    map_kernel,
-    matrix_mul,
-)
+from .errors import InputError, InternalInvariantViolation
+from .exterior import Multivector, sort_indices
+from .linalg import echelon_basis, kernel_and_pivots, matrix_mul
 from .spectral import (
     SLICE_CACHE_SIZE,
     AlmostAbelianSpec,
     Weight,
     _shift_index_map,
     generator_weights,
-    nilpotent_log,
 )
 from .scalars import _canonical
 
@@ -396,47 +378,11 @@ def oracle_applicable(spec: AlmostAbelianSpec) -> bool:
     return all(resonance_test(s.weight) for s in _slot_table(spec)[1:])
 
 
-def nilpotent_submodule_oracle(spec: AlmostAbelianSpec, k: int) -> list[Multivector]:
-    """Brute-force alternative: stabilized kernel of powers of (monodromy - id).
+def __getattr__(name: str):
+    """The oracle's two entry points, imported from :mod:`.oracle` on first use,
+    so that ``monodromy.nilpotent_submodule_oracle`` keeps working for callers."""
+    if name in ("nilpotent_submodule_oracle", "spans_match"):
+        from . import oracle
 
-    Requires every eigenvalue to have zero real part and a full-turn
-    rotation, so the monodromy equals the exterior power of the rational
-    unipotent matrix exp(shift); rescaling the lattice generator away
-    does not change which vectors a unipotent map eventually annihilates.
-    """
-    if not oracle_applicable(spec):
-        raise OracleUnavailable("oracle unavailable for this spectrum")
-    if not 0 <= k <= spec.n:
-        return []
-    if k == 0:
-        return [Multivector.unit(spec.n)]
-    phi_one = exp_nilpotent(nilpotent_log(spec))
-    keys = monomials(spec.n, k)
-    rows = {}  # monomial -> row of (monodromy - id); powers multiply through it
-    for key in keys:
-        row = coordinate_vector(algebra_map_apply(phi_one, Multivector.monomial(spec.n, key)))
-        diagonal = row.pop(key, 0) - 1
-        if diagonal:
-            row[key] = diagonal
-        rows[key] = row
-    power = list(rows.values())
-    kernel = map_kernel(power)
-    while True:
-        power = matrix_mul(power, rows)
-        bigger = map_kernel(power)
-        if len(bigger) == len(kernel):
-            break
-        kernel = bigger
-    vectors = [{keys[j]: c for j, c in vec.items()} for vec in kernel]
-    return [Multivector(spec.n, k, row) for row in echelon_basis(vectors)]
-
-
-def spans_match(a: list[Multivector], b: list[Multivector]) -> bool:
-    """Subspace equality via canonical echelon coordinates."""
-    if not a and not b:
-        return True
-    if bool(a) != bool(b):
-        return False
-    rows_a = echelon_basis([coordinate_vector(x) for x in a])
-    rows_b = echelon_basis([coordinate_vector(x) for x in b])
-    return rows_a == rows_b
+        return getattr(oracle, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -32,6 +32,12 @@ FORMAT_VERSION = 1
 
 STAGES = ("unipotent", "cohomology", "model", "formality", "symplectic")
 
+# Largest --max-degree taken on.  The model build counts monomials over a series of
+# length K + 2 at every stage and the checks walk every degree, so the work outgrows
+# K**2 even where the model stops growing.  `analyze` on a 2-vCPU x86 VM: the bundled
+# fixtures take 0.4-0.5 s at K = 1000 and 1.5-2.0 s at K = 2000, nil7 0.8 s at K = 1000.
+MAX_DEGREE = 1000
+
 
 class Analysis:
     """Computes pipeline stages once and shares the intermediate objects."""
@@ -39,6 +45,8 @@ class Analysis:
     def __init__(self, spec: AlmostAbelianSpec, max_degree: int = 3):
         if max_degree < 1:
             raise InputError("--max-degree must be at least 1")
+        if max_degree > MAX_DEGREE:
+            raise InputError(f"--max-degree {max_degree} is above the limit of {MAX_DEGREE}")
         check_fiber_size(spec)  # the unipotent section reads every degree's slice
         self.spec = spec
         self.max_degree = max_degree
@@ -194,72 +202,6 @@ def dumps_canonical(report: dict) -> str:
     return json.dumps(report, sort_keys=True, separators=(",", ":")) + "\n"
 
 
-def render_text(report: dict) -> str:
-    """Human-readable rendering of a report."""
-    lines = []
-    doc = report["input"]
-    lines.append(f"instance: n = {doc['n']}, total dimension {doc['n'] + 1}")
-    if doc.get("lattice_label"):
-        lines.append(f"lattice: {doc['lattice_label']} (existence asserted, not checked)")
-    assumptions = report.get("assumptions", {})
-    if assumptions:
-        lines.append(
-            "unimodular (trace zero): %s" % ("yes" if assumptions.get("unimodular_trace_zero") else "NO")
-        )
-    if "unipotent" in report:
-        dims = report["unipotent"]["dims"]
-        lines.append("")
-        lines.append("invariant submodule dimensions by degree:")
-        lines.append("  " + ", ".join(f"{k}: {v}" for k, v in sorted(dims.items(), key=lambda kv: int(kv[0]))))
-        for k, basis in sorted(report["unipotent"]["bases"].items(), key=lambda kv: int(kv[0])):
-            if basis:
-                lines.append(f"  degree {k}: " + "; ".join(basis))
-    if "cohomology" in report:
-        betti = report["cohomology"]["betti"]
-        lines.append("")
-        lines.append(
-            "betti numbers: "
-            + ", ".join(f"b{k} = {v}" for k, v in sorted(betti.items(), key=lambda kv: int(kv[0])))
-        )
-        for k, reps in sorted(report["cohomology"]["representatives"].items(), key=lambda kv: int(kv[0])):
-            if reps:
-                lines.append(f"  H^{k}: " + "; ".join(reps))
-        lines.append(f"poincare duality: {report['cohomology']['poincare_duality']}")
-    if "model" in report:
-        lines.append("")
-        lines.extend(report["model"]["dump"])
-    if "formality" in report:
-        lines.append("")
-        lines.extend(report["formality"]["total_model"])
-        lines.append("")
-        lines.append("formality: " + report["formality"]["summary"])
-        for degree, witness in sorted(report["formality"]["witnesses"].items(), key=lambda kv: int(kv[0])):
-            lines.append(
-                f"  degree {degree} witness: {witness['element']} (twist {witness['twist']})"
-            )
-        if report["formality"]["twist_ambiguity_degrees"]:
-            lines.append(
-                "  twist involved a choice in degrees: "
-                + ", ".join(str(d) for d in report["formality"]["twist_ambiguity_degrees"])
-            )
-    if "symplectic" in report:
-        section = report["symplectic"]
-        lines.append("")
-        if not section.get("applicable"):
-            lines.append(f"symplectic: not applicable ({section.get('reason')})")
-        elif section.get("witness"):
-            w = section["witness"]
-            lines.append("symplectic witness:")
-            lines.append(f"  F = {w['two_form']}")
-            lines.append(f"  eta = {w['one_form']}")
-            lines.append(f"  omega = {w['omega']}")
-            lines.append(f"  top power coefficient = {w['omega_top']} (pairing {w['pairing']})")
-            lines.append(f"  independently verified: {w['verified']}")
-        else:
-            lines.append(f"symplectic: none ({section.get('reason')})")
-    return "\n".join(lines) + "\n"
-
-
 def verify_report(report: dict, spec: AlmostAbelianSpec):
     """Re-derive every checkable claim of a report; list the divergences."""
     mismatches: list[str] = []
@@ -275,7 +217,7 @@ def verify_report(report: dict, spec: AlmostAbelianSpec):
         mismatches.append("echoed input differs from the supplied document")
         return False, mismatches
     max_degree = report.get("max_degree")
-    if not isinstance(max_degree, int) or isinstance(max_degree, bool) or max_degree < 1:
+    if not isinstance(max_degree, int) or isinstance(max_degree, bool) or not 1 <= max_degree <= MAX_DEGREE:
         return False, ["report lacks a valid max_degree"]
     stages = [s for s in STAGES if s in report]
     fresh = build_report(spec, max_degree, stages=stages)

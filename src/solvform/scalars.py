@@ -54,10 +54,6 @@ class ScalarLC:
     def __setattr__(self, name, value):
         raise AttributeError("ScalarLC is immutable")
 
-    @classmethod
-    def symbol(cls, name: str, coeff=1) -> ScalarLC:
-        return cls(0, [(name, Fraction(coeff))])
-
     def is_zero(self) -> bool:
         return self.const == 0 and not self.terms
 

@@ -52,10 +52,7 @@ class Weight(namedtuple("Weight", "re im_resonant im_symbolic")):
 
     __slots__ = ()
 
-    @classmethod
-    def zero(cls) -> Weight:
-        return cls(ScalarLC(0), Fraction(0), ScalarLC(0))
-
+    # only the tests add weights, but without it ``+`` would concatenate the tuples
     def __add__(self, other: Weight) -> Weight:
         return Weight(
             self.re + other.re,
@@ -97,13 +94,6 @@ class AlmostAbelianSpec(
             starts.append(at)
             at += block.real_dim
         return starts
-
-    def coordinate_re(self, i: int) -> ScalarLC:
-        """Real eigenvalue part attached to coordinate ``i``."""
-        for block, start in zip(self.blocks, self.block_starts()):
-            if start <= i < start + block.real_dim:
-                return block.re
-        raise ValueError(f"coordinate {i} out of range 1..{self.n}")
 
 
 class SlotWeight(namedtuple("SlotWeight", "slot weight conj terms")):

@@ -20,9 +20,13 @@ from solvform import (
     load_spec,
     parse_spec,
 )
-from solvform.exterior import LinearEndo, coordinate_vector, monomials
+from solvform.errors import InputError
+from solvform.exterior import LinearEndo, coordinate_vector
 from solvform.linalg import EchelonAccumulator, map_kernel, rref
 from solvform.minimal_model import ClassRep
+from solvform.oracle import monomials
+from solvform.scalars import _canonical
+from solvform.spectral import Weight
 
 
 @pytest.fixture(scope="session")
@@ -127,7 +131,7 @@ def random_unimodular_spec(rng, n_max=6, symbols=("b",)) -> AlmostAbelianSpec:
     if n_max - used >= 2 and rng.random() < 0.7:
         q = random_rational(rng, 1, 3)
         if rng.random() < 0.5 and symbols:
-            re = ScalarLC.symbol(symbols[0], q)
+            re = symbol(symbols[0], q)
         else:
             re = ScalarLC(q)
         blocks.append(Block("real", 1, re))
@@ -164,6 +168,44 @@ def representative_elements(slice_, n: int) -> list[CEElement]:
     for rep in slice_.coker_reps:
         out.append(CEElement(Multivector.zero(n, rep.degree + 1), rep))
     return out
+
+
+def symbol(name: str, coeff=1) -> ScalarLC:
+    """The scalar ``coeff * name``."""
+    return ScalarLC(0, [(name, Fraction(coeff))])
+
+
+def zero_weight() -> Weight:
+    """The weight of the unit monomial, the start of a sum of weights."""
+    return Weight(ScalarLC(0), Fraction(0), ScalarLC(0))
+
+
+def coordinate_re(spec: AlmostAbelianSpec, i: int) -> ScalarLC:
+    """Real eigenvalue part attached to coordinate ``i``."""
+    for block, start in zip(spec.blocks, spec.block_starts()):
+        if start <= i < start + block.real_dim:
+            return block.re
+    raise ValueError(f"coordinate {i} out of range 1..{spec.n}")
+
+
+def wedge(a: Multivector, b: Multivector) -> Multivector:
+    return a.wedge(b)
+
+
+def endo_is_zero(endo: LinearEndo) -> bool:
+    return all(img.is_zero() for img in endo.images)
+
+
+def endo_trace(endo: LinearEndo):
+    """Trace of an endomorphism of the 1-forms, stored by the coefficient rule."""
+    return _canonical(sum(img.coefficient((i,)) for i, img in enumerate(endo.images, start=1)))
+
+
+def model_cohomology(model, k: int) -> list[ClassRep]:
+    """Degree-k classes of the finished model (error above the bound)."""
+    if k > model.degree_bound:
+        raise InputError(f"degree {k} exceeds the model bound {model.degree_bound}")
+    return model.class_reps(k)
 
 
 def rank(rows) -> int:

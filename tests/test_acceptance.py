@@ -18,6 +18,7 @@ from conftest import (
     random_strict_endo,
     random_unimodular_spec,
     rank,
+    wedge,
 )
 from solvform import (
     CEElement,
@@ -31,19 +32,13 @@ from solvform import (
     find_symplectic,
     formality_from_twisted,
     nilpotent_submodule,
-    nilpotent_submodule_oracle,
-    spans_match,
     total_model_dump,
     verify_quasi_iso,
     verify_symplectic,
 )
 from solvform.cohomology import trace_is_zero
-from solvform.exterior import (
-    coordinate_vector,
-    derivation_apply,
-    monomials,
-    wedge,
-)
+from solvform.exterior import coordinate_vector, derivation_apply
+from solvform.oracle import monomials, nilpotent_submodule_oracle, spans_match
 
 
 class _criterion:

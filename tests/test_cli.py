@@ -10,7 +10,7 @@ import pytest
 
 import solvform
 from solvform import build_report, dumps_canonical, fixture_path, load_spec, verify_report
-from solvform import cli, minimal_model, monodromy
+from solvform import cli, minimal_model, monodromy, report
 from solvform.cli import main
 
 SRC = str(Path(solvform.__file__).resolve().parents[1])
@@ -296,6 +296,27 @@ def test_lowered_model_limit_refuses_s6(tmp_path, capsys, monkeypatch):
     assert main(["analyze", str(_write_spec(tmp_path)), "--max-degree", "3"]) == 1
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and "model too large" in err and "above the limit of 3" in err
+
+
+def test_max_degree_past_its_limit_is_refused_before_any_stage(tmp_path, capsys, monkeypatch):
+    # K = 10**9 would count model monomials for hours; the refusal comes first
+    spec_path = str(_write_spec(tmp_path))
+    assert main(["unipotent", spec_path, "--max-degree", str(report.MAX_DEGREE),
+                 "--format", "json", "--report", str(tmp_path / "r.json")]) == 0
+    doc = json.loads((tmp_path / "r.json").read_text())
+    doc["max_degree"] = 10**9
+    (tmp_path / "r.json").write_text(json.dumps(doc))
+    capsys.readouterr()
+
+    def no_stage(spec):
+        raise AssertionError("a stage ran")
+
+    monkeypatch.setattr(report, "check_fiber_size", no_stage)
+    assert main(["analyze", spec_path, "--max-degree", str(10**9)]) == 1
+    refusal = f"error: --max-degree {10**9} is above the limit of {report.MAX_DEGREE}\n"
+    assert capsys.readouterr() == ("", refusal)
+    assert main(["verify", str(tmp_path / "r.json"), spec_path]) == 1
+    assert capsys.readouterr() == ("", "mismatch: report lacks a valid max_degree\n")
 
 
 DEEP = b"[" * 100000 + b"]" * 100000

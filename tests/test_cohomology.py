@@ -6,11 +6,13 @@ from fractions import Fraction
 import pytest
 
 from conftest import (
+    coordinate_re,
     random_multivector,
     random_resonant_spec,
     random_unimodular_spec,
     rank,
     representative_elements,
+    wedge,
 )
 from solvform import (
     CEElement,
@@ -21,7 +23,7 @@ from solvform import (
     parse_spec,
 )
 from solvform.cohomology import trace_is_zero
-from solvform.exterior import LinearEndo, Multivector, derivation_apply, wedge
+from solvform.exterior import LinearEndo, Multivector, derivation_apply
 from solvform.monodromy import _sl2_kernel_sizes, resonant_monomials
 from solvform.spectral import modification_hypothesis_holds, modified_matrix
 
@@ -145,8 +147,9 @@ def test_betti_consistency_with_dimension_count(s6, s8):
 def test_kernel_reps_match_full_modified_action(s6, torus3, torus4, heisenberg3):
     # the shift kernel on the unipotent slice is the whole kernel of the
     # modified action: every other weight slice is mapped invertibly
-    from solvform.exterior import coordinate_vector, monomials
+    from solvform.exterior import coordinate_vector
     from solvform.linalg import echelon_basis, map_kernel
+    from solvform.oracle import monomials
 
     rng = random.Random(20261018)
     specs = [s6, torus3, torus4, heisenberg3]
@@ -168,7 +171,8 @@ def test_coker_representatives_independent_of_image(s6, s8):
     # the base-wedge classes are spanned by non-pivot monomials of the
     # zero-weight slices, so adding them to their slice's image rows must
     # grow the rank by their count
-    from solvform.exterior import coordinate_vector, monomials
+    from solvform.exterior import coordinate_vector
+    from solvform.oracle import monomials
     from solvform.scalars import ScalarLC
 
     for spec in (s6, s8):
@@ -179,7 +183,7 @@ def test_coker_representatives_independent_of_image(s6, s8):
             # resonance enumeration that picks the eliminated slice
             groups = {}
             for key in monomials(spec.n, k - 1):
-                weight = sum((spec.coordinate_re(i) for i in key), ScalarLC(0))
+                weight = sum((coordinate_re(spec, i) for i in key), ScalarLC(0))
                 groups.setdefault(weight, []).append(key)
             placed = 0
             for weight, group in groups.items():
@@ -209,7 +213,8 @@ def _full_complex_betti(spec):
     derivation, wedge with that generator, and take ranks.  Rational
     instances only.
     """
-    from solvform.exterior import coordinate_vector, monomials
+    from solvform.exterior import coordinate_vector
+    from solvform.oracle import monomials
 
     total = spec.n + 1
     mod = modified_matrix(spec)

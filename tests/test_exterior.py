@@ -5,22 +5,25 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import follows_the_coefficient_rule, random_multivector, random_strict_endo
+from conftest import (
+    follows_the_coefficient_rule,
+    random_multivector,
+    random_strict_endo,
+    symbol,
+    wedge,
+)
 from solvform.exterior import (
     LinearEndo,
     Multivector,
-    algebra_map_apply,
     coordinate_vector,
     derivation_apply,
-    exp_nilpotent,
-    monomials,
     primitive_part,
     top_coefficient,
-    wedge,
     wedge_power,
 )
 from solvform.minimal_model import build_minimal_model
 from solvform.monodromy import nilpotent_submodule
+from solvform.oracle import algebra_map_apply, exp_nilpotent, monomials
 from solvform.scalars import ScalarLC
 from solvform.spectral import modified_matrix
 from solvform.symplectic import closed_two_classes, find_symplectic
@@ -129,7 +132,7 @@ def test_derivation_nilpotent_for_nilpotent_endomorphism():
 
 
 def test_symbolic_coefficients_flow_through_wedge():
-    b = ScalarLC.symbol("b")
+    b = symbol("b")
     x = Multivector(4, 1, [((1,), b)])
     y = Multivector.basis_one_form(4, 2)
     assert wedge(x, y) == Multivector(4, 2, [((1, 2), b)])
@@ -151,7 +154,7 @@ def test_coefficients_are_fractions_unless_a_symbol_survives(s6, s8):
     assert follows_the_coefficient_rule(witness.pairing)
     assert follows_the_coefficient_rule(witness.omega_top)
     # a symbol that cancels leaves its rational, equal and equally hashed
-    b = ScalarLC.symbol("b")
+    b = symbol("b")
     half = mv(4, ((1,), Fraction(1, 2)))
     for rest, expected in ((1, Multivector.basis_one_form(4, 1)), (Fraction(1, 2), half)):
         cancelled = Multivector(4, 1, [((1,), b), ((1,), rest - b)])

@@ -212,7 +212,7 @@ def test_higher_degree_twist_on_closed_generators():
 
 def test_paired_shift_in_complex_jordan_block():
     from solvform import parse_spec
-    from solvform.monodromy import nilpotent_submodule_oracle, spans_match
+    from solvform.oracle import nilpotent_submodule_oracle, spans_match
 
     doc = '{"n": 4, "blocks": [{"kind": "complex", "size": 2, "re": "0", "im_resonant": "1"}]}'
     spec = parse_spec(doc)

@@ -7,12 +7,14 @@ from itertools import combinations, combinations_with_replacement
 import pytest
 
 from conftest import (
+    model_cohomology,
     monomials_over,
     random_resonant_spec,
     random_unimodular_spec,
     rank,
     reference_class_reps,
     reference_cocycles,
+    wedge,
 )
 from solvform import (
     InputError,
@@ -21,13 +23,12 @@ from solvform import (
     build_minimal_model,
     build_twisted_model,
     formality_from_twisted,
-    model_cohomology,
     nilpotent_submodule,
     serialize_model,
     verify_quasi_iso,
 )
 from solvform import minimal_model
-from solvform.exterior import coordinate_vector, derivation_apply, primitive_part, wedge
+from solvform.exterior import coordinate_vector, derivation_apply, primitive_part
 from solvform.linalg import (
     EchelonAccumulator,
     echelon_basis,

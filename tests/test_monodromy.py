@@ -13,6 +13,9 @@ from conftest import (
     in_submodule_span,
     random_resonant_spec,
     random_unimodular_spec,
+    symbol,
+    wedge,
+    zero_weight,
 )
 from solvform import (
     AlmostAbelianSpec,
@@ -24,23 +27,12 @@ from solvform import (
     generator_weights,
     nilpotent_log,
     nilpotent_submodule,
-    nilpotent_submodule_oracle,
     parse_spec,
     resonance_test,
-    spans_match,
 )
-from solvform.exterior import (
-    LinearEndo,
-    Multivector,
-    algebra_map_apply,
-    coordinate_vector,
-    derivation_apply,
-    exp_nilpotent,
-    monomials,
-    wedge,
-)
+from solvform.exterior import LinearEndo, Multivector, coordinate_vector, derivation_apply
 from solvform.linalg import echelon_basis, map_kernel, matrix_mul
-from solvform import cli, monodromy
+from solvform import cli, monodromy, oracle
 from solvform.errors import InternalInvariantViolation
 from solvform.monodromy import (
     _resonant_counts,
@@ -50,8 +42,15 @@ from solvform.monodromy import (
     resonant_monomials,
     shift_slice,
 )
+from solvform.oracle import (
+    algebra_map_apply,
+    exp_nilpotent,
+    monomials,
+    nilpotent_submodule_oracle,
+    spans_match,
+)
 from solvform.scalars import ScalarLC
-from solvform.spectral import Weight, _shift_index_map
+from solvform.spectral import _shift_index_map
 from solvform.symplectic import closed_two_classes
 from test_golden_reports import MULTI_TERM, _digest_specs
 
@@ -61,7 +60,7 @@ def test_resonance_examples(s8):
     pair_46 = slots[4].weight + slots[6].weight
     assert resonance_test(pair_46)  # real parts b + (-b) cancel, rotations add to 2
     assert not resonance_test(slots[4].weight)  # bare b is nonzero
-    assert resonance_test(Weight.zero())
+    assert resonance_test(zero_weight())
 
 
 def test_s6_is_full_exterior_algebra(s6):
@@ -127,7 +126,7 @@ def _with_rotations(rng, spec):
     for b in spec.blocks:
         if b.kind == "complex":
             im = rng.choice([b.im_resonant, Fraction(1, 2), Fraction(1, 3), Fraction(-2, 3)])
-            sym = rng.choice([ScalarLC(0), ScalarLC(0), ScalarLC.symbol("c", Fraction(1))])
+            sym = rng.choice([ScalarLC(0), ScalarLC(0), symbol("c", Fraction(1))])
             b = Block(b.kind, b.size, b.re, im, sym)
         blocks.append(b)
     return AlmostAbelianSpec(spec.n, tuple(blocks), symbols=("b", "c"))
@@ -375,7 +374,7 @@ def _brute_resonant_monomials(spec):
             s = slots[pos]
             visit(pos + 1, combo + (s.slot,), total + s.weight)
 
-    visit(0, (), Weight.zero())
+    visit(0, (), zero_weight())
     return [sorted(kept) for kept in by_degree]
 
 
@@ -549,10 +548,11 @@ def test_shift_slices_and_closed_two_forms_carry_fractions(name):
         assert all(map(follows_the_coefficient_rule, form.terms.values())), form
 
 
-def test_unit_row_slices_skip_elimination(monkeypatch, nil322, s6):
+def test_unit_row_slices_skip_elimination(monkeypatch, nil322, s6, s8):
     # every slot of nil322 is real, so each slice is its sorted unit rows and no
-    # monomial is realified; s6 has complex slots, whose two-term rows still go
-    # through elimination
+    # monomial is realified; the complex slots of s6 realify to one-term rows, so
+    # only the oracle eliminates there, while s8's two-term rows of degree 2 still
+    # go through elimination
     calls = []
     realified = []
     plain = monodromy.echelon_basis
@@ -567,6 +567,7 @@ def test_unit_row_slices_skip_elimination(monkeypatch, nil322, s6):
         return plain_realify(slots, combo)
 
     monkeypatch.setattr(monodromy, "echelon_basis", counting)
+    monkeypatch.setattr(oracle, "echelon_basis", counting)
     monkeypatch.setattr(monodromy, "_realify", counting_realify)
     monodromy._nilpotent_submodule.cache_clear()
     try:
@@ -578,6 +579,9 @@ def test_unit_row_slices_skip_elimination(monkeypatch, nil322, s6):
         assert calls == [] and realified == []
         assert len(nilpotent_submodule(s6, 2)) == len(nilpotent_submodule_oracle(s6, 2))
         assert calls and calls[0] == len(resonant_monomials(s6, 2))
+        calls.clear()
+        nilpotent_submodule(s8, 2)
+        assert calls == [len(resonant_monomials(s8, 2))]
     finally:
         monodromy._nilpotent_submodule.cache_clear()
 

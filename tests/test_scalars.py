@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import symbol
 from solvform.scalars import ScalarLC, parse_rational, parse_scalar
 
 
@@ -13,7 +14,7 @@ def test_rational_addition_exact():
 
 
 def test_symbol_cancellation():
-    b = ScalarLC.symbol("b")
+    b = symbol("b")
     assert (b + (-b)).is_zero()
 
 
@@ -27,18 +28,18 @@ def test_partial_cancellation():
 def test_scale():
     assert ScalarLC(Fraction(1, 2), [("b", 1)]) * 2 == ScalarLC(1, [("b", 2)])
     assert (ScalarLC(5, [("b", 3)]) * 0).is_zero()
-    assert ScalarLC.symbol("b") * -1 == ScalarLC(0, [("b", -1)])
+    assert symbol("b") * -1 == ScalarLC(0, [("b", -1)])
 
 
 def test_zero_tests():
     assert ScalarLC(0).is_zero()
-    assert not ScalarLC.symbol("b").is_zero()
+    assert not symbol("b").is_zero()
     # 1 and b are independent over the rationals, so 1 - b is nonzero
     assert not ScalarLC(1, [("b", -1)]).is_zero()
 
 
 def test_symbolic_product_raises():
-    b = ScalarLC.symbol("b")
+    b = symbol("b")
     with pytest.raises(ValueError):
         b * b
     # one rational factor is fine
@@ -46,7 +47,7 @@ def test_symbolic_product_raises():
 
 
 def test_division_only_by_rationals():
-    b = ScalarLC.symbol("b")
+    b = symbol("b")
     assert b / 2 == ScalarLC(0, [("b", Fraction(1, 2))])
     with pytest.raises(ValueError):
         ScalarLC(1) / b
@@ -55,7 +56,7 @@ def test_division_only_by_rationals():
 def test_as_fraction():
     assert ScalarLC(Fraction(7, 3)).as_fraction() == Fraction(7, 3)
     with pytest.raises(ValueError):
-        ScalarLC.symbol("b").as_fraction()
+        symbol("b").as_fraction()
 
 
 def test_add_is_associative_commutative_and_cancels():
@@ -84,8 +85,8 @@ def test_canonical_form_idempotent():
 def test_parse_scalar():
     assert parse_scalar("0") == ScalarLC(0)
     assert parse_scalar("3/2") == ScalarLC(Fraction(3, 2))
-    assert parse_scalar("b", ("b",)) == ScalarLC.symbol("b")
-    assert parse_scalar("-b", ("b",)) == ScalarLC.symbol("b", -1)
+    assert parse_scalar("b", ("b",)) == symbol("b")
+    assert parse_scalar("-b", ("b",)) == symbol("b", -1)
     assert parse_scalar("1/2*b", ("b",)) == ScalarLC(0, [("b", Fraction(1, 2))])
     assert parse_scalar("1 - 2*b + 1/3", ("b",)) == ScalarLC(Fraction(4, 3), [("b", -2)])
 

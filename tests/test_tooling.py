@@ -13,23 +13,31 @@ are taken as ``set(sys.modules)`` after the call minus the set before the
 package import, so a module that ``site`` preloads (a third-party
 ``.pth`` file may import ``importlib.resources``, for one) does not make
 the checks flaky.  Importing the CLI under ``python -S``, where nothing is preloaded,
-must not load ``importlib.resources``.  Every ``functools.lru_cache`` in the package must be
-bounded by ``SLICE_CACHE_SIZE``.  There is no wall-clock gate; only
-the imports are checked.  A one-second traced run of ``bench/run.py`` on
-the cohomology-nil7 workload must report itself correct with no failed
-operation.
+must not load ``importlib.resources``.  A JSON ``analyze`` and a ``verify``
+must load neither ``solvform.oracle`` (no report runs it) nor
+``solvform.text`` (the renderer of ``--format text``); a text run loads the
+renderer and prints the bytes pinned before it moved, and
+``monodromy.nilpotent_submodule_oracle`` and ``monodromy.spans_match``, the
+names ``bench/worker.py`` calls, still resolve.  Every ``functools.lru_cache``
+in the package must be bounded by ``SLICE_CACHE_SIZE``.  There is no
+wall-clock gate; only the imports are checked.  A one-second traced run of
+``bench/run.py`` on the cohomology-nil7 workload must report itself correct
+with no failed operation, and the worker's oracle mode, the benchmark's
+oracle gate, must find no mismatch on nil7 and on a seeded random instance.
 """
 
 import importlib
 import inspect
 import json
 import pkgutil
+import random
 import subprocess
 import sys
 from pathlib import Path
 
 import solvform
-from solvform import fixture_path
+from solvform import fixture_path, load_spec
+from solvform.monodromy import oracle_applicable
 from solvform.spectral import SLICE_CACHE_SIZE
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -129,6 +137,86 @@ def test_cli_run_imports_no_argument_parser():
     assert json.loads(proc.stdout.strip().splitlines()[-1]) == {
         "exit": 0, "loaded": [], "class_machinery": [], "foreign": []
     }
+
+
+DEFERRED = """
+import contextlib, hashlib, io, json, sys
+sys.path.insert(0, sys.argv[1])
+import solvform.cli
+from solvform import monodromy
+
+spec, report = sys.argv[2], sys.argv[3]
+lazy = ("solvform.oracle", "solvform.text")
+code, loaded = 0, {}
+with contextlib.redirect_stdout(io.StringIO()):
+    code += solvform.cli.main(["analyze", spec, "--format", "json", "--report", report])
+    code += solvform.cli.main(["verify", report, spec])
+loaded["json"] = [m for m in lazy if m in sys.modules]
+text = io.StringIO()
+with contextlib.redirect_stdout(text):
+    code += solvform.cli.main(["analyze", spec, "--max-degree", "3", "--format", "text"])
+loaded["text"] = [m for m in lazy if m in sys.modules]
+oracle = [monodromy.nilpotent_submodule_oracle.__module__, monodromy.spans_match.__module__]
+try:
+    unknown = repr(monodromy.no_such_name)
+except AttributeError as exc:
+    unknown = str(exc)
+print(json.dumps({
+    "exit": code,
+    "loaded": loaded,
+    "text_sha256": hashlib.sha256(text.getvalue().encode()).hexdigest(),
+    "oracle": oracle,
+    "unknown": unknown,
+}))
+"""
+
+
+def test_json_runs_compile_neither_the_oracle_nor_the_text_renderer(tmp_path):
+    # no report runs the brute-force oracle and only --format text renders
+    # text, so both modules load on first use; the benchmark's oracle gate
+    # reaches the oracle through the two lazy names of monodromy
+    argv = [str(ROOT / "src"), str(fixture_path("s6")), str(tmp_path / "r.json")]
+    proc = subprocess.run(
+        [sys.executable, "-c", DEFERRED, *argv],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.strip().splitlines()[-1]) == {
+        "exit": 0,
+        "loaded": {"json": [], "text": ["solvform.text"]},
+        # s6 analyze --max-degree 3 --format text, recorded before the renderer moved
+        "text_sha256": "7ecd5f2a584d416d866d133252abcaae9cd63d0fa49c1aad1d6f732ab3383ac5",
+        "oracle": ["solvform.oracle", "solvform.oracle"],
+        "unknown": "module 'solvform.monodromy' has no attribute 'no_such_name'",
+    }
+
+
+ORACLE_SEED = 23  # random_unimodular_doc of this seed: complex blocks rotating 2 and 1 full turns
+
+
+def test_benchmark_oracle_gate_passes(tmp_path, monkeypatch):
+    # the worker's oracle mode, as Run.check_oracle spawns it, on nil7 and on a
+    # seeded instance of the sweep's generator where the oracle applies
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))
+    bench_run = importlib.import_module("run")
+    seeded = tmp_path / "seeded.json"
+    seeded.write_text(json.dumps(bench_run.random_unimodular_doc(random.Random(ORACLE_SEED))))
+    for path in (ROOT / "bench" / "inputs" / "nil7.json", seeded):
+        assert oracle_applicable(load_spec(path)), path
+        job = {"mode": "oracle", "src": str(ROOT / "src"), "input": str(path), "argv": []}
+        proc = subprocess.run(
+            [sys.executable, str(ROOT / "bench" / "worker.py"), json.dumps(job)],
+            cwd=ROOT,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        result = json.loads(proc.stdout.strip().splitlines()[-1])
+        assert result["exit"] == 0 and result["traceback"] is None, result
+        assert result["oracle_mismatch_degrees"] == [], path
 
 
 BARE_IMPORT = """

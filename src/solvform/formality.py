@@ -32,16 +32,25 @@ from .spectral import AlmostAbelianSpec, _shift_index_map
 
 
 class TwistedModel:
-    __slots__ = ("model", "theta", "ambiguity_degrees")
+    __slots__ = ("model", "theta", "ambiguity_degrees", "_theta_cache")
 
     def __init__(self, model: MinimalModel, theta: dict, ambiguity_degrees: list[int]):
         self.model = model
-        self.theta = theta  # gid -> Poly over earlier generators
+        self.theta = theta  # gid -> Poly over earlier generators; absent ids map to 0
         self.ambiguity_degrees = ambiguity_degrees
+        self._theta_cache: dict = {(): {}}  # monomial -> its twist
 
     def theta_poly(self, p) -> dict:
-        """Derivation extension of the twist to polynomials."""
-        return self.model.derivation_poly(self.theta, p)
+        """The twist of a polynomial, from the twists of its monomials.
+
+        Those are :meth:`MinimalModel.mono_image` of ``theta`` in degree 0,
+        memoized here, so ``theta`` must not change on an id once a monomial
+        holding it was twisted.  The build keeps that: it twists only
+        differentials, which use earlier generators, whose twist is fixed.
+        """
+        model, value_of = self.model, lambda g: self.theta.get(g, {})
+        images = {mono: model.mono_image(mono, 0, value_of, self._theta_cache) for mono in p}
+        return matrix_mul([p], images)[0]
 
 
 def build_twisted_model(spec: AlmostAbelianSpec, model: MinimalModel) -> TwistedModel:

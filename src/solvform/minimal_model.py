@@ -15,12 +15,21 @@ That map is also the sparse row :mod:`.linalg` eliminates, with the
 monomials as columns: :meth:`MinimalModel.monomials` keeps one list per
 degree, over all generators in sorted tuple order, which is the column
 order, so no position map is needed; the monomials in the generators
-before ``g`` are those whose last id is below g's.  The differential of
-a monomial ``g*r``, with ``g`` its first factor, is memoized by the
-product rule d(g) * r + (-1)^|g| g * d(r).
-A realization is kept as the terms of its form, a sparse row keyed by
-index tuple, so realizations multiply by merging index tuples and feed
-the elimination directly.  Construction is staged by degree q:
+before ``g`` are those whose last id is below g's.  A missing degree j
+is built from the kept lower ones, bottom-up: each generator ``g``, in id
+order, heads the degree-(j - |g|) monomials whose first id is above g's
+(or equal to it, for even ``g``), which lists degree j sorted.
+
+Every map on polynomials is the sum of its images of monomials, each
+memoized and computed once from a shorter monomial.  The differential d
+and the twist theta of :mod:`.formality` are derivations of degree 1 and
+0: the image of ``g*r``, with ``g`` its first factor, is
+D(g) * r + (-1)^(|D| |g|) g * D(r) (:meth:`MinimalModel.mono_image`).
+The realization is an algebra map: the image of ``r*g``, with ``g`` its
+last factor, is rho(r) ^ rho(g).  A realization is kept as the terms of
+its form, a sparse row keyed by index tuple, so realizations multiply by
+merging index tuples and feed the elimination directly.  Construction is
+staged by degree q:
 
   (b) new closed degree-q generators realize a complement of the image
       of the existing classes inside the degree-q slice of the target;
@@ -38,6 +47,9 @@ the elimination directly.  Construction is staged by degree q:
 Generator differentials only involve earlier generators and have no
 linear term, and the realization induces an isomorphism onto the target
 in every degree up to the bound (checked by :func:`verify_quasi_iso`).
+The build stops after the first stage q >= n at which every generator is
+odd and their degrees sum to at most q: no monomial lies above degree q
+and the target is empty above degree n, so no later stage adds one.
 Before each class computation the build counts the monomials one degree
 up from the generator degrees, and refuses past
 :data:`MAX_MODEL_MONOMIALS` with an :class:`.InputError`.
@@ -67,7 +79,7 @@ classes and cocycles without eliminating again.
 
 from __future__ import annotations
 
-from itertools import combinations, combinations_with_replacement
+from bisect import bisect_left
 
 from .errors import InputError, InternalInvariantViolation
 from .exterior import Multivector, coordinate_vector, merge_indices, primitive_part
@@ -124,7 +136,7 @@ class MinimalModel:
         self.spec = spec
         self.degree_bound = degree_bound
         self.gens: list[Generator] = []
-        self._mono_cache: dict = {}  # degree -> sorted monomials
+        self._mono_cache: dict = {0: [()]}  # degree -> sorted monomials
         self._parity: list[int] = []  # gid -> degree mod 2
         self._d_cache: dict = {(): {}}  # monomial -> its differential
         self._rho_cache: dict = {(): {(): 1}}  # monomial -> its realization row
@@ -176,35 +188,20 @@ class MinimalModel:
     # ----- monomials -------------------------------------------------------------
 
     def monomials(self, k: int) -> list:
-        """Sorted degree-k monomials over all generators, kept per degree."""
-        cached = self._mono_cache.get(k)
-        if cached is not None:
-            return cached
-        by_degree: dict[int, list[int]] = {}
-        for gen in self.gens:
-            by_degree.setdefault(gen.degree, []).append(gen.gid)
-        groups = sorted(by_degree.items())
-        found = []
-
-        # one level per distinct generator degree, ascending, so the depth
-        # stays at most k however many generators there are
-        def rec(idx: int, remaining: int, acc: tuple):
-            if remaining == 0:
-                found.append(tuple(sorted(acc)))
-                return
-            if idx == len(groups) or groups[idx][0] > remaining:
-                return
-            deg, members = groups[idx]
-            rec(idx + 1, remaining, acc)
-            pick = combinations if deg % 2 else combinations_with_replacement
-            for count in range(1, remaining // deg + 1):
-                for chosen in pick(members, count):
-                    rec(idx + 1, remaining - count * deg, acc + chosen)
-
-        rec(0, k, ())
-        found.sort()
-        self._mono_cache[k] = found
-        return found
+        """Sorted degree-k monomials over all generators, kept per degree; the
+        missing degrees are built bottom-up, as the module docstring says."""
+        kept = self._mono_cache  # degrees 0..len(kept) - 1
+        for j in range(len(kept), k + 1):
+            found = kept[j] = []
+            for gen in self.gens:
+                rest = j - gen.degree
+                if rest == 0:
+                    found.append((gen.gid,))
+                elif rest > 0:
+                    tails, head = kept[rest], (gen.gid,)
+                    first = bisect_left(tails, (gen.gid + gen.degree % 2,))
+                    found += [head + t for t in tails[first:]]
+        return kept.get(k, [])
 
     def mono_mul(self, u, v):
         """Merge two sorted monomials; (sign, monomial) or None when an odd id repeats."""
@@ -238,56 +235,27 @@ class MinimalModel:
         return _multiply_into({}, p, q, self.mono_mul)
 
     def d_mono(self, mono):
-        """Differential of one monomial, memoized, by the product rule
-        d(g * r) = d(g) * r + (-1)^|g| g * d(r) on its first factor ``g``.
-
-        Generator differentials are fixed when a generator is created, so
-        an entry never goes stale.  Callers must not mutate the result.
-        """
-        out = self._d_cache.get(mono)
-        if out is None:
-            g, rest = mono[0], mono[1:]
-            out = _multiply_into({}, self.gens[g].differential, {rest: 1}, self.mono_mul)
-            head = {(g,): -1 if self._parity[g] else 1}
-            self._d_cache[mono] = _multiply_into(out, head, self.d_mono(rest), self.mono_mul)
-        return out
+        """Differential of one monomial: :meth:`mono_image` of the generator
+        differentials.  They are fixed when a generator is created, so an entry
+        never goes stale.  Callers must not mutate the result."""
+        return self.mono_image(mono, 1, lambda g: self.gens[g].differential, self._d_cache)
 
     def d_poly(self, p):
-        """Differential: :meth:`_leibniz` of the generator differentials, with Koszul signs."""
-        return self._leibniz(p, lambda gid: self.gens[gid].differential, graded=True)
+        """Differential of a polynomial, from the memoized monomial differentials."""
+        return matrix_mul([p], {mono: self.d_mono(mono) for mono in p})[0]
 
-    def derivation_poly(self, values: dict, p):
-        """Degree-0 derivation: :meth:`_leibniz` of ``values`` (absent gids map to 0), no signs."""
-        return self._leibniz(p, values.get, graded=False)
-
-    def _leibniz(self, p, value_of, graded: bool):
-        """Sum over each factor of each monomial of prefix * value_of(gid) * suffix.
-
-        With ``graded`` a term takes the Koszul sign of its prefix degree.
-        """
-        out: dict = {}
-        for mono, coeff in p.items():
-            prefix_degree = 0
-            for pos, gid in enumerate(mono):
-                val = value_of(gid)
-                if val:
-                    prefix, suffix = mono[:pos], mono[pos + 1 :]
-                    scale = -coeff if graded and prefix_degree % 2 else coeff
-                    for vm, vc in val.items():
-                        left = self.mono_mul(prefix, vm)
-                        if left is None:
-                            continue
-                        right = self.mono_mul(left[1], suffix)
-                        if right is None:
-                            continue
-                        m = right[1]
-                        total = out.get(m, 0) + left[0] * right[0] * scale * vc
-                        if total:
-                            out[m] = total
-                        else:
-                            # test-built polynomials may carry zero coefficients
-                            out.pop(m, None)
-                prefix_degree += self.gens[gid].degree
+    def mono_image(self, mono, degree: int, value_of, cache: dict):
+        """Image of one monomial under the degree-``degree`` derivation sending
+        each generator g to ``value_of(g)``, memoized in ``cache`` (which maps ()
+        to {}) by the product rule D(g * r) = D(g) * r + (-1)^(|D| |g|) g * D(r)
+        on the first factor ``g``."""
+        out = cache.get(mono)
+        if out is None:
+            g, rest = mono[0], mono[1:]
+            out = _multiply_into({}, value_of(g), {rest: 1}, self.mono_mul)
+            head = {(g,): -1 if degree % 2 and self._parity[g] else 1}
+            rest_image = self.mono_image(rest, degree, value_of, cache)
+            cache[mono] = _multiply_into(out, head, rest_image, self.mono_mul)
         return out
 
     def rho_poly(self, p) -> dict:
@@ -456,6 +424,10 @@ def build_minimal_model(spec: AlmostAbelianSpec, d_max: int) -> MinimalModel:
             raise InternalInvariantViolation(
                 f"class killing did not stabilize at degree {q}"
             )
+        # past degree n the target is empty, and with odd generators only no
+        # monomial lies above the sum of their degrees: no later stage adds one
+        if q >= spec.n and all(model._parity) and sum(g.degree for g in model.gens) <= q:
+            break
     return model
 
 

@@ -64,13 +64,14 @@ resonant when every entry but the last is 0 and the last is an integer.
 
 Both bases are memoized in-process, keyed by (spec, degree), so the
 unipotent, cohomology, model, formality and symplectic stages share one
-computation per degree; the resonant count vectors, the slot table (the
-slot weights indexed by slot) and the certified kernel sizes are memoized
-per spec here, and the shift's index map in :mod:`.spectral`.  A lookup
-hashes the spec without hashing a ``Fraction``: ``ScalarLC`` keeps the
-hash taken at construction and a parsed integral ``im_resonant`` is an
-``int``.  The memos are bounded and hold immutable tuples; every call
-returns fresh lists.
+computation per degree; a degree outside 0..n is empty and never enters
+those memos, so a large ``--max-degree`` evicts no real slice.  The
+resonant count vectors, the slot table (the slot weights indexed by slot)
+and the certified kernel sizes are memoized per spec here, and the
+shift's index map in :mod:`.spectral`.  A lookup hashes the spec without
+hashing a ``Fraction``: ``ScalarLC`` keeps the hash taken at construction
+and a parsed integral ``im_resonant`` is an ``int``.  The memos are
+bounded and hold immutable tuples; every call returns fresh lists.
 """
 
 from __future__ import annotations
@@ -252,13 +253,13 @@ def nilpotent_submodule(spec: AlmostAbelianSpec, k: int) -> list[Multivector]:
     monomial order, so it is canonical and independent of how the parts
     are scaled.
     """
+    if not 0 <= k <= spec.n:
+        return []  # empty slice; kept out of the memo
     return list(_nilpotent_submodule(spec, k))
 
 
 @lru_cache(maxsize=SLICE_CACHE_SIZE)
 def _nilpotent_submodule(spec: AlmostAbelianSpec, k: int) -> tuple[Multivector, ...]:
-    if not 0 <= k <= spec.n:
-        return ()
     kept = resonant_monomials(spec, k)
     slots = _slot_table(spec)
     kept_set = set(kept)

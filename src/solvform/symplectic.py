@@ -42,7 +42,7 @@ from math import factorial, prod
 from .cohomology import CEElement, ce_differential
 from .errors import InputError, InternalInvariantViolation
 from .exterior import Multivector, merge_indices, top_coefficient, wedge_power
-from .linalg import _multiply_into
+from .linalg import _multiply_into, matrix_mul
 from .monodromy import nilpotent_submodule, shift_slice
 from .spectral import AlmostAbelianSpec, require_modification_hypothesis
 
@@ -119,15 +119,10 @@ def find_symplectic(spec: AlmostAbelianSpec):
             )
         point.append(value)
         poly = rest
-    two_form = Multivector.zero(spec.n, 2)
-    for c, u in zip(point, f_basis):
-        if c:
-            two_form = two_form + u.scaled(c)
-    one_form = Multivector.zero(spec.n, 1)
-    for c, u in zip(point[len(f_basis) :], e_basis):
-        if c:
-            one_form = one_form + u.scaled(c)
-    pair = CoSymplecticPair(two_form, one_form)
+    k = len(f_basis)
+    (f_row,) = matrix_mul([dict(enumerate(point[:k]))], [u.terms for u in f_basis])
+    (e_row,) = matrix_mul([dict(enumerate(point[k:]))], [e.terms for e in e_basis])
+    pair = CoSymplecticPair(Multivector._from_row(spec.n, 2, f_row), Multivector._from_row(spec.n, 1, e_row))
     pairing = poly[()]
     return SymplecticWitness(pair, assemble_omega(spec, pair), pairing, half * pairing)
 

@@ -248,6 +248,25 @@ def reference_class_reps(model, k: int, gids=None) -> list[ClassRep]:
     return [ClassRep(poly, model.rho_poly(poly)) for poly in classes.rows]
 
 
+def leibniz(model, value_of, p, degree: int) -> dict:
+    """The degree-``degree`` derivation of the model sending generator g to
+    ``value_of(g)`` (a falsy value is 0), applied to ``p`` factor by factor:
+    the sum of prefix * value * suffix over every factor of every monomial,
+    with the sign of the prefix degree when ``degree`` is odd."""
+    out: dict = {}
+    for mono, coeff in p.items():
+        prefix_degree = 0
+        for pos, gid in enumerate(mono):
+            scale = -coeff if degree % 2 and prefix_degree % 2 else coeff
+            for vm, vc in (value_of(gid) or {}).items():
+                left = model.mono_mul(mono[:pos], vm)
+                right = left and model.mono_mul(left[1], mono[pos + 1 :])
+                if right:
+                    out[right[1]] = out.get(right[1], 0) + left[0] * right[0] * scale * vc
+            prefix_degree += model.gens[gid].degree
+    return {m: _canonical(c) for m, c in out.items() if c}
+
+
 @pytest.fixture
 def rng():
     return random.Random(20260808)

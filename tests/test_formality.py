@@ -10,6 +10,7 @@ import pytest
 
 from conftest import (
     k_formality,
+    leibniz,
     monomials_over,
     random_resonant_spec,
     random_unimodular_spec,
@@ -406,6 +407,28 @@ def test_theta_nonclosed_solves_a_nonzero_rhs(s6, case):
     expected = ({tuple(gid[n] for n in m): Fraction(c) for m, c in poly.items()}, chose)
     assert reference == expected
     assert _theta_nonclosed(model, tm, gen) == expected
+
+
+def test_twist_memo_matches_the_leibniz_expansion(s6, s8):
+    # theta of a monomial is memoized by the product rule on its first factor;
+    # it must equal the per-factor expansion with no signs, on built twists and
+    # on the hand-built ones, whose theta leaves most ids out (those map to 0)
+    rng = random.Random(75)
+    specs = [(s8, 3), (s8, 5)] + [(random_unimodular_spec(rng, n_max=6), 3) for _ in range(6)]
+    twists = [build_twisted_model(spec, build_minimal_model(spec, bound)) for spec, bound in specs]
+    twists += [_twist_case(s6, layout)[1] for layout, _ in _TWIST_CASES.values()]
+    checked = 0
+    for tm in twists:
+        model = tm.model
+        for k in range(1, model.degree_bound + 2):
+            monos = model.monomials(k)
+            for mono in monos:
+                assert tm.theta_poly({mono: 1}) == leibniz(model, tm.theta.get, {mono: 1}, 0)
+                checked += 1
+            if monos:
+                poly = {m: rng.randint(-3, 3) for m in rng.sample(monos, min(5, len(monos)))}
+                assert tm.theta_poly(poly) == leibniz(model, tm.theta.get, poly, 0)
+    assert checked > 900
 
 
 def test_model_polynomials_store_no_zero(s6, s8, heisenberg3):

@@ -128,6 +128,23 @@ def test_inline_spec_report_bytes_unchanged(name, max_degree):
     assert hashlib.sha256(text.encode()).hexdigest() == SPEC_GOLDEN[name, max_degree]
 
 
+# reports far past the degrees where the model stops growing, recorded before the
+# build learned to stop there; nil7 is NIL7 below
+HIGH_DEGREE_GOLDEN = {
+    "heisenberg3": "5897d0eef1582252cdb0201c8a06f7747bb75131412d95b688d259083a433a50",
+    "nil7": "2a24eb31cb209ff887c4828e86ea264ebde77dcd9eab07b0a83bbc4b3a467a80",
+    "s6": "a96210e1b588ff69f0b190e02ff24d42eb5883a7bde178da545d0e7d19f0ffdf",
+    "torus3": "682709d9ed06ee516337164b1c758c5b1b821545c19696442ad00a9b8b99023c",
+}
+
+
+@pytest.mark.parametrize("name", sorted(HIGH_DEGREE_GOLDEN))
+def test_high_degree_report_bytes_unchanged(name):
+    spec = parse_spec(json.dumps(NIL7)) if name == "nil7" else load_spec(fixture_path(name))
+    text = dumps_canonical(build_report(spec, 200))
+    assert hashlib.sha256(text.encode()).hexdigest() == HIGH_DEGREE_GOLDEN[name]
+
+
 def test_large_fiber_unipotent_bytes_unchanged():
     # the 8,192-monomial fiber of nil13 through the unipotent stage only
     # (``unipotent --format json``), a size the other pins never reach

@@ -83,6 +83,21 @@ def test_cached_results_are_not_aliased(s6):
     assert _resonant_counts.cache_info().hits > 0
 
 
+def test_degrees_past_the_fiber_stay_out_of_the_memo(torus3):
+    # the model, formality and quasi-iso stages ask for every degree up to K;
+    # those above n are empty and must not evict the real slices, so a large K
+    # misses and keeps exactly the degrees 0..n, as a small one does
+    for max_degree in (3, 300):
+        _clear()
+        report = build_report(torus3, max_degree)
+        assert verify_report(report, torus3)[0]
+        info = _nilpotent_submodule.cache_info()
+        assert (info.misses, info.currsize) == (torus3.n + 1, torus3.n + 1), max_degree
+        assert info.hits > info.misses
+    assert nilpotent_submodule(torus3, torus3.n + 1) == nilpotent_submodule(torus3, -1) == []
+    assert _nilpotent_submodule.cache_info().currsize == torus3.n + 1
+
+
 def test_resonant_counts_are_computed_once_per_spec(s6, s8):
     _resonant_counts.cache_clear()
     for spec in (s6, s8):

@@ -7,6 +7,7 @@ from itertools import combinations, combinations_with_replacement
 import pytest
 
 from conftest import (
+    leibniz,
     model_cohomology,
     monomials_over,
     random_resonant_spec,
@@ -190,7 +191,8 @@ def _pairs(reps):
 
 def test_kept_cohomology_equals_elimination_from_scratch(s6, s8, torus3, torus4, heisenberg3, s10, nil322):
     # the build keeps each degree's cocycles and classes, extending them by
-    # the append rules; on the finished model they must be the from-scratch
+    # the append rules, up to the stage where it stops (past it no degree has a
+    # monomial); on the finished model they must be the from-scratch
     # bases, rows and order both, and the classes leading before the unit of
     # a closed generator must be the classes of the generators created before it
     rng = random.Random(67)
@@ -202,7 +204,8 @@ def test_kept_cohomology_equals_elimination_from_scratch(s6, s8, torus3, torus4,
     for spec, bound in cases:
         model = build_minimal_model(spec, bound)
         for k in range(1, bound + 1):
-            assert k in model._cocycles and k in model._classes, (spec, k)
+            built = k in model._cocycles and k in model._classes
+            assert built or not model.monomials(k), (spec, k)
             assert model.cocycles(k) == reference_cocycles(model, k)
             assert _pairs(model.class_reps(k)) == _pairs(reference_class_reps(model, k))
         for gen in model.gens:
@@ -343,24 +346,62 @@ def test_generator_counts_reported(s8):
 
 def test_monomial_memos_match_direct_computation(s8):
     # d of a monomial is memoized by the product rule on its first factor, rho
-    # by wedging on its last; both must equal the per-factor Leibniz expansion,
-    # which d_poly keeps, and the wedge of the generator realizations
+    # by wedging on its last; both must equal the per-factor Leibniz expansion
+    # and the wedge of the generator realizations, and d_poly, the sum of the
+    # memoized images, must equal the expansion of a whole polynomial
     rng = random.Random(65)
     cases = [(s8, 3), (s8, 5)] + [(random_unimodular_spec(rng, n_max=6), 3) for _ in range(6)]
     checked = 0
     for spec, bound in cases:
         model = build_minimal_model(spec, bound)
+        differential = [g.differential for g in model.gens].__getitem__
         for k in range(1, bound + 2):
-            for mono in model.monomials(k):
+            monos = model.monomials(k)
+            for mono in monos:
                 d = model.d_mono(mono)
-                assert d == model.d_poly({mono: 1})
+                assert d == leibniz(model, differential, {mono: 1}, 1)
                 assert not model.d_poly(d)
                 direct = Multivector.unit(spec.n)
                 for gid in mono:
                     direct = wedge(direct, model.gens[gid].rho)
                 assert model.rho_poly({mono: Fraction(1)}) == coordinate_vector(direct)
                 checked += 1
+            if monos:
+                poly = {m: rng.randint(-3, 3) for m in rng.sample(monos, min(5, len(monos)))}
+                assert model.d_poly(poly) == leibniz(model, differential, poly, 1)
     assert checked > 900
+
+
+def test_monomials_of_a_high_degree_take_no_recursion(s6):
+    # missing degrees are filled in a loop from the lower ones, so a degree far
+    # above the recursion limit costs no stack, and is empty past the odd sum
+    model = MinimalModel(s6, 1)
+    for _ in range(5):
+        model.add_generator(1)
+    assert model.monomials(5000) == []
+    assert model.monomials(5) == [(0, 1, 2, 3, 4)]
+    assert [len(model.monomials(k)) for k in range(7)] == [1, 5, 10, 10, 5, 1, 0]
+
+
+def test_build_stops_once_no_stage_can_add_a_generator(monkeypatch, torus3, torus4, s6, heisenberg3):
+    # with odd generators only no monomial lies above the sum of their degrees,
+    # and the target is empty above degree n: the build stops at the larger one
+    stages = []
+    complement = minimal_model._flag_ordered_complement
+    monkeypatch.setattr(
+        minimal_model, "_flag_ordered_complement", lambda *args: stages.append(args[1]) or complement(*args)
+    )
+    for spec in (torus3, torus4, s6, heisenberg3):
+        stages.clear()
+        model = build_minimal_model(spec, 200)
+        assert all(g.degree % 2 for g in model.gens)
+        assert stages == list(range(1, max(spec.n, sum(g.degree for g in model.gens)) + 1))
+        assert all(status["ok"] for status in verify_quasi_iso(model).values())
+    # an even generator keeps every stage (b2b2 has four of degree 2)
+    stages.clear()
+    model = build_minimal_model(parse_spec(_HAND_SPECS[0]), 6)
+    assert not all(g.degree % 2 for g in model.gens)
+    assert stages == list(range(1, 7))
 
 
 def _int_when_integral(coefficients) -> set:

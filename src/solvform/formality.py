@@ -14,6 +14,17 @@ zero, which keeps D*D = 0.  Degrees where that solution involved a
 choice are flagged, since different choices give isomorphic but not
 identical models.
 
+Each degree's two row lists, the realizations of the closed classes and
+d of the monomials, are eliminated once per build, on first need.  Row j
+carries a provenance column ``(inf, j)``, sorting after every monomial,
+and is kept only when independent of the rows before it.  A target lies
+in the span exactly when its residue holds provenance columns only; they
+hold minus its least solution, the one on that greedy basis, whose part
+in a prefix is the prefix's greedy basis.  In a built model the monomials
+in generators before z sort before ``(z,)`` and the classes leading
+before ``(g,)`` head the class list, so a test on the solution's support
+replaces a solve restricted to earlier generators.
+
 The total space is formal through degree k exactly when ``theta``
 vanishes on every closed element of the base model in degrees <= k;
 a violating element is reported as a witness.  Verdicts are always
@@ -23,12 +34,16 @@ beyond finitely many degrees.
 
 from __future__ import annotations
 
+from bisect import bisect_left
+
 from .errors import InputError, InternalInvariantViolation
 from .exterior import coordinate_vector
-from .linalg import matrix_mul, solve_combination
+from .linalg import EchelonAccumulator, matrix_mul
 from .minimal_model import MinimalModel
 from .monodromy import _shift_row
 from .spectral import AlmostAbelianSpec, _shift_index_map
+
+_INF = float("inf")  # (inf, j) sorts after every monomial and index tuple
 
 
 class TwistedModel:
@@ -59,11 +74,12 @@ def build_twisted_model(spec: AlmostAbelianSpec, model: MinimalModel) -> Twisted
     theta: dict = {}
     ambiguity: set[int] = set()
     tm = TwistedModel(model, theta, [])
+    solvers: dict = {}  # (closed, degree) -> (accumulator, dependent rows)
     for gen in model.gens:
         if gen.closed:
-            theta[gen.gid] = _theta_closed(model, index_map, gen)
+            theta[gen.gid] = _theta_closed(model, index_map, gen, solvers)
         else:
-            value, chose = _theta_nonclosed(model, tm, gen)
+            value, chose = _theta_nonclosed(model, tm, gen, solvers)
             theta[gen.gid] = value
             if chose:
                 ambiguity.add(gen.degree)
@@ -72,7 +88,25 @@ def build_twisted_model(spec: AlmostAbelianSpec, model: MinimalModel) -> Twisted
     return tm
 
 
-def _theta_closed(model: MinimalModel, index_map: tuple, gen):
+def _solve(solvers: dict, key, rows, target):
+    """(least solution by row number, None outside the span; dependent rows) of
+    ``target`` on the iterable ``rows``, eliminated once per ``key``."""
+    if key not in solvers:
+        acc, dependent = solvers[key] = EchelonAccumulator(), []
+        for j, row in enumerate(rows):
+            res = acc.residue({**row, (_INF, j): 1})
+            if min(res) < (_INF,):
+                acc.add(res)
+            else:
+                dependent.append(j)
+    acc, dependent = solvers[key]
+    res = acc.residue(target)  # nonzero, as the target is
+    if min(res) < (_INF,):
+        return None, dependent
+    return {j: -x for (_, j), x in sorted(res.items())}, dependent
+
+
+def _theta_closed(model: MinimalModel, index_map: tuple, gen, solvers: dict):
     """Realize the shift image of a closed generator by earlier classes.
 
     Solved against the classes of the generators created before it: the
@@ -86,16 +120,16 @@ def _theta_closed(model: MinimalModel, index_map: tuple, gen):
     target = _shift_row(coordinate_vector(gen.rho), index_map)
     if not target:
         return {}
-    reps = [rep for rep in model.class_reps(gen.degree) if min(rep.poly) < (gen.gid,)]
-    coeffs, _ = solve_combination([rep.rho for rep in reps], target)
-    if coeffs is None:
+    reps = model.class_reps(gen.degree)
+    coeffs, _ = _solve(solvers, (True, gen.degree), (rep.rho for rep in reps), target)
+    if coeffs is None or min(reps[max(coeffs)].poly) >= (gen.gid,):  # sorted by lead
         raise InternalInvariantViolation(
             f"shift image of {gen.name} is not realized by earlier classes"
         )
     return matrix_mul([coeffs], [rep.poly for rep in reps])[0]
 
 
-def _theta_nonclosed(model: MinimalModel, tm: TwistedModel, gen):
+def _theta_nonclosed(model: MinimalModel, tm: TwistedModel, gen, solvers: dict):
     """Solve d(theta z) = theta(dz) with free coefficients zero.
 
     Returns (polynomial, whether the solution involved a choice).
@@ -105,24 +139,18 @@ def _theta_nonclosed(model: MinimalModel, tm: TwistedModel, gen):
     rhs = tm.theta_poly(gen.differential)
     if not rhs:
         return {}, False
-    everything = model.monomials(gen.degree)
-    # a sorted monomial uses only generators before z exactly when its last id
-    # does; an rhs that mentions z or a later generator leaves that space out
-    earlier = [m for m in everything if m[-1] < gen.gid] if max(m[-1] for m in rhs) < gen.gid else []
-    for restricted, domain in ((True, earlier), (False, everything)):
-        if not domain:
-            continue
-        coeffs, free = solve_combination([model.d_mono(m) for m in domain], rhs)
-        if coeffs is None:
-            continue
-        # a choice was involved when the preimage is not unique, or when
-        # only the unrestricted space (same-stage generators) solved it
-        chose = (not restricted) or free > 0
-        return {domain[j]: c for j, c in coeffs.items()}, chose
-    raise InternalInvariantViolation(
-        f"twist of non-closed generator {gen.name} has no solution: "
-        "the twisted differential would not square to zero"
-    )
+    domain = model.monomials(gen.degree)
+    coeffs, dependent = _solve(solvers, (False, gen.degree), map(model.d_mono, domain), rhs)
+    if coeffs is None:
+        raise InternalInvariantViolation(
+            f"twist of non-closed generator {gen.name} has no solution: "
+            "the twisted differential would not square to zero"
+        )
+    earlier = bisect_left(domain, (gen.gid,))
+    # a choice was involved when a row before z depends on earlier ones, or
+    # when only the unrestricted space (same-stage generators) solved it
+    chose = max(coeffs) >= earlier or bisect_left(dependent, earlier) > 0
+    return {domain[j]: c for j, c in coeffs.items()}, chose
 
 
 def _check_square_zero(tm: TwistedModel):

@@ -96,24 +96,6 @@ def map_kernel(rows: list[Row]) -> list[Row]:
     return kernel_and_pivots(rows)[0]
 
 
-def solve_combination(rows: list[Row], target: Row) -> tuple[Row | None, int]:
-    """``(c, free)``: ``sum(c_i * rows[i]) == target`` (``c`` None if unsolvable).
-
-    ``free`` is the dimension of ``map_kernel(rows)``.  Free coefficients
-    are set to zero, which makes ``c`` the deterministic representative
-    used throughout for "least" choices.  One elimination gives both: the
-    target is a combination exactly when its index is a free column of
-    ``rows + [target]``; the kernel vector of that column, the last one, is
-    minus the least solution, and every other kernel vector is one of ``rows``.
-    """
-    last = len(rows)
-    kernel = map_kernel(list(rows) + [target])
-    if kernel and last in kernel[-1]:
-        top = kernel.pop()
-        return {i: -x for i, x in top.items() if i != last}, len(kernel)
-    return None, len(kernel)
-
-
 def matrix_mul(a: list[Row], b) -> list[Row]:
     """Row-convention composition: (x . a) . b has matrix a . b.
 

@@ -94,10 +94,10 @@ from .monodromy import _shift_row, nilpotent_submodule
 from .scalars import _canonical, _join_terms
 from .spectral import AlmostAbelianSpec, _shift_index_map
 
-# Degree-(q+1) monomials taken on by the class computation of stage q, counted
-# from the generator degrees before any is listed.  In-process builds on a 2-vCPU
-# x86 VM: s8 to K=8 needs 16,692 degree-9 monomials and takes 1.5 s, to K=9 57,062
-# (refused here) and 14 s; s10 to K=7 needs 9,395 (0.75 s), s12 to K=7 18,411 (1.2 s).
+# Degree-(q+1) monomials taken on by the class computation of stage q, counted from the
+# generator degrees before any is listed.  In-process builds on a 2-vCPU x86 VM: s8 to K=8
+# needs 16,692 degree-9 monomials (1.5 s), to K=9 57,062 (refused here, 14 s); s10 to K=7
+# 9,395 (0.75 s), s12 to K=7 18,411 (1.2 s), b2b2 to K=9 18,074 (admitted here, 63-81 s).
 MAX_MODEL_MONOMIALS = 20000
 
 Mono = "tuple[int, ...]"

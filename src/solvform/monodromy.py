@@ -95,9 +95,9 @@ from .spectral import (
 from .scalars import _canonical
 
 # Resonant monomials in the largest slice taken on.  `analyze` at K=3 on a 2-vCPU
-# x86 VM: a nilpotent Jordan block of size 14 (3,432) takes 12 s, of size 15
-# (6,435) 71 s, of size 16 (12,870, refused here) 624 s; complex pairs shorten the
-# chains, so a 17-dimensional fiber with two of them (8,866) takes 16 s.
+# x86 VM: a nilpotent Jordan block of size 14 (3,432) takes 2.8 s, of size 15 (6,435)
+# 7.1-7.7 s, of size 16 (12,870, refused here) 26 s with the limit lifted; complex pairs
+# shorten the chains, so a 17-dimensional fiber with two of them (8,866) takes 4.1 s.
 MAX_SLICE_MONOMIALS = 10000
 # Weight-count vectors enumerated per spec.  Same VM, n size-1 real blocks of distinct
 # real parts (2**n vectors, every slice above degree 0 empty): n = 14 takes 0.32 s,

@@ -213,6 +213,25 @@ def rank(rows) -> int:
     return len(rref(rows)[0])
 
 
+def solve_combination(rows: list, target: dict) -> tuple:
+    """``(c, free)``: ``sum(c_i * rows[i]) == target`` (``c`` None if unsolvable).
+
+    ``free`` is the dimension of ``map_kernel(rows)``.  Free coefficients
+    are set to zero, which makes ``c`` the deterministic representative
+    used throughout for "least" choices.  One elimination gives both: the
+    target is a combination exactly when its index is a free column of
+    ``rows + [target]``; the kernel vector of that column, the last one, is
+    minus the least solution, and every other kernel vector is one of ``rows``.
+    This is the reference the twist's one elimination per degree is checked on.
+    """
+    last = len(rows)
+    kernel = map_kernel(list(rows) + [target])
+    if kernel and last in kernel[-1]:
+        top = kernel.pop()
+        return {i: -x for i, x in top.items() if i != last}, len(kernel)
+    return None, len(kernel)
+
+
 def k_formality(spec, k: int, d_max=None):
     """Build the model and twist up to ``max(k, d_max)`` and run the criterion."""
     bound = max(k, d_max or k)

@@ -1,8 +1,10 @@
 """Twist derivation, twisted total model, and the formality criterion."""
 
+import hashlib
 import json
 import random
 import re
+from bisect import bisect_left
 from collections import Counter
 from fractions import Fraction
 
@@ -15,6 +17,7 @@ from conftest import (
     random_resonant_spec,
     random_unimodular_spec,
     reference_class_reps,
+    solve_combination,
 )
 from solvform import (
     InputError,
@@ -28,7 +31,7 @@ from solvform import (
 from solvform.errors import InternalInvariantViolation
 from solvform.exterior import Multivector, coordinate_vector, derivation_apply
 from solvform.formality import DegreeStatus, FormalityVerdict, TwistedModel, _theta_nonclosed
-from solvform.linalg import map_kernel, matrix_mul, rref, solve_combination
+from solvform.linalg import EchelonAccumulator, map_kernel, matrix_mul, rref
 from solvform.minimal_model import MinimalModel
 from solvform.monodromy import nilpotent_submodule, shift_slice
 from test_golden_reports import NIL322, SPECS
@@ -308,7 +311,10 @@ def _reference_theta_closed(model, ntl, gen):
     return matrix_mul([coeffs], columns)[0]
 
 
-def test_theta_closed_matches_the_two_column_reference(s6, s8, nil322, heisenberg3, torus4):
+def test_theta_closed_matches_the_two_column_reference(s6, s8, nil322, heisenberg3, torus3, torus4):
+    # the closed twists against the two-column reference, the non-closed ones and
+    # the ambiguity degrees against the per-generator eliminations, so the one
+    # elimination per degree of the build is checked on every generator
     rng = random.Random(75)
     # two opposite symbolic Jordan blocks next to a nilpotent one, so that
     # degree-2 closed generators carry a twist while degree-1 classes exist
@@ -318,20 +324,81 @@ def test_theta_closed_matches_the_two_column_reference(s6, s8, nil322, heisenber
     )
     cases = [(s6, 4), (s8, 4), (nil322, 4), (heisenberg3, 4), (torus4, 4), (jordan, 3)]
     cases += [(random_unimodular_spec(rng, n_max=6), rng.randint(1, 4)) for _ in range(20)]
-    twisted_degrees = []
+    cases += [(torus3, 4)] + [(parse_spec(text), 6) for text in _CROSS_CHECK_HAND_SPECS[:3]]
+    twisted_degrees, ambiguous = [], []
     for spec, bound in cases:
         model = build_minimal_model(spec, bound)
         tm = build_twisted_model(spec, model)
         ntl = nilpotent_log(spec)
-        degrees = set()
+        degrees, chosen = set(), set()
         for gen in model.gens:
             if gen.closed:
                 assert tm.theta[gen.gid] == _reference_theta_closed(model, ntl, gen)
                 if tm.theta[gen.gid]:
                     degrees.add(gen.degree)
+            else:
+                value, chose = _reference_theta_nonclosed(model, tm, gen)
+                assert tm.theta[gen.gid] == value
+                if chose:
+                    chosen.add(gen.degree)
+        assert tm.ambiguity_degrees == sorted(chosen)
         twisted_degrees.append(degrees)
+        ambiguous.append(tm.ambiguity_degrees)
     assert twisted_degrees[1] == {1} and twisted_degrees[2] == {1}  # s8, nil322
     assert twisted_degrees[5] == {1, 2}  # jordan
+    assert ambiguous[-3:] == [[4, 5, 6], [3, 4, 5, 6], []]  # b2b2, b2b2c, cpx2
+    assert any(ambiguous[:-4])  # a choice is met before the hand specs too
+
+
+def test_twist_eliminates_each_row_list_once(monkeypatch):
+    # a count, not a wall clock: one elimination per degree's row list makes 883
+    # residue calls on b2b2 at K=6, one per generator made 88,978
+    spec = parse_spec(_CROSS_CHECK_HAND_SPECS[0])
+    model = build_minimal_model(spec, 6)
+    bound = 3 * sum(len(model.monomials(q)) for q in range(1, 7)) + len(model.gens)
+    assert bound == 1370
+    calls = Counter()
+    init, residue = EchelonAccumulator.__init__, EchelonAccumulator.residue
+
+    def counted_init(self):
+        calls["eliminations"] += 1
+        init(self)
+
+    def counted_residue(self, v):
+        calls["residues"] += 1
+        return residue(self, v)
+
+    monkeypatch.setattr(EchelonAccumulator, "__init__", counted_init)
+    monkeypatch.setattr(EchelonAccumulator, "residue", counted_residue)
+    build_twisted_model(spec, model)
+    assert calls["residues"] <= bound
+    assert calls["eliminations"] <= 2 * 6
+
+
+def test_b2b2_total_model_unchanged():
+    # recorded before the twist solved each degree once, on the per-generator route
+    spec = parse_spec(_CROSS_CHECK_HAND_SPECS[0])
+    tm = build_twisted_model(spec, build_minimal_model(spec, 7))
+    assert tm.ambiguity_degrees == [4, 5, 6, 7]
+    digest = hashlib.sha256(total_model_dump(tm).encode()).hexdigest()
+    assert digest == "7d517eb158e93849453ac016316d75222312f44550fe3693417b089a0ac3e1a4"
+
+
+def test_earlier_generators_span_a_prefix(s6, s8, torus3, torus4, heisenberg3):
+    # the support tests of the twist rest on this: in a built model the
+    # monomials in generators before g are those sorting before (g,), and the
+    # class list is sorted by lead, so the classes leading before (g,) head it
+    cases = [(spec, 4) for spec in (s6, s8, torus3, torus4, heisenberg3)]
+    cases.append((parse_spec(_CROSS_CHECK_HAND_SPECS[0]), 6))
+    for spec, bound in cases:
+        model = build_minimal_model(spec, bound)
+        for gen in model.gens:
+            domain = model.monomials(gen.degree)
+            before = monomials_over(model, gen.degree, range(gen.gid))
+            assert before == domain[: bisect_left(domain, (gen.gid,))]
+        for q in range(1, bound + 1):
+            leads = [min(rep.poly) for rep in model.class_reps(q)]
+            assert leads == sorted(set(leads))
 
 
 def test_closed_twist_solves_against_earlier_classes_only():
@@ -342,6 +409,17 @@ def test_closed_twist_solves_against_earlier_classes_only():
     for i in (1, 2):
         model.add_generator(1, rho=Multivector.basis_one_form(2, i))
     with pytest.raises(InternalInvariantViolation, match="not realized by earlier classes"):
+        build_twisted_model(spec, model)
+    # N: a1 -> a2 -> a3.  The image a2 of g2 is rho(g1) + rho(g3): it lies in the
+    # span of all the classes, but only through g3, which leads after (g2,)
+    spec = parse_spec('{"n": 3, "blocks": [{"kind": "real", "size": 3}]}')
+    model = MinimalModel(spec, 1)
+    a1, a2, a3 = (Multivector.basis_one_form(3, i) for i in (1, 2, 3))
+    for rho in (a3, a1, a2 - a3):
+        model.add_generator(1, rho=rho)
+    rows = [rep.rho for rep in model.class_reps(1)]
+    assert solve_combination(rows, coordinate_vector(a2)) == ({0: 1, 2: 1}, 0)
+    with pytest.raises(InternalInvariantViolation, match="shift image of g2 is not realized"):
         build_twisted_model(spec, model)
 
 
@@ -370,6 +448,11 @@ _TWIST_CASES = {
     "rhs outside the restriction": (
         [("c", 1, None), ("f", 2, None), ("z", 1, _F), ("e", 2, None), ("v", 1, _E)],
         ({("v",): 1}, True),
+    ),
+    # z's own row repeats v's; a dependent row from (z,) on leaves no choice
+    "dependent row from z on": (
+        [("e", 2, None), ("f", 2, None), ("w", 1, _E), ("v", 1, _F), ("z", 1, _F)],
+        ({("w",): 1}, False),
     ),
     # nothing has e as its differential
     "no solution": (
@@ -401,12 +484,12 @@ def test_theta_nonclosed_solves_a_nonzero_rhs(s6, case):
     if expected is None:
         assert reference is None
         with pytest.raises(InternalInvariantViolation):
-            _theta_nonclosed(model, tm, gen)
+            _theta_nonclosed(model, tm, gen, {})
         return
     poly, chose = expected
     expected = ({tuple(gid[n] for n in m): Fraction(c) for m, c in poly.items()}, chose)
     assert reference == expected
-    assert _theta_nonclosed(model, tm, gen) == expected
+    assert _theta_nonclosed(model, tm, gen, {}) == expected
 
 
 def test_twist_memo_matches_the_leibniz_expansion(s6, s8):

@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import rank
+from conftest import rank, solve_combination
 from solvform.linalg import (
     EchelonAccumulator,
     echelon_basis,
@@ -17,7 +17,6 @@ from solvform.linalg import (
     map_kernel,
     matrix_mul,
     rref,
-    solve_combination,
 )
 
 

@@ -15,6 +15,7 @@ from conftest import (
     rank,
     reference_class_reps,
     reference_cocycles,
+    solve_combination,
     wedge,
 )
 from solvform import (
@@ -35,7 +36,6 @@ from solvform.linalg import (
     echelon_basis,
     map_kernel,
     matrix_mul,
-    solve_combination,
 )
 from solvform.minimal_model import ClassRep, MinimalModel
 from solvform.spectral import _shift_index_map, nilpotent_log, parse_spec

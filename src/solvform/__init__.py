@@ -37,15 +37,13 @@ from .minimal_model import (
     serialize_model,
     verify_quasi_iso,
 )
-from .monodromy import nilpotent_submodule, resonance_test
+from .monodromy import nilpotent_submodule
 from .report import Analysis, build_report, dumps_canonical, verify_report
 from .scalars import ScalarLC, parse_scalar
 from .spectral import (
     AlmostAbelianSpec,
     Block,
-    Weight,
     emit_spec,
-    generator_weights,
     load_spec,
     modified_matrix,
     nilpotent_log,

@@ -57,23 +57,6 @@ class CEElement:
     def is_zero(self) -> bool:
         return self.fiber.is_zero() and (self.base is None or self.base.is_zero())
 
-    def __eq__(self, other):
-        if not isinstance(other, CEElement):
-            return NotImplemented
-        if self.fiber != other.fiber:
-            return False
-        a = self.base if self.base is not None else Multivector.zero(self.fiber.n, 0)
-        b = other.base if other.base is not None else Multivector.zero(other.fiber.n, 0)
-        return a.terms == b.terms
-
-    def __str__(self):
-        parts = []
-        if not self.fiber.is_zero():
-            parts.append(str(self.fiber))
-        if self.base is not None and not self.base.is_zero():
-            parts.append(f"({self.base}) ^ a{self.fiber.n + 1}")
-        return " + ".join(parts) if parts else "0"
-
 
 def ce_differential(spec: AlmostAbelianSpec, elt: CEElement) -> CEElement:
     """Differential of the mapping-cone complex; the base part always dies."""

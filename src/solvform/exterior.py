@@ -134,17 +134,11 @@ class Multivector:
         self._check_compatible(other)
         return Multivector(self.n, self.degree, list(self.terms.items()) + list(other.terms.items()))
 
-    def __sub__(self, other: Multivector) -> Multivector:
-        return self + (-other)
-
     def __neg__(self) -> Multivector:
         return self.scaled(-1)
 
     def scaled(self, coeff) -> Multivector:
         return Multivector(self.n, self.degree, [(k, c * coeff) for k, c in self.terms.items()])
-
-    def __rmul__(self, coeff) -> Multivector:
-        return self.scaled(coeff)
 
     def wedge(self, other: Multivector) -> Multivector:
         if other.n != self.n:
@@ -222,11 +216,6 @@ class LinearEndo:
 
     def image_of(self, i: int) -> Multivector:
         return self.images[i - 1]
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, LinearEndo):
-            return NotImplemented
-        return self.n == other.n and self.images == other.images
 
     def __repr__(self):
         parts = ", ".join(f"a{i} -> {img}" for i, img in enumerate(self.images, start=1))

@@ -66,9 +66,9 @@ Both bases are memoized in-process, keyed by (spec, degree), so the
 unipotent, cohomology, model, formality and symplectic stages share one
 computation per degree; a degree outside 0..n is empty and never enters
 those memos, so a large ``--max-degree`` evicts no real slice.  The
-resonant count vectors, the slot table (the slot weights indexed by slot)
-and the certified kernel sizes are memoized per spec here, and the
-shift's index map in :mod:`.spectral`.  A lookup hashes the spec without
+resonant count vectors, the only form of the slot weights, and the
+certified kernel sizes are memoized per spec here, and the slot table and
+the shift's index map in :mod:`.spectral`.  A lookup hashes the spec without
 hashing a ``Fraction``: ``ScalarLC`` keeps the hash taken at construction
 and a parsed integral ``im_resonant`` is an ``int``.  The memos are
 bounded and hold immutable tuples; every call returns fresh lists.
@@ -85,13 +85,7 @@ from operator import add
 from .errors import InputError, InternalInvariantViolation
 from .exterior import Multivector, sort_indices
 from .linalg import echelon_basis, kernel_and_pivots, matrix_mul
-from .spectral import (
-    SLICE_CACHE_SIZE,
-    AlmostAbelianSpec,
-    Weight,
-    _shift_index_map,
-    generator_weights,
-)
+from .spectral import SLICE_CACHE_SIZE, AlmostAbelianSpec, _shift_index_map, _slot_table
 from .scalars import _canonical
 
 # Resonant monomials in the largest slice taken on.  `analyze` at K=3 on a 2-vCPU
@@ -103,11 +97,6 @@ MAX_SLICE_MONOMIALS = 10000
 # real parts (2**n vectors, every slice above degree 0 empty): n = 14 takes 0.32 s,
 # 16 (65,536) 1.2 s, 17 (131,072, refused here) 2.3 s, 18 5.7 s.
 MAX_COUNT_VECTORS = 65536
-
-
-def resonance_test(w: Weight) -> bool:
-    """True when the semisimple monodromy part fixes a weight-w vector."""
-    return w.re.is_zero() and w.im_symbolic.is_zero() and w.im_resonant.denominator == 1
 
 
 def resonant_monomials(spec: AlmostAbelianSpec, k: int) -> list[tuple[int, ...]]:
@@ -170,30 +159,20 @@ def _add_weights(a: tuple, b: tuple) -> tuple:
 
 
 @lru_cache(maxsize=SLICE_CACHE_SIZE)
-def _slot_table(spec: AlmostAbelianSpec) -> tuple:
-    """:func:`generator_weights` indexed by slot (entry 0 unused), read once per spec."""
-    return (None, *generator_weights(spec))
-
-
-@lru_cache(maxsize=SLICE_CACHE_SIZE)
 def _sl2_kernel_sizes(spec: AlmostAbelianSpec) -> tuple[int, ...]:
     """The certified shift-kernel size of each degree 0..n: per weight group,
     ``polys[c]`` maps an sl2 weight to the number of c-slot subsets of that
-    weight sum, and a count vector's monomials are counted by their product."""
-    sl2: dict[int, int] = {}
-    for block, start in zip(spec.blocks, spec.block_starts()):
-        step = 1 if block.kind == "real" else 2  # a complex cell is a z slot and its conjugate
-        for j in range(block.size):
-            for slot in range(start + step * j, start + step * (j + 1)):
-                sl2[slot] = 2 * j - (block.size - 1)
+    weight sum, and a count vector's monomials are counted by their product.
+    The counts come first: their refusal runs before any slot is listed."""
     groups, counts = _resonant_counts(spec)
+    table = _slot_table(spec)
     tables = []
     for group in groups:
         polys = [{0: 1}]
         for slot in group:
             polys.append({})
             for c in range(len(polys) - 1, 0, -1):  # downwards: polys[c - 1] is read unchanged
-                _add_shifted(polys[c], polys[c - 1], sl2[slot], 1)
+                _add_shifted(polys[c], polys[c - 1], table[slot][2], 1)
         tables.append(polys)
     kappa = [0] * (spec.n + 1)
     for count in counts:
@@ -229,10 +208,10 @@ def check_fiber_size(spec: AlmostAbelianSpec) -> None:
         )
 
 
-def _realify(slots, combo) -> tuple[dict, dict]:
+def _realify(table, combo) -> tuple[dict, dict]:
     """Real and imaginary parts of the product of the slot generators, as integer rows."""
     parts: tuple[dict, dict] = ({}, {})
-    for factors in product(*(slots[i].terms for i in combo)):
+    for factors in product(*(table[i][1] for i in combo)):
         sorted_ = sort_indices(index for index, _ in factors)
         if sorted_ is None:
             continue
@@ -261,22 +240,22 @@ def nilpotent_submodule(spec: AlmostAbelianSpec, k: int) -> list[Multivector]:
 @lru_cache(maxsize=SLICE_CACHE_SIZE)
 def _nilpotent_submodule(spec: AlmostAbelianSpec, k: int) -> tuple[Multivector, ...]:
     kept = resonant_monomials(spec, k)
-    slots = _slot_table(spec)
+    table = _slot_table(spec)
     kept_set = set(kept)
-    real = {s.slot for s in slots[1:] if s.conj == s.slot}
+    real = {slot for slot in range(1, spec.n + 1) if table[slot][0] == slot}
     reps: list[dict] = []
     for combo in kept:
         if real.issuperset(combo):
             reps.append({combo: 1})  # a product of real slots is its own real form
             continue
-        conj = tuple(sorted(slots[i].conj for i in combo))
+        conj = tuple(sorted(table[i][0] for i in combo))
         if conj not in kept_set:
             raise InternalInvariantViolation(
                 f"resonant monomial {combo} has non-resonant conjugate {conj}"
             )
         if conj < combo:
             continue  # kept is sorted, so the pair was realified at conj
-        re, im = _realify(slots, combo)
+        re, im = _realify(table, combo)
         if conj == combo:
             # conjugation fixes the monomial up to sign, so exactly one
             # of the two parts can survive
@@ -375,8 +354,9 @@ def _shift_row(row: dict, index_map: tuple[int, ...]) -> dict:
 
 
 def oracle_applicable(spec: AlmostAbelianSpec) -> bool:
-    """True when every slot weight is a resonance, i.e. the semisimple part is trivial."""
-    return all(resonance_test(s.weight) for s in _slot_table(spec)[1:])
+    """True when every slot weight is a resonance, i.e. the semisimple part is
+    trivial: exactly when each of the n slots is a resonant degree-1 monomial."""
+    return len(resonant_monomials(spec, 1)) == spec.n
 
 
 def __getattr__(name: str):

@@ -12,7 +12,7 @@ divided by, and products in which both factors carry symbols are refused
 model).  All algorithms in the package are arranged so that neither
 operation is ever needed: divisions happen only by nonzero rationals,
 and symbolic coefficients only ever meet rational ones.  ``ScalarLC`` is
-the type of the spec data, the weights and the modified action.  Every
+the type of the spec data and the modified action.  Every
 coefficient stored in forms, rows, model polynomials and symplectic values
 follows one rule, :func:`_canonical`: an ``int`` when integral, a
 ``Fraction`` otherwise, a ``ScalarLC`` only while it carries a symbol.
@@ -57,11 +57,6 @@ class ScalarLC:
     def is_zero(self) -> bool:
         return self.const == 0 and not self.terms
 
-    def as_fraction(self) -> Fraction:
-        if self.terms:
-            raise ValueError(f"scalar {self} carries symbols, not a plain rational")
-        return self.const
-
     def __add__(self, other) -> ScalarLC:
         other = _coerce(other)
         return ScalarLC(self.const + other.const, list(self.terms) + list(other.terms))
@@ -70,12 +65,6 @@ class ScalarLC:
 
     def __neg__(self) -> ScalarLC:
         return ScalarLC(-self.const, [(n, -c) for n, c in self.terms])
-
-    def __sub__(self, other) -> ScalarLC:
-        return self + (-_coerce(other))
-
-    def __rsub__(self, other) -> ScalarLC:
-        return _coerce(other) + (-self)
 
     def __mul__(self, other) -> ScalarLC:
         other = _coerce(other)
@@ -89,12 +78,6 @@ class ScalarLC:
         return ScalarLC(self.const * q, [(n, c * q) for n, c in self.terms])
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other) -> ScalarLC:
-        if isinstance(other, ScalarLC):
-            other = other.as_fraction()
-        q = Fraction(other)
-        return ScalarLC(self.const / q, [(n, c / q) for n, c in self.terms])
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):

@@ -19,14 +19,16 @@ and the last dual coordinate of the block to zero.  The index map of
 :func:`_shift_index_map` is the one description of that shift: the shift
 slices, the flag order of the model build and the twist apply it to index
 tuples, and :func:`nilpotent_log`, the shift as a ``LinearEndo`` for the
-oracle and the closedness certificate, is built from it.
+oracle and the closedness certificate, is built from it.  Likewise
+:func:`_slot_table` is the one description of a complexified slot: its
+conjugate, its real-form terms and its sl2 weight; the slot weights live
+only in :mod:`.monodromy`, as integer coordinate tuples.
 """
 
 from __future__ import annotations
 
 import json
 from collections import namedtuple
-from fractions import Fraction
 from functools import lru_cache
 
 from .errors import HypothesisError, SchemaError
@@ -44,24 +46,6 @@ SLICE_CACHE_SIZE = 256
 
 # The instance types are memo and dict keys compared field by field, so each
 # is a ``namedtuple`` subclass: eq and hash over all fields, no assignment.
-
-
-class Weight(namedtuple("Weight", "re im_resonant im_symbolic")):
-    """Eigenvalue datum of a dual generator (or a sum of them): ``re`` and
-    ``im_symbolic`` are ``ScalarLC``, ``im_resonant`` is rational."""
-
-    __slots__ = ()
-
-    # only the tests add weights, but without it ``+`` would concatenate the tuples
-    def __add__(self, other: Weight) -> Weight:
-        return Weight(
-            self.re + other.re,
-            self.im_resonant + other.im_resonant,
-            self.im_symbolic + other.im_symbolic,
-        )
-
-    def conjugate(self) -> Weight:
-        return Weight(self.re, -self.im_resonant, -self.im_symbolic)
 
 
 class Block(
@@ -96,17 +80,11 @@ class AlmostAbelianSpec(
         return starts
 
 
-class SlotWeight(namedtuple("SlotWeight", "slot weight conj terms")):
-    """One complexified dual generator: its weight, its conjugate's slot and
-    ``terms``, which write it as ``sum(i**e * a_index)`` over ``(index, e)``."""
-
-    __slots__ = ()
-
-
 def parse_spec(text: str) -> AlmostAbelianSpec:
-    """Parse and validate a JSON instance document."""
+    """Parse and validate a JSON instance document.  A number with a fraction or
+    an exponent, ``NaN`` or ``Infinity`` would arrive rounded, so it is refused."""
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, parse_float=_refuse_number, parse_constant=_refuse_number)
     except (ValueError, RecursionError) as exc:  # RecursionError: nested too deeply
         raise SchemaError(f"input is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
@@ -174,6 +152,14 @@ def parse_spec(text: str) -> AlmostAbelianSpec:
     return AlmostAbelianSpec(n, tuple(blocks), lattice_label, tuple(symbols))
 
 
+def _refuse_number(literal: str):
+    """``json.loads`` hook for a non-integer number or a constant such as ``NaN``."""
+    raise SchemaError(
+        f"JSON number {literal} is not exact: numbers must be integers, "
+        'and a rational is written as a string, e.g. "1/10"'
+    )
+
+
 def load_spec(path) -> AlmostAbelianSpec:
     with open(path, "r", encoding="utf-8") as handle:
         try:
@@ -202,27 +188,25 @@ def emit_spec(spec: AlmostAbelianSpec) -> str:
     return json.dumps(doc, sort_keys=True, separators=(",", ": "), indent=1)
 
 
-def generator_weights(spec: AlmostAbelianSpec) -> list[SlotWeight]:
-    """Complexified dual generators with weights and conjugation pairing.
-
-    A real-block coordinate is its own complexification.  A complex cell
-    occupying real coordinates (p, p+1) yields the pair
-    ``z = a_p - i*a_(p+1)`` (weight ``re + i*im``) in slot p and its
-    conjugate in slot p+1.
-    """
-    out: list[SlotWeight] = []
+@lru_cache(maxsize=SLICE_CACHE_SIZE)
+def _slot_table(spec: AlmostAbelianSpec) -> tuple:
+    """Each complexified dual generator as ``(conj, terms, sl2)``, indexed by slot
+    (entry 0 unused), read off the blocks once per spec.  A real coordinate is its
+    own complexification; a complex cell on coordinates (p, p+1) gives
+    ``z = a_p - i*a_(p+1)`` in slot p and its conjugate in slot p+1.  ``conj`` is
+    the conjugate's slot, ``terms`` writes the slot as ``sum(i**e * a_index)`` over
+    ``(index, e)``, and ``sl2`` is ``2j - (size - 1)`` at cell j of its block."""
+    table: list = [None]
     for block, start in zip(spec.blocks, spec.block_starts()):
-        if block.kind == "real":
-            w = Weight(block.re, Fraction(0), ScalarLC(0))
-            for i in range(start, start + block.size):
-                out.append(SlotWeight(i, w, i, ((i, 0),)))
-        else:
-            w = Weight(block.re, block.im_resonant, block.im_symbolic)
-            for cell in range(block.size):
-                p = start + 2 * cell
-                out.append(SlotWeight(p, w, p + 1, ((p, 0), (p + 1, 3))))
-                out.append(SlotWeight(p + 1, w.conjugate(), p, ((p, 0), (p + 1, 1))))
-    return out
+        for j in range(block.size):
+            sl2 = 2 * j - (block.size - 1)
+            if block.kind == "real":
+                table.append((start + j, ((start + j, 0),), sl2))
+            else:
+                p = start + 2 * j
+                table.append((p + 1, ((p, 0), (p + 1, 3)), sl2))
+                table.append((p, ((p, 0), (p + 1, 1)), sl2))
+    return tuple(table)
 
 
 def real_trace(spec: AlmostAbelianSpec) -> ScalarLC:

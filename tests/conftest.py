@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from collections import namedtuple
 from fractions import Fraction
 
 import pytest
@@ -26,7 +27,6 @@ from solvform.linalg import EchelonAccumulator, map_kernel, rref
 from solvform.minimal_model import ClassRep
 from solvform.oracle import monomials
 from solvform.scalars import _canonical
-from solvform.spectral import Weight
 
 
 @pytest.fixture(scope="session")
@@ -173,6 +173,54 @@ def representative_elements(slice_, n: int) -> list[CEElement]:
 def symbol(name: str, coeff=1) -> ScalarLC:
     """The scalar ``coeff * name``."""
     return ScalarLC(0, [(name, Fraction(coeff))])
+
+
+class Weight(namedtuple("Weight", "re im_resonant im_symbolic")):
+    """Eigenvalue datum of a dual generator (or a sum of them) on ``ScalarLC``:
+    ``re`` and ``im_symbolic`` are ``ScalarLC``, ``im_resonant`` is rational.
+    The package sums weights on integer coordinate tuples instead; this is the
+    independent reference for that route."""
+
+    __slots__ = ()
+
+    # without it ``+`` would concatenate the tuples
+    def __add__(self, other: Weight) -> Weight:
+        return Weight(
+            self.re + other.re,
+            self.im_resonant + other.im_resonant,
+            self.im_symbolic + other.im_symbolic,
+        )
+
+    def conjugate(self) -> Weight:
+        return Weight(self.re, -self.im_resonant, -self.im_symbolic)
+
+
+SlotWeight = namedtuple("SlotWeight", "slot weight conj terms")
+
+
+def generator_weights(spec: AlmostAbelianSpec) -> list[SlotWeight]:
+    """Complexified dual generators with ``Weight``s and conjugation pairing: a
+    real-block coordinate is its own complexification, and a complex cell on
+    real coordinates (p, p+1) yields ``z = a_p - i*a_(p+1)`` (weight
+    ``re + i*im``) in slot p and its conjugate in slot p+1."""
+    out: list[SlotWeight] = []
+    for block, start in zip(spec.blocks, spec.block_starts()):
+        if block.kind == "real":
+            w = Weight(block.re, Fraction(0), ScalarLC(0))
+            for i in range(start, start + block.size):
+                out.append(SlotWeight(i, w, i, ((i, 0),)))
+        else:
+            w = Weight(block.re, block.im_resonant, block.im_symbolic)
+            for cell in range(block.size):
+                p = start + 2 * cell
+                out.append(SlotWeight(p, w, p + 1, ((p, 0), (p + 1, 3))))
+                out.append(SlotWeight(p + 1, w.conjugate(), p, ((p, 0), (p + 1, 1))))
+    return out
+
+
+def resonance_test(w: Weight) -> bool:
+    """True when the semisimple monodromy part fixes a weight-w vector."""
+    return w.re.is_zero() and w.im_symbolic.is_zero() and w.im_resonant.denominator == 1
 
 
 def zero_weight() -> Weight:

@@ -10,7 +10,7 @@ import pytest
 
 import solvform
 from solvform import build_report, dumps_canonical, fixture_path, load_spec, verify_report
-from solvform import cli, minimal_model, monodromy, report
+from solvform import cli, minimal_model, monodromy, report, spectral
 from solvform.cli import main
 
 SRC = str(Path(solvform.__file__).resolve().parents[1])
@@ -140,6 +140,35 @@ def test_schema_violation_exit_code(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+TENTH = "0.1000000000000000000001"  # a binary float rounds it to 1/10
+
+
+@pytest.mark.parametrize("re", [TENTH, "1e400", "NaN", "-Infinity", "2.0"])
+def test_inexact_json_number_is_refused(tmp_path, capsys, re):
+    # a number with a fraction or an exponent would reach the parser already
+    # rounded (1e400 as inf), so it is refused and the rational asked for as a string
+    doc = f'{{"n":2,"blocks":[{{"kind":"real","size":1,"re":{re}}},{{"kind":"real","size":1,"re":"-{TENTH}"}}]}}'
+    assert main(["unipotent", str(_write_spec(tmp_path, text=doc))]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (
+        f"error: JSON number {re} is not exact: numbers must be integers, "
+        'and a rational is written as a string, e.g. "1/10"\n'
+    )
+
+
+def test_rational_strings_and_integer_numbers_stay_exact(tmp_path, capsys):
+    doc = f'{{"n":2,"blocks":[{{"kind":"real","size":1,"re":"{TENTH}"}},{{"kind":"real","size":1,"re":"-{TENTH}"}}]}}'
+    spec_path = _write_spec(tmp_path, text=doc)
+    assert main(["unipotent", str(spec_path), "--max-degree", "1", "--format", "json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["input"]["blocks"][0]["re"] == "1000000000000000000001/10000000000000000000000"
+    assert report["assumptions"]["unimodular_trace_zero"] is True
+    assert report["unipotent"]["dims"] == {"0": 1, "1": 0, "2": 1}  # a1 ^ a2 is resonant
+    integers = '{"n": 2, "blocks": [{"kind": "real", "size": 1, "re": 3}, {"kind": "real", "size": 1, "re": -3}]}'
+    assert main(["unipotent", str(_write_spec(tmp_path, text=integers))]) == 0
+
+
 def test_hypothesis_violation_exit_code(tmp_path, capsys):
     doc = '{"n": 2, "blocks": [{"kind": "complex", "size": 1, "im_resonant": "1/2"}]}'
     bad = _write_spec(tmp_path, "frac.json", doc)
@@ -258,11 +287,12 @@ def test_many_slot_weights_are_refused_before_counting(tmp_path, capsys, monkeyp
 
 def test_huge_block_is_refused_before_its_slots_are_built(tmp_path, capsys, monkeypatch):
     # one real block of size 10**8: the group sizes come from the blocks, so no
-    # slot record is built before its 10**8 + 1 count vectors are refused
+    # slot table is built before its 10**8 + 1 count vectors are refused
     def building(*args):
-        raise AssertionError("the slot records were built")
+        raise AssertionError("the slot table was built")
 
-    monkeypatch.setattr(monodromy, "generator_weights", building)
+    monkeypatch.setattr(monodromy, "_slot_table", building)
+    monkeypatch.setattr(spectral, "_slot_table", building)
     text = json.dumps({"n": 10**8, "blocks": [{"kind": "real", "size": 10**8}]})
     spec_path = _write_spec(tmp_path, text=text)
     assert main(["unipotent", str(spec_path), "--max-degree", "1"]) == 1

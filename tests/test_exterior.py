@@ -157,7 +157,7 @@ def test_coefficients_are_fractions_unless_a_symbol_survives(s6, s8):
     b = symbol("b")
     half = mv(4, ((1,), Fraction(1, 2)))
     for rest, expected in ((1, Multivector.basis_one_form(4, 1)), (Fraction(1, 2), half)):
-        cancelled = Multivector(4, 1, [((1,), b), ((1,), rest - b)])
+        cancelled = Multivector(4, 1, [((1,), b), ((1,), rest + (-b))])
         assert follows_the_coefficient_rule(cancelled.terms[(1,)])
         assert cancelled == expected and hash(cancelled) == hash(expected)
     with pytest.raises(ValueError):

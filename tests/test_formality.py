@@ -415,7 +415,7 @@ def test_closed_twist_solves_against_earlier_classes_only():
     spec = parse_spec('{"n": 3, "blocks": [{"kind": "real", "size": 3}]}')
     model = MinimalModel(spec, 1)
     a1, a2, a3 = (Multivector.basis_one_form(3, i) for i in (1, 2, 3))
-    for rho in (a3, a1, a2 - a3):
+    for rho in (a3, a1, a2 + (-a3)):
         model.add_generator(1, rho=rho)
     rows = [rep.rho for rep in model.class_reps(1)]
     assert solve_combination(rows, coordinate_vector(a2)) == ({0: 1, 2: 1}, 0)
@@ -562,6 +562,18 @@ def _first_slice_with_a_shift(spec, k_max):
     return None
 
 
+def cross_check_specs(fixtures) -> list:
+    """The 133 specs of the cross-checks: the five fixtures, s10, nil11, nil322,
+    60 seeded draws of each random generator and the five hand specs."""
+    specs = list(fixtures)
+    specs += [parse_spec(json.dumps(doc)) for doc in (SPECS["s10"], SPECS["nil11"], NIL322)]
+    specs += [random_resonant_spec(random.Random(seed), n_max=7) for seed in range(60)]
+    specs += [random_unimodular_spec(random.Random(seed), n_max=7) for seed in range(1000, 1060)]
+    specs += [parse_spec(text) for text in _CROSS_CHECK_HAND_SPECS]
+    assert len(specs) == 133
+    return specs
+
+
 def test_first_failing_degree_is_the_first_slice_the_shift_moves(s6, s8, torus3, torus4, heisenberg3):
     # Measured, not proved here: on these 133 specs the twisted model first fails
     # the formality criterion in the least degree whose unipotent slice the shift
@@ -569,12 +581,7 @@ def test_first_failing_degree_is_the_first_slice_the_shift_moves(s6, s8, torus3,
     # almost abelian solvmanifolds", arXiv 1302.0762) reads formality off N through
     # the fibration over the circle; this test only records the identity on the
     # first failing degree (later statuses do not follow the slices).
-    specs = [s6, s8, torus3, torus4, heisenberg3]
-    specs += [parse_spec(json.dumps(doc)) for doc in (SPECS["s10"], SPECS["nil11"], NIL322)]
-    specs += [random_resonant_spec(random.Random(seed), n_max=7) for seed in range(60)]
-    specs += [random_unimodular_spec(random.Random(seed), n_max=7) for seed in range(1000, 1060)]
-    specs += [parse_spec(text) for text in _CROSS_CHECK_HAND_SPECS]
-    assert len(specs) == 133
+    specs = cross_check_specs((s6, s8, torus3, torus4, heisenberg3))
     first = Counter()
     for spec in specs:
         verdict = k_formality(spec, 4)

@@ -9,6 +9,7 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import generator_weights
 from solvform import (
     build_report,
     dumps_canonical,
@@ -27,12 +28,11 @@ from solvform.monodromy import (
     _nilpotent_submodule,
     _resonant_counts,
     _shift_slice,
-    _slot_table,
     nilpotent_submodule,
     resonant_monomials,
 )
 from solvform.scalars import ScalarLC
-from solvform.spectral import SLICE_CACHE_SIZE, SlotWeight, _shift_index_map, generator_weights
+from solvform.spectral import SLICE_CACHE_SIZE, _shift_index_map, _slot_table
 from solvform.symplectic import closed_two_classes
 
 MEMOS = (_nilpotent_submodule, _shift_slice)
@@ -122,13 +122,9 @@ def test_slot_table_is_read_once_per_spec(s6, s8):
     assert (info.misses, info.currsize, info.maxsize) == (2, 2, SLICE_CACHE_SIZE)
     assert info.hits == s6.n + s8.n
     table = _slot_table(s8)
-    assert isinstance(table, tuple) and table[0] is None
-    assert all(type(s) is SlotWeight and isinstance(s.terms, tuple) for s in table[1:])
-    assert [s.slot for s in table[1:]] == list(range(1, s8.n + 1))
-    fresh = generator_weights(s8)
-    assert fresh == list(table[1:])
-    fresh.reverse()
-    assert _slot_table(s8)[1].slot == 1
+    assert isinstance(table, tuple) and table[0] is None and len(table) == s8.n + 1
+    assert all(type(entry) is tuple and type(entry[1]) is tuple for entry in table[1:])
+    assert [(s.conj, s.terms) for s in generator_weights(s8)] == [entry[:2] for entry in table[1:]]
 
 
 def test_shift_index_map_is_read_once_per_spec(monkeypatch, s6, s8):

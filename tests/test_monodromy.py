@@ -10,9 +10,11 @@ import pytest
 
 from conftest import (
     follows_the_coefficient_rule,
+    generator_weights,
     in_submodule_span,
     random_resonant_spec,
     random_unimodular_spec,
+    resonance_test,
     symbol,
     wedge,
     zero_weight,
@@ -24,11 +26,9 @@ from solvform import (
     OracleUnavailable,
     build_minimal_model,
     build_twisted_model,
-    generator_weights,
     nilpotent_log,
     nilpotent_submodule,
     parse_spec,
-    resonance_test,
 )
 from solvform.exterior import LinearEndo, Multivector, coordinate_vector, derivation_apply
 from solvform.linalg import echelon_basis, map_kernel, matrix_mul
@@ -50,8 +50,10 @@ from solvform.oracle import (
     spans_match,
 )
 from solvform.scalars import ScalarLC
-from solvform.spectral import _shift_index_map
+from solvform.spectral import _shift_index_map, _slot_table
 from solvform.symplectic import closed_two_classes
+from test_cohomology import _sl2_slot_weights
+from test_formality import cross_check_specs
 from test_golden_reports import MULTI_TERM, _digest_specs
 
 
@@ -130,6 +132,22 @@ def _with_rotations(rng, spec):
             b = Block(b.kind, b.size, b.re, im, sym)
         blocks.append(b)
     return AlmostAbelianSpec(spec.n, tuple(blocks), symbols=("b", "c"))
+
+
+def test_slot_table_and_oracle_applicable_match_the_scalar_reference(
+    s6, s8, torus3, torus4, heisenberg3
+):
+    # the table read off the blocks against the ScalarLC route it replaced: conj
+    # and terms from generator_weights, sl2 from the Jordan chains, and
+    # oracle_applicable from resonance_test on every slot weight
+    seen = Counter()
+    for spec in cross_check_specs((s6, s8, torus3, torus4, heisenberg3)):
+        slots, sl2 = generator_weights(spec), _sl2_slot_weights(spec)
+        assert list(_slot_table(spec)[1:]) == [(s.conj, s.terms, sl2[s.slot]) for s in slots], spec
+        applicable = all(resonance_test(s.weight) for s in slots)
+        assert monodromy.oracle_applicable(spec) == applicable, spec
+        seen[applicable] += 1
+    assert seen[True] > 10 and seen[False] > 10
 
 
 def test_oracle_applicable_is_the_blockwise_condition(s6, s8, torus3, torus4, heisenberg3, nil322):
@@ -283,7 +301,7 @@ def _expand_by_wedges(n, slots, combo):
             s_re, s_im = Multivector.basis_one_form(n, i), -Multivector.basis_one_form(n, conj)
         else:
             s_re, s_im = Multivector.basis_one_form(n, conj), Multivector.basis_one_form(n, i)
-        re, im = re.wedge(s_re) - im.wedge(s_im), re.wedge(s_im) + im.wedge(s_re)
+        re, im = re.wedge(s_re) + (-im.wedge(s_im)), re.wedge(s_im) + im.wedge(s_re)
     return coordinate_vector(re), coordinate_vector(im)
 
 
@@ -306,7 +324,7 @@ def test_realify_matches_multivector_expansion():
         slots = {s.slot: s for s in generator_weights(spec)}
         for k in range(spec.n + 1):
             for combo in resonant_monomials(spec, k):
-                re, im = _realify(slots, combo)
+                re, im = _realify(_slot_table(spec), combo)
                 assert (re, im) == _expand_by_wedges(spec.n, slots, combo)
                 checked += 1
     assert checked >= 200

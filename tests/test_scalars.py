@@ -46,19 +46,6 @@ def test_symbolic_product_raises():
     assert b * ScalarLC(Fraction(3, 2)) == ScalarLC(0, [("b", Fraction(3, 2))])
 
 
-def test_division_only_by_rationals():
-    b = symbol("b")
-    assert b / 2 == ScalarLC(0, [("b", Fraction(1, 2))])
-    with pytest.raises(ValueError):
-        ScalarLC(1) / b
-
-
-def test_as_fraction():
-    assert ScalarLC(Fraction(7, 3)).as_fraction() == Fraction(7, 3)
-    with pytest.raises(ValueError):
-        symbol("b").as_fraction()
-
-
 def test_add_is_associative_commutative_and_cancels():
     rng = random.Random(7)
     for _ in range(200):

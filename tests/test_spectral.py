@@ -5,16 +5,21 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import coordinate_re, endo_is_zero, endo_trace, random_unimodular_spec, symbol
+from conftest import (
+    coordinate_re,
+    endo_is_zero,
+    endo_trace,
+    generator_weights,
+    random_unimodular_spec,
+    symbol,
+)
 from solvform import (
     AlmostAbelianSpec,
     Block,
     HypothesisError,
     SchemaError,
-    Weight,
     emit_spec,
     fixture_path,
-    generator_weights,
     load_spec,
     modified_matrix,
     nilpotent_log,
@@ -22,15 +27,10 @@ from solvform import (
     parse_spec,
 )
 from solvform.exterior import Multivector, derivation_apply
-from solvform.monodromy import (
-    _nilpotent_submodule,
-    _resonant_counts,
-    _shift_slice,
-    _slot_table,
-)
+from solvform.monodromy import _nilpotent_submodule, _resonant_counts, _shift_slice
 from solvform.report import STAGES, build_report
 from solvform.scalars import ScalarLC
-from solvform.spectral import _shift_index_map, real_trace
+from solvform.spectral import _shift_index_map, _slot_table, real_trace
 import random
 
 
@@ -240,9 +240,10 @@ def test_real_trace_sums_the_blocks():
 
 
 def test_formality_report_builds_few_symbolic_scalars(monkeypatch, s8):
-    # the trace sums one term per block and the weight sums run on integer
-    # tuples, so one s8 report through formality builds at most 4 ScalarLCs
-    # (11 when the trace was summed per coordinate)
+    # the trace sums one term per block, the weight sums run on integer tuples
+    # and the slot table holds no weight, so one s8 report through formality
+    # builds one ScalarLC, the trace (4 while the slots carried ScalarLC
+    # weights, 11 when the trace was summed per coordinate)
     for memo in (_nilpotent_submodule, _resonant_counts, _shift_index_map, _shift_slice, _slot_table):
         memo.cache_clear()
     built = 0
@@ -255,7 +256,7 @@ def test_formality_report_builds_few_symbolic_scalars(monkeypatch, s8):
 
     monkeypatch.setattr(ScalarLC, "__init__", counting_init)
     build_report(s8, 4, stages=STAGES[: STAGES.index("formality") + 1])
-    assert built <= 4
+    assert built <= 1
 
 
 def test_trace_is_sum_of_real_parts(s8):
@@ -270,7 +271,7 @@ def test_two_parses_give_one_memo_key():
     first, second = parse_spec(text), parse_spec(text)
     assert first is not second
     assert first == second and hash(first) == hash(second)
-    assert generator_weights(first) == generator_weights(second)
+    assert _slot_table(first) is _slot_table(second)
     nilpotent_submodule(first, 2)
     before = _nilpotent_submodule.cache_info()
     nilpotent_submodule(second, 2)
@@ -287,8 +288,7 @@ def test_label_and_symbols_take_part_in_equality(s8):
 
 def test_instance_types_are_immutable(s8):
     block = s8.blocks[1]
-    weight = Weight(block.re, block.im_resonant, block.im_symbolic)
-    for value, field in ((weight, "re"), (block, "size"), (s8, "n"), (s8, "lattice_label")):
+    for value, field in ((block, "size"), (s8, "n"), (s8, "lattice_label")):
         with pytest.raises(AttributeError):
             setattr(value, field, getattr(value, field))
         with pytest.raises(AttributeError):

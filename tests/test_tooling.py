@@ -24,10 +24,14 @@ wall-clock gate; only the imports are checked.  A one-second traced run of
 ``bench/run.py`` on the cohomology-nil7 workload must report itself correct
 with no failed operation, and the worker's oracle mode, the benchmark's
 oracle gate, must find no mismatch on nil7 and on a seeded random instance.
+A dead-code gate profiles CLI runs, verify and the oracle in-process: every
+package function they never call must be on a commented allow-list.
 """
 
+import contextlib
 import importlib
 import inspect
+import io
 import json
 import pkgutil
 import random
@@ -36,7 +40,7 @@ import sys
 from pathlib import Path
 
 import solvform
-from solvform import fixture_path, load_spec
+from solvform import cli, fixture_path, load_spec, monodromy, nilpotent_submodule
 from solvform.monodromy import oracle_applicable
 from solvform.spectral import SLICE_CACHE_SIZE
 
@@ -240,20 +244,100 @@ def test_cli_import_without_site_skips_importlib_resources():
     assert proc.stdout.strip() == "False"
 
 
-
-def test_every_memo_is_bounded_by_the_slice_cache_size():
-    # "the memos are bounded" (README): every functools.lru_cache wrapper in the
-    # package, module-level or on a class, holds at most SLICE_CACHE_SIZE entries
-    found = {}
+def _package_members() -> list:
+    """``(module, member)`` for the top-level objects of every package module and
+    the attributes of its classes."""
+    out = []
     for info in pkgutil.iter_modules(solvform.__path__):
         if info.name == "__main__":
             continue
         module = importlib.import_module(f"solvform.{info.name}")
         objects = list(vars(module).values())
         objects += [v for cls in objects if inspect.isclass(cls) for v in vars(cls).values()]
-        for obj in objects:
-            if hasattr(obj, "cache_parameters") and obj.__module__ == module.__name__:
-                found[f"{obj.__module__}.{obj.__qualname__}"] = obj.cache_parameters()["maxsize"]
+        out += [(module, obj) for obj in objects]
+    return out
+
+
+def test_every_memo_is_bounded_by_the_slice_cache_size():
+    # "the memos are bounded" (README): every functools.lru_cache wrapper in the
+    # package, module-level or on a class, holds at most SLICE_CACHE_SIZE entries
+    found = {}
+    for module, obj in _package_members():
+        if hasattr(obj, "cache_parameters") and obj.__module__ == module.__name__:
+            found[f"{obj.__module__}.{obj.__qualname__}"] = obj.cache_parameters()["maxsize"]
     assert "solvform.spectral._shift_index_map" in found
     assert "solvform.monodromy._shift_slice" in found
     assert found == dict.fromkeys(found, SLICE_CACHE_SIZE)
+
+
+def _package_functions(members) -> dict:
+    """Every function and method defined in the package, by code object, named
+    ``module.qualname``; properties, classmethods and memos are unwrapped."""
+    found = {}
+    for module, obj in members:
+        obj = getattr(obj, "fget", obj)
+        obj = getattr(obj, "__func__", obj)
+        obj = getattr(obj, "__wrapped__", obj)
+        code = getattr(obj, "__code__", None)
+        if code is not None and code.co_filename == module.__file__:
+            found[code] = f"{module.__name__.partition('.')[2]}.{obj.__qualname__}"
+    return found
+
+
+# Package functions that no CLI run, verify or oracle run calls, each kept on purpose.
+NEVER_RUN = {
+    "minimal_model.MinimalModel.p_mul",  # bench/layertrace.py wraps it by name
+    "cohomology.betti_numbers",  # the README's example calls it
+    "exterior.Multivector.__hash__",  # keeps forms usable as set members and dict keys
+    # unary minus of the scalar type: since the slot table carries no conjugate
+    # weight no run negates a ScalarLC, but the tests' spec generators do
+    "scalars.ScalarLC.__neg__",
+    # debugging aids: the reprs, and the guard that keeps ScalarLC immutable
+    "exterior.Multivector.__repr__",
+    "exterior.LinearEndo.__repr__",
+    "scalars.ScalarLC.__repr__",
+    "scalars.ScalarLC.__setattr__",
+}
+
+
+def test_every_package_function_runs_or_is_listed(tmp_path):
+    # a dead-code gate: under a profile hook, analyze each fixture at K=3 in both
+    # formats, verify a report and a tampered copy, refuse an inexact input and run
+    # the oracle through the names the benchmark reads; every package function
+    # never called is listed above
+    members = _package_members()
+    functions = _package_functions(members)
+    for _, obj in members:
+        if hasattr(obj, "cache_clear") and obj.__module__.startswith("solvform."):
+            obj.cache_clear()  # a memo filled by an earlier test would hide its function
+    called = set()
+
+    def record(frame, event, arg):
+        if event == "call":
+            called.add(frame.f_code)
+
+    report = str(tmp_path / "report.json")
+    inexact = tmp_path / "inexact.json"
+    inexact.write_text('{"n": 1, "blocks": [{"kind": "real", "size": 1, "re": 0.5}]}')
+    codes = []
+    sys.setprofile(record)
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            for name in ("s6", "s8", "torus3", "torus4", "heisenberg3"):
+                path = str(fixture_path(name))
+                codes.append(cli.main(["analyze", path, "--max-degree", "3", "--format", "text"]))
+                codes.append(cli.main(["analyze", path, "--max-degree", "3", "--format", "json", "--report", report]))
+            codes.append(cli.main(["verify", report, path]))
+            doc = json.loads(Path(report).read_text())
+            doc["cohomology"]["betti"]["1"] += 1
+            Path(report).write_text(json.dumps(doc))
+            codes.append(cli.main(["verify", report, path]))
+            codes.append(cli.main(["unipotent", str(inexact)]))
+            spec = load_spec(path)
+            for k in range(spec.n + 1):
+                oracle = monodromy.nilpotent_submodule_oracle(spec, k)
+                assert monodromy.spans_match(oracle, nilpotent_submodule(spec, k))
+    finally:
+        sys.setprofile(None)
+    assert codes == [0] * 11 + [1, 1]
+    assert {name for code, name in functions.items() if code not in called} == NEVER_RUN

@@ -24,7 +24,7 @@ from math import gcd, lcm
 from operator import ge
 
 from .linalg import _multiply_into
-from .scalars import ScalarLC, _canonical, _join_terms
+from .scalars import ScalarLC, _canonical, _terms_text
 
 Indices = "tuple[int, ...]"
 
@@ -114,9 +114,10 @@ class Multivector:
 
     @classmethod
     def monomial(cls, n: int, indices, coeff=1) -> Multivector:
+        indices = tuple(indices)  # sorting consumes an iterator, and a repeat needs its length
         sorted_ = sort_indices(indices)
         if sorted_ is None:
-            return cls(n, len(tuple(indices)))
+            return cls(n, len(indices))
         sign, key = sorted_
         return cls(n, len(key), {key: coeff * sign})
 
@@ -166,19 +167,7 @@ class Multivector:
             raise ValueError("multivectors have different ambient dimension or degree")
 
     def __str__(self) -> str:
-        texts = []
-        for key, coeff in self.terms.items():
-            mono = mono_str(key)
-            if coeff == 1:
-                texts.append(mono)
-            elif coeff == -1:
-                texts.append(f"-{mono}")
-            else:
-                coeff_text = str(coeff)
-                if any(op in coeff_text for op in (" + ", " - ")):
-                    coeff_text = f"({coeff_text})"
-                texts.append(f"{coeff_text}*{mono}")
-        return _join_terms(texts)
+        return _terms_text([(coeff, mono_str(key)) for key, coeff in self.terms.items()])
 
     def __repr__(self) -> str:
         return f"Multivector({self})"

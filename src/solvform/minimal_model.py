@@ -91,7 +91,7 @@ from .linalg import (
     matrix_mul,
 )
 from .monodromy import _shift_row, nilpotent_submodule
-from .scalars import _canonical, _join_terms
+from .scalars import _canonical, _terms_text
 from .spectral import AlmostAbelianSpec, _shift_index_map
 
 # Degree-(q+1) monomials taken on by the class computation of stage q, counted from the
@@ -148,13 +148,15 @@ class MinimalModel:
 
     # ----- generator bookkeeping -------------------------------------------------
 
-    def add_generator(self, degree: int, differential=None, rho=None, closed=True) -> Generator:
+    def add_generator(self, degree: int, differential=None, rho=None) -> Generator:
+        """Append a generator, closed exactly when its differential has no nonzero term."""
+        differential = {m: _canonical(c) for m, c in (differential or {}).items() if c}
         gen = Generator(
             gid=len(self.gens),
             degree=degree,
-            differential={m: _canonical(c) for m, c in (differential or {}).items()},
+            differential=differential,
             rho=rho if rho is not None else Multivector.zero(self.spec.n, degree),
-            closed=closed,
+            closed=not differential,
         )
         self.gens.append(gen)
         self._parity.append(degree % 2)
@@ -272,19 +274,7 @@ class MinimalModel:
         return out
 
     def poly_str(self, p) -> str:
-        texts = []
-        for mono in sorted(p):
-            coeff = p[mono]
-            body = mono_name(self, mono)
-            if coeff == 1 and body != "1":
-                texts.append(body)
-            elif coeff == -1 and body != "1":
-                texts.append(f"-{body}")
-            elif body == "1":
-                texts.append(str(coeff))
-            else:
-                texts.append(f"{coeff}*{body}")
-        return _join_terms(texts)
+        return _terms_text([(p[mono], mono_name(self, mono)) for mono in sorted(p)])
 
     # ----- cohomology of the model -------------------------------------------------
 
@@ -318,8 +308,7 @@ class MinimalModel:
 
 
 def mono_name(model: MinimalModel, mono) -> str:
-    if not mono:
-        return "1"
+    """``g1*g2^2`` for a monomial; the unit is ``""``, which prints as its coefficient."""
     parts = []
     i = 0
     while i < len(mono):
@@ -406,7 +395,7 @@ def build_minimal_model(spec: AlmostAbelianSpec, d_max: int) -> MinimalModel:
     reps: list[ClassRep] = []  # class_reps(q) of the generators so far
     for q in range(1, d_max + 1):
         for vec in _flag_ordered_complement(model, q, reps):
-            model.add_generator(degree=q, rho=vec, closed=True)
+            model.add_generator(degree=q, rho=vec)
         for _round in range(50):
             count = _monomial_count(model, q + 1)
             if count > MAX_MODEL_MONOMIALS:
@@ -419,7 +408,7 @@ def build_minimal_model(spec: AlmostAbelianSpec, d_max: int) -> MinimalModel:
             if not kern:
                 break
             for differential in matrix_mul(kern, [rep.poly for rep in reps]):
-                model.add_generator(degree=q, differential=differential, closed=False)
+                model.add_generator(degree=q, differential=differential)
         else:
             raise InternalInvariantViolation(
                 f"class killing did not stabilize at degree {q}"

@@ -7,11 +7,15 @@ fixes it, i.e. when its weight sum is a resonance: zero real part, zero
 symbolic imaginary part, integer resonant imaginary part.
 
 :func:`nilpotent_submodule` enumerates resonant weight sums and
-realifies conjugate pairs of complex monomials into integer vectors:
-symbols enter only through the weights, and each slot generator is a sum
-of ``i**e * a_index`` terms, so expanding a monomial multiplies index
-lists and tracks one sign and one power of i.  Its brute-force
-cross-check, where :func:`oracle_applicable` holds, is :mod:`.oracle`.
+realifies each conjugate pair of complex monomials once, at the member
+that sorts first, into integer vectors: symbols enter only through the
+weights, and each slot generator is a sum of ``i**e * a_index`` terms, so
+expanding a monomial multiplies index lists and tracks one sign and one
+power of i.  The resonant monomials are closed under conjugation
+(checked), so their real span has one dimension per monomial and a wrong
+or missing real or imaginary part changes the rank, which is certified.
+Its brute-force cross-check, where :func:`oracle_applicable` holds, is
+:mod:`.oracle`.
 
 The shift preserves the submodule, and :func:`shift_slice` splits each
 degree-k slice into the kernel and a cokernel complement of the shift
@@ -225,12 +229,13 @@ def _realify(table, combo) -> tuple[dict, dict]:
 def nilpotent_submodule(spec: AlmostAbelianSpec, k: int) -> list[Multivector]:
     """Echelon basis of the degree-k slice of the unipotent-monodromy submodule.
 
-    Complex monomials with resonant weight sum are realified in conjugate
-    pairs (real and imaginary part, both integer after expansion); a
-    self-conjugate monomial contributes its single nonzero part.  The
-    result is the reduced echelon basis with respect to the lexicographic
-    monomial order, so it is canonical and independent of how the parts
-    are scaled.
+    Complex monomials with resonant weight sum are realified once per
+    conjugate pair, at the member that sorts first (real and imaginary part,
+    both integer after expansion); a self-conjugate monomial contributes its
+    single nonzero part, and a basis of other than one vector per monomial
+    raises.  The result is the reduced echelon basis with respect to the
+    lexicographic monomial order, so it is canonical and independent of how
+    the parts are scaled.
     """
     if not 0 <= k <= spec.n:
         return []  # empty slice; kept out of the memo
@@ -253,32 +258,20 @@ def _nilpotent_submodule(spec: AlmostAbelianSpec, k: int) -> tuple[Multivector, 
             raise InternalInvariantViolation(
                 f"resonant monomial {combo} has non-resonant conjugate {conj}"
             )
-        if conj < combo:
-            continue  # kept is sorted, so the pair was realified at conj
-        re, im = _realify(table, combo)
-        if conj == combo:
-            # conjugation fixes the monomial up to sign, so exactly one
-            # of the two parts can survive
-            if bool(re) == bool(im):
-                raise InternalInvariantViolation(
-                    f"self-conjugate monomial {combo} did not expand to a single real part"
-                )
-            reps.append(re or im)
-        else:
-            reps.extend((re, im))
-    if len(reps) != len(kept):
-        raise InternalInvariantViolation(
-            f"realification bookkeeping broke: {len(reps)} real vectors from {len(kept)} monomials"
-        )
+        if conj >= combo:  # kept is sorted, so each pair is realified at its first member
+            reps.extend(part for part in _realify(table, combo) if part)
     if all(len(rep) == 1 for rep in reps):
         # single-term rows (all-real slot combinations among them) scaled to
         # 1 are the reduced echelon basis of their span; a repeated monomial
-        # is a dependence, caught by the count below
+        # lowers the rank, which the check below catches
         basis_rows = [{key: 1} for key in sorted({key for rep in reps for key in rep})]
     else:
         basis_rows = echelon_basis(reps)
-    if len(basis_rows) != len(reps):
-        raise InternalInvariantViolation("realified representatives are linearly dependent")
+    if len(basis_rows) != len(kept):
+        raise InternalInvariantViolation(
+            f"the realified degree-{k} slice has rank {len(basis_rows)}, "
+            f"not one per resonant monomial ({len(kept)})"
+        )
     return tuple(Multivector._from_row(spec.n, k, row) for row in basis_rows)
 
 

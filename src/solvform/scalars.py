@@ -93,15 +93,8 @@ class ScalarLC:
         return not self.is_zero()
 
     def __str__(self) -> str:
-        texts = [str(self.const)] if self.const != 0 else []
-        for name, coeff in self.terms:
-            if coeff == 1:
-                texts.append(name)
-            elif coeff == -1:
-                texts.append(f"-{name}")
-            else:
-                texts.append(f"{coeff}*{name}")
-        return _join_terms(texts)
+        pairs = [(self.const, "")] if self.const else []
+        return _terms_text(pairs + [(coeff, name) for name, coeff in self.terms])
 
     def __repr__(self) -> str:
         return f"ScalarLC({self})"
@@ -118,17 +111,26 @@ def _canonical(x):
     return x.numerator if x.denominator == 1 else x
 
 
-def _join_terms(texts) -> str:
-    """Join signed term texts as ``t1 + t2 - t3``; no terms is ``"0"``."""
-    parts = []
-    for text in texts:
-        if not parts:
-            parts.append(text)
-        elif text.startswith("-"):
-            parts.append(f"- {text[1:]}")
+def _terms_text(pairs) -> str:
+    """Text of a sum of ``(coefficient, monomial text)`` terms, ``t1 + t2 - t3``:
+    an empty monomial text is the unit and prints the coefficient alone, a
+    coefficient of 1 or -1 prints as a sign, and a coefficient whose own text
+    is a sum is parenthesized.  No terms give ``"0"``."""
+    texts = []
+    for coeff, mono in pairs:
+        if not mono:
+            texts.append(str(coeff))
+        elif coeff == 1:
+            texts.append(mono)
+        elif coeff == -1:
+            texts.append("-" + mono)
         else:
-            parts.append(f"+ {text}")
-    return " ".join(parts) if parts else "0"
+            text = str(coeff)
+            if " + " in text or " - " in text:
+                text = f"({text})"
+            texts.append(f"{text}*{mono}")
+    # no term text holds " + -", so only the joins before negative terms change
+    return " + ".join(texts).replace(" + -", " - ") if texts else "0"
 
 
 def _coerce(value) -> ScalarLC:

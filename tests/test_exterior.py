@@ -21,10 +21,10 @@ from solvform.exterior import (
     top_coefficient,
     wedge_power,
 )
-from solvform.minimal_model import build_minimal_model
+from solvform.minimal_model import MinimalModel, build_minimal_model
 from solvform.monodromy import nilpotent_submodule
 from solvform.oracle import algebra_map_apply, exp_nilpotent, monomials
-from solvform.scalars import ScalarLC
+from solvform.scalars import ScalarLC, parse_scalar
 from solvform.spectral import modified_matrix
 from solvform.symplectic import closed_two_classes, find_symplectic
 
@@ -54,6 +54,32 @@ def test_wedge_beyond_ambient_dimension_is_zero():
 def test_sign_normalization_at_construction():
     assert Multivector.monomial(5, (2, 1)) == mv(5, ((1, 2), -1))
     assert Multivector.monomial(5, (2, 2)).is_zero()
+
+
+def test_monomial_with_a_repeated_index_keeps_its_degree():
+    # sorting consumes an iterator, and the zero of a repeat has the length as degree
+    for indices in ([1, 1], iter([1, 1])):
+        x = Multivector.monomial(3, indices)
+        assert x.is_zero() and x.degree == 2
+    assert Multivector.monomial(3, iter([2, 1])) == mv(3, ((1, 2), -1))
+
+
+def test_term_text_edge_cases(s6):
+    # one term-text rule prints forms, scalars and model polynomials; these
+    # cases print in no report
+    b = symbol("b")
+    form = Multivector(3, 2, {(1, 2): 1 + b, (1, 3): -b, (2, 3): Fraction(-3, 4)})
+    assert str(form) == "(1 + b)*a12 - b*a13 - 3/4*a23"
+    assert str(Multivector(3, 0, {(): 2})) == "2*1"
+    assert str(Multivector.zero(3, 2)) == "0"
+    assert str(parse_scalar("1/2 - 3/4*b", ("b",))) == "1/2 - 3/4*b"
+    assert str(ScalarLC(0)) == "0"
+    model = MinimalModel(s6, 2)
+    for i in (1, 2):
+        model.add_generator(1, rho=Multivector.basis_one_form(5, i))
+    poly = {(): Fraction(-1, 2), (0,): -1, (1,): 3, (0, 1): Fraction(2, 3)}
+    assert model.poly_str(poly) == "-1/2 - g1 + 2/3*g1*g2 + 3*g2"
+    assert model.poly_str({}) == "0"
 
 
 def _shift_endo_s6():

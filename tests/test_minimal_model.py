@@ -238,9 +238,9 @@ def test_exact_differential_drops_the_kept_degree(s6):
         model.add_generator(1, rho=Multivector.basis_one_form(5, i))
     assert _pairs(model.class_reps(1)) == _pairs(reference_class_reps(model, 1))
     model.class_reps(2)
-    model.add_generator(1, {(0, 1): 1}, closed=False)
+    model.add_generator(1, {(0, 1): 1})
     assert 1 in model._classes and 2 in model._images and 2 not in model._classes
-    model.add_generator(1, {(0, 1): 1}, closed=False)
+    model.add_generator(1, {(0, 1): 1})
     assert 1 not in model._classes and 1 not in model._cocycles
     assert model.cocycles(1) == reference_cocycles(model, 1)
     assert len(model.cocycles(1)) == 3  # x, y and z - w
@@ -255,7 +255,7 @@ def test_truncated_model_fails_verification(s8):
     model = build_minimal_model(s8, 2)
     truncated = MinimalModel(model.spec, model.degree_bound)
     for g in model.gens[:-1]:  # drop one degree-2 generator
-        truncated.add_generator(g.degree, g.differential, g.rho, g.closed)
+        truncated.add_generator(g.degree, g.differential, g.rho)
     results = verify_quasi_iso(truncated)
     assert results[1]["ok"]
     assert not results[2]["ok"]
@@ -444,9 +444,9 @@ def test_fractional_model_coefficients_stay_fractions(s6):
     model = MinimalModel(s6, 3)
     for i in (1, 2, 3):
         model.add_generator(1, rho=Multivector.basis_one_form(6, i))
-    model.add_generator(1, {(0, 1): Fraction(1, 2)}, closed=False)
-    v = model.add_generator(2, {(0, 1, 2): Fraction(1, 2)}, closed=False)
-    w = model.add_generator(2, {(0, 1, 2): Fraction(4, 2)}, closed=False)
+    model.add_generator(1, {(0, 1): Fraction(1, 2)})
+    v = model.add_generator(2, {(0, 1, 2): Fraction(1, 2)})
+    w = model.add_generator(2, {(0, 1, 2): Fraction(4, 2)})
     assert type(w.differential[(0, 1, 2)]) is int
     assert model.d_mono((2, 3)) == {(0, 1, 2): Fraction(-1, 2)}
     d_square = model.d_mono((v.gid, v.gid))
@@ -462,7 +462,7 @@ def test_fractional_model_coefficients_stay_fractions(s6):
 def test_add_generator_keeps_lower_degree_monomials(s8):
     model = build_minimal_model(s8, 2)
     low, high = model.monomials(1), model.monomials(3)
-    gen = model.add_generator(degree=2, closed=True)
+    gen = model.add_generator(degree=2)
     assert model.monomials(1) is low
     grown = model.monomials(3)
     assert set(high) < set(grown)

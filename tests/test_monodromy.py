@@ -464,6 +464,39 @@ def test_shift_out_of_the_slice_is_caught(monkeypatch, s8):
         _shift_slice.cache_clear()
 
 
+@pytest.mark.parametrize(
+    "mutant, message",
+    [
+        ("real part only", r"has rank 5, not one per resonant monomial \(7\)"),
+        ("conjugate dropped", "non-resonant conjugate"),
+    ],
+)
+def test_realification_certificate_catches_a_lost_part(monkeypatch, s8, mutant, message):
+    # the resonant degree-2 monomials of s8 are a12, a13, a23 and the slot pairs
+    # (4, 6), (4, 7), (5, 6), (5, 7), closed under conjugation; losing a real or
+    # imaginary part lowers the rank, and losing a conjugate is caught by name
+    realify, resonant = monodromy._realify, monodromy.resonant_monomials
+    table = _slot_table(s8)
+
+    def drop_one_conjugate(spec, k):
+        kept = resonant(spec, k)
+        conjugates = [tuple(sorted(table[i][0] for i in combo)) for combo in kept]
+        dropped = next((conj for combo, conj in zip(kept, conjugates) if conj != combo), None)
+        return [combo for combo in kept if combo != dropped]
+
+    if mutant == "real part only":
+        monkeypatch.setattr(monodromy, "_realify", lambda table, combo: (realify(table, combo)[0], {}))
+    else:
+        monkeypatch.setattr(monodromy, "resonant_monomials", drop_one_conjugate)
+    monodromy._nilpotent_submodule.cache_clear()
+    try:
+        assert len(nilpotent_submodule(s8, 1)) == 3
+        with pytest.raises(InternalInvariantViolation, match=message):
+            nilpotent_submodule(s8, 2)
+    finally:
+        monodromy._nilpotent_submodule.cache_clear()
+
+
 def test_a_shift_kernel_short_of_its_sl2_count_exits_2(monkeypatch, tmp_path, capsys):
     # dim ker N_k is the number of resonant degree-k monomials of sl2 weight 0
     # or 1, so an elimination that loses a kernel vector is refused

@@ -26,8 +26,6 @@ from operator import ge
 from .linalg import _multiply_into
 from .scalars import ScalarLC, _canonical, _terms_text
 
-Indices = "tuple[int, ...]"
-
 
 def sort_indices(seq) -> tuple[int, tuple[int, ...]] | None:
     """Sort an index sequence, returning (sign, tuple) or None on repeats."""

@@ -51,7 +51,7 @@ class TwistedModel:
 
     def __init__(self, model: MinimalModel, theta: dict, ambiguity_degrees: list[int]):
         self.model = model
-        self.theta = theta  # gid -> Poly over earlier generators; absent ids map to 0
+        self.theta = theta  # gid -> polynomial over earlier generators; absent ids map to 0
         self.ambiguity_degrees = ambiguity_degrees
         self._theta_cache: dict = {(): {}}  # monomial -> its twist
 

@@ -22,10 +22,10 @@ span, never on the order or scaling of the inserted rows, which makes
 every basis emitted here byte-reproducible.  Every step touches only
 nonzero entries, and clearing a new pivot column touches only the holder
 rows, the stored rows that are nonzero in that column.  Every entry it
-takes in or stores follows that rule, so integer input (the realified
-fiber rows, the shift images) is eliminated in ``int`` arithmetic, with no
-gcd per operation; a new row is negated when its lead is -1 and divided
-only when its lead is not +-1.
+takes in or stores follows that rule, so integer input (the shift images,
+and the realified fiber rows of specs outside the modification hypothesis)
+is eliminated in ``int`` arithmetic, with no gcd per operation; a new row
+is negated when its lead is -1 and divided only when its lead is not +-1.
 
 Row convention: a matrix is a list of row vectors.  When a matrix
 encodes a linear map, row ``j`` holds the coordinates of the image of

@@ -100,9 +100,6 @@ from .spectral import AlmostAbelianSpec, _shift_index_map
 # 9,395 (0.75 s), s12 to K=7 18,411 (1.2 s), b2b2 to K=9 18,074 (admitted here, 63-81 s).
 MAX_MODEL_MONOMIALS = 20000
 
-Mono = "tuple[int, ...]"
-Poly = "dict[Mono, int | Fraction]"
-
 
 class Generator:
     __slots__ = ("gid", "degree", "differential", "rho", "closed")
@@ -110,7 +107,7 @@ class Generator:
     def __init__(self, gid: int, degree: int, differential: dict, rho: Multivector, closed: bool):
         self.gid = gid
         self.degree = degree
-        self.differential = differential  # Poly over earlier generators; empty when closed
+        self.differential = differential  # polynomial over earlier generators; empty when closed
         self.rho = rho  # realization; zero multivector for non-closed generators
         self.closed = closed
 

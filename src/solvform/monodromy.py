@@ -6,16 +6,20 @@ degree-k monomial lies in the submodule exactly when the semisimple part
 fixes it, i.e. when its weight sum is a resonance: zero real part, zero
 symbolic imaginary part, integer resonant imaginary part.
 
-:func:`nilpotent_submodule` enumerates resonant weight sums and
-realifies each conjugate pair of complex monomials once, at the member
-that sorts first, into integer vectors: symbols enter only through the
-weights, and each slot generator is a sum of ``i**e * a_index`` terms, so
+Under the modification hypothesis every imaginary weight is an integer,
+so resonance reads only the real parts, which a slot shares with its
+conjugate: the resonant tuples are closed under swapping one complex slot
+for its conjugate slot (certified), so their complex monomials span the
+real monomials with the same index tuples, and :func:`nilpotent_submodule`
+returns those unit rows.  Outside it (fractional or symbolic rotations,
+which only the ``unipotent`` stage and library calls reach) every resonant
+monomial is realified into integer vectors: symbols enter only through the
+weights, and a slot generator is a sum of ``i**e * a_index`` terms, so
 expanding a monomial multiplies index lists and tracks one sign and one
-power of i.  The resonant monomials are closed under conjugation
-(checked), so their real span has one dimension per monomial and a wrong
-or missing real or imaginary part changes the rank, which is certified.
-Its brute-force cross-check, where :func:`oracle_applicable` holds, is
-:mod:`.oracle`.
+power of i.  The resonant monomials are closed under conjugation, so a
+lost real or imaginary part or a lost conjugate changes the rank from one
+per monomial, which is certified.  Its brute-force cross-check, where
+:func:`oracle_applicable` holds, is :mod:`.oracle`.
 
 The shift preserves the submodule, and :func:`shift_slice` splits each
 degree-k slice into the kernel and a cokernel complement of the shift
@@ -27,18 +31,15 @@ shift sends each ``a_i`` to one later ``a_j`` or to 0, the map
 :func:`.spectral._shift_index_map` lists, so it acts on the index
 tuples of the integer slice rows directly: ``i`` is replaced by ``j``,
 the tuple is re-sorted, and the sign is the parity of the number of
-indices ``j`` moves past.  A product of real slots is its own real form,
-so its row is the unit row of its index tuple and it is not realified;
-when every row of a slice has a single term, the slice is its sorted unit
-rows and no elimination runs.  A shift image then lies in the slice exactly
-when its keys are keys of the slice; on the slices of nil7 this test takes
-0.06 ms against 0.43 ms for the general one (2-vCPU x86 VM).  Otherwise a
-reduced row is zero at every other pivot, so an image lies in the slice
-exactly when the combination of the rows given by its own entries at the
-pivots rebuilds it.
-The model build (the flag order of closed generators) and the twist on
-closed generators read the same per-spec map and apply it with
-:func:`_shift_row`.
+indices ``j`` moves past.  On a slice of unit rows, as under the
+hypothesis, a shift image lies in the slice exactly when its keys are
+keys of the slice; on the slices of nil7 this test takes 0.06 ms against
+0.43 ms for the general one (2-vCPU x86 VM).  Otherwise (only library
+calls outside the hypothesis) a reduced row is zero at every other pivot,
+so an image lies in the slice exactly when the combination of the rows
+given by its own entries at the pivots rebuilds it.  The model build
+(the flag order of closed generators) and the twist on closed generators
+read the same per-spec map and apply it with :func:`_shift_row`.
 
 The shift kernel is eliminated with the images in reversed order, and
 kernel index j maps back to ``last - j``; the image pivots do not depend
@@ -83,13 +84,14 @@ from __future__ import annotations
 from bisect import bisect
 from functools import lru_cache
 from itertools import chain, combinations, product
-from math import comb, prod
+from math import comb, lgamma, log, prod
 from operator import add
 
 from .errors import InputError, InternalInvariantViolation
 from .exterior import Multivector, sort_indices
 from .linalg import echelon_basis, kernel_and_pivots, matrix_mul
 from .spectral import SLICE_CACHE_SIZE, AlmostAbelianSpec, _shift_index_map, _slot_table
+from .spectral import modification_hypothesis_holds
 from .scalars import _canonical
 
 # Resonant monomials in the largest slice taken on.  `analyze` at K=3 on a 2-vCPU
@@ -101,6 +103,9 @@ MAX_SLICE_MONOMIALS = 10000
 # real parts (2**n vectors, every slice above degree 0 empty): n = 14 takes 0.32 s,
 # 16 (65,536) 1.2 s, 17 (131,072, refused here) 2.3 s, 18 5.7 s.
 MAX_COUNT_VECTORS = 65536
+# Counts stop here, far above both limits, and a capped count is not printed: 2**15000
+# count vectors or a 4,815-digit slice (a real block of size 16,000) is never formed.
+COUNT_CAP, CAPPED = 10**12, "at least 10**12"
 
 
 def resonant_monomials(spec: AlmostAbelianSpec, k: int) -> list[tuple[int, ...]]:
@@ -136,10 +141,13 @@ def _resonant_counts(spec: AlmostAbelianSpec) -> tuple[tuple, tuple]:
             runs = [(tail, range(start, stop, 2)), (tuple(-x for x in tail), range(start + 1, stop, 2))]
         for tail, slots in runs:
             by_weight.setdefault(tuple(map(_canonical, head + tail)), []).append(slots)
-    vectors = prod(sum(map(len, ranges)) + 1 for ranges in by_weight.values())
+    vectors = 1
+    for ranges in by_weight.values():
+        vectors = min(vectors * (sum(map(len, ranges)) + 1), COUNT_CAP)
     if vectors > MAX_COUNT_VECTORS:
+        shown = vectors if vectors < COUNT_CAP else CAPPED
         raise InputError(
-            f"fiber too large: its slot weights give {vectors} weight-count vectors, "
+            f"fiber too large: its slot weights give {shown} weight-count vectors, "
             f"above the limit of {MAX_COUNT_VECTORS}"
         )
     groups = tuple(tuple(sorted(chain.from_iterable(ranges))) for ranges in by_weight.values())
@@ -198,16 +206,20 @@ def _add_shifted(out: dict, poly: dict, w: int, m: int) -> None:
 
 
 def check_fiber_size(spec: AlmostAbelianSpec) -> None:
-    """``InputError`` when a slice exceeds :data:`MAX_SLICE_MONOMIALS`; the
-    slice sizes are sums of products of binomials, so nothing is enumerated."""
+    """``InputError`` when a slice exceeds :data:`MAX_SLICE_MONOMIALS`; the slice
+    sizes are capped sums of products of binomials, so nothing is enumerated."""
     groups, counts = _resonant_counts(spec)
+    lengths = [len(g) for g in groups]
     sizes = [0] * (spec.n + 1)
     for count in counts:
-        sizes[sum(count)] += prod(map(comb, map(len, groups), count))
+        log_size = sum(lgamma(m + 1) - lgamma(c + 1) - lgamma(m - c + 1) for m, c in zip(lengths, count))
+        size = prod(map(comb, lengths, count)) if log_size < log(COUNT_CAP) + 1 else COUNT_CAP
+        sizes[sum(count)] = min(sizes[sum(count)] + size, COUNT_CAP)
     if max(sizes) > MAX_SLICE_MONOMIALS:
         k = sizes.index(max(sizes))
+        shown = sizes[k] if sizes[k] < COUNT_CAP else CAPPED
         raise InputError(
-            f"fiber too large: the degree-{k} unipotent slice has {sizes[k]} "
+            f"fiber too large: the degree-{k} unipotent slice has {shown} "
             f"resonant monomials, above the limit of {MAX_SLICE_MONOMIALS}"
         )
 
@@ -229,13 +241,12 @@ def _realify(table, combo) -> tuple[dict, dict]:
 def nilpotent_submodule(spec: AlmostAbelianSpec, k: int) -> list[Multivector]:
     """Echelon basis of the degree-k slice of the unipotent-monodromy submodule.
 
-    Complex monomials with resonant weight sum are realified once per
-    conjugate pair, at the member that sorts first (real and imaginary part,
-    both integer after expansion); a self-conjugate monomial contributes its
-    single nonzero part, and a basis of other than one vector per monomial
-    raises.  The result is the reduced echelon basis with respect to the
-    lexicographic monomial order, so it is canonical and independent of how
-    the parts are scaled.
+    Under the modification hypothesis the resonant tuples are closed under
+    swapping one complex slot for its conjugate (certified), so the slice is
+    their sorted unit rows; outside it every resonant monomial is realified
+    and eliminated, to a rank of one per monomial (certified).  Either way
+    the result is the reduced echelon basis in the lexicographic monomial
+    order, so it is canonical.
     """
     if not 0 <= k <= spec.n:
         return []  # empty slice; kept out of the memo
@@ -246,32 +257,23 @@ def nilpotent_submodule(spec: AlmostAbelianSpec, k: int) -> list[Multivector]:
 def _nilpotent_submodule(spec: AlmostAbelianSpec, k: int) -> tuple[Multivector, ...]:
     kept = resonant_monomials(spec, k)
     table = _slot_table(spec)
-    kept_set = set(kept)
-    real = {slot for slot in range(1, spec.n + 1) if table[slot][0] == slot}
-    reps: list[dict] = []
-    for combo in kept:
-        if real.issuperset(combo):
-            reps.append({combo: 1})  # a product of real slots is its own real form
-            continue
-        conj = tuple(sorted(table[i][0] for i in combo))
-        if conj not in kept_set:
-            raise InternalInvariantViolation(
-                f"resonant monomial {combo} has non-resonant conjugate {conj}"
-            )
-        if conj >= combo:  # kept is sorted, so each pair is realified at its first member
-            reps.extend(part for part in _realify(table, combo) if part)
-    if all(len(rep) == 1 for rep in reps):
-        # single-term rows (all-real slot combinations among them) scaled to
-        # 1 are the reduced echelon basis of their span; a repeated monomial
-        # lowers the rank, which the check below catches
-        basis_rows = [{key: 1} for key in sorted({key for rep in reps for key in rep})]
+    if modification_hypothesis_holds(spec):
+        kept_set = set(kept)
+        for combo in kept:
+            for p, i in enumerate(combo):
+                j = table[i][0]  # a real slot is its own conjugate; a complex one is adjacent
+                if j not in combo and combo[:p] + (j,) + combo[p + 1 :] not in kept_set:
+                    raise InternalInvariantViolation(
+                        f"resonant monomial {combo} has a non-resonant conjugate swap at slot {i}"
+                    )
+        basis_rows = [{combo: 1} for combo in kept]
     else:
-        basis_rows = echelon_basis(reps)
-    if len(basis_rows) != len(kept):
-        raise InternalInvariantViolation(
-            f"the realified degree-{k} slice has rank {len(basis_rows)}, "
-            f"not one per resonant monomial ({len(kept)})"
-        )
+        basis_rows = echelon_basis([part for combo in kept for part in _realify(table, combo) if part])
+        if len(basis_rows) != len(kept):
+            raise InternalInvariantViolation(
+                f"the realified degree-{k} slice has rank {len(basis_rows)}, "
+                f"not one per resonant monomial ({len(kept)})"
+            )
     return tuple(Multivector._from_row(spec.n, k, row) for row in basis_rows)
 
 
@@ -300,6 +302,7 @@ def _shift_slice(spec: AlmostAbelianSpec, k: int) -> tuple[tuple, tuple]:
         keys = {key for row in rows for key in row}
         outside = [u for u, image in zip(basis, images) if not keys.issuperset(image)]
     else:
+        # only library calls on specs outside the modification hypothesis get here;
         # a reduced row is zero at every other pivot, so an image inside the slice
         # is the combination of the rows given by its own entries at the pivots
         by_pivot = {min(row): row for row in rows}

@@ -304,6 +304,31 @@ def test_huge_block_is_refused_before_its_slots_are_built(tmp_path, capsys, monk
     )
 
 
+@pytest.mark.parametrize(
+    "blocks, message",
+    [
+        # 2**15000 weight-count vectors, a count past the cap, which is not printed
+        (
+            [{"kind": "real", "size": 1, "re": str(i)} for i in range(1, 15001)],
+            "its slot weights give at least 10**12 weight-count vectors, above the limit of 65536",
+        ),
+        # 16,001 count vectors, but binomials of up to 4,815 digits
+        (
+            [{"kind": "real", "size": 16000}],
+            "the degree-4 unipotent slice has at least 10**12 resonant monomials, above the limit of 10000",
+        ),
+    ],
+)
+def test_oversized_fibers_are_refused_with_capped_counts(tmp_path, capsys, blocks, message):
+    # both counts stop at a cap far above their limits, so neither refusal forms
+    # a huge integer or puts one into its message
+    text = json.dumps({"n": sum(b["size"] for b in blocks), "blocks": blocks})
+    assert main(["analyze", str(_write_spec(tmp_path, text=text))]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: fiber too large: {message}\n"
+
+
 def test_lowered_slice_limit_refuses_s6(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(monodromy, "MAX_SLICE_MONOMIALS", 3)
     assert main(["analyze", str(_write_spec(tmp_path)), "--max-degree", "3"]) == 1

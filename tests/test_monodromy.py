@@ -330,6 +330,49 @@ def test_realify_matches_multivector_expansion():
     assert checked >= 200
 
 
+def _random_hypothesis_spec(rng) -> AlmostAbelianSpec:
+    """A spec inside the modification hypothesis with at least one complex block:
+    complex blocks of size 1-3 turning by an integer (0 and negative included), and
+    real parts 0 or +-v, where v mixes a rational with one or two symbols, so that
+    slots of different blocks resonate together."""
+    q = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+    b, c = rng.choice([-2, -1, 1, 2]), rng.choice([0, -1, 3])
+    v = [f"{x}{y:+d}*b" + (f"{z:+d}*c" if c else "") for x, y, z in ((q, b, c), (-q, -b, -c))]
+    blocks, used, n_max = [], 0, rng.randint(2, 9)
+    while used < n_max:
+        re = rng.choice(["0", *v])
+        if n_max - used >= 2 and (not blocks or rng.random() < 0.7):
+            size = rng.randint(1, min(3, (n_max - used) // 2))
+            blocks.append({"kind": "complex", "size": size, "re": re, "im_resonant": str(rng.randint(-2, 2))})
+            used += 2 * size
+        else:
+            blocks.append({"kind": "real", "size": 1, "re": re})
+            used += 1
+    return parse_spec(json.dumps({"n": used, "symbols": ["b", "c"], "blocks": blocks}))
+
+
+def test_unit_rows_equal_the_realified_elimination_inside_the_hypothesis():
+    # the realification stays the reference: inside the hypothesis each slice's
+    # unit rows equal the echelon basis of the real and imaginary parts of every
+    # resonant monomial, many of which have more than one term
+    from solvform.monodromy import _realify
+    from solvform.spectral import modification_hypothesis_holds
+
+    rng = random.Random(47)
+    multi_term = 0
+    for _ in range(120):
+        spec = _random_hypothesis_spec(rng)
+        assert modification_hypothesis_holds(spec)
+        table = _slot_table(spec)
+        multi = False
+        for k in range(spec.n + 1):
+            parts = [part for combo in resonant_monomials(spec, k) for part in _realify(table, combo) if part]
+            multi = multi or any(len(part) > 1 for part in parts)
+            assert [u.terms for u in nilpotent_submodule(spec, k)] == echelon_basis(parts)
+        multi_term += multi
+    assert multi_term >= 30
+
+
 # larger specs for the weight-count enumeration; nil7 and nil322 are the
 # benchmark's nilpotent inputs, the rest are the ROADMAP baseline instances
 WEIGHT_COUNT_SPECS = {
@@ -467,16 +510,21 @@ def test_shift_out_of_the_slice_is_caught(monkeypatch, s8):
 @pytest.mark.parametrize(
     "mutant, message",
     [
-        ("real part only", r"has rank 5, not one per resonant monomial \(7\)"),
-        ("conjugate dropped", "non-resonant conjugate"),
+        ("real part only", r"has rank 2, not one per resonant monomial \(5\)"),
+        ("conjugate dropped", r"has rank 5, not one per resonant monomial \(4\)"),
     ],
+    ids=["real part only", "conjugate dropped"],
 )
-def test_realification_certificate_catches_a_lost_part(monkeypatch, s8, mutant, message):
-    # the resonant degree-2 monomials of s8 are a12, a13, a23 and the slot pairs
-    # (4, 6), (4, 7), (5, 6), (5, 7), closed under conjugation; losing a real or
-    # imaginary part lowers the rank, and losing a conjugate is caught by name
+def test_realification_certificate_catches_a_lost_part(monkeypatch, mutant, message):
+    # third-turn rotations fail the modification hypothesis, so the slices are
+    # realified; the resonant degree-2 monomials are the slot pairs (1, 2), (1, 4),
+    # (2, 3), (3, 4) and (5, 6), closed under conjugation, and losing a real or
+    # imaginary part lowers the rank, while losing a conjugate raises it
+    spec = parse_spec(
+        '{"n": 6, "blocks": [{"kind": "complex", "size": 2, "im_resonant": "1/3"}, {"kind": "real", "size": 2}]}'
+    )
     realify, resonant = monodromy._realify, monodromy.resonant_monomials
-    table = _slot_table(s8)
+    table = _slot_table(spec)
 
     def drop_one_conjugate(spec, k):
         kept = resonant(spec, k)
@@ -490,8 +538,39 @@ def test_realification_certificate_catches_a_lost_part(monkeypatch, s8, mutant, 
         monkeypatch.setattr(monodromy, "resonant_monomials", drop_one_conjugate)
     monodromy._nilpotent_submodule.cache_clear()
     try:
-        assert len(nilpotent_submodule(s8, 1)) == 3
+        assert len(nilpotent_submodule(spec, 1)) == 2
         with pytest.raises(InternalInvariantViolation, match=message):
+            nilpotent_submodule(spec, 2)
+    finally:
+        monodromy._nilpotent_submodule.cache_clear()
+
+
+def test_closure_certificate_catches_a_lost_swap(monkeypatch, s8):
+    # inside the modification hypothesis the slice is the unit rows of the resonant
+    # tuples, which rests on their closure under swapping one complex slot for its
+    # conjugate; s8's degree-2 tuples (4, 6), (4, 7), (5, 6) and (5, 7) are closed,
+    # and dropping (5, 6), the swap of slot 4 in (4, 6), is caught by name
+    resonant = monodromy.resonant_monomials
+    table = _slot_table(s8)
+
+    def drop_one_swap(spec, k):
+        kept = resonant(spec, k)
+        swaps = [
+            combo[:p] + (table[i][0],) + combo[p + 1 :]
+            for combo in kept
+            for p, i in enumerate(combo)
+            if table[i][0] not in combo
+        ]
+        return [combo for combo in kept if not swaps or combo != swaps[0]]
+
+    monkeypatch.setattr(monodromy, "resonant_monomials", drop_one_swap)
+    monodromy._nilpotent_submodule.cache_clear()
+    try:
+        assert len(nilpotent_submodule(s8, 1)) == 3
+        with pytest.raises(
+            InternalInvariantViolation,
+            match=r"resonant monomial \(4, 6\) has a non-resonant conjugate swap at slot 4",
+        ):
             nilpotent_submodule(s8, 2)
     finally:
         monodromy._nilpotent_submodule.cache_clear()
@@ -600,10 +679,10 @@ def test_shift_slices_and_closed_two_forms_carry_fractions(name):
 
 
 def test_unit_row_slices_skip_elimination(monkeypatch, nil322, s6, s8):
-    # every slot of nil322 is real, so each slice is its sorted unit rows and no
-    # monomial is realified; the complex slots of s6 realify to one-term rows, so
-    # only the oracle eliminates there, while s8's two-term rows of degree 2 still
-    # go through elimination
+    # inside the modification hypothesis every slice is the sorted unit rows of
+    # its resonant tuples, so nil322, s6 and s8 realify and eliminate nothing;
+    # frac3's third-turn rotations fail the hypothesis, so each of its slices
+    # realifies every resonant monomial and eliminates once
     calls = []
     realified = []
     plain = monodromy.echelon_basis
@@ -618,21 +697,21 @@ def test_unit_row_slices_skip_elimination(monkeypatch, nil322, s6, s8):
         return plain_realify(slots, combo)
 
     monkeypatch.setattr(monodromy, "echelon_basis", counting)
-    monkeypatch.setattr(oracle, "echelon_basis", counting)
     monkeypatch.setattr(monodromy, "_realify", counting_realify)
     monodromy._nilpotent_submodule.cache_clear()
     try:
-        for k in range(nil322.n + 1):
-            basis = nilpotent_submodule(nil322, k)
-            keys = [key for u in basis for key in u.terms]
-            assert keys == resonant_monomials(nil322, k)
-            assert all(u.terms == {key: 1} for u, key in zip(basis, keys))
+        for spec in (nil322, s6, s8):
+            for k in range(spec.n + 1):
+                basis = nilpotent_submodule(spec, k)
+                keys = [key for u in basis for key in u.terms]
+                assert keys == resonant_monomials(spec, k)
+                assert all(u.terms == {key: 1} for u, key in zip(basis, keys))
         assert calls == [] and realified == []
-        assert len(nilpotent_submodule(s6, 2)) == len(nilpotent_submodule_oracle(s6, 2))
-        assert calls and calls[0] == len(resonant_monomials(s6, 2))
-        calls.clear()
-        nilpotent_submodule(s8, 2)
-        assert calls == [len(resonant_monomials(s8, 2))]
+        frac3 = parse_spec(MULTI_TERM["frac3"])
+        for k in range(frac3.n + 1):
+            nilpotent_submodule(frac3, k)
+        assert len(calls) == frac3.n + 1
+        assert realified == [combo for k in range(frac3.n + 1) for combo in resonant_monomials(frac3, k)]
     finally:
         monodromy._nilpotent_submodule.cache_clear()
 

@@ -38,7 +38,12 @@ staged by degree q:
       the complement basis is ordered along the kernel filtration of the
       shift N modulo that image, read from the residues of N^j modulo the
       image (N preserves it; checked), so the twist added later is strictly
-      triangular on same-degree generators;
+      triangular on same-degree generators.  When the image fills a slice
+      of unit rows (its rank is the slice size and its rows use only slice
+      keys) the complement is empty and no order is formed; N preserving
+      the image is then N preserving the slice, which the memoized
+      :func:`.monodromy.shift_slice` certifies, and the quasi-iso check
+      reads surjectivity off the same two facts;
   (c) classes one degree up whose realization vanishes are killed by new
       non-closed degree-q generators whose differentials are the
       corresponding cocycles; killing is repeated until no such class
@@ -71,6 +76,11 @@ forgetting it:
   * every other degree that g touches drops its entries (the image of
     degree k+1 survives, since only ``(g,)`` joins degree k).
 
+A fresh image of degree k skips d of the last monomial of each kept
+degree-(k-1) cocycle, where the cocycle is 1 (a free column of its kernel
+elimination, or a closed generator's unit): that row is a combination of
+the rows before it, and the three rules keep this true.
+
 So the build forms each degree's classes once per killing round, each
 round adds only its new differentials to the image, and the quasi-iso
 check, the twist and the formality criterion read the finished model's
@@ -90,7 +100,7 @@ from .linalg import (
     map_kernel,
     matrix_mul,
 )
-from .monodromy import _shift_row, nilpotent_submodule
+from .monodromy import _shift_row, nilpotent_submodule, shift_slice
 from .scalars import _canonical, _terms_text
 from .spectral import AlmostAbelianSpec, _shift_index_map
 
@@ -292,14 +302,21 @@ class MinimalModel:
             image = self._images.get(k)
             if image is None:
                 image = self._images[k] = EchelonAccumulator()
+                # d of a kept cocycle's last monomial is a combination of the rows before it
+                free = {max(poly) for poly in self._cocycles.get(k - 1, ())}
                 for m in self.monomials(k - 1):
-                    image.add(self.d_mono(m))
+                    if m not in free:
+                        image.add(self.d_mono(m))
             cocycles = self.cocycles(k)
             rows = []
             # the image lies in the cocycles, so equal dimensions leave no class
             if len(cocycles) > image.rank:
-                residues = [image.residue(p) for p in cocycles] if image.rank else cocycles
-                rows = echelon_basis(residues)
+                if image.rank:
+                    rows = echelon_basis([image.residue(p) for p in cocycles])
+                elif all(len(p) == 1 for p in cocycles):
+                    rows = cocycles  # unit rows in monomial order: already reduced echelon
+                else:
+                    rows = echelon_basis(cocycles)
             out = self._classes[k] = [ClassRep(poly, self.rho_poly(poly)) for poly in rows]
         return out
 
@@ -332,17 +349,26 @@ def _flag_ordered_complement(model: MinimalModel, q: int, image_reps: list[Class
     the image rows.  So x lies in the j-th kernel exactly when N^j(x) lies in
     the image: the filtration is read from residues of N^j modulo the image,
     with no matrix of N on the quotient.
+
+    When the image fills a slice of unit rows (:func:`_fills_unit_slice`)
+    the complement is ``[]`` and no order is formed.  N preserving the image
+    is then N preserving the slice, which :func:`.monodromy.shift_slice`
+    certifies (a memo hit once the cohomology stage has run).  Multi-term
+    slices, outside the modification hypothesis, take the general path.
     """
     spec = model.spec
     image_acc = EchelonAccumulator()
     for rep in image_reps:
         image_acc.add(rep.rho)
+    basis = nilpotent_submodule(spec, q)
+    if _fills_unit_slice(image_acc, basis):
+        # the image is the slice; shift_slice certifies that N preserves it
+        shift_slice(spec, q)
+        return []
     span = EchelonAccumulator()  # image plus complement
     for row in image_acc.rows:
         span.add(row)  # zero at the other pivots, so no stored row changes
-    complement = [
-        vec for vec in map(coordinate_vector, nilpotent_submodule(spec, q)) if span.add(vec)
-    ]
+    complement = [vec for vec in map(coordinate_vector, basis) if span.add(vec)]
 
     index_map = _shift_index_map(spec)
     if any(image_acc.residue(_shift_row(row, index_map)) for row in image_acc.rows):
@@ -369,6 +395,18 @@ def _flag_ordered_complement(model: MinimalModel, q: int, image_reps: list[Class
         primitive_part(Multivector(spec.n, q, combo))
         for combo in matrix_mul(order, complement)
     ]
+
+
+def _fills_unit_slice(acc: EchelonAccumulator, basis: list[Multivector]) -> bool:
+    """True when every row of ``basis`` is a unit row and the span in ``acc``
+    is theirs, decided with no elimination: the span lies in the slice
+    exactly when its rows use only slice keys, and then it is the slice
+    exactly when its rank is the slice size.  Always False on a multi-term
+    slice, which is decided by elimination."""
+    if acc.rank != len(basis) or any(len(u.terms) != 1 for u in basis):
+        return False
+    keys = {key for u in basis for key in u.terms}
+    return all(keys.issuperset(row) for row in acc.rows)
 
 
 def _monomial_count(model: MinimalModel, k: int) -> int:
@@ -418,7 +456,9 @@ def build_minimal_model(spec: AlmostAbelianSpec, d_max: int) -> MinimalModel:
 
 
 def verify_quasi_iso(model: MinimalModel) -> dict[int, dict]:
-    """Per degree up to the bound: is the realization bijective onto the target?"""
+    """Per degree up to the bound: is the realization bijective onto the target?
+    A slice of unit rows is read by :func:`_fills_unit_slice`, any other one
+    by eliminating its rows together with the image."""
     out = {}
     for k in range(1, model.degree_bound + 1):
         reps = model.class_reps(k)
@@ -426,8 +466,8 @@ def verify_quasi_iso(model: MinimalModel) -> dict[int, dict]:
         acc = EchelonAccumulator()
         image_rank = sum(acc.add(rep.rho) for rep in reps)
         injective = image_rank == len(reps)
-        surjective = image_rank == len(u_basis) and not any(
-            acc.add(coordinate_vector(u)) for u in u_basis
+        surjective = image_rank == len(u_basis) and (
+            _fills_unit_slice(acc, u_basis) or not any(acc.add(coordinate_vector(u)) for u in u_basis)
         )
         out[k] = {
             "model_classes": len(reps),

@@ -149,6 +149,14 @@ def parse_rational(text: str) -> Fraction:
         raise ValueError(f"not a rational literal: {text!r}") from exc
 
 
+def _rational_in(chunk: str, text: str) -> Fraction:
+    """:func:`parse_rational` of one term of ``text``; an error quotes both."""
+    try:
+        return parse_rational(chunk)
+    except ValueError as exc:
+        raise ValueError(f"{exc} in scalar literal {text!r}") from exc
+
+
 def parse_scalar(text: str, symbols=()) -> ScalarLC:
     """Parse a scalar literal like ``"1/2"``, ``"-b"`` or ``"2 - 3/4*b"``.
 
@@ -174,11 +182,11 @@ def parse_scalar(text: str, symbols=()) -> ScalarLC:
             raise ValueError(f"dangling sign in scalar literal {text!r}")
         if "*" in chunk:
             coeff_text, _, name = chunk.partition("*")
-            coeff = sign * parse_rational(coeff_text)
+            coeff = sign * _rational_in(coeff_text, text)
         elif _SYMBOL_RE.match(chunk):
             name, coeff = chunk, sign
         else:
-            const += sign * parse_rational(chunk)
+            const += sign * _rational_in(chunk, text)
             continue
         if not _SYMBOL_RE.match(name):
             raise ValueError(f"bad symbol name {name!r} in scalar literal {text!r}")

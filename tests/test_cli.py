@@ -157,6 +157,17 @@ def test_inexact_json_number_is_refused(tmp_path, capsys, re):
     )
 
 
+@pytest.mark.parametrize("re, term", [("1/-2", "1/"), ("b2*b", "b2")])
+def test_bad_rational_term_quotes_the_whole_literal(tmp_path, capsys, re, term):
+    # the literal is split at its signs before each term is parsed, so the
+    # message names the term that failed and the literal it came from
+    doc = f'{{"n":2,"symbols":["b"],"blocks":[{{"kind":"real","size":1,"re":"{re}"}},{{"kind":"real","size":1,"re":"-b"}}]}}'
+    assert main(["analyze", str(_write_spec(tmp_path, text=doc))]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: blocks[0].re: not a rational literal: {term!r} in scalar literal {re!r}\n"
+
+
 def test_rational_strings_and_integer_numbers_stay_exact(tmp_path, capsys):
     doc = f'{{"n":2,"blocks":[{{"kind":"real","size":1,"re":"{TENTH}"}},{{"kind":"real","size":1,"re":"-{TENTH}"}}]}}'
     spec_path = _write_spec(tmp_path, text=doc)

@@ -29,7 +29,7 @@ from solvform import (
     serialize_model,
     verify_quasi_iso,
 )
-from solvform import minimal_model
+from solvform import minimal_model, monodromy
 from solvform.exterior import coordinate_vector, derivation_apply, primitive_part
 from solvform.linalg import (
     EchelonAccumulator,
@@ -38,6 +38,7 @@ from solvform.linalg import (
     matrix_mul,
 )
 from solvform.minimal_model import ClassRep, MinimalModel
+from solvform.monodromy import _shift_slice
 from solvform.spectral import _shift_index_map, nilpotent_log, parse_spec
 
 
@@ -249,6 +250,19 @@ def test_exact_differential_drops_the_kept_degree(s6):
     results = verify_quasi_iso(model)
     assert {k: entry["ok"] for k, entry in results.items()} == _reference_quasi_iso(model)
     assert not results[1]["injective"]  # z - w realizes the zero form
+
+
+@pytest.mark.parametrize("slots", [(2, 3, 4), (1, 2, 3, 4)])
+def test_image_reaching_outside_the_slice_is_not_onto(s8, slots):
+    # the degree-1 slice of s8 is a1, a2, a3; closed generators realizing
+    # a2, a3 and a4 have its rank, and a1 to a4 contain it, but a4 lies outside
+    model = MinimalModel(s8, 1)
+    for i in slots:
+        model.add_generator(1, rho=Multivector.basis_one_form(7, i))
+    assert verify_quasi_iso(model)[1] == {
+        "model_classes": len(slots), "target_dim": 3, "injective": True, "surjective": False, "ok": False
+    }
+    assert not _reference_quasi_iso(model)[1]
 
 
 def test_truncated_model_fails_verification(s8):
@@ -614,3 +628,139 @@ def test_image_that_is_not_shift_stable_is_caught():
     image_reps = [ClassRep({}, coordinate_vector(Multivector.basis_one_form(4, 2)))]  # N(a2) = a3 is outside
     with pytest.raises(InternalInvariantViolation, match="not shift-stable"):
         minimal_model._flag_ordered_complement(MinimalModel(spec, 1), 1, image_reps)
+
+
+def _stage_images(spec, bound):
+    """Per stage q of the build: the realized classes its complement starts from."""
+    stages = {}
+    complement = minimal_model._flag_ordered_complement
+
+    def recording(model, q, image_reps):
+        stages[q] = list(image_reps)
+        return complement(model, q, image_reps)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(minimal_model, "_flag_ordered_complement", recording)
+        model = build_minimal_model(spec, bound)
+    return model, stages
+
+
+def test_filled_slice_returns_no_complement_without_the_flag(monkeypatch, nil322):
+    # the 21 and 35 realized classes of nil322 fill its degree-2 and degree-3
+    # slices, so those stages build no span and shift no row; degree 1 has no
+    # realized class and orders all seven slots
+    model, stages = _stage_images(nil322, 3)
+    adds, shifts = [], []
+    plain_add, plain_shift = EchelonAccumulator.add, minimal_model._shift_row
+    monkeypatch.setattr(EchelonAccumulator, "add", lambda acc, v: adds.append(v) or plain_add(acc, v))
+    monkeypatch.setattr(minimal_model, "_shift_row", lambda row, m: shifts.append(row) or plain_shift(row, m))
+    for q, size in ((2, 21), (3, 35)):
+        adds.clear()
+        shifts.clear()
+        assert len(stages[q]) == len(nilpotent_submodule(nil322, q)) == size
+        assert minimal_model._flag_ordered_complement(model, q, stages[q]) == []
+        assert len(adds) == size and shifts == []
+    adds.clear()
+    shifts.clear()
+    order = minimal_model._flag_ordered_complement(model, 1, stages[1])
+    assert len(order) == 7 and shifts
+    assert order == _reference_flag_order(nil322, 1, stages[1])
+
+
+def test_dependent_image_rows_take_the_flag_path():
+    # as many realized classes as the slice has rows, but one row repeated: the
+    # image does not fill the slice, and a1 is its complement
+    spec = _jordan3_plus_one()
+    a = [None] + [Multivector.basis_one_form(4, i) for i in range(1, 5)]
+    image_reps = [ClassRep({}, coordinate_vector(a[i])) for i in (2, 3, 4, 4)]
+    assert len(image_reps) == len(nilpotent_submodule(spec, 1))
+    order = minimal_model._flag_ordered_complement(MinimalModel(spec, 1), 1, image_reps)
+    assert order == [a[1]] == _reference_flag_order(spec, 1, image_reps)
+
+
+def test_image_rows_outside_the_slice_take_the_flag_path(s8):
+    # the rank of the s8 slice a1, a2, a3, but a4 lies outside it
+    a = [None] + [Multivector.basis_one_form(7, i) for i in range(1, 8)]
+    image_reps = [ClassRep({}, coordinate_vector(a[i])) for i in (2, 3, 4)]
+    order = minimal_model._flag_ordered_complement(MinimalModel(s8, 1), 1, image_reps)
+    assert order == [a[1]] == _reference_flag_order(s8, 1, image_reps)
+
+
+def test_broken_shift_at_a_filled_degree_is_caught(monkeypatch, nil322):
+    # a3 -> a4 joins the first two Jordan chains: the map stays nilpotent, so
+    # degree 1 orders its slots without complaint, but its degree-2 kernel is
+    # smaller than the sl2 weights of the filled degree-2 slice count
+    assert _shift_index_map(nil322) == (0, 2, 3, 0, 5, 0, 7, 0)
+    broken = (0, 2, 3, 4, 5, 0, 7, 0)
+    for module in (monodromy, minimal_model):
+        monkeypatch.setattr(module, "_shift_index_map", lambda spec: broken)
+    _shift_slice.cache_clear()
+    try:
+        with pytest.raises(InternalInvariantViolation, match="degree-2 shift kernel"):
+            build_minimal_model(nil322, 3)
+    finally:
+        _shift_slice.cache_clear()
+
+
+def _images_with_counts(spec, bound):
+    """Build the model, recording each image accumulator that ``class_reps``
+    makes: its degree, the rows it took, and the monomials and cocycles one
+    degree down when the cocycles were kept (None otherwise)."""
+
+    class Counting(EchelonAccumulator):
+        def __init__(self):
+            super().__init__()
+            self.taken = 0
+
+        def add(self, v):
+            self.taken += 1
+            return super().add(v)
+
+    made = []
+    plain = MinimalModel.class_reps
+
+    def recording(model, k):
+        fresh = k not in model._images
+        kept = model._cocycles.get(k - 1)
+        below = None if kept is None else (len(model.monomials(k - 1)), len(kept))
+        out = plain(model, k)
+        if fresh:
+            image = model._images[k]
+            made.append((k, image.taken, below))
+            assert (image.rows, image.pivots) == _full_image(model, k)
+        return out
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(minimal_model, "EchelonAccumulator", Counting)
+        patch.setattr(MinimalModel, "class_reps", recording)
+        model = build_minimal_model(spec, bound)
+    return model, made
+
+
+def _full_image(model, k):
+    """Rows and pivots of the image of d fed every degree-(k-1) monomial."""
+    image = EchelonAccumulator()
+    for m in model.monomials(k - 1):
+        image.add(model.d_mono(m))
+    return image.rows, image.pivots
+
+
+def test_image_takes_only_the_independent_rows(s8, nil322):
+    # a kept cocycle's last monomial is a free column of the kernel elimination
+    # (or a closed generator's unit, d = 0), so its d-row depends on the rows
+    # before it; the image fed the other rows has the same reduced rows
+    specs = [(s8, bound) for bound in range(1, 6)] + [(parse_spec(_HAND_SPECS[0]), 6), (nil322, 3)]
+    specs += [(random_resonant_spec(random.Random(seed), n_max=7), 4) for seed in range(60)]
+    specs += [(random_unimodular_spec(random.Random(seed), n_max=7), 4) for seed in range(1000, 1060)]
+    skipped = 0
+    for spec, bound in specs:
+        model, made = _images_with_counts(spec, bound)
+        # the build makes each image after the cocycles one degree down
+        for k, taken, below in made:
+            assert below is not None, (spec, k)
+            monomials, cocycles = below
+            assert taken == monomials - cocycles, (spec, k)
+            skipped += cocycles
+        for k, image in model._images.items():
+            assert (image.rows, image.pivots) == _full_image(model, k), (spec, k)
+    assert skipped > 1000

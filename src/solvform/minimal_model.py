@@ -33,8 +33,9 @@ staged by degree q:
 
   (b) new closed degree-q generators realize a complement of the image
       of the existing classes inside the degree-q slice of the target;
-      those classes are the ones the last killing round of stage q-1
-      computed, on the same generators, so they are not formed again;
+      those classes, and the echelon form of their realizations, are the
+      ones the last killing round of stage q-1 computed, on the same
+      generators, so they are not formed again;
       the complement basis is ordered along the kernel filtration of the
       shift N modulo that image, read from the residues of N^j modulo the
       image (N preserves it; checked), so the twist added later is strictly
@@ -46,8 +47,9 @@ staged by degree q:
       reads surjectivity off the same two facts;
   (c) classes one degree up whose realization vanishes are killed by new
       non-closed degree-q generators whose differentials are the
-      corresponding cocycles; killing is repeated until no such class
-      remains, since fresh generators can create new vanishing classes.
+      corresponding cocycles; killing is repeated until the realizations
+      are independent (their echelon rank is the class count), since
+      fresh generators can create new vanishing classes.
 
 Generator differentials only involve earlier generators and have no
 linear term, and the realization induces an isomorphism onto the target
@@ -55,36 +57,54 @@ in every degree up to the bound (checked by :func:`verify_quasi_iso`).
 The build stops after the first stage q >= n at which every generator is
 odd and their degrees sum to at most q: no monomial lies above degree q
 and the target is empty above degree n, so no later stage adds one.
-Before each class computation the build counts the monomials one degree
-up from the generator degrees, and refuses past
-:data:`MAX_MODEL_MONOMIALS` with an :class:`.InputError`.
+Before each class computation, and before anything of that round's new
+monomials is formed, the build counts the monomials one degree up from
+the generator degrees, and refuses past :data:`MAX_MODEL_MONOMIALS` with
+an :class:`.InputError`.
 
 The model keeps its cohomology per degree k: the cocycle basis that
 :meth:`MinimalModel.cocycles` eliminates, the accumulator of the image of
-d from degree k-1, and the classes :meth:`MinimalModel.class_reps` forms
-from them (none when the image fills the cocycles).  Appending a
+d from degree k-1, the classes :meth:`MinimalModel.class_reps` forms
+from them (none when the image fills the cocycles), and the echelon form
+of the classes' realizations, which :meth:`MinimalModel.class_reps` forms
+with them and the killing rounds, the flag order and the quasi-iso check
+read without adding a row.  Appending a
 degree-k generator g updates that state by three rules instead of
 forgetting it:
 
   * g closed: degree k gains the unit cocycle and the unit class ``(g,)``,
-    each as a last row.  Exact, because d(g) = 0, no boundary meets g,
-    and ``(g,)`` sorts after every older degree-k monomial, so both
-    canonical echelon forms just gain that row;
+    each as a last row, and its realization joins the realized rows.
+    Exact, because d(g) = 0, no boundary meets g, and ``(g,)`` sorts
+    after every older degree-k monomial, so both canonical echelon forms
+    just gain that row;
   * g not closed: degree k is unchanged exactly when dg enlarges the
     image accumulator of degree k+1, which then holds dg.  In the build
     this always holds, since each killed cocycle is an independent class;
   * every other degree that g touches drops its entries (the image of
     degree k+1 survives, since only ``(g,)`` joins degree k).
 
+A fourth rule applies once a killing round of stage q has appended its
+generators: degree q+1 keeps its cocycle list when the d-rows of all its
+monomials, less the rows the next paragraph skips for the kept list, are
+independent, that is when each enlarges an image accumulator.  The old
+rows taken are independent anyway, so then the rank grows by exactly the
+new rows, every free column of the kernel elimination stays free and no
+new one appears, and the canonical kernel basis is the old list; the
+accumulator is the image of degree q+2, kept for the next stage.  With
+no new monomial the list is kept with no work; a dependent row leaves
+the cocycles to be eliminated again.
+
 A fresh image of degree k skips d of the last monomial of each kept
 degree-(k-1) cocycle, where the cocycle is 1 (a free column of its kernel
 elimination, or a closed generator's unit): that row is a combination of
-the rows before it, and the three rules keep this true.
+the rows before it, and the four rules keep this true.
 
-So the build forms each degree's classes once per killing round, each
-round adds only its new differentials to the image, and the quasi-iso
-check, the twist and the formality criterion read the finished model's
-classes and cocycles without eliminating again.
+So the build forms each degree's classes once per killing round and
+their realizations' echelon form once, each round adds only its new
+differentials to the image, a round that kills eliminates no cocycles
+again unless a new monomial's row is dependent, and the quasi-iso check,
+the twist and the formality criterion read the finished model's classes
+and cocycles without eliminating again.
 """
 
 from __future__ import annotations
@@ -152,6 +172,7 @@ class MinimalModel:
         self._cocycles: dict = {1: []}
         self._images: dict = {1: EchelonAccumulator()}
         self._classes: dict = {1: []}
+        self._realized: dict = {1: EchelonAccumulator()}  # echelon form of the classes' rho rows
 
     # ----- generator bookkeeping -------------------------------------------------
 
@@ -174,7 +195,7 @@ class MinimalModel:
         dg, image = gen.differential, self._images.get(degree + 1)
         stays = not dg or (image is not None and image.add(dg))
         self._images = {j: v for j, v in self._images.items() if j <= degree + 1}
-        for kept in (self._cocycles, self._classes):
+        for kept in (self._cocycles, self._classes, self._realized):
             for j in [j for j in kept if j > degree or (j == degree and not stays)]:
                 del kept[j]
         if not dg:
@@ -184,6 +205,7 @@ class MinimalModel:
             if degree in self._classes:
                 unit_class = ClassRep(unit, self.rho_poly(unit))
                 self._classes[degree] = self._classes[degree] + [unit_class]
+                self._realized[degree].add(unit_class.rho)
         return gen
 
     def generator_counts(self) -> dict[int, tuple[int, int]]:
@@ -268,7 +290,13 @@ class MinimalModel:
         return out
 
     def rho_poly(self, p) -> dict:
-        """Realization row: algebra map sending each generator to its stored value."""
+        """Realization row: algebra map sending each generator to its stored value.
+        A unit polynomial, one monomial with coefficient 1, returns the memoized
+        row of its monomial; callers must not mutate the result, as with :meth:`d_mono`."""
+        if len(p) == 1:
+            ((mono, c),) = p.items()
+            if c == 1:
+                return self._rho_mono(mono)
         return matrix_mul([p], {mono: self._rho_mono(mono) for mono in p})[0]
 
     def _rho_mono(self, mono) -> dict:
@@ -301,12 +329,8 @@ class MinimalModel:
         if out is None:
             image = self._images.get(k)
             if image is None:
-                image = self._images[k] = EchelonAccumulator()
-                # d of a kept cocycle's last monomial is a combination of the rows before it
-                free = {max(poly) for poly in self._cocycles.get(k - 1, ())}
-                for m in self.monomials(k - 1):
-                    if m not in free:
-                        image.add(self.d_mono(m))
+                kept = self._cocycles.get(k - 1, ())
+                image = self._images[k] = self._image(self.monomials(k - 1), kept)[0]
             cocycles = self.cocycles(k)
             rows = []
             # the image lies in the cocycles, so equal dimensions leave no class
@@ -318,7 +342,35 @@ class MinimalModel:
                 else:
                     rows = echelon_basis(cocycles)
             out = self._classes[k] = [ClassRep(poly, self.rho_poly(poly)) for poly in rows]
+            realized = self._realized[k] = EchelonAccumulator()
+            for rep in out:
+                realized.add(rep.rho)
         return out
+
+    def _keep_cocycles(self, k: int, cocycles: list[dict], first: int) -> None:
+        """The fourth rule of the module docstring, once the non-closed
+        generators from id ``first`` on have joined degree k - 1: degree k keeps
+        ``cocycles``, its basis before them, when every d-row :meth:`_image`
+        takes is independent, and that image is then the image of degree k + 1;
+        otherwise the cocycles are eliminated again."""
+        monos = self.monomials(k)
+        if any(m[-1] >= first for m in monos):  # a monomial's last id is its largest
+            image, independent = self._image(monos, cocycles)
+            if not independent:
+                return
+            self._images[k + 1] = image
+        self._cocycles[k] = cocycles
+
+    def _image(self, monos: list, cocycles: list[dict]) -> tuple[EchelonAccumulator, bool]:
+        """Accumulator of the d-rows of ``monos`` less the last monomial of each
+        of ``cocycles``, where the cocycle is 1, and whether every row taken
+        enlarged it.  When ``cocycles`` span the kernel of d on ``monos`` each
+        skipped row is a combination of the rows before it, so the image is
+        whole and every row taken is independent."""
+        image = EchelonAccumulator()
+        free = {max(poly) for poly in cocycles}
+        taken = [image.add(self.d_mono(m)) for m in monos if m not in free]
+        return image, all(taken)
 
 
 def mono_name(model: MinimalModel, mono) -> str:
@@ -338,15 +390,17 @@ def mono_name(model: MinimalModel, mono) -> str:
 # ----- staged construction ----------------------------------------------------------
 
 
-def _flag_ordered_complement(model: MinimalModel, q: int, image_reps: list[ClassRep]):
+def _flag_ordered_complement(model: MinimalModel, q: int, image_acc: EchelonAccumulator):
     """Complement of the realized classes in the degree-q target slice.
 
-    Ordered along the kernel filtration of the shift N taken modulo the
-    realized image, so that N maps each vector into the span of its
-    predecessors plus the image.  N preserves that image, the degree-q part
-    of the subalgebra generated by the realizations of the lower-degree
-    closed generators, which earlier stages made N-stable; this is checked on
-    the image rows.  So x lies in the j-th kernel exactly when N^j(x) lies in
+    ``image_acc`` is the echelon form of their realizations, which the
+    model keeps with them; it is read, never added to.  Ordered
+    along the kernel filtration of the shift N taken modulo the realized
+    image, so that N maps each vector into the span of its predecessors
+    plus the image.  N preserves that image, the degree-q part of the
+    subalgebra generated by the realizations of the lower-degree closed
+    generators, which earlier stages made N-stable; this is checked on the
+    image rows.  So x lies in the j-th kernel exactly when N^j(x) lies in
     the image: the filtration is read from residues of N^j modulo the image,
     with no matrix of N on the quotient.
 
@@ -357,9 +411,6 @@ def _flag_ordered_complement(model: MinimalModel, q: int, image_reps: list[Class
     slices, outside the modification hypothesis, take the general path.
     """
     spec = model.spec
-    image_acc = EchelonAccumulator()
-    for rep in image_reps:
-        image_acc.add(rep.rho)
     basis = nilpotent_submodule(spec, q)
     if _fills_unit_slice(image_acc, basis):
         # the image is the slice; shift_slice certifies that N preserves it
@@ -427,10 +478,13 @@ def build_minimal_model(spec: AlmostAbelianSpec, d_max: int) -> MinimalModel:
     if d_max < 1:
         raise InputError("model degree bound must be at least 1")
     model = MinimalModel(spec, d_max)
-    reps: list[ClassRep] = []  # class_reps(q) of the generators so far
     for q in range(1, d_max + 1):
-        for vec in _flag_ordered_complement(model, q, reps):
+        # the classes of degree q are the ones the last killing round of stage q - 1 formed
+        for vec in _flag_ordered_complement(model, q, model._realized[q]):
             model.add_generator(degree=q, rho=vec)
+        killed = None  # the cocycles of degree q + 1 before the last round, its first new id
+        # a cap, not a bound: tests/test_minimal_model.py::test_killing_rounds_per_stage
+        # never sees more than 2 rounds
         for _round in range(50):
             count = _monomial_count(model, q + 1)
             if count > MAX_MODEL_MONOMIALS:
@@ -438,10 +492,13 @@ def build_minimal_model(spec: AlmostAbelianSpec, d_max: int) -> MinimalModel:
                     f"model too large: degree {q + 1} has {count} monomials, "
                     f"above the limit of {MAX_MODEL_MONOMIALS}"
                 )
+            if killed:  # counted first: the fourth rule forms the new monomials' d-rows
+                model._keep_cocycles(q + 1, *killed)
             reps = model.class_reps(q + 1)
-            kern = map_kernel([rep.rho for rep in reps])
-            if not kern:
+            if model._realized[q + 1].rank == len(reps):
                 break
+            killed = model.cocycles(q + 1), len(model.gens)
+            kern = map_kernel([rep.rho for rep in reps])
             for differential in matrix_mul(kern, [rep.poly for rep in reps]):
                 model.add_generator(degree=q, differential=differential)
         else:
@@ -457,17 +514,20 @@ def build_minimal_model(spec: AlmostAbelianSpec, d_max: int) -> MinimalModel:
 
 def verify_quasi_iso(model: MinimalModel) -> dict[int, dict]:
     """Per degree up to the bound: is the realization bijective onto the target?
-    A slice of unit rows is read by :func:`_fills_unit_slice`, any other one
-    by eliminating its rows together with the image."""
+    Both are read off the echelon form of the class realizations kept with
+    :meth:`MinimalModel.class_reps`, with no row added: injective when its rank
+    is the class count, and onto a slice of its rank when
+    :func:`_fills_unit_slice` holds or, on any other slice, when every slice
+    row has zero residue."""
     out = {}
     for k in range(1, model.degree_bound + 1):
         reps = model.class_reps(k)
         u_basis = nilpotent_submodule(model.spec, k)
-        acc = EchelonAccumulator()
-        image_rank = sum(acc.add(rep.rho) for rep in reps)
-        injective = image_rank == len(reps)
-        surjective = image_rank == len(u_basis) and (
-            _fills_unit_slice(acc, u_basis) or not any(acc.add(coordinate_vector(u)) for u in u_basis)
+        acc = model._realized[k]
+        injective = acc.rank == len(reps)
+        surjective = acc.rank == len(u_basis) and (
+            _fills_unit_slice(acc, u_basis)
+            or not any(acc.residue(coordinate_vector(u)) for u in u_basis)
         )
         out[k] = {
             "model_classes": len(reps),

@@ -1,6 +1,7 @@
 """Staged minimal model construction and its structural invariants."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
 
@@ -191,9 +192,10 @@ def _pairs(reps):
 
 
 def test_kept_cohomology_equals_elimination_from_scratch(s6, s8, torus3, torus4, heisenberg3, s10, nil322):
-    # the build keeps each degree's cocycles and classes, extending them by
-    # the append rules, up to the stage where it stops (past it no degree has a
-    # monomial); on the finished model they must be the from-scratch
+    # the build keeps each degree's cocycles, images, classes and realized rows,
+    # extending them by the four rules, up to degree bound + 1, which the last
+    # killing round reads, or up to the stage where it stops (past it no degree
+    # has a monomial); on the finished model they must be the from-scratch
     # bases, rows and order both, and the classes leading before the unit of
     # a closed generator must be the classes of the generators created before it
     rng = random.Random(67)
@@ -204,11 +206,17 @@ def test_kept_cohomology_equals_elimination_from_scratch(s6, s8, torus3, torus4,
     prefixes = 0
     for spec, bound in cases:
         model = build_minimal_model(spec, bound)
-        for k in range(1, bound + 1):
+        images = dict(model._images)
+        for k in range(1, bound + 2):
             built = k in model._cocycles and k in model._classes
             assert built or not model.monomials(k), (spec, k)
             assert model.cocycles(k) == reference_cocycles(model, k)
-            assert _pairs(model.class_reps(k)) == _pairs(reference_class_reps(model, k))
+            reference = reference_class_reps(model, k)
+            assert _pairs(model.class_reps(k)) == _pairs(reference)
+            realized, expected = model._realized[k], _accumulated(reference)
+            assert (realized.rows, realized.pivots) == (expected.rows, expected.pivots), (spec, k)
+        for k, image in images.items():
+            assert (image.rows, image.pivots) == _full_image(model, k), (spec, k)
         for gen in model.gens:
             if gen.closed:
                 kept = model.class_reps(gen.degree)
@@ -250,6 +258,125 @@ def test_exact_differential_drops_the_kept_degree(s6):
     results = verify_quasi_iso(model)
     assert {k: entry["ok"] for k, entry in results.items()} == _reference_quasi_iso(model)
     assert not results[1]["injective"]  # z - w realizes the zero form
+
+
+def test_classes_formed_before_the_cocycles_one_degree_down(s8):
+    # with no kept cocycles one degree down, the image takes every d-row,
+    # dependent ones included, and the classes are still the from-scratch ones
+    built = build_minimal_model(s8, 3)
+    model = MinimalModel(s8, 4)
+    for g in built.gens:
+        model.add_generator(g.degree, g.differential, g.rho)
+    assert _pairs(model.class_reps(4)) == _pairs(reference_class_reps(model, 4))
+    assert 3 not in model._cocycles and (model._images[4].rows, model._images[4].pivots) == _full_image(model, 4)
+
+
+def test_dependent_new_row_eliminates_the_cocycles_again(monkeypatch, s6):
+    # x, y closed of degree 1, then z with dz = x*y: the new degree-2 monomials
+    # x*z and y*z have d = 0, so x*z and y*z are new cocycles and the kept
+    # list [x*y] is no longer the basis; the fourth rule must not keep it
+    model = MinimalModel(s6, 2)
+    for i in (1, 2):
+        model.add_generator(1, rho=Multivector.basis_one_form(5, i))
+    kept = model.cocycles(2)
+    assert kept == [{(0, 1): 1}]
+    z = model.add_generator(1, {(0, 1): 1})
+    assert 2 not in model._cocycles
+    assert model.d_mono((0, z.gid)) == model.d_mono((1, z.gid)) == {}
+    model._keep_cocycles(2, kept, z.gid)
+    assert 2 not in model._cocycles and 3 not in model._images
+    kernels = []
+    plain = minimal_model.map_kernel
+    monkeypatch.setattr(minimal_model, "map_kernel", lambda rows: kernels.append(rows) or plain(rows))
+    assert model.cocycles(2) == reference_cocycles(model, 2)
+    assert len(model.cocycles(2)) == 3 and len(kernels) == 1
+    for k in (1, 2):
+        assert _pairs(model.class_reps(k)) == _pairs(reference_class_reps(model, k))
+
+
+def test_refusal_counts_before_the_new_rows_are_formed(monkeypatch, s8):
+    # stage 4 of s8 counts 97 degree-5 monomials, then 145 once its killing
+    # generators joined; a limit between them refuses the second round before
+    # the fourth rule forms d of any monomial holding one of those generators
+    counts, models = [], set()
+    plain_count, plain_d = minimal_model._monomial_count, MinimalModel.d_mono
+
+    def counting(model, k):
+        counts.append((k, plain_count(model, k)))
+        return counts[-1][1]
+
+    monkeypatch.setattr(minimal_model, "MAX_MODEL_MONOMIALS", 120)
+    monkeypatch.setattr(minimal_model, "_monomial_count", counting)
+    monkeypatch.setattr(MinimalModel, "d_mono", lambda model, mono: models.add(model) or plain_d(model, mono))
+    with pytest.raises(InputError, match="degree 5 has 145 monomials, above the limit of 120"):
+        build_minimal_model(s8, 4)
+    assert counts[-2:] == [(5, 97), (5, 145)]
+    (model,) = models
+    killers = {g.gid for g in model.gens if g.degree == 4 and not g.closed}
+    assert killers
+    assert not any(killers.intersection(mono) for mono in model._d_cache)
+
+
+def test_each_row_set_is_eliminated_once(monkeypatch, s8, nil322):
+    # a killing round keeps its cocycles, so only the first round of a stage
+    # eliminates them, and the realized rows are eliminated once per degree,
+    # where the killing kernel, the next stage's flag order and the quasi-iso
+    # check each eliminated them again: 6 cocycle kernels and 16 map_kernel
+    # calls for s8 at K=4, 10 and 23 for b2b2 at K=6, 3 and 9 for nil322 at K=3
+    eliminated, kernels, adds = [], [], []
+    plain_cocycles, plain_kernel = MinimalModel.cocycles, minimal_model.map_kernel
+    plain_add = EchelonAccumulator.add
+
+    def cocycles(model, k):
+        if k not in model._cocycles:
+            eliminated.append(k)
+        return plain_cocycles(model, k)
+
+    monkeypatch.setattr(MinimalModel, "cocycles", cocycles)
+    monkeypatch.setattr(minimal_model, "map_kernel", lambda rows: kernels.append(rows) or plain_kernel(rows))
+    monkeypatch.setattr(EchelonAccumulator, "add", lambda acc, v: adds.append(v) or plain_add(acc, v))
+    models = []
+    for spec, bound, cocycle_kernels, kernel_calls in (
+        (s8, 4, 4, 10),
+        (parse_spec(_HAND_SPECS[0]), 6, 6, 13),
+        (nil322, 3, 3, 6),
+    ):
+        eliminated.clear()
+        kernels.clear()
+        models.append(build_minimal_model(spec, bound))
+        assert (len(eliminated), len(kernels)) == (cocycle_kernels, kernel_calls), spec
+    # outside the modification hypothesis the slices of degrees 2 and 3 are
+    # multi-term, so the check reads their residues instead of the unit-slice test
+    frac3 = parse_spec(
+        '{"n": 8, "blocks": [{"kind": "complex", "size": 2, "im_resonant": "1/3"},'
+        ' {"kind": "complex", "size": 1, "im_resonant": "1/3"}, {"kind": "real", "size": 2}]}'
+    )
+    models.append(build_minimal_model(frac3, 3))
+    for model in models:
+        adds.clear()
+        results = verify_quasi_iso(model)
+        assert adds == [] and all(entry["ok"] for entry in results.values())
+
+
+def test_killing_rounds_per_stage(monkeypatch, s6, s8, nil322):
+    # the build counts the monomials once per killing round: no stage of these
+    # builds takes more than 2 rounds, far below the cap of 50 in
+    # build_minimal_model, so a second round never finds a class to kill
+    rounds = Counter()
+    plain = minimal_model._monomial_count
+    monkeypatch.setattr(
+        minimal_model, "_monomial_count", lambda model, k: rounds.update([k - 1]) or plain(model, k)
+    )
+    cases = [(s6, 6), (s8, 6), (parse_spec(_HAND_SPECS[0]), 6), (nil322, 5)]
+    cases += [(random_resonant_spec(random.Random(seed), n_max=7), 4) for seed in range(60)]
+    cases += [(random_unimodular_spec(random.Random(seed), n_max=7), 4) for seed in range(1000, 1060)]
+    stages = Counter()
+    for spec, bound in cases:
+        rounds.clear()
+        build_minimal_model(spec, bound)
+        assert max(rounds.values()) <= 2, (spec, rounds)
+        stages.update(rounds.values())
+    assert stages[2] > 40 and set(stages) == {1, 2}
 
 
 @pytest.mark.parametrize("slots", [(2, 3, 4), (1, 2, 3, 4)])
@@ -618,7 +745,7 @@ def test_shift_into_the_image_is_zero_on_the_complement():
     spec = _jordan3_plus_one()
     a = [None] + [Multivector.basis_one_form(4, i) for i in range(1, 5)]
     image_reps = [ClassRep({}, coordinate_vector(a[3]))]
-    order = minimal_model._flag_ordered_complement(MinimalModel(spec, 1), 1, image_reps)
+    order = minimal_model._flag_ordered_complement(MinimalModel(spec, 1), 1, _accumulated(image_reps))
     assert order == [a[2], a[4], a[1]]
     assert order == _reference_flag_order(spec, 1, image_reps)
 
@@ -627,17 +754,28 @@ def test_image_that_is_not_shift_stable_is_caught():
     spec = _jordan3_plus_one()
     image_reps = [ClassRep({}, coordinate_vector(Multivector.basis_one_form(4, 2)))]  # N(a2) = a3 is outside
     with pytest.raises(InternalInvariantViolation, match="not shift-stable"):
-        minimal_model._flag_ordered_complement(MinimalModel(spec, 1), 1, image_reps)
+        minimal_model._flag_ordered_complement(MinimalModel(spec, 1), 1, _accumulated(image_reps))
+
+
+def _accumulated(reps):
+    """The echelon form of the realizations of ``reps``, the image the build passes."""
+    acc = EchelonAccumulator()
+    for rep in reps:
+        acc.add(rep.rho)
+    return acc
 
 
 def _stage_images(spec, bound):
-    """Per stage q of the build: the realized classes its complement starts from."""
+    """Per stage q of the build: the realized classes its complement starts from,
+    after checking that the build passes their echelon form."""
     stages = {}
     complement = minimal_model._flag_ordered_complement
 
-    def recording(model, q, image_reps):
-        stages[q] = list(image_reps)
-        return complement(model, q, image_reps)
+    def recording(model, q, image_acc):
+        stages[q] = list(model.class_reps(q))
+        expected = _accumulated(stages[q])
+        assert (image_acc.rows, image_acc.pivots) == (expected.rows, expected.pivots)
+        return complement(model, q, image_acc)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(minimal_model, "_flag_ordered_complement", recording)
@@ -655,14 +793,16 @@ def test_filled_slice_returns_no_complement_without_the_flag(monkeypatch, nil322
     monkeypatch.setattr(EchelonAccumulator, "add", lambda acc, v: adds.append(v) or plain_add(acc, v))
     monkeypatch.setattr(minimal_model, "_shift_row", lambda row, m: shifts.append(row) or plain_shift(row, m))
     for q, size in ((2, 21), (3, 35)):
+        image = _accumulated(stages[q])
         adds.clear()
         shifts.clear()
         assert len(stages[q]) == len(nilpotent_submodule(nil322, q)) == size
-        assert minimal_model._flag_ordered_complement(model, q, stages[q]) == []
-        assert len(adds) == size and shifts == []
+        assert minimal_model._flag_ordered_complement(model, q, image) == []
+        assert adds == [] and shifts == []
+    image = _accumulated(stages[1])
     adds.clear()
     shifts.clear()
-    order = minimal_model._flag_ordered_complement(model, 1, stages[1])
+    order = minimal_model._flag_ordered_complement(model, 1, image)
     assert len(order) == 7 and shifts
     assert order == _reference_flag_order(nil322, 1, stages[1])
 
@@ -674,7 +814,7 @@ def test_dependent_image_rows_take_the_flag_path():
     a = [None] + [Multivector.basis_one_form(4, i) for i in range(1, 5)]
     image_reps = [ClassRep({}, coordinate_vector(a[i])) for i in (2, 3, 4, 4)]
     assert len(image_reps) == len(nilpotent_submodule(spec, 1))
-    order = minimal_model._flag_ordered_complement(MinimalModel(spec, 1), 1, image_reps)
+    order = minimal_model._flag_ordered_complement(MinimalModel(spec, 1), 1, _accumulated(image_reps))
     assert order == [a[1]] == _reference_flag_order(spec, 1, image_reps)
 
 
@@ -682,7 +822,7 @@ def test_image_rows_outside_the_slice_take_the_flag_path(s8):
     # the rank of the s8 slice a1, a2, a3, but a4 lies outside it
     a = [None] + [Multivector.basis_one_form(7, i) for i in range(1, 8)]
     image_reps = [ClassRep({}, coordinate_vector(a[i])) for i in (2, 3, 4)]
-    order = minimal_model._flag_ordered_complement(MinimalModel(s8, 1), 1, image_reps)
+    order = minimal_model._flag_ordered_complement(MinimalModel(s8, 1), 1, _accumulated(image_reps))
     assert order == [a[1]] == _reference_flag_order(s8, 1, image_reps)
 
 

@@ -99,7 +99,7 @@ def _run_stage(command: str, input_path: str, options: dict) -> int:
         from .text import render_text  # a JSON run does not compile the renderer
 
         payload = render_text(report)
-    if options["--report"]:
+    if options["--report"] is not None:  # an empty path is an unwritable one
         try:
             with open(options["--report"], "w", encoding="utf-8") as handle:
                 handle.write(payload)

@@ -68,40 +68,36 @@ d from degree k-1, the classes :meth:`MinimalModel.class_reps` forms
 from them (none when the image fills the cocycles), and the echelon form
 of the classes' realizations, which :meth:`MinimalModel.class_reps` forms
 with them and the killing rounds, the flag order and the quasi-iso check
-read without adding a row.  Appending a
-degree-k generator g updates that state by three rules instead of
-forgetting it:
+read without adding a row.  The cocycles of degree k and the image of
+degree k+1 read the degree-k monomials; the classes read degrees k and
+k-1.  Appending a degree-p generator g keeps that state by four rules:
 
-  * g closed: degree k gains the unit cocycle and the unit class ``(g,)``,
-    each as a last row, and its realization joins the realized rows.
-    Exact, because d(g) = 0, no boundary meets g, and ``(g,)`` sorts
-    after every older degree-k monomial, so both canonical echelon forms
-    just gain that row;
-  * g not closed: degree k is unchanged exactly when dg enlarges the
-    image accumulator of degree k+1, which then holds dg.  In the build
-    this always holds, since each killed cocycle is an independent class;
-  * every other degree that g touches drops its entries (the image of
-    degree k+1 survives, since only ``(g,)`` joins degree k).
-
-A fourth rule applies once a killing round of stage q has appended its
-generators: degree q+1 keeps its cocycle list when the d-rows of all its
-monomials, less the rows the next paragraph skips for the kept list, are
-independent, that is when each enlarges an image accumulator.  The old
-rows taken are independent anyway, so then the rank grows by exactly the
-new rows, every free column of the kernel elimination stays free and no
-new one appears, and the canonical kernel basis is the old list; the
-accumulator is the image of degree q+2, kept for the next stage.  With
-no new monomial the list is kept with no work; a dependent row leaves
-the cocycles to be eliminated again.
-
-A fresh image of degree k skips d of the last monomial of each kept
-degree-(k-1) cocycle, where the cocycle is 1 (a free column of its kernel
-elimination, or a closed generator's unit): that row is a combination of
-the rows before it, and the four rules keep this true.
+  * append: the image of degree p+1 stays and takes dg.  g closed, degree
+    p's cocycles and classes gain the unit ``(g,)`` as a last row and its
+    realization joins the realized rows (exact: d(g) = 0, no boundary meets
+    g, and ``(g,)`` sorts after every older degree-p monomial); g not
+    closed, they stay when dg enlarges that image, as each killed cocycle,
+    an independent class, does;
+  * drop by growth: any other entry drops when g may add a monomial to a
+    degree it reads.  Degree j gains g times each degree-(j-p) monomial, so
+    it grows when j = p or when the list of degree j-p is not empty or not
+    kept.  A killing round whose generators add no monomial one degree up
+    (b2b2, with no degree-1 generator) so keeps those cocycles with no work;
+  * re-certify: a dropped cocycle basis is set aside, and ``cocycles``
+    returns it again when every d-row the skip rule takes is independent,
+    keeping that image one degree up: the rank is then the monomial count
+    less the basis length, every free column of the kernel elimination
+    stays free and no new one appears, so the canonical kernel basis is the
+    old list.  A dependent row sends the cocycles to elimination;
+  * skip: an image of degree k skips d of the last monomial of each
+    degree-(k-1) cocycle, where the cocycle is 1 (a free column of its
+    kernel elimination, or a closed generator's unit): that row is a
+    combination of the rows before it.  ``class_reps`` forms a missing
+    image from ``cocycles(k - 1)``, so every image skips those rows.
 
 So the build forms each degree's classes once per killing round and
 their realizations' echelon form once, each round adds only its new
-differentials to the image, a round that kills eliminates no cocycles
+differentials to the image, a killing round eliminates no cocycles
 again unless a new monomial's row is dependent, and the quasi-iso check,
 the twist and the formality criterion read the finished model's classes
 and cocycles without eliminating again.
@@ -170,6 +166,7 @@ class MinimalModel:
         # kept cohomology per degree k: the cocycle basis, the image of d from
         # degree k - 1 and the classes; degree 1 of a model with no generators is 0
         self._cocycles: dict = {1: []}
+        self._set_aside: dict = {}  # cocycle bases an append dropped, for cocycles() to re-certify
         self._images: dict = {1: EchelonAccumulator()}
         self._classes: dict = {1: []}
         self._realized: dict = {1: EchelonAccumulator()}  # echelon form of the classes' rho rows
@@ -190,13 +187,20 @@ class MinimalModel:
         self._parity.append(degree % 2)
         self._rho_cache[(gen.gid,)] = coordinate_vector(gen.rho)
         # only monomials of at least the new degree can contain the new generator
-        self._mono_cache = {k: v for k, v in self._mono_cache.items() if k < degree}
-        # the kept cohomology follows the three append rules of the module docstring
+        monos = self._mono_cache = {k: v for k, v in self._mono_cache.items() if k < degree}
+        # the kept cohomology follows the append rules of the module docstring
         dg, image = gen.differential, self._images.get(degree + 1)
         stays = not dg or (image is not None and image.add(dg))
-        self._images = {j: v for j, v in self._images.items() if j <= degree + 1}
-        for kept in (self._cocycles, self._classes, self._realized):
-            for j in [j for j in kept if j > degree or (j == degree and not stays)]:
+        # degree j >= |g| grows by g times each degree-(j - |g|) monomial, which a list
+        # not kept may hold; the cocycles of degree j and the image of degree j + 1 read it
+        for j in [j for j in self._cocycles if j >= degree and monos.get(j - degree, True)]:
+            if j > degree or not stays:
+                self._set_aside[j] = self._cocycles.pop(j)
+        self._images = {
+            j: v for j, v in self._images.items() if j <= degree + 1 or not monos.get(j - 1 - degree, True)
+        }
+        for kept in (self._classes, self._realized):  # classes read their cocycles and image
+            for j in [j for j in kept if j == degree + 1 or j not in self._cocycles or j not in self._images]:
                 del kept[j]
         if not dg:
             unit = {(gen.gid,): 1}
@@ -314,13 +318,21 @@ class MinimalModel:
     # ----- cohomology of the model -------------------------------------------------
 
     def cocycles(self, k: int) -> list[dict]:
-        """Basis of the degree-k cocycles, as polynomials; kept on the model."""
+        """Basis of the degree-k cocycles, as polynomials; kept on the model.  A
+        basis an append set aside is the basis again when :meth:`_image` certifies
+        it, and that image is kept as the image of degree k + 1."""
         out = self._cocycles.get(k)
         if out is None:
             domain = self.monomials(k)
-            # polynomials are the rows; kernel vectors are keyed by domain position
-            kernel = map_kernel([self.d_mono(m) for m in domain])
-            out = self._cocycles[k] = [{domain[j]: c for j, c in vec.items()} for vec in kernel]
+            out = self._set_aside.pop(k, None)
+            image = None if out is None else self._image(domain, out)
+            if image is None:
+                # polynomials are the rows; kernel vectors are keyed by domain position
+                kernel = map_kernel([self.d_mono(m) for m in domain])
+                out = [{domain[j]: c for j, c in vec.items()} for vec in kernel]
+            else:
+                self._images[k + 1] = image
+            self._cocycles[k] = out
         return out
 
     def class_reps(self, k: int) -> list[ClassRep]:
@@ -329,8 +341,10 @@ class MinimalModel:
         if out is None:
             image = self._images.get(k)
             if image is None:
-                kept = self._cocycles.get(k - 1, ())
-                image = self._images[k] = self._image(self.monomials(k - 1), kept)[0]
+                below = self.cocycles(k - 1)  # re-certifying it keeps the image too
+                image = self._images.get(k)
+                if image is None:
+                    image = self._images[k] = self._image(self.monomials(k - 1), below)
             cocycles = self.cocycles(k)
             rows = []
             # the image lies in the cocycles, so equal dimensions leave no class
@@ -347,30 +361,17 @@ class MinimalModel:
                 realized.add(rep.rho)
         return out
 
-    def _keep_cocycles(self, k: int, cocycles: list[dict], first: int) -> None:
-        """The fourth rule of the module docstring, once the non-closed
-        generators from id ``first`` on have joined degree k - 1: degree k keeps
-        ``cocycles``, its basis before them, when every d-row :meth:`_image`
-        takes is independent, and that image is then the image of degree k + 1;
-        otherwise the cocycles are eliminated again."""
-        monos = self.monomials(k)
-        if any(m[-1] >= first for m in monos):  # a monomial's last id is its largest
-            image, independent = self._image(monos, cocycles)
-            if not independent:
-                return
-            self._images[k + 1] = image
-        self._cocycles[k] = cocycles
-
-    def _image(self, monos: list, cocycles: list[dict]) -> tuple[EchelonAccumulator, bool]:
+    def _image(self, monos: list, cocycles: list[dict]) -> EchelonAccumulator | None:
         """Accumulator of the d-rows of ``monos`` less the last monomial of each
-        of ``cocycles``, where the cocycle is 1, and whether every row taken
-        enlarged it.  When ``cocycles`` span the kernel of d on ``monos`` each
-        skipped row is a combination of the rows before it, so the image is
-        whole and every row taken is independent."""
+        of ``cocycles``, where the cocycle is 1; each skipped row depends on the
+        rows before it.  None at the first row taken that does not enlarge it,
+        which happens exactly when ``cocycles`` do not span the kernel of d."""
         image = EchelonAccumulator()
         free = {max(poly) for poly in cocycles}
-        taken = [image.add(self.d_mono(m)) for m in monos if m not in free]
-        return image, all(taken)
+        for m in monos:
+            if m not in free and not image.add(self.d_mono(m)):
+                return None
+        return image
 
 
 def mono_name(model: MinimalModel, mono) -> str:
@@ -482,7 +483,6 @@ def build_minimal_model(spec: AlmostAbelianSpec, d_max: int) -> MinimalModel:
         # the classes of degree q are the ones the last killing round of stage q - 1 formed
         for vec in _flag_ordered_complement(model, q, model._realized[q]):
             model.add_generator(degree=q, rho=vec)
-        killed = None  # the cocycles of degree q + 1 before the last round, its first new id
         # a cap, not a bound: tests/test_minimal_model.py::test_killing_rounds_per_stage
         # never sees more than 2 rounds
         for _round in range(50):
@@ -492,12 +492,9 @@ def build_minimal_model(spec: AlmostAbelianSpec, d_max: int) -> MinimalModel:
                     f"model too large: degree {q + 1} has {count} monomials, "
                     f"above the limit of {MAX_MODEL_MONOMIALS}"
                 )
-            if killed:  # counted first: the fourth rule forms the new monomials' d-rows
-                model._keep_cocycles(q + 1, *killed)
             reps = model.class_reps(q + 1)
             if model._realized[q + 1].rank == len(reps):
                 break
-            killed = model.cocycles(q + 1), len(model.gens)
             kern = map_kernel([rep.rho for rep in reps])
             for differential in matrix_mul(kern, [rep.poly for rep in reps]):
                 model.add_generator(degree=q, differential=differential)

@@ -26,7 +26,9 @@ type"; else the coordinates are fixed one at a time in grid order, each
 at the smallest value that keeps the partially substituted polynomial
 nonzero.  The same bound shows this reaches the lexicographically first
 nonzero grid point, with no enumeration.  A negative answer refutes only
-forms of this invariant type, nothing more.
+forms of this invariant type, nothing more.  The products are counted as
+each level of multisets is formed, and a level past
+:data:`MAX_PAIRING_PRODUCTS` is refused with an :class:`.InputError`.
 
 The witness's values come from that search alone: the pairing is ``P`` at
 the grid point and ``omega^N`` is N times it.  :func:`verify_symplectic`
@@ -45,6 +47,12 @@ from .exterior import Multivector, merge_indices, top_coefficient, wedge_power
 from .linalg import _multiply_into, matrix_mul
 from .monodromy import nilpotent_submodule, shift_slice
 from .spectral import AlmostAbelianSpec, require_modification_hypothesis
+
+# Nonzero products of basis 2-forms in one level of the pairing expansion.  In-process
+# on a 2-vCPU x86 VM: torus13's six levels hold 78, 2,145, 25,740, 135,135, 270,270 and
+# 135,135 products (13.2 s for the expansion, 243 MB); torus15's fourth would hold
+# 675,675 and is refused here after 1.8 s.
+MAX_PAIRING_PRODUCTS = 300000
 
 
 class CoSymplecticPair:
@@ -133,13 +141,18 @@ def _pairing_polynomial(spec, half, f_basis, e_basis) -> dict:
     product row of a multiset extends the one without its last element."""
     f_rows = [u.terms for u in f_basis]
     products = {(): {(): 1}}
-    for _ in range(half - 1):
+    for level in range(1, half):
         longer = {}
         for multiset, row in products.items():
             for i in range(multiset[-1] if multiset else 0, len(f_rows)):
                 product = _multiply_into({}, row, f_rows[i], merge_indices)
                 if product:
                     longer[multiset + (i,)] = product
+                    if len(longer) > MAX_PAIRING_PRODUCTS:
+                        raise InputError(
+                            f"symplectic expansion too large: level {level} of the pairing "
+                            f"polynomial exceeds {MAX_PAIRING_PRODUCTS} products of basis 2-forms"
+                        )
         products = longer
     top = tuple(range(1, spec.n + 1))
     e_rows = [e.terms for e in e_basis]

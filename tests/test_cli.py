@@ -200,6 +200,16 @@ def test_unwritable_report_path_exit_code(tmp_path, capsys):
     assert err.startswith("error: cannot write report: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv", [["--report="], ["--report", ""]])
+def test_empty_report_path_is_unwritable(tmp_path, capsys, argv):
+    # an empty path once sent the report to stdout and exited 0
+    spec_path = _write_spec(tmp_path, text=fixture_path("torus3").read_text())
+    assert main(["unipotent", str(spec_path), *argv, "--format", "json"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: cannot write report: ") and err.count("\n") == 1
+
+
 def test_malformed_report_diagnostic(tmp_path, capsys):
     spec_path = _write_spec(tmp_path)
     report_path = tmp_path / "broken.json"
@@ -355,6 +365,25 @@ def test_model_past_its_monomial_limit_is_refused(tmp_path, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert err == "error: model too large: degree 10 has 43022 monomials, above the limit of 20000\n"
+
+
+def test_symplectic_expansion_past_its_product_limit_is_refused(tmp_path, capsys):
+    # torus15's fourth level would hold 675,675 products of basis 2-forms; the
+    # expansion stops past the limit within seconds, while torus11 is admitted
+    def torus(n):
+        return json.dumps({"n": n, "blocks": [{"kind": "real", "size": 1}] * n})
+
+    spec_path = _write_spec(tmp_path, text=torus(15))
+    assert main(["symplectic", str(spec_path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (
+        "error: symplectic expansion too large: level 4 of the pairing polynomial exceeds "
+        "300000 products of basis 2-forms\n"
+    )
+    spec_path = _write_spec(tmp_path, text=torus(11))
+    assert main(["symplectic", str(spec_path), "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["symplectic"]["witness"] is not None
 
 
 def test_lowered_model_limit_refuses_s6(tmp_path, capsys, monkeypatch):

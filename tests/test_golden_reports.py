@@ -4,7 +4,9 @@ Any change to the elimination, memo or report code must leave these
 digests alone; a deliberate change of report content updates them in
 the same commit.  The minimal model dumps (``serialize_model``) are
 pinned the same way, s8 up to degree 7, so a change to the model
-construction is checked past the degrees a report reaches quickly.
+construction is checked past the degrees a report reaches quickly, and
+so are three models no report reaches: frac3 and frac4 at K=1..4,
+outside the modification hypothesis, and b2b2 at K=6.
 Two larger inline specs are pinned as well: s10 (symbols, complex blocks
 and a symplectic witness), nil11 (``a(...)`` monomial names for
 n >= 10 and three zero-weight blocks), and b2b2c and cpx2, whose
@@ -255,6 +257,31 @@ def test_multi_term_fiber_slices_unchanged():
                 digest.update(("; ".join(map(str, part)) + "\n").encode())
     assert multi_term == 12
     assert digest.hexdigest() == "90a349160cd7458d5d475129ce153f2593e85a9153712db0e324524cd9517d8a"
+
+
+# model dumps the CLI never builds: frac3 and frac4 lie outside the modification
+# hypothesis, so their stages take the multi-term flag order and quasi-iso check,
+# and b2b2 has no degree-1 generator, so no killing round adds a monomial one degree up
+B2B2 = '{"n": 4, "symbols": ["b"], "blocks": [{"kind": "real", "size": 2, "re": "b"},' \
+    ' {"kind": "real", "size": 2, "re": "-b"}]}'
+INLINE_MODEL_GOLDEN = {
+    ("frac3", 1): "04139e731c991281989eb6f9d1df24f5c3ed82c328bff2d9a66f9b1234b56f3d",
+    ("frac3", 2): "b5110f3199c9c8f764cf4c8f9e412df8a14d6c0dd8cf3a8e2cf58ac8fc688a63",
+    ("frac3", 3): "4313ccf27219166a332427ae78563f1250ca0a1bbd91fefc83d172bff447c9de",
+    ("frac3", 4): "452777798dfd67dee5098611dcb6b7b16886157a66d943f9c289227eb799e3d7",
+    ("frac4", 1): "647fe914b446dce1153506133af73c038f2e285ae28c2f1e81f9b4e75f36df66",
+    ("frac4", 2): "37308577b8780f471156295ae83ec57ddae2d160dd1370ddcdcdab8fc96657a1",
+    ("frac4", 3): "de511ae26ce7870c438488e849c011fb781d45339acb514cbf997e9ff0889e5c",
+    ("frac4", 4): "f6134fe2da1b607a58e0c42deda160b01c91ebf5c93213f6981f23134bd09d1b",
+    ("b2b2", 6): "08b50cea0ce9d4e6e475a2f8ea1f1d7716c8d14115504f6f42ce649838976d8a",
+}
+
+
+@pytest.mark.parametrize("name, max_degree", sorted(INLINE_MODEL_GOLDEN))
+def test_inline_model_dump_unchanged(name, max_degree):
+    doc = B2B2 if name == "b2b2" else MULTI_TERM[name]
+    text = serialize_model(build_minimal_model(parse_spec(doc), max_degree))
+    assert hashlib.sha256(text.encode()).hexdigest() == INLINE_MODEL_GOLDEN[name, max_degree]
 
 
 def test_shift_kernels_come_out_reduced():

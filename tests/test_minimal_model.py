@@ -187,6 +187,17 @@ _HAND_SPECS = (
 )
 
 
+# outside the modification hypothesis: fractional rotations with multi-term slices
+_FRAC3 = (
+    '{"n": 8, "blocks": [{"kind": "complex", "size": 2, "im_resonant": "1/3"},'
+    ' {"kind": "complex", "size": 1, "im_resonant": "1/3"}, {"kind": "real", "size": 2}]}'
+)
+_FRAC4 = (
+    '{"n": 10, "blocks": [{"kind": "complex", "size": 3, "im_resonant": "1/4"},'
+    ' {"kind": "complex", "size": 1, "im_resonant": "1/2"}, {"kind": "real", "size": 2}]}'
+)
+
+
 def _pairs(reps):
     return [(rep.poly, rep.rho) for rep in reps]
 
@@ -228,6 +239,39 @@ def test_kept_cohomology_equals_elimination_from_scratch(s6, s8, torus3, torus4,
     assert prefixes > 200
 
 
+def _check_kept(model, spec):
+    """Every entry the model keeps is the from-scratch one."""
+    for k, cocycles in model._cocycles.items():
+        assert cocycles == reference_cocycles(model, k), (spec, k)
+    for k, image in model._images.items():
+        assert (image.rows, image.pivots) == _full_image(model, k), (spec, k)
+    for k, reps in model._classes.items():
+        assert _pairs(reps) == _pairs(reference_class_reps(model, k)), (spec, k)
+        realized, expected = model._realized[k], _accumulated(reps)
+        assert (realized.rows, realized.pivots) == (expected.rows, expected.pivots), (spec, k)
+    return len(model._cocycles) + len(model._images) + len(model._classes)
+
+
+def test_kept_state_is_the_scratch_state_after_every_append(s8, nil322):
+    # a build's generators replayed while classes of random degrees are formed:
+    # entries of many degrees meet appends of lower degree, which must drop
+    # exactly what they may grow, and cocycles() must re-certify only true bases
+    rng = random.Random(71)
+    cases = [(s8, 5), (parse_spec(_HAND_SPECS[0]), 5), (nil322, 3)]
+    cases += [(random_resonant_spec(random.Random(seed), n_max=7), 4) for seed in range(20)]
+    cases += [(random_unimodular_spec(random.Random(seed), n_max=6), 3) for seed in range(1000, 1010)]
+    checked = 0
+    for spec, bound in cases:
+        model = MinimalModel(spec, bound)
+        for g in build_minimal_model(spec, bound).gens:
+            model.add_generator(g.degree, g.differential, g.rho)
+            checked += _check_kept(model, spec)
+            for k in rng.sample(range(1, bound + 3), 2):
+                model.class_reps(k)
+        checked += _check_kept(model, spec)
+    assert checked > 2500
+
+
 def _reference_quasi_iso(model) -> dict:
     out = {}
     for k in range(1, model.degree_bound + 1):
@@ -261,35 +305,39 @@ def test_exact_differential_drops_the_kept_degree(s6):
 
 
 def test_classes_formed_before_the_cocycles_one_degree_down(s8):
-    # with no kept cocycles one degree down, the image takes every d-row,
-    # dependent ones included, and the classes are still the from-scratch ones
+    # with no kept cocycles one degree down, the classes form them first, so
+    # the image still skips their free rows and takes only independent ones;
+    # the classes are still the from-scratch ones
     built = build_minimal_model(s8, 3)
     model = MinimalModel(s8, 4)
     for g in built.gens:
         model.add_generator(g.degree, g.differential, g.rho)
+    assert 3 not in model._cocycles and 4 not in model._images
     assert _pairs(model.class_reps(4)) == _pairs(reference_class_reps(model, 4))
-    assert 3 not in model._cocycles and (model._images[4].rows, model._images[4].pivots) == _full_image(model, 4)
+    assert model._cocycles[3] == reference_cocycles(model, 3)
+    image = model._images[4]
+    assert (image.rows, image.pivots) == _full_image(model, 4)
+    assert image.rank == len(model.monomials(3)) - len(model._cocycles[3])
 
 
 def test_dependent_new_row_eliminates_the_cocycles_again(monkeypatch, s6):
     # x, y closed of degree 1, then z with dz = x*y: the new degree-2 monomials
-    # x*z and y*z have d = 0, so x*z and y*z are new cocycles and the kept
-    # list [x*y] is no longer the basis; the fourth rule must not keep it
+    # x*z and y*z have d = 0, so x*z and y*z are new cocycles and the set-aside
+    # list [x*y] is no longer the basis; cocycles() must not re-certify it
     model = MinimalModel(s6, 2)
     for i in (1, 2):
         model.add_generator(1, rho=Multivector.basis_one_form(5, i))
     kept = model.cocycles(2)
     assert kept == [{(0, 1): 1}]
     z = model.add_generator(1, {(0, 1): 1})
-    assert 2 not in model._cocycles
+    assert 2 not in model._cocycles and model._set_aside[2] is kept
     assert model.d_mono((0, z.gid)) == model.d_mono((1, z.gid)) == {}
-    model._keep_cocycles(2, kept, z.gid)
-    assert 2 not in model._cocycles and 3 not in model._images
     kernels = []
     plain = minimal_model.map_kernel
     monkeypatch.setattr(minimal_model, "map_kernel", lambda rows: kernels.append(rows) or plain(rows))
     assert model.cocycles(2) == reference_cocycles(model, 2)
     assert len(model.cocycles(2)) == 3 and len(kernels) == 1
+    assert 2 not in model._set_aside and 3 not in model._images
     for k in (1, 2):
         assert _pairs(model.class_reps(k)) == _pairs(reference_class_reps(model, k))
 
@@ -297,7 +345,7 @@ def test_dependent_new_row_eliminates_the_cocycles_again(monkeypatch, s6):
 def test_refusal_counts_before_the_new_rows_are_formed(monkeypatch, s8):
     # stage 4 of s8 counts 97 degree-5 monomials, then 145 once its killing
     # generators joined; a limit between them refuses the second round before
-    # the fourth rule forms d of any monomial holding one of those generators
+    # the re-certification forms d of any monomial holding one of those generators
     counts, models = [], set()
     plain_count, plain_d = minimal_model._monomial_count, MinimalModel.d_mono
 
@@ -318,44 +366,151 @@ def test_refusal_counts_before_the_new_rows_are_formed(monkeypatch, s8):
 
 
 def test_each_row_set_is_eliminated_once(monkeypatch, s8, nil322):
-    # a killing round keeps its cocycles, so only the first round of a stage
-    # eliminates them, and the realized rows are eliminated once per degree,
-    # where the killing kernel, the next stage's flag order and the quasi-iso
-    # check each eliminated them again: 6 cocycle kernels and 16 map_kernel
-    # calls for s8 at K=4, 10 and 23 for b2b2 at K=6, 3 and 9 for nil322 at K=3
-    eliminated, kernels, adds = [], [], []
+    # a killing round re-certifies its cocycles, so only the first round of a
+    # stage eliminates them, and the realized rows are eliminated once per
+    # degree, where the killing kernel, the next stage's flag order and the
+    # quasi-iso check each eliminated them again: 6 cocycle kernels and 16
+    # map_kernel calls for s8 at K=4, 10 and 23 for b2b2 at K=6, 3 and 9 for
+    # nil322 at K=3.  s8 re-certifies in two stages, b2b2's rounds add no
+    # monomial one degree up and keep the list, nil322 never kills
+    eliminated, recertified, kernels, adds = [], [], [], []
+    inside = []  # the degree of the cocycles() call under way
     plain_cocycles, plain_kernel = MinimalModel.cocycles, minimal_model.map_kernel
     plain_add = EchelonAccumulator.add
 
     def cocycles(model, k):
-        if k not in model._cocycles:
-            eliminated.append(k)
-        return plain_cocycles(model, k)
+        set_aside = model._set_aside.get(k) if k not in model._cocycles else None
+        inside.append(k)
+        try:
+            out = plain_cocycles(model, k)
+        finally:
+            inside.pop()
+        if set_aside is not None and out is set_aside:
+            recertified.append(k)
+        return out
+
+    def kernel(rows):
+        kernels.append(rows)
+        if inside:
+            eliminated.append(inside[-1])
+        return plain_kernel(rows)
 
     monkeypatch.setattr(MinimalModel, "cocycles", cocycles)
-    monkeypatch.setattr(minimal_model, "map_kernel", lambda rows: kernels.append(rows) or plain_kernel(rows))
+    monkeypatch.setattr(minimal_model, "map_kernel", kernel)
     monkeypatch.setattr(EchelonAccumulator, "add", lambda acc, v: adds.append(v) or plain_add(acc, v))
     models = []
-    for spec, bound, cocycle_kernels, kernel_calls in (
-        (s8, 4, 4, 10),
-        (parse_spec(_HAND_SPECS[0]), 6, 6, 13),
-        (nil322, 3, 3, 6),
+    for spec, bound, cocycle_kernels, kept_again, kernel_calls in (
+        (s8, 4, 4, 2, 10),
+        (parse_spec(_HAND_SPECS[0]), 6, 6, 0, 13),
+        (nil322, 3, 3, 0, 6),
     ):
         eliminated.clear()
+        recertified.clear()
         kernels.clear()
         models.append(build_minimal_model(spec, bound))
-        assert (len(eliminated), len(kernels)) == (cocycle_kernels, kernel_calls), spec
+        counts = (len(eliminated), len(recertified), len(kernels))
+        assert counts == (cocycle_kernels, kept_again, kernel_calls), spec
     # outside the modification hypothesis the slices of degrees 2 and 3 are
     # multi-term, so the check reads their residues instead of the unit-slice test
-    frac3 = parse_spec(
-        '{"n": 8, "blocks": [{"kind": "complex", "size": 2, "im_resonant": "1/3"},'
-        ' {"kind": "complex", "size": 1, "im_resonant": "1/3"}, {"kind": "real", "size": 2}]}'
-    )
-    models.append(build_minimal_model(frac3, 3))
+    models.append(build_minimal_model(parse_spec(_FRAC3), 3))
     for model in models:
         adds.clear()
         results = verify_quasi_iso(model)
         assert adds == [] and all(entry["ok"] for entry in results.values())
+
+
+def test_rounds_that_add_no_monomial_form_no_row_one_degree_up(monkeypatch):
+    # b2b2 has no degree-1 generator, so the generators a killing round of
+    # stage q appends add no degree-(q+1) monomial: the cocycles stay kept,
+    # and the next round forms no d-row of degree q + 1
+    events = []
+    plain_count, plain_d = minimal_model._monomial_count, MinimalModel.d_mono
+    complement = minimal_model._flag_ordered_complement
+
+    def degree(model, mono):
+        return sum(model.gens[g].degree for g in mono)
+
+    monkeypatch.setattr(
+        minimal_model, "_monomial_count", lambda model, k: events.append(("count", k)) or plain_count(model, k)
+    )
+    monkeypatch.setattr(
+        MinimalModel, "d_mono", lambda model, mono: events.append(("d", degree(model, mono))) or plain_d(model, mono)
+    )
+    monkeypatch.setattr(
+        minimal_model, "_flag_ordered_complement", lambda model, q, acc: events.append(("stage", q)) or complement(model, q, acc)
+    )
+    model = build_minimal_model(parse_spec(_HAND_SPECS[0]), 6)
+    assert min(g.degree for g in model.gens) == 2
+    rounds = []  # per round after a stage's first: its degree q + 1 and the d-rows it formed
+    first, formed = True, None
+    for kind, k in events:
+        if kind == "stage":
+            first, formed = True, None
+        elif kind == "count":
+            formed = None if first else []
+            if not first:
+                rounds.append((k, formed))
+            first = False
+        elif formed is not None:
+            formed.append(k)
+    assert len(rounds) == 4
+    assert all(k not in formed for k, formed in rounds), rounds
+
+
+def _tagged_kernel(model, k):
+    """A degree-k cocycle basis by a route other than ``map_kernel``: each
+    monomial's d-row, tagged with its position, is eliminated row by row, and
+    the rows whose d part vanished carry the kernel in their tags."""
+    domain = model.monomials(k)
+    acc = EchelonAccumulator()
+    for j, mono in enumerate(domain):
+        row = {(0, c): x for c, x in model.d_mono(mono).items()}
+        row[1, j] = 1
+        acc.add(row)
+    return [{domain[j]: x for (_, j), x in row.items()} for row in acc.rows if min(row)[0] == 1]
+
+
+def _rereduced(model, k, basis):
+    """``basis`` re-reduced by the byte rule of the kept cocycles: relabelled
+    by reversed monomial order, echelonized, and relabelled back, so each
+    vector is 1 at its last monomial and 0 at the others' last monomials,
+    listed in the order of those monomials."""
+    domain = model.monomials(k)
+    rows = echelon_basis([{-domain.index(m): x for m, x in vec.items()} for vec in basis])
+    return [{domain[-j]: x for j, x in row.items()} for row in reversed(rows)]
+
+
+def test_kept_cocycles_follow_the_byte_rule(monkeypatch, s8, nil322):
+    # any exact route to the degree-k cocycles, re-reduced with its leads at
+    # the last monomial, gives the kept list byte for byte; so do the kept
+    # lists themselves, those cocycles() re-certifies when it does so, and
+    # every list the finished model keeps
+    recertified = []
+    plain = MinimalModel.cocycles
+
+    def check(model, k, kept):
+        assert _rereduced(model, k, kept) == kept == _rereduced(model, k, _tagged_kernel(model, k)), k
+
+    def checking(model, k):
+        set_aside = model._set_aside.get(k) if k not in model._cocycles else None
+        out = plain(model, k)
+        if set_aside is not None and out is set_aside:
+            check(model, k, out)
+            recertified.append(k)
+        return out
+
+    monkeypatch.setattr(MinimalModel, "cocycles", checking)
+    cases = [(s8, bound) for bound in range(1, 7)]
+    cases += [(parse_spec(_HAND_SPECS[0]), 6), (nil322, 5), (parse_spec(_FRAC3), 4), (parse_spec(_FRAC4), 4)]
+    cases += [(random_resonant_spec(random.Random(seed), n_max=7), 4) for seed in range(60)]
+    cases += [(random_unimodular_spec(random.Random(seed), n_max=7), 4) for seed in range(1000, 1060)]
+    kept = 0
+    for spec, bound in cases:
+        model = build_minimal_model(spec, bound)
+        for k, cocycles in model._cocycles.items():
+            check(model, k, cocycles)
+            kept += 1
+    assert len(recertified) > 20 and kept > 500
 
 
 def test_killing_rounds_per_stage(monkeypatch, s6, s8, nil322):

@@ -165,6 +165,8 @@ class Multivector:
             raise ValueError("multivectors have different ambient dimension or degree")
 
     def __str__(self) -> str:
+        if len(self.terms) == 1 and 1 in self.terms.values():
+            return mono_str(*self.terms)  # a unit form, as most printed forms are
         return _terms_text([(coeff, mono_str(key)) for key, coeff in self.terms.items()])
 
     def __repr__(self) -> str:

@@ -79,10 +79,15 @@ def kernel_and_pivots(rows: list[Row]) -> tuple[list[Row], list]:
     enlarges the span.  The kernel has one vector per free column of the
     reduced echelon form of the transposed rows, so the basis is canonical.
     """
+    return column_kernel_and_pivots(_transpose(rows), len(rows))
+
+
+def column_kernel_and_pivots(columns: list[tuple], size: int) -> tuple[list[Row], list]:
+    """:func:`kernel_and_pivots` of ``size`` rows given as sorted (column, entries by row) pairs."""
     acc = EchelonAccumulator()
-    pivots = [c for c, col in _transpose(rows) if acc.add(col)]
+    pivots = [c for c, col in columns if acc.add(col)]
     pivot_set = set(acc.pivots)
-    kernel = {free: {free: 1} for free in range(len(rows)) if free not in pivot_set}
+    kernel = {free: {free: 1} for free in range(size) if free not in pivot_set}
     # a reduced row is zero at every other pivot, so its other entries sit in free columns
     for row, p in zip(acc.rows, acc.pivots):
         for c, x in row.items():
@@ -214,6 +219,21 @@ class EchelonAccumulator:
         self.pivots.insert(at, c)
         self._by_pivot[c] = new
         return True
+
+    @classmethod
+    def of_rows(cls, rows: list[Row]) -> EchelonAccumulator:
+        """The accumulator of ``rows``.  Unit rows with distinct keys, each scaled
+        to 1 and sorted by key, already are the reduced echelon form: none is added."""
+        acc = cls()
+        keys = {key for row in rows if len(row) == 1 for key in row}
+        if len(keys) < len(rows):
+            for row in rows:
+                acc.add(row)
+        else:
+            acc.pivots = sorted(keys)
+            acc.rows = [{key: 1} for key in acc.pivots]
+            acc._by_pivot = dict(zip(acc.pivots, acc.rows))
+        return acc
 
     @property
     def rank(self) -> int:

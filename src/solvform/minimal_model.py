@@ -356,9 +356,7 @@ class MinimalModel:
                 else:
                     rows = echelon_basis(cocycles)
             out = self._classes[k] = [ClassRep(poly, self.rho_poly(poly)) for poly in rows]
-            realized = self._realized[k] = EchelonAccumulator()
-            for rep in out:
-                realized.add(rep.rho)
+            self._realized[k] = EchelonAccumulator.of_rows([rep.rho for rep in out])
         return out
 
     def _image(self, monos: list, cocycles: list[dict]) -> EchelonAccumulator | None:

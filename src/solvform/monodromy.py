@@ -32,9 +32,10 @@ shift sends each ``a_i`` to one later ``a_j`` or to 0, the map
 tuples of the integer slice rows directly: ``i`` is replaced by ``j``,
 the tuple is re-sorted, and the sign is the parity of the number of
 indices ``j`` moves past.  On a slice of unit rows, as under the
-hypothesis, a shift image lies in the slice exactly when its keys are
-keys of the slice; on the slices of nil7 this test takes 0.06 ms against
-0.43 ms for the general one (2-vCPU x86 VM).  Otherwise (only library
+hypothesis, an image lies in the slice exactly when its keys are slice
+keys: each is written straight into the transposed columns of the kernel
+elimination, refused at a key outside the slice, and a kernel vector
+keyed by slice monomial is its kernel row.  Otherwise (only library
 calls outside the hypothesis) a reduced row is zero at every other pivot,
 so an image lies in the slice exactly when the combination of the rows
 given by its own entries at the pivots rebuilds it.  The model build
@@ -89,7 +90,7 @@ from operator import add
 
 from .errors import InputError, InternalInvariantViolation
 from .exterior import Multivector, sort_indices
-from .linalg import echelon_basis, kernel_and_pivots, matrix_mul
+from .linalg import _transpose, column_kernel_and_pivots, echelon_basis, matrix_mul
 from .spectral import SLICE_CACHE_SIZE, AlmostAbelianSpec, _shift_index_map, _slot_table
 from .spectral import modification_hypothesis_holds
 from .scalars import _canonical
@@ -111,6 +112,8 @@ COUNT_CAP, CAPPED = 10**12, "at least 10**12"
 def resonant_monomials(spec: AlmostAbelianSpec, k: int) -> list[tuple[int, ...]]:
     """Slot tuples of the degree-k complex monomials with resonant weight sum, sorted."""
     groups, counts = _resonant_counts(spec)
+    if len(groups) == 1:  # combinations of one sorted group come sorted
+        return list(combinations(groups[0], k)) if (k,) in counts else []
     kept = []
     for count in counts:
         if sum(count) != k:
@@ -296,24 +299,31 @@ def _shift_slice(spec: AlmostAbelianSpec, k: int) -> tuple[tuple, tuple]:
     basis = _nilpotent_submodule(spec, k)
     rows = [u.terms for u in basis]
     index_map = _shift_index_map(spec)
-    images = [_shift_row(row, index_map) for row in rows]
+    last = len(rows) - 1  # the images are eliminated in reversed order: row i is j = last - i
     if all(len(row) == 1 for row in rows):
-        # every row is {key: 1}, so the slice holds exactly the images inside its keys
-        keys = {key for row in rows for key in row}
-        outside = [u for u, image in zip(basis, images) if not keys.issuperset(image)]
+        keys = [min(row) for row in rows]
+        slice_keys = set(keys)
+        columns: dict = {}
+        for i, (u, row) in enumerate(zip(basis, rows)):
+            for c, x in _shift_row(row, index_map).items():
+                if c not in slice_keys:
+                    raise InternalInvariantViolation(f"the shift maps {u} out of the unipotent slice")
+                columns.setdefault(c, {})[last - i] = x
+        kernel, image_pivots = column_kernel_and_pivots(sorted(columns.items()), len(rows))
+        kernel_rows = [{keys[last - j]: x for j, x in vec.items()} for vec in reversed(kernel)]
     else:
         # only library calls on specs outside the modification hypothesis get here;
         # a reduced row is zero at every other pivot, so an image inside the slice
         # is the combination of the rows given by its own entries at the pivots
+        images = [_shift_row(row, index_map) for row in rows]
         by_pivot = {min(row): row for row in rows}
         at_pivots = [{p: x for p, x in image.items() if p in by_pivot} for image in images]
         rebuilt = matrix_mul(at_pivots, by_pivot)
         outside = [u for u, image, back in zip(basis, images, rebuilt) if back != image]
-    if outside:
-        raise InternalInvariantViolation(f"the shift maps {outside[0]} out of the unipotent slice")
-    kernel, image_pivots = kernel_and_pivots(images[::-1])  # kernel index j is row last - j
-    last = len(rows) - 1
-    kernel_rows = matrix_mul([{last - j: x for j, x in vec.items()} for vec in reversed(kernel)], rows)
+        if outside:
+            raise InternalInvariantViolation(f"the shift maps {outside[0]} out of the unipotent slice")
+        kernel, image_pivots = column_kernel_and_pivots(_transpose(images[::-1]), len(rows))
+        kernel_rows = matrix_mul([{last - j: x for j, x in vec.items()} for vec in reversed(kernel)], rows)
     kappa = _sl2_kernel_sizes(spec)[k]
     if len(kernel_rows) != kappa:
         raise InternalInvariantViolation(

@@ -1059,3 +1059,60 @@ def test_image_takes_only_the_independent_rows(s8, nil322):
         for k, image in model._images.items():
             assert (image.rows, image.pivots) == _full_image(model, k), (spec, k)
     assert skipped > 1000
+
+
+def _same_echelon(acc, expected, basis):
+    """Rows, pivots, rank and the residue of every slice row agree."""
+    rows = [coordinate_vector(u) for u in basis]
+    return (acc.rows, acc.pivots, acc.rank, [acc.residue(r) for r in rows]) == (
+        expected.rows, expected.pivots, expected.rank, [expected.residue(r) for r in rows]
+    )
+
+
+def test_unit_realizations_form_their_echelon_without_elimination(s6, s8, nil322):
+    # distinct unit realizations, scaled to 1 and sorted by key, already are the
+    # reduced echelon form; it must equal the accumulator the same rows feed, also
+    # after the appends add_generator makes (a unit class, then a multi-term row)
+    cases = [(s6, 6), (s8, 6), (nil322, 5), (parse_spec(_HAND_SPECS[0]), 6)]
+    cases += [(random_resonant_spec(random.Random(seed), n_max=7), 4) for seed in range(60)]
+    cases += [(random_unimodular_spec(random.Random(seed), n_max=7), 4) for seed in range(1000, 1060)]
+    direct = appended = 0
+    for spec, bound in cases:
+        model = build_minimal_model(spec, bound)
+        for k, realized in model._realized.items():
+            reps = model._classes[k]
+            expected = _accumulated(reps)
+            basis = nilpotent_submodule(spec, k)
+            assert _same_echelon(realized, expected, basis), (spec, k)
+            keys = {key for rep in reps if len(rep.rho) == 1 for key in rep.rho}
+            direct += bool(reps) and len(keys) == len(reps)
+            free = [key for key in combinations(range(1, spec.n + 1), k) if key not in keys]
+            if len(free) >= 2:
+                for row in ({free[0]: 1}, {free[0]: 2, free[1]: -1}):
+                    realized.add(row)
+                    expected.add(row)
+                    assert _same_echelon(realized, expected, basis), (spec, k)
+                appended += 1
+    assert direct > 400 and appended > 150
+
+
+def test_repeated_or_multi_term_realizations_are_eliminated(monkeypatch, torus3):
+    # closed degree-1 generators realized by a1, a2 and a1 + a2 give degree-2
+    # classes realized by a12 three times (a repeated key); by a1 and a2 + a3,
+    # one class realized by a12 + a13 (a multi-term row)
+    def abs_row(row):
+        return {key: abs(x) for key, x in row.items()}
+
+    added = []
+    plain = EchelonAccumulator.add
+    monkeypatch.setattr(EchelonAccumulator, "add", lambda acc, row: added.append(row) or plain(acc, row))
+    for rhos, realized in (([(1,), (2,), (1, 2)], [{(1, 2): 1}] * 3), ([(1,), (2, 3)], [{(1, 2): 1, (1, 3): 1}])):
+        model = MinimalModel(torus3, 2)
+        for indices in rhos:
+            model.add_generator(1, rho=Multivector(3, 1, {(i,): 1 for i in indices}))
+        added.clear()
+        reps = model.class_reps(2)
+        assert [abs_row(rep.rho) for rep in reps] == realized
+        assert added == [rep.rho for rep in reps]
+        expected = _accumulated(reps)
+        assert _same_echelon(model._realized[2], expected, nilpotent_submodule(torus3, 2))

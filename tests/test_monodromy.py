@@ -4,6 +4,7 @@ import json
 import random
 from collections import Counter
 from fractions import Fraction
+from itertools import chain, combinations, product
 from math import prod
 
 import pytest
@@ -31,7 +32,7 @@ from solvform import (
     parse_spec,
 )
 from solvform.exterior import LinearEndo, Multivector, coordinate_vector, derivation_apply
-from solvform.linalg import echelon_basis, map_kernel, matrix_mul
+from solvform.linalg import echelon_basis, kernel_and_pivots, map_kernel, matrix_mul
 from solvform import cli, monodromy, oracle
 from solvform.errors import InternalInvariantViolation
 from solvform.monodromy import (
@@ -579,10 +580,11 @@ def test_closure_certificate_catches_a_lost_swap(monkeypatch, s8):
 def test_a_shift_kernel_short_of_its_sl2_count_exits_2(monkeypatch, tmp_path, capsys):
     # dim ker N_k is the number of resonant degree-k monomials of sl2 weight 0
     # or 1, so an elimination that loses a kernel vector is refused
-    plain = monodromy.kernel_and_pivots
+    # both slice routes eliminate the transposed shift images through one name
+    plain = monodromy.column_kernel_and_pivots
 
-    def losing_one(rows):
-        kernel, pivots = plain(rows)
+    def losing_one(columns, size):
+        kernel, pivots = plain(columns, size)
         return kernel[1:], pivots
 
     path = tmp_path / "nil7.json"
@@ -593,7 +595,7 @@ def test_a_shift_kernel_short_of_its_sl2_count_exits_2(monkeypatch, tmp_path, ca
         '{"n": 6, "blocks": [{"kind": "complex", "size": 2, "im_resonant": "1/3"}, {"kind": "real", "size": 2}]}'
     )
     assert any(len(u.terms) > 1 for u in nilpotent_submodule(frac, 2))
-    monkeypatch.setattr(monodromy, "kernel_and_pivots", losing_one)
+    monkeypatch.setattr(monodromy, "column_kernel_and_pivots", losing_one)
     _shift_slice.cache_clear()
     try:
         assert cli.main(["cohomology", str(path)]) == 2
@@ -737,3 +739,68 @@ def test_low_slices_of_a_large_fiber_are_not_refused():
     with pytest.raises(InputError, match="the degree-8 unipotent slice has 12870"):
         check_fiber_size(nil16)
     check_fiber_size(parse_spec('{"n": 15, "blocks": [{"kind": "real", "size": 15}]}'))  # 6,435
+
+
+def _general_shift_slice(spec, k):
+    """The shift kernel rows and cokernel by the general route: ``kernel_and_pivots``
+    of the reversed images, each kernel vector mapped back with ``matrix_mul``."""
+    basis = nilpotent_submodule(spec, k)
+    rows = [u.terms for u in basis]
+    images = [_shift_row(row, _shift_index_map(spec)) for row in rows]
+    kernel, pivots = kernel_and_pivots(images[::-1])
+    last = len(rows) - 1
+    kernel_rows = matrix_mul([{last - j: x for j, x in vec.items()} for vec in reversed(kernel)], rows)
+    pivots = set(pivots)
+    return kernel_rows, [u for u in basis if min(u.terms) not in pivots]
+
+
+def test_unit_shift_route_matches_the_general_route(s6, s8, torus3, torus4, heisenberg3):
+    # unit slices write the shift images straight into the transposed columns and
+    # key the kernel by slice monomial; the general route must give the same rows,
+    # coefficient types and order
+    specs = cross_check_specs((s6, s8, torus3, torus4, heisenberg3))
+    specs += [parse_spec(json.dumps(WEIGHT_COUNT_SPECS[name])) for name in ("nil7", "nil322", "nil11", "nil13")]
+    def typed(terms):
+        return [(key, x, type(x)) for key, x in sorted(terms.items())]
+
+    compared = 0
+    for spec in specs:
+        for k in range(spec.n + 1):
+            if not all(len(u.terms) == 1 for u in nilpotent_submodule(spec, k)):
+                continue
+            kernel, cokernel = shift_slice(spec, k)
+            kernel_rows, expected_cokernel = _general_shift_slice(spec, k)
+            assert [typed(u.terms) for u in kernel] == [typed(row) for row in kernel_rows], (spec, k)
+            assert cokernel == expected_cokernel, (spec, k)
+            compared += bool(kernel) and bool(cokernel)
+    assert compared > 300
+
+
+def test_single_group_resonant_monomials_match_the_general_enumeration(torus3, torus4):
+    # one weight group takes combinations(group, k) unchanged; the general route
+    # expands every count vector into products of combinations and sorts
+    def general(spec, k):
+        groups, counts = _resonant_counts(spec)
+        kept = []
+        for count in counts:
+            if sum(count) == k:
+                for parts in product(*(combinations(g, c) for g, c in zip(groups, count))):
+                    kept.append(tuple(sorted(chain.from_iterable(parts))))
+        return sorted(kept)
+
+    docs = [WEIGHT_COUNT_SPECS["nil7"], WEIGHT_COUNT_SPECS["nil13"], {"n": 14, "blocks": [{"kind": "real", "size": 14}]}]
+    # one group of nonzero weight b: only the empty monomial is resonant
+    docs.append({"n": 3, "symbols": ["b"], "blocks": [{"kind": "real", "size": 3, "re": "b"}]})
+    specs = [torus3, torus4] + [parse_spec(json.dumps(doc)) for doc in docs]
+    draws = [random_resonant_spec(random.Random(seed), n_max=7) for seed in range(60)]
+    draws += [random_unimodular_spec(random.Random(seed), n_max=7) for seed in range(1000, 1060)]
+    specs += [spec for spec in draws if len(_resonant_counts(spec)[0]) == 1]
+    assert len(specs) > 10
+    empty = 0
+    for spec in specs:
+        assert len(_resonant_counts(spec)[0]) == 1
+        for k in range(spec.n + 1):
+            expected = general(spec, k)
+            assert resonant_monomials(spec, k) == expected, (spec, k)
+            empty += not expected
+    assert empty >= 3

@@ -69,7 +69,9 @@ class TwistedModel:
 
 
 def build_twisted_model(spec: AlmostAbelianSpec, model: MinimalModel) -> TwistedModel:
-    """Construct the twist generator by generator, in creation order."""
+    """Construct the twist generator by generator, in creation order, checking
+    D*D = 0 on each as it is made: its differential uses earlier generators
+    only, whose twist is already fixed."""
     index_map = _shift_index_map(spec)
     theta: dict = {}
     ambiguity: set[int] = set()
@@ -77,14 +79,15 @@ def build_twisted_model(spec: AlmostAbelianSpec, model: MinimalModel) -> Twisted
     solvers: dict = {}  # (closed, degree) -> (accumulator, dependent rows)
     for gen in model.gens:
         if gen.closed:
-            theta[gen.gid] = _theta_closed(model, index_map, gen, solvers)
+            value, chose = _theta_closed(model, index_map, gen, solvers), False
         else:
             value, chose = _theta_nonclosed(model, tm, gen, solvers)
-            theta[gen.gid] = value
-            if chose:
-                ambiguity.add(gen.degree)
+        theta[gen.gid] = value
+        if chose:
+            ambiguity.add(gen.degree)
+        if tm.theta_poly(gen.differential) != model.d_poly(value):  # exact: no stored zeros
+            raise InternalInvariantViolation(f"twist does not commute with the differential on {gen.name}")
     tm.ambiguity_degrees = sorted(ambiguity)
-    _check_square_zero(tm)
     return tm
 
 
@@ -151,17 +154,6 @@ def _theta_nonclosed(model: MinimalModel, tm: TwistedModel, gen, solvers: dict):
     # when only the unrestricted space (same-stage generators) solved it
     chose = max(coeffs) >= earlier or bisect_left(dependent, earlier) > 0
     return {domain[j]: c for j, c in coeffs.items()}, chose
-
-
-def _check_square_zero(tm: TwistedModel):
-    model = tm.model
-    for gen in model.gens:
-        lhs = tm.theta_poly(gen.differential)
-        rhs = model.d_poly(tm.theta.get(gen.gid, {}))
-        if lhs != rhs:  # exact: model polynomials never store a zero
-            raise InternalInvariantViolation(
-                f"twist does not commute with the differential on {gen.name}"
-            )
 
 
 class DegreeStatus:

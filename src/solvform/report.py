@@ -10,6 +10,7 @@ re-running the corresponding operation on the echoed input document;
 from __future__ import annotations
 
 import json
+from functools import cached_property
 
 from .cohomology import cohomology, trace_is_zero
 from .errors import InputError, InternalInvariantViolation
@@ -50,20 +51,14 @@ class Analysis:
         check_fiber_size(spec)  # the unipotent section reads every degree's slice
         self.spec = spec
         self.max_degree = max_degree
-        self._model = None
-        self._twisted = None
 
-    @property
+    @cached_property
     def model(self):
-        if self._model is None:
-            self._model = build_minimal_model(self.spec, self.max_degree)
-        return self._model
+        return build_minimal_model(self.spec, self.max_degree)
 
-    @property
+    @cached_property
     def twisted(self):
-        if self._twisted is None:
-            self._twisted = build_twisted_model(self.spec, self.model)
-        return self._twisted
+        return build_twisted_model(self.spec, self.model)
 
     # ----- report sections -----------------------------------------------------
 
@@ -134,34 +129,30 @@ class Analysis:
         total = self.spec.n + 1
         if total % 2:
             return {"applicable": False, "reason": f"total dimension {total} is odd"}
-        closed_basis = [str(v) for v in closed_two_classes(self.spec)]
+        section = {"applicable": True, "closed_two_basis": [str(v) for v in closed_two_classes(self.spec)]}
         witness = find_symplectic(self.spec)
         if witness is None:
-            return {
-                "applicable": True,
-                "closed_two_basis": closed_basis,
-                "witness": None,
-                "reason": "no invariant form of type F + eta ^ a exists "
-                "(exact grid decision, scoped to this construction)",
-            }
+            section["witness"] = None
+            section["reason"] = (
+                "no invariant form of type F + eta ^ a exists "
+                "(exact grid decision, scoped to this construction)"
+            )
+            return section
         ok, certificates = verify_symplectic(self.spec, witness)
         if not ok:
             raise InternalInvariantViolation(
                 f"symplectic witness fails its certificates: {certificates}"
             )
-        return {
-            "applicable": True,
-            "closed_two_basis": closed_basis,
-            "witness": {
-                "two_form": str(witness.pair.two_form),
-                "one_form": str(witness.pair.one_form),
-                "omega": str(witness.omega),
-                "pairing": str(witness.pairing),
-                "omega_top": str(witness.omega_top),
-                "verified": ok,
-                "certificates": certificates,
-            },
+        section["witness"] = {
+            "two_form": str(witness.pair.two_form),
+            "one_form": str(witness.pair.one_form),
+            "omega": str(witness.omega),
+            "pairing": str(witness.pairing),
+            "omega_top": str(witness.omega_top),
+            "verified": ok,
+            "certificates": certificates,
         }
+        return section
 
     def assumptions_section(self) -> dict:
         return {
@@ -185,16 +176,9 @@ def build_report(spec: AlmostAbelianSpec, max_degree: int = 3, stages=STAGES) ->
         "max_degree": max_degree,
         "assumptions": analysis.assumptions_section(),
     }
-    if "unipotent" in stages:
-        report["unipotent"] = analysis.unipotent_section()
-    if "cohomology" in stages:
-        report["cohomology"] = analysis.cohomology_section()
-    if "model" in stages:
-        report["model"] = analysis.model_section()
-    if "formality" in stages:
-        report["formality"] = analysis.formality_section()
-    if "symplectic" in stages:
-        report["symplectic"] = analysis.symplectic_section()
+    for stage in STAGES:  # pipeline order, so a refusal comes from the earliest stage
+        if stage in stages:
+            report[stage] = getattr(analysis, f"{stage}_section")()
     return report
 
 

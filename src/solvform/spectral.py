@@ -128,18 +128,16 @@ def parse_spec(text: str) -> AlmostAbelianSpec:
         size = raw.get("size")
         if not isinstance(size, int) or isinstance(size, bool) or size < 1:
             raise SchemaError(f"{where}.size must be a positive integer")
-        try:
-            re = parse_scalar(raw.get("re", "0"), symbols)
-        except ValueError as exc:
-            raise SchemaError(f"{where}.re: {exc}") from exc
-        try:
-            im_resonant = _canonical(parse_rational(raw.get("im_resonant", "0")))
-        except ValueError as exc:
-            raise SchemaError(f"{where}.im_resonant: {exc}") from exc
-        try:
-            im_symbolic = parse_scalar(raw.get("im_symbolic", "0"), symbols)
-        except ValueError as exc:
-            raise SchemaError(f"{where}.im_symbolic: {exc}") from exc
+        values = []
+        for field, rational in (("re", False), ("im_resonant", True), ("im_symbolic", False)):
+            value = raw.get(field, "0")
+            if not isinstance(value, (str, int)) or isinstance(value, bool):
+                raise SchemaError(f"{where}.{field} must be a string or an integer")
+            try:
+                values.append(_canonical(parse_rational(value)) if rational else parse_scalar(value, symbols))
+            except ValueError as exc:
+                raise SchemaError(f"{where}.{field}: {exc}") from exc
+        re, im_resonant, im_symbolic = values
         if im_symbolic.const != 0:
             raise SchemaError(f"{where}.im_symbolic must have zero rational part")
         if kind == "real" and (im_resonant != 0 or not im_symbolic.is_zero()):

@@ -12,6 +12,7 @@ import solvform
 from solvform import build_report, dumps_canonical, fixture_path, load_spec, verify_report
 from solvform import cli, minimal_model, monodromy, report, spectral
 from solvform.cli import main
+from test_golden_reports import B2B2
 
 SRC = str(Path(solvform.__file__).resolve().parents[1])
 
@@ -132,6 +133,52 @@ def test_verify_partial_report_with_lower_bound(tmp_path, capsys):
     report_path = tmp_path / "report.json"
     assert main(["cohomology", str(spec_path), "--max-degree", "1", "--format", "json", "--report", str(report_path)]) == 0
     assert main(["verify", str(report_path), str(spec_path)]) == 0
+
+
+NO_INVARIANT_ONE_FORM = (
+    '{"n": 3, "symbols": ["b"], "blocks": [{"kind": "real", "size": 2, "re": "b"},'
+    ' {"kind": "real", "size": 1, "re": "-2*b"}]}'
+)
+NO_WITNESS_REASON = (
+    "no invariant form of type F + eta ^ a exists (exact grid decision, scoped to this construction)"
+)
+
+
+def test_even_dimension_without_an_invariant_one_form_has_no_witness(tmp_path, capsys):
+    # unimodular of total dimension 4, but no invariant 1-form and no closed
+    # 2-form: the search answers with a reason, in JSON and in text, and verifies
+    spec_path = _write_spec(tmp_path, text=NO_INVARIANT_ONE_FORM)
+    report_path = tmp_path / "report.json"
+    assert main(["analyze", str(spec_path), "--format", "json", "--report", str(report_path)]) == 0
+    doc = json.loads(report_path.read_text())
+    assert doc["assumptions"]["unimodular_trace_zero"] is True
+    assert doc["unipotent"]["dims"]["1"] == 0
+    assert doc["symplectic"] == {
+        "applicable": True, "closed_two_basis": [], "witness": None, "reason": NO_WITNESS_REASON,
+    }
+    assert main(["analyze", str(spec_path)]) == 0
+    assert f"\nsymplectic: none ({NO_WITNESS_REASON})\n" in capsys.readouterr().out
+    assert main(["verify", str(report_path), str(spec_path)]) == 0
+    assert capsys.readouterr() == ("report verified: all checkable claims reproduced\n", "")
+
+
+def test_verify_against_another_input_is_a_mismatch(tmp_path, capsys):
+    torus3 = _write_spec(tmp_path, "torus3.json", fixture_path("torus3").read_text())
+    report_path = tmp_path / "report.json"
+    assert main(["analyze", str(torus3), "--format", "json", "--report", str(report_path)]) == 0
+    assert main(["verify", str(report_path), str(_write_spec(tmp_path))]) == 1
+    assert capsys.readouterr() == ("", "mismatch: echoed input differs from the supplied document\n")
+
+
+@pytest.mark.parametrize("degree", ["0", "-1"])
+def test_max_degree_below_one_is_refused(tmp_path, capsys, degree):
+    assert main(["analyze", str(_write_spec(tmp_path)), "--max-degree", degree]) == 1
+    assert capsys.readouterr() == ("", "error: --max-degree must be at least 1\n")
+
+
+def test_text_names_the_degrees_where_the_twist_chose(tmp_path, capsys):
+    assert main(["analyze", str(_write_spec(tmp_path, text=B2B2)), "--max-degree", "4"]) == 0
+    assert "\n  twist involved a choice in degrees: 4\n" in capsys.readouterr().out
 
 
 def test_schema_violation_exit_code(tmp_path, capsys):

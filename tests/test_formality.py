@@ -28,13 +28,14 @@ from solvform import (
     parse_spec,
     total_model_dump,
 )
+from solvform import formality
 from solvform.errors import InternalInvariantViolation
 from solvform.exterior import Multivector, coordinate_vector, derivation_apply
 from solvform.formality import DegreeStatus, FormalityVerdict, TwistedModel, _theta_nonclosed
 from solvform.linalg import EchelonAccumulator, map_kernel, matrix_mul, rref
 from solvform.minimal_model import MinimalModel
 from solvform.monodromy import nilpotent_submodule, shift_slice
-from test_golden_reports import NIL322, SPECS
+from test_golden_reports import B2B2, NIL322, SPECS
 
 
 def _theta_by_rho(tm):
@@ -148,6 +149,27 @@ def test_twist_commutes_with_differential_everywhere(s6, s8, heisenberg3):
             assert lhs == rhs
             cases += 1
     assert cases >= 100
+
+
+def test_the_build_stops_at_the_first_generator_whose_twist_breaks_d_squared(monkeypatch):
+    # D*D = 0 is checked on each generator as its twist is made, so a twist
+    # that drops theta(dz) is refused at that generator, before any later one
+    # (on b2b2 at K=3 the first such generator is g6, of 13)
+    spec = parse_spec(B2B2)
+    model = build_minimal_model(spec, 3)
+    tm = build_twisted_model(spec, model)
+    first = next(g for g in model.gens if not g.closed and tm.theta_poly(g.differential))
+    made = []
+
+    def no_twist(model, tm, gen, solvers):
+        made.append(gen)
+        return {}, False
+
+    monkeypatch.setattr(formality, "_theta_nonclosed", no_twist)
+    with pytest.raises(InternalInvariantViolation) as refusal:
+        build_twisted_model(spec, model)
+    assert str(refusal.value) == f"twist does not commute with the differential on {first.name}"
+    assert made[-1] is first
 
 
 def test_twist_realizes_shift_on_closed_generators(s6, s8):

@@ -109,6 +109,52 @@ def test_symbol_names_that_no_literal_can_reference_rejected(name, tmp_path, cap
     assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
 
 
+SCHEMA_REFUSALS = {
+    "duplicate symbols": (
+        '{"n": 1, "symbols": ["b", "b"], "blocks": [{"kind": "real", "size": 1}]}',
+        "field 'symbols' contains duplicates",
+    ),
+    "non-string label": (
+        '{"n": 1, "lattice_label": 3, "blocks": [{"kind": "real", "size": 1}]}',
+        "field 'lattice_label' must be a string",
+    ),
+    "non-object block": ('{"n": 1, "blocks": ["x"]}', "blocks[0] must be an object"),
+}
+
+
+@pytest.mark.parametrize("doc, message", SCHEMA_REFUSALS.values(), ids=SCHEMA_REFUSALS.keys())
+def test_schema_refusals_exit_1_with_one_line(tmp_path, capsys, doc, message):
+    from solvform.cli import main
+
+    path = tmp_path / "bad.json"
+    path.write_text(doc)
+    assert main(["analyze", str(path)]) == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("field", ["re", "im_resonant", "im_symbolic"])
+@pytest.mark.parametrize("value", ["null", "true", "[1]", '{"a": 1}'])
+def test_block_scalar_of_the_wrong_json_type_is_named_by_its_field(tmp_path, capsys, field, value):
+    # the value used to reach the literal parser through str(), so the message
+    # named a symbol 'None' or 'True', or a literal '[1]', never written
+    from solvform.cli import main
+
+    doc = f'{{"n": 2, "blocks": [{{"kind": "complex", "size": 1, "{field}": {value}}}]}}'
+    with pytest.raises(SchemaError, match=rf"^blocks\[0\]\.{field} must be a string or an integer$"):
+        parse_spec(doc)
+    path = tmp_path / "bad.json"
+    path.write_text(doc)
+    assert main(["analyze", str(path)]) == 1
+    assert capsys.readouterr() == ("", f"error: blocks[0].{field} must be a string or an integer\n")
+
+
+def test_block_scalars_accept_json_integers():
+    numbers = '{"n": 2, "blocks": [{"kind": "complex", "size": 1, "re": 2, "im_resonant": 1, "im_symbolic": 0}]}'
+    strings = '{"n": 2, "blocks": [{"kind": "complex", "size": 1, "re": "2", "im_resonant": "1"}]}'
+    assert parse_spec(numbers) == parse_spec(strings)
+    assert type(parse_spec(numbers).blocks[0].im_resonant) is int
+
+
 def test_emit_parse_round_trip(s6, s8, torus3, heisenberg3):
     from conftest import random_resonant_spec
 

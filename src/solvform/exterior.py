@@ -111,13 +111,13 @@ class Multivector:
         return cls(n, 0, {(): 1})
 
     @classmethod
-    def monomial(cls, n: int, indices, coeff=1) -> Multivector:
+    def monomial(cls, n: int, indices) -> Multivector:
         indices = tuple(indices)  # sorting consumes an iterator, and a repeat needs its length
         sorted_ = sort_indices(indices)
         if sorted_ is None:
             return cls(n, len(indices))
         sign, key = sorted_
-        return cls(n, len(key), {key: coeff * sign})
+        return cls(n, len(key), {key: sign})
 
     @classmethod
     def basis_one_form(cls, n: int, i: int) -> Multivector:

@@ -34,8 +34,6 @@ beyond finitely many degrees.
 
 from __future__ import annotations
 
-from bisect import bisect_left
-
 from .errors import InputError, InternalInvariantViolation
 from .exterior import coordinate_vector
 from .linalg import EchelonAccumulator, matrix_mul
@@ -49,10 +47,10 @@ _INF = float("inf")  # (inf, j) sorts after every monomial and index tuple
 class TwistedModel:
     __slots__ = ("model", "theta", "ambiguity_degrees", "_theta_cache")
 
-    def __init__(self, model: MinimalModel, theta: dict, ambiguity_degrees: list[int]):
+    def __init__(self, model: MinimalModel, theta: dict):
         self.model = model
         self.theta = theta  # gid -> polynomial over earlier generators; absent ids map to 0
-        self.ambiguity_degrees = ambiguity_degrees
+        self.ambiguity_degrees: list[int] = []  # set by the build
         self._theta_cache: dict = {(): {}}  # monomial -> its twist
 
     def theta_poly(self, p) -> dict:
@@ -75,8 +73,8 @@ def build_twisted_model(spec: AlmostAbelianSpec, model: MinimalModel) -> Twisted
     index_map = _shift_index_map(spec)
     theta: dict = {}
     ambiguity: set[int] = set()
-    tm = TwistedModel(model, theta, [])
-    solvers: dict = {}  # (closed, degree) -> (accumulator, dependent rows)
+    tm = TwistedModel(model, theta)
+    solvers: dict = {}  # (closed, degree) -> accumulator
     for gen in model.gens:
         if gen.closed:
             value, chose = _theta_closed(model, index_map, gen, solvers), False
@@ -92,21 +90,18 @@ def build_twisted_model(spec: AlmostAbelianSpec, model: MinimalModel) -> Twisted
 
 
 def _solve(solvers: dict, key, rows, target):
-    """(least solution by row number, None outside the span; dependent rows) of
-    ``target`` on the iterable ``rows``, eliminated once per ``key``."""
+    """Least solution by row number of ``target`` on the iterable ``rows``, None
+    outside the span; the rows are eliminated once per ``key``."""
     if key not in solvers:
-        acc, dependent = solvers[key] = EchelonAccumulator(), []
+        acc = solvers[key] = EchelonAccumulator()
         for j, row in enumerate(rows):
             res = acc.residue({**row, (_INF, j): 1})
             if min(res) < (_INF,):
                 acc.add(res)
-            else:
-                dependent.append(j)
-    acc, dependent = solvers[key]
-    res = acc.residue(target)  # nonzero, as the target is
+    res = solvers[key].residue(target)  # nonzero, as the target is
     if min(res) < (_INF,):
-        return None, dependent
-    return {j: -x for (_, j), x in sorted(res.items())}, dependent
+        return None
+    return {j: -x for (_, j), x in sorted(res.items())}
 
 
 def _theta_closed(model: MinimalModel, index_map: tuple, gen, solvers: dict):
@@ -124,7 +119,7 @@ def _theta_closed(model: MinimalModel, index_map: tuple, gen, solvers: dict):
     if not target:
         return {}
     reps = model.class_reps(gen.degree)
-    coeffs, _ = _solve(solvers, (True, gen.degree), (rep.rho for rep in reps), target)
+    coeffs = _solve(solvers, (True, gen.degree), (rep.rho for rep in reps), target)
     if coeffs is None or min(reps[max(coeffs)].poly) >= (gen.gid,):  # sorted by lead
         raise InternalInvariantViolation(
             f"shift image of {gen.name} is not realized by earlier classes"
@@ -143,16 +138,17 @@ def _theta_nonclosed(model: MinimalModel, tm: TwistedModel, gen, solvers: dict):
     if not rhs:
         return {}, False
     domain = model.monomials(gen.degree)
-    coeffs, dependent = _solve(solvers, (False, gen.degree), map(model.d_mono, domain), rhs)
+    coeffs = _solve(solvers, (False, gen.degree), map(model.d_mono, domain), rhs)
     if coeffs is None:
         raise InternalInvariantViolation(
             f"twist of non-closed generator {gen.name} has no solution: "
             "the twisted differential would not square to zero"
         )
-    earlier = bisect_left(domain, (gen.gid,))
-    # a choice was involved when a row before z depends on earlier ones, or
-    # when only the unrestricted space (same-stage generators) solved it
-    chose = max(coeffs) >= earlier or bisect_left(dependent, earlier) > 0
+    # a choice was involved when only the unrestricted space (same-stage generators)
+    # solved it, or when a cocycle lies in the monomials before z: the kept
+    # cocycles end at the rows that depend on earlier ones, in row order
+    cocycles = model.cocycles(gen.degree)
+    chose = domain[max(coeffs)] >= (gen.gid,) or (bool(cocycles) and max(cocycles[0]) < (gen.gid,))
     return {domain[j]: c for j, c in coeffs.items()}, chose
 
 

@@ -132,6 +132,7 @@ def _resonant_counts(spec: AlmostAbelianSpec) -> tuple[tuple, tuple]:
     from the group sizes read off the blocks, before any slot is listed."""
     names = sorted({name for b in spec.blocks for x in (b.re, b.im_symbolic) for name, _ in x.terms})
     by_weight: dict[tuple, list[range]] = {}
+    sizes: dict[tuple, int] = {}  # slots per weight, read off the block sizes: a huge range has no len()
     for block, start in zip(spec.blocks, spec.block_starts()):
         re = dict(block.re.terms)
         head = (block.re.const, *(re.get(name, 0) for name in names))
@@ -143,10 +144,12 @@ def _resonant_counts(spec: AlmostAbelianSpec) -> tuple[tuple, tuple]:
             stop = start + 2 * block.size
             runs = [(tail, range(start, stop, 2)), (tuple(-x for x in tail), range(start + 1, stop, 2))]
         for tail, slots in runs:
-            by_weight.setdefault(tuple(map(_canonical, head + tail)), []).append(slots)
+            weight = tuple(map(_canonical, head + tail))
+            by_weight.setdefault(weight, []).append(slots)
+            sizes[weight] = sizes.get(weight, 0) + block.size
     vectors = 1
-    for ranges in by_weight.values():
-        vectors = min(vectors * (sum(map(len, ranges)) + 1), COUNT_CAP)
+    for size in sizes.values():
+        vectors = min(vectors * (size + 1), COUNT_CAP)
     if vectors > MAX_COUNT_VECTORS:
         shown = vectors if vectors < COUNT_CAP else CAPPED
         raise InputError(

@@ -43,7 +43,7 @@ MAX_DEGREE = 1000
 class Analysis:
     """Computes pipeline stages once and shares the intermediate objects."""
 
-    def __init__(self, spec: AlmostAbelianSpec, max_degree: int = 3):
+    def __init__(self, spec: AlmostAbelianSpec, max_degree: int):
         if max_degree < 1:
             raise InputError("--max-degree must be at least 1")
         if max_degree > MAX_DEGREE:
@@ -167,7 +167,7 @@ class Analysis:
         }
 
 
-def build_report(spec: AlmostAbelianSpec, max_degree: int = 3, stages=STAGES) -> dict:
+def build_report(spec: AlmostAbelianSpec, max_degree: int, stages=STAGES) -> dict:
     analysis = Analysis(spec, max_degree)
     report = {
         "format_version": FORMAT_VERSION,
@@ -191,7 +191,7 @@ def verify_report(report: dict, spec: AlmostAbelianSpec):
     mismatches: list[str] = []
     version = report.get("format_version")
     # True == 1 == 1.0 in Python, so the type is checked before the value
-    if not isinstance(version, int) or isinstance(version, bool) or version != FORMAT_VERSION:
+    if type(version) is not int or version != FORMAT_VERSION:
         return False, [f"unsupported format_version {version!r}"]
     try:
         echoed = parse_spec(json.dumps(report["input"]))
@@ -201,7 +201,7 @@ def verify_report(report: dict, spec: AlmostAbelianSpec):
         mismatches.append("echoed input differs from the supplied document")
         return False, mismatches
     max_degree = report.get("max_degree")
-    if not isinstance(max_degree, int) or isinstance(max_degree, bool) or not 1 <= max_degree <= MAX_DEGREE:
+    if type(max_degree) is not int or not 1 <= max_degree <= MAX_DEGREE:
         return False, ["report lacks a valid max_degree"]
     stages = [s for s in STAGES if s in report]
     fresh = build_report(spec, max_degree, stages=stages)

@@ -94,7 +94,7 @@ def parse_spec(text: str) -> AlmostAbelianSpec:
         raise SchemaError(f"unknown field(s) {sorted(unknown)} in input document")
 
     n = doc.get("n")
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+    if type(n) is not int or n < 1:
         raise SchemaError("field 'n' must be a positive integer")
     symbols = doc.get("symbols", [])
     if not isinstance(symbols, list) or not all(isinstance(s, str) for s in symbols):
@@ -126,12 +126,12 @@ def parse_spec(text: str) -> AlmostAbelianSpec:
         if kind not in ("real", "complex"):
             raise SchemaError(f"{where}.kind must be 'real' or 'complex'")
         size = raw.get("size")
-        if not isinstance(size, int) or isinstance(size, bool) or size < 1:
+        if type(size) is not int or size < 1:
             raise SchemaError(f"{where}.size must be a positive integer")
         values = []
         for field, rational in (("re", False), ("im_resonant", True), ("im_symbolic", False)):
             value = raw.get(field, "0")
-            if not isinstance(value, (str, int)) or isinstance(value, bool):
+            if type(value) not in (str, int):
                 raise SchemaError(f"{where}.{field} must be a string or an integer")
             try:
                 values.append(_canonical(parse_rational(value)) if rational else parse_scalar(value, symbols))
@@ -269,5 +269,5 @@ def modified_matrix(spec: AlmostAbelianSpec) -> LinearEndo:
     images = []
     for block, start in zip(spec.blocks, spec.block_starts()):
         for i in range(start, start + block.real_dim):
-            images.append(Multivector.basis_one_form(n, i).scaled(block.re) + shift.image_of(i))
+            images.append(Multivector(n, 1, {(i,): block.re}) + shift.image_of(i))
     return LinearEndo(n, images)

@@ -10,13 +10,10 @@ def render_text(report: dict) -> str:
     lines = []
     doc = report["input"]
     lines.append(f"instance: n = {doc['n']}, total dimension {doc['n'] + 1}")
-    if doc.get("lattice_label"):
+    if doc["lattice_label"]:
         lines.append(f"lattice: {doc['lattice_label']} (existence asserted, not checked)")
-    assumptions = report.get("assumptions", {})
-    if assumptions:
-        lines.append(
-            "unimodular (trace zero): %s" % ("yes" if assumptions.get("unimodular_trace_zero") else "NO")
-        )
+    trace_zero = report["assumptions"]["unimodular_trace_zero"]
+    lines.append("unimodular (trace zero): %s" % ("yes" if trace_zero else "NO"))
     if "unipotent" in report:
         dims = report["unipotent"]["dims"]
         lines.append("")
@@ -56,9 +53,9 @@ def render_text(report: dict) -> str:
     if "symplectic" in report:
         section = report["symplectic"]
         lines.append("")
-        if not section.get("applicable"):
-            lines.append(f"symplectic: not applicable ({section.get('reason')})")
-        elif section.get("witness"):
+        if not section["applicable"]:
+            lines.append(f"symplectic: not applicable ({section['reason']})")
+        elif section["witness"]:
             w = section["witness"]
             lines.append("symplectic witness:")
             lines.append(f"  F = {w['two_form']}")
@@ -67,5 +64,5 @@ def render_text(report: dict) -> str:
             lines.append(f"  top power coefficient = {w['omega_top']} (pairing {w['pairing']})")
             lines.append(f"  independently verified: {w['verified']}")
         else:
-            lines.append(f"symplectic: none ({section.get('reason')})")
+            lines.append(f"symplectic: none ({section['reason']})")
     return "\n".join(lines) + "\n"

@@ -215,6 +215,21 @@ def test_bad_rational_term_quotes_the_whole_literal(tmp_path, capsys, re, term):
     assert err == f"error: blocks[0].re: not a rational literal: {term!r} in scalar literal {re!r}\n"
 
 
+@pytest.mark.parametrize(
+    "re, message",
+    [
+        ("1-", "blocks[0].re: dangling sign in scalar literal '1-'"),
+        ("2*3", "blocks[0].re: bad symbol name '3' in scalar literal '2*3'"),
+    ],
+)
+def test_malformed_scalar_literal_is_refused_with_one_line(tmp_path, capsys, re, message):
+    doc = {"n": 2, "blocks": [{"kind": "real", "size": 1, "re": re}, {"kind": "real", "size": 1}]}
+    assert main(["analyze", str(_write_spec(tmp_path, text=json.dumps(doc)))]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
 def test_rational_strings_and_integer_numbers_stay_exact(tmp_path, capsys):
     doc = f'{{"n":2,"blocks":[{{"kind":"real","size":1,"re":"{TENTH}"}},{{"kind":"real","size":1,"re":"-{TENTH}"}}]}}'
     spec_path = _write_spec(tmp_path, text=doc)
@@ -368,6 +383,43 @@ def test_huge_block_is_refused_before_its_slots_are_built(tmp_path, capsys, monk
     assert out == ""
     assert err == (
         "error: fiber too large: its slot weights give 100000001 weight-count vectors, "
+        "above the limit of 65536\n"
+    )
+
+
+@pytest.mark.parametrize("command", ["unipotent", "analyze", "verify"])
+@pytest.mark.parametrize(
+    "block, n",
+    [
+        ({"kind": "real", "size": 10**30}, 10**30),
+        ({"kind": "complex", "size": 10**30, "im_resonant": "1"}, 2 * 10**30),
+    ],
+)
+def test_block_past_a_machine_size_is_refused_with_one_line(tmp_path, capsys, command, block, n):
+    # a range this long has no len(), so the slots are counted from the block size
+    doc = {"n": n, "blocks": [block]}
+    spec_path = _write_spec(tmp_path, text=json.dumps(doc))
+    argv = [command, str(spec_path)]
+    if command == "verify":  # a report that echoes the input: its check recomputes the stages
+        report_path = tmp_path / "report.json"
+        report_path.write_text(json.dumps({"format_version": 1, "input": doc, "max_degree": 1}))
+        argv.insert(1, str(report_path))
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (
+        "error: fiber too large: its slot weights give at least 10**12 weight-count vectors, "
+        "above the limit of 65536\n"
+    )
+
+
+def test_both_runs_of_a_complex_block_count_every_slot(tmp_path, capsys):
+    # the two conjugate runs of a size-300 block are weight groups of 300 slots
+    # each, so (300 + 1)**2 count vectors; the run from start + 1 is not one short
+    doc = {"n": 600, "blocks": [{"kind": "complex", "size": 300, "im_resonant": "1"}]}
+    assert main(["unipotent", str(_write_spec(tmp_path, text=json.dumps(doc)))]) == 1
+    assert capsys.readouterr().err == (
+        "error: fiber too large: its slot weights give 90601 weight-count vectors, "
         "above the limit of 65536\n"
     )
 

@@ -492,7 +492,7 @@ def _twist_case(spec, layout):
             degree,
             {(gid[n],): Fraction(c) for n, c in (differential or {}).items()},
         )
-    tm = TwistedModel(model, {gid["f"]: {(gid["e"],): Fraction(1)}}, [])
+    tm = TwistedModel(model, {gid["f"]: {(gid["e"],): Fraction(1)}})
     return model, tm, model.gens[gid["z"]], gid
 
 

@@ -9,6 +9,8 @@ forms with exact certificates.  All arithmetic is over the rationals
 extended by declared transcendental symbols; nothing is ever rounded.
 """
 
+__version__ = "0.1.0"  # first: report.py reads it while the package imports
+
 from .cohomology import CEElement, betti_numbers, ce_differential, cohomology
 from .errors import (
     HypothesisError,
@@ -56,8 +58,6 @@ from .symplectic import (
     find_symplectic,
     verify_symplectic,
 )
-
-__version__ = "0.1.0"
 
 
 def fixture_path(name: str):

@@ -68,9 +68,9 @@ def ce_differential(spec: AlmostAbelianSpec, elt: CEElement) -> CEElement:
 class CohomologySlice:
     __slots__ = ("degree", "betti", "kernel_reps", "coker_reps")
 
-    def __init__(self, degree: int, betti: int, kernel_reps: list, coker_reps: list):
+    def __init__(self, degree: int, kernel_reps: list, coker_reps: list):
         self.degree = degree
-        self.betti = betti
+        self.betti = len(kernel_reps) + len(coker_reps)
         self.kernel_reps = kernel_reps
         self.coker_reps = coker_reps  # base parts; each stands for rep ^ a
 
@@ -80,7 +80,7 @@ def cohomology(spec: AlmostAbelianSpec, k: int) -> CohomologySlice:
     require_modification_hypothesis(spec)
     kernel_reps = shift_slice(spec, k)[0]
     coker_reps = shift_slice(spec, k - 1)[1]
-    return CohomologySlice(k, len(kernel_reps) + len(coker_reps), kernel_reps, coker_reps)
+    return CohomologySlice(k, kernel_reps, coker_reps)
 
 
 def betti_numbers(spec: AlmostAbelianSpec) -> list[int]:

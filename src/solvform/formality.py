@@ -39,7 +39,7 @@ from .exterior import coordinate_vector
 from .linalg import EchelonAccumulator, matrix_mul
 from .minimal_model import MinimalModel
 from .monodromy import _shift_row
-from .spectral import AlmostAbelianSpec, _shift_index_map
+from .spectral import _shift_index_map
 
 _INF = float("inf")  # (inf, j) sorts after every monomial and index tuple
 
@@ -66,24 +66,25 @@ class TwistedModel:
         return matrix_mul([p], images)[0]
 
 
-def build_twisted_model(spec: AlmostAbelianSpec, model: MinimalModel) -> TwistedModel:
+def build_twisted_model(model: MinimalModel) -> TwistedModel:
     """Construct the twist generator by generator, in creation order, checking
-    D*D = 0 on each as it is made: its differential uses earlier generators
-    only, whose twist is already fixed."""
-    index_map = _shift_index_map(spec)
+    D*D = 0 on each as it is made against the theta(dz) its solve used: dz
+    uses earlier generators only, whose twist is already fixed."""
+    index_map = _shift_index_map(model.spec)
     theta: dict = {}
     ambiguity: set[int] = set()
     tm = TwistedModel(model, theta)
     solvers: dict = {}  # (closed, degree) -> accumulator
     for gen in model.gens:
+        rhs = tm.theta_poly(gen.differential)
         if gen.closed:
             value, chose = _theta_closed(model, index_map, gen, solvers), False
         else:
-            value, chose = _theta_nonclosed(model, tm, gen, solvers)
+            value, chose = _theta_nonclosed(model, rhs, gen, solvers)
         theta[gen.gid] = value
         if chose:
             ambiguity.add(gen.degree)
-        if tm.theta_poly(gen.differential) != model.d_poly(value):  # exact: no stored zeros
+        if rhs != model.d_poly(value):  # exact: no stored zeros
             raise InternalInvariantViolation(f"twist does not commute with the differential on {gen.name}")
     tm.ambiguity_degrees = sorted(ambiguity)
     return tm
@@ -127,14 +128,13 @@ def _theta_closed(model: MinimalModel, index_map: tuple, gen, solvers: dict):
     return matrix_mul([coeffs], [rep.poly for rep in reps])[0]
 
 
-def _theta_nonclosed(model: MinimalModel, tm: TwistedModel, gen, solvers: dict):
-    """Solve d(theta z) = theta(dz) with free coefficients zero.
+def _theta_nonclosed(model: MinimalModel, rhs: dict, gen, solvers: dict):
+    """Solve d(theta z) = ``rhs``, which is theta(dz), with free coefficients zero.
 
     Returns (polynomial, whether the solution involved a choice).
     Preference is given to monomials in generators created before z; the
     unrestricted space is only used when that subspace has no solution.
     """
-    rhs = tm.theta_poly(gen.differential)
     if not rhs:
         return {}, False
     domain = model.monomials(gen.degree)
@@ -155,9 +155,9 @@ def _theta_nonclosed(model: MinimalModel, tm: TwistedModel, gen, solvers: dict):
 class DegreeStatus:
     __slots__ = ("degree", "passed", "witness", "witness_twist")
 
-    def __init__(self, degree: int, passed: bool, witness=None, witness_twist=None):
+    def __init__(self, degree: int, witness=None, witness_twist=None):
         self.degree = degree
-        self.passed = passed
+        self.passed = witness is None
         self.witness = witness  # closed polynomial with nonzero twist, or None
         self.witness_twist = witness_twist
 
@@ -200,11 +200,11 @@ def formality_from_twisted(tm: TwistedModel, k: int) -> FormalityVerdict:
         raise InputError(f"formality degree {k} exceeds model bound {model.degree_bound}")
     verdict = FormalityVerdict(k, model.degree_bound)
     for i in range(1, k + 1):
-        status = DegreeStatus(i, True)
+        status = DegreeStatus(i)
         for poly in model.cocycles(i):
             twist = tm.theta_poly(poly)
             if twist:
-                status = DegreeStatus(i, False, poly, twist)
+                status = DegreeStatus(i, poly, twist)
                 break
         verdict.statuses.append(status)
     return verdict

@@ -130,12 +130,12 @@ MAX_MODEL_MONOMIALS = 20000
 class Generator:
     __slots__ = ("gid", "degree", "differential", "rho", "closed")
 
-    def __init__(self, gid: int, degree: int, differential: dict, rho: Multivector, closed: bool):
+    def __init__(self, gid: int, degree: int, differential: dict, rho: Multivector):
         self.gid = gid
         self.degree = degree
         self.differential = differential  # polynomial over earlier generators; empty when closed
         self.rho = rho  # realization; zero multivector for non-closed generators
-        self.closed = closed
+        self.closed = not differential
 
     @property
     def name(self) -> str:
@@ -181,7 +181,6 @@ class MinimalModel:
             degree=degree,
             differential=differential,
             rho=rho if rho is not None else Multivector.zero(self.spec.n, degree),
-            closed=not differential,
         )
         self.gens.append(gen)
         self._parity.append(degree % 2)
@@ -349,12 +348,10 @@ class MinimalModel:
             rows = []
             # the image lies in the cocycles, so equal dimensions leave no class
             if len(cocycles) > image.rank:
-                if image.rank:
+                if image.rank or any(len(p) != 1 for p in cocycles):
                     rows = echelon_basis([image.residue(p) for p in cocycles])
-                elif all(len(p) == 1 for p in cocycles):
-                    rows = cocycles  # unit rows in monomial order: already reduced echelon
                 else:
-                    rows = echelon_basis(cocycles)
+                    rows = cocycles  # unit rows in monomial order: already reduced echelon
             out = self._classes[k] = [ClassRep(poly, self.rho_poly(poly)) for poly in rows]
             self._realized[k] = EchelonAccumulator.of_rows([rep.rho for rep in out])
         return out

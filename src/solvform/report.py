@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 from functools import cached_property
 
+from . import __version__
 from .cohomology import cohomology, trace_is_zero
 from .errors import InputError, InternalInvariantViolation
 from .formality import (
@@ -58,7 +59,7 @@ class Analysis:
 
     @cached_property
     def twisted(self):
-        return build_twisted_model(self.spec, self.model)
+        return build_twisted_model(self.model)
 
     # ----- report sections -----------------------------------------------------
 
@@ -171,7 +172,7 @@ def build_report(spec: AlmostAbelianSpec, max_degree: int, stages=STAGES) -> dic
     analysis = Analysis(spec, max_degree)
     report = {
         "format_version": FORMAT_VERSION,
-        "generator": {"name": "solvform", "version": "0.1.0"},
+        "generator": {"name": "solvform", "version": __version__},
         "input": json.loads(emit_spec(spec)),
         "max_degree": max_degree,
         "assumptions": analysis.assumptions_section(),

@@ -21,9 +21,12 @@ follows one rule, :func:`_canonical`: an ``int`` when integral, a
 from __future__ import annotations
 
 import re as _re
+import sys
 from fractions import Fraction
 
 _SYMBOL_RE = _re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
+# an optional sign, then ASCII digits with "/digits" or one decimal point
+_RATIONAL_RE = _re.compile(r"\s*[+-]?(?=\.?\d)(\d*)(?:/(\d+)|\.(\d*))?\s*\Z", _re.ASCII)
 
 
 class ScalarLC:
@@ -140,13 +143,20 @@ def _coerce(value) -> ScalarLC:
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse a rational literal such as ``"3"``, ``"-5/7"``, ``"0.25"``."""
-    try:
-        if "e" in str(text).lower():  # Fraction("1e999999999") builds 10**999999999
-            raise ValueError("exponent")
-        return Fraction(str(text).strip())
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"not a rational literal: {text!r}") from exc
+    """Parse a rational literal such as ``"3"``, ``"-5/7"``, ``"0.25"`` or ``".5"``,
+    in the grammar of ``_RATIONAL_RE``.  A literal whose numerator or denominator
+    has more digits than ``sys.get_int_max_str_digits()`` allows could not be
+    echoed, so it is refused; a decimal with k digits after the point has a
+    denominator of k + 1 digits."""
+    match = _RATIONAL_RE.match(str(text))
+    if match is None or match[2] and not match[2].strip("0"):  # or a zero denominator
+        raise ValueError(f"not a rational literal: {text!r}")
+    whole, denominator, decimals = match.groups()
+    digits = max(len(whole + (decimals or "")), len(denominator or ""), len(decimals or "") + 1)
+    limit = sys.get_int_max_str_digits()
+    if limit and digits > limit:
+        raise ValueError(f"rational literal of {digits} digits is above Python's limit of {limit} digits")
+    return Fraction(str(text).strip())
 
 
 def _rational_in(chunk: str, text: str) -> Fraction:

@@ -78,9 +78,9 @@ def closed_two_classes(spec: AlmostAbelianSpec) -> list[Multivector]:
     return shift_slice(spec, 2)[0]
 
 
-def assemble_omega(spec: AlmostAbelianSpec, pair: CoSymplecticPair) -> Multivector:
-    """Total-space 2-form F + eta ^ a over n+1 coordinates."""
-    total = spec.n + 1
+def assemble_omega(pair: CoSymplecticPair) -> Multivector:
+    """Total-space 2-form F + eta ^ a over n+1 coordinates, n the fiber's."""
+    total = pair.two_form.n + 1
     omega = pair.two_form.extend_ambient(total)
     alpha = Multivector.basis_one_form(total, total)
     return omega + pair.one_form.extend_ambient(total).wedge(alpha)
@@ -112,7 +112,7 @@ def find_symplectic(spec: AlmostAbelianSpec):
     e_basis = nilpotent_submodule(spec, 1)
     if not e_basis:
         return None
-    poly = _pairing_polynomial(spec, half, f_basis, e_basis)
+    poly = _pairing_polynomial(half, f_basis, e_basis)
     if not poly:
         return None
     point = []
@@ -132,13 +132,13 @@ def find_symplectic(spec: AlmostAbelianSpec):
     (e_row,) = matrix_mul([dict(enumerate(point[k:]))], [e.terms for e in e_basis])
     pair = CoSymplecticPair(Multivector._from_row(spec.n, 2, f_row), Multivector._from_row(spec.n, 1, e_row))
     pairing = poly[()]
-    return SymplecticWitness(pair, assemble_omega(spec, pair), pairing, half * pairing)
+    return SymplecticWitness(pair, assemble_omega(pair), pairing, half * pairing)
 
 
-def _pairing_polynomial(spec, half, f_basis, e_basis) -> dict:
-    """``top(F(x)^(half-1) ^ eta(y))`` as ``{exponents of (x..., y...): coefficient}``,
-    summed over multisets of basis 2-forms as the module docstring says; the
-    product row of a multiset extends the one without its last element."""
+def _pairing_polynomial(half, f_basis, e_basis) -> dict:
+    """``top(F(x)^(half-1) ^ eta(y))`` on the (2*half - 1)-dimensional fiber as
+    ``{exponents of (x..., y...): coefficient}``, summed over multisets of basis 2-forms
+    as the module docstring says; a multiset's product row extends the one without its last."""
     f_rows = [u.terms for u in f_basis]
     products = {(): {(): 1}}
     for level in range(1, half):
@@ -154,7 +154,7 @@ def _pairing_polynomial(spec, half, f_basis, e_basis) -> dict:
                             f"polynomial exceeds {MAX_PAIRING_PRODUCTS} products of basis 2-forms"
                         )
         products = longer
-    top = tuple(range(1, spec.n + 1))
+    top = tuple(range(1, 2 * half))
     e_rows = [e.terms for e in e_basis]
     poly = {}
     for multiset, row in products.items():
@@ -189,7 +189,7 @@ def verify_symplectic(spec: AlmostAbelianSpec, witness: SymplecticWitness):
     closed = differential.is_zero()
     f_power = wedge_power(pair.two_form, half - 1)
     pairing = top_coefficient(f_power.wedge(pair.one_form))
-    omega = assemble_omega(spec, pair)
+    omega = assemble_omega(pair)
     omega_top = top_coefficient(wedge_power(omega, half))
     fiber_top_power = f_power.wedge(pair.two_form)  # zero for degree reasons
     certificates = {

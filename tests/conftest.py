@@ -284,7 +284,7 @@ def k_formality(spec, k: int, d_max=None):
     """Build the model and twist up to ``max(k, d_max)`` and run the criterion."""
     bound = max(k, d_max or k)
     model = build_minimal_model(spec, bound)
-    return formality_from_twisted(build_twisted_model(spec, model), k)
+    return formality_from_twisted(build_twisted_model(model), k)
 
 
 def monomials_over(model, k: int, gids=None) -> list:

@@ -112,7 +112,7 @@ def _twist_chains(dump_lines):
 def test_criterion_3_model_and_twist(s6):
     with _criterion(3, "dimension-6 example: total model matches the two-step chain; not 1-formal"):
         model = build_minimal_model(s6, 2)
-        tm = build_twisted_model(s6, model)
+        tm = build_twisted_model(model)
         taus, twists = _twist_chains(total_model_dump(tm).splitlines())
         assert len(taus) == 5
         closed_zero = [g for g, t in twists.items() if t is None]
@@ -151,7 +151,7 @@ def test_criterion_5_dimension_8_example(s8):
         assert [str(v) for v in slice_.kernel_reps] == ["a3"]
         assert [str(v) for v in slice_.coker_reps] == ["1"]  # the class of the base line
         model = build_minimal_model(s8, 1)
-        tm = build_twisted_model(s8, model)
+        tm = build_twisted_model(model)
         taus, twists = _twist_chains(total_model_dump(tm).splitlines())
         by_tau = {t: g for g, t in taus.items()}
         assert twists[by_tau["a1"]] == by_tau["a2"]
@@ -211,7 +211,7 @@ def test_criterion_7_property_suite(s6, s8, torus4, heisenberg3):
         d_square_cases = twist_cases = closure_cases = duality_cases = 0
         for spec in pool:
             model = build_minimal_model(spec, 3)
-            tm = build_twisted_model(spec, model)
+            tm = build_twisted_model(model)
             for g in model.gens:
                 assert not model.d_poly(g.differential)
                 lhs = tm.theta_poly(g.differential)
@@ -259,7 +259,7 @@ def test_criterion_8_known_classifications(torus3, torus4, heisenberg3):
     with _criterion(8, "tori are formal through the bound; the Heisenberg quotient is not 1-formal"):
         for spec in (torus3, torus4):
             model = build_minimal_model(spec, 3)
-            tm = build_twisted_model(spec, model)
+            tm = build_twisted_model(model)
             assert all(not poly for poly in tm.theta.values())
             assert formality_from_twisted(tm, 3).passed
         verdict = k_formality(heisenberg3, 1)

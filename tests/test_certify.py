@@ -1,0 +1,66 @@
+"""The independent dump check of ``tests/certify.py`` on today's reports.
+
+``verify`` rebuilds a report with the code that wrote it; ``certify_dumps``
+reads the model and total-model dumps back with its own parser and product.
+Dropping the odd-odd sign of ``MinimalModel.mono_mul`` changes the s8 K=6
+model, and that build's own ``verify`` accepts its report; this check finds
+d(d(g)) != 0 on 40 of its 157 generators.  Hand-edited dumps stand in for
+such a bug here.
+"""
+
+import json
+from fractions import Fraction
+
+import pytest
+
+from certify import Algebra, certify_dumps, parse_poly
+from solvform import build_report, fixture_path, load_spec, parse_spec
+from test_golden_reports import B2B2, NIL322
+
+FIXTURES = ("s6", "s8", "torus3", "torus4", "heisenberg3")
+CASES = [(name, k) for name in FIXTURES for k in range(1, 5)]
+CASES += [("s8", 6), ("nil322", 3), ("b2b2", 6)]
+
+
+def _dumps(name, k):
+    texts = {"nil322": json.dumps(NIL322), "b2b2": B2B2}
+    spec = parse_spec(texts[name]) if name in texts else load_spec(fixture_path(name))
+    report = build_report(spec, k, stages=("model", "formality"))
+    return report["model"]["dump"], report["formality"]["total_model"]
+
+
+@pytest.mark.parametrize("name, k", CASES)
+def test_report_dumps_pass_the_independent_check(name, k):
+    assert certify_dumps(*_dumps(name, k)) == []
+
+
+def test_a_wrong_sign_in_a_differential_breaks_d_squared():
+    # d(g17) = g4*g9 - g5*g8 with g4, g5 closed of degree 2, dg9 = g4*g5 and
+    # dg8 = g4^2; with "+" the square is 2*g4^2*g5
+    model, total = _dumps("s8", 4)
+    edit = [line.replace("g4*g9 - g5*g8", "g4*g9 + g5*g8") for line in model]
+    assert edit != model
+    failures = certify_dumps(edit, [line.replace("g4*g9 - g5*g8", "g4*g9 + g5*g8") for line in total])
+    assert failures == ["g17: d(d(g17)) is not zero"]
+    # an edit to one dump only is a mismatch between them
+    assert certify_dumps(edit, total) == [
+        "g17: d(d(g17)) is not zero",
+        "the total model line 'D(g17) = g4*g9 - g5*g8, tau(g17) = 0' does not repeat its model line",
+    ]
+
+
+def test_a_twist_that_does_not_commute_with_d_is_refused():
+    # on b2b2 at K=3, theta(g7) = 2*g6 is the one solution of d(theta g7) = theta(g1*g4)
+    model, total = _dumps("b2b2", 3)
+    assert "D(g7) = g1*g4 + (2*g6)*A, tau(g7) = 0" in total
+    edit = [line.replace("(2*g6)*A", "(3*g6)*A") for line in total]
+    assert certify_dumps(model, edit) == ["g7: theta(d(g7)) differs from d(theta(g7))"]
+
+
+def test_the_product_is_graded_commutative():
+    algebra = Algebra({1: 1, 2: 1, 3: 2})
+    assert algebra.mul({(2,): 1}, {(1,): 1}) == {(1, 2): -1}
+    assert algebra.mul({(3,): 1}, {(1,): 1}) == {(1, 3): 1}
+    assert algebra.mul({(1,): 1}, {(1,): 1}) == {}
+    assert algebra.mul({(3,): 1}, {(3,): 1}) == {(3, 3): 1}
+    assert parse_poly("-1/2*g1^2 + g1*g3 - 2*g2") == {(1, 1): Fraction(-1, 2), (1, 3): 1, (2,): -2}

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -240,6 +241,68 @@ def test_rational_strings_and_integer_numbers_stay_exact(tmp_path, capsys):
     assert report["unipotent"]["dims"] == {"0": 1, "1": 0, "2": 1}  # a1 ^ a2 is resonant
     integers = '{"n": 2, "blocks": [{"kind": "real", "size": 1, "re": 3}, {"kind": "real", "size": 1, "re": -3}]}'
     assert main(["unipotent", str(_write_spec(tmp_path, text=integers))]) == 0
+
+
+def _echo_of(tmp_path, capsys, field, literal):
+    """(exit code, stderr, echoed field) of ``unipotent --format json`` on one complex block."""
+    doc = {"n": 2, "blocks": [{"kind": "complex", "size": 1, field: literal}]}
+    code = main(["unipotent", str(_write_spec(tmp_path, text=json.dumps(doc))), "--format", "json"])
+    out, err = capsys.readouterr()
+    return code, err, json.loads(out)["input"]["blocks"][0][field] if out else None
+
+
+@pytest.mark.parametrize(
+    "field, literal, echo",
+    [
+        ("re", ".5", "1/2"),
+        ("re", "5.", "5"),
+        ("re", "+3", "3"),
+        ("re", "-0.250", "-1/4"),
+        ("im_resonant", " 7/14\t", "1/2"),
+        ("im_resonant", "-12/4", "-3"),
+    ],
+)
+def test_ascii_rational_literals_keep_their_values(tmp_path, capsys, field, literal, echo):
+    # the grammar: an optional sign, then ASCII digits with "/digits" or one
+    # decimal point, with surrounding whitespace
+    assert _echo_of(tmp_path, capsys, field, literal) == (0, "", echo)
+
+
+@pytest.mark.parametrize(
+    "field, literal, message",
+    [
+        ("re", "１", "blocks[0].re: not a rational literal: '１' in scalar literal '１'"),  # fullwidth digit
+        ("im_resonant", "٣", "blocks[0].im_resonant: not a rational literal: '٣'"),  # Arabic-Indic digit
+        ("re", "1_000", "blocks[0].re: not a rational literal: '1_000' in scalar literal '1_000'"),
+        ("im_resonant", "1/0", "blocks[0].im_resonant: not a rational literal: '1/0'"),
+        ("im_resonant", "1/00", "blocks[0].im_resonant: not a rational literal: '1/00'"),
+        ("im_resonant", "1.5.2", "blocks[0].im_resonant: not a rational literal: '1.5.2'"),
+        ("im_resonant", ".", "blocks[0].im_resonant: not a rational literal: '.'"),
+    ],
+)
+def test_literal_outside_the_grammar_is_refused_with_one_line(tmp_path, capsys, field, literal, message):
+    assert _echo_of(tmp_path, capsys, field, literal) == (1, f"error: {message}\n", None)
+
+
+def test_literal_past_the_digit_limit_is_refused_and_one_at_it_echoes(tmp_path, capsys):
+    # a literal is refused when its numerator or denominator would have more digits
+    # than Python converts to text; a decimal with k digits after the point has a
+    # denominator of k + 1 digits, so ".1...1" with `limit` ones is refused
+    limit = sys.get_int_max_str_digits()
+    if not limit:
+        pytest.skip("this interpreter converts integers of any length")
+    at_limit = ["9" * limit, "0." + "1" * (limit - 1), "1/" + "7" * limit]
+    for literal in at_limit:
+        code, err, echo = _echo_of(tmp_path, capsys, "im_resonant", literal)
+        assert (code, err) == (0, "") and echo == str(Fraction(literal)), literal[:8]
+    past = ["9" * (limit + 1), "." + "1" * limit, "1/" + "7" * (limit + 1), "0." + "1" * limit]
+    for literal in past:
+        code, err, echo = _echo_of(tmp_path, capsys, "im_resonant", literal)
+        assert code == 1 and echo is None and err.count("\n") == 1, literal[:8]
+        assert err == (
+            f"error: blocks[0].im_resonant: rational literal of {limit + 1} digits "
+            f"is above Python's limit of {limit} digits\n"
+        )
 
 
 def test_hypothesis_violation_exit_code(tmp_path, capsys):

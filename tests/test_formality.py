@@ -49,7 +49,7 @@ def _theta_by_rho(tm):
 
 
 def test_s6_twist_chain(s6):
-    tm = build_twisted_model(s6, build_minimal_model(s6, 2))
+    tm = build_twisted_model(build_minimal_model(s6, 2))
     chain = _theta_by_rho(tm)
     # rho a1 -> the generator realizing a2 -> the one realizing a3 -> 0
     names = {str(g.rho): g.name for g in tm.model.gens}
@@ -59,7 +59,7 @@ def test_s6_twist_chain(s6):
 
 
 def test_s6_total_model_dump(s6):
-    tm = build_twisted_model(s6, build_minimal_model(s6, 2))
+    tm = build_twisted_model(build_minimal_model(s6, 2))
     dump = total_model_dump(tm)
     assert dump.splitlines() == [
         "total model with twist generator A, degree bound 2",
@@ -73,7 +73,7 @@ def test_s6_total_model_dump(s6):
 
 
 def test_s8_degree_one_twist(s8):
-    tm = build_twisted_model(s8, build_minimal_model(s8, 1))
+    tm = build_twisted_model(build_minimal_model(s8, 1))
     dump = total_model_dump(tm)
     assert "D(g1) = 0" in dump
     assert "D(g2) = g1*A" in dump
@@ -82,7 +82,7 @@ def test_s8_degree_one_twist(s8):
 
 def test_torus_twist_vanishes(torus3, torus4):
     for spec in (torus3, torus4):
-        tm = build_twisted_model(spec, build_minimal_model(spec, 3))
+        tm = build_twisted_model(build_minimal_model(spec, 3))
         assert all(not poly for poly in tm.theta.values())
         verdict = formality_from_twisted(tm, 3)
         assert verdict.passed
@@ -101,7 +101,7 @@ def test_formality_verdicts(s6, s8, heisenberg3):
 def test_witness_is_closed_with_nonzero_twist(s6, s8):
     for spec in (s6, s8):
         model = build_minimal_model(spec, 2)
-        tm = build_twisted_model(spec, model)
+        tm = build_twisted_model(model)
         verdict = formality_from_twisted(tm, 2)
         for status in verdict.statuses:
             if status.passed:
@@ -132,7 +132,7 @@ def test_twist_commutes_with_differential_everywhere(s6, s8, heisenberg3):
     cases = 0
     for spec in specs:
         model = build_minimal_model(spec, 3)
-        tm = build_twisted_model(spec, model)
+        tm = build_twisted_model(model)
         for g in model.gens:
             lhs = tm.theta_poly(g.differential)
             rhs = model.d_poly(tm.theta.get(g.gid, {}))
@@ -157,25 +157,42 @@ def test_the_build_stops_at_the_first_generator_whose_twist_breaks_d_squared(mon
     # (on b2b2 at K=3 the first such generator is g6, of 13)
     spec = parse_spec(B2B2)
     model = build_minimal_model(spec, 3)
-    tm = build_twisted_model(spec, model)
+    tm = build_twisted_model(model)
     first = next(g for g in model.gens if not g.closed and tm.theta_poly(g.differential))
     made = []
 
-    def no_twist(model, tm, gen, solvers):
+    def no_twist(model, rhs, gen, solvers):
         made.append(gen)
         return {}, False
 
     monkeypatch.setattr(formality, "_theta_nonclosed", no_twist)
     with pytest.raises(InternalInvariantViolation) as refusal:
-        build_twisted_model(spec, model)
+        build_twisted_model(model)
     assert str(refusal.value) == f"twist does not commute with the differential on {first.name}"
     assert made[-1] is first
+
+
+def test_the_build_twists_each_differential_once(s8, monkeypatch):
+    # theta(dz) is formed once per generator: the non-closed solve and the
+    # D*D = 0 check both read it, and the model alone fixes the spec
+    calls = Counter()
+    theta_poly = TwistedModel.theta_poly
+
+    def counted(tm, p):
+        calls[tm] += 1
+        return theta_poly(tm, p)
+
+    monkeypatch.setattr(TwistedModel, "theta_poly", counted)
+    for spec, bound in ((s8, 4), (parse_spec(B2B2), 6)):
+        model = build_minimal_model(spec, bound)
+        tm = build_twisted_model(model)
+        assert calls[tm] == len(model.gens), spec
 
 
 def test_twist_realizes_shift_on_closed_generators(s6, s8):
     for spec in (s6, s8):
         model = build_minimal_model(spec, 3)
-        tm = build_twisted_model(spec, model)
+        tm = build_twisted_model(model)
         shift = nilpotent_log(spec)
         for g in model.gens:
             if not g.closed:
@@ -190,7 +207,7 @@ def test_twist_realizes_shift_on_closed_generators(s6, s8):
 def test_twist_is_nilpotent_per_degree(s6, s8):
     for spec in (s6, s8):
         model = build_minimal_model(spec, 3)
-        tm = build_twisted_model(spec, model)
+        tm = build_twisted_model(model)
         for k in range(1, 4):
             for mono in model.monomials(k):
                 poly = {mono: Fraction(1)}
@@ -203,7 +220,7 @@ def test_twist_is_nilpotent_per_degree(s6, s8):
 
 def test_products_of_closed_elements_stay_closed_when_formal(torus4):
     model = build_minimal_model(torus4, 3)
-    tm = build_twisted_model(torus4, model)
+    tm = build_twisted_model(model)
     assert formality_from_twisted(tm, 3).passed
     gens = [g for g in model.gens if g.closed]
     for a in gens:
@@ -225,7 +242,7 @@ def test_higher_degree_twist_on_closed_generators():
     spec = parse_spec(doc)
     model = build_minimal_model(spec, 2)
     assert model.generator_counts()[2] == (4, 0)
-    tm = build_twisted_model(spec, model)
+    tm = build_twisted_model(model)
     assert any(tm.theta[g.gid] for g in model.gens)
     for g in model.gens:
         for mono in tm.theta.get(g.gid, {}):
@@ -254,7 +271,7 @@ def test_paired_shift_in_complex_jordan_block():
 def test_verdicts_never_share_a_status_list(s6):
     first, second = FormalityVerdict(1, 2), FormalityVerdict(1, 2)
     assert first.statuses == [] and first.statuses is not second.statuses
-    first.statuses.append(DegreeStatus(1, True))
+    first.statuses.append(DegreeStatus(1))
     assert second.statuses == [] and FormalityVerdict(1, 2).statuses == []
     again, once_more = k_formality(s6, 2), k_formality(s6, 2)
     assert again.statuses is not once_more.statuses
@@ -263,7 +280,7 @@ def test_verdicts_never_share_a_status_list(s6):
 
 def test_formality_bound_errors(s6):
     model = build_minimal_model(s6, 2)
-    tm = build_twisted_model(s6, model)
+    tm = build_twisted_model(model)
     with pytest.raises(InputError):
         formality_from_twisted(tm, 3)
 
@@ -350,7 +367,7 @@ def test_theta_closed_matches_the_two_column_reference(s6, s8, nil322, heisenber
     twisted_degrees, ambiguous = [], []
     for spec, bound in cases:
         model = build_minimal_model(spec, bound)
-        tm = build_twisted_model(spec, model)
+        tm = build_twisted_model(model)
         ntl = nilpotent_log(spec)
         degrees, chosen = set(), set()
         for gen in model.gens:
@@ -392,7 +409,7 @@ def test_twist_eliminates_each_row_list_once(monkeypatch):
 
     monkeypatch.setattr(EchelonAccumulator, "__init__", counted_init)
     monkeypatch.setattr(EchelonAccumulator, "residue", counted_residue)
-    build_twisted_model(spec, model)
+    build_twisted_model(model)
     assert calls["residues"] <= bound
     assert calls["eliminations"] <= 2 * 6
 
@@ -400,7 +417,7 @@ def test_twist_eliminates_each_row_list_once(monkeypatch):
 def test_b2b2_total_model_unchanged():
     # recorded before the twist solved each degree once, on the per-generator route
     spec = parse_spec(_CROSS_CHECK_HAND_SPECS[0])
-    tm = build_twisted_model(spec, build_minimal_model(spec, 7))
+    tm = build_twisted_model(build_minimal_model(spec, 7))
     assert tm.ambiguity_degrees == [4, 5, 6, 7]
     digest = hashlib.sha256(total_model_dump(tm).encode()).hexdigest()
     assert digest == "7d517eb158e93849453ac016316d75222312f44550fe3693417b089a0ac3e1a4"
@@ -431,7 +448,7 @@ def test_closed_twist_solves_against_earlier_classes_only():
     for i in (1, 2):
         model.add_generator(1, rho=Multivector.basis_one_form(2, i))
     with pytest.raises(InternalInvariantViolation, match="not realized by earlier classes"):
-        build_twisted_model(spec, model)
+        build_twisted_model(model)
     # N: a1 -> a2 -> a3.  The image a2 of g2 is rho(g1) + rho(g3): it lies in the
     # span of all the classes, but only through g3, which leads after (g2,)
     spec = parse_spec('{"n": 3, "blocks": [{"kind": "real", "size": 3}]}')
@@ -442,7 +459,7 @@ def test_closed_twist_solves_against_earlier_classes_only():
     rows = [rep.rho for rep in model.class_reps(1)]
     assert solve_combination(rows, coordinate_vector(a2)) == ({0: 1, 2: 1}, 0)
     with pytest.raises(InternalInvariantViolation, match="shift image of g2 is not realized"):
-        build_twisted_model(spec, model)
+        build_twisted_model(model)
 
 
 # Generators as (name, degree, differential), closed when the differential
@@ -505,12 +522,12 @@ def test_theta_nonclosed_solves_a_nonzero_rhs(s6, case):
     if expected is None:
         assert reference is None
         with pytest.raises(InternalInvariantViolation):
-            _theta_nonclosed(model, tm, gen, {})
+            _theta_nonclosed(model, tm.theta_poly(gen.differential), gen, {})
         return
     poly, chose = expected
     expected = ({tuple(gid[n] for n in m): Fraction(c) for m, c in poly.items()}, chose)
     assert reference == expected
-    assert _theta_nonclosed(model, tm, gen, {}) == expected
+    assert _theta_nonclosed(model, tm.theta_poly(gen.differential), gen, {}) == expected
 
 
 def test_twist_memo_matches_the_leibniz_expansion(s6, s8):
@@ -519,7 +536,7 @@ def test_twist_memo_matches_the_leibniz_expansion(s6, s8):
     # on the hand-built ones, whose theta leaves most ids out (those map to 0)
     rng = random.Random(75)
     specs = [(s8, 3), (s8, 5)] + [(random_unimodular_spec(rng, n_max=6), 3) for _ in range(6)]
-    twists = [build_twisted_model(spec, build_minimal_model(spec, bound)) for spec, bound in specs]
+    twists = [build_twisted_model(build_minimal_model(spec, bound)) for spec, bound in specs]
     twists += [_twist_case(s6, layout)[1] for layout, _ in _TWIST_CASES.values()]
     checked = 0
     for tm in twists:
@@ -542,7 +559,7 @@ def test_model_polynomials_store_no_zero(s6, s8, heisenberg3):
     specs = [s6, s8, heisenberg3] + [random_unimodular_spec(rng, n_max=5) for _ in range(6)]
     for spec in specs:
         model = build_minimal_model(spec, 4)
-        tm = build_twisted_model(spec, model)
+        tm = build_twisted_model(model)
         polys = [g.differential for g in model.gens] + list(tm.theta.values())
         polys += [tm.theta_poly(g.differential) for g in model.gens]
         for k in range(1, 6):

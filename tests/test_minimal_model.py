@@ -169,7 +169,7 @@ def test_build_forms_each_stage_classes_once(monkeypatch, s8, nil322):
         kept = [dict(state) for state in (model._cocycles, model._images, model._classes)]
         kernels.clear()
         verify_quasi_iso(model)
-        formality_from_twisted(build_twisted_model(spec, model), bound)
+        formality_from_twisted(build_twisted_model(model), bound)
         assert kernels == []
         for before, state in zip(kept, (model._cocycles, model._images, model._classes)):
             assert state.keys() == before.keys()

@@ -735,7 +735,7 @@ def test_low_slices_of_a_large_fiber_are_not_refused():
     assert len(nilpotent_submodule(nil16, 1)) == 16
     model = build_minimal_model(nil16, 2)
     assert len(model.gens) == 16
-    build_twisted_model(nil16, model)
+    build_twisted_model(model)
     with pytest.raises(InputError, match="the degree-8 unipotent slice has 12870"):
         check_fiber_size(nil16)
     check_fiber_size(parse_spec('{"n": 15, "blocks": [{"kind": "real", "size": 15}]}'))  # 6,435

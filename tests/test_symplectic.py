@@ -46,7 +46,7 @@ def _wedge_witness(spec, pair):
     """A witness whose pairing and top power are formed by wedge products."""
     half = (spec.n + 1) // 2
     pairing = top_coefficient(wedge_power(pair.two_form, half - 1).wedge(pair.one_form))
-    omega = assemble_omega(spec, pair)
+    omega = assemble_omega(pair)
     return SymplecticWitness(pair, omega, pairing, top_coefficient(wedge_power(omega, half)))
 
 
@@ -395,7 +395,7 @@ def test_grid_decision_matches_symbolic_expansion_small_cases():
 
 def test_assembled_omega_lives_on_total_space(s6):
     witness = find_symplectic(s6)
-    omega = assemble_omega(s6, witness.pair)
+    omega = assemble_omega(witness.pair)
     assert omega.n == 6 and omega.degree == 2
     assert top_coefficient(wedge_power(omega, 3)) == witness.omega_top
 
@@ -449,7 +449,7 @@ def test_pairing_polynomial_matches_the_wedge_expansion(s6, s8, torus3, torus4, 
             continue  # odd total dimension: no pairing
         half = (spec.n + 1) // 2
         f_basis, e_basis = closed_two_classes(spec), nilpotent_submodule(spec, 1)
-        poly = symplectic._pairing_polynomial(spec, half, f_basis, e_basis)
+        poly = symplectic._pairing_polynomial(half, f_basis, e_basis)
         assert poly == _wedge_pairing_polynomial(spec, half, f_basis, e_basis), spec
         checked += 1
         nonzero += bool(poly)
@@ -468,7 +468,7 @@ def test_pairing_polynomial_matches_the_wedge_expansion_on_fractions(s8):
         Multivector(7, 1, {(7,): Fraction(3, 2)}),
         Multivector(7, 1, {(1,): 1, (5,): Fraction(-1, 4), (3,): 2}),
     ]
-    poly = symplectic._pairing_polynomial(s8, 4, f_basis, e_basis)
+    poly = symplectic._pairing_polynomial(4, f_basis, e_basis)
     assert poly == _wedge_pairing_polynomial(s8, 4, f_basis, e_basis)
     assert any(Fraction(c).denominator != 1 for c in poly.values())
     assert any(2 in exps[:3] for exps in poly) and any(3 in exps[:3] for exps in poly)

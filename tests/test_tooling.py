@@ -25,7 +25,9 @@ wall-clock gate; only the imports are checked.  A one-second traced run of
 with no failed operation, and the worker's oracle mode, the benchmark's
 oracle gate, must find no mismatch on nil7 and on a seeded random instance.
 A dead-code gate profiles CLI runs, verify and the oracle in-process: every
-package function they never call must be on a commented allow-list.
+package function they never call must be on a commented allow-list.  The
+version is stated once: the report's ``generator`` field reads
+``solvform.__version__``, and ``pyproject.toml`` must carry the same one.
 """
 
 import contextlib
@@ -35,12 +37,13 @@ import io
 import json
 import pkgutil
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import solvform
-from solvform import cli, fixture_path, load_spec, monodromy, nilpotent_submodule
+from solvform import build_report, cli, fixture_path, load_spec, monodromy, nilpotent_submodule
 from solvform.monodromy import oracle_applicable
 from solvform.report import STAGES
 from solvform.spectral import SLICE_CACHE_SIZE
@@ -352,3 +355,16 @@ def test_every_package_function_runs_or_is_listed(tmp_path):
         sys.setprofile(None)
     assert codes == [0] * 11 + [1, 1, 0]
     assert {name for code, name in functions.items() if code not in called} == NEVER_RUN
+
+
+def test_the_version_is_stated_once():
+    text = (ROOT / "pyproject.toml").read_text()
+    try:
+        import tomllib
+    except ModuleNotFoundError:  # Python 3.10: the one version line of the project table
+        version = re.search(r'^version = "([^"]*)"$', text, re.MULTILINE)[1]
+    else:
+        version = tomllib.loads(text)["project"]["version"]
+    assert version == solvform.__version__
+    report = build_report(load_spec(fixture_path("torus3")), 1)
+    assert report["generator"] == {"name": "solvform", "version": solvform.__version__}

@@ -33,14 +33,16 @@ tuples of the integer slice rows directly: ``i`` is replaced by ``j``,
 the tuple is re-sorted, and the sign is the parity of the number of
 indices ``j`` moves past.  On a slice of unit rows, as under the
 hypothesis, an image lies in the slice exactly when its keys are slice
-keys: each is written straight into the transposed columns of the kernel
-elimination, refused at a key outside the slice, and a kernel vector
-keyed by slice monomial is its kernel row.  Otherwise (only library
-calls outside the hypothesis) a reduced row is zero at every other pivot,
-so an image lies in the slice exactly when the combination of the rows
-given by its own entries at the pivots rebuilds it.  The model build
-(the flag order of closed generators) and the twist on closed generators
-read the same per-spec map and apply it with :func:`_shift_row`.
+keys: one key's shift terms are distinct, so each is formed from the key
+and written straight into the transposed columns of the kernel
+elimination, with no image row, refused at a key outside the slice, and
+a kernel vector keyed by slice monomial is its kernel row.  Otherwise
+(only library calls outside the hypothesis) a reduced row is zero at
+every other pivot, so an image lies in the slice exactly when the
+combination of the rows given by its own entries at the pivots rebuilds
+it.  The model build (the flag order of closed generators) and the twist
+on closed generators read the same per-spec map and apply it with
+:func:`_shift_row`.
 
 The shift kernel is eliminated with the images in reversed order, and
 kernel index j maps back to ``last - j``; the image pivots do not depend
@@ -264,14 +266,17 @@ def _nilpotent_submodule(spec: AlmostAbelianSpec, k: int) -> tuple[Multivector, 
     kept = resonant_monomials(spec, k)
     table = _slot_table(spec)
     if modification_hypothesis_holds(spec):
-        kept_set = set(kept)
-        for combo in kept:
-            for p, i in enumerate(combo):
-                j = table[i][0]  # a real slot is its own conjugate; a complex one is adjacent
-                if j not in combo and combo[:p] + (j,) + combo[p + 1 :] not in kept_set:
-                    raise InternalInvariantViolation(
-                        f"resonant monomial {combo} has a non-resonant conjugate swap at slot {i}"
-                    )
+        # a real slot is its own conjugate, so only the complex slots have a swap to check
+        conjugate = {i: slot[0] for i, slot in enumerate(table) if slot and slot[0] != i}
+        if conjugate:
+            kept_set = set(kept)
+            for combo in kept:
+                for p, i in enumerate(combo):
+                    j = conjugate.get(i)
+                    if j and j not in combo and combo[:p] + (j,) + combo[p + 1 :] not in kept_set:
+                        raise InternalInvariantViolation(
+                            f"resonant monomial {combo} has a non-resonant conjugate swap at slot {i}"
+                        )
         basis_rows = [{combo: 1} for combo in kept]
     else:
         basis_rows = echelon_basis([part for combo in kept for part in _realify(table, combo) if part])
@@ -304,14 +309,25 @@ def _shift_slice(spec: AlmostAbelianSpec, k: int) -> tuple[tuple, tuple]:
     index_map = _shift_index_map(spec)
     last = len(rows) - 1  # the images are eliminated in reversed order: row i is j = last - i
     if all(len(row) == 1 for row in rows):
-        keys = [min(row) for row in rows]
+        keys = [key for (key,) in rows]
         slice_keys = set(keys)
         columns: dict = {}
-        for i, (u, row) in enumerate(zip(basis, rows)):
-            for c, x in _shift_row(row, index_map).items():
-                if c not in slice_keys:
-                    raise InternalInvariantViolation(f"the shift maps {u} out of the unipotent slice")
-                columns.setdefault(c, {})[last - i] = x
+        for i, key in enumerate(keys):
+            # _shift_row on the row {key: 1}, written out: one key's shift terms are
+            # distinct, so nothing cancels, and a per-key generator shared with
+            # _shift_row measured slower; the reference is
+            # test_unit_shift_route_matches_the_general_route
+            for p, a in enumerate(key):
+                b = index_map[a]
+                if not b:
+                    continue
+                q = bisect(key, b)
+                if key[q - 1] == b:
+                    continue  # b is already a factor
+                new = key[:p] + key[p + 1 : q] + (b,) + key[q:]
+                if new not in slice_keys:
+                    raise InternalInvariantViolation(f"the shift maps {basis[i]} out of the unipotent slice")
+                columns.setdefault(new, {})[last - i] = 1 if (q - p) & 1 else -1
         kernel, image_pivots = column_kernel_and_pivots(sorted(columns.items()), len(rows))
         kernel_rows = [{keys[last - j]: x for j, x in vec.items()} for vec in reversed(kernel)]
     else:
@@ -319,7 +335,8 @@ def _shift_slice(spec: AlmostAbelianSpec, k: int) -> tuple[tuple, tuple]:
         # a reduced row is zero at every other pivot, so an image inside the slice
         # is the combination of the rows given by its own entries at the pivots
         images = [_shift_row(row, index_map) for row in rows]
-        by_pivot = {min(row): row for row in rows}
+        keys = [min(row) for row in rows]
+        by_pivot = dict(zip(keys, rows))
         at_pivots = [{p: x for p, x in image.items() if p in by_pivot} for image in images]
         rebuilt = matrix_mul(at_pivots, by_pivot)
         outside = [u for u, image, back in zip(basis, images, rebuilt) if back != image]
@@ -336,7 +353,7 @@ def _shift_slice(spec: AlmostAbelianSpec, k: int) -> tuple[tuple, tuple]:
     image_pivots = set(image_pivots)
     return (
         tuple(Multivector._from_row(spec.n, k, row) for row in kernel_rows),
-        tuple(u for u in basis if min(u.terms) not in image_pivots),
+        tuple(u for u, key in zip(basis, keys) if key not in image_pivots),
     )
 
 

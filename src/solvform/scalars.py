@@ -27,6 +27,8 @@ from fractions import Fraction
 _SYMBOL_RE = _re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 # an optional sign, then ASCII digits with "/digits" or one decimal point
 _RATIONAL_RE = _re.compile(r"\s*[+-]?(?=\.?\d)(\d*)(?:/(\d+)|\.(\d*))?\s*\Z", _re.ASCII)
+# the refusal of a literal, or a sum of them, with more digits than Python converts to text
+_PAST_LIMIT = "rational literal of {} digits is above Python's limit of {} digits"
 
 
 class ScalarLC:
@@ -142,20 +144,34 @@ def _coerce(value) -> ScalarLC:
     return ScalarLC(Fraction(value))
 
 
+def _digit_limit() -> int:
+    """Python's limit on the digits of an ``int`` converted to text, 0 for none.
+    ``sys.get_int_max_str_digits`` came with Python 3.11 and 3.10.7; an older
+    interpreter has no limit, and neither does its conversion."""
+    get = getattr(sys, "get_int_max_str_digits", None)
+    return get() if get else 0
+
+
+def _quoted(text) -> str:
+    """``repr(text)``, shortened for a long text to its first 32 characters and its length."""
+    text = str(text)
+    return repr(text) if len(text) <= 40 else f"{text[:32]!r}... ({len(text)} characters)"
+
+
 def parse_rational(text: str) -> Fraction:
     """Parse a rational literal such as ``"3"``, ``"-5/7"``, ``"0.25"`` or ``".5"``,
     in the grammar of ``_RATIONAL_RE``.  A literal whose numerator or denominator
-    has more digits than ``sys.get_int_max_str_digits()`` allows could not be
-    echoed, so it is refused; a decimal with k digits after the point has a
-    denominator of k + 1 digits."""
+    has more digits than :func:`_digit_limit` allows could not be echoed, so it is
+    refused; a decimal with k digits after the point has a denominator of k + 1
+    digits."""
     match = _RATIONAL_RE.match(str(text))
     if match is None or match[2] and not match[2].strip("0"):  # or a zero denominator
-        raise ValueError(f"not a rational literal: {text!r}")
+        raise ValueError(f"not a rational literal: {_quoted(text)}")
     whole, denominator, decimals = match.groups()
     digits = max(len(whole + (decimals or "")), len(denominator or ""), len(decimals or "") + 1)
-    limit = sys.get_int_max_str_digits()
+    limit = _digit_limit()
     if limit and digits > limit:
-        raise ValueError(f"rational literal of {digits} digits is above Python's limit of {limit} digits")
+        raise ValueError(_PAST_LIMIT.format(digits, limit))
     return Fraction(str(text).strip())
 
 
@@ -164,7 +180,25 @@ def _rational_in(chunk: str, text: str) -> Fraction:
     try:
         return parse_rational(chunk)
     except ValueError as exc:
-        raise ValueError(f"{exc} in scalar literal {text!r}") from exc
+        raise ValueError(f"{exc} in scalar literal {_quoted(text)}") from exc
+
+
+def _check_digits(scalar: ScalarLC, text: str) -> None:
+    """Refuse a parsed scalar with a numerator or denominator past :func:`_digit_limit`,
+    as its literal is refused: a sum of literals within the limit can pass it.  A part
+    below ``2**(3 * limit)``, which is below ``10**limit``, is within the limit."""
+    limit = _digit_limit()
+    if not limit:
+        return
+    for x in (scalar.const, *(c for _, c in scalar.terms)):
+        for part in (abs(x.numerator), x.denominator):
+            if part.bit_length() > 3 * limit and part >= 10**limit:
+                digits, chunk = 0, 10**limit  # str(part) would raise: count chunk by chunk
+                while part >= chunk:
+                    part //= chunk
+                    digits += limit
+                digits += len(str(part))
+                raise ValueError(f"{_PAST_LIMIT.format(digits, limit)} in scalar literal {_quoted(text)}")
 
 
 def parse_scalar(text: str, symbols=()) -> ScalarLC:
@@ -183,13 +217,13 @@ def parse_scalar(text: str, symbols=()) -> ScalarLC:
         if not chunk:
             if pos == 0:
                 continue  # harmless leading sign artifact
-            raise ValueError(f"dangling operator in scalar literal {text!r}")
+            raise ValueError(f"dangling operator in scalar literal {_quoted(text)}")
         sign = Fraction(1)
         if chunk.startswith("-"):
             sign = Fraction(-1)
             chunk = chunk[1:]
         if not chunk:
-            raise ValueError(f"dangling sign in scalar literal {text!r}")
+            raise ValueError(f"dangling sign in scalar literal {_quoted(text)}")
         if "*" in chunk:
             coeff_text, _, name = chunk.partition("*")
             coeff = sign * _rational_in(coeff_text, text)
@@ -199,8 +233,10 @@ def parse_scalar(text: str, symbols=()) -> ScalarLC:
             const += sign * _rational_in(chunk, text)
             continue
         if not _SYMBOL_RE.match(name):
-            raise ValueError(f"bad symbol name {name!r} in scalar literal {text!r}")
+            raise ValueError(f"bad symbol name {_quoted(name)} in scalar literal {_quoted(text)}")
         if name not in symbols:
-            raise ValueError(f"undeclared symbol {name!r} in scalar literal {text!r}")
+            raise ValueError(f"undeclared symbol {_quoted(name)} in scalar literal {_quoted(text)}")
         terms.append((name, coeff))
-    return ScalarLC(const, terms)
+    scalar = ScalarLC(const, terms)
+    _check_digits(scalar, text)
+    return scalar

@@ -1,7 +1,18 @@
-"""An independent check of the model and total-model dumps of a report.
+"""An independent check of the Betti numbers and model dumps of a report.
 
 ``verify`` recomputes a report with the same code that wrote it, so a bug in
-that code verifies itself.  This module reads only the text of a report's
+that code verifies itself.  This module imports nothing from ``solvform``.
+
+:func:`betti_numbers` reads a symbol-free input document and builds the
+modified action itself: each block's real part on the diagonal and its
+nilpotent shift above it, the integer rotations dropped, so that a complex
+block of size m is two interleaved shift chains of length m.  The Lie algebra
+cohomology of the total space is ``ker D_k (+) coker D_(k-1)``, with ``D_k``
+that action extended as a derivation to the degree-k wedges, so
+``b_k = (C(n, k) - rank D_k) + (C(n, k-1) - rank D_(k-1))``, the ranks taken
+by a ``Fraction`` elimination written here.
+
+The dump check reads only the text of a report's
 ``model/dump`` lines (``serialize_model``) and ``formality/total_model`` lines
 (``total_model_dump``) and imports nothing from ``solvform``: polynomials are
 parsed back into ``{monomial: Fraction}`` maps, where a monomial is the sorted
@@ -25,6 +36,8 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from itertools import combinations
+from math import comb
 
 _MODEL_LINE = re.compile(r"g(\d+): degree (\d+), (closed|non-closed), d\(g\1\) = (.*), rho\(g\1\) = (.*)\Z")
 _TOTAL_LINE = re.compile(r"D\(g(\d+)\) = (.*), tau\(g\1\) = (.*)\Z")
@@ -137,3 +150,71 @@ def certify_dumps(model_lines: list[str], total_lines: list[str]) -> list[str]:
             failures.append(f"g{g}: theta(d(g{g})) differs from d(theta(g{g}))")
     return failures
 
+
+
+def _rational(value) -> Fraction:
+    """A symbol-free scalar field such as ``"-1/2"``, ``"0.25"``, ``"1/3 + 2/3"`` or 3."""
+    terms = str(value).replace(" ", "").replace("-", "+-").split("+")
+    return sum((Fraction(term) for term in terms if term), Fraction(0))
+
+
+def modified_action(doc: dict) -> list[list[Fraction]]:
+    """The n x n modified action of a symbol-free input document; row i is the image of e_i."""
+    n = doc["n"]
+    action = [[Fraction(0)] * n for _ in range(n)]
+    start = 0
+    for block in doc["blocks"]:
+        if _rational(block.get("im_resonant", "0")).denominator != 1 or _rational(block.get("im_symbolic", "0")):
+            raise ValueError(f"the rotation of {block} is not an integer resonance")
+        step = 1 if block["kind"] == "real" else 2  # a complex cell is a pair of coordinates
+        stop = start + step * block["size"]
+        for c in range(start, stop):
+            action[c][c] = _rational(block.get("re", "0"))
+            if c + step < stop:
+                action[c][c + step] = Fraction(1)
+        start = stop
+    return action
+
+
+def wedge_derivation(action: list[list[Fraction]], k: int) -> list[list[Fraction]]:
+    """The derivation extending ``action`` to the degree-k wedges of e_0, ..., e_(n-1):
+    row I is the image of e_I, over the sorted k-subsets.  Putting e_t at position p
+    of e_I and sorting moves it past ``|q - p|`` factors, where q is its sorted place."""
+    subsets = list(combinations(range(len(action)), k))
+    index = {subset: pos for pos, subset in enumerate(subsets)}
+    rows = []
+    for subset in subsets:
+        row = [Fraction(0)] * len(subsets)
+        for p, i in enumerate(subset):
+            rest = subset[:p] + subset[p + 1 :]
+            for t, x in enumerate(action[i]):
+                if x and t not in rest:
+                    image = tuple(sorted(rest + (t,)))
+                    row[index[image]] += x if (image.index(t) - p) % 2 == 0 else -x
+        rows.append(row)
+    return rows
+
+
+def rank(rows: list[list[Fraction]]) -> int:
+    """The rank of a dense rational matrix, by Gaussian elimination."""
+    rows = [list(row) for row in rows]
+    r = 0
+    for c in range(len(rows[0]) if rows else 0):
+        pivot = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        for i in range(r + 1, len(rows)):
+            f = rows[i][c] / rows[r][c]
+            if f:
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        r += 1
+    return r
+
+
+def betti_numbers(doc: dict) -> dict:
+    """``{"k": b_k}`` in every degree 0..n+1 of the total space of a symbol-free input."""
+    action = modified_action(doc)
+    n = len(action)
+    ranks = [rank(wedge_derivation(action, k)) for k in range(n + 1)] + [0]
+    return {str(k): comb(n, k) - ranks[k] + (comb(n, k - 1) - ranks[k - 1] if k else 0) for k in range(n + 2)}

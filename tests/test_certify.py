@@ -1,4 +1,7 @@
-"""The independent dump check of ``tests/certify.py`` on today's reports.
+"""The independent checks of ``tests/certify.py`` on today's reports.
+
+``betti_numbers`` builds the modified action from the input document and takes
+the ranks of its derivation on every degree with its own elimination.
 
 ``verify`` rebuilds a report with the code that wrote it; ``certify_dumps``
 reads the model and total-model dumps back with its own parser and product.
@@ -13,13 +16,39 @@ from fractions import Fraction
 
 import pytest
 
-from certify import Algebra, certify_dumps, parse_poly
+from certify import Algebra, betti_numbers, certify_dumps, parse_poly
 from solvform import build_report, fixture_path, load_spec, parse_spec
 from test_golden_reports import B2B2, NIL322
 
 FIXTURES = ("s6", "s8", "torus3", "torus4", "heisenberg3")
 CASES = [(name, k) for name in FIXTURES for k in range(1, 5)]
 CASES += [("s8", 6), ("nil322", 3), ("b2b2", 6)]
+
+
+NIL7 = {"n": 7, "blocks": [{"kind": "real", "size": 7}]}
+# real parts off the diagonal's zero, summing to zero
+SPLIT = {"n": 3, "blocks": [{"kind": "real", "size": 2, "re": "1/2"}, {"kind": "real", "size": 1, "re": "-1"}]}
+
+
+@pytest.mark.parametrize("name", ["torus3", "torus4", "heisenberg3", "s6", "nil7", "nil322", "split"])
+def test_betti_numbers_match_an_independent_elimination(name):
+    docs = {"nil7": NIL7, "nil322": NIL322, "split": SPLIT}
+    doc = docs[name] if name in docs else json.loads(fixture_path(name).read_text())
+    report = build_report(parse_spec(json.dumps(doc)), 3, stages=("cohomology",))
+    assert report["cohomology"]["betti"] == betti_numbers(doc)
+
+
+def test_the_independent_betti_numbers_see_the_shift_and_the_real_parts():
+    # heisenberg3 is torus3 with its two coordinates in one shift chain; SPLIT with
+    # its real parts dropped is a size-2 chain next to a size-1 block
+    torus3 = json.loads(fixture_path("torus3").read_text())
+    heisenberg3 = json.loads(fixture_path("heisenberg3").read_text())
+    assert betti_numbers(torus3) == {"0": 1, "1": 3, "2": 3, "3": 1}
+    assert betti_numbers(heisenberg3) == {"0": 1, "1": 2, "2": 2, "3": 1}
+    flat = {**SPLIT, "blocks": [{**block, "re": "0"} for block in SPLIT["blocks"]]}
+    assert betti_numbers(flat) != betti_numbers(SPLIT)
+    with pytest.raises(ValueError, match="not an integer resonance"):
+        betti_numbers({"n": 2, "blocks": [{"kind": "complex", "size": 1, "im_resonant": "1/2"}]})
 
 
 def _dumps(name, k):

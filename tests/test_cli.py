@@ -11,7 +11,7 @@ import pytest
 
 import solvform
 from solvform import build_report, dumps_canonical, fixture_path, load_spec, verify_report
-from solvform import cli, minimal_model, monodromy, report, spectral
+from solvform import cli, minimal_model, monodromy, report, scalars, spectral
 from solvform.cli import main
 from test_golden_reports import B2B2
 
@@ -303,6 +303,49 @@ def test_literal_past_the_digit_limit_is_refused_and_one_at_it_echoes(tmp_path, 
             f"error: blocks[0].im_resonant: rational literal of {limit + 1} digits "
             f"is above Python's limit of {limit} digits\n"
         )
+
+
+@pytest.mark.parametrize("term", ["{n}", "{n}*b"], ids=["constant", "symbol coefficient"])
+def test_sum_past_the_digit_limit_is_refused_like_a_literal(tmp_path, capsys, term):
+    # each term is within the limit, but their sum has one digit more and could not
+    # be echoed; it is refused at parse time with the literal's one-line message
+    limit = sys.get_int_max_str_digits()
+    if not limit:
+        pytest.skip("this interpreter converts integers of any length")
+    re = " + ".join([term.format(n="9" * limit)] * 2)
+    doc = {"n": 1, "symbols": ["b"], "blocks": [{"kind": "real", "size": 1, "re": re}]}
+    path = _write_spec(tmp_path, text=json.dumps(doc))
+    assert main(["unipotent", str(path), "--format", "json"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == (
+        f"error: blocks[0].re: rational literal of {limit + 1} digits is above Python's limit of "
+        f"{limit} digits in scalar literal {re[:32]!r}... ({len(re)} characters)\n"
+    )
+
+
+def test_refusal_of_a_long_literal_quotes_an_excerpt(tmp_path, capsys):
+    # the line names the field and the limit, and quotes the literal's head and length
+    limit = sys.get_int_max_str_digits()
+    if not limit:
+        pytest.skip("this interpreter converts integers of any length")
+    cases = [("9" * (limit + 1), f"above Python's limit of {limit} digits"), ("1" * 5000 + "x", "not a rational")]
+    for literal, reason in cases:
+        code, err, _ = _echo_of(tmp_path, capsys, "re", literal)
+        assert code == 1 and err.count("\n") == 1 and len(err) < 200, err[:200]
+        assert err.startswith("error: blocks[0].re: ") and reason in err
+        assert f"{literal[:32]!r}... ({len(literal)} characters)" in err
+
+
+def test_an_interpreter_without_a_digit_limit_parses_the_fixtures(monkeypatch):
+    # sys.get_int_max_str_digits came with Python 3.11 and 3.10.7; without it there
+    # is no limit to impose, and every fixture parses as it does with one
+    expected = {name: load_spec(fixture_path(name)) for name in ("s6", "s8", "torus3")}
+    monkeypatch.delattr(sys, "get_int_max_str_digits")
+    assert scalars._digit_limit() == 0
+    for name, spec in expected.items():
+        assert load_spec(fixture_path(name)) == spec
+    doc = '{"n": 2, "blocks": [{"kind": "complex", "size": 1, "re": "1/3 + 2/3", "im_resonant": "4"}]}'
+    assert spectral.parse_spec(doc).blocks[0].re == 1
 
 
 def test_hypothesis_violation_exit_code(tmp_path, capsys):

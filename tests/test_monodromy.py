@@ -718,6 +718,36 @@ def test_unit_row_slices_skip_elimination(monkeypatch, nil322, s6, s8):
         monodromy._nilpotent_submodule.cache_clear()
 
 
+def test_unit_route_forms_no_per_row_image(monkeypatch, nil322, s8):
+    # a slice of unit rows writes each key's shift straight into the transposed
+    # columns, so nil7, nil322 and s8 form no image row; frac3's slices with
+    # multi-term rows image each basis row once through _shift_row
+    calls = []
+    plain = monodromy._shift_row
+
+    def counting(row, index_map):
+        calls.append(row)
+        return plain(row, index_map)
+
+    monkeypatch.setattr(monodromy, "_shift_row", counting)
+    _shift_slice.cache_clear()
+    try:
+        for spec in (parse_spec(json.dumps(WEIGHT_COUNT_SPECS["nil7"])), nil322, s8):
+            for k in range(spec.n + 1):
+                shift_slice(spec, k)
+        assert calls == []
+        frac3 = parse_spec(MULTI_TERM["frac3"])
+        expected = []
+        for k in range(frac3.n + 1):
+            shift_slice(frac3, k)
+            basis = nilpotent_submodule(frac3, k)
+            if any(len(u.terms) > 1 for u in basis):
+                expected += [u.terms for u in basis]
+        assert len(expected) > frac3.n and calls == expected
+    finally:
+        _shift_slice.cache_clear()
+
+
 def test_in_submodule_span_rejects_vectors_outside(s8):
     basis = nilpotent_submodule(s8, 1)
     a = [Multivector.basis_one_form(7, i) for i in range(1, 8)]

@@ -310,10 +310,11 @@ NEVER_RUN = {
 
 def test_every_package_function_runs_or_is_listed(tmp_path):
     # a dead-code gate: under a profile hook, analyze each fixture at K=3 in both
-    # formats, verify a report and a tampered copy, refuse an inexact input, run the
-    # unipotent stage on a spec outside the modification hypothesis (the only CLI
-    # route to the realification) and run the oracle through the names the
-    # benchmark reads; every package function never called is listed above
+    # formats, verify a report and a tampered copy, refuse an inexact input and a
+    # literal outside the grammar, run the unipotent stage on a spec outside the
+    # modification hypothesis (the only CLI route to the realification) and run the
+    # oracle through the names the benchmark reads; every package function never
+    # called is listed above
     members = _package_members()
     functions = _package_functions(members)
     for _, obj in members:
@@ -328,6 +329,8 @@ def test_every_package_function_runs_or_is_listed(tmp_path):
     report = str(tmp_path / "report.json")
     inexact = tmp_path / "inexact.json"
     inexact.write_text('{"n": 1, "blocks": [{"kind": "real", "size": 1, "re": 0.5}]}')
+    ungrammatical = tmp_path / "ungrammatical.json"
+    ungrammatical.write_text('{"n": 1, "blocks": [{"kind": "real", "size": 1, "re": "1_000"}]}')
     third_turn = tmp_path / "third_turn.json"
     third_turn.write_text(
         '{"n": 6, "blocks": [{"kind": "complex", "size": 2, "im_resonant": "1/3"}, {"kind": "real", "size": 2}]}'
@@ -346,6 +349,7 @@ def test_every_package_function_runs_or_is_listed(tmp_path):
             Path(report).write_text(json.dumps(doc))
             codes.append(cli.main(["verify", report, path]))
             codes.append(cli.main(["unipotent", str(inexact)]))
+            codes.append(cli.main(["unipotent", str(ungrammatical)]))
             codes.append(cli.main(["unipotent", str(third_turn)]))
             spec = load_spec(path)
             for k in range(spec.n + 1):
@@ -353,7 +357,7 @@ def test_every_package_function_runs_or_is_listed(tmp_path):
                 assert monodromy.spans_match(oracle, nilpotent_submodule(spec, k))
     finally:
         sys.setprofile(None)
-    assert codes == [0] * 11 + [1, 1, 0]
+    assert codes == [0] * 11 + [1, 1, 1, 0]
     assert {name for code, name in functions.items() if code not in called} == NEVER_RUN
 
 

@@ -114,12 +114,13 @@ def _run_verify(report_path: str, input_path: str) -> int:
     spec = load_spec(input_path)
     try:
         with open(report_path, "r", encoding="utf-8") as handle:
-            report = json.load(handle)
+            text = handle.read()
+        report = json.loads(text)
     except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8, or nested too deeply
         raise InputError(f"malformed report: {exc}") from exc
     if not isinstance(report, dict):
         raise InputError("malformed report: the top level must be a JSON object")
-    ok, mismatches = verify_report(report, spec)
+    ok, mismatches = verify_report(report, spec, text)
     if ok:
         print("report verified: all checkable claims reproduced")
         return 0

@@ -95,11 +95,12 @@ class Multivector:
     def _from_row(cls, n: int, degree: int, row: dict) -> Multivector:
         """``Multivector(n, degree, row)`` for a row the package enumerated itself:
         strictly increasing degree-``degree`` keys in 1..n, nonzero coefficients
-        already stored by the one rule.  The terms are sorted; nothing is re-checked."""
+        already stored by the one rule.  The terms are sorted, and a row of one term
+        is taken over as it is; nothing is re-checked."""
         x = object.__new__(cls)
         x.n = n
         x.degree = degree
-        x.terms = dict(sorted(row.items()))
+        x.terms = row if len(row) < 2 else dict(sorted(row.items()))
         return x
 
     @classmethod

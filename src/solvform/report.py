@@ -24,9 +24,9 @@ from .minimal_model import build_minimal_model, serialize_model, verify_quasi_is
 from .monodromy import check_fiber_size, nilpotent_submodule, oracle_applicable
 from .spectral import (
     AlmostAbelianSpec,
-    emit_spec,
     modification_hypothesis_holds,
     parse_spec,
+    spec_document,
 )
 from .symplectic import closed_two_classes, find_symplectic, verify_symplectic
 
@@ -173,7 +173,7 @@ def build_report(spec: AlmostAbelianSpec, max_degree: int, stages=STAGES) -> dic
     report = {
         "format_version": FORMAT_VERSION,
         "generator": {"name": "solvform", "version": __version__},
-        "input": json.loads(emit_spec(spec)),
+        "input": spec_document(spec),
         "max_degree": max_degree,
         "assumptions": analysis.assumptions_section(),
     }
@@ -187,25 +187,30 @@ def dumps_canonical(report: dict) -> str:
     return json.dumps(report, sort_keys=True, separators=(",", ":")) + "\n"
 
 
-def verify_report(report: dict, spec: AlmostAbelianSpec):
-    """Re-derive every checkable claim of a report; list the divergences."""
-    mismatches: list[str] = []
+def verify_report(report: dict, spec: AlmostAbelianSpec, text: str | None = None):
+    """Re-derive every checkable claim of a report; list the divergences.
+
+    ``text``, the report as read, verifies it when it is the canonical dump of
+    the recomputation; any other report is compared section by section."""
     version = report.get("format_version")
     # True == 1 == 1.0 in Python, so the type is checked before the value
     if type(version) is not int or version != FORMAT_VERSION:
         return False, [f"unsupported format_version {version!r}"]
     try:
-        echoed = parse_spec(json.dumps(report["input"]))
+        # the echo is parsed only when its canonical bytes differ from the fresh echo's
+        if dumps_canonical(report["input"]) != dumps_canonical(spec_document(spec)):
+            if parse_spec(json.dumps(report["input"])) != spec:
+                return False, ["echoed input differs from the supplied document"]
     except (KeyError, InputError) as exc:
         return False, [f"report does not echo a valid input: {exc}"]
-    if echoed != spec:
-        mismatches.append("echoed input differs from the supplied document")
-        return False, mismatches
     max_degree = report.get("max_degree")
     if type(max_degree) is not int or not 1 <= max_degree <= MAX_DEGREE:
         return False, ["report lacks a valid max_degree"]
     stages = [s for s in STAGES if s in report]
     fresh = build_report(spec, max_degree, stages=stages)
+    if text == dumps_canonical(fresh):
+        return True, []
+    mismatches = []
     # sections compare as canonical bytes, where True, 1 and 1.0 differ;
     # a missing generator or assumptions section diverges too
     for section in ["generator", "input", "assumptions"] + stages:
@@ -222,4 +227,10 @@ def _first_divergence(stage: str, old, new, path="") -> str:
         for key in sorted(set(old) | set(new)):
             if dumps_canonical(old.get(key)) != dumps_canonical(new.get(key)):
                 return _first_divergence(stage, old.get(key), new.get(key), f"{path}/{key}")
-    return f"{stage}{path}: report has {old!r}, recomputation gives {new!r}"
+    return f"{stage}{path}: report has {_shown(old)}, recomputation gives {_shown(new)}"
+
+
+def _shown(value) -> str:
+    """``repr(value)``, cut past 400 characters to its first 320 and its length."""
+    text = repr(value)
+    return text if len(text) <= 400 else f"{text[:320]}... ({len(text)} characters)"

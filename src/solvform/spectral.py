@@ -166,9 +166,9 @@ def load_spec(path) -> AlmostAbelianSpec:
             raise SchemaError(f"input is not UTF-8 text: {exc}") from exc
 
 
-def emit_spec(spec: AlmostAbelianSpec) -> str:
-    """Canonical JSON form; ``parse_spec(emit_spec(s)) == s``."""
-    doc = {
+def spec_document(spec: AlmostAbelianSpec) -> dict:
+    """The input document of ``spec`` with every field written out, as a report echoes it."""
+    return {
         "n": spec.n,
         "symbols": list(spec.symbols),
         "lattice_label": spec.lattice_label,
@@ -183,7 +183,11 @@ def emit_spec(spec: AlmostAbelianSpec) -> str:
             for b in spec.blocks
         ],
     }
-    return json.dumps(doc, sort_keys=True, separators=(",", ": "), indent=1)
+
+
+def emit_spec(spec: AlmostAbelianSpec) -> str:
+    """Canonical JSON form; ``parse_spec(emit_spec(s)) == s``."""
+    return json.dumps(spec_document(spec), sort_keys=True, separators=(",", ": "), indent=1)
 
 
 @lru_cache(maxsize=SLICE_CACHE_SIZE)

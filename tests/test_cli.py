@@ -80,6 +80,42 @@ def test_verify_round_trip(tmp_path, capsys):
     assert "verified" in capsys.readouterr().out
 
 
+def test_verify_of_a_canonical_report_parses_and_dumps_once(tmp_path, capsys, monkeypatch):
+    # the input is parsed by load_spec alone, and the recomputation is dumped
+    # once and compared with the report's text as it was read
+    spec_path = _write_spec(tmp_path)
+    report_path = tmp_path / "report.json"
+    assert main(["analyze", str(spec_path), "--max-degree", "2", "--format", "json", "--report", str(report_path)]) == 0
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(arg):
+            calls.append(name if name == "parse" or "format_version" not in arg else "dump report")
+            return fn(arg)
+
+        return wrapper
+
+    monkeypatch.setattr(spectral, "parse_spec", counted("parse", spectral.parse_spec))
+    monkeypatch.setattr(report, "parse_spec", counted("parse", report.parse_spec))
+    monkeypatch.setattr(report, "dumps_canonical", counted("dump", report.dumps_canonical))
+    assert main(["verify", str(report_path), str(spec_path)]) == 0
+    assert capsys.readouterr().out == "report verified: all checkable claims reproduced\n"
+    assert calls.count("parse") == 1 and calls.count("dump report") == 1
+
+
+def test_a_long_verify_mismatch_line_is_bounded(tmp_path, capsys):
+    # the recomputed s8 model section at K=7 quotes as some 72,000 characters
+    spec_path = _write_spec(tmp_path, text=fixture_path("s8").read_text())
+    report_path = tmp_path / "report.json"
+    assert main(["model", str(spec_path), "--max-degree", "7", "--format", "json", "--report", str(report_path)]) == 0
+    doc = json.loads(report_path.read_text())
+    doc["model"] = None
+    report_path.write_text(json.dumps(doc))
+    assert main(["verify", str(report_path), str(spec_path)]) == 1
+    (line,) = capsys.readouterr().err.splitlines()
+    assert len(line) < 1000 and line.startswith("mismatch: model: report has None, recomputation gives {")
+
+
 def test_verify_flags_edited_betti(tmp_path, capsys):
     spec_path = _write_spec(tmp_path)
     report_path = tmp_path / "report.json"

@@ -3,9 +3,20 @@
 import json
 
 import pytest
+from test_golden_reports import NIL7, NIL322, _digest_specs
 
-from solvform import HypothesisError, build_report, parse_spec, verify_report
+from solvform import (
+    HypothesisError,
+    build_report,
+    dumps_canonical,
+    emit_spec,
+    fixture_path,
+    load_spec,
+    parse_spec,
+    verify_report,
+)
 from solvform.report import Analysis
+from solvform.spectral import spec_document
 
 FRACTIONAL = '{"n": 2, "blocks": [{"kind": "complex", "size": 1, "im_resonant": "1/2"}]}'
 
@@ -85,27 +96,68 @@ def test_verify_rederives_assumptions(torus3):
     ]
 
 
-@pytest.mark.parametrize(
-    "path, value",
-    [
-        (("cohomology", "betti", "0"), True),
-        (("unipotent", "dims", "0"), True),
-        (("formality", "max_checked_degree"), True),
-        (("assumptions", "finite_type_bound"), True),
-        (("model", "generator_counts", "1", "closed"), 2.0),
-        (("input", "blocks", 0, "re"), 0),
-    ],
-)
+TAMPERS = [
+    (("cohomology", "betti", "0"), True),
+    (("unipotent", "dims", "0"), True),
+    (("formality", "max_checked_degree"), True),
+    (("assumptions", "finite_type_bound"), True),
+    (("model", "generator_counts", "1", "closed"), 2.0),
+    (("input", "blocks", 0, "re"), 0),
+]
+
+
+@pytest.mark.parametrize("path, value", TAMPERS)
 def test_verify_compares_canonical_bytes(torus3, path, value):
     # True == 1 == 1.0 and "0" parses like 0, but the canonical bytes differ
     report = build_report(torus3, 1)
+    edited, original = _tampered(report, path, value)
+    ok, mismatches = verify_report(edited, torus3)
+    assert not ok
+    leaf = "/".join(str(key) for key in path)
+    assert mismatches == [f"{leaf}: report has {value!r}, recomputation gives {original!r}"]
+
+
+def _tampered(report, path, value):
+    """A copy of ``report`` with ``value`` at ``path``, and the value it replaced."""
     edited = json.loads(json.dumps(report))
     target = edited
     for key in path[:-1]:
         target = target[key]
     original = target[path[-1]]
     target[path[-1]] = value
-    ok, mismatches = verify_report(edited, torus3)
-    assert not ok
-    leaf = "/".join(str(key) for key in path)
-    assert mismatches == [f"{leaf}: report has {value!r}, recomputation gives {original!r}"]
+    return edited, original
+
+
+@pytest.mark.parametrize(
+    "doc, max_degree",
+    [(name, k) for name in ("heisenberg3", "s6", "s8", "torus3", "torus4") for k in (1, 2, 3, 4)]
+    + [pytest.param(NIL7, 3, id="nil7-3"), pytest.param(NIL322, 3, id="nil322-3")],
+)
+def test_the_byte_comparison_agrees_with_the_section_walk(doc, max_degree):
+    # the text of a report, canonical or not, verifies exactly as the report's
+    # sections compared one by one do; only the canonical dump of the recomputation
+    # skips the walk
+    spec = load_spec(fixture_path(doc)) if isinstance(doc, str) else parse_spec(json.dumps(doc))
+    report = build_report(spec, max_degree)
+    for text in (dumps_canonical(report), json.dumps(report, indent=2)):
+        assert verify_report(json.loads(text), spec, text) == verify_report(report, spec) == (True, [])
+    for path, value in TAMPERS:
+        edited, _ = _tampered(report, path, value)
+        walked = verify_report(edited, spec)
+        assert not walked[0]
+        assert verify_report(edited, spec, dumps_canonical(edited)) == walked
+
+
+def test_a_long_mismatch_side_is_cut(torus3):
+    # a side whose repr passes 400 characters keeps its first 320 and its length
+    report = build_report(torus3, 1)
+    for size, shown in [(398, "'" + "x" * 398 + "'"), (399, "'" + "x" * 319 + "... (401 characters)")]:
+        edited, original = _tampered(report, ("assumptions", "lattice_existence"), "x" * size)
+        assert verify_report(edited, torus3) == (
+            False, [f"assumptions/lattice_existence: report has {shown}, recomputation gives {original!r}"]
+        )
+
+
+def test_the_echo_is_the_emitted_document():
+    for spec in _digest_specs():
+        assert spec_document(spec) == json.loads(emit_spec(spec))

@@ -297,6 +297,9 @@ NEVER_RUN = {
     "minimal_model.MinimalModel.p_mul",  # bench/layertrace.py wraps it by name
     "cohomology.betti_numbers",  # the README's example calls it
     "exterior.Multivector.__hash__",  # keeps forms usable as set members and dict keys
+    # the input document as canonical text; reports echo spec_document, the tests
+    # and the fuzz generators write their inputs with it
+    "spectral.emit_spec",
     # unary minus of the scalar type: since the slot table carries no conjugate
     # weight no run negates a ScalarLC, but the tests' spec generators do
     "scalars.ScalarLC.__neg__",
@@ -310,7 +313,7 @@ NEVER_RUN = {
 
 def test_every_package_function_runs_or_is_listed(tmp_path):
     # a dead-code gate: under a profile hook, analyze each fixture at K=3 in both
-    # formats, verify a report and a tampered copy, refuse an inexact input and a
+    # formats, verify a report, a re-indented copy and a tampered one, refuse an inexact input and a
     # literal outside the grammar, run the unipotent stage on a spec outside the
     # modification hypothesis (the only CLI route to the realification) and run the
     # oracle through the names the benchmark reads; every package function never
@@ -345,6 +348,8 @@ def test_every_package_function_runs_or_is_listed(tmp_path):
                 codes.append(cli.main(["analyze", path, "--max-degree", "3", "--format", "json", "--report", report]))
             codes.append(cli.main(["verify", report, path]))
             doc = json.loads(Path(report).read_text())
+            Path(report).write_text(json.dumps(doc, indent=2))  # equal, but compared section by section
+            codes.append(cli.main(["verify", report, path]))
             doc["cohomology"]["betti"]["1"] += 1
             Path(report).write_text(json.dumps(doc))
             codes.append(cli.main(["verify", report, path]))
@@ -357,7 +362,7 @@ def test_every_package_function_runs_or_is_listed(tmp_path):
                 assert monodromy.spans_match(oracle, nilpotent_submodule(spec, k))
     finally:
         sys.setprofile(None)
-    assert codes == [0] * 11 + [1, 1, 1, 0]
+    assert codes == [0] * 12 + [1, 1, 1, 0]
     assert {name for code, name in functions.items() if code not in called} == NEVER_RUN
 
 

@@ -131,7 +131,8 @@ class Multivector:
         return self.terms.get(tuple(indices), 0)
 
     def __add__(self, other: Multivector) -> Multivector:
-        self._check_compatible(other)
+        if self.n != other.n or self.degree != other.degree:
+            raise ValueError("multivectors have different ambient dimension or degree")
         return Multivector(self.n, self.degree, list(self.terms.items()) + list(other.terms.items()))
 
     def __neg__(self) -> Multivector:
@@ -160,10 +161,6 @@ class Multivector:
 
     def __hash__(self):
         return hash((self.n, self.degree, tuple(self.terms.items())))
-
-    def _check_compatible(self, other: Multivector):
-        if self.n != other.n or self.degree != other.degree:
-            raise ValueError("multivectors have different ambient dimension or degree")
 
     def __str__(self) -> str:
         if len(self.terms) == 1 and 1 in self.terms.values():
@@ -226,9 +223,8 @@ def derivation_apply(endo: LinearEndo, x: Multivector) -> Multivector:
             image = endo.image_of(idx)
             if image.is_zero():
                 continue
-            rest = key[:p] + key[p + 1 :]
             for (j,), cj in image.terms.items():
-                sorted_ = sort_indices(rest[: p] + (j,) + rest[p:])
+                sorted_ = sort_indices(key[:p] + (j,) + key[p + 1 :])
                 if sorted_ is None:
                     continue
                 sign, new_key = sorted_

@@ -35,7 +35,6 @@ beyond finitely many degrees.
 from __future__ import annotations
 
 from .errors import InputError, InternalInvariantViolation
-from .exterior import coordinate_vector
 from .linalg import EchelonAccumulator, matrix_mul
 from .minimal_model import MinimalModel
 from .monodromy import _shift_row
@@ -116,7 +115,7 @@ def _theta_closed(model: MinimalModel, index_map: tuple, gen, solvers: dict):
     with a monomial before ``(gen,)``: the units of ``gen`` and the later
     closed generators come last, and the non-closed ones add no class.
     """
-    target = _shift_row(coordinate_vector(gen.rho), index_map)
+    target = _shift_row(gen.rho.terms, index_map)
     if not target:
         return {}
     reps = model.class_reps(gen.degree)
@@ -172,7 +171,7 @@ class FormalityVerdict:
 
     @property
     def passed(self) -> bool:
-        return all(s.passed for s in self.statuses)
+        return self.first_fail_degree is None
 
     @property
     def first_fail_degree(self):

@@ -70,20 +70,16 @@ def _transpose(rows: list[Row]) -> list[tuple]:
     return sorted(cols.items())
 
 
-def kernel_and_pivots(rows: list[Row]) -> tuple[list[Row], list]:
-    """``map_kernel(rows)`` together with the pivot columns of ``rref(rows)``.
-
-    One elimination serves both: a column of ``rows`` is a pivot column
-    exactly when it is independent of the columns before it, that is when
-    adding it, as a transposed row, to an accumulator fed in column order
-    enlarges the span.  The kernel has one vector per free column of the
-    reduced echelon form of the transposed rows, so the basis is canonical.
-    """
-    return column_kernel_and_pivots(_transpose(rows), len(rows))
-
-
 def column_kernel_and_pivots(columns: list[tuple], size: int) -> tuple[list[Row], list]:
-    """:func:`kernel_and_pivots` of ``size`` rows given as sorted (column, entries by row) pairs."""
+    """``map_kernel`` of ``size`` rows given as sorted (column, entries by row)
+    pairs, together with the pivot columns of the rows' ``rref``.
+
+    One elimination serves both: a column is a pivot column exactly when it
+    is independent of the columns before it, that is when adding it, as a
+    transposed row, to an accumulator fed in column order enlarges the span.
+    The kernel has one vector per free column of the reduced echelon form of
+    the transposed rows, so the basis is canonical.
+    """
     acc = EchelonAccumulator()
     pivots = [c for c, col in columns if acc.add(col)]
     pivot_set = set(acc.pivots)
@@ -98,7 +94,7 @@ def column_kernel_and_pivots(columns: list[tuple], size: int) -> tuple[list[Row]
 
 def map_kernel(rows: list[Row]) -> list[Row]:
     """Basis of ``{x : x . rows = 0}`` for a map given by image rows."""
-    return kernel_and_pivots(rows)[0]
+    return column_kernel_and_pivots(_transpose(rows), len(rows))[0]
 
 
 def matrix_mul(a: list[Row], b) -> list[Row]:

@@ -192,12 +192,12 @@ class MinimalModel:
         stays = not dg or (image is not None and image.add(dg))
         # degree j >= |g| grows by g times each degree-(j - |g|) monomial, which a list
         # not kept may hold; the cocycles of degree j and the image of degree j + 1 read it
-        for j in [j for j in self._cocycles if j >= degree and monos.get(j - degree, True)]:
+        def grows(j):
+            return j >= degree and monos.get(j - degree, True)
+        for j in [j for j in self._cocycles if grows(j)]:
             if j > degree or not stays:
                 self._set_aside[j] = self._cocycles.pop(j)
-        self._images = {
-            j: v for j, v in self._images.items() if j <= degree + 1 or not monos.get(j - 1 - degree, True)
-        }
+        self._images = {j: v for j, v in self._images.items() if j <= degree + 1 or not grows(j - 1)}
         for kept in (self._classes, self._realized):  # classes read their cocycles and image
             for j in [j for j in kept if j == degree + 1 or j not in self._cocycles or j not in self._images]:
                 del kept[j]
@@ -338,12 +338,11 @@ class MinimalModel:
         """Echelonized degree-k classes with realizations; kept on the model."""
         out = self._classes.get(k)
         if out is None:
-            image = self._images.get(k)
-            if image is None:
+            if k not in self._images:
                 below = self.cocycles(k - 1)  # re-certifying it keeps the image too
-                image = self._images.get(k)
-                if image is None:
-                    image = self._images[k] = self._image(self.monomials(k - 1), below)
+                if k not in self._images:
+                    self._images[k] = self._image(self.monomials(k - 1), below)
+            image = self._images[k]
             cocycles = self.cocycles(k)
             rows = []
             # the image lies in the cocycles, so equal dimensions leave no class
@@ -412,10 +411,8 @@ def _flag_ordered_complement(model: MinimalModel, q: int, image_acc: EchelonAccu
         # the image is the slice; shift_slice certifies that N preserves it
         shift_slice(spec, q)
         return []
-    span = EchelonAccumulator()  # image plus complement
-    for row in image_acc.rows:
-        span.add(row)  # zero at the other pivots, so no stored row changes
-    complement = [vec for vec in map(coordinate_vector, basis) if span.add(vec)]
+    span = EchelonAccumulator.of_rows(image_acc.rows)  # image plus complement
+    complement = [u.terms for u in basis if span.add(u.terms)]
 
     index_map = _shift_index_map(spec)
     if any(image_acc.residue(_shift_row(row, index_map)) for row in image_acc.rows):
@@ -519,7 +516,7 @@ def verify_quasi_iso(model: MinimalModel) -> dict[int, dict]:
         injective = acc.rank == len(reps)
         surjective = acc.rank == len(u_basis) and (
             _fills_unit_slice(acc, u_basis)
-            or not any(acc.residue(coordinate_vector(u)) for u in u_basis)
+            or not any(acc.residue(u.terms) for u in u_basis)
         )
         out[k] = {
             "model_classes": len(reps),

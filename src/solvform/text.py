@@ -5,6 +5,11 @@ the command line imports this module only when text is asked for.
 """
 
 
+def _by_degree(section: dict) -> list:
+    """The items of a report section keyed by degree text, in degree order."""
+    return sorted(section.items(), key=lambda kv: int(kv[0]))
+
+
 def render_text(report: dict) -> str:
     """Human-readable rendering of a report."""
     lines = []
@@ -18,18 +23,15 @@ def render_text(report: dict) -> str:
         dims = report["unipotent"]["dims"]
         lines.append("")
         lines.append("invariant submodule dimensions by degree:")
-        lines.append("  " + ", ".join(f"{k}: {v}" for k, v in sorted(dims.items(), key=lambda kv: int(kv[0]))))
-        for k, basis in sorted(report["unipotent"]["bases"].items(), key=lambda kv: int(kv[0])):
+        lines.append("  " + ", ".join(f"{k}: {v}" for k, v in _by_degree(dims)))
+        for k, basis in _by_degree(report["unipotent"]["bases"]):
             if basis:
                 lines.append(f"  degree {k}: " + "; ".join(basis))
     if "cohomology" in report:
         betti = report["cohomology"]["betti"]
         lines.append("")
-        lines.append(
-            "betti numbers: "
-            + ", ".join(f"b{k} = {v}" for k, v in sorted(betti.items(), key=lambda kv: int(kv[0])))
-        )
-        for k, reps in sorted(report["cohomology"]["representatives"].items(), key=lambda kv: int(kv[0])):
+        lines.append("betti numbers: " + ", ".join(f"b{k} = {v}" for k, v in _by_degree(betti)))
+        for k, reps in _by_degree(report["cohomology"]["representatives"]):
             if reps:
                 lines.append(f"  H^{k}: " + "; ".join(reps))
         lines.append(f"poincare duality: {report['cohomology']['poincare_duality']}")
@@ -41,7 +43,7 @@ def render_text(report: dict) -> str:
         lines.extend(report["formality"]["total_model"])
         lines.append("")
         lines.append("formality: " + report["formality"]["summary"])
-        for degree, witness in sorted(report["formality"]["witnesses"].items(), key=lambda kv: int(kv[0])):
+        for degree, witness in _by_degree(report["formality"]["witnesses"]):
             lines.append(
                 f"  degree {degree} witness: {witness['element']} (twist {witness['twist']})"
             )

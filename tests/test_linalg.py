@@ -12,8 +12,9 @@ import pytest
 from conftest import rank, solve_combination
 from solvform.linalg import (
     EchelonAccumulator,
+    _transpose,
+    column_kernel_and_pivots,
     echelon_basis,
-    kernel_and_pivots,
     map_kernel,
     matrix_mul,
     rref,
@@ -25,6 +26,11 @@ def _random_matrix(rng, rows, cols):
         [Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(cols)]
         for _ in range(rows)
     ]
+
+
+def _kernel_and_pivots(rows):
+    """The kernel and pivots of one elimination of the transposed rows, as the shift slices take them."""
+    return column_kernel_and_pivots(_transpose(rows), len(rows))
 
 
 def _sparse(mat):
@@ -111,7 +117,7 @@ def _check_against_sympy(sympy, mat):
     red, pivots, kernel = _sympy_reference(sympy, mat)
     assert rref(_sparse(mat)) == (red, pivots)
     assert map_kernel(_sparse(mat)) == kernel
-    assert kernel_and_pivots(_sparse(mat)) == (kernel, pivots)
+    assert _kernel_and_pivots(_sparse(mat)) == (kernel, pivots)
 
 
 def test_rref_and_map_kernel_match_sympy():
@@ -131,7 +137,7 @@ def test_solve_combination_and_consistency():
         assert got is not None
         assert _dot(_dense(got, len(mat)), mat) == target
         # free coefficients are zero: the solution lives on the pivot rows
-        _, pivots = kernel_and_pivots(_sparse(list(zip(*mat))))
+        pivots = rref(_sparse(list(zip(*mat))))[1]
         assert set(got) <= set(pivots)
         assert free == len(map_kernel(_sparse(mat)))
 
@@ -265,8 +271,8 @@ def test_results_follow_an_order_preserving_relabelling_of_columns():
         tuple_mat = [relabel(row) for row in mat]
         red, pivots = rref(mat)
         assert rref(tuple_mat) == ([relabel(row) for row in red], [labels[p] for p in pivots])
-        kernel, pivots = kernel_and_pivots(mat)
-        assert kernel_and_pivots(tuple_mat) == (kernel, [labels[p] for p in pivots])
+        kernel, pivots = _kernel_and_pivots(mat)
+        assert _kernel_and_pivots(tuple_mat) == (kernel, [labels[p] for p in pivots])
         assert map_kernel(tuple_mat) == kernel
         coeffs = [Fraction(rng.randint(-2, 2)) for _ in mat]
         target = _sparse([_dot(coeffs, [_dense(row, cols) for row in mat])])[0]
@@ -421,7 +427,7 @@ def test_integer_and_fraction_inputs_agree_with_fraction_only_elimination():
             assert (got_rows, got_pivots) == (_sparse(red), pivots)
             got_kernel = map_kernel(rows)
             assert got_kernel == kernel
-            assert kernel_and_pivots(rows) == (kernel, pivots)
+            assert _kernel_and_pivots(rows) == (kernel, pivots)
             solution, free = solve_combination(rows, target)
             assert _dot(_dense(solution, len(mat)), dense) == _dot(coeffs, dense)
             assert free == len(kernel)

@@ -32,7 +32,7 @@ from solvform import (
     parse_spec,
 )
 from solvform.exterior import LinearEndo, Multivector, coordinate_vector, derivation_apply
-from solvform.linalg import echelon_basis, kernel_and_pivots, map_kernel, matrix_mul
+from solvform.linalg import echelon_basis, map_kernel, matrix_mul, rref
 from solvform import cli, monodromy, oracle
 from solvform.errors import InternalInvariantViolation
 from solvform.monodromy import (
@@ -772,12 +772,12 @@ def test_low_slices_of_a_large_fiber_are_not_refused():
 
 
 def _general_shift_slice(spec, k):
-    """The shift kernel rows and cokernel by the general route: ``kernel_and_pivots``
-    of the reversed images, each kernel vector mapped back with ``matrix_mul``."""
+    """The shift kernel rows and cokernel by the general route: ``map_kernel`` and
+    ``rref`` pivots of the reversed images, each kernel vector mapped back with ``matrix_mul``."""
     basis = nilpotent_submodule(spec, k)
     rows = [u.terms for u in basis]
     images = [_shift_row(row, _shift_index_map(spec)) for row in rows]
-    kernel, pivots = kernel_and_pivots(images[::-1])
+    kernel, pivots = map_kernel(images[::-1]), rref(images[::-1])[1]
     last = len(rows) - 1
     kernel_rows = matrix_mul([{last - j: x for j, x in vec.items()} for vec in reversed(kernel)], rows)
     pivots = set(pivots)

@@ -13,10 +13,12 @@ internal invariant or any other unexpected error.
 from __future__ import annotations
 
 import json
+import re
 import sys
 
 from .errors import InputError, InternalInvariantViolation
-from .report import STAGES, build_report, dumps_canonical, verify_report
+from .report import MAX_DEGREE, STAGES, build_report, dumps_canonical, verify_report
+from .scalars import _quoted
 from .spectral import load_spec
 
 _STAGE_PREFIXES = {stage: STAGES[: i + 1] for i, stage in enumerate(STAGES)}
@@ -81,10 +83,16 @@ def _parse_args(argv: list[str]) -> tuple[str, list[str], dict]:
     expected = "REPORT INPUT" if command == "verify" else "INPUT"
     if len(paths) != len(expected.split()):
         raise InputError(f"{command} expects {expected}, got {len(paths)} path(s)")
-    try:
-        options["--max-degree"] = int(options["--max-degree"])
-    except ValueError:
-        raise InputError(f"--max-degree must be an integer, got {options['--max-degree']!r}") from None
+    degree = options["--max-degree"]
+    match = re.match(r"([+-]?)0*(\d+)\Z", degree, re.ASCII)
+    if match is None:
+        raise InputError(f"--max-degree must be an integer, got {_quoted(degree)}")
+    sign, digits = match.groups()
+    # a value longer than a quote shows whole is out of range, and is not converted:
+    # it may be past Python's digit limit; a negative one cut short stays below 1
+    if len(digits) > 40 and sign != "-":
+        raise InputError(f"--max-degree {_quoted(degree)} is above the limit of {MAX_DEGREE}")
+    options["--max-degree"] = int(sign + digits[:40])
     if options["--format"] not in ("text", "json"):
         raise InputError(f"--format must be text or json, got {options['--format']!r}")
     return command, paths, options
@@ -116,6 +124,8 @@ def _run_verify(report_path: str, input_path: str) -> int:
         with open(report_path, "r", encoding="utf-8") as handle:
             text = handle.read()
         report = json.loads(text)
+    except OSError as exc:
+        raise InputError(f"cannot read report: {exc}") from exc
     except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8, or nested too deeply
         raise InputError(f"malformed report: {exc}") from exc
     if not isinstance(report, dict):

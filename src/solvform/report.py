@@ -48,7 +48,9 @@ class Analysis:
         if max_degree < 1:
             raise InputError("--max-degree must be at least 1")
         if max_degree > MAX_DEGREE:
-            raise InputError(f"--max-degree {max_degree} is above the limit of {MAX_DEGREE}")
+            # an int past Python's digit limit cannot be formatted; the command line passes none
+            shown = max_degree if max_degree < 10**40 else "of more than 40 digits"
+            raise InputError(f"--max-degree {shown} is above the limit of {MAX_DEGREE}")
         check_fiber_size(spec)  # the unipotent section reads every degree's slice
         self.spec = spec
         self.max_degree = max_degree
@@ -64,12 +66,8 @@ class Analysis:
     # ----- report sections -----------------------------------------------------
 
     def unipotent_section(self) -> dict:
-        dims = {}
-        bases = {}
-        for k in range(self.spec.n + 1):
-            basis = nilpotent_submodule(self.spec, k)
-            dims[str(k)] = len(basis)
-            bases[str(k)] = [str(v) for v in basis]
+        bases = {str(k): [str(v) for v in nilpotent_submodule(self.spec, k)] for k in range(self.spec.n + 1)}
+        dims = {k: len(basis) for k, basis in bases.items()}
         return {"dims": dims, "bases": bases, "oracle_applicable": oracle_applicable(self.spec)}
 
     def cohomology_section(self) -> dict:

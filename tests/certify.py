@@ -1,16 +1,36 @@
-"""An independent check of the Betti numbers and model dumps of a report.
+"""An independent check of the unipotent, cohomology and model claims of a report.
 
 ``verify`` recomputes a report with the same code that wrote it, so a bug in
 that code verifies itself.  This module imports nothing from ``solvform``.
 
-:func:`betti_numbers` reads a symbol-free input document and builds the
-modified action itself: each block's real part on the diagonal and its
-nilpotent shift above it, the integer rotations dropped, so that a complex
-block of size m is two interleaved shift chains of length m.  The Lie algebra
+The input document's scalar fields are read as linear forms in 1 and the
+symbols (:func:`linear_form`).  A complexified slot of a real coordinate has
+the weight (re, 0, 0); a complex cell on coordinates (p, p+1) gives slot p
+the weight (re, im_symbolic, im_resonant) and slot p+1 its conjugate, with
+both imaginary parts negated.  A sum of weights is resonant when its real
+part and symbolic imaginary part are zero forms and its resonant imaginary
+part is an integer.
+
+:func:`certify_unipotent` counts, by brute force over the k-subsets of the n
+slots, the resonant degree-k complex monomials; ``unipotent/dims`` must
+match.  Under the modification hypothesis (every rotation an integer with no
+symbolic part) the imaginary parts never matter, so the degree-k basis is
+the unit forms ``a_I``, one per k-subset I of coordinates whose real parts
+sum to the zero form, in lexicographic order; ``unipotent/bases`` must be
+exactly that list.
+
+:func:`modified_action` builds the modified action from the document: each
+block's real part on the diagonal, evaluated at given rational symbol values,
+and its nilpotent shift above it, the integer rotations dropped, so that a
+complex block of size m is two interleaved shift chains of length m.
+:func:`wedge_derivation` extends it to the degree-k wedges by
+:func:`derive_form`.  :func:`certify_cohomology` checks that the
+derivation kills every ``cohomology/representatives`` entry that has no
+``^ a(n+1)`` part, at three seeded rational points when the input has
+symbols.  :func:`betti_numbers` reads a symbol-free document: the Lie algebra
 cohomology of the total space is ``ker D_k (+) coker D_(k-1)``, with ``D_k``
-that action extended as a derivation to the degree-k wedges, so
-``b_k = (C(n, k) - rank D_k) + (C(n, k-1) - rank D_(k-1))``, the ranks taken
-by a ``Fraction`` elimination written here.
+the extended action, so ``b_k = (C(n, k) - rank D_k) + (C(n, k-1) - rank
+D_(k-1))``, the ranks taken by a ``Fraction`` elimination written here.
 
 The dump check reads only the text of a report's
 ``model/dump`` lines (``serialize_model``) and ``formality/total_model`` lines
@@ -34,6 +54,7 @@ certifies the dumps.
 
 from __future__ import annotations
 
+import random
 import re
 from fractions import Fraction
 from itertools import combinations
@@ -152,47 +173,178 @@ def certify_dumps(model_lines: list[str], total_lines: list[str]) -> list[str]:
 
 
 
-def _rational(value) -> Fraction:
-    """A symbol-free scalar field such as ``"-1/2"``, ``"0.25"``, ``"1/3 + 2/3"`` or 3."""
-    terms = str(value).replace(" ", "").replace("-", "+-").split("+")
-    return sum((Fraction(term) for term in terms if term), Fraction(0))
+def linear_form(value) -> dict:
+    """A scalar field such as ``"-1/2"``, ``"0.25"``, ``"2 - 3/4*b"`` or 3 as
+    ``{"": constant, symbol: coefficient}``, zero entries dropped."""
+    form: dict = {}
+    for term in str(value).replace(" ", "").replace("-", "+-").split("+"):
+        if term:
+            coeff, _, name = term.rpartition("*") if "*" in term else ("", "", term)
+            if re.fullmatch(r"-?[A-Za-z_]\w*", name):
+                coeff, name = coeff or ("-1" if name[0] == "-" else "1"), name.lstrip("-")
+            else:
+                coeff, name = name, ""
+            form[name] = form.get(name, 0) + Fraction(coeff)
+    return {name: c for name, c in form.items() if c}
 
 
-def modified_action(doc: dict) -> list[list[Fraction]]:
-    """The n x n modified action of a symbol-free input document; row i is the image of e_i."""
+def _value(value, symbols: dict) -> Fraction:
+    """A scalar field at the given rational symbol values."""
+    total = Fraction(0)
+    for name, c in linear_form(value).items():
+        if name and name not in symbols:
+            raise ValueError(f"the symbol {name} of {value!r} has no value")
+        total += c * (symbols[name] if name else 1)
+    return total
+
+
+def _integer_rotation(block: dict) -> bool:
+    return _value(block.get("im_resonant", "0"), {}).denominator == 1 and not linear_form(block.get("im_symbolic", "0"))
+
+
+def slot_weights(doc: dict) -> list[tuple]:
+    """The weight ``(re, im_symbolic, im_resonant)`` of each slot 0..n-1, the forms as dicts."""
+    weights = []
+    for block in doc["blocks"]:
+        re_part = linear_form(block.get("re", "0"))
+        im = (linear_form(block.get("im_symbolic", "0")), _value(block.get("im_resonant", "0"), {}))
+        for _ in range(block["size"]):
+            if block["kind"] == "real":
+                weights.append((re_part, {}, Fraction(0)))
+            else:
+                weights.append((re_part, *im))
+                weights.append((re_part, {name: -c for name, c in im[0].items()}, -im[1]))
+    return weights
+
+
+def _resonant(weights: list[tuple]) -> bool:
+    re_sum: dict = {}
+    im_sum: dict = {}
+    for re_part, im_symbolic, _ in weights:
+        for total, form in ((re_sum, re_part), (im_sum, im_symbolic)):
+            for name, c in form.items():
+                total[name] = total.get(name, 0) + c
+    integral = sum(w[2] for w in weights).denominator == 1
+    return integral and not any(re_sum.values()) and not any(im_sum.values())
+
+
+def form_text(subset: tuple) -> str:
+    """``a124`` for the 0-based subset (0, 1, 3), ``a(1,10)`` past index 9, ``1`` for ()."""
+    names = [str(i + 1) for i in subset]
+    if not subset:
+        return "1"
+    return "a" + "".join(names) if subset[-1] < 9 else "a(" + ",".join(names) + ")"
+
+
+def certify_unipotent(doc: dict, section: dict) -> list[str]:
+    """Every failed check of a report's ``unipotent`` section; [] certifies it."""
+    n, weights = doc["n"], slot_weights(doc)
+    hypothesis = all(_integer_rotation(block) for block in doc["blocks"] if block["kind"] == "complex")
+    failures = []
+    for k in range(n + 1):
+        resonant = [form_text(s) for s in combinations(range(n), k) if _resonant([weights[i] for i in s])]
+        if section["dims"].get(str(k)) != len(resonant):
+            failures.append(f"degree {k}: dimension {section['dims'].get(str(k))}, not {len(resonant)}")
+        basis = section["bases"].get(str(k)) or []
+        if hypothesis and basis != resonant:
+            failures += [f"degree {k}: {text} is not a resonant unit form" for text in basis if text not in resonant]
+            failures += [f"degree {k}: the basis misses {text}" for text in resonant if text not in basis]
+            if set(basis) == set(resonant):
+                failures.append(f"degree {k}: the basis is not in lexicographic order")
+    return failures
+
+
+def modified_action(doc: dict, symbols: dict | None = None) -> list[list[Fraction]]:
+    """The n x n modified action of an input document at rational symbol values;
+    row i is the image of e_i."""
     n = doc["n"]
     action = [[Fraction(0)] * n for _ in range(n)]
     start = 0
     for block in doc["blocks"]:
-        if _rational(block.get("im_resonant", "0")).denominator != 1 or _rational(block.get("im_symbolic", "0")):
+        if not _integer_rotation(block):
             raise ValueError(f"the rotation of {block} is not an integer resonance")
         step = 1 if block["kind"] == "real" else 2  # a complex cell is a pair of coordinates
         stop = start + step * block["size"]
         for c in range(start, stop):
-            action[c][c] = _rational(block.get("re", "0"))
+            action[c][c] = _value(block.get("re", "0"), symbols or {})
             if c + step < stop:
                 action[c][c + step] = Fraction(1)
         start = stop
     return action
 
 
-def wedge_derivation(action: list[list[Fraction]], k: int) -> list[list[Fraction]]:
-    """The derivation extending ``action`` to the degree-k wedges of e_0, ..., e_(n-1):
-    row I is the image of e_I, over the sorted k-subsets.  Putting e_t at position p
-    of e_I and sorting moves it past ``|q - p|`` factors, where q is its sorted place."""
-    subsets = list(combinations(range(len(action)), k))
-    index = {subset: pos for pos, subset in enumerate(subsets)}
-    rows = []
-    for subset in subsets:
-        row = [Fraction(0)] * len(subsets)
+def derive_form(action: list[list[Fraction]], form: dict) -> dict:
+    """The derivation extending ``action`` applied to ``{sorted 0-based subset: coefficient}``.
+    Putting e_t at position p of e_I and sorting moves it past ``|q - p|`` factors,
+    where q is its sorted place."""
+    out: dict = {}
+    for subset, coeff in form.items():
         for p, i in enumerate(subset):
             rest = subset[:p] + subset[p + 1 :]
             for t, x in enumerate(action[i]):
                 if x and t not in rest:
                     image = tuple(sorted(rest + (t,)))
-                    row[index[image]] += x if (image.index(t) - p) % 2 == 0 else -x
+                    out[image] = out.get(image, 0) + (coeff * x if (image.index(t) - p) % 2 == 0 else -coeff * x)
+    return {key: c for key, c in out.items() if c}
+
+
+def wedge_derivation(action: list[list[Fraction]], k: int) -> list[list[Fraction]]:
+    """The derivation extending ``action`` to the degree-k wedges of e_0, ..., e_(n-1):
+    row I is the image of e_I, over the sorted k-subsets."""
+    subsets = list(combinations(range(len(action)), k))
+    index = {subset: pos for pos, subset in enumerate(subsets)}
+    rows = []
+    for subset in subsets:
+        row = [Fraction(0)] * len(subsets)
+        for image, x in derive_form(action, {subset: 1}).items():
+            row[index[image]] = x
         rows.append(row)
     return rows
+
+
+_FORM_TERM = re.compile(r"(-?)(?:(\d+(?:/\d+)?)\*)?(?:a(\d+)|a\((\d+(?:,\d+)*)\)|(1))\Z")
+
+
+def parse_form(text: str) -> dict:
+    """``a12 - 2*a(3,10)`` as ``{(0, 1): 1, (2, 9): -2}``, 0-based; ``1`` is ``{(): 1}``."""
+    form: dict = {}
+    for term in text.replace(" - ", " + -").split(" + "):
+        match = _FORM_TERM.match(term)
+        if match is None:
+            raise ValueError(f"not a form term: {term!r}")
+        sign, coeff, digits, listed, unit = match.groups()
+        indices = [int(d) for d in digits] if digits else [int(i) for i in listed.split(",")] if listed else []
+        key = tuple(i - 1 for i in indices)
+        form[key] = form.get(key, 0) + Fraction(coeff or 1) * (-1 if sign else 1)
+    return {key: c for key, c in form.items() if c}
+
+
+def certify_cohomology(doc: dict, section: dict, seed: int = 0) -> list[str]:
+    """Every ``cohomology/representatives`` entry with no ``^ a(n+1)`` part that the
+    modified action does not kill, at three seeded rational points of the symbols."""
+    rng = random.Random(seed)
+    names = doc.get("symbols", [])
+    points = [{name: Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for name in names} for _ in range(3 if names else 1)]
+    base = f" ^ a{doc['n'] + 1}"
+    failures = []
+    for symbols in points:
+        action = modified_action(doc, symbols)
+        for k, reps in section["representatives"].items():
+            for text in reps:
+                if not text.endswith(base) and derive_form(action, parse_form(text)):
+                    failures.append(f"H^{k}: {text} is not closed at {symbols}")
+    return failures
+
+
+def certify_report(report: dict, seed: int = 0) -> list[str]:
+    """The unipotent and cohomology checks of a report against its echoed input."""
+    doc = report["input"]
+    failures = []
+    if "unipotent" in report:
+        failures += [f"unipotent {line}" for line in certify_unipotent(doc, report["unipotent"])]
+    if "cohomology" in report:
+        failures += [f"cohomology {line}" for line in certify_cohomology(doc, report["cohomology"], seed)]
+    return failures
 
 
 def rank(rows: list[list[Fraction]]) -> int:

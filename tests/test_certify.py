@@ -1,5 +1,13 @@
 """The independent checks of ``tests/certify.py`` on today's reports.
 
+``certify_report`` recounts the unipotent slices by brute force over the
+k-subsets of the slots and applies the modified action, built from the input
+document, to every closed cohomology representative.  It runs on the
+fixtures, nil7, nil322, s10 and nil11 at K=3 and on the 120 seeded draws, and
+on specs outside the modification hypothesis, where it checks the dimensions
+only.  Reports edited by hand (a non-resonant monomial in a basis, a sign
+flipped in a kernel representative) stand in for pipeline bugs here.
+
 ``betti_numbers`` builds the modified action from the input document and takes
 the ranks of its derivation on every degree with its own elimination.
 
@@ -11,14 +19,18 @@ d(d(g)) != 0 on 40 of its 157 generators.  Hand-edited dumps stand in for
 such a bug here.
 """
 
+import copy
 import json
+import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 
-from certify import Algebra, betti_numbers, certify_dumps, parse_poly
+from certify import Algebra, betti_numbers, certify_dumps, certify_report, linear_form, parse_form, parse_poly
+from conftest import random_resonant_spec, random_unimodular_spec
 from solvform import build_report, fixture_path, load_spec, parse_spec
-from test_golden_reports import B2B2, NIL322
+from test_golden_reports import B2B2, MULTI_TERM, NIL322, SPECS
 
 FIXTURES = ("s6", "s8", "torus3", "torus4", "heisenberg3")
 CASES = [(name, k) for name in FIXTURES for k in range(1, 5)]
@@ -49,6 +61,90 @@ def test_the_independent_betti_numbers_see_the_shift_and_the_real_parts():
     assert betti_numbers(flat) != betti_numbers(SPLIT)
     with pytest.raises(ValueError, match="not an integer resonance"):
         betti_numbers({"n": 2, "blocks": [{"kind": "complex", "size": 1, "im_resonant": "1/2"}]})
+
+
+def _claims(spec, stages=("unipotent", "cohomology")):
+    return build_report(spec, 3, stages=stages)
+
+
+NAMED = {"nil7": NIL7, "nil322": NIL322, "s10": SPECS["s10"], "nil11": SPECS["nil11"]}
+
+
+@pytest.mark.parametrize("name", FIXTURES + tuple(NAMED))
+def test_unipotent_and_cohomology_claims_pass_the_independent_check(name):
+    spec = parse_spec(json.dumps(NAMED[name])) if name in NAMED else load_spec(fixture_path(name))
+    assert certify_report(_claims(spec)) == []
+
+
+def test_the_seeded_draws_pass_the_independent_check():
+    specs = [random_resonant_spec(random.Random(seed), n_max=7) for seed in range(60)]
+    specs += [random_unimodular_spec(random.Random(seed), n_max=7) for seed in range(1000, 1060)]
+    proper = 0
+    for spec in specs:
+        report = _claims(spec)
+        assert certify_report(report) == [], spec
+        proper += sum(dim < comb(spec.n, int(k)) for k, dim in report["unipotent"]["dims"].items())
+    # the checks see proper slices, which the oracle never compares
+    assert proper > 100
+
+
+@pytest.mark.parametrize("name", ["frac3", "frac4"])
+def test_dimensions_outside_the_hypothesis_pass_the_independent_check(name):
+    report = _claims(parse_spec(MULTI_TERM[name]), stages=("unipotent",))
+    assert certify_report(report) == []
+    dim = report["unipotent"]["dims"]["2"]
+    report["unipotent"]["dims"]["2"] += 1
+    assert certify_report(report) == [f"unipotent degree 2: dimension {dim + 1}, not {dim}"]
+
+
+def test_a_symbolic_rotation_is_counted_by_its_resonances():
+    # outside the hypothesis by its symbolic rotation: a monomial is resonant when
+    # the c parts of its slots cancel, so z1 * conj(z1) and z1 * conj(z2) are
+    doc = {"n": 4, "symbols": ["c"], "blocks": [{"kind": "complex", "size": 1, "im_symbolic": "c"}] * 2}
+    report = _claims(parse_spec(json.dumps(doc)), stages=("unipotent",))
+    assert report["unipotent"]["dims"] == {"0": 1, "1": 0, "2": 4, "3": 0, "4": 1}
+    assert certify_report(report) == []
+
+
+def test_a_non_resonant_monomial_in_a_basis_is_refused():
+    # s10's degree-1 slice is a1, a2, a3, a8, a9: a4 carries the real part b
+    report = _claims(parse_spec(json.dumps(SPECS["s10"])))
+    assert report["unipotent"]["bases"]["1"] == ["a1", "a2", "a3", "a8", "a9"]
+    edit = copy.deepcopy(report)
+    edit["unipotent"]["bases"]["1"][3] = "a4"
+    assert certify_report(edit) == [
+        "unipotent degree 1: a4 is not a resonant unit form",
+        "unipotent degree 1: the basis misses a8",
+    ]
+    edit["unipotent"]["bases"]["1"] = ["a1", "a2", "a3", "a9", "a8"]
+    assert certify_report(edit) == ["unipotent degree 1: the basis is not in lexicographic order"]
+
+
+def test_a_sign_flipped_in_a_kernel_representative_is_refused():
+    report = _claims(parse_spec(json.dumps(NIL7)))
+    closed = "a147 - a156 - 2*a237 + a246 - a345"
+    assert report["cohomology"]["representatives"]["3"][0] == closed
+    edit = copy.deepcopy(report)
+    edit["cohomology"]["representatives"]["3"][0] = closed.replace("- a156", "+ a156")
+    assert certify_report(edit) == ["cohomology H^3: a147 + a156 - 2*a237 + a246 - a345 is not closed at {}"]
+
+
+def test_a_symbolic_representative_is_checked_at_three_points():
+    # in s10, a4 and a6 carry the real parts b and -b: a46 is in the slice, a4 is not
+    report = _claims(parse_spec(json.dumps(SPECS["s10"])))
+    assert "a46" in report["unipotent"]["bases"]["2"] and "a4" not in report["unipotent"]["bases"]["1"]
+    edit = copy.deepcopy(report)
+    edit["cohomology"]["representatives"]["1"].append("a4")
+    failures = certify_report(edit)
+    assert len(failures) == 3 and all(line.startswith("cohomology H^1: a4 is not closed at {'b': ") for line in failures)
+
+
+def test_the_input_and_form_parsers():
+    assert linear_form("2 - 3/4*b") == {"": 2, "b": Fraction(-3, 4)}
+    assert linear_form("-b + 0.25") == {"b": -1, "": Fraction(1, 4)}
+    assert linear_form("1/3 + 2/3") == {"": 1} and linear_form(3) == {"": 3} and linear_form("b - b") == {}
+    assert parse_form("a12 - 2*a(3,10) + -1/2*a45") == {(0, 1): 1, (2, 9): -2, (3, 4): Fraction(-1, 2)}
+    assert parse_form("1") == {(): 1}
 
 
 def _dumps(name, k):

@@ -396,6 +396,19 @@ def test_unreadable_input_exit_code(tmp_path, capsys):
     assert "cannot read input" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("where", ["missing file", "directory"])
+def test_verify_names_the_report_it_cannot_read(tmp_path, capsys, where):
+    torus3 = str(_write_spec(tmp_path, text=fixture_path("torus3").read_text()))
+    report_path = str(tmp_path / "missing.json" if where == "missing file" else tmp_path)
+    assert main(["verify", report_path, torus3]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1
+    assert err.startswith("error: cannot read report: [Errno ") and err.endswith(f"{report_path!r}\n")
+    # an unreadable input keeps its own message
+    assert main(["verify", torus3, report_path]) == 1
+    assert capsys.readouterr().err.startswith("error: cannot read input: [Errno ")
+
+
 def test_unwritable_report_path_exit_code(tmp_path, capsys):
     spec_path = _write_spec(tmp_path, text=fixture_path("torus3").read_text())
     report_path = tmp_path / "missing" / "r.json"
@@ -653,6 +666,49 @@ def test_max_degree_past_its_limit_is_refused_before_any_stage(tmp_path, capsys,
     assert capsys.readouterr() == ("", refusal)
     assert main(["verify", str(tmp_path / "r.json"), spec_path]) == 1
     assert capsys.readouterr() == ("", "mismatch: report lacks a valid max_degree\n")
+
+
+# --max-degree is an optional sign and ASCII digits; a value of more than 40 digits
+# is not converted, and a refusal quotes at most 32 characters of it
+MAX_DEGREE_VALUES = {
+    "plus sign": ("+2", 2),
+    "leading zeros past 40 digits": ("0" * 40 + "2", 2),
+    "underscore": ("1_0", "error: --max-degree must be an integer, got '1_0'\n"),
+    "fullwidth digit": ("\uff13", "error: --max-degree must be an integer, got '\uff13'\n"),
+    "leading space": (" 2", "error: --max-degree must be an integer, got ' 2'\n"),
+    "trailing newline": ("2\n", "error: --max-degree must be an integer, got '2\\n'\n"),
+    "hexadecimal": ("0x2", "error: --max-degree must be an integer, got '0x2'\n"),
+    "letters": ("abc", "error: --max-degree must be an integer, got 'abc'\n"),
+    "empty": ("", "error: --max-degree must be an integer, got ''\n"),
+    "minus one": ("-1", "error: --max-degree must be at least 1\n"),
+    "40 digits": ("9" * 40, f"error: --max-degree {'9' * 40} is above the limit of 1000\n"),
+    "41 digits": ("9" * 41, f"error: --max-degree {'9' * 32!r}... (41 characters) is above the limit of 1000\n"),
+    "4,000 digits": ("9" * 4000, f"error: --max-degree {'9' * 32!r}... (4000 characters) is above the limit of 1000\n"),
+    "5,000 digits": ("9" * 5000, f"error: --max-degree {'9' * 32!r}... (5000 characters) is above the limit of 1000\n"),
+    "5,000-digit negative": ("-" + "9" * 5000, "error: --max-degree must be at least 1\n"),
+    "5,001 characters, not an integer": ("1" * 5000 + "x", f"error: --max-degree must be an integer, got {'1' * 32!r}... (5001 characters)\n"),
+}
+
+
+@pytest.mark.parametrize("value, outcome", MAX_DEGREE_VALUES.values(), ids=MAX_DEGREE_VALUES.keys())
+def test_max_degree_grammar(tmp_path, capsys, value, outcome):
+    spec_path = str(_write_spec(tmp_path, text=fixture_path("torus3").read_text()))
+    for argv in (["--max-degree", value], [f"--max-degree={value}"]):
+        code = main(["unipotent", spec_path, "--format", "json", *argv])
+        out, err = capsys.readouterr()
+        if isinstance(outcome, int):
+            assert (code, err, json.loads(out)["max_degree"]) == (0, "", outcome)
+        else:
+            assert (code, out, err) == (1, "", outcome)
+            assert len(err) < 200
+
+
+def test_a_library_degree_past_the_digit_limit_is_refused_unformatted():
+    # str() of this int raises ValueError past Python's digit limit
+    with pytest.raises(solvform.InputError, match=r"^--max-degree of more than 40 digits is above the limit of 1000$"):
+        solvform.Analysis(load_spec(fixture_path("torus3")), 10**5000)
+    with pytest.raises(solvform.InputError, match=r"^--max-degree must be at least 1$"):
+        solvform.Analysis(load_spec(fixture_path("torus3")), -(10**5000))
 
 
 DEEP = b"[" * 100000 + b"]" * 100000

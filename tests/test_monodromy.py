@@ -5,7 +5,7 @@ import random
 from collections import Counter
 from fractions import Fraction
 from itertools import chain, combinations, product
-from math import prod
+from math import comb, prod
 
 import pytest
 
@@ -167,6 +167,21 @@ def test_oracle_applicable_is_the_blockwise_condition(s6, s8, torus3, torus4, he
         assert monodromy.oracle_applicable(spec) == blockwise
         seen[blockwise] += 1
     assert seen[True] > 10 and seen[False] > 10
+
+
+def test_the_oracle_applies_only_where_every_slice_is_full(s6, torus3, torus4, heisenberg3):
+    # oracle_applicable holds exactly when every slot weight is a resonance; every
+    # monomial is then resonant, so the oracle and the benchmark's oracle gate only
+    # ever compare full slices, and say nothing about a proper one
+    specs = [s6, torus3, torus4, heisenberg3]
+    specs += [random_resonant_spec(random.Random(seed), n_max=7) for seed in range(200)]
+    specs += [random_unimodular_spec(random.Random(seed), n_max=7) for seed in range(200)]
+    applicable = [spec for spec in specs if monodromy.oracle_applicable(spec)]
+    assert len(applicable) == 4 + 260
+    for spec in applicable:
+        assert [len(nilpotent_submodule(spec, k)) for k in range(spec.n + 1)] == [
+            comb(spec.n, k) for k in range(spec.n + 1)
+        ]
 
 
 def test_oracle_zero_matrix_gives_everything(torus4):

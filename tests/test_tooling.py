@@ -28,8 +28,12 @@ A dead-code gate profiles CLI runs, verify and the oracle in-process: every
 package function they never call must be on a commented allow-list.  The
 version is stated once: the report's ``generator`` field reads
 ``solvform.__version__``, and ``pyproject.toml`` must carry the same one.
+The independent certifier ``tests/certify.py`` names no ``solvform`` module
+in an import, and a fresh interpreter that runs its checks on a fixture
+report ends with no ``solvform`` module loaded.
 """
 
+import ast
 import contextlib
 import importlib
 import inspect
@@ -377,3 +381,33 @@ def test_the_version_is_stated_once():
     assert version == solvform.__version__
     report = build_report(load_spec(fixture_path("torus3")), 1)
     assert report["generator"] == {"name": "solvform", "version": solvform.__version__}
+
+
+CERTIFY = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+import certify
+
+report = json.load(open(sys.argv[2]))
+print(json.dumps({
+    "betti": certify.betti_numbers(report["input"]) == report["cohomology"]["betti"],
+    "dumps": certify.certify_dumps(report["model"]["dump"], report["formality"]["total_model"]),
+    "claims": certify.certify_report(report),
+    "loaded": sorted(m for m in sys.modules if m.split(".")[0] == "solvform"),
+}))
+"""
+
+
+def test_the_certifier_imports_nothing_from_the_package(tmp_path):
+    tree = ast.parse((ROOT / "tests" / "certify.py").read_text())
+    imported = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import) for alias in node.names]
+    imported += [node.module or "" for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
+    assert imported and not [name for name in imported if name.split(".")[0] == "solvform"]
+    report = tmp_path / "s6.json"
+    report.write_text(json.dumps(build_report(load_spec(fixture_path("s6")), 3)))
+    proc = subprocess.run(
+        [sys.executable, "-c", CERTIFY, str(ROOT / "tests"), str(report)],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {"betti": True, "dumps": [], "claims": [], "loaded": []}

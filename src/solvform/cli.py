@@ -88,8 +88,8 @@ def _parse_args(argv: list[str]) -> tuple[str, list[str], dict]:
     if match is None:
         raise InputError(f"--max-degree must be an integer, got {_quoted(degree)}")
     sign, digits = match.groups()
-    # a value longer than a quote shows whole is out of range, and is not converted:
-    # it may be past Python's digit limit; a negative one cut short stays below 1
+    # past 40 digits a value is not converted (it may pass Python's digit limit): it is
+    # above the limit, or cut to 40 digits it stays below 1
     if len(digits) > 40 and sign != "-":
         raise InputError(f"--max-degree {_quoted(degree)} is above the limit of {MAX_DEGREE}")
     options["--max-degree"] = int(sign + digits[:40])

@@ -172,7 +172,6 @@ def certify_dumps(model_lines: list[str], total_lines: list[str]) -> list[str]:
     return failures
 
 
-
 def linear_form(value) -> dict:
     """A scalar field such as ``"-1/2"``, ``"0.25"``, ``"2 - 3/4*b"`` or 3 as
     ``{"": constant, symbol: coefficient}``, zero entries dropped."""
@@ -199,7 +198,9 @@ def _value(value, symbols: dict) -> Fraction:
 
 
 def _integer_rotation(block: dict) -> bool:
-    return _value(block.get("im_resonant", "0"), {}).denominator == 1 and not linear_form(block.get("im_symbolic", "0"))
+    """The modification hypothesis on one block: an integer rotation with no symbolic part."""
+    integral = _value(block.get("im_resonant", "0"), {}).denominator == 1
+    return integral and not linear_form(block.get("im_symbolic", "0"))
 
 
 def slot_weights(doc: dict) -> list[tuple]:
@@ -230,9 +231,9 @@ def _resonant(weights: list[tuple]) -> bool:
 
 def form_text(subset: tuple) -> str:
     """``a124`` for the 0-based subset (0, 1, 3), ``a(1,10)`` past index 9, ``1`` for ()."""
-    names = [str(i + 1) for i in subset]
     if not subset:
         return "1"
+    names = [str(i + 1) for i in subset]
     return "a" + "".join(names) if subset[-1] < 9 else "a(" + ",".join(names) + ")"
 
 

@@ -79,12 +79,10 @@ class Analysis:
             listed = [str(v) for v in slice_.kernel_reps]
             listed += [f"({v}) ^ {alpha}" for v in slice_.coker_reps]
             reps[str(slice_.degree)] = listed
-        n_total = self.spec.n + 1
-        duality = all(betti[k] == betti[n_total - k] for k in range(n_total + 1))
         return {
             "betti": {str(k): b for k, b in enumerate(betti)},
             "representatives": reps,
-            "poincare_duality": duality,
+            "poincare_duality": betti == betti[::-1],  # degrees 0..n+1 of a closed (n+1)-manifold
             "euler_characteristic": sum((-1) ** k * b for k, b in enumerate(betti)),
         }
 

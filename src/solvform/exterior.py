@@ -11,10 +11,12 @@ comparison of canonical data.
 
 Index tuples are ordered lexicographically everywhere a basis of the
 degree-k slice is enumerated.  The terms are the sparse row handed to
-:mod:`.linalg` (:func:`coordinate_vector`), with the index tuples as
-columns, so pivoting follows that same order, the wedge product is the
-row product ``_multiply_into`` with :func:`merge_indices`, and a row
-converts back with ``Multivector(n, degree, row)``.
+:mod:`.linalg`, with the index tuples as columns (the package reads
+``.terms`` of a form it built; :func:`coordinate_vector`, which refuses
+symbols, copies the row of a caller's form), so pivoting follows that
+same order, the wedge product is the row product ``_multiply_into`` with
+:func:`merge_indices`, and a row converts back with
+``Multivector(n, degree, row)``.
 """
 
 from __future__ import annotations

@@ -21,16 +21,14 @@ such a bug here.
 
 import copy
 import json
-import random
 from fractions import Fraction
 from math import comb
 
 import pytest
 
 from certify import Algebra, betti_numbers, certify_dumps, certify_report, linear_form, parse_form, parse_poly
-from conftest import random_resonant_spec, random_unimodular_spec
 from solvform import build_report, fixture_path, load_spec, parse_spec
-from test_golden_reports import B2B2, MULTI_TERM, NIL322, SPECS
+from test_golden_reports import B2B2, MULTI_TERM, NIL322, SPECS, _digest_specs
 
 FIXTURES = ("s6", "s8", "torus3", "torus4", "heisenberg3")
 CASES = [(name, k) for name in FIXTURES for k in range(1, 5)]
@@ -67,20 +65,10 @@ def _claims(spec, stages=("unipotent", "cohomology")):
     return build_report(spec, 3, stages=stages)
 
 
-NAMED = {"nil7": NIL7, "nil322": NIL322, "s10": SPECS["s10"], "nil11": SPECS["nil11"]}
-
-
-@pytest.mark.parametrize("name", FIXTURES + tuple(NAMED))
-def test_unipotent_and_cohomology_claims_pass_the_independent_check(name):
-    spec = parse_spec(json.dumps(NAMED[name])) if name in NAMED else load_spec(fixture_path(name))
-    assert certify_report(_claims(spec)) == []
-
-
-def test_the_seeded_draws_pass_the_independent_check():
-    specs = [random_resonant_spec(random.Random(seed), n_max=7) for seed in range(60)]
-    specs += [random_unimodular_spec(random.Random(seed), n_max=7) for seed in range(1000, 1060)]
+def test_unipotent_and_cohomology_claims_pass_the_independent_check():
+    # the fixtures, nil7, nil322, s10, nil11 and the 120 seeded draws
     proper = 0
-    for spec in specs:
+    for spec in _digest_specs():
         report = _claims(spec)
         assert certify_report(report) == [], spec
         proper += sum(dim < comb(spec.n, int(k)) for k, dim in report["unipotent"]["dims"].items())

@@ -222,10 +222,7 @@ def derivation_apply(endo: LinearEndo, x: Multivector) -> Multivector:
     acc: list = []
     for key, coeff in x.terms.items():
         for p, idx in enumerate(key):
-            image = endo.image_of(idx)
-            if image.is_zero():
-                continue
-            for (j,), cj in image.terms.items():
+            for (j,), cj in endo.image_of(idx).terms.items():
                 sorted_ = sort_indices(key[:p] + (j,) + key[p + 1 :])
                 if sorted_ is None:
                     continue

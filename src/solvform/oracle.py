@@ -107,8 +107,6 @@ def nilpotent_submodule_oracle(spec: AlmostAbelianSpec, k: int) -> list[Multivec
 
 def spans_match(a: list[Multivector], b: list[Multivector]) -> bool:
     """Subspace equality via canonical echelon coordinates."""
-    if not a and not b:
-        return True
     if bool(a) != bool(b):
         return False
     rows_a = echelon_basis([coordinate_vector(x) for x in a])

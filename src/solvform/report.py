@@ -39,6 +39,9 @@ STAGES = ("unipotent", "cohomology", "model", "formality", "symplectic")
 # walk every degree once.  `analyze` on a 2-vCPU x86 VM: the bundled fixtures and nil7
 # take 0.17-0.20 s at K = 1000; in-process the fixtures take 0.02-0.03 s at K = 2000.
 MAX_DEGREE = 1000
+# A degree of more digits is refused as such, unformatted: Python's digit limit stops
+# str() of an int, and the command line converts at most one digit more.
+MAX_DEGREE_DIGITS = 40
 
 
 class Analysis:
@@ -48,8 +51,7 @@ class Analysis:
         if max_degree < 1:
             raise InputError("--max-degree must be at least 1")
         if max_degree > MAX_DEGREE:
-            # an int past Python's digit limit cannot be formatted; the command line passes none
-            shown = max_degree if max_degree < 10**40 else "of more than 40 digits"
+            shown = max_degree if max_degree < 10**MAX_DEGREE_DIGITS else f"of more than {MAX_DEGREE_DIGITS} digits"
             raise InputError(f"--max-degree {shown} is above the limit of {MAX_DEGREE}")
         check_fiber_size(spec)  # the unipotent section reads every degree's slice
         self.spec = spec
@@ -66,8 +68,12 @@ class Analysis:
     # ----- report sections -----------------------------------------------------
 
     def unipotent_section(self) -> dict:
-        bases = {str(k): [str(v) for v in nilpotent_submodule(self.spec, k)] for k in range(self.spec.n + 1)}
-        dims = {k: len(basis) for k, basis in bases.items()}
+        dims = {}
+        bases = {}
+        for k in range(self.spec.n + 1):
+            basis = nilpotent_submodule(self.spec, k)
+            dims[str(k)] = len(basis)
+            bases[str(k)] = [str(v) for v in basis]
         return {"dims": dims, "bases": bases, "oracle_applicable": oracle_applicable(self.spec)}
 
     def cohomology_section(self) -> dict:

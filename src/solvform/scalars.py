@@ -152,7 +152,7 @@ def _digit_limit() -> int:
     return get() if get else 0
 
 
-def _quoted(text) -> str:
+def quoted(text) -> str:
     """``repr(text)``, shortened for a long text to its first 32 characters and its length."""
     text = str(text)
     return repr(text) if len(text) <= 40 else f"{text[:32]!r}... ({len(text)} characters)"
@@ -166,7 +166,7 @@ def parse_rational(text: str) -> Fraction:
     digits."""
     match = _RATIONAL_RE.match(str(text))
     if match is None or match[2] and not match[2].strip("0"):  # or a zero denominator
-        raise ValueError(f"not a rational literal: {_quoted(text)}")
+        raise ValueError(f"not a rational literal: {quoted(text)}")
     whole, denominator, decimals = match.groups()
     digits = max(len(whole + (decimals or "")), len(denominator or ""), len(decimals or "") + 1)
     limit = _digit_limit()
@@ -180,7 +180,7 @@ def _rational_in(chunk: str, text: str) -> Fraction:
     try:
         return parse_rational(chunk)
     except ValueError as exc:
-        raise ValueError(f"{exc} in scalar literal {_quoted(text)}") from exc
+        raise ValueError(f"{exc} in scalar literal {quoted(text)}") from exc
 
 
 def _check_digits(scalar: ScalarLC, text: str) -> None:
@@ -198,7 +198,7 @@ def _check_digits(scalar: ScalarLC, text: str) -> None:
                     part //= chunk
                     digits += limit
                 digits += len(str(part))
-                raise ValueError(f"{_PAST_LIMIT.format(digits, limit)} in scalar literal {_quoted(text)}")
+                raise ValueError(f"{_PAST_LIMIT.format(digits, limit)} in scalar literal {quoted(text)}")
 
 
 def parse_scalar(text: str, symbols=()) -> ScalarLC:
@@ -217,13 +217,13 @@ def parse_scalar(text: str, symbols=()) -> ScalarLC:
         if not chunk:
             if pos == 0:
                 continue  # harmless leading sign artifact
-            raise ValueError(f"dangling operator in scalar literal {_quoted(text)}")
+            raise ValueError(f"dangling operator in scalar literal {quoted(text)}")
         sign = Fraction(1)
         if chunk.startswith("-"):
             sign = Fraction(-1)
             chunk = chunk[1:]
         if not chunk:
-            raise ValueError(f"dangling sign in scalar literal {_quoted(text)}")
+            raise ValueError(f"dangling sign in scalar literal {quoted(text)}")
         if "*" in chunk:
             coeff_text, _, name = chunk.partition("*")
             coeff = sign * _rational_in(coeff_text, text)
@@ -233,9 +233,9 @@ def parse_scalar(text: str, symbols=()) -> ScalarLC:
             const += sign * _rational_in(chunk, text)
             continue
         if not _SYMBOL_RE.match(name):
-            raise ValueError(f"bad symbol name {_quoted(name)} in scalar literal {_quoted(text)}")
+            raise ValueError(f"bad symbol name {quoted(name)} in scalar literal {quoted(text)}")
         if name not in symbols:
-            raise ValueError(f"undeclared symbol {_quoted(name)} in scalar literal {_quoted(text)}")
+            raise ValueError(f"undeclared symbol {quoted(name)} in scalar literal {quoted(text)}")
         terms.append((name, coeff))
     scalar = ScalarLC(const, terms)
     _check_digits(scalar, text)

@@ -320,10 +320,10 @@ def parse_form(text: str) -> dict:
     return {key: c for key, c in form.items() if c}
 
 
-def certify_cohomology(doc: dict, section: dict, seed: int = 0) -> list[str]:
+def certify_cohomology(doc: dict, section: dict) -> list[str]:
     """Every ``cohomology/representatives`` entry with no ``^ a(n+1)`` part that the
     modified action does not kill, at three seeded rational points of the symbols."""
-    rng = random.Random(seed)
+    rng = random.Random(0)
     names = doc.get("symbols", [])
     points = [{name: Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for name in names} for _ in range(3 if names else 1)]
     base = f" ^ a{doc['n'] + 1}"
@@ -337,14 +337,14 @@ def certify_cohomology(doc: dict, section: dict, seed: int = 0) -> list[str]:
     return failures
 
 
-def certify_report(report: dict, seed: int = 0) -> list[str]:
+def certify_report(report: dict) -> list[str]:
     """The unipotent and cohomology checks of a report against its echoed input."""
     doc = report["input"]
     failures = []
     if "unipotent" in report:
         failures += [f"unipotent {line}" for line in certify_unipotent(doc, report["unipotent"])]
     if "cohomology" in report:
-        failures += [f"cohomology {line}" for line in certify_cohomology(doc, report["cohomology"], seed)]
+        failures += [f"cohomology {line}" for line in certify_cohomology(doc, report["cohomology"])]
     return failures
 
 

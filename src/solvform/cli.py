@@ -5,14 +5,15 @@ re-derives the claims of a previously written machine-readable report.
 The two command shapes are fixed (see ``USAGE``), so they are parsed
 directly; an option takes its value as ``--opt value`` or ``--opt=value``.
 Exit codes: 0 success (``-h``/``--help`` prints the usage), 1 input
-problem (usage error, unreadable file, unwritable report path, schema or
-hypothesis violation, malformed report, failed verification), 2 broken
-internal invariant or any other unexpected error.
+problem (usage error, unreadable file, unwritable report path or standard
+output, schema or hypothesis violation, malformed report, failed
+verification), 2 broken internal invariant or any other unexpected error.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import sys
 
 from .errors import InputError, InternalInvariantViolation
@@ -31,19 +32,16 @@ USAGE = (
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    if "-h" in argv or "--help" in argv:
-        sys.stdout.write(USAGE)
-        return 0
     try:
+        if "-h" in argv or "--help" in argv:
+            _write(None, USAGE)
+            return 0
         command, paths, options = _parse_args(argv)
         if command == "verify":
             return _run_verify(*paths)
         return _run_stage(command, paths[0], options)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
-        print(f"error: cannot read input: {exc}", file=sys.stderr)
         return 1
     except InternalInvariantViolation as exc:
         print(f"internal invariant violation: {exc}", file=sys.stderr)
@@ -106,15 +104,28 @@ def _run_stage(command: str, input_path: str, options: dict) -> int:
         from .text import render_text  # a JSON run does not compile the renderer
 
         payload = render_text(report)
-    if options["--report"] is not None:  # an empty path is an unwritable one
+    _write(options["--report"], payload)
+    return 0
+
+
+def _write(path: str | None, text: str) -> None:
+    """Write ``text`` to the file ``path``, or, the CLI's one writer of it, to standard
+    output when ``path`` is None.  Standard output is flushed here; after a failed
+    write it is pointed at the null device, leaving the exit flush nothing to fail on."""
+    if path is not None:  # an empty path is an unwritable one
         try:
-            with open(options["--report"], "w", encoding="utf-8") as handle:
-                handle.write(payload)
+            with open(path, "w", encoding="utf-8") as handle:
+                handle.write(text)
         except OSError as exc:
             raise InputError(f"cannot write report: {exc}") from exc
-    else:
-        sys.stdout.write(payload)
-    return 0
+        return
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except OSError as exc:
+        with open(os.devnull, "w") as null:
+            os.dup2(null.fileno(), sys.stdout.fileno())
+        raise InputError(f"cannot write output: {exc}") from exc
 
 
 def _run_verify(report_path: str, input_path: str) -> int:
@@ -131,7 +142,7 @@ def _run_verify(report_path: str, input_path: str) -> int:
         raise InputError("malformed report: the top level must be a JSON object")
     ok, mismatches = verify_report(report, spec, text)
     if ok:
-        print("report verified: all checkable claims reproduced")
+        _write(None, "report verified: all checkable claims reproduced\n")
         return 0
     for line in mismatches:
         print(f"mismatch: {line}", file=sys.stderr)

@@ -31,7 +31,7 @@ import json
 from collections import namedtuple
 from functools import lru_cache
 
-from .errors import HypothesisError, SchemaError
+from .errors import HypothesisError, InputError, SchemaError
 from .exterior import LinearEndo, Multivector
 from .scalars import _SYMBOL_RE, ScalarLC, _canonical, parse_rational, parse_scalar
 
@@ -159,11 +159,14 @@ def _refuse_number(literal: str):
 
 
 def load_spec(path) -> AlmostAbelianSpec:
-    with open(path, "r", encoding="utf-8") as handle:
-        try:
-            return parse_spec(handle.read())
-        except UnicodeDecodeError as exc:
-            raise SchemaError(f"input is not UTF-8 text: {exc}") from exc
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            text = handle.read()
+    except OSError as exc:
+        raise InputError(f"cannot read input: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"input is not UTF-8 text: {exc}") from exc
+    return parse_spec(text)
 
 
 def spec_document(spec: AlmostAbelianSpec) -> dict:

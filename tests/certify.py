@@ -44,6 +44,9 @@ written here.  For every generator g it checks
     earlier generators and has degree |g| + 1;
   * that the total model repeats d(g) and the realization of the model dump;
   * d(d(g)) = 0, with d the degree-1 derivation the dump defines;
+  * rho(d(g)) = 0 as a form: the realization, the algebra map sending each
+    generator to its ``rho`` form under the exterior product :func:`wedge`
+    written here, is a chain map to a target with zero differential;
   * theta(d(g)) = d(theta(g)), with theta the degree-0 derivation read off
     the A-part of D(g) = d(g) + theta(g)*A.  As A is closed and odd, D*D = 0
     is exactly this and d*d = 0.
@@ -124,6 +127,31 @@ class Algebra:
         return {m: c for m, c in out.items() if c}
 
 
+def wedge(p: dict, q: dict) -> dict:
+    """The exterior product of two forms ``{sorted 0-based subset: coefficient}``:
+    sorting u + v moves each index of v past the larger indices of u."""
+    out: dict = {}
+    for u, a in p.items():
+        for v, b in q.items():
+            if not set(u) & set(v):
+                key = tuple(sorted(u + v))
+                inversions = sum(1 for i in u for j in v if i > j)
+                out[key] = out.get(key, 0) + (-a * b if inversions % 2 else a * b)
+    return {key: c for key, c in out.items() if c}
+
+
+def realize(p: dict, rho: dict) -> dict:
+    """The form of the model polynomial ``p`` under the algebra map g -> ``rho[g]``."""
+    out: dict = {}
+    for mono, coeff in p.items():
+        form = {(): coeff}
+        for g in mono:
+            form = wedge(form, rho[g])
+        for key, c in form.items():
+            out[key] = out.get(key, 0) + c
+    return {key: c for key, c in out.items() if c}
+
+
 def _split_total(rhs: str):
     """The d-part and theta-part texts of ``D(g) = d(g) + theta(g)*A``."""
     if not rhs.endswith("*A"):
@@ -143,6 +171,7 @@ def certify_dumps(model_lines: list[str], total_lines: list[str]) -> list[str]:
         return [f"unparsed model line {line!r}" for line, m in zip(model_lines[2:], gens) if not m]
     degrees = {int(m[1]): int(m[2]) for m in gens}
     d = {int(m[1]): parse_poly(m[4]) for m in gens}
+    forms = {int(m[1]): {} if m[5] == "0" else parse_form(m[5]) for m in gens}
     algebra = Algebra(degrees)
     failures = []
     for m in gens:
@@ -154,6 +183,8 @@ def certify_dumps(model_lines: list[str], total_lines: list[str]) -> list[str]:
                 failures.append(f"g{g}: d has the term {mono}")
         if algebra.derive(d[g], d, 1):
             failures.append(f"g{g}: d(d(g{g})) is not zero")
+        if realize(d[g], forms):
+            failures.append(f"g{g}: rho(d(g{g})) is not zero")
     if len(total_lines) != len(gens) + 2 or not total_lines[1].startswith("D(A) = 0, tau(A) = "):
         return failures + ["the total model does not list A and every generator"]
     theta = {}

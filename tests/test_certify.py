@@ -12,11 +12,13 @@ flipped in a kernel representative) stand in for pipeline bugs here.
 the ranks of its derivation on every degree with its own elimination.
 
 ``verify`` rebuilds a report with the code that wrote it; ``certify_dumps``
-reads the model and total-model dumps back with its own parser and product.
+reads the model and total-model dumps back with its own parser and products.
 Dropping the odd-odd sign of ``MinimalModel.mono_mul`` changes the s8 K=6
 model, and that build's own ``verify`` accepts its report; this check finds
-d(d(g)) != 0 on 40 of its 157 generators.  Hand-edited dumps stand in for
-such a bug here.
+d(d(g)) != 0 on 40 of its 157 generators.  A realization product without the
+reordering sign in ``MinimalModel._rho_mono`` changes the s8 K=6 and b2b2 K=6
+models, whose own ``verify`` accepts them; the chain-map check finds
+rho(d(g)) != 0 on g12 and g10.  Hand-edited dumps stand in for such bugs here.
 """
 
 import copy
@@ -26,7 +28,9 @@ from math import comb
 
 import pytest
 
-from certify import Algebra, betti_numbers, certify_dumps, certify_report, linear_form, parse_form, parse_poly
+from certify import (
+    Algebra, betti_numbers, certify_dumps, certify_report, linear_form, parse_form, parse_poly, realize, wedge
+)
 from solvform import build_report, fixture_path, load_spec, parse_spec
 from test_golden_reports import B2B2, MULTI_TERM, NIL322, SPECS, _digest_specs
 
@@ -168,6 +172,26 @@ def test_a_twist_that_does_not_commute_with_d_is_refused():
     assert "D(g7) = g1*g4 + (2*g6)*A, tau(g7) = 0" in total
     edit = [line.replace("(2*g6)*A", "(3*g6)*A") for line in total]
     assert certify_dumps(model, edit) == ["g7: theta(d(g7)) differs from d(theta(g7))"]
+
+
+def test_a_realization_that_is_not_a_chain_map_is_refused():
+    # on s8 at K=4, rho(d(g12)) = a46 ^ a57 + a47 ^ a56 = -a4567 + a4567; with rho(g4)
+    # negated in both dumps the two terms add up
+    model, total = _dumps("s8", 4)
+    assert "g12: degree 3, non-closed, d(g12) = g4*g7 + g5*g6, rho(g12) = 0" in model
+    edit = [line.replace("rho(g4) = a46", "rho(g4) = -a46") for line in model]
+    edit_total = [line.replace("tau(g4) = a46", "tau(g4) = -a46") for line in total]
+    assert edit != model and edit_total != total
+    assert certify_dumps(edit, edit_total) == ["g12: rho(d(g12)) is not zero"]
+
+
+def test_the_exterior_product_sorts_with_its_sign():
+    a = {(0,): 1, (1,): 2}
+    assert wedge({(1,): 1}, {(0,): 1}) == {(0, 1): -1}
+    assert wedge({(0, 2): 1}, {(1, 3): 3}) == {(0, 1, 2, 3): -3}
+    assert wedge(a, a) == {} and wedge({(): 5}, a) == {(0,): 5, (1,): 10}
+    # g1 * g2 with g1, g2 -> e0 + 2 e1 and e1: the even g3 -> e01 squares to zero
+    assert realize({(1, 2): 3, (3, 3): 1}, {1: a, 2: {(1,): 1}, 3: {(0, 1): 1}}) == {(0, 1): 3}
 
 
 def test_the_product_is_graded_commutative():

@@ -18,12 +18,14 @@ from test_golden_reports import B2B2
 SRC = str(Path(solvform.__file__).resolve().parents[1])
 
 
-def _run_cli(*argv):
-    """The CLI in a fresh interpreter, so a leaked traceback shows on stderr."""
+def _run_cli(*argv, stdout=subprocess.PIPE, env=()):
+    """The CLI in a fresh interpreter, so a leaked traceback shows on stderr;
+    ``env`` holds variables to set, a value of None unsets one."""
     path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path, **dict(env)}
     return subprocess.run(
-        [sys.executable, "-m", "solvform", *argv],
-        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path),
+        [sys.executable, "-m", "solvform", *argv], stdout=stdout, stderr=subprocess.PIPE,
+        text=True, env={name: value for name, value in env.items() if value is not None},
     )
 
 
@@ -397,6 +399,19 @@ def test_unreadable_input_exit_code(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("where", ["missing file", "directory"])
+def test_unreadable_input_is_named_where_it_is_read(tmp_path, capsys, where):
+    path = str(tmp_path / "missing.json" if where == "missing file" else tmp_path)
+    with pytest.raises(OSError) as raised:
+        open(path, encoding="utf-8").close()
+    with pytest.raises(solvform.InputError) as refused:
+        load_spec(path)
+    assert str(refused.value) == f"cannot read input: {raised.value}"
+    # the command line prints the same line as when main mapped every OSError to it
+    assert main(["analyze", path]) == 1
+    assert capsys.readouterr() == ("", f"error: cannot read input: {raised.value}\n")
+
+
+@pytest.mark.parametrize("where", ["missing file", "directory"])
 def test_verify_names_the_report_it_cannot_read(tmp_path, capsys, where):
     torus3 = str(_write_spec(tmp_path, text=fixture_path("torus3").read_text()))
     report_path = str(tmp_path / "missing.json" if where == "missing file" else tmp_path)
@@ -425,6 +440,30 @@ def test_empty_report_path_is_unwritable(tmp_path, capsys, argv):
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("error: cannot write report: ") and err.count("\n") == 1
+
+
+STDOUT_FAILURES = {
+    "help": ["-h"],
+    "report within the stdout buffer": ["analyze", "{torus3}", "--max-degree", "1", "--format", "json"],
+    "report past the stdout buffer": ["analyze", "{s8}", "--max-degree", "6", "--format", "json"],
+    "text report": ["analyze", "{s6}", "--format", "text"],
+    "verify verdict": ["verify", "{report}", "{torus3}"],
+}
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs the /dev/full device")
+@pytest.mark.parametrize("unbuffered", [None, "1"], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("argv", STDOUT_FAILURES.values(), ids=STDOUT_FAILURES.keys())
+def test_a_failed_write_to_standard_output_is_one_line(tmp_path, argv, unbuffered):
+    # a buffered stdout fails at the flush, an unbuffered one at the write; the
+    # interpreter's exit flush must find nothing left to fail on either way
+    paths = {name: str(fixture_path(name)) for name in ("torus3", "s8", "s6")}
+    paths["report"] = str(tmp_path / "torus3.json")
+    assert main(["analyze", paths["torus3"], "--format", "json", "--report", paths["report"]]) == 0
+    with open("/dev/full", "w") as full:
+        proc = _run_cli(*[arg.format(**paths) for arg in argv], stdout=full, env={"PYTHONUNBUFFERED": unbuffered})
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: cannot write output: ") and proc.stderr.count("\n") == 1
 
 
 def test_malformed_report_diagnostic(tmp_path, capsys):

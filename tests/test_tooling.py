@@ -28,12 +28,15 @@ A dead-code gate profiles CLI runs, verify and the oracle in-process: every
 package function they never call must be on a commented allow-list.  The
 version is stated once: the report's ``generator`` field reads
 ``solvform.__version__``, and ``pyproject.toml`` must carry the same one.
+The CLI writes standard output only inside its one writer, ``cli._write``,
+and no handler of ``cli.main`` catches an ``OSError``.
 The independent certifier ``tests/certify.py`` names no ``solvform`` module
 in an import, and a fresh interpreter that runs its checks on a fixture
 report ends with no ``solvform`` module loaded.
 """
 
 import ast
+import builtins
 import contextlib
 import importlib
 import inspect
@@ -381,6 +384,33 @@ def test_the_version_is_stated_once():
     assert version == solvform.__version__
     report = build_report(load_spec(fixture_path("torus3")), 1)
     assert report["generator"] == {"name": "solvform", "version": solvform.__version__}
+
+
+def test_the_cli_writes_standard_output_at_one_site():
+    # every stdout write goes through cli._write, which turns a failed write into
+    # a one-line error; main names no OSError, so each read or write failure is
+    # named where it happens and any other OSError is an internal error
+    tree = ast.parse(Path(cli.__file__).read_text())
+    writer = next(node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "_write")
+
+    def stdout_sites(root):
+        for node in ast.walk(root):
+            if isinstance(node, ast.Attribute) and node.attr == "stdout" and getattr(node.value, "id", None) == "sys":
+                yield node
+            elif isinstance(node, ast.Call) and getattr(node.func, "id", None) == "print":
+                if not any(keyword.arg == "file" for keyword in node.keywords):
+                    yield node  # a print with no file= writes stdout
+
+    assert list(stdout_sites(writer)) and list(stdout_sites(tree)) == list(stdout_sites(writer))
+    main = next(node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "main")
+    caught = []
+    for handler in ast.walk(main):
+        if isinstance(handler, ast.ExceptHandler) and handler.type is not None:
+            types = handler.type.elts if isinstance(handler.type, ast.Tuple) else [handler.type]
+            caught += [ast.unparse(node) for node in types]
+    assert "Exception" in caught
+    named = [name for name in caught if isinstance(getattr(builtins, name, None), type)]
+    assert not [name for name in named if issubclass(getattr(builtins, name), OSError)], caught
 
 
 CERTIFY = """
